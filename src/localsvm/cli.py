@@ -18,13 +18,20 @@ from .config import (load_config, model_config_from_config, setup_from_config)
 from .errors import ConvergenceError, InputError, LocalSvmError
 from .experiments import (LambdaSchedule, consistency_trend, tradeoff_sweep)
 from .regions import WeightScheme, regionalize, restrict
-from .robustness import (ContaminationSpec, adversarial_q_specs, default_probes,
+from .robustness import (ContaminationSpec, default_probes, extreme_labels,
                          run_audit)
 
 EXIT_OK = 0
 EXIT_BOUND_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
+
+
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -38,7 +45,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=doc)
         p.add_argument("--config", required=True, help="path to the JSON config")
         p.add_argument("--out", default=None, help="output directory")
-        p.add_argument("--threads", type=int, default=1,
+        p.add_argument("--threads", type=_positive_int, default=1,
                        help="max parallel trainings")
         p.add_argument("--seed", type=int, default=None,
                        help="override the config's dataset/partition seeds")
@@ -95,7 +102,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _z_specs_from_config(raw, data, ladder):
+def _z_specs_from_config(raw, data, ladder, classification):
     audit = raw.get("audit", {})
     if "z" in audit:
         z = audit["z"]
@@ -107,13 +114,9 @@ def _z_specs_from_config(raw, data, ladder):
     axes = [np.linspace(lo[j], hi[j], per_dim) for j in range(data.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
-    y_lo, y_hi = float(data.y.min()), float(data.y.max())
-    spread = y_hi - y_lo
-    specs = []
-    for i, x in enumerate(grid):
-        y = (y_hi + 3.0 * spread) if i % 2 == 0 else (y_lo - 3.0 * spread)
-        specs.append(ContaminationSpec.dirac(x, y, ladder))
-    return specs
+    y_lo, y_hi = extreme_labels(data, classification)
+    return [ContaminationSpec.dirac(x, y_hi if i % 2 == 0 else y_lo, ladder)
+            for i, x in enumerate(grid)]
 
 
 def cmd_audit(args) -> int:
@@ -145,7 +148,8 @@ def cmd_audit(args) -> int:
             partition.attach_points(setup.data.X)
         scheme = base.scheme
 
-    z_specs = _z_specs_from_config(raw, setup.data, ladder)
+    z_specs = _z_specs_from_config(raw, setup.data, ladder,
+                                   config.loss.is_classification)
     maxbias_eps = audit_cfg.get("maxbias_eps", 0.1)
     q_family = audit_cfg.get("q_family", "corners-center-flip")
     maxbias_specs = None

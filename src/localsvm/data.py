@@ -42,6 +42,12 @@ class Dataset:
             raise InputError(
                 f"{self.X.shape[0]} points but {self.y.shape[0]} labels"
             )
+        bad = ~(np.isfinite(self.X).all(axis=1) & np.isfinite(self.y))
+        if bad.any():
+            raise InputError(
+                f"dataset row {int(np.argmax(bad))} has a non-finite value "
+                "(nan or inf)"
+            )
 
     @property
     def n(self) -> int:

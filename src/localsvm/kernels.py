@@ -17,6 +17,11 @@ from .errors import InputError, InsufficientDataError
 _CHUNK_BUDGET = 4_000_000
 
 
+def chunk_rows(m: int) -> int:
+    """Rows per chunk so that a chunk against m columns stays within budget."""
+    return max(1, _CHUNK_BUDGET // max(1, m))
+
+
 class Kernel:
     """Base class; subclasses implement ``_cross`` on (n, d) x (m, d) arrays."""
 
@@ -49,7 +54,7 @@ class Kernel:
         Z = self._check(Z)
         if Z.shape[0] == 0 or X.shape[0] == 0:
             return np.zeros((X.shape[0], Z.shape[0]))
-        rows = max(1, _CHUNK_BUDGET // max(1, Z.shape[0]))
+        rows = chunk_rows(Z.shape[0])
         if X.shape[0] <= rows:
             return self._cross(X, Z)
         out = np.empty((X.shape[0], Z.shape[0]))
@@ -58,7 +63,8 @@ class Kernel:
         return out
 
     def gram(self, points) -> np.ndarray:
-        """Symmetric Gram matrix; upper triangle computed once and mirrored."""
+        """Symmetric Gram matrix: the full matrix is computed, then its upper
+        triangle is mirrored onto the lower one so symmetry is exact."""
         X = self._check(points)
         if X.shape[0] == 0:
             raise InputError("gram of an empty point list")
@@ -98,9 +104,19 @@ class GaussianRBF(Kernel):
             raise InputError(f"gamma must be positive, got {self.gamma}")
 
     def _cross(self, X, Z):
-        # direct differences: exactly symmetric and exactly 1 on the diagonal
-        d2 = ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=-1)
-        return np.exp(-d2 / self.gamma**2)
+        # direct differences, one coordinate at a time into one (n, m) buffer:
+        # exactly symmetric, exactly 1 on the diagonal, no (n, m, d) temporary
+        d2 = np.subtract.outer(X[:, 0], Z[:, 0])
+        np.square(d2, out=d2)
+        if X.shape[1] > 1:
+            diff = np.empty_like(d2)
+            for j in range(1, X.shape[1]):
+                np.subtract.outer(X[:, j], Z[:, j], out=diff)
+                np.square(diff, out=diff)
+                d2 += diff
+        np.negative(d2, out=d2)
+        d2 /= self.gamma**2
+        return np.exp(d2, out=d2)
 
     def _diag(self, X):
         return np.ones(X.shape[0])

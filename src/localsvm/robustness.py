@@ -680,6 +680,16 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
     )
 
 
+def extreme_labels(data: Dataset, classification: bool) -> tuple[float, float]:
+    """(low, high) contamination labels: -1 and +1 for classification,
+    otherwise three label spreads beyond the sample's label range."""
+    if classification:
+        return -1.0, 1.0
+    y_lo, y_hi = float(data.y.min()), float(data.y.max())
+    spread = y_hi - y_lo
+    return y_lo - 3.0 * spread, y_hi + 3.0 * spread
+
+
 def adversarial_q_specs(data: Dataset, classification: bool,
                         eps_ladder=DEFAULT_EPS_LADDER, max_corners: int = 8):
     """Adversarial candidates: box corners and center with extreme labels,
@@ -694,16 +704,12 @@ def adversarial_q_specs(data: Dataset, classification: bool,
     xs = corners + [(lo + hi) / 2.0]
 
     if classification:
-        extreme_labels = (-1.0, 1.0)
         flipped = -data.y
     else:
-        y_lo, y_hi = float(data.y.min()), float(data.y.max())
-        spread = y_hi - y_lo
-        extreme_labels = (y_lo - 3.0 * spread, y_hi + 3.0 * spread)
-        flipped = y_lo + y_hi - data.y
+        flipped = float(data.y.min()) + float(data.y.max()) - data.y
 
     specs = [ContaminationSpec.dirac(x, y, eps_ladder)
-             for x in xs for y in extreme_labels]
+             for x in xs for y in extreme_labels(data, classification)]
     flip_mixture = WeightedSample(data.X, flipped, np.full(data.n, 1.0 / data.n))
     specs.append(ContaminationSpec.mixture(flip_mixture, eps_ladder))
     return specs

@@ -24,7 +24,7 @@ import numpy as np
 
 from .data import WeightedSample, as_points
 from .errors import ConvergenceError, InputError
-from .kernels import Kernel, kernel_from_dict
+from .kernels import Kernel, chunk_rows, kernel_from_dict
 from .losses import SmoothLoss, loss_from_name
 
 ARMIJO_C = 1e-4
@@ -90,11 +90,17 @@ class LocalModel:
         return self.anchors.shape[0]
 
     def predict(self, X) -> np.ndarray:
-        """Evaluate the expansion at the rows of X."""
+        """Evaluate the expansion at the rows of X, one row chunk at a time,
+        so the full cross-kernel matrix is never held."""
         X = as_points(X)
         if self.n_anchors == 0:
             return np.zeros(X.shape[0])
-        return self.kernel.matrix(X, self.anchors) @ self.alpha
+        rows = chunk_rows(self.n_anchors)
+        out = np.empty(X.shape[0])
+        for start in range(0, X.shape[0], rows):
+            K = self.kernel.matrix(X[start:start + rows], self.anchors)
+            out[start:start + rows] = K @ self.alpha
+        return out
 
     def predict_one(self, x) -> float:
         return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])

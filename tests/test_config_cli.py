@@ -331,3 +331,41 @@ def test_setup_from_config_csv(tmp_path):
     setup = setup_from_config(raw)
     assert setup.data.n == 4 and setup.data.dim == 1
     assert setup.task is None
+
+
+def test_cli_audit_z_grid_classification_uses_unit_labels(tmp_path):
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    cfg["dataset"] = {"kind": "synthetic", "task": "two-moons", "n": 40,
+                      "dim": 2, "noise": 0.1, "seed": 7}
+    cfg["model"]["loss"] = "logistic-classification"
+    cfg_path = write_config(tmp_path, cfg)
+    rc = cli.main(["audit", "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc != 2
+    report = json.loads((tmp_path / "out" / "audit.json").read_text())
+    assert len(report["per_z"]) == 4
+    assert {entry["z"]["y"] for entry in report["per_z"]} == {-1.0, 1.0}
+
+
+@pytest.mark.parametrize("cell", ["nan", "inf"])
+def test_cli_non_finite_csv_exits_2(tmp_path, capsys, cell):
+    path = tmp_path / "data.csv"
+    rows = [f"{0.1 * i},{np.sin(0.1 * i)}" for i in range(20)]
+    rows[7] = f"{cell},0.5"
+    path.write_text("x0,y\n" + "\n".join(rows) + "\n")
+    cfg = base_config(dataset={"kind": "csv", "path": str(path)})
+    cfg["partition"] = {"b_target": 2, "min_region_size": 3}
+    cfg_path = write_config(tmp_path, cfg)
+    rc = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
+    cfg_path = write_config(tmp_path, base_config())
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["train", "--config", cfg_path, "--threads", threads,
+                  "--out", str(tmp_path / "t")])
+    assert exc.value.code == 2
+    assert "--threads" in capsys.readouterr().err

@@ -138,3 +138,32 @@ def test_kernel_dict_round_trip():
         assert kernel_from_dict(k.to_dict()) == k
     with pytest.raises(InputError):
         kernel_from_dict({"family": "sigmoid", "input_dim": 2})
+
+
+def _broadcast_rbf(X, Z, gamma):
+    # the (n, m, d) broadcast form the per-coordinate kernel replaced
+    d2 = ((X[:, None, :] - Z[None, :, :]) ** 2).sum(axis=-1)
+    return np.exp(-d2 / gamma**2)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5])
+def test_gaussian_cross_bitwise_equal_to_broadcast_form(dim):
+    k = GaussianRBF(gamma=0.9, input_dim=dim)
+    rng = np.random.default_rng(dim)
+    X = rng.normal(size=(61, dim))
+    Z = rng.normal(size=(37, dim))
+    np.testing.assert_array_equal(k._cross(X, Z), _broadcast_rbf(X, Z, 0.9))
+    np.testing.assert_array_equal(k._cross(X, X), _broadcast_rbf(X, X, 0.9))
+
+
+def test_gaussian_cross_close_to_broadcast_form_high_dim():
+    # from 8 coordinates on NumPy's pairwise sum reorders the additions
+    k = GaussianRBF(gamma=1.7, input_dim=10)
+    rng = np.random.default_rng(10)
+    X = rng.normal(size=(61, 10))
+    Z = rng.normal(size=(37, 10))
+    np.testing.assert_allclose(k._cross(X, Z), _broadcast_rbf(X, Z, 1.7),
+                               rtol=0, atol=1e-15)
+    G = k._cross(X, X)
+    np.testing.assert_array_equal(G, G.T)
+    np.testing.assert_array_equal(np.diag(G), np.ones(61))

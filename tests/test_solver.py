@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from localsvm import (CoverageError, ConvergenceError, GaussianRBF, InputError,
                       LocalModel, LogisticClassification, LogisticRegression,
                       TrainConfig, WeightedSample, audit_model_bounds,
                       objective, shifted_unshifted_identity_check, train)
+from localsvm.kernels import _CHUNK_BUDGET
 from conftest import random_sample
 
 REG = LogisticRegression()
@@ -256,3 +258,33 @@ def test_local_model_json_round_trip():
     assert back.kernel == model.kernel
     X = np.random.default_rng(1).uniform(-2, 2, size=(50, 2))
     np.testing.assert_array_equal(back.predict(X), model.predict(X))
+
+
+def test_predict_in_chunks_matches_full_matrix():
+    # more than two row chunks, the last one partial
+    k = GaussianRBF(gamma=0.8, input_dim=2)
+    rng = np.random.default_rng(21)
+    m = 2001
+    anchors = rng.uniform(-2.0, 2.0, size=(m, 2))
+    alpha = rng.normal(size=m)
+    X = rng.uniform(-2.5, 2.5, size=(2 * (_CHUNK_BUDGET // m) + 17, 2))
+    model = LocalModel(alpha=alpha, anchors=anchors, kernel=k, loss=REG, lam=0.5)
+    expected = k.matrix(X, anchors) @ alpha
+    np.testing.assert_allclose(model.predict(X), expected, rtol=0,
+                               atol=1e-13 * np.abs(alpha).sum())
+
+
+def test_predict_memory_stays_within_a_few_chunks():
+    k = GaussianRBF(gamma=0.8, input_dim=2)
+    rng = np.random.default_rng(22)
+    model = LocalModel(alpha=rng.normal(size=1000),
+                       anchors=rng.uniform(-2.0, 2.0, size=(1000, 2)),
+                       kernel=k, loss=REG, lam=0.5)
+    X = rng.uniform(-2.5, 2.5, size=(40_000, 2))
+    tracemalloc.start()
+    try:
+        model.predict(X)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * _CHUNK_BUDGET * 8
