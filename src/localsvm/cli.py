@@ -26,6 +26,10 @@ EXIT_BOUND_VIOLATION = 1
 EXIT_INPUT = 2
 EXIT_CONVERGENCE = 3
 
+# largest audit.z_grid ** dim accepted; each grid point costs one
+# finite-difference audit, so a larger grid is a config error
+MAX_Z_GRID_POINTS = 10_000
+
 
 def _positive_int(text: str) -> int:
     value = int(text)
@@ -110,6 +114,11 @@ def _z_specs_from_config(raw, data, ladder, classification):
                                         float(z["y"]), ladder)]
     # grid of Dirac points over the data bounding box with extreme labels
     per_dim = int(audit.get("z_grid", 5))
+    if per_dim ** data.dim > MAX_Z_GRID_POINTS:
+        raise InputError(
+            f"audit.z_grid {per_dim} in dimension {data.dim} gives "
+            f"{per_dim ** data.dim} contamination points, more than "
+            f"{MAX_Z_GRID_POINTS}; lower z_grid or set audit.z")
     lo, hi = data.bounding_box()
     axes = [np.linspace(lo[j], hi[j], per_dim) for j in range(data.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")

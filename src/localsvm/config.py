@@ -110,6 +110,7 @@ CONFIG_SCHEMA = {
                 },
                 "grad_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
+                # accepted so existing configs load; the solver needs no ridge
                 "ridge": {"type": "number", "minimum": 0},
             },
             "required": ["loss", "kernel", "lambda"],

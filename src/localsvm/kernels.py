@@ -15,6 +15,8 @@ from .errors import InputError, InsufficientDataError
 
 # entries per chunk when forming cross-kernel matrices, keeps memory flat
 _CHUNK_BUDGET = 4_000_000
+# rows per block when mirroring a Gram matrix's upper triangle
+_MIRROR_BLOCK = 256
 
 
 def chunk_rows(m: int) -> int:
@@ -64,13 +66,21 @@ class Kernel:
 
     def gram(self, points) -> np.ndarray:
         """Symmetric Gram matrix: the full matrix is computed, then its upper
-        triangle is mirrored onto the lower one so symmetry is exact."""
+        triangle is mirrored onto the lower one so symmetry is exact.
+
+        The mirror copies one block of rows at a time, so it needs no index
+        arrays the size of the triangle.
+        """
         X = self._check(points)
-        if X.shape[0] == 0:
+        n = X.shape[0]
+        if n == 0:
             raise InputError("gram of an empty point list")
         G = self._cross(X, X)
-        iu = np.triu_indices(X.shape[0], k=1)
-        G[(iu[1], iu[0])] = G[iu]
+        for i in range(0, n, _MIRROR_BLOCK):
+            j = min(i + _MIRROR_BLOCK, n)
+            G[i:j, :i] = G[:i, i:j].T
+            for r in range(i + 1, j):
+                G[r, i:r] = G[i:r, r]
         return G
 
     def diag(self, X) -> np.ndarray:

@@ -20,11 +20,6 @@ from .errors import InputError
 _LN4 = float(np.log(4.0))
 
 
-def _check_finite_t(t):
-    t = np.asarray(t, dtype=float)
-    return t
-
-
 class SmoothLoss:
     """Base loss L(y, t); subclasses fill in value/dt/dtt and constants."""
 
@@ -73,17 +68,17 @@ class LogisticClassification(SmoothLoss):
 
     def value(self, y, t):
         y = self._check_labels(y)
-        t = _check_finite_t(t)
+        t = np.asarray(t, dtype=float)
         return np.logaddexp(0.0, -y * t)
 
     def dt(self, y, t):
         y = self._check_labels(y)
-        t = _check_finite_t(t)
+        t = np.asarray(t, dtype=float)
         return -y * expit(-y * t)
 
     def dtt(self, y, t):
         y = self._check_labels(y)
-        t = _check_finite_t(t)
+        t = np.asarray(t, dtype=float)
         u = y * t
         return expit(u) * expit(-u)
 
@@ -102,18 +97,18 @@ class LogisticRegression(SmoothLoss):
 
     def value(self, y, t):
         y = np.asarray(y, dtype=float)
-        t = _check_finite_t(t)
+        t = np.asarray(t, dtype=float)
         a = np.abs(y - t)
         return a + 2.0 * np.logaddexp(0.0, -a) - _LN4
 
     def dt(self, y, t):
         y = np.asarray(y, dtype=float)
-        t = _check_finite_t(t)
+        t = np.asarray(t, dtype=float)
         return -np.tanh((y - t) / 2.0)
 
     def dtt(self, y, t):
         y = np.asarray(y, dtype=float)
-        t = _check_finite_t(t)
+        t = np.asarray(t, dtype=float)
         e = np.exp(-np.abs(y - t))
         return 2.0 * e / (1.0 + e) ** 2
 

@@ -9,10 +9,13 @@ the unshifted loss L adds only the constant sum_i w_i L(y_i, 0) to J, so the
 gradient, the Hessian and hence the minimizer are identical; both variants
 are exposed so the identity can be audited.
 
-The gradient in alpha-coordinates is K (w . L'(y, K alpha) + 2 lam alpha)
-and the Hessian K diag(w . L''(y, K alpha)) K + 2 lam K; a relative ridge is
-added to the Hessian (never to reported quantities) to keep solves stable
-when duplicated points make K singular.
+With g = w . L'(y, K alpha) + 2 lam alpha and D = w . L''(y, K alpha) >= 0,
+the gradient in alpha-coordinates is K g and the Hessian is K (D K + 2 lam I).
+Any step s with (D K + 2 lam I) s = -g therefore solves the Newton system.
+It is found in the kernel-IRLS form (Zhu & Hastie, JCGS 2005): one Cholesky
+solve A r = -D^1/2 K g of the symmetric positive definite matrix
+A = D^1/2 K D^1/2 + 2 lam I, whose eigenvalues are at least 2 lam even when
+duplicated points make K singular, then s = -(g + D^1/2 r) / (2 lam).
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
 
 from .data import WeightedSample, as_points
 from .errors import ConvergenceError, InputError
@@ -37,7 +41,12 @@ _FULL_STEP_GNORM = 1e-6
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Solver settings; ``lam`` is the regularization parameter (> 0)."""
+    """Solver settings; ``lam`` is the regularization parameter (> 0).
+
+    ``ridge`` is accepted and validated so that existing configs keep
+    loading, but unused: the Newton system is positive definite without
+    one.
+    """
 
     lam: float
     grad_tol: float = 1e-10
@@ -65,7 +74,9 @@ class LocalModel:
 
     ``region_id`` is the region the model was trained for, or "global".
     ``anchor_weights`` are the training weights; they are not needed for
-    prediction and may be None on deserialized models.
+    prediction and may be None on deserialized models. ``h_norm_sq`` is
+    alpha' K alpha as ``train`` already computed it; it is None on
+    hand-built and deserialized models, whose H-norm comes from the Gram.
     """
 
     alpha: np.ndarray
@@ -75,6 +86,7 @@ class LocalModel:
     lam: float
     region_id: Union[int, str] = "global"
     anchor_weights: Optional[np.ndarray] = None
+    h_norm_sq: Optional[float] = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
@@ -106,11 +118,14 @@ class LocalModel:
         return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
 
     def h_norm(self) -> float:
-        """RKHS norm sqrt(alpha' G alpha) over the anchor Gram matrix."""
+        """RKHS norm sqrt(alpha' G alpha) over the anchor Gram matrix; the
+        Gram is built only when ``train`` recorded no ``h_norm_sq``."""
         if self.n_anchors == 0:
             return 0.0
-        G = self.kernel.gram(self.anchors)
-        return float(np.sqrt(max(0.0, float(self.alpha @ (G @ self.alpha)))))
+        sq = self.h_norm_sq
+        if sq is None:
+            sq = float(self.alpha @ (self.kernel.gram(self.anchors) @ self.alpha))
+        return float(np.sqrt(max(0.0, sq)))
 
     def h_norm_bound(self, k_sup: float) -> float:
         """The a-priori bound lam^-1 |L|_1 ||k||_inf on the H-norm."""
@@ -164,6 +179,27 @@ def _loss_terms(loss, y, f, shifted):
     return loss.shifted_value(y, f) if shifted else loss.value(y, f)
 
 
+def _newton_step(K, g, grad, D, lam):
+    """A solution s of K (D K + 2 lam I) s = -grad, where grad = K g.
+
+    One Cholesky solve A r = -D^1/2 grad of A = D^1/2 K D^1/2 + 2 lam I, then
+    s = -(g + D^1/2 r) / (2 lam). A is symmetric, so its C-ordered buffer
+    read as A.T is the Fortran-ordered matrix LAPACK factors in place; only
+    K and A are held. A fails to factor only on non-finite input, and the
+    step then falls back to steepest descent.
+    """
+    sqrt_d = np.sqrt(D)
+    A = np.multiply(K, sqrt_d[:, None])
+    A *= sqrt_d
+    A.flat[::A.shape[0] + 1] += 2.0 * lam
+    try:
+        factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
+    except np.linalg.LinAlgError:
+        return -grad
+    r = cho_solve(factor, -sqrt_d * grad, overwrite_b=True, check_finite=False)
+    return -(g + sqrt_d * r) / (2.0 * lam)
+
+
 def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
           cfg: TrainConfig, warm_start: Optional[np.ndarray] = None,
           shifted: bool = True, region_id: Union[int, str] = "global") -> LocalModel:
@@ -184,34 +220,30 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     else:
         alpha = np.zeros(n)
 
+    def fitted(alpha, f):
+        return LocalModel(alpha=alpha, anchors=sample.X, kernel=kernel,
+                          loss=loss, lam=lam, region_id=region_id,
+                          anchor_weights=sample.weights,
+                          h_norm_sq=float(alpha @ f))
+
     f = K @ alpha
     best_alpha, best_gnorm = alpha.copy(), np.inf
     for _ in range(cfg.max_iter):
-        grad = K @ (w * loss.dt(y, f) + 2.0 * lam * alpha)
+        g = w * loss.dt(y, f) + 2.0 * lam * alpha
+        grad = K @ g
         gnorm = float(np.max(np.abs(grad))) if n else 0.0
         if gnorm < best_gnorm:
             best_alpha, best_gnorm = alpha.copy(), gnorm
         if gnorm <= cfg.grad_tol:
-            return LocalModel(alpha=alpha, anchors=sample.X, kernel=kernel,
-                              loss=loss, lam=lam, region_id=region_id,
-                              anchor_weights=sample.weights)
+            return fitted(alpha, f)
 
-        D = w * loss.dtt(y, f)
-        H = K @ (D[:, None] * K) + 2.0 * lam * K
-        ridge = cfg.ridge * float(np.trace(H))
-        H[np.diag_indices_from(H)] += ridge
-        try:
-            step = np.linalg.solve(H, -grad)
-        except np.linalg.LinAlgError:
-            step = -grad
+        step = _newton_step(K, g, grad, w * loss.dtt(y, f), lam)
         descent = float(grad @ step)
         if not descent < 0:
             step = -grad
             descent = float(grad @ step)
             if not descent < 0:  # grad == 0 exactly
-                return LocalModel(alpha=alpha, anchors=sample.X, kernel=kernel,
-                                  loss=loss, lam=lam, region_id=region_id,
-                                  anchor_weights=sample.weights)
+                return fitted(alpha, f)
 
         Ks = K @ step
         if gnorm <= _FULL_STEP_GNORM:
@@ -235,9 +267,7 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     grad = K @ (w * loss.dt(y, f) + 2.0 * lam * alpha)
     gnorm = float(np.max(np.abs(grad)))
     if gnorm <= cfg.grad_tol:
-        return LocalModel(alpha=alpha, anchors=sample.X, kernel=kernel,
-                          loss=loss, lam=lam, region_id=region_id,
-                          anchor_weights=sample.weights)
+        return fitted(alpha, f)
     if gnorm < best_gnorm:
         best_alpha, best_gnorm = alpha, gnorm
     raise ConvergenceError(

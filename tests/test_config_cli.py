@@ -369,3 +369,26 @@ def test_cli_threads_below_one_exits_2(tmp_path, capsys, threads):
                   "--out", str(tmp_path / "t")])
     assert exc.value.code == 2
     assert "--threads" in capsys.readouterr().err
+
+
+def test_cli_audit_z_grid_too_large_exits_2(tmp_path, capsys, monkeypatch):
+    # 5 ** 10 = 9 765 625 contamination points; the cap rejects them before
+    # any grid exists, and a meshgrid call would fail the test
+    rng = np.random.default_rng(4)
+    X = rng.uniform(-1.0, 1.0, size=(30, 10))
+    path = tmp_path / "data.csv"
+    header = ",".join(f"x{j}" for j in range(10)) + ",y"
+    rows = [",".join(f"{v:.6f}" for v in x) + f",{np.sin(x.sum()):.6f}" for x in X]
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    cfg = base_config(dataset={"kind": "csv", "path": str(path)},
+                      audit={"z_grid": 5, "maxbias_eps": 0.0})
+    cfg["partition"] = {"b_target": 1, "min_region_size": 3}
+    cfg_path = write_config(tmp_path, cfg)
+
+    def no_grid(*args, **kwargs):
+        raise AssertionError("the z grid was built")
+
+    monkeypatch.setattr(np, "meshgrid", no_grid)
+    rc = cli.main(["audit", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "z_grid" in capsys.readouterr().err

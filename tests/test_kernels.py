@@ -6,6 +6,7 @@ import pytest
 from localsvm import (GaussianRBF, InputError, InsufficientDataError, Linear,
                       Polynomial, RegionPredicate, kernel_from_dict,
                       sup_norm_on_region)
+from localsvm.kernels import _MIRROR_BLOCK
 
 
 def test_gaussian_eval_equal_points_is_exactly_one():
@@ -85,6 +86,27 @@ def test_gram_exactly_symmetric_and_psd(kernel):
         eigs = np.linalg.eigvalsh(G)
         assert eigs.min() >= -1e-8 * np.trace(G)
     del rng
+
+
+@pytest.mark.parametrize("kernel", [
+    Linear(input_dim=3),
+    Polynomial(degree=3, offset=0.5, input_dim=3),
+])
+def test_gram_blocked_mirror_matches_index_mirror(kernel, monkeypatch):
+    # reference: the full matrix with its upper triangle copied onto the
+    # lower one through triangle index arrays; n spans two full mirror
+    # blocks and a partial one. BLAS may already return X X' exactly
+    # symmetric, so a fixed asymmetric term makes every mirrored entry count.
+    X = np.random.default_rng(12).normal(size=(2 * _MIRROR_BLOCK + 37, 3))
+    skew = np.random.default_rng(13).normal(size=(X.shape[0], X.shape[0]))
+    cross = type(kernel)._cross
+    monkeypatch.setattr(type(kernel), "_cross",
+                        lambda self, A, B: cross(self, A, B) + 1e-3 * skew)
+    expected = kernel._cross(X, X)
+    assert not np.array_equal(expected, expected.T)
+    iu = np.triu_indices(X.shape[0], k=1)
+    expected[(iu[1], iu[0])] = expected[iu]
+    np.testing.assert_array_equal(kernel.gram(X), expected)
 
 
 def test_gaussian_values_in_unit_interval():

@@ -7,9 +7,10 @@ import pytest
 from scipy.optimize import minimize
 
 from localsvm import (CoverageError, ConvergenceError, GaussianRBF, InputError,
-                      LocalModel, LogisticClassification, LogisticRegression,
-                      TrainConfig, WeightedSample, audit_model_bounds,
-                      objective, shifted_unshifted_identity_check, train)
+                      Linear, LocalModel, LogisticClassification,
+                      LogisticRegression, TrainConfig, WeightedSample,
+                      audit_model_bounds, objective,
+                      shifted_unshifted_identity_check, train)
 from localsvm.kernels import _CHUNK_BUDGET
 from conftest import random_sample
 
@@ -288,3 +289,96 @@ def test_predict_memory_stays_within_a_few_chunks():
     finally:
         tracemalloc.stop()
     assert peak < 4 * _CHUNK_BUDGET * 8
+
+
+def ridged_lu_newton(sample, kernel, loss, cfg):
+    """The Newton loop ``train`` used before its Cholesky step: the system
+    K (D K) + 2 lam K with a trace-scaled ridge, solved by LU. Kept as the
+    reference the Cholesky step is compared against."""
+    K = kernel.gram(sample.X)
+    y, w, lam = sample.y, sample.weights, cfg.lam
+    alpha = np.zeros(sample.n)
+    f = K @ alpha
+    for _ in range(cfg.max_iter):
+        grad = K @ (w * loss.dt(y, f) + 2.0 * lam * alpha)
+        if np.max(np.abs(grad)) <= cfg.grad_tol:
+            return alpha
+        D = w * loss.dtt(y, f)
+        H = K @ (D[:, None] * K) + 2.0 * lam * K
+        H[np.diag_indices_from(H)] += 1e-10 * float(np.trace(H))
+        step = np.linalg.solve(H, -grad)
+        descent = float(grad @ step)
+        assert descent < 0
+        Ks = K @ step
+        t = 1.0
+        if np.max(np.abs(grad)) > 1e-6:
+            J0 = float(w @ loss.shifted_value(y, f) + lam * (alpha @ f))
+            aKs, sKs = float(alpha @ Ks), float(step @ Ks)
+            while t >= 1e-16:
+                J_try = float(w @ loss.shifted_value(y, f + t * Ks)
+                              + lam * (alpha @ f + 2.0 * t * aKs + t * t * sKs))
+                if J_try <= J0 + 1e-4 * t * descent:
+                    break
+                t *= 0.5
+        alpha = alpha + t * step
+        f = f + t * Ks
+    raise AssertionError("reference Newton loop did not converge")
+
+
+def assert_matches_reference(sample, kernel, loss, cfg, probes):
+    model = train(sample, kernel, loss, cfg)
+    G = kernel.gram(sample.X)
+    f = G @ model.alpha
+    grad = G @ (sample.weights * loss.dt(sample.y, f) + 2 * cfg.lam * model.alpha)
+    assert np.max(np.abs(grad)) <= cfg.grad_tol
+    ref_alpha = ridged_lu_newton(sample, kernel, loss, cfg)
+    expected = kernel.matrix(probes, sample.X) @ ref_alpha
+    np.testing.assert_allclose(model.predict(probes), expected, rtol=0, atol=1e-9)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cholesky_step_matches_ridged_lu_reference(seed):
+    classification = seed % 2 == 0
+    rng = np.random.default_rng(40 + seed)
+    sample = random_sample(int(rng.integers(5, 41)), seed=seed + 200,
+                           classification=classification)
+    cfg = TrainConfig(lam=float(rng.uniform(0.05, 1.0)))
+    probes = rng.uniform(-2.5, 2.5, size=(200, 2))
+    assert_matches_reference(sample, GaussianRBF(gamma=0.8, input_dim=2),
+                             CLS if classification else REG, cfg, probes)
+
+
+@pytest.mark.parametrize("loss", [REG, CLS])
+def test_cholesky_step_with_duplicated_points(loss):
+    # three repeated points make the Gram matrix singular; the old loop
+    # needed its ridge there, the Cholesky system does not
+    sample = random_sample(20, seed=31, classification=loss is CLS)
+    X = sample.X.copy()
+    X[17:] = X[:3]
+    sample = WeightedSample(X, sample.y, sample.weights)
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    assert np.linalg.matrix_rank(k.gram(X)) < 20
+    probes = np.random.default_rng(32).uniform(-2.5, 2.5, size=(200, 2))
+    assert_matches_reference(sample, k, loss, TrainConfig(lam=0.2), probes)
+
+
+def test_cholesky_step_with_rank_two_linear_kernel():
+    rng = np.random.default_rng(33)
+    X = rng.uniform(-1, 1, size=(25, 2))
+    y = X @ np.array([0.5, -1.0]) + 0.05 * rng.standard_normal(25)
+    sample = WeightedSample(X, y, np.full(25, 1 / 25))
+    probes = rng.uniform(-1.5, 1.5, size=(200, 2))
+    assert_matches_reference(sample, Linear(input_dim=2), REG,
+                             TrainConfig(lam=0.3), probes)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_recorded_h_norm_matches_gram(seed):
+    classification = seed == 1
+    sample = random_sample(30, seed=seed + 300, classification=classification)
+    model = train(sample, GaussianRBF(gamma=0.7, input_dim=2),
+                  CLS if classification else REG, TrainConfig(lam=0.1))
+    assert model.h_norm_sq is not None
+    from_gram = LocalModel.from_dict(model.to_dict())
+    assert from_gram.h_norm_sq is None
+    assert model.h_norm() == pytest.approx(from_gram.h_norm(), rel=1e-12)
