@@ -19,21 +19,21 @@ from .losses import (LogisticClassification, LogisticRegression, ShiftedLossView
                      SmoothLoss, lipschitz_constant, loss_from_name)
 from .regions import (RegionPartition, RegionPredicate, WeightScheme,
                       regionalize, restrict, weight_sup_norm)
-from .robustness import (AuditReport, BoundReport, ContaminationSpec,
-                         InfluenceEstimate, LadderConvergenceWarning,
-                         adversarial_q_specs, contaminate_region,
-                         decomposition_check, default_probes, finite_diff_if,
-                         if_bound, maxbias_probe, run_audit,
-                         tv_refined_if_bound)
+from .robustness import (AuditContext, AuditReport, BoundReport,
+                         ContaminationSpec, InfluenceEstimate,
+                         LadderConvergenceWarning, adversarial_q_specs,
+                         contaminate_region, decomposition_check,
+                         default_probes, finite_diff_if, if_bound,
+                         maxbias_probe, run_audit, tv_refined_if_bound)
 from .solver import (IdentityReport, LocalModel, TrainConfig, audit_model_bounds,
                      objective, shifted_unshifted_identity_check, train)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditReport", "BoundReport", "ComposedModel", "ContaminationSpec",
-    "ConvergenceError", "CoverageError", "Dataset", "GaussianRBF",
-    "IdentityReport", "InfluenceEstimate", "InputError",
+    "AuditContext", "AuditReport", "BoundReport", "ComposedModel",
+    "ContaminationSpec", "ConvergenceError", "CoverageError", "Dataset",
+    "GaussianRBF", "IdentityReport", "InfluenceEstimate", "InputError",
     "InsufficientDataError", "Kernel", "KernelSupNorm",
     "LadderConvergenceWarning", "LambdaSchedule", "Linear", "LocalModel",
     "LocalSvmError", "LogisticClassification", "LogisticRegression",

@@ -17,7 +17,8 @@ from .composer import ComposedModel, RegionTrainingError, fit_composed
 from .config import (load_config, model_config_from_config, setup_from_config)
 from .errors import ConvergenceError, InputError, LocalSvmError
 from .experiments import (LambdaSchedule, consistency_trend, tradeoff_sweep)
-from .regions import WeightScheme, regionalize, restrict
+from .kernels import sup_sqrt_diag
+from .regions import WeightScheme, regionalize
 from .robustness import (ContaminationSpec, default_probes, extreme_labels,
                          run_audit)
 
@@ -72,19 +73,16 @@ def _prepare(args):
     return raw, setup, config, partition, scheme, out_dir
 
 
-def _train_summary(model: ComposedModel, data, config) -> str:
+def _train_summary(model: ComposedModel) -> str:
     lines = [f"regions: {model.partition.B}"]
     for b in sorted(model.locals):
         local = model.locals[b]
-        sample_b = restrict(data, model.partition, b)
-        n_b = 0 if sample_b is None else sample_b.n
+        n_b = local.n_anchors  # a local model is anchored at its region's sample
         if b in model.null_region_ids:
             lines.append(f"  region {b}: n_b={n_b} null measure, zero predictor")
             continue
         h = local.h_norm()
-        cap = local.h_norm_bound(1.0 if local.kernel.family == "gaussian-rbf"
-                                 else float(np.sqrt(np.maximum(
-                                     local.kernel.diag(local.anchors), 0.0)).max()))
+        cap = local.h_norm_bound(sup_sqrt_diag(local.kernel, local.anchors))
         lines.append(
             f"  region {b}: n_b={n_b} lambda={local.lam:g} "
             f"|f|_H={h:.6g} bound={cap:.6g} margin={cap - h:.3g}"
@@ -99,7 +97,7 @@ def cmd_train(args) -> int:
     model_path = out_dir / "model.json"
     with open(model_path, "w") as fh:
         json.dump(model.to_dict(), fh)
-    summary = _train_summary(model, setup.data, config)
+    summary = _train_summary(model)
     (out_dir / "train_summary.txt").write_text(summary + "\n")
     print(f"wrote {model_path}")
     print(summary)

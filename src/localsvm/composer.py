@@ -128,7 +128,8 @@ def fit_composed(data: Dataset, partition: RegionPartition, scheme: WeightScheme
     are independent; ``threads > 1`` runs them in a thread pool with a
     deterministic, id-ordered reduction.
     """
-    if scheme.partition is not partition and scheme.partition.B != partition.B:
+    if (scheme.partition is not partition
+            and not scheme.partition.same_regions(partition)):
         raise InputError("scheme was built for a different partition")
     ids = list(range(1, partition.B + 1))
     if threads > 1:

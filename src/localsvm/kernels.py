@@ -206,6 +206,18 @@ class KernelSupNorm:
         return self.method == METHOD_EXACT
 
 
+def sup_sqrt_diag(kernel: Kernel, points) -> float:
+    """max of sqrt(k(x, x)) over the rows of ``points``; exactly 1 for the
+    Gaussian RBF family, whose diagonal is constant, without evaluating it.
+
+    The one kernel sup-norm computation: region sup-norms, model bound
+    audits and the train summary all go through it.
+    """
+    if isinstance(kernel, GaussianRBF):
+        return 1.0
+    return float(np.sqrt(np.maximum(kernel.diag(points), 0.0)).max())
+
+
 def sup_norm_on_region(kernel: Kernel, region, probes=None) -> KernelSupNorm:
     """Region sup-norm of a kernel.
 
@@ -228,5 +240,4 @@ def sup_norm_on_region(kernel: Kernel, region, probes=None) -> KernelSupNorm:
             raise InsufficientDataError(
                 f"no probes inside region {region_id}; cannot estimate kernel sup-norm"
             )
-    vals = np.sqrt(np.maximum(kernel.diag(P), 0.0))
-    return KernelSupNorm(float(vals.max()), region_id, METHOD_EMPIRICAL)
+    return KernelSupNorm(sup_sqrt_diag(kernel, P), region_id, METHOD_EMPIRICAL)

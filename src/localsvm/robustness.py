@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import qmc
 
 from .composer import ComposedModel, ModelConfig, fit_composed
 from .data import Dataset, WeightedSample, as_points
@@ -99,11 +98,22 @@ def _q_restricted(q: WeightedSample, region) -> Optional[WeightedSample]:
     return WeightedSample(q.X[mask], q.y[mask], q.weights[mask] / mass)
 
 
-def spec_touches_region(spec: ContaminationSpec, region) -> bool:
-    """Whether the contaminated regional measure differs from the original."""
+def _contamination_atoms(spec: ContaminationSpec, region) -> Optional[WeightedSample]:
+    """The contaminating measure on a region: delta_z, or Q conditioned on
+    the region; None when it puts no mass there."""
     if spec.kind == "dirac":
-        return region.contains(spec.z_x)
-    return _q_restricted(spec.q, region) is not None
+        if not region.contains(spec.z_x):
+            return None
+        return WeightedSample(spec.z_x[None, :], np.array([spec.z_y]), np.ones(1))
+    return _q_restricted(spec.q, region)
+
+
+def _mix(sample_b: WeightedSample, atoms: WeightedSample, eps: float) -> WeightedSample:
+    """(1 - eps) sample_b + eps atoms, with the atoms appended last."""
+    return WeightedSample(np.vstack([sample_b.X, atoms.X]),
+                          np.concatenate([sample_b.y, atoms.y]),
+                          np.concatenate([sample_b.weights * (1.0 - eps),
+                                          atoms.weights * eps]))
 
 
 def contaminate_region(sample_b: WeightedSample, spec: ContaminationSpec,
@@ -119,20 +129,10 @@ def contaminate_region(sample_b: WeightedSample, spec: ContaminationSpec,
         raise InputError("cannot contaminate a null measure")
     if not 0.0 < eps < 0.5:
         raise InputError(f"contamination eps must lie in (0, 1/2), got {eps}")
-    if spec.kind == "dirac":
-        if not region.contains(spec.z_x):
-            return sample_b
-        X = np.vstack([sample_b.X, spec.z_x[None, :]])
-        y = np.append(sample_b.y, spec.z_y)
-        w = np.append(sample_b.weights * (1.0 - eps), eps)
-        return WeightedSample(X, y, w)
-    q_b = _q_restricted(spec.q, region)
-    if q_b is None:
+    atoms = _contamination_atoms(spec, region)
+    if atoms is None:
         return sample_b
-    X = np.vstack([sample_b.X, q_b.X])
-    y = np.concatenate([sample_b.y, q_b.y])
-    w = np.concatenate([sample_b.weights * (1.0 - eps), q_b.weights * eps])
-    return WeightedSample(X, y, w)
+    return _mix(sample_b, atoms, eps)
 
 
 class ZeroFunction:
@@ -145,37 +145,70 @@ class ZeroFunction:
         return 0.0
 
 
-class LocalQuotient:
-    """(f_tilde - f) / eps for one region's local models."""
+def _known_or(known, X, evaluate):
+    """The precomputed values when X equals their points, else evaluate(X)."""
+    X = as_points(X)
+    if known is not None:
+        points, values = known
+        if X.shape == points.shape and np.array_equal(X, points):
+            return values.copy()
+    return evaluate(X)
 
-    def __init__(self, tilde: LocalModel, base: LocalModel, eps: float):
+
+class LocalQuotient:
+    """(f_tilde - f) / eps for one region's local models.
+
+    The contaminated model's anchors are the base anchors followed by the
+    contamination atoms. ``gram`` is their Gram matrix when the caller
+    already holds it; ``known`` is an optional (points, values) pair of
+    quotient values the caller already computed.
+    """
+
+    def __init__(self, tilde: LocalModel, base: LocalModel, eps: float,
+                 gram: Optional[np.ndarray] = None, known=None):
+        n = base.n_anchors
+        if (tilde.n_anchors < n
+                or not np.array_equal(tilde.anchors[:n], base.anchors)):
+            raise InputError("the contaminated model's anchors must extend "
+                             "the base model's")
         self.tilde = tilde
         self.base = base
         self.eps = float(eps)
+        self.gram = gram
+        self.known = known
 
     def __call__(self, X) -> np.ndarray:
-        return (self.tilde.predict(X) - self.base.predict(X)) / self.eps
+        return _known_or(self.known, X, lambda X: (
+            self.tilde.predict(X) - self.base.predict(X)) / self.eps)
 
     def h_norm(self) -> float:
-        """RKHS norm of the difference quotient (exact quadratic form)."""
-        anchors = np.vstack([self.base.anchors, self.tilde.anchors])
-        coef = np.concatenate([-self.base.alpha, self.tilde.alpha]) / self.eps
-        if anchors.shape[0] == 0:
+        """RKHS norm sqrt(c' G c) of the difference quotient, exact over the
+        contaminated anchors with c = (alpha_tilde - pad(alpha)) / eps."""
+        if self.tilde.n_anchors == 0:
             return 0.0
-        G = self.tilde.kernel.gram(anchors)
+        coef = self.tilde.alpha.copy()
+        coef[:self.base.n_anchors] -= self.base.alpha
+        coef /= self.eps
+        G = self.gram
+        if G is None:
+            G = self.tilde.kernel.gram(self.tilde.anchors)
         return float(np.sqrt(max(0.0, float(coef @ (G @ coef)))))
 
 
 class ComposedQuotient:
-    """(f_comp_tilde - f_comp) / eps assembled from full composed models."""
+    """(f_comp_tilde - f_comp) / eps assembled from full composed models;
+    ``known`` as for LocalQuotient."""
 
-    def __init__(self, tilde: ComposedModel, base: ComposedModel, eps: float):
+    def __init__(self, tilde: ComposedModel, base: ComposedModel, eps: float,
+                 known=None):
         self.tilde = tilde
         self.base = base
         self.eps = float(eps)
+        self.known = known
 
     def __call__(self, X) -> np.ndarray:
-        return (self.tilde.predict(X) - self.base.predict(X)) / self.eps
+        return _known_or(self.known, X, lambda X: (
+            self.tilde.predict(X) - self.base.predict(X)) / self.eps)
 
 
 @dataclass(frozen=True)
@@ -209,6 +242,10 @@ class InfluenceEstimate:
 
 def default_probes(data: Dataset, n_extra: int = DEFAULT_EXTRA_PROBES) -> np.ndarray:
     """Training inputs plus a deterministic Sobol fill of their bounding box."""
+    # imported here: scipy.stats is the slowest import of the package and
+    # only audits need probes
+    from scipy.stats import qmc
+
     lo, hi = data.bounding_box()
     if n_extra <= 0:
         return data.X.copy()
@@ -281,48 +318,214 @@ def _region_factors(scheme: WeightScheme, config: ModelConfig, probes):
     return factors, notes
 
 
+@dataclass(frozen=True)
+class RegionBlocks:
+    """One region's share of an AuditContext.
+
+    ``rows`` index the probes where w_b != 0, ``weights`` holds w_b there,
+    ``points`` are those probes, ``probe_block`` is k(points, X_b) and
+    ``base_preds`` the base local model at the points. ``sample``, ``gram``
+    (K_b) and ``probe_block`` are None for a null-measure region.
+    """
+
+    sample: Optional[WeightedSample]
+    gram: Optional[np.ndarray]
+    rows: np.ndarray
+    weights: np.ndarray
+    points: np.ndarray
+    probe_block: Optional[np.ndarray]
+    base_preds: np.ndarray
+
+
+@dataclass(frozen=True)
+class BorderedRegion:
+    """A region's sample, Gram and probe block extended by one contamination
+    spec's atoms, which follow the n_b sample atoms: the Gram is
+    [[K_b, k(X_b, A)], [k(A, X_b), k(A, A)]]. Every eps rung retrains on
+    this one Gram."""
+
+    region_id: int
+    sample: WeightedSample
+    atoms: WeightedSample
+    gram: np.ndarray
+    probe_block: np.ndarray
+    warm_start: np.ndarray
+
+    def contaminated(self, eps: float) -> WeightedSample:
+        return _mix(self.sample, self.atoms, eps)
+
+
+class AuditContext:
+    """Per-audit state shared by every contamination spec.
+
+    Built once per audit: the base composed model, the probes and their
+    weights, the bound factors (w_sup, lam_b, ||k_b||) with their notes,
+    and per region b a ``RegionBlocks``. ``border`` extends a region by a
+    spec's atoms, so a retrain forms only the new Gram columns and a
+    probe prediction is one matrix-vector product; ``compose`` sums the
+    regional predictions over the probes in the order
+    ``ComposedModel.predict`` does, so the results are bitwise equal.
+    Memory per region: n_b^2 for K_b plus |P_b| n_b for the probe block.
+    The context is read-only after construction and shareable across
+    threads.
+
+    The base model must be anchored at the regional samples of ``data``
+    (as ``fit_composed`` leaves it); a model trained on other data is an
+    input error.
+    """
+
+    def __init__(self, data: Dataset, partition: RegionPartition,
+                 scheme: WeightScheme, config: ModelConfig, probes=None,
+                 base: Optional[ComposedModel] = None, threads: int = 1):
+        if base is None:
+            base = fit_composed(data, partition, scheme, config, threads=threads)
+        if probes is None:
+            probes = default_probes(data)
+        self.data = data
+        self.partition = partition
+        self.scheme = scheme
+        self.config = config
+        self.base = base
+        self.probes = as_points(probes)
+        self.factors, self.notes = _region_factors(scheme, config, self.probes)
+        W, self.covered = scheme.weights_many(self.probes, on_uncovered="nearest")
+        self.regions = {b: self._blocks(b, W[:, b - 1])
+                        for b in range(1, partition.B + 1)}
+        self.base_preds = self.compose({})
+
+    def _blocks(self, b: int, w: np.ndarray) -> RegionBlocks:
+        sample = restrict(self.data, self.partition, b)
+        local = self.base.locals[b]
+        anchors = np.zeros((0, self.data.dim)) if sample is None else sample.X
+        if not np.array_equal(local.anchors, anchors):
+            raise InputError(
+                f"region {b}: the model's {local.n_anchors} anchors differ from "
+                f"the {anchors.shape[0]} training points in the region; audit a "
+                "model with the data it was trained on")
+        rows = np.flatnonzero(w)
+        points = self.probes[rows]
+        if sample is None:
+            return RegionBlocks(None, None, rows, w[rows], points, None,
+                                np.zeros(rows.size))
+        kernel = self.config.kernel_for(b)
+        block = kernel.matrix(points, sample.X)
+        return RegionBlocks(sample, kernel.gram(sample.X), rows, w[rows], points,
+                            block, block @ local.alpha)
+
+    def compose(self, preds_by_region) -> np.ndarray:
+        """sum_b w_b f_b over the probes, f_b given on region b's probe rows
+        by ``preds_by_region`` or else the base local model."""
+        out = np.zeros(self.probes.shape[0])
+        for b, blocks in self.regions.items():
+            preds = preds_by_region.get(b, blocks.base_preds)
+            out[blocks.rows] += blocks.weights * preds
+        return out
+
+    def border(self, b: int, spec: ContaminationSpec) -> Optional[BorderedRegion]:
+        """Region b bordered by the spec's atoms; None when the spec leaves
+        the regional measure unchanged (or the region is null)."""
+        blocks = self.regions[b]
+        if blocks.sample is None:
+            return None
+        atoms = _contamination_atoms(spec, self.partition.region(b))
+        if atoms is None:
+            return None
+        kernel = self.config.kernel_for(b)
+        n, m = blocks.sample.n, blocks.sample.n + atoms.n
+        cross = kernel.matrix(blocks.sample.X, atoms.X)
+        gram = np.empty((m, m))
+        gram[:n, :n] = blocks.gram
+        gram[:n, n:] = cross
+        gram[n:, :n] = cross.T
+        gram[n:, n:] = kernel.gram(atoms.X)
+        probe_block = np.hstack([blocks.probe_block,
+                                 kernel.matrix(blocks.points, atoms.X)])
+        warm = np.concatenate([self.base.locals[b].alpha, np.zeros(atoms.n)])
+        return BorderedRegion(b, blocks.sample, atoms, gram, probe_block, warm)
+
+    def retrain(self, bordered: BorderedRegion, eps: float) -> LocalModel:
+        """Train region b on (1 - eps) D_b + eps A, warm-started from the
+        zero-padded base coefficients, on the bordered Gram."""
+        b = bordered.region_id
+        return train(bordered.contaminated(eps), self.config.kernel_for(b),
+                     self.config.loss, self.config.train_for(b),
+                     warm_start=bordered.warm_start, region_id=b,
+                     gram=bordered.gram)
+
+
+def _audit_context(context, data, partition, scheme, config, probes, base,
+                   threads) -> AuditContext:
+    """The given context, checked against the arguments, or a new one."""
+    if context is None:
+        return AuditContext(data, partition, scheme, config, probes=probes,
+                            base=base, threads=threads)
+    if probes is not None or base is not None:
+        raise InputError("pass probes and base through the AuditContext")
+    if any(a is not b for a, b in ((context.data, data),
+                                   (context.partition, partition),
+                                   (context.scheme, scheme),
+                                   (context.config, config))):
+        raise InputError("the AuditContext was built for another audit")
+    return context
+
+
 def if_bound(scheme: WeightScheme, config: ModelConfig,
-             partition: Optional[RegionPartition] = None, probes=None) -> BoundReport:
-    """Rough influence-function sup-norm bound 2 |L|_1 sum_b ||w_b|| ||k_b||^2 / lam_b."""
+             partition: Optional[RegionPartition] = None, probes=None,
+             context: Optional[AuditContext] = None) -> BoundReport:
+    """Rough influence-function sup-norm bound 2 |L|_1 sum_b ||w_b|| ||k_b||^2 / lam_b.
+
+    With an AuditContext its bound factors are used instead of recomputing
+    them from ``probes``.
+    """
     if partition is not None and partition is not scheme.partition:
         raise InputError("partition does not match the weight scheme")
     lip = float(config.loss.lipschitz)
-    factors, notes = _region_factors(scheme, config, probes)
+    if context is None:
+        factors, notes = _region_factors(scheme, config, probes)
+    else:
+        factors, notes = context.factors, context.notes
     terms = []
     total = 0.0
     for b, w_sup, lam, ks in factors:
         term = 2.0 * lip * w_sup * ks.value**2 / lam
         terms.append(PerRegionTerm(b, w_sup, lam, ks.value, ks.method, term))
         total += term
-    return BoundReport(if_bound_rough=total, per_region_terms=terms, notes=notes)
+    return BoundReport(if_bound_rough=total, per_region_terms=terms, notes=list(notes))
+
+
+def _tv_distance(sample_b: Optional[WeightedSample], region, z_x, z_y: float) -> float:
+    """Exact TV distance 2 (1 - D_b({z})) between region b's empirical
+    measure and its contamination by delta_z; 0 when z lies outside the
+    ball, because the contaminated regional measure is then the original."""
+    if sample_b is None or not region.contains(z_x):
+        return 0.0
+    return 2.0 * (1.0 - sample_b.atom_mass(z_x, z_y))
 
 
 def tv_refined_if_bound(data: Dataset, partition: RegionPartition,
                         scheme: WeightScheme, config: ModelConfig,
-                        z_x, z_y: float, probes=None) -> float:
+                        z_x, z_y: float, probes=None,
+                        context: Optional[AuditContext] = None) -> float:
     """IF bound with the exact discrete TV distance instead of the constant 2.
 
     TV_b = 2 (1 - D_b({z})) when z's input lies in region b (0 otherwise,
     because the contaminated regional measure then equals the original and
     the local influence function vanishes). Never exceeds the rough bound.
+    With an AuditContext its samples and bound factors are used.
     """
     z_x = np.asarray(z_x, dtype=float).reshape(-1)
     lip = float(config.loss.lipschitz)
-    factors, _ = _region_factors(scheme, config, probes)
+    if context is None:
+        samples = {b: restrict(data, partition, b) for b in range(1, partition.B + 1)}
+        factors, _ = _region_factors(scheme, config, probes)
+    else:
+        samples = {b: blocks.sample for b, blocks in context.regions.items()}
+        factors = context.factors
     total = 0.0
     for b, w_sup, lam, ks in factors:
-        region = partition.region(b)
-        sample_b = restrict(data, partition, b)
-        if sample_b is None or not region.contains(z_x):
-            continue
-        tv_b = 2.0 * (1.0 - sample_b.atom_mass(z_x, z_y))
+        tv_b = _tv_distance(samples[b], partition.region(b), z_x, z_y)
         total += w_sup * ks.value**2 * lip * tv_b / lam
     return total
-
-
-def _pad_warm(base_model: LocalModel, contaminated: WeightedSample) -> np.ndarray:
-    extra = contaminated.n - base_model.n_anchors
-    return np.concatenate([base_model.alpha, np.zeros(extra)])
 
 
 def _map_tasks(fn, tasks, threads):
@@ -334,8 +537,8 @@ def _map_tasks(fn, tasks, threads):
 
 def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
                    config: ModelConfig, spec: ContaminationSpec, probes=None,
-                   base: Optional[ComposedModel] = None,
-                   threads: int = 1) -> InfluenceEstimate:
+                   base: Optional[ComposedModel] = None, threads: int = 1,
+                   context: Optional[AuditContext] = None) -> InfluenceEstimate:
     """Finite-difference influence estimate along the eps ladder.
 
     Every touched region is retrained per rung on the contaminated mixture
@@ -344,57 +547,57 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
     quotient; consecutive-rung residuals serve as the convergence
     diagnostic for the existence of the defining limit, and a linear
     extrapolation to eps -> 0 is reported alongside as a diagnostic.
+
+    ``context`` is the audit's AuditContext, which then supplies the probes
+    and the base model; without one, a context is built from ``probes``
+    and ``base`` (fitting the base model when it is None).
     """
     if len(spec.eps_ladder) < 2:
         raise InputError("the eps ladder needs at least two rungs")
-    if base is None:
-        base = fit_composed(data, partition, scheme, config, threads=threads)
-    if probes is None:
-        probes = default_probes(data)
-    probes = as_points(probes)
-
-    ids = list(range(1, partition.B + 1))
-    samples = {b: restrict(data, partition, b) for b in ids}
-    touched = frozenset(
-        b for b in ids
-        if samples[b] is not None and spec_touches_region(spec, partition.region(b))
-    )
+    ctx = _audit_context(context, data, partition, scheme, config, probes, base,
+                         threads)
+    base = ctx.base
+    bordered = {}
+    for b in ctx.regions:
+        region_b = ctx.border(b, spec)
+        if region_b is not None:
+            bordered[b] = region_b
+    touched = frozenset(bordered)
 
     tasks = [(eps, b) for eps in spec.eps_ladder for b in sorted(touched)]
 
     def _train_one(task):
         eps, b = task
-        contaminated = contaminate_region(samples[b], spec, partition.region(b), eps)
-        model = train(contaminated, config.kernel_for(b), config.loss,
-                      config.train_for(b), warm_start=_pad_warm(base.locals[b], contaminated),
-                      region_id=b)
-        return (eps, b), model
+        return task, ctx.retrain(bordered[b], eps)
 
     tilde_models = dict(_map_tasks(_train_one, tasks, threads))
 
-    base_probe_preds = base.predict(probes)
     rungs = []
     rung_values = []
     bottom = None
     for eps in spec.eps_ladder:
-        locals_b = {}
+        locals_b = dict(base.locals)
+        preds = {}
         quotients = {}
         h_norms = {}
-        for b in ids:
-            if b in touched:
-                tilde = tilde_models[(eps, b)]
-                locals_b[b] = tilde
-                q = LocalQuotient(tilde, base.locals[b], eps)
-                quotients[b] = q
-                h_norms[b] = q.h_norm()
-            else:
-                locals_b[b] = base.locals[b]
+        for b, blocks in ctx.regions.items():
+            if b not in touched:
                 quotients[b] = ZeroFunction()
                 h_norms[b] = 0.0
-        tilde_composed = ComposedModel(locals_b, scheme,
+                continue
+            tilde = tilde_models[(eps, b)]
+            locals_b[b] = tilde
+            preds[b] = bordered[b].probe_block @ tilde.alpha
+            q = LocalQuotient(tilde, base.locals[b], eps, gram=bordered[b].gram,
+                              known=(blocks.points,
+                                     (preds[b] - blocks.base_preds) / eps))
+            quotients[b] = q
+            h_norms[b] = q.h_norm()
+        values = (ctx.compose(preds) - ctx.base_preds) / eps
+        tilde_composed = ComposedModel(locals_b, ctx.scheme,
                                        null_region_ids=base.null_region_ids)
-        composed_q = ComposedQuotient(tilde_composed, base, eps)
-        values = (tilde_composed.predict(probes) - base_probe_preds) / eps
+        composed_q = ComposedQuotient(tilde_composed, base, eps,
+                                      known=(ctx.probes, values))
         sup = float(np.max(np.abs(values))) if values.size else 0.0
         rungs.append(LadderRung(eps=eps, sup=sup, h_norms=h_norms))
         rung_values.append(values)
@@ -476,7 +679,8 @@ def _as_eps_vector(eps_by_region, B: int) -> np.ndarray:
 def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
                   config: ModelConfig, eps_by_region, probe_specs,
                   probes=None, base: Optional[ComposedModel] = None,
-                  threads: int = 1) -> BoundReport:
+                  threads: int = 1,
+                  context: Optional[AuditContext] = None) -> BoundReport:
     """Empirical worst-case predictor shift under full-level contamination.
 
     For each candidate contaminating distribution Q the per-region models
@@ -485,42 +689,35 @@ def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightSchem
     measured over the probes. The closed-form bound
     2 |L|_1 sum_b ||w_b|| (eps_b / lam_b) ||k_b||^2 must dominate the
     empirical maximum; regions with eps_b = 0 keep their model bit-exactly.
+    ``context`` as for ``finite_diff_if``.
     """
-    if base is None:
-        base = fit_composed(data, partition, scheme, config, threads=threads)
-    if probes is None:
-        probes = default_probes(data)
-    probes = as_points(probes)
     eps = _as_eps_vector(eps_by_region, partition.B)
+    ctx = _audit_context(context, data, partition, scheme, config, probes, base,
+                         threads)
 
     lip = float(config.loss.lipschitz)
-    factors, notes = _region_factors(scheme, config, probes)
     terms = []
     bound = 0.0
-    for (b, w_sup, lam, ks) in factors:
+    for (b, w_sup, lam, ks) in ctx.factors:
         term = 2.0 * lip * w_sup * (eps[b - 1] / lam) * ks.value**2
         terms.append(PerRegionTerm(b, w_sup, lam, ks.value, ks.method, term))
         bound += term
 
-    ids = list(range(1, partition.B + 1))
-    samples = {b: restrict(data, partition, b) for b in ids}
-    base_probe_preds = base.predict(probes)
+    def _retrained_preds(b: int, spec: ContaminationSpec):
+        # one bordered region alive at a time: it is freed on return
+        bordered = ctx.border(b, spec)
+        if bordered is None:
+            return None
+        return bordered.probe_block @ ctx.retrain(bordered, eps[b - 1]).alpha
 
     def _shift_for(spec: ContaminationSpec) -> float:
-        locals_b = {}
-        for b in ids:
-            e = eps[b - 1]
-            region = partition.region(b)
-            if e == 0.0 or samples[b] is None or not spec_touches_region(spec, region):
-                locals_b[b] = base.locals[b]
-                continue
-            contaminated = contaminate_region(samples[b], spec, region, e)
-            locals_b[b] = train(contaminated, config.kernel_for(b), config.loss,
-                                config.train_for(b),
-                                warm_start=_pad_warm(base.locals[b], contaminated),
-                                region_id=b)
-        tilde = ComposedModel(locals_b, scheme, null_region_ids=base.null_region_ids)
-        shift = np.abs(tilde.predict(probes) - base_probe_preds)
+        preds = {}
+        for b in ctx.regions:
+            if eps[b - 1] != 0.0:
+                preds_b = _retrained_preds(b, spec)
+                if preds_b is not None:
+                    preds[b] = preds_b
+        shift = np.abs(ctx.compose(preds) - ctx.base_preds)
         return float(shift.max()) if shift.size else 0.0
 
     shifts = _map_tasks(_shift_for, list(probe_specs), threads)
@@ -533,7 +730,7 @@ def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightSchem
                    "per_q_shifts": [float(s) for s in shifts],
                    "eps_by_region": eps.tolist()},
         satisfied={"maxbias": bool(empirical <= bound)},
-        notes=notes,
+        notes=list(ctx.notes),
     )
 
 
@@ -578,15 +775,12 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
     are computed; the sup-norm certificate allows the numerically justified
     slack 10 (grad_tol / eps + eps * curvature). A maxbias probe at the
     given full contamination level runs against ``maxbias_specs``
-    (defaulting to the adversarial corner/label-flip family).
+    (defaulting to the adversarial corner/label-flip family). The per-run
+    state is built once, as one AuditContext that every spec shares.
     """
-    if base is None:
-        base = fit_composed(data, partition, scheme, config, threads=threads)
-    if probes is None:
-        probes = default_probes(data)
-    probes = as_points(probes)
-
-    rough = if_bound(scheme, config, probes=probes)
+    ctx = AuditContext(data, partition, scheme, config, probes=probes,
+                       base=base, threads=threads)
+    rough = if_bound(scheme, config, context=ctx)
     grad_tol = config.train.grad_tol
     lip = float(config.loss.lipschitz)
     factor_by_id = {t.region_id: t for t in rough.per_region_terms}
@@ -596,8 +790,8 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
     worst = None
     for spec in z_specs:
         est = finite_diff_if(data, partition, scheme, config, spec,
-                             probes=probes, base=base, threads=threads)
-        resid = decomposition_check(est, probes)
+                             threads=threads, context=ctx)
+        resid = decomposition_check(est, ctx.probes)
         slack = 10.0 * (grad_tol / est.eps_used + est.eps_used * est.curvature)
         sup_ok = est.sup_norm_estimate <= rough.if_bound_rough + slack
 
@@ -605,16 +799,12 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
         h_checks = {}
         if spec.kind == "dirac":
             tv_bound = tv_refined_if_bound(data, partition, scheme, config,
-                                           spec.z_x, spec.z_y, probes=probes)
+                                           spec.z_x, spec.z_y, context=ctx)
         for b, h in est.h_norms.items():
             t = factor_by_id[b]
             if spec.kind == "dirac":
-                sample_b = restrict(data, partition, b)
-                in_region = partition.region(b).contains(spec.z_x)
-                if sample_b is None or not in_region:
-                    tv_b = 0.0
-                else:
-                    tv_b = 2.0 * (1.0 - sample_b.atom_mass(spec.z_x, spec.z_y))
+                tv_b = _tv_distance(ctx.regions[b].sample, partition.region(b),
+                                    spec.z_x, spec.z_y)
             else:
                 tv_b = 2.0  # rough TV bound for general mixtures
             cap = t.k_sup * lip * tv_b / t.lam
@@ -650,17 +840,15 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
             maxbias_specs = adversarial_q_specs(
                 data, classification=config.loss.is_classification)
         mb_report = maxbias_probe(data, partition, scheme, config, maxbias_eps,
-                                  maxbias_specs, probes=probes, base=base,
-                                  threads=threads)
+                                  maxbias_specs, threads=threads, context=ctx)
 
-    covered = scheme.weights_many(probes, on_uncovered="nearest")[1]
     empirical = {
         "if_sup": max((e["if_sup"] for e in per_z), default=0.0),
         "maxbias_sup": (mb_report.empirical["maxbias_sup"] if mb_report else None),
         "decomposition_residual": max(
             (e["decomposition_residual"] for e in per_z), default=0.0),
         "ladder": worst[1]["ladder"] if worst else [],
-        "coverage_violations": int((~covered).sum()),
+        "coverage_violations": int((~ctx.covered).sum()),
     }
     satisfied = {"if": bool(if_ok)}
     if mb_report is not None:

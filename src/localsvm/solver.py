@@ -28,7 +28,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from .data import WeightedSample, as_points
 from .errors import ConvergenceError, InputError
-from .kernels import Kernel, chunk_rows, kernel_from_dict
+from .kernels import Kernel, chunk_rows, kernel_from_dict, sup_sqrt_diag
 from .losses import SmoothLoss, loss_from_name
 
 ARMIJO_C = 1e-4
@@ -202,16 +202,25 @@ def _newton_step(K, g, grad, D, lam):
 
 def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
           cfg: TrainConfig, warm_start: Optional[np.ndarray] = None,
-          shifted: bool = True, region_id: Union[int, str] = "global") -> LocalModel:
+          shifted: bool = True, region_id: Union[int, str] = "global",
+          gram: Optional[np.ndarray] = None) -> LocalModel:
     """Damped Newton minimization of the (shifted) regularized risk.
 
-    Deterministic: identical inputs give bitwise-identical coefficients.
-    Raises ConvergenceError (with the best iterate attached) if the gradient
-    tolerance is not reached within ``cfg.max_iter`` iterations.
+    ``gram`` is an optional precomputed ``kernel.gram(sample.X)``, for
+    callers that retrain on one sample under several weightings; it is
+    read, never written. Deterministic: identical inputs give
+    bitwise-identical coefficients. Raises ConvergenceError (with the best
+    iterate attached) if the gradient tolerance is not reached within
+    ``cfg.max_iter`` iterations.
     """
-    K = kernel.gram(sample.X)
     y, w, lam = sample.y, sample.weights, cfg.lam
     n = sample.n
+    if gram is None:
+        K = kernel.gram(sample.X)
+    else:
+        K = gram
+        if K.shape != (n, n):
+            raise InputError(f"gram has shape {K.shape}, expected ({n}, {n})")
 
     if warm_start is not None:
         alpha = np.asarray(warm_start, dtype=float).copy()
@@ -319,11 +328,8 @@ def audit_model_bounds(model: LocalModel, probes, k_sup: float = None,
     """
     probes = as_points(probes)
     if k_sup is None:
-        if model.kernel.family == "gaussian-rbf":
-            k_sup = 1.0
-        else:
-            pts = probes if model.n_anchors == 0 else np.vstack([probes, model.anchors])
-            k_sup = float(np.sqrt(np.maximum(model.kernel.diag(pts), 0.0)).max())
+        pts = probes if model.n_anchors == 0 else np.vstack([probes, model.anchors])
+        k_sup = sup_sqrt_diag(model.kernel, pts)
     h = model.h_norm()
     sup_f = float(np.max(np.abs(model.predict(probes)))) if probes.shape[0] else 0.0
     cap = float(model.loss.lipschitz) * k_sup / model.lam

@@ -1,0 +1,289 @@
+"""The shared AuditContext against the rebuild-everything audit it replaced.
+
+``_rebuild_finite_diff_if`` and ``_rebuild_maxbias_shifts`` are test-local
+copies of the audit before the context existed: every retrain rebuilds its
+Gram from the contaminated sample, every quotient evaluates full composed
+predictors, and every H-norm builds the Gram of the stacked base and
+contaminated anchors.
+"""
+
+import numpy as np
+import pytest
+
+from localsvm import (ComposedModel, ContaminationSpec, GaussianRBF, InputError,
+                      Linear, LogisticRegression, ModelConfig, Polynomial,
+                      TrainConfig, WeightedSample, WeightScheme,
+                      adversarial_q_specs, contaminate_region, default_probes,
+                      finite_diff_if, fit_composed, maxbias_probe, regionalize,
+                      restrict, run_audit, train)
+from localsvm import robustness
+from localsvm.robustness import AuditContext
+from conftest import manual_partition, two_blobs
+
+REG = LogisticRegression()
+RBF = GaussianRBF(gamma=1.0, input_dim=2)
+
+
+def _config(kernel=RBF, lam=0.5, region_lambdas=None):
+    return ModelConfig(loss=REG, kernel=kernel, train=TrainConfig(lam=lam),
+                       region_lambdas=region_lambdas or {})
+
+
+def _fixture(n_per=15, gap=1.5, tau=0.5, seed=0):
+    data = two_blobs(n_per=n_per, gap=gap, seed=seed)
+    part = regionalize(data.X, b_target=2, tau=tau, min_region_size=5, seed=1)
+    return data, part, WeightScheme("normalized-indicator", part)
+
+
+def _specs(data, part):
+    """A Dirac point in each ball, one in their overlap, and a flip mixture."""
+    c1, c2 = part.region(1).center, part.region(2).center
+    flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
+    return [ContaminationSpec.dirac(c1, 4.0),
+            ContaminationSpec.dirac(c2, -4.0),
+            ContaminationSpec.dirac((c1 + c2) / 2.0, 5.0),
+            ContaminationSpec.mixture(flipped)]
+
+
+def _rebuild_retrain(data, part, config, base, spec, b, eps):
+    contaminated = contaminate_region(restrict(data, part, b), spec,
+                                      part.region(b), eps)
+    extra = contaminated.n - base.locals[b].n_anchors
+    return train(contaminated, config.kernel_for(b), config.loss,
+                 config.train_for(b),
+                 warm_start=np.concatenate([base.locals[b].alpha, np.zeros(extra)]),
+                 region_id=b)
+
+
+def _rebuild_h_norm(tilde, base, eps):
+    anchors = np.vstack([base.anchors, tilde.anchors])
+    coef = np.concatenate([-base.alpha, tilde.alpha]) / eps
+    G = tilde.kernel.gram(anchors)
+    return float(np.sqrt(max(0.0, float(coef @ (G @ coef)))))
+
+
+def _touches(spec, sample, region):
+    return contaminate_region(sample, spec, region, 0.01) is not sample
+
+
+def _touched(data, part, spec):
+    return [b for b in range(1, part.B + 1)
+            if restrict(data, part, b) is not None
+            and _touches(spec, restrict(data, part, b), part.region(b))]
+
+
+def _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base):
+    """Per rung: (eps, sup, {b: h_norm}, {b: alpha})."""
+    base_preds = base.predict(probes)
+    rungs = []
+    for eps in spec.eps_ladder:
+        locals_b = dict(base.locals)
+        h_norms, alphas = {}, {}
+        for b in _touched(data, part, spec):
+            tilde = _rebuild_retrain(data, part, config, base, spec, b, eps)
+            locals_b[b] = tilde
+            alphas[b] = tilde.alpha
+            h_norms[b] = _rebuild_h_norm(tilde, base.locals[b], eps)
+        tilde_composed = ComposedModel(locals_b, scheme,
+                                       null_region_ids=base.null_region_ids)
+        values = (tilde_composed.predict(probes) - base_preds) / eps
+        rungs.append((eps, float(np.max(np.abs(values))), h_norms, alphas))
+    return rungs
+
+
+def _rebuild_maxbias_shifts(data, part, scheme, config, eps, specs, probes, base):
+    base_preds = base.predict(probes)
+    shifts = []
+    for spec in specs:
+        locals_b = dict(base.locals)
+        for b in _touched(data, part, spec):
+            if eps[b - 1] != 0.0:
+                locals_b[b] = _rebuild_retrain(data, part, config, base, spec, b,
+                                               eps[b - 1])
+        tilde = ComposedModel(locals_b, scheme, null_region_ids=base.null_region_ids)
+        shifts.append(float(np.abs(tilde.predict(probes) - base_preds).max()))
+    return shifts
+
+
+@pytest.mark.parametrize("kernel", [RBF, Linear(input_dim=2),
+                                    Polynomial(degree=2, offset=1.0, input_dim=2)],
+                         ids=["rbf", "linear", "polynomial"])
+def test_bordered_gram_and_probe_block_match_rebuilt(kernel):
+    data, part, scheme = _fixture()
+    config = _config(kernel=kernel)
+    ctx = AuditContext(data, part, scheme, config, probes=default_probes(data, 64))
+    checked = 0
+    for spec in _specs(data, part):
+        for b, blocks in ctx.regions.items():
+            bordered = ctx.border(b, spec)
+            if bordered is None:
+                assert not _touches(spec, blocks.sample, part.region(b))
+                continue
+            contaminated = bordered.contaminated(0.01)
+            rebuilt = contaminate_region(blocks.sample, spec, part.region(b), 0.01)
+            np.testing.assert_array_equal(contaminated.X, rebuilt.X)
+            np.testing.assert_array_equal(contaminated.weights, rebuilt.weights)
+            gram = kernel.gram(rebuilt.X)
+            block = kernel.matrix(blocks.points, rebuilt.X)
+            if kernel is RBF:
+                np.testing.assert_array_equal(bordered.gram, gram)
+                np.testing.assert_array_equal(bordered.probe_block, block)
+            else:
+                for got, want in ((bordered.gram, gram), (bordered.probe_block, block)):
+                    scale = np.abs(want).max()
+                    np.testing.assert_allclose(got, want, rtol=1e-12,
+                                               atol=1e-12 * scale)
+            checked += 1
+    assert checked == 6  # one region per ball center, two each for the rest
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_finite_diff_if_matches_rebuild_reference(threads):
+    data, part, scheme = _fixture()
+    config = _config(region_lambdas={2: 0.25})
+    probes = default_probes(data, 64)
+    base = fit_composed(data, part, scheme, config)
+    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base)
+    for spec in _specs(data, part):
+        est = finite_diff_if(data, part, scheme, config, spec, threads=threads,
+                             context=ctx)
+        ref = _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base)
+        assert sorted(est.touched_region_ids) == _touched(data, part, spec)
+        assert len(est.ladder) == len(ref)
+        for rung, (eps, sup, h_norms, alphas) in zip(est.ladder, ref):
+            assert rung.eps == eps
+            assert rung.sup == pytest.approx(sup, rel=1e-12, abs=0.0)
+            for b, h in h_norms.items():
+                assert rung.h_norms[b] == pytest.approx(h, rel=1e-12, abs=0.0)
+            for b, alpha in alphas.items():
+                retrained = ctx.retrain(ctx.border(b, spec), eps)
+                np.testing.assert_array_equal(retrained.alpha, alpha)
+        assert est.sup_norm_estimate == pytest.approx(ref[-1][1], rel=1e-12, abs=0.0)
+        for b, alpha in ref[-1][3].items():
+            np.testing.assert_array_equal(est.per_region[b].tilde.alpha, alpha)
+
+        # without a context one is built from probes and base: same numbers
+        alone = finite_diff_if(data, part, scheme, config, spec, probes=probes,
+                               base=base, threads=threads)
+        assert [r.sup for r in alone.ladder] == [r.sup for r in est.ladder]
+        assert alone.h_norms == est.h_norms
+
+
+def test_finite_diff_if_matches_rebuild_reference_polynomial():
+    data, part, scheme = _fixture()
+    config = _config(kernel=Polynomial(degree=2, offset=1.0, input_dim=2))
+    probes = default_probes(data, 64)
+    base = fit_composed(data, part, scheme, config)
+    for spec in _specs(data, part)[:2]:
+        est = finite_diff_if(data, part, scheme, config, spec, probes=probes,
+                             base=base)
+        ref = _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base)
+        for rung, (_, sup, h_norms, _) in zip(est.ladder, ref):
+            assert rung.sup == pytest.approx(sup, rel=1e-6)
+            for b, h in h_norms.items():
+                assert rung.h_norms[b] == pytest.approx(h, rel=1e-6)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_maxbias_probe_matches_rebuild_reference(threads):
+    data, part, scheme = _fixture()
+    config = _config(lam=0.4)
+    probes = default_probes(data, 64)
+    base = fit_composed(data, part, scheme, config)
+    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base)
+    specs = adversarial_q_specs(data, classification=False)
+    for eps in (np.array([0.1, 0.1]), np.array([0.0, 0.2])):
+        report = maxbias_probe(data, part, scheme, config, eps, specs,
+                               threads=threads, context=ctx)
+        ref = _rebuild_maxbias_shifts(data, part, scheme, config, eps, specs,
+                                      probes, base)
+        got = report.empirical["per_q_shifts"]
+        assert len(got) == len(ref)
+        for s, r in zip(got, ref):
+            assert s == pytest.approx(r, rel=1e-12, abs=0.0)
+
+
+def test_local_quotient_h_norm_without_gram_matches_bordered():
+    data, part, scheme = _fixture()
+    config = _config()
+    ctx = AuditContext(data, part, scheme, config, probes=default_probes(data, 32))
+    spec = _specs(data, part)[0]
+    est = finite_diff_if(data, part, scheme, config, spec, context=ctx)
+    for b in est.touched_region_ids:
+        q = est.per_region[b]
+        rebuilt = robustness.LocalQuotient(q.tilde, q.base, q.eps)
+        assert rebuilt.h_norm() == q.h_norm()
+        assert rebuilt.h_norm() == pytest.approx(
+            _rebuild_h_norm(q.tilde, q.base, q.eps), rel=1e-12)
+        # evaluated away from the audit probes the quotient predicts afresh
+        X = data.X[:5] + 0.01
+        np.testing.assert_allclose(
+            q(X), (q.tilde.predict(X) - q.base.predict(X)) / q.eps, rtol=0, atol=0)
+
+
+def test_run_audit_builds_per_run_state_once(monkeypatch):
+    data, part, scheme = _fixture()
+    config = _config()
+    base = fit_composed(data, part, scheme, config)
+    calls = {"restrict": 0, "factors": 0}
+    restrict_orig = robustness.restrict
+    factors_orig = robustness._region_factors
+
+    def counting_restrict(*args, **kwargs):
+        calls["restrict"] += 1
+        return restrict_orig(*args, **kwargs)
+
+    def counting_factors(*args, **kwargs):
+        calls["factors"] += 1
+        return factors_orig(*args, **kwargs)
+
+    monkeypatch.setattr(robustness, "restrict", counting_restrict)
+    monkeypatch.setattr(robustness, "_region_factors", counting_factors)
+    specs = _specs(data, part)
+    report = run_audit(data, part, scheme, config, specs, maxbias_eps=0.1,
+                       probes=default_probes(data, 32), base=base)
+    assert report.all_satisfied
+    assert calls == {"restrict": part.B, "factors": 1}
+
+
+def test_context_rejects_model_trained_on_other_data():
+    data, part, scheme = _fixture()
+    config = _config()
+    base = fit_composed(data, part, scheme, config)
+    moved = data.X.copy()
+    moved[0] += 1e-9
+    other = type(data)(moved, data.y)
+    with pytest.raises(InputError, match="anchors differ"):
+        AuditContext(other, part, scheme, config, probes=data.X, base=base)
+
+
+def test_context_rejects_a_null_region_mismatch():
+    X = np.random.default_rng(0).normal(size=(12, 2)) * 0.2
+    data = type(two_blobs())(X, np.zeros(12))
+    part = manual_partition([[0.0, 0.0], [9.0, 9.0]], [5.0, 1.0], points=X)
+    scheme = WeightScheme("normalized-indicator", part)
+    config = _config()
+    base = fit_composed(data, part, scheme, config)
+    assert base.null_region_ids == {2}
+    probes = np.vstack([X, [[9.0, 9.0]]])
+    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base)
+    assert ctx.regions[2].sample is None
+    assert ctx.border(2, ContaminationSpec.dirac([9.0, 9.0], 1.0)) is None
+    shifted = type(data)(np.vstack([X, [[9.0, 9.0]]]), np.zeros(13))
+    with pytest.raises(InputError, match="anchors differ"):
+        AuditContext(shifted, part, scheme, config, probes=probes, base=base)
+
+
+def test_context_is_checked_against_the_call():
+    data, part, scheme = _fixture()
+    config = _config()
+    probes = default_probes(data, 16)
+    ctx = AuditContext(data, part, scheme, config, probes=probes)
+    spec = _specs(data, part)[0]
+    with pytest.raises(InputError):
+        finite_diff_if(data, part, scheme, config, spec, probes=probes, context=ctx)
+    with pytest.raises(InputError):
+        finite_diff_if(data, part, scheme, _config(lam=0.3), spec, context=ctx)
+    with pytest.raises(InputError):
+        maxbias_probe(data, part, scheme, config, 0.1, [spec], base=ctx.base,
+                      context=ctx)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from localsvm import (ComposedModel, Dataset, GaussianRBF, LocalModel,
+from localsvm import (ComposedModel, Dataset, GaussianRBF, InputError, LocalModel,
                       LogisticRegression, ModelConfig, RegionTrainingError,
                       TrainConfig, WeightScheme, WeightedSample, empirical_risk,
                       fit_composed, predict_composed, regionalize, restrict,
@@ -197,3 +197,23 @@ def test_restrict_count_fixture():
     half = restrict(data, part, 1)
     assert half.n == 10
     np.testing.assert_allclose(half.weights, np.full(10, 2.0 / 20.0))
+
+
+def test_fit_composed_rejects_scheme_of_other_regions():
+    data = two_blobs(n_per=15, gap=6.0, seed=3)
+    part = regionalize(data.X, b_target=2, tau=0.2, min_region_size=5, seed=0)
+    moved = manual_partition([r.center + 0.5 for r in part.regions],
+                             [r.radius for r in part.regions], points=data.X)
+    assert moved.B == part.B
+    with pytest.raises(InputError, match="different partition"):
+        fit_composed(data, part, WeightScheme("normalized-indicator", moved),
+                     _config())
+    wider = manual_partition([r.center for r in part.regions],
+                             [r.radius * 1.1 for r in part.regions], points=data.X)
+    with pytest.raises(InputError, match="different partition"):
+        fit_composed(data, part, WeightScheme("normalized-indicator", wider),
+                     _config())
+    # an equal copy of the partition (as after serialization) is accepted
+    copy = manual_partition([r.center for r in part.regions],
+                            [r.radius for r in part.regions], points=data.X)
+    fit_composed(data, part, WeightScheme("normalized-indicator", copy), _config())

@@ -5,7 +5,7 @@ import pytest
 
 import localsvm.cli as cli
 from localsvm import (ComposedModel, GaussianRBF, InputError,
-                      LogisticRegression, ModelConfig, TrainConfig,
+                      LogisticRegression, ModelConfig, Polynomial, TrainConfig,
                       WeightScheme, fit_composed, regionalize)
 from localsvm.config import (load_config, load_csv_dataset,
                              model_config_from_config, setup_from_config,
@@ -392,3 +392,86 @@ def test_cli_audit_z_grid_too_large_exits_2(tmp_path, capsys, monkeypatch):
     rc = cli.main(["audit", "--config", cfg_path, "--out", str(tmp_path / "o")])
     assert rc == 2
     assert "z_grid" in capsys.readouterr().err
+
+
+def test_import_cli_leaves_scipy_stats_unloaded():
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import sys, localsvm.cli; "
+            "sys.exit('scipy.stats' in sys.modules)")
+    result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                            capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()
+
+
+def _summary_rebuilding_samples(model, data):
+    """The train summary as written before it read n_b off the models."""
+    from localsvm import restrict
+
+    lines = [f"regions: {model.partition.B}"]
+    for b in sorted(model.locals):
+        local = model.locals[b]
+        sample_b = restrict(data, model.partition, b)
+        n_b = 0 if sample_b is None else sample_b.n
+        if b in model.null_region_ids:
+            lines.append(f"  region {b}: n_b={n_b} null measure, zero predictor")
+            continue
+        h = local.h_norm()
+        cap = local.h_norm_bound(1.0 if local.kernel.family == "gaussian-rbf"
+                                 else float(np.sqrt(np.maximum(
+                                     local.kernel.diag(local.anchors), 0.0)).max()))
+        lines.append(
+            f"  region {b}: n_b={n_b} lambda={local.lam:g} "
+            f"|f|_H={h:.6g} bound={cap:.6g} margin={cap - h:.3g}"
+        )
+    return "\n".join(lines)
+
+
+@pytest.mark.parametrize("kernel", [GaussianRBF(gamma=1.0, input_dim=2),
+                                    Polynomial(degree=2, offset=1.0, input_dim=2)],
+                         ids=["rbf", "polynomial"])
+def test_train_summary_unchanged(tmp_path, kernel):
+    from conftest import manual_partition
+
+    task = SyntheticTask("sine-regression", dim=2, noise=0.3, seed=7)
+    data = generate(task, 60)
+    part = regionalize(data.X, 2, 0.25, 5, seed=1)
+    far = manual_partition([r.center for r in part.regions] + [[50.0, 50.0]],
+                           [r.radius for r in part.regions] + [1.0],
+                           points=data.X)
+    config = ModelConfig(loss=LogisticRegression(), kernel=kernel,
+                         train=TrainConfig(lam=0.5))
+    for partition in (part, far):
+        model = fit_composed(data, partition,
+                             WeightScheme("normalized-indicator", partition), config)
+        assert cli._train_summary(model) == _summary_rebuilding_samples(model, data)
+    assert model.null_region_ids == {3}
+
+    cfg_path = write_config(tmp_path, base_config())
+    assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    model = ComposedModel.from_dict(json.loads((tmp_path / "model.json").read_text()))
+    expected = _summary_rebuilding_samples(model, data)
+    assert (tmp_path / "train_summary.txt").read_text() == expected + "\n"
+
+
+def test_cli_audit_rejects_model_with_other_anchors(tmp_path, capsys):
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    cfg["dataset"]["n"] = 40
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "m")]) == 0
+    model_path = tmp_path / "m" / "model.json"
+    model = json.loads(model_path.read_text())
+    # same region sizes, one anchor nudged: the warm start would line up in
+    # length but not in position
+    model["locals"][0]["anchors"][0][0] += 1e-9
+    model_path.write_text(json.dumps(model))
+    capsys.readouterr()
+    rc = cli.main(["audit", "--config", cfg_path, "--model", str(model_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "anchors differ" in capsys.readouterr().err
