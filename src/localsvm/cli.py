@@ -19,7 +19,8 @@ from .errors import ConvergenceError, InputError, LocalSvmError
 from .experiments import (LambdaSchedule, consistency_trend, tradeoff_sweep)
 from .kernels import sup_sqrt_diag
 from .regions import WeightScheme, regionalize
-from .robustness import (ContaminationSpec, default_probes, extreme_labels,
+from .robustness import (DEFAULT_EPS_LADDER, DEFAULT_EXTRA_PROBES,
+                         ContaminationSpec, default_probes, extreme_labels,
                          run_audit)
 
 EXIT_OK = 0
@@ -129,8 +130,9 @@ def _z_specs_from_config(raw, data, ladder, classification):
 def cmd_audit(args) -> int:
     raw, setup, config, partition, scheme, out_dir = _prepare(args)
     audit_cfg = raw.get("audit", {})
-    ladder = tuple(audit_cfg.get("eps_ladder", (1e-2, 5e-3, 2.5e-3, 1.25e-3)))
-    probes = default_probes(setup.data, int(audit_cfg.get("extra_probes", 512)))
+    ladder = tuple(audit_cfg.get("eps_ladder", DEFAULT_EPS_LADDER))
+    probes = default_probes(setup.data,
+                            int(audit_cfg.get("extra_probes", DEFAULT_EXTRA_PROBES)))
 
     base = None
     if args.model is not None:

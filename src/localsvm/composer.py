@@ -106,6 +106,15 @@ class ComposedModel:
                    null_region_ids=frozenset(d.get("null_region_ids", [])))
 
 
+def _map_tasks(fn, tasks, threads: int) -> list:
+    """[fn(t) for t in tasks], in a pool of ``threads`` threads when there
+    is more than one task; results keep the order of ``tasks``."""
+    if threads > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, tasks))
+    return [fn(t) for t in tasks]
+
+
 def _fit_one(data, partition, config, b):
     sample_b = restrict(data, partition, b)
     if sample_b is None:
@@ -131,13 +140,8 @@ def fit_composed(data: Dataset, partition: RegionPartition, scheme: WeightScheme
     if (scheme.partition is not partition
             and not scheme.partition.same_regions(partition)):
         raise InputError("scheme was built for a different partition")
-    ids = list(range(1, partition.B + 1))
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(
-                lambda b: _fit_one(data, partition, config, b), ids))
-    else:
-        results = [_fit_one(data, partition, config, b) for b in ids]
+    results = _map_tasks(lambda b: _fit_one(data, partition, config, b),
+                         list(range(1, partition.B + 1)), threads)
     locals_by_region = {b: model for b, model, _ in results}
     null_ids = frozenset(b for b, _, is_null in results if is_null)
     return ComposedModel(locals_by_region, scheme, null_region_ids=null_ids)

@@ -110,7 +110,8 @@ CONFIG_SCHEMA = {
                 },
                 "grad_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
-                # accepted so existing configs load; the solver needs no ridge
+                # accepted and ignored so existing configs load; the
+                # Newton system needs no ridge
                 "ridge": {"type": "number", "minimum": 0},
             },
             "required": ["loss", "kernel", "lambda"],
@@ -308,12 +309,13 @@ def model_config_from_config(raw: dict, input_dim: int):
     m = raw["model"]
     loss = loss_from_name(m["loss"])
     kernel = kernel_from_dict(dict(m["kernel"], input_dim=input_dim))
-    train_cfg = TrainConfig(
-        lam=float(m["lambda"]),
-        grad_tol=float(m.get("grad_tol", 1e-10)),
-        max_iter=int(m.get("max_iter", 200)),
-        ridge=float(m.get("ridge", 1e-10)),
-    )
+    # only the keys the config sets: TrainConfig holds the defaults
+    solver = {}
+    if "grad_tol" in m:
+        solver["grad_tol"] = float(m["grad_tol"])
+    if "max_iter" in m:
+        solver["max_iter"] = int(m["max_iter"])
+    train_cfg = TrainConfig(lam=float(m["lambda"]), **solver)
     region_kernels = {}
     region_lambdas = {}
     for entry in m.get("per_region", []):

@@ -6,7 +6,7 @@ Gaussian RBF family is bounded globally with sup_x sqrt(k(x, x)) = 1.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -30,6 +30,8 @@ class Kernel:
     input_dim: int
     family: str = "abstract"
     continuous: bool = True  # all shipped families; audits note exceptions
+    # sqrt(k(x, x)) == 1 everywhere, so region sup-norms are exact
+    unit_diagonal: bool = False
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = as_points(X)
@@ -92,12 +94,10 @@ class Kernel:
         raise NotImplementedError
 
     def to_dict(self) -> dict:
+        """family, input_dim, then the family's parameters in field order."""
         d = {"family": self.family, "input_dim": self.input_dim}
-        if isinstance(self, GaussianRBF):
-            d["gamma"] = self.gamma
-        elif isinstance(self, Polynomial):
-            d["degree"] = self.degree
-            d["offset"] = self.offset
+        d.update((f.name, getattr(self, f.name)) for f in fields(self)
+                 if f.name != "input_dim")
         return d
 
 
@@ -108,6 +108,7 @@ class GaussianRBF(Kernel):
     gamma: float
     input_dim: int
     family = "gaussian-rbf"
+    unit_diagonal = True
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -207,13 +208,13 @@ class KernelSupNorm:
 
 
 def sup_sqrt_diag(kernel: Kernel, points) -> float:
-    """max of sqrt(k(x, x)) over the rows of ``points``; exactly 1 for the
-    Gaussian RBF family, whose diagonal is constant, without evaluating it.
+    """max of sqrt(k(x, x)) over the rows of ``points``; exactly 1 for a
+    family with ``unit_diagonal`` (Gaussian RBF), without evaluating it.
 
     The one kernel sup-norm computation: region sup-norms, model bound
     audits and the train summary all go through it.
     """
-    if isinstance(kernel, GaussianRBF):
+    if kernel.unit_diagonal:
         return 1.0
     return float(np.sqrt(np.maximum(kernel.diag(points), 0.0)).max())
 
@@ -221,11 +222,11 @@ def sup_sqrt_diag(kernel: Kernel, points) -> float:
 def sup_norm_on_region(kernel: Kernel, region, probes=None) -> KernelSupNorm:
     """Region sup-norm of a kernel.
 
-    Exact for families with constant sqrt(k(x, x)) (Gaussian RBF). Otherwise
+    Exact for families with ``unit_diagonal`` (Gaussian RBF). Otherwise
     an empirical sup over the probe points that fall inside the region.
     """
     region_id = getattr(region, "id", 0)
-    if isinstance(kernel, GaussianRBF):
+    if kernel.unit_diagonal:
         return KernelSupNorm(1.0, region_id, METHOD_EXACT)
     if probes is None or len(probes) == 0:
         raise InsufficientDataError(

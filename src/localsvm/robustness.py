@@ -24,13 +24,12 @@ bounding box) and therefore lower bounds of the essential sup.
 from __future__ import annotations
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
 
-from .composer import ComposedModel, ModelConfig, fit_composed
+from .composer import ComposedModel, ModelConfig, _map_tasks, fit_composed
 from .data import Dataset, WeightedSample, as_points
 from .errors import InputError
 from .kernels import sup_norm_on_region
@@ -135,37 +134,16 @@ def contaminate_region(sample_b: WeightedSample, spec: ContaminationSpec,
     return _mix(sample_b, atoms, eps)
 
 
-class ZeroFunction:
-    """The identically-zero influence estimate of an untouched region."""
-
-    def __call__(self, X) -> np.ndarray:
-        return np.zeros(as_points(X).shape[0])
-
-    def h_norm(self) -> float:
-        return 0.0
-
-
-def _known_or(known, X, evaluate):
-    """The precomputed values when X equals their points, else evaluate(X)."""
-    X = as_points(X)
-    if known is not None:
-        points, values = known
-        if X.shape == points.shape and np.array_equal(X, points):
-            return values.copy()
-    return evaluate(X)
-
-
 class LocalQuotient:
     """(f_tilde - f) / eps for one region's local models.
 
     The contaminated model's anchors are the base anchors followed by the
-    contamination atoms. ``gram`` is their Gram matrix when the caller
-    already holds it; ``known`` is an optional (points, values) pair of
-    quotient values the caller already computed.
+    contamination atoms, and ``gram`` is their (bordered) Gram matrix.
+    ``values`` holds the quotient on the region's probe rows of the audit.
     """
 
     def __init__(self, tilde: LocalModel, base: LocalModel, eps: float,
-                 gram: Optional[np.ndarray] = None, known=None):
+                 gram: np.ndarray, values: np.ndarray):
         n = base.n_anchors
         if (tilde.n_anchors < n
                 or not np.array_equal(tilde.anchors[:n], base.anchors)):
@@ -175,11 +153,7 @@ class LocalQuotient:
         self.base = base
         self.eps = float(eps)
         self.gram = gram
-        self.known = known
-
-    def __call__(self, X) -> np.ndarray:
-        return _known_or(self.known, X, lambda X: (
-            self.tilde.predict(X) - self.base.predict(X)) / self.eps)
+        self.values = values
 
     def h_norm(self) -> float:
         """RKHS norm sqrt(c' G c) of the difference quotient, exact over the
@@ -189,26 +163,7 @@ class LocalQuotient:
         coef = self.tilde.alpha.copy()
         coef[:self.base.n_anchors] -= self.base.alpha
         coef /= self.eps
-        G = self.gram
-        if G is None:
-            G = self.tilde.kernel.gram(self.tilde.anchors)
-        return float(np.sqrt(max(0.0, float(coef @ (G @ coef)))))
-
-
-class ComposedQuotient:
-    """(f_comp_tilde - f_comp) / eps assembled from full composed models;
-    ``known`` as for LocalQuotient."""
-
-    def __init__(self, tilde: ComposedModel, base: ComposedModel, eps: float,
-                 known=None):
-        self.tilde = tilde
-        self.base = base
-        self.eps = float(eps)
-        self.known = known
-
-    def __call__(self, X) -> np.ndarray:
-        return _known_or(self.known, X, lambda X: (
-            self.tilde.predict(X) - self.base.predict(X)) / self.eps)
+        return float(np.sqrt(max(0.0, float(coef @ (self.gram @ coef)))))
 
 
 @dataclass(frozen=True)
@@ -224,10 +179,16 @@ class LadderRung:
 
 @dataclass
 class InfluenceEstimate:
-    """Finite-difference influence estimate at the bottom of the eps ladder."""
+    """Finite-difference influence estimate at the bottom of the eps ladder.
 
+    ``values`` is the composed quotient on the context's probes and
+    ``per_region`` maps each touched region to its local quotient; the
+    influence estimate of an untouched region is identically zero.
+    """
+
+    context: AuditContext
     per_region: dict
-    composed: ComposedQuotient
+    values: np.ndarray
     eps_used: float
     sup_norm_estimate: float
     h_norms: dict
@@ -469,27 +430,35 @@ def _audit_context(context, data, partition, scheme, config, probes, base,
     return context
 
 
-def if_bound(scheme: WeightScheme, config: ModelConfig,
-             partition: Optional[RegionPartition] = None, probes=None,
+def _certificate_terms(factors, lip: float, tv_by_region):
+    """The certificate's per-region terms ||w_b|| ||k_b|| cap_b and their
+    total, where cap_b = ||k_b|| |L|_1 TV_b / lam_b also caps the H-norm of
+    region b's local influence function. Returns (terms, caps, total)."""
+    terms = []
+    caps = {}
+    total = 0.0
+    for b, w_sup, lam, ks in factors:
+        cap = ks.value * lip * tv_by_region[b] / lam
+        term = w_sup * ks.value * cap
+        terms.append(PerRegionTerm(b, w_sup, lam, ks.value, ks.method, term))
+        caps[b] = cap
+        total += term
+    return terms, caps, total
+
+
+def if_bound(scheme: WeightScheme, config: ModelConfig, probes=None,
              context: Optional[AuditContext] = None) -> BoundReport:
     """Rough influence-function sup-norm bound 2 |L|_1 sum_b ||w_b|| ||k_b||^2 / lam_b.
 
     With an AuditContext its bound factors are used instead of recomputing
     them from ``probes``.
     """
-    if partition is not None and partition is not scheme.partition:
-        raise InputError("partition does not match the weight scheme")
-    lip = float(config.loss.lipschitz)
     if context is None:
         factors, notes = _region_factors(scheme, config, probes)
     else:
         factors, notes = context.factors, context.notes
-    terms = []
-    total = 0.0
-    for b, w_sup, lam, ks in factors:
-        term = 2.0 * lip * w_sup * ks.value**2 / lam
-        terms.append(PerRegionTerm(b, w_sup, lam, ks.value, ks.method, term))
-        total += term
+    terms, _, total = _certificate_terms(factors, float(config.loss.lipschitz),
+                                         {b: 2.0 for b, *_ in factors})
     return BoundReport(if_bound_rough=total, per_region_terms=terms, notes=list(notes))
 
 
@@ -500,6 +469,12 @@ def _tv_distance(sample_b: Optional[WeightedSample], region, z_x, z_y: float) ->
     if sample_b is None or not region.contains(z_x):
         return 0.0
     return 2.0 * (1.0 - sample_b.atom_mass(z_x, z_y))
+
+
+def _tv_by_region(samples, partition: RegionPartition, z_x, z_y: float) -> dict:
+    """``_tv_distance`` for each region id of ``samples``."""
+    return {b: _tv_distance(sample, partition.region(b), z_x, z_y)
+            for b, sample in samples.items()}
 
 
 def tv_refined_if_bound(data: Dataset, partition: RegionPartition,
@@ -514,25 +489,14 @@ def tv_refined_if_bound(data: Dataset, partition: RegionPartition,
     With an AuditContext its samples and bound factors are used.
     """
     z_x = np.asarray(z_x, dtype=float).reshape(-1)
-    lip = float(config.loss.lipschitz)
     if context is None:
         samples = {b: restrict(data, partition, b) for b in range(1, partition.B + 1)}
         factors, _ = _region_factors(scheme, config, probes)
     else:
         samples = {b: blocks.sample for b, blocks in context.regions.items()}
         factors = context.factors
-    total = 0.0
-    for b, w_sup, lam, ks in factors:
-        tv_b = _tv_distance(samples[b], partition.region(b), z_x, z_y)
-        total += w_sup * ks.value**2 * lip * tv_b / lam
-    return total
-
-
-def _map_tasks(fn, tasks, threads):
-    if threads > 1 and len(tasks) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, tasks))
-    return [fn(t) for t in tasks]
+    return _certificate_terms(factors, float(config.loss.lipschitz),
+                              _tv_by_region(samples, partition, z_x, z_y))[2]
 
 
 def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
@@ -556,7 +520,6 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
         raise InputError("the eps ladder needs at least two rungs")
     ctx = _audit_context(context, data, partition, scheme, config, probes, base,
                          threads)
-    base = ctx.base
     bordered = {}
     for b in ctx.regions:
         region_b = ctx.border(b, spec)
@@ -574,34 +537,21 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
 
     rungs = []
     rung_values = []
-    bottom = None
     for eps in spec.eps_ladder:
-        locals_b = dict(base.locals)
         preds = {}
         quotients = {}
-        h_norms = {}
-        for b, blocks in ctx.regions.items():
-            if b not in touched:
-                quotients[b] = ZeroFunction()
-                h_norms[b] = 0.0
-                continue
+        h_norms = {b: 0.0 for b in ctx.regions}
+        for b in sorted(touched):
             tilde = tilde_models[(eps, b)]
-            locals_b[b] = tilde
             preds[b] = bordered[b].probe_block @ tilde.alpha
-            q = LocalQuotient(tilde, base.locals[b], eps, gram=bordered[b].gram,
-                              known=(blocks.points,
-                                     (preds[b] - blocks.base_preds) / eps))
+            q = LocalQuotient(tilde, ctx.base.locals[b], eps, bordered[b].gram,
+                              (preds[b] - ctx.regions[b].base_preds) / eps)
             quotients[b] = q
             h_norms[b] = q.h_norm()
         values = (ctx.compose(preds) - ctx.base_preds) / eps
-        tilde_composed = ComposedModel(locals_b, ctx.scheme,
-                                       null_region_ids=base.null_region_ids)
-        composed_q = ComposedQuotient(tilde_composed, base, eps,
-                                      known=(ctx.probes, values))
         sup = float(np.max(np.abs(values))) if values.size else 0.0
         rungs.append(LadderRung(eps=eps, sup=sup, h_norms=h_norms))
         rung_values.append(values)
-        bottom = (quotients, composed_q, h_norms)
 
     residuals = []
     ratios = []
@@ -628,13 +578,13 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
             LadderConvergenceWarning,
         )
 
-    quotients, composed_q, h_norms = bottom
     return InfluenceEstimate(
+        context=ctx,
         per_region=quotients,
-        composed=composed_q,
+        values=rung_values[-1],
         eps_used=eps_lo,
         sup_norm_estimate=rungs[-1].sup,
-        h_norms=h_norms,
+        h_norms=rungs[-1].h_norms,
         ladder=rungs,
         residuals=residuals,
         ratios=ratios,
@@ -648,20 +598,21 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
 def decomposition_check(estimate: InfluenceEstimate, probes) -> float:
     """Max |composed - sum_b w_b per_region_b| over the probes.
 
-    The composed quotient is assembled from full composed predictors while
-    the right-hand side recombines the local quotients, so the residual
-    measures only floating-point association.
+    The composed quotient is assembled from the regional predictions while
+    the right-hand side recombines the local quotients from the context's
+    probe rows and weights, so the residual measures only floating-point
+    association. ``probes`` must be the estimate's own.
     """
+    ctx = estimate.context
     probes = as_points(probes)
-    scheme = estimate.composed.base.scheme
-    W, _ = scheme.weights_many(probes, on_uncovered="nearest")
+    if probes.shape != ctx.probes.shape or not np.array_equal(probes, ctx.probes):
+        raise InputError("decomposition_check needs the estimate's own probes")
     recombined = np.zeros(probes.shape[0])
     for b, q in estimate.per_region.items():
-        active = W[:, b - 1] != 0.0
-        if active.any():
-            recombined[active] += W[active, b - 1] * q(probes[active])
-    direct = estimate.composed(probes)
-    return float(np.max(np.abs(direct - recombined))) if probes.shape[0] else 0.0
+        blocks = ctx.regions[b]
+        recombined[blocks.rows] += blocks.weights * q.values
+    return (float(np.max(np.abs(estimate.values - recombined)))
+            if probes.shape[0] else 0.0)
 
 
 def _as_eps_vector(eps_by_region, B: int) -> np.ndarray:
@@ -695,13 +646,9 @@ def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightSchem
     ctx = _audit_context(context, data, partition, scheme, config, probes, base,
                          threads)
 
-    lip = float(config.loss.lipschitz)
-    terms = []
-    bound = 0.0
-    for (b, w_sup, lam, ks) in ctx.factors:
-        term = 2.0 * lip * w_sup * (eps[b - 1] / lam) * ks.value**2
-        terms.append(PerRegionTerm(b, w_sup, lam, ks.value, ks.method, term))
-        bound += term
+    terms, _, bound = _certificate_terms(
+        ctx.factors, float(config.loss.lipschitz),
+        {b: 2.0 * eps[b - 1] for b, *_ in ctx.factors})
 
     def _retrained_preds(b: int, spec: ContaminationSpec):
         # one bordered region alive at a time: it is freed on return
@@ -783,7 +730,7 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
     rough = if_bound(scheme, config, context=ctx)
     grad_tol = config.train.grad_tol
     lip = float(config.loss.lipschitz)
-    factor_by_id = {t.region_id: t for t in rough.per_region_terms}
+    samples = {b: blocks.sample for b, blocks in ctx.regions.items()}
 
     per_z = []
     if_ok = True
@@ -795,21 +742,15 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
         slack = 10.0 * (grad_tol / est.eps_used + est.eps_used * est.curvature)
         sup_ok = est.sup_norm_estimate <= rough.if_bound_rough + slack
 
-        tv_bound = None
-        h_checks = {}
         if spec.kind == "dirac":
-            tv_bound = tv_refined_if_bound(data, partition, scheme, config,
-                                           spec.z_x, spec.z_y, context=ctx)
-        for b, h in est.h_norms.items():
-            t = factor_by_id[b]
-            if spec.kind == "dirac":
-                tv_b = _tv_distance(ctx.regions[b].sample, partition.region(b),
-                                    spec.z_x, spec.z_y)
-            else:
-                tv_b = 2.0  # rough TV bound for general mixtures
-            cap = t.k_sup * lip * tv_b / t.lam
-            h_checks[b] = {"h_norm": h, "cap": cap,
-                           "ok": bool(h <= cap + h_norm_slack)}
+            tvs = _tv_by_region(samples, partition, spec.z_x, spec.z_y)
+        else:
+            tvs = {b: 2.0 for b in ctx.regions}  # rough TV bound for mixtures
+        _, caps, refined = _certificate_terms(ctx.factors, lip, tvs)
+        tv_bound = refined if spec.kind == "dirac" else None
+        h_checks = {b: {"h_norm": h, "cap": caps[b],
+                        "ok": bool(h <= caps[b] + h_norm_slack)}
+                    for b, h in est.h_norms.items()}
         z_ok = bool(sup_ok and all(c["ok"] for c in h_checks.values()))
         if_ok = if_ok and z_ok
 

@@ -41,17 +41,11 @@ _FULL_STEP_GNORM = 1e-6
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Solver settings; ``lam`` is the regularization parameter (> 0).
-
-    ``ridge`` is accepted and validated so that existing configs keep
-    loading, but unused: the Newton system is positive definite without
-    one.
-    """
+    """Solver settings; ``lam`` is the regularization parameter (> 0)."""
 
     lam: float
     grad_tol: float = 1e-10
     max_iter: int = 200
-    ridge: float = 1e-10
 
     def __post_init__(self):
         if not self.lam > 0:
@@ -60,12 +54,10 @@ class TrainConfig:
             raise InputError(f"grad_tol must be positive, got {self.grad_tol}")
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
-        if self.ridge < 0:
-            raise InputError(f"ridge must be nonnegative, got {self.ridge}")
 
     def with_lam(self, lam: float) -> "TrainConfig":
         return TrainConfig(lam=lam, grad_tol=self.grad_tol,
-                           max_iter=self.max_iter, ridge=self.ridge)
+                           max_iter=self.max_iter)
 
 
 @dataclass(frozen=True)

@@ -203,24 +203,6 @@ def test_maxbias_probe_matches_rebuild_reference(threads):
             assert s == pytest.approx(r, rel=1e-12, abs=0.0)
 
 
-def test_local_quotient_h_norm_without_gram_matches_bordered():
-    data, part, scheme = _fixture()
-    config = _config()
-    ctx = AuditContext(data, part, scheme, config, probes=default_probes(data, 32))
-    spec = _specs(data, part)[0]
-    est = finite_diff_if(data, part, scheme, config, spec, context=ctx)
-    for b in est.touched_region_ids:
-        q = est.per_region[b]
-        rebuilt = robustness.LocalQuotient(q.tilde, q.base, q.eps)
-        assert rebuilt.h_norm() == q.h_norm()
-        assert rebuilt.h_norm() == pytest.approx(
-            _rebuild_h_norm(q.tilde, q.base, q.eps), rel=1e-12)
-        # evaluated away from the audit probes the quotient predicts afresh
-        X = data.X[:5] + 0.01
-        np.testing.assert_allclose(
-            q(X), (q.tilde.predict(X) - q.base.predict(X)) / q.eps, rtol=0, atol=0)
-
-
 def test_run_audit_builds_per_run_state_once(monkeypatch):
     data, part, scheme = _fixture()
     config = _config()

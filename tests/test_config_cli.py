@@ -131,6 +131,19 @@ def test_model_config_construction():
     assert config.kernel == GaussianRBF(gamma=1.0, input_dim=2)
 
 
+def test_ignored_ridge_key_still_validated(tmp_path, capsys):
+    cfg = base_config()
+    cfg["model"]["ridge"] = 1e-8
+    config = model_config_from_config(load_config(write_config(tmp_path, cfg)),
+                                       input_dim=2)
+    assert config.train == TrainConfig(lam=0.5)
+    cfg["model"]["ridge"] = -1
+    rc = cli.main(["train", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path)])
+    assert rc == 2
+    assert "ridge" in capsys.readouterr().err
+
+
 def test_cli_train_writes_model_and_summary(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config())
     rc = cli.main(["train", "--config", cfg_path, "--out", str(tmp_path / "out")])

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -160,6 +161,28 @@ def test_kernel_dict_round_trip():
         assert kernel_from_dict(k.to_dict()) == k
     with pytest.raises(InputError):
         kernel_from_dict({"family": "sigmoid", "input_dim": 2})
+
+
+def _to_dict_with_isinstance_chain(kernel):
+    """Kernel.to_dict as it was written before it read the dataclass fields."""
+    d = {"family": kernel.family, "input_dim": kernel.input_dim}
+    if isinstance(kernel, GaussianRBF):
+        d["gamma"] = kernel.gamma
+    elif isinstance(kernel, Polynomial):
+        d["degree"] = kernel.degree
+        d["offset"] = kernel.offset
+    return d
+
+
+@pytest.mark.parametrize("kernel", [GaussianRBF(gamma=0.7, input_dim=3),
+                                    Linear(input_dim=2),
+                                    Polynomial(degree=4, offset=1.5, input_dim=5)],
+                         ids=["rbf", "linear", "polynomial"])
+def test_kernel_to_dict_keeps_keys_and_order(kernel):
+    got = kernel.to_dict()
+    want = _to_dict_with_isinstance_chain(kernel)
+    assert list(got.items()) == list(want.items())
+    assert json.dumps(got) == json.dumps(want)
 
 
 def _broadcast_rbf(X, Z, gamma):

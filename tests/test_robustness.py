@@ -3,7 +3,7 @@ import pytest
 
 from localsvm import (ContaminationSpec, Dataset, GaussianRBF, InputError,
                       LadderConvergenceWarning, Linear, LogisticClassification,
-                      LogisticRegression, ModelConfig, TrainConfig,
+                      LogisticRegression, ModelConfig, Polynomial, TrainConfig,
                       WeightScheme, WeightedSample, adversarial_q_specs,
                       contaminate_region, decomposition_check, default_probes,
                       finite_diff_if, fit_composed, if_bound, maxbias_probe,
@@ -127,11 +127,10 @@ def test_finite_diff_if_localized_to_touched_regions():
     spec = ContaminationSpec.dirac(c2, 5.0)
     est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
     assert est.touched_region_ids == {2}
-    vals1 = est.per_region[1](probes)
-    np.testing.assert_array_equal(vals1, np.zeros(len(probes)))
+    assert 1 not in est.per_region
     assert est.h_norms[1] == 0.0
     assert est.h_norms[2] > 0.0
-    assert np.max(np.abs(est.per_region[2](probes))) > 0.0
+    assert np.max(np.abs(est.per_region[2].values)) > 0.0
 
 
 def test_finite_diff_if_stationary_contamination_gives_zero():
@@ -203,8 +202,29 @@ def test_decomposition_single_region_is_weighted_local():
     spec = ContaminationSpec.dirac(part.region(1).center, 3.0)
     est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
     W, _ = scheme.weights_many(probes, on_uncovered="nearest")
-    manual = W[:, 0] * est.per_region[1](probes)
-    np.testing.assert_allclose(est.composed(probes), manual, atol=1e-12)
+    rows = est.context.regions[1].rows
+    manual = np.zeros(len(probes))
+    manual[rows] = W[rows, 0] * est.per_region[1].values
+    np.testing.assert_allclose(est.values, manual, atol=1e-12)
+
+
+def test_decomposition_check_uses_the_context_weights(monkeypatch):
+    data, part, scheme = _fixture(n_per=15, gap=1.5, tau=0.5)
+    probes = default_probes(data, 64)
+    overlap = (part.region(1).center + part.region(2).center) / 2.0
+    spec = ContaminationSpec.dirac(overlap, 2.0)
+    est = finite_diff_if(data, part, scheme, _config(), spec, probes=probes)
+    assert len(est.touched_region_ids) == 2
+
+    def no_weights(*args, **kwargs):
+        raise AssertionError("decomposition_check recomputed the weights")
+
+    monkeypatch.setattr(WeightScheme, "weights_many", no_weights)
+    assert decomposition_check(est, probes.copy()) <= 1e-10
+    with pytest.raises(InputError):
+        decomposition_check(est, probes[:-1])
+    with pytest.raises(InputError):
+        decomposition_check(est, probes + 1e-9)
 
 
 def test_tv_refined_examples():
@@ -244,6 +264,34 @@ def test_tv_refined_never_exceeds_rough():
         refined = tv_refined_if_bound(data, part, scheme, config, x,
                                       float(rng.uniform(-5, 5)))
         assert refined <= rough + 1e-12
+
+
+def test_tv_refined_matches_rough_at_tv_two_polynomial():
+    # every point lies in both balls, so no region has an exclusive point and
+    # the bump weights' sup-norms are below 1
+    rng = np.random.default_rng(8)
+    X = rng.uniform(-1.0, 1.0, size=(20, 2))
+    data = Dataset(X, np.sin(X.sum(axis=1)))
+    part = manual_partition([[-0.3, 0.0], [0.4, 0.2]], [4.0, 4.0], points=X)
+    scheme = WeightScheme("smooth-bump", part, h=1.0)
+    config = ModelConfig(loss=REG,
+                         kernel=Polynomial(degree=2, offset=1.0, input_dim=2),
+                         train=TrainConfig(lam=0.3), region_lambdas={2: 0.7})
+    probes = default_probes(data, 64)
+    rough = if_bound(scheme, config, probes=probes)
+    assert all(t.w_sup != 1.0 for t in rough.per_region_terms)
+    assert all(t.k_sup_method == "empirical-sup" for t in rough.per_region_terms)
+
+    # z in both balls and not an atom: TV_b = 2 in every region
+    refined = tv_refined_if_bound(data, part, scheme, config, [0.1, 0.1], 99.0,
+                                  probes=probes)
+    assert refined == rough.if_bound_rough
+    for i in range(5):
+        refined_atom = tv_refined_if_bound(data, part, scheme, config, X[i], data.y[i],
+                                           probes=probes)
+        assert refined_atom <= rough.if_bound_rough
+        assert refined_atom == pytest.approx(rough.if_bound_rough * (1 - 1 / 20),
+                                             rel=1e-12)
 
 
 def test_maxbias_zero_eps_is_exactly_zero():

@@ -242,8 +242,6 @@ def test_train_config_validation():
         TrainConfig(lam=1.0, grad_tol=0.0)
     with pytest.raises(InputError):
         TrainConfig(lam=1.0, max_iter=0)
-    with pytest.raises(InputError):
-        TrainConfig(lam=1.0, ridge=-1e-3)
 
 
 def test_local_model_json_round_trip():
