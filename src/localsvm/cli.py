@@ -160,13 +160,11 @@ def cmd_audit(args) -> int:
     z_specs = _z_specs_from_config(raw, setup.data, ladder,
                                    config.loss.is_classification)
     maxbias_eps = audit_cfg.get("maxbias_eps", 0.1)
-    q_family = audit_cfg.get("q_family", "corners-center-flip")
-    maxbias_specs = None
-    if q_family == "none":
+    if audit_cfg.get("q_family", "corners-center-flip") == "none":
         maxbias_eps = None
     report = run_audit(setup.data, partition, scheme, config, z_specs,
-                       maxbias_eps=maxbias_eps, maxbias_specs=maxbias_specs,
-                       probes=probes, base=base, threads=args.threads)
+                       maxbias_eps=maxbias_eps, probes=probes, base=base,
+                       threads=args.threads)
 
     audit_path = out_dir / "audit.json"
     with open(audit_path, "w") as fh:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Mapping
 
 import numpy as np
@@ -36,7 +36,7 @@ class ModelConfig:
 
     def train_for(self, region_id: int) -> TrainConfig:
         lam = self.region_lambdas.get(region_id)
-        return self.train if lam is None else self.train.with_lam(lam)
+        return self.train if lam is None else replace(self.train, lam=lam)
 
     def lam_for(self, region_id: int) -> float:
         return self.train_for(region_id).lam

@@ -20,7 +20,7 @@ import numpy as np
 from .composer import ModelConfig, empirical_risk, fit_composed
 from .data import Dataset, WeightedSample
 from .errors import InputError
-from .regions import WeightScheme, regionalize, restrict
+from .regions import WeightScheme, regionalize
 from .robustness import if_bound
 from .solver import train
 
@@ -144,13 +144,11 @@ class PartitionConfig:
 def _fit_for_n(data, pc, scheme_kind, h, config, schedule):
     partition = regionalize(data.X, pc.b_target, pc.tau, pc.min_region_size, pc.seed)
     scheme = WeightScheme(scheme_kind, partition, h=h)
-    region_lambdas = {}
-    for b in range(1, partition.B + 1):
-        sample_b = restrict(data, partition, b)
-        n_b = 0 if sample_b is None else sample_b.n
-        region_lambdas[b] = schedule(max(n_b, 1))
+    counts = partition.membership(data.X).sum(axis=0)
+    region_lambdas = {b: schedule(max(int(n_b), 1))
+                      for b, n_b in enumerate(counts, start=1)}
     cfg = ModelConfig(loss=config.loss, kernel=config.kernel,
-                      train=config.train.with_lam(schedule(data.n)),
+                      train=replace(config.train, lam=schedule(data.n)),
                       region_kernels=config.region_kernels,
                       region_lambdas=region_lambdas)
     model = fit_composed(data, partition, scheme, cfg)
@@ -228,7 +226,7 @@ def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
         stderr = float(np.std(vals) / np.sqrt(eval_n))
         lam_global = schedule(n)
         global_model = train(WeightedSample.from_dataset(data), config.kernel,
-                             config.loss, config.train.with_lam(lam_global))
+                             config.loss, replace(config.train, lam=lam_global))
         global_risk = empirical_risk(global_model, eval_data, config.loss)
         rows.append(TrendRow(n=n, lam=lam_global, risk=risk, bayes_proxy=bayes,
                              global_risk=global_risk, mc_stderr=stderr))
@@ -274,7 +272,9 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
     """Monte-Carlo risk and influence bound across a lambda grid.
 
     The bound is exactly inversely linear in lambda; the risk column shows
-    the consistency-vs-robustness trade-off on one fixed partition.
+    the consistency-vs-robustness trade-off on one fixed partition. Its
+    bound factors are estimated on the training inputs, which kernels
+    without an exact sup-norm need as probes.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if any(l <= 0 for l in lambda_grid):
@@ -288,12 +288,12 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
     rows = []
     for lam in lambda_grid:
         cfg = ModelConfig(loss=config.loss, kernel=config.kernel,
-                          train=config.train.with_lam(lam),
+                          train=replace(config.train, lam=lam),
                           region_kernels=config.region_kernels)
         model = fit_composed(data, partition, scheme, cfg)
         preds = model.predict(eval_data.X)
         vals = config.loss.value(eval_data.y, preds)
-        bound = if_bound(scheme, cfg).if_bound_rough
+        bound = if_bound(scheme, cfg, probes=data.X).if_bound_rough
         rows.append(SweepRow(lam=lam, risk=float(np.mean(vals)),
                              if_bound_rough=bound,
                              mc_stderr=float(np.std(vals) / np.sqrt(eval_n))))

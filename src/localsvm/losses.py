@@ -113,41 +113,6 @@ class LogisticRegression(SmoothLoss):
         return 2.0 * e / (1.0 + e) ** 2
 
 
-class ShiftedLossView:
-    """The shifted loss L*(y, t) = L(y, t) - L(y, 0) as a loss-like object.
-
-    Shifting changes neither derivatives nor the Lipschitz constant, so the
-    view simply delegates; value() is the shifted value.
-    """
-
-    def __init__(self, base: SmoothLoss):
-        self.base = base
-
-    @property
-    def name(self):
-        return self.base.name + " (shifted)"
-
-    @property
-    def lipschitz(self):
-        return self.base.lipschitz
-
-    @property
-    def is_classification(self):
-        return self.base.is_classification
-
-    def value(self, y, t):
-        return self.base.shifted_value(y, t)
-
-    def shifted_value(self, y, t):
-        return self.base.shifted_value(y, t)
-
-    def dt(self, y, t):
-        return self.base.dt(y, t)
-
-    def dtt(self, y, t):
-        return self.base.dtt(y, t)
-
-
 LOSSES = {
     LogisticClassification.name: LogisticClassification,
     LogisticRegression.name: LogisticRegression,
@@ -162,7 +127,3 @@ def loss_from_name(name: str) -> SmoothLoss:
             f"unknown loss {name!r}; expected one of {sorted(LOSSES)}"
         ) from None
 
-
-def lipschitz_constant(loss) -> float:
-    """Exact analytic |L|_1 of a loss (or shifted view)."""
-    return float(loss.lipschitz)

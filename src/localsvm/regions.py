@@ -68,12 +68,11 @@ class RegionPredicate:
 class RegionPartition:
     """A finite list of ball regions covering the training points."""
 
-    def __init__(self, regions, tau: float, min_region_size: int = 1,
+    def __init__(self, regions, tau: float,
                  points: Optional[np.ndarray] = None,
                  exclusive: Optional[tuple] = None):
         self.regions = tuple(regions)
         self.tau = float(tau)
-        self.min_region_size = int(min_region_size)
         self._points = None if points is None else as_points(points)
         if exclusive is not None:
             self.exclusive = tuple(bool(e) for e in exclusive)
@@ -222,8 +221,7 @@ def regionalize(points, b_target: int, tau: float = 0.0,
         r = float(_dist_to(X[mask], centers[j]).max()) if mask.any() else 0.0
         regions.append(RegionPredicate(center=centers[j],
                                        radius=(1.0 + tau) * r, id=j + 1))
-    return RegionPartition(regions, tau=tau, min_region_size=min_region_size,
-                           points=X)
+    return RegionPartition(regions, tau=tau, points=X)
 
 
 class WeightScheme:
@@ -285,30 +283,12 @@ class WeightScheme:
         W[~M] = 0.0
         return W, covered
 
-    def weights_at(self, x, on_uncovered: str = "error") -> np.ndarray:
-        """Weight vector at a single point; errors on uncovered x by default."""
-        W, _ = self.weights_many(np.atleast_2d(np.asarray(x, dtype=float)),
-                                 on_uncovered=on_uncovered)
-        return W[0]
-
     def to_dict(self) -> dict:
         return {"kind": self.kind, "h": self.h}
 
     @classmethod
     def from_dict(cls, d: dict, partition: RegionPartition) -> "WeightScheme":
         return cls(kind=d["kind"], partition=partition, h=d.get("h"))
-
-
-def partition_scheme_to_dict(scheme: WeightScheme) -> dict:
-    """Standalone serialized form: {regions, tau, kind, h}."""
-    d = scheme.partition.to_dict()
-    d.update(scheme.to_dict())
-    return d
-
-
-def partition_scheme_from_dict(d: dict) -> WeightScheme:
-    partition = RegionPartition.from_dict(d)
-    return WeightScheme(kind=d["kind"], partition=partition, h=d.get("h"))
 
 
 def weight_sup_norm(scheme: WeightScheme, region_id: int, probes=None) -> float:

@@ -40,6 +40,10 @@ DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 #: ladder residual ratio above which the limit is flagged as not converging
 LADDER_RATIO_MAX = 0.9
 DEFAULT_EXTRA_PROBES = 512
+#: absolute slack of the audit's local H-norm checks against their caps
+H_NORM_SLACK = 1e-3
+#: most bounding-box corners in the adversarial maxbias family
+MAX_CORNERS = 8
 
 
 class LadderConvergenceWarning(UserWarning):
@@ -198,7 +202,6 @@ class InfluenceEstimate:
     curvature: float
     richardson_sup: float
     converged: bool
-    touched_region_ids: frozenset
 
 
 def default_probes(data: Dataset, n_extra: int = DEFAULT_EXTRA_PROBES) -> np.ndarray:
@@ -233,16 +236,23 @@ class PerRegionTerm:
 
 
 @dataclass
-class BoundReport:
-    """Closed-form bound values with their per-region decomposition."""
+class AuditReport:
+    """Certificate values with their per-region decomposition, the per-z
+    audit entries, empirical sups and satisfaction flags. ``if_bound`` and
+    ``maxbias_probe`` fill the fields they compute; ``run_audit`` all."""
 
     if_bound_rough: Optional[float] = None
     if_bound_tv: Optional[float] = None
     maxbias_bound: Optional[float] = None
     per_region_terms: list = field(default_factory=list)
+    per_z: list = field(default_factory=list)
     empirical: dict = field(default_factory=dict)
     satisfied: dict = field(default_factory=dict)
     notes: list = field(default_factory=list)
+
+    @property
+    def all_satisfied(self) -> bool:
+        return all(self.satisfied.values())
 
     def to_dict(self) -> dict:
         return {
@@ -250,6 +260,7 @@ class BoundReport:
             "if_bound_tv": self.if_bound_tv,
             "maxbias_bound": self.maxbias_bound,
             "per_region_terms": [t.to_dict() for t in self.per_region_terms],
+            "per_z": self.per_z,
             "empirical": self.empirical,
             "satisfied": self.satisfied,
             "notes": self.notes,
@@ -391,16 +402,23 @@ class AuditContext:
         atoms = _contamination_atoms(spec, self.partition.region(b))
         if atoms is None:
             return None
-        kernel = self.config.kernel_for(b)
         n, m = blocks.sample.n, blocks.sample.n + atoms.n
-        cross = kernel.matrix(blocks.sample.X, atoms.X)
+        if atoms.n == n and np.array_equal(atoms.X, blocks.sample.X):
+            # the atoms are the region's own points (the label-flip
+            # mixture): every new block is a cached one
+            cross = atom_gram = blocks.gram
+            atom_block = blocks.probe_block
+        else:
+            kernel = self.config.kernel_for(b)
+            cross = kernel.matrix(blocks.sample.X, atoms.X)
+            atom_gram = kernel.gram(atoms.X)
+            atom_block = kernel.matrix(blocks.points, atoms.X)
         gram = np.empty((m, m))
         gram[:n, :n] = blocks.gram
         gram[:n, n:] = cross
         gram[n:, :n] = cross.T
-        gram[n:, n:] = kernel.gram(atoms.X)
-        probe_block = np.hstack([blocks.probe_block,
-                                 kernel.matrix(blocks.points, atoms.X)])
+        gram[n:, n:] = atom_gram
+        probe_block = np.hstack([blocks.probe_block, atom_block])
         warm = np.concatenate([self.base.locals[b].alpha, np.zeros(atoms.n)])
         return BorderedRegion(b, blocks.sample, atoms, gram, probe_block, warm)
 
@@ -447,7 +465,7 @@ def _certificate_terms(factors, lip: float, tv_by_region):
 
 
 def if_bound(scheme: WeightScheme, config: ModelConfig, probes=None,
-             context: Optional[AuditContext] = None) -> BoundReport:
+             context: Optional[AuditContext] = None) -> AuditReport:
     """Rough influence-function sup-norm bound 2 |L|_1 sum_b ||w_b|| ||k_b||^2 / lam_b.
 
     With an AuditContext its bound factors are used instead of recomputing
@@ -459,7 +477,7 @@ def if_bound(scheme: WeightScheme, config: ModelConfig, probes=None,
         factors, notes = context.factors, context.notes
     terms, _, total = _certificate_terms(factors, float(config.loss.lipschitz),
                                          {b: 2.0 for b, *_ in factors})
-    return BoundReport(if_bound_rough=total, per_region_terms=terms, notes=list(notes))
+    return AuditReport(if_bound_rough=total, per_region_terms=terms, notes=list(notes))
 
 
 def _tv_distance(sample_b: Optional[WeightedSample], region, z_x, z_y: float) -> float:
@@ -525,9 +543,7 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
         region_b = ctx.border(b, spec)
         if region_b is not None:
             bordered[b] = region_b
-    touched = frozenset(bordered)
-
-    tasks = [(eps, b) for eps in spec.eps_ladder for b in sorted(touched)]
+    tasks = [(eps, b) for eps in spec.eps_ladder for b in sorted(bordered)]
 
     def _train_one(task):
         eps, b = task
@@ -541,7 +557,7 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
         preds = {}
         quotients = {}
         h_norms = {b: 0.0 for b in ctx.regions}
-        for b in sorted(touched):
+        for b in sorted(bordered):
             tilde = tilde_models[(eps, b)]
             preds[b] = bordered[b].probe_block @ tilde.alpha
             q = LocalQuotient(tilde, ctx.base.locals[b], eps, bordered[b].gram,
@@ -591,7 +607,6 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
         curvature=float(curvature),
         richardson_sup=richardson_sup,
         converged=converged,
-        touched_region_ids=touched,
     )
 
 
@@ -631,7 +646,7 @@ def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightSchem
                   config: ModelConfig, eps_by_region, probe_specs,
                   probes=None, base: Optional[ComposedModel] = None,
                   threads: int = 1,
-                  context: Optional[AuditContext] = None) -> BoundReport:
+                  context: Optional[AuditContext] = None) -> AuditReport:
     """Empirical worst-case predictor shift under full-level contamination.
 
     For each candidate contaminating distribution Q the per-region models
@@ -670,7 +685,7 @@ def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightSchem
     shifts = _map_tasks(_shift_for, list(probe_specs), threads)
     empirical = max(shifts) if shifts else 0.0
 
-    return BoundReport(
+    return AuditReport(
         maxbias_bound=bound,
         per_region_terms=terms,
         empirical={"maxbias_sup": empirical,
@@ -681,49 +696,19 @@ def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightSchem
     )
 
 
-@dataclass
-class AuditReport:
-    """Full robustness audit: bounds, empirical sups and satisfaction flags."""
-
-    if_bound_rough: float
-    if_bound_tv: Optional[float]
-    maxbias_bound: Optional[float]
-    per_region_terms: list
-    per_z: list
-    empirical: dict
-    satisfied: dict
-    notes: list
-
-    @property
-    def all_satisfied(self) -> bool:
-        return all(self.satisfied.values())
-
-    def to_dict(self) -> dict:
-        return {
-            "if_bound_rough": self.if_bound_rough,
-            "if_bound_tv": self.if_bound_tv,
-            "maxbias_bound": self.maxbias_bound,
-            "per_region_terms": [t.to_dict() for t in self.per_region_terms],
-            "per_z": self.per_z,
-            "empirical": self.empirical,
-            "satisfied": self.satisfied,
-            "notes": self.notes,
-        }
-
-
 def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
-              config: ModelConfig, z_specs, maxbias_eps=0.1,
-              maxbias_specs=None, probes=None, base: Optional[ComposedModel] = None,
-              threads: int = 1, h_norm_slack: float = 1e-3) -> AuditReport:
+              config: ModelConfig, z_specs, maxbias_eps=0.1, probes=None,
+              base: Optional[ComposedModel] = None, threads: int = 1) -> AuditReport:
     """Audit the composed predictor against the closed-form certificates.
 
     For every contamination spec the finite-difference influence estimate,
     its decomposition residual and (for Dirac specs) the TV-refined bound
     are computed; the sup-norm certificate allows the numerically justified
-    slack 10 (grad_tol / eps + eps * curvature). A maxbias probe at the
-    given full contamination level runs against ``maxbias_specs``
-    (defaulting to the adversarial corner/label-flip family). The per-run
-    state is built once, as one AuditContext that every spec shares.
+    slack 10 (grad_tol / eps + eps * curvature), and each local H-norm its
+    cap with slack ``H_NORM_SLACK``. A maxbias probe at the given full
+    contamination level runs against the adversarial corner/label-flip
+    family of ``adversarial_q_specs``. The per-run state is built once, as
+    one AuditContext that every spec shares.
     """
     ctx = AuditContext(data, partition, scheme, config, probes=probes,
                        base=base, threads=threads)
@@ -749,7 +734,7 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
         _, caps, refined = _certificate_terms(ctx.factors, lip, tvs)
         tv_bound = refined if spec.kind == "dirac" else None
         h_checks = {b: {"h_norm": h, "cap": caps[b],
-                        "ok": bool(h <= caps[b] + h_norm_slack)}
+                        "ok": bool(h <= caps[b] + H_NORM_SLACK)}
                     for b, h in est.h_norms.items()}
         z_ok = bool(sup_ok and all(c["ok"] for c in h_checks.values()))
         if_ok = if_ok and z_ok
@@ -761,7 +746,8 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
             "slack": slack,
             "richardson_sup": est.richardson_sup,
             "curvature": est.curvature,
-            "ratios": [float(r) for r in est.ratios],
+            # a ratio over a zero residual is undefined: null, not NaN
+            "ratios": [float(r) if np.isfinite(r) else None for r in est.ratios],
             "converged": est.converged,
             "decomposition_residual": resid,
             "tv_refined_bound": tv_bound,
@@ -777,11 +763,9 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
 
     mb_report = None
     if maxbias_eps is not None:
-        if maxbias_specs is None:
-            maxbias_specs = adversarial_q_specs(
-                data, classification=config.loss.is_classification)
+        specs = adversarial_q_specs(data, config.loss.is_classification)
         mb_report = maxbias_probe(data, partition, scheme, config, maxbias_eps,
-                                  maxbias_specs, threads=threads, context=ctx)
+                                  specs, threads=threads, context=ctx)
 
     empirical = {
         "if_sup": max((e["if_sup"] for e in per_z), default=0.0),
@@ -819,14 +803,13 @@ def extreme_labels(data: Dataset, classification: bool) -> tuple[float, float]:
     return y_lo - 3.0 * spread, y_hi + 3.0 * spread
 
 
-def adversarial_q_specs(data: Dataset, classification: bool,
-                        eps_ladder=DEFAULT_EPS_LADDER, max_corners: int = 8):
+def adversarial_q_specs(data: Dataset, classification: bool):
     """Adversarial candidates: box corners and center with extreme labels,
     plus a uniform label-flip mixture of the sample itself."""
     lo, hi = data.bounding_box()
     d = data.dim
     corners = []
-    n_corners = min(2**d, max_corners) if d < 30 else max_corners
+    n_corners = min(2**d, MAX_CORNERS) if d < 30 else MAX_CORNERS
     for i in range(n_corners):
         bits = [(i >> j) & 1 for j in range(d)]
         corners.append(np.where(np.asarray(bits, dtype=bool), hi, lo))
@@ -837,8 +820,8 @@ def adversarial_q_specs(data: Dataset, classification: bool,
     else:
         flipped = float(data.y.min()) + float(data.y.max()) - data.y
 
-    specs = [ContaminationSpec.dirac(x, y, eps_ladder)
+    specs = [ContaminationSpec.dirac(x, y)
              for x in xs for y in extreme_labels(data, classification)]
     flip_mixture = WeightedSample(data.X, flipped, np.full(data.n, 1.0 / data.n))
-    specs.append(ContaminationSpec.mixture(flip_mixture, eps_ladder))
+    specs.append(ContaminationSpec.mixture(flip_mixture))
     return specs

@@ -55,18 +55,13 @@ class TrainConfig:
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
 
-    def with_lam(self, lam: float) -> "TrainConfig":
-        return TrainConfig(lam=lam, grad_tol=self.grad_tol,
-                           max_iter=self.max_iter)
-
 
 @dataclass(frozen=True)
 class LocalModel:
     """Kernel expansion f(x) = sum_i alpha_i k(x, anchor_i).
 
     ``region_id`` is the region the model was trained for, or "global".
-    ``anchor_weights`` are the training weights; they are not needed for
-    prediction and may be None on deserialized models. ``h_norm_sq`` is
+    ``h_norm_sq`` is
     alpha' K alpha as ``train`` already computed it; it is None on
     hand-built and deserialized models, whose H-norm comes from the Gram.
     """
@@ -77,7 +72,6 @@ class LocalModel:
     loss: SmoothLoss
     lam: float
     region_id: Union[int, str] = "global"
-    anchor_weights: Optional[np.ndarray] = None
     h_norm_sq: Optional[float] = None
 
     def __post_init__(self):
@@ -128,8 +122,7 @@ class LocalModel:
              region_id: Union[int, str]) -> "LocalModel":
         """The zero function, used for null-measure regions."""
         return cls(alpha=np.zeros(0), anchors=np.zeros((0, kernel.input_dim)),
-                   kernel=kernel, loss=loss, lam=lam, region_id=region_id,
-                   anchor_weights=np.zeros(0))
+                   kernel=kernel, loss=loss, lam=lam, region_id=region_id)
 
     def to_dict(self) -> dict:
         return {
@@ -224,7 +217,6 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     def fitted(alpha, f):
         return LocalModel(alpha=alpha, anchors=sample.X, kernel=kernel,
                           loss=loss, lam=lam, region_id=region_id,
-                          anchor_weights=sample.weights,
                           h_norm_sq=float(alpha @ f))
 
     f = K @ alpha
@@ -311,20 +303,19 @@ class ModelBoundCheck:
     h_norm_ok: bool
 
 
-def audit_model_bounds(model: LocalModel, probes, k_sup: float = None,
-                       sup_slack: float = 1e-12, h_slack: float = 1e-9) -> ModelBoundCheck:
+def audit_model_bounds(model: LocalModel, probes, sup_slack: float = 1e-12,
+                       h_slack: float = 1e-9) -> ModelBoundCheck:
     """Check |f(x)| <= ||f||_H ||k||_inf on probes and ||f||_H <= lam^-1 |L|_1 ||k||_inf.
 
-    ``k_sup`` defaults to the empirical sup of sqrt(k(x, x)) over probes and
-    anchors (exact 1 for Gaussian RBF).
+    ||k||_inf is the empirical sup of sqrt(k(x, x)) over probes and anchors
+    (exact 1 for Gaussian RBF).
     """
     probes = as_points(probes)
-    if k_sup is None:
-        pts = probes if model.n_anchors == 0 else np.vstack([probes, model.anchors])
-        k_sup = sup_sqrt_diag(model.kernel, pts)
+    pts = probes if model.n_anchors == 0 else np.vstack([probes, model.anchors])
+    k_sup = sup_sqrt_diag(model.kernel, pts)
     h = model.h_norm()
     sup_f = float(np.max(np.abs(model.predict(probes)))) if probes.shape[0] else 0.0
-    cap = float(model.loss.lipschitz) * k_sup / model.lam
+    cap = model.h_norm_bound(k_sup)
     return ModelBoundCheck(
         sup_abs_f=sup_f, h_norm=h, k_sup=k_sup, h_norm_cap=cap,
         sup_bound_ok=bool(sup_f <= h * k_sup + sup_slack),

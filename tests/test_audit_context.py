@@ -137,6 +137,31 @@ def test_bordered_gram_and_probe_block_match_rebuilt(kernel):
     assert checked == 6  # one region per ball center, two each for the rest
 
 
+@pytest.mark.parametrize("kernel", [RBF, Linear(input_dim=2)], ids=["rbf", "linear"])
+def test_bordering_the_label_flip_mixture_makes_no_kernel_call(kernel, monkeypatch):
+    # the mixture's atoms are each region's own points, so the bordered Gram
+    # and probe block are assembled from the context's cached blocks
+    data, part, scheme = _fixture()
+    ctx = AuditContext(data, part, scheme, _config(kernel=kernel),
+                       probes=default_probes(data, 64))
+    flip = _specs(data, part)[-1]
+
+    def no_kernel(*args, **kwargs):
+        raise AssertionError("bordering the label-flip mixture evaluated the kernel")
+
+    for method in ("matrix", "gram"):
+        monkeypatch.setattr(type(kernel), method, no_kernel)
+    for b, blocks in ctx.regions.items():
+        bordered = ctx.border(b, flip)
+        n = blocks.sample.n
+        np.testing.assert_array_equal(bordered.atoms.X, blocks.sample.X)
+        for rows in (slice(None, n), slice(n, None)):
+            for cols in (slice(None, n), slice(n, None)):
+                np.testing.assert_array_equal(bordered.gram[rows, cols], blocks.gram)
+            np.testing.assert_array_equal(bordered.probe_block[:, rows],
+                                          blocks.probe_block)
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_finite_diff_if_matches_rebuild_reference(threads):
     data, part, scheme = _fixture()
@@ -148,7 +173,7 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
         est = finite_diff_if(data, part, scheme, config, spec, threads=threads,
                              context=ctx)
         ref = _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base)
-        assert sorted(est.touched_region_ids) == _touched(data, part, spec)
+        assert sorted(est.per_region) == _touched(data, part, spec)
         assert len(est.ladder) == len(ref)
         for rung, (eps, sup, h_norms, alphas) in zip(est.ladder, ref):
             assert rung.eps == eps

@@ -488,3 +488,83 @@ def test_cli_audit_rejects_model_with_other_anchors(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "anchors differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kernel", [{"family": "linear"},
+                                    {"family": "polynomial", "degree": 2,
+                                     "offset": 1.0}],
+                         ids=["linear", "polynomial"])
+def test_cli_experiment_tradeoff_non_rbf_kernels(tmp_path, kernel):
+    from dataclasses import replace
+
+    from localsvm import if_bound
+
+    cfg = base_config(experiment={"kind": "tradeoff",
+                                  "lambda_grid": [1.0, 0.5],
+                                  "eval_n": 500})
+    cfg["model"]["kernel"] = kernel
+    cfg_path = write_config(tmp_path, cfg)
+    rc = cli.main(["experiment", "--config", cfg_path,
+                   "--out", str(tmp_path / "exp")])
+    assert rc == 0
+    report = json.loads((tmp_path / "exp" / "tradeoff.json").read_text())
+
+    # the sweep's bound is if_bound with the training inputs as probes
+    raw = load_config(cfg_path)
+    setup = setup_from_config(raw)
+    config = model_config_from_config(raw, setup.data.dim)
+    pc = setup.partition_cfg
+    data = generate(setup.task, setup.data.n)
+    part = regionalize(data.X, pc.b_target, pc.tau, pc.min_region_size, pc.seed)
+    scheme = WeightScheme(setup.scheme_kind, part, h=setup.scheme_h)
+    for row in report["rows"]:
+        cfg_lam = ModelConfig(loss=config.loss, kernel=config.kernel,
+                              train=replace(config.train, lam=row["lambda"]))
+        expected = if_bound(scheme, cfg_lam, probes=data.X).if_bound_rough
+        assert row["if_bound_rough"] == expected
+
+
+def test_cli_audit_json_is_strict_when_z_touches_no_region(tmp_path):
+    # a z outside every ball leaves all regions untouched: every ladder
+    # residual is 0, so the residual ratios are undefined
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3, 2.5e-3],
+                             "extra_probes": 16,
+                             "z": {"x": [50.0, 50.0], "y": 4.0},
+                             "maxbias_eps": 0.0})
+    cfg["dataset"]["n"] = 40
+    cfg_path = write_config(tmp_path, cfg)
+    rc = cli.main(["audit", "--config", cfg_path, "--out", str(tmp_path / "z")])
+    assert rc == 0
+
+    def reject(name):
+        raise ValueError(f"audit.json holds the non-JSON constant {name}")
+
+    text = (tmp_path / "z" / "audit.json").read_text()
+    report = json.loads(text, parse_constant=reject)
+    assert report["per_z"][0]["ratios"] == [None]
+
+
+def test_public_names_resolve_and_tracer_instruments():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import localsvm
+
+    for name in localsvm.__all__:
+        assert hasattr(localsvm, name), name
+
+    # the benchmark tracer looks up every name it wraps; a missing one
+    # fails instrument() with an AttributeError
+    root = Path(__file__).resolve().parents[1]
+    code = ("import layers\n"
+            "class Stub:\n"
+            "    def wrap(self, fn, name, attrs=None):\n"
+            "        return fn\n"
+            "layers.instrument(Stub())\n")
+    path = os.pathsep.join([str(root / "src"), str(root / "benchmark")])
+    env = dict(os.environ, PYTHONPATH=path)
+    result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
+                            capture_output=True, timeout=120)
+    assert result.returncode == 0, result.stderr.decode()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from localsvm import (InputError, LogisticClassification, LogisticRegression,
-                      ShiftedLossView, lipschitz_constant, loss_from_name)
+                      loss_from_name)
 
 CLS = LogisticClassification()
 REG = LogisticRegression()
@@ -130,7 +130,7 @@ def test_convexity_midpoint(loss):
 @pytest.mark.parametrize("loss", [CLS, REG])
 def test_lipschitz_audit(loss):
     rng = np.random.default_rng(6)
-    lip = lipschitz_constant(loss)
+    lip = loss.lipschitz
     for _ in range(500):
         y = rng.choice([-1.0, 1.0]) if loss.is_classification else rng.uniform(-4, 4)
         t, s = rng.uniform(-50, 50, size=2)
@@ -149,19 +149,7 @@ def test_constants_against_grid_oracle(loss, d2_expected):
     assert sup_d1 >= 1.0 - 1e-9
     assert sup_d2 <= d2_expected + 1e-12
     assert sup_d2 == pytest.approx(d2_expected, abs=1e-9)
-    assert lipschitz_constant(loss) == 1.0
-
-
-def test_shifted_view_delegates():
-    view = ShiftedLossView(REG)
-    assert lipschitz_constant(view) == lipschitz_constant(REG)
-    rng = np.random.default_rng(7)
-    y = rng.uniform(-2, 2, size=50)
-    t = rng.uniform(-2, 2, size=50)
-    np.testing.assert_array_equal(view.value(y, t), REG.shifted_value(y, t))
-    np.testing.assert_array_equal(view.dt(y, t), REG.dt(y, t))
-    np.testing.assert_array_equal(view.dtt(y, t), REG.dtt(y, t))
-    assert np.all(np.abs(view.value(y, np.zeros(50))) == 0.0)
+    assert loss.lipschitz == 1.0
 
 
 def test_loss_registry():

@@ -6,7 +6,6 @@ import pytest
 from localsvm import (CoverageError, Dataset, InputError, InsufficientDataError,
                       RegionPartition, WeightScheme, regionalize, restrict,
                       weight_sup_norm)
-from localsvm.regions import partition_scheme_from_dict, partition_scheme_to_dict
 from conftest import manual_partition, two_blobs
 
 
@@ -84,19 +83,21 @@ def test_weights_unit_vector_when_single_region():
     X = np.array([[0.0, 0.0], [2.0, 0.0]])
     part = manual_partition([[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5], points=X)
     scheme = WeightScheme("normalized-indicator", part)
-    w = scheme.weights_at([0.1, 0.0])
-    np.testing.assert_array_equal(w, [1.0, 0.0])
+    W, _ = scheme.weights_many([[0.1, 0.0]], on_uncovered="error")
+    np.testing.assert_array_equal(W[0], [1.0, 0.0])
 
 
 def test_weights_split_on_overlap():
     X = np.array([[0.0], [1.0]])
     part = manual_partition([[0.0], [1.0]], [1.0, 1.0], points=X)
     ind = WeightScheme("normalized-indicator", part)
-    np.testing.assert_array_equal(ind.weights_at([0.5]), [0.5, 0.5])
+    W, _ = ind.weights_many([[0.5]], on_uncovered="error")
+    np.testing.assert_array_equal(W[0], [0.5, 0.5])
     bump = WeightScheme("smooth-bump", part, h=0.7)
-    np.testing.assert_allclose(bump.weights_at([0.5]), [0.5, 0.5], atol=1e-15)
+    W, _ = bump.weights_many([[0.5]], on_uncovered="error")
+    np.testing.assert_allclose(W[0], [0.5, 0.5], atol=1e-15)
     # off-center bump weights favor the nearer region but stay normalized
-    w = bump.weights_at([0.2])
+    w = bump.weights_many([[0.2]], on_uncovered="error")[0][0]
     assert w[0] > w[1] and w.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -125,9 +126,9 @@ def test_uncovered_point_error_and_fallback():
     scheme = WeightScheme("normalized-indicator", part)
     far = [10.0, 0.0]
     with pytest.raises(CoverageError):
-        scheme.weights_at(far)
-    w = scheme.weights_at(far, on_uncovered="nearest")
-    np.testing.assert_array_equal(w, [0.0, 1.0])
+        scheme.weights_many([far], on_uncovered="error")
+    W, _ = scheme.weights_many([far], on_uncovered="nearest")
+    np.testing.assert_array_equal(W[0], [0.0, 1.0])
     W, covered = scheme.weights_many(np.array([far, [0.1, 0.0]]))
     assert not covered[0] and covered[1]
 
@@ -198,8 +199,10 @@ def test_partition_scheme_serialization_round_trip():
     data = two_blobs(n_per=15, seed=12)
     part = regionalize(data.X, b_target=2, tau=0.3, min_region_size=3, seed=4)
     scheme = WeightScheme("smooth-bump", part, h=1.2)
-    blob = json.dumps(partition_scheme_to_dict(scheme))
-    back = partition_scheme_from_dict(json.loads(blob))
+    d = json.loads(json.dumps({"partition": part.to_dict(),
+                               "scheme": scheme.to_dict()}))
+    back = WeightScheme.from_dict(d["scheme"],
+                                  RegionPartition.from_dict(d["partition"]))
     assert back.kind == "smooth-bump" and back.h == 1.2
     assert back.partition.B == part.B
     assert back.partition.exclusive == part.exclusive

@@ -126,7 +126,7 @@ def test_finite_diff_if_localized_to_touched_regions():
     c2 = part.region(2).center
     spec = ContaminationSpec.dirac(c2, 5.0)
     est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
-    assert est.touched_region_ids == {2}
+    assert set(est.per_region) == {2}
     assert 1 not in est.per_region
     assert est.h_norms[1] == 0.0
     assert est.h_norms[2] > 0.0
@@ -214,7 +214,7 @@ def test_decomposition_check_uses_the_context_weights(monkeypatch):
     overlap = (part.region(1).center + part.region(2).center) / 2.0
     spec = ContaminationSpec.dirac(overlap, 2.0)
     est = finite_diff_if(data, part, scheme, _config(), spec, probes=probes)
-    assert len(est.touched_region_ids) == 2
+    assert len(est.per_region) == 2
 
     def no_weights(*args, **kwargs):
         raise AssertionError("decomposition_check recomputed the weights")
@@ -363,7 +363,7 @@ def test_finite_diff_if_mixture_spec():
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
     spec = ContaminationSpec.mixture(flipped)
     est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
-    assert est.touched_region_ids == {1, 2}
+    assert set(est.per_region) == {1, 2}
     assert est.sup_norm_estimate > 0.0
     assert decomposition_check(est, probes) <= 1e-10
     bound = if_bound(scheme, config, probes=probes).if_bound_rough
