@@ -18,7 +18,6 @@ from .config import (load_config, model_config_from_config, setup_from_config)
 from .errors import ConvergenceError, InputError, LocalSvmError
 from .experiments import (LambdaSchedule, consistency_trend, tradeoff_sweep)
 from .kernels import sup_sqrt_diag
-from .regions import WeightScheme, regionalize
 from .robustness import (DEFAULT_EPS_LADDER, DEFAULT_EXTRA_PROBES,
                          ContaminationSpec, default_probes, extreme_labels,
                          run_audit)
@@ -65,13 +64,9 @@ def _prepare(args):
     raw = load_config(args.config)
     setup = setup_from_config(raw, seed_override=args.seed)
     config = model_config_from_config(raw, setup.data.dim)
-    pc = setup.partition_cfg
-    partition = regionalize(setup.data.X, pc.b_target, pc.tau,
-                            pc.min_region_size, pc.seed)
-    scheme = WeightScheme(setup.scheme_kind, partition, h=setup.scheme_h)
     out_dir = Path(args.out or raw.get("output", {}).get("dir", "."))
     out_dir.mkdir(parents=True, exist_ok=True)
-    return raw, setup, config, partition, scheme, out_dir
+    return raw, setup, config, out_dir
 
 
 def _train_summary(model: ComposedModel) -> str:
@@ -92,7 +87,8 @@ def _train_summary(model: ComposedModel) -> str:
 
 
 def cmd_train(args) -> int:
-    raw, setup, config, partition, scheme, out_dir = _prepare(args)
+    _, setup, config, out_dir = _prepare(args)
+    partition, scheme = setup.partition_cfg.build(setup.data.X)
     model = fit_composed(setup.data, partition, scheme, config,
                          threads=args.threads)
     model_path = out_dir / "model.json"
@@ -109,8 +105,11 @@ def _z_specs_from_config(raw, data, ladder, classification):
     audit = raw.get("audit", {})
     if "z" in audit:
         z = audit["z"]
-        return [ContaminationSpec.dirac(np.asarray(z["x"], dtype=float),
-                                        float(z["y"]), ladder)]
+        z_x = np.asarray(z["x"], dtype=float)
+        if z_x.shape != (data.dim,):
+            raise InputError(f"audit.z.x has {z_x.size} coordinates, but the "
+                             f"data has dimension {data.dim}")
+        return [ContaminationSpec.dirac(z_x, float(z["y"]), ladder)]
     # grid of Dirac points over the data bounding box with extreme labels
     per_dim = int(audit.get("z_grid", 5))
     if per_dim ** data.dim > MAX_Z_GRID_POINTS:
@@ -128,7 +127,8 @@ def _z_specs_from_config(raw, data, ladder, classification):
 
 
 def cmd_audit(args) -> int:
-    raw, setup, config, partition, scheme, out_dir = _prepare(args)
+    raw, setup, config, out_dir = _prepare(args)
+    partition, scheme = setup.partition_cfg.build(setup.data.X)
     audit_cfg = raw.get("audit", {})
     ladder = tuple(audit_cfg.get("eps_ladder", DEFAULT_EPS_LADDER))
     probes = default_probes(setup.data,
@@ -183,7 +183,7 @@ def cmd_audit(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    raw, setup, config, partition, scheme, out_dir = _prepare(args)
+    raw, setup, config, out_dir = _prepare(args)
     exp = raw.get("experiment")
     if exp is None:
         raise InputError("config has no experiment section")
@@ -195,14 +195,12 @@ def cmd_experiment(args) -> int:
                                   beta=sched_cfg.get("beta", 0.25))
         report = consistency_trend(
             setup.task, exp["n_ladder"], schedule, setup.partition_cfg, config,
-            scheme_kind=setup.scheme_kind, h=setup.scheme_h,
             eval_n=int(exp.get("eval_n", 100_000)))
         stem = "consistency"
     else:
         report = tradeoff_sweep(
             setup.task, setup.data.n, exp["lambda_grid"], setup.partition_cfg,
-            config, scheme_kind=setup.scheme_kind, h=setup.scheme_h,
-            eval_n=int(exp.get("eval_n", 100_000)))
+            config, eval_n=int(exp.get("eval_n", 100_000)))
         stem = "tradeoff"
     csv_path = out_dir / f"{stem}.csv"
     report.write_csv(csv_path)

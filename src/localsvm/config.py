@@ -188,9 +188,16 @@ CONFIG_SCHEMA = {
 
 def load_config(path) -> dict:
     """Parse and schema-validate a config file; raises InputError on defects."""
+    def finite(literal):
+        # json accepts NaN, +-Infinity and overflowing numbers such as 1e999
+        value = float(literal)
+        if not np.isfinite(value):
+            raise InputError(f"config holds the non-finite number {literal}: {path}")
+        return value
+
     try:
         with open(path) as fh:
-            raw = json.load(fh)
+            raw = json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise InputError(f"config file not found: {path}") from None
     except json.JSONDecodeError as exc:
@@ -262,11 +269,8 @@ def load_csv_dataset(path) -> Dataset:
 class RunSetup:
     """Everything a command needs, constructed from a validated config."""
 
-    raw: dict
     data: Dataset
     partition_cfg: PartitionConfig
-    scheme_kind: str
-    scheme_h: Optional[float]
     task: Optional[SyntheticTask]
 
 
@@ -289,17 +293,12 @@ def dataset_from_config(raw: dict, seed_override: Optional[int] = None):
 
 def setup_from_config(raw: dict, seed_override: Optional[int] = None) -> RunSetup:
     data, task = dataset_from_config(raw, seed_override)
-    part = raw["partition"]
-    pc = PartitionConfig(
-        b_target=int(part["b_target"]),
-        tau=float(part.get("tau", 0.0)),
-        min_region_size=int(part.get("min_region_size", 1)),
-        seed=int(part.get("seed", 0) if seed_override is None else seed_override),
-    )
+    part = dict(raw["partition"])
+    if seed_override is not None:
+        part["seed"] = int(seed_override)
     scheme = raw["scheme"]
-    return RunSetup(raw=raw, data=data, partition_cfg=pc,
-                    scheme_kind=scheme["kind"], scheme_h=scheme.get("h"),
-                    task=task)
+    pc = PartitionConfig(**part, scheme=scheme["kind"], h=scheme.get("h"))
+    return RunSetup(data=data, partition_cfg=pc, task=task)
 
 
 def model_config_from_config(raw: dict, input_dim: int):

@@ -20,7 +20,7 @@ import numpy as np
 from .composer import ModelConfig, empirical_risk, fit_composed
 from .data import Dataset, WeightedSample
 from .errors import InputError
-from .regions import WeightScheme, regionalize
+from .regions import KIND_INDICATOR, RegionPartition, WeightScheme, regionalize
 from .robustness import if_bound
 from .solver import train
 
@@ -135,24 +135,46 @@ class LambdaSchedule:
 
 @dataclass(frozen=True)
 class PartitionConfig:
-    b_target: int = 4
-    tau: float = 0.25
-    min_region_size: int = 5
+    """A run's partition recipe: the ``regionalize`` parameters and the
+    weight scheme (kind and smooth-bump bandwidth ``h``) composed over it."""
+
+    b_target: int
+    tau: float = 0.0
+    min_region_size: int = 1
     seed: int = 0
+    scheme: str = KIND_INDICATOR
+    h: Optional[float] = None
+
+    def build(self, X) -> tuple[RegionPartition, WeightScheme]:
+        """Regionalize the points X and compose this scheme over the regions."""
+        partition = regionalize(X, self.b_target, self.tau,
+                                self.min_region_size, self.seed)
+        return partition, WeightScheme(self.scheme, partition, h=self.h)
 
 
-def _fit_for_n(data, pc, scheme_kind, h, config, schedule):
-    partition = regionalize(data.X, pc.b_target, pc.tau, pc.min_region_size, pc.seed)
-    scheme = WeightScheme(scheme_kind, partition, h=h)
+def _fit_for_n(data, pc, config, schedule):
+    partition, scheme = pc.build(data.X)
     counts = partition.membership(data.X).sum(axis=0)
     region_lambdas = {b: schedule(max(int(n_b), 1))
                       for b, n_b in enumerate(counts, start=1)}
-    cfg = ModelConfig(loss=config.loss, kernel=config.kernel,
-                      train=replace(config.train, lam=schedule(data.n)),
-                      region_kernels=config.region_kernels,
-                      region_lambdas=region_lambdas)
-    model = fit_composed(data, partition, scheme, cfg)
-    return model, partition, scheme, cfg
+    cfg = replace(config, train=replace(config.train, lam=schedule(data.n)),
+                  region_lambdas=region_lambdas)
+    return fit_composed(data, partition, scheme, cfg)
+
+
+def _mc_risk(model, eval_data: Dataset, loss) -> tuple[float, float]:
+    """Monte-Carlo risk of the model on the evaluation sample, with its
+    standard error."""
+    vals = loss.value(eval_data.y, model.predict(eval_data.X))
+    return float(np.mean(vals)), float(np.std(vals) / np.sqrt(eval_data.n))
+
+
+def _write_csv(path, fieldnames, rows):
+    with open(path, "w", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer.writeheader()
+        for row in rows:
+            writer.writerow(row.to_dict())
 
 
 @dataclass
@@ -187,19 +209,12 @@ class TrendReport:
                 "notes": list(self.notes)}
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["n", "lambda", "risk", "bayes_proxy",
-                                "global_risk", "mc_stderr"])
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row.to_dict())
+        _write_csv(path, ["n", "lambda", "risk", "bayes_proxy", "global_risk",
+                          "mc_stderr"], self.rows)
 
 
 def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
                       pc: PartitionConfig, config: ModelConfig,
-                      scheme_kind: str = "normalized-indicator",
-                      h: Optional[float] = None,
                       eval_n: int = 100_000) -> TrendReport:
     """Risk of the composed predictor along an increasing sample ladder.
 
@@ -219,11 +234,8 @@ def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
     rows = []
     for n in n_ladder:
         data = generate(task, n)
-        model, _, _, _ = _fit_for_n(data, pc, scheme_kind, h, config, schedule)
-        preds = model.predict(eval_data.X)
-        vals = config.loss.value(eval_data.y, preds)
-        risk = float(np.mean(vals))
-        stderr = float(np.std(vals) / np.sqrt(eval_n))
+        model = _fit_for_n(data, pc, config, schedule)
+        risk, stderr = _mc_risk(model, eval_data, config.loss)
         lam_global = schedule(n)
         global_model = train(WeightedSample.from_dataset(data), config.kernel,
                              config.loss, replace(config.train, lam=lam_global))
@@ -256,18 +268,12 @@ class SweepReport:
                 "rows": [r.to_dict() for r in self.rows]}
 
     def write_csv(self, path):
-        with open(path, "w", newline="") as fh:
-            writer = csv.DictWriter(
-                fh, fieldnames=["lambda", "risk", "if_bound_rough", "mc_stderr"])
-            writer.writeheader()
-            for row in self.rows:
-                writer.writerow(row.to_dict())
+        _write_csv(path, ["lambda", "risk", "if_bound_rough", "mc_stderr"],
+                   self.rows)
 
 
 def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
                    pc: PartitionConfig, config: ModelConfig,
-                   scheme_kind: str = "normalized-indicator",
-                   h: Optional[float] = None,
                    eval_n: int = 100_000) -> SweepReport:
     """Monte-Carlo risk and influence bound across a lambda grid.
 
@@ -280,21 +286,19 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
     if any(l <= 0 for l in lambda_grid):
         raise InputError(f"lambda grid must be positive, got {lambda_grid}")
     data = generate(task, n)
-    partition = regionalize(data.X, pc.b_target, pc.tau, pc.min_region_size, pc.seed)
-    scheme = WeightScheme(scheme_kind, partition, h=h)
+    partition, scheme = pc.build(data.X)
     eval_task = replace(task, seed=task.seed + EVAL_SEED_OFFSET)
     eval_data = generate(eval_task, eval_n)
 
     rows = []
     for lam in lambda_grid:
-        cfg = ModelConfig(loss=config.loss, kernel=config.kernel,
-                          train=replace(config.train, lam=lam),
-                          region_kernels=config.region_kernels)
+        # no per-region lambdas: the bound stays exactly inversely linear
+        # in the grid's lambda
+        cfg = replace(config, train=replace(config.train, lam=lam),
+                      region_lambdas={})
         model = fit_composed(data, partition, scheme, cfg)
-        preds = model.predict(eval_data.X)
-        vals = config.loss.value(eval_data.y, preds)
+        risk, stderr = _mc_risk(model, eval_data, config.loss)
         bound = if_bound(scheme, cfg, probes=data.X).if_bound_rough
-        rows.append(SweepRow(lam=lam, risk=float(np.mean(vals)),
-                             if_bound_rough=bound,
-                             mc_stderr=float(np.std(vals) / np.sqrt(eval_n))))
+        rows.append(SweepRow(lam=lam, risk=risk, if_bound_rough=bound,
+                             mc_stderr=stderr))
     return SweepReport(rows=rows, n=n, eval_n=eval_n)

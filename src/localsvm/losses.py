@@ -25,8 +25,6 @@ class SmoothLoss:
 
     name: str = "abstract"
     lipschitz: float = 1.0
-    #: global sup of the second t-derivative, used in audit diagnostics
-    d2_sup: float = np.inf
     is_classification: bool = False
 
     def _check_labels(self, y):
@@ -63,7 +61,6 @@ class LogisticClassification(SmoothLoss):
 
     name = "logistic-classification"
     lipschitz = 1.0
-    d2_sup = 0.25
     is_classification = True
 
     def value(self, y, t):
@@ -92,7 +89,6 @@ class LogisticRegression(SmoothLoss):
 
     name = "logistic-regression"
     lipschitz = 1.0
-    d2_sup = 0.5
     is_classification = False
 
     def value(self, y, t):

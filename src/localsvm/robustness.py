@@ -464,17 +464,9 @@ def _certificate_terms(factors, lip: float, tv_by_region):
     return terms, caps, total
 
 
-def if_bound(scheme: WeightScheme, config: ModelConfig, probes=None,
-             context: Optional[AuditContext] = None) -> AuditReport:
-    """Rough influence-function sup-norm bound 2 |L|_1 sum_b ||w_b|| ||k_b||^2 / lam_b.
-
-    With an AuditContext its bound factors are used instead of recomputing
-    them from ``probes``.
-    """
-    if context is None:
-        factors, notes = _region_factors(scheme, config, probes)
-    else:
-        factors, notes = context.factors, context.notes
+def if_bound(scheme: WeightScheme, config: ModelConfig, probes=None) -> AuditReport:
+    """Rough influence-function sup-norm bound 2 |L|_1 sum_b ||w_b|| ||k_b||^2 / lam_b."""
+    factors, notes = _region_factors(scheme, config, probes)
     terms, _, total = _certificate_terms(factors, float(config.loss.lipschitz),
                                          {b: 2.0 for b, *_ in factors})
     return AuditReport(if_bound_rough=total, per_region_terms=terms, notes=list(notes))
@@ -497,22 +489,16 @@ def _tv_by_region(samples, partition: RegionPartition, z_x, z_y: float) -> dict:
 
 def tv_refined_if_bound(data: Dataset, partition: RegionPartition,
                         scheme: WeightScheme, config: ModelConfig,
-                        z_x, z_y: float, probes=None,
-                        context: Optional[AuditContext] = None) -> float:
+                        z_x, z_y: float, probes=None) -> float:
     """IF bound with the exact discrete TV distance instead of the constant 2.
 
     TV_b = 2 (1 - D_b({z})) when z's input lies in region b (0 otherwise,
     because the contaminated regional measure then equals the original and
     the local influence function vanishes). Never exceeds the rough bound.
-    With an AuditContext its samples and bound factors are used.
     """
     z_x = np.asarray(z_x, dtype=float).reshape(-1)
-    if context is None:
-        samples = {b: restrict(data, partition, b) for b in range(1, partition.B + 1)}
-        factors, _ = _region_factors(scheme, config, probes)
-    else:
-        samples = {b: blocks.sample for b, blocks in context.regions.items()}
-        factors = context.factors
+    samples = {b: restrict(data, partition, b) for b in range(1, partition.B + 1)}
+    factors, _ = _region_factors(scheme, config, probes)
     return _certificate_terms(factors, float(config.loss.lipschitz),
                               _tv_by_region(samples, partition, z_x, z_y))[2]
 
@@ -712,9 +698,10 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
     """
     ctx = AuditContext(data, partition, scheme, config, probes=probes,
                        base=base, threads=threads)
-    rough = if_bound(scheme, config, context=ctx)
     grad_tol = config.train.grad_tol
     lip = float(config.loss.lipschitz)
+    rough_tv = {b: 2.0 for b in ctx.regions}
+    rough_terms, _, rough = _certificate_terms(ctx.factors, lip, rough_tv)
     samples = {b: blocks.sample for b, blocks in ctx.regions.items()}
 
     per_z = []
@@ -725,12 +712,12 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
                              threads=threads, context=ctx)
         resid = decomposition_check(est, ctx.probes)
         slack = 10.0 * (grad_tol / est.eps_used + est.eps_used * est.curvature)
-        sup_ok = est.sup_norm_estimate <= rough.if_bound_rough + slack
+        sup_ok = est.sup_norm_estimate <= rough + slack
 
         if spec.kind == "dirac":
             tvs = _tv_by_region(samples, partition, spec.z_x, spec.z_y)
         else:
-            tvs = {b: 2.0 for b in ctx.regions}  # rough TV bound for mixtures
+            tvs = rough_tv  # rough TV bound for mixtures
         _, caps, refined = _certificate_terms(ctx.factors, lip, tvs)
         tv_bound = refined if spec.kind == "dirac" else None
         h_checks = {b: {"h_norm": h, "cap": caps[b],
@@ -782,14 +769,14 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
     tv_values = [e["tv_refined_bound"] for e in per_z
                  if e.get("tv_refined_bound") is not None]
     return AuditReport(
-        if_bound_rough=rough.if_bound_rough,
+        if_bound_rough=rough,
         if_bound_tv=max(tv_values) if tv_values else None,
         maxbias_bound=mb_report.maxbias_bound if mb_report else None,
-        per_region_terms=rough.per_region_terms,
+        per_region_terms=rough_terms,
         per_z=per_z,
         empirical=empirical,
         satisfied=satisfied,
-        notes=rough.notes + (mb_report.notes if mb_report else []),
+        notes=list(ctx.notes) + (mb_report.notes if mb_report else []),
     )
 
 

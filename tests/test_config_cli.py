@@ -516,7 +516,7 @@ def test_cli_experiment_tradeoff_non_rbf_kernels(tmp_path, kernel):
     pc = setup.partition_cfg
     data = generate(setup.task, setup.data.n)
     part = regionalize(data.X, pc.b_target, pc.tau, pc.min_region_size, pc.seed)
-    scheme = WeightScheme(setup.scheme_kind, part, h=setup.scheme_h)
+    scheme = WeightScheme(pc.scheme, part, h=pc.h)
     for row in report["rows"]:
         cfg_lam = ModelConfig(loss=config.loss, kernel=config.kernel,
                               train=replace(config.train, lam=row["lambda"]))
@@ -568,3 +568,85 @@ def test_public_names_resolve_and_tracer_instruments():
     result = subprocess.run([sys.executable, "-c", code], cwd=root, env=env,
                             capture_output=True, timeout=120)
     assert result.returncode == 0, result.stderr.decode()
+
+
+def test_cli_audit_z_of_wrong_dimension_exits_2(tmp_path, capsys, monkeypatch):
+    cfg = base_config(audit={"z": {"x": [0.1, 0.2, 0.3], "y": 1.0},
+                             "maxbias_eps": 0.0})
+    cfg_path = write_config(tmp_path, cfg)
+
+    def no_audit(*args, **kwargs):
+        raise AssertionError("the audit ran")
+
+    monkeypatch.setattr(cli, "run_audit", no_audit)
+    rc = cli.main(["audit", "--config", cfg_path, "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "audit.z.x" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "1e999"])
+@pytest.mark.parametrize("where", ["z", "tau"])
+def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, where, literal):
+    cfg = base_config(audit={"z": {"x": [0.1, 0.2], "y": 1.0},
+                             "maxbias_eps": 0.0})
+    if where == "z":
+        cfg["audit"]["z"]["x"][0] = "LITERAL"
+    else:
+        cfg["partition"]["tau"] = "LITERAL"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg).replace('"LITERAL"', literal))
+    rc = cli.main(["audit", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"non-finite number {literal}" in capsys.readouterr().err
+
+
+def test_cli_experiment_builds_one_partition_per_rung(tmp_path, monkeypatch):
+    from localsvm import RegionPartition
+
+    cfg = base_config(experiment={"kind": "consistency",
+                                  "n_ladder": [30, 40, 50, 60, 70],
+                                  "eval_n": 200})
+    cfg_path = write_config(tmp_path, cfg)
+    built = []
+    init = RegionPartition.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(RegionPartition, "__init__", counting_init)
+    assert cli.main(["experiment", "--config", cfg_path,
+                     "--out", str(tmp_path / "exp")]) == 0
+    assert len(built) == 5
+
+
+def test_setup_from_config_partition_defaults_are_the_library_defaults():
+    import inspect
+
+    from localsvm import PartitionConfig
+
+    cfg = base_config(scheme={"kind": "smooth-bump", "h": 0.7})
+    cfg["partition"] = {"b_target": 3}
+    pc = setup_from_config(cfg).partition_cfg
+    assert pc == PartitionConfig(b_target=3, scheme="smooth-bump", h=0.7)
+    # the recipe's defaults are regionalize's
+    for name, param in inspect.signature(regionalize).parameters.items():
+        if param.default is not inspect.Parameter.empty:
+            assert getattr(pc, name) == param.default, name
+
+
+def test_benchmark_configs_load_and_build():
+    from pathlib import Path
+
+    configs = sorted((Path(__file__).resolve().parents[1]
+                      / "benchmark" / "configs").glob("*.json"))
+    assert len(configs) == 3
+    for path in configs:
+        raw = load_config(path)
+        setup = setup_from_config(raw)
+        model_config_from_config(raw, setup.data.dim)
+        partition, scheme = setup.partition_cfg.build(setup.data.X)
+        assert 1 <= partition.B <= raw["partition"]["b_target"], path.name
+        assert scheme.partition is partition
+        assert (scheme.kind, scheme.h) == (raw["scheme"]["kind"],
+                                          raw["scheme"].get("h")), path.name

@@ -99,7 +99,7 @@ def test_consistency_trend_ladder_validation():
     task = SyntheticTask("sine-regression", dim=2, seed=6)
     with pytest.raises(InputError):
         consistency_trend(task, [100, 100], LambdaSchedule(),
-                          PartitionConfig(), _small_config(), eval_n=100)
+                          PartitionConfig(b_target=4), _small_config(), eval_n=100)
 
 
 def test_tradeoff_sweep_bound_column():
@@ -119,7 +119,7 @@ def test_tradeoff_sweep_bound_column():
 def test_tradeoff_sweep_validation():
     task = SyntheticTask("sine-regression", dim=2, seed=8)
     with pytest.raises(InputError):
-        tradeoff_sweep(task, 60, [1.0, 0.0], PartitionConfig(),
+        tradeoff_sweep(task, 60, [1.0, 0.0], PartitionConfig(b_target=4),
                        _small_config(), eval_n=100)
 
 
