@@ -14,7 +14,8 @@ from pathlib import Path
 import numpy as np
 
 from .composer import ComposedModel, RegionTrainingError, fit_composed
-from .config import (load_config, model_config_from_config, setup_from_config)
+from .config import (load_config, model_config_from_config,
+                     partition_from_config, setup_from_config, task_from_config)
 from .errors import ConvergenceError, InputError, LocalSvmError
 from .experiments import (LambdaSchedule, consistency_trend, tradeoff_sweep)
 from .kernels import sup_sqrt_diag
@@ -60,13 +61,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _out_dir(args, raw) -> Path:
+    out_dir = Path(args.out or raw.get("output", {}).get("dir", "."))
+    out_dir.mkdir(parents=True, exist_ok=True)
+    return out_dir
+
+
 def _prepare(args):
     raw = load_config(args.config)
     setup = setup_from_config(raw, seed_override=args.seed)
     config = model_config_from_config(raw, setup.data.dim)
-    out_dir = Path(args.out or raw.get("output", {}).get("dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return raw, setup, config, out_dir
+    return raw, setup, config, _out_dir(args, raw)
 
 
 def _train_summary(model: ComposedModel) -> str:
@@ -93,7 +98,7 @@ def cmd_train(args) -> int:
                          threads=args.threads)
     model_path = out_dir / "model.json"
     with open(model_path, "w") as fh:
-        json.dump(model.to_dict(), fh)
+        json.dump(model.to_dict(), fh, allow_nan=False)
     summary = _train_summary(model)
     (out_dir / "train_summary.txt").write_text(summary + "\n")
     print(f"wrote {model_path}")
@@ -168,7 +173,7 @@ def cmd_audit(args) -> int:
 
     audit_path = out_dir / "audit.json"
     with open(audit_path, "w") as fh:
-        json.dump(report.to_dict(), fh)
+        json.dump(report.to_dict(), fh, allow_nan=False)
     print(f"wrote {audit_path}")
     print(f"if_bound_rough = {report.if_bound_rough:.6g}  "
           f"empirical if_sup = {report.empirical['if_sup']:.6g}")
@@ -183,32 +188,38 @@ def cmd_audit(args) -> int:
 
 
 def cmd_experiment(args) -> int:
-    raw, setup, config, out_dir = _prepare(args)
+    # each experiment draws its own samples, so the config's dataset block
+    # gives only the task and the training-sample size; nothing is drawn here
+    raw = load_config(args.config)
     exp = raw.get("experiment")
     if exp is None:
         raise InputError("config has no experiment section")
-    if setup.task is None:
+    task = task_from_config(raw, seed_override=args.seed)
+    if task is None:
         raise InputError("experiments need a synthetic dataset (risk oracle)")
+    pc = partition_from_config(raw, seed_override=args.seed)
+    config = model_config_from_config(raw, task.dim)
+    out_dir = _out_dir(args, raw)
     if exp["kind"] == "consistency":
         sched_cfg = exp.get("schedule", {})
         schedule = LambdaSchedule(c=sched_cfg.get("c", 1.0),
                                   beta=sched_cfg.get("beta", 0.25))
         report = consistency_trend(
-            setup.task, exp["n_ladder"], schedule, setup.partition_cfg, config,
+            task, exp["n_ladder"], schedule, pc, config,
             eval_n=int(exp.get("eval_n", 100_000)))
         stem = "consistency"
     else:
         report = tradeoff_sweep(
-            setup.task, setup.data.n, exp["lambda_grid"], setup.partition_cfg,
-            config, eval_n=int(exp.get("eval_n", 100_000)))
+            task, int(raw["dataset"]["n"]), exp["lambda_grid"], pc, config,
+            eval_n=int(exp.get("eval_n", 100_000)))
         stem = "tradeoff"
     csv_path = out_dir / f"{stem}.csv"
     report.write_csv(csv_path)
     with open(out_dir / f"{stem}.json", "w") as fh:
-        json.dump(report.to_dict(), fh)
+        json.dump(report.to_dict(), fh, allow_nan=False)
     print(f"wrote {csv_path}")
     for row in report.rows:
-        print(json.dumps(row.to_dict()))
+        print(json.dumps(row.to_dict(), allow_nan=False))
     return EXIT_OK
 
 

@@ -274,31 +274,44 @@ class RunSetup:
     task: Optional[SyntheticTask]
 
 
-def dataset_from_config(raw: dict, seed_override: Optional[int] = None):
+def task_from_config(raw: dict, seed_override: Optional[int] = None
+                     ) -> Optional[SyntheticTask]:
+    """The synthetic task of the config's dataset block, without drawing
+    its sample; None for a CSV dataset."""
     ds = raw["dataset"]
     if ds["kind"] == "csv":
-        return load_csv_dataset(ds["path"]), None
+        return None
     seed = int(ds.get("seed", 0))
     if seed_override is not None:
         seed = int(seed_override)
-    task = SyntheticTask(
+    return SyntheticTask(
         kind=ds["task"],
         dim=int(ds.get("dim", 2)),
         noise=float(ds.get("noise", 0.25)),
         seed=seed,
         breakpoints=tuple(ds.get("breakpoints", (0.5,))),
     )
-    return generate(task, int(ds["n"])), task
 
 
-def setup_from_config(raw: dict, seed_override: Optional[int] = None) -> RunSetup:
-    data, task = dataset_from_config(raw, seed_override)
+def partition_from_config(raw: dict, seed_override: Optional[int] = None
+                          ) -> PartitionConfig:
+    """The run's partition recipe: the partition block plus the scheme."""
     part = dict(raw["partition"])
     if seed_override is not None:
         part["seed"] = int(seed_override)
     scheme = raw["scheme"]
-    pc = PartitionConfig(**part, scheme=scheme["kind"], h=scheme.get("h"))
-    return RunSetup(data=data, partition_cfg=pc, task=task)
+    return PartitionConfig(**part, scheme=scheme["kind"], h=scheme.get("h"))
+
+
+def setup_from_config(raw: dict, seed_override: Optional[int] = None) -> RunSetup:
+    task = task_from_config(raw, seed_override)
+    if task is None:
+        data = load_csv_dataset(raw["dataset"]["path"])
+    else:
+        data = generate(task, int(raw["dataset"]["n"]))
+    return RunSetup(data=data,
+                    partition_cfg=partition_from_config(raw, seed_override),
+                    task=task)
 
 
 def model_config_from_config(raw: dict, input_dim: int):

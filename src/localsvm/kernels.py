@@ -15,6 +15,9 @@ from .errors import InputError, InsufficientDataError
 
 # entries per chunk when forming cross-kernel matrices, keeps memory flat
 _CHUNK_BUDGET = 4_000_000
+# entries per row block inside the Gaussian-RBF kernel (512 KB of float64),
+# small enough that each elementwise pass over a block stays in L2
+_BLOCK_BUDGET = 65_536
 # rows per block when mirroring a Gram matrix's upper triangle
 _MIRROR_BLOCK = 256
 
@@ -115,19 +118,28 @@ class GaussianRBF(Kernel):
             raise InputError(f"gamma must be positive, got {self.gamma}")
 
     def _cross(self, X, Z):
-        # direct differences, one coordinate at a time into one (n, m) buffer:
-        # exactly symmetric, exactly 1 on the diagonal, no (n, m, d) temporary
-        d2 = np.subtract.outer(X[:, 0], Z[:, 0])
-        np.square(d2, out=d2)
-        if X.shape[1] > 1:
-            diff = np.empty_like(d2)
+        # direct differences, one coordinate at a time, written straight into
+        # the output one row block at a time with one block-sized scratch: no
+        # (n, m, d) temporary and no second (n, m) buffer, and each entry gets
+        # the same elementwise arithmetic as the unblocked form, so it is
+        # bitwise equal to it, exactly symmetric and exactly 1 on the diagonal
+        n, m = X.shape[0], Z.shape[0]
+        out = np.empty((n, m))
+        rows = max(1, _BLOCK_BUDGET // max(1, m))
+        diff = np.empty((min(rows, n), m))
+        scale = -(self.gamma**2)  # IEEE division is sign-symmetric
+        for start in range(0, n, rows):
+            d2 = out[start:start + rows]
+            t = diff[:d2.shape[0]]
+            np.subtract.outer(X[start:start + rows, 0], Z[:, 0], out=d2)
+            np.square(d2, out=d2)
             for j in range(1, X.shape[1]):
-                np.subtract.outer(X[:, j], Z[:, j], out=diff)
-                np.square(diff, out=diff)
-                d2 += diff
-        np.negative(d2, out=d2)
-        d2 /= self.gamma**2
-        return np.exp(d2, out=d2)
+                np.subtract.outer(X[start:start + rows, j], Z[:, j], out=t)
+                np.square(t, out=t)
+                d2 += t
+            np.divide(d2, scale, out=d2)
+            np.exp(d2, out=d2)
+        return out
 
     def _diag(self, X):
         return np.ones(X.shape[0])

@@ -193,7 +193,7 @@ def regionalize(points, b_target: int, tau: float = 0.0,
         raise InputError(f"b_target must be >= 1, got {b_target}")
     if min_region_size < 1:
         raise InputError(f"min_region_size must be >= 1, got {min_region_size}")
-    if tau < 0:
+    if not tau >= 0:  # also rejects NaN, for which tau < 0 is false
         raise InputError(f"tau must be >= 0, got {tau}")
     if n < b_target * min_region_size:
         raise InsufficientDataError(

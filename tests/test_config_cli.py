@@ -620,6 +620,58 @@ def test_cli_experiment_builds_one_partition_per_rung(tmp_path, monkeypatch):
     assert len(built) == 5
 
 
+@pytest.mark.parametrize("kind", ["consistency", "tradeoff"])
+def test_cli_experiment_draws_only_the_samples_it_uses(tmp_path, monkeypatch,
+                                                       kind):
+    # one training sample per ladder rung (or one for the whole sweep) and
+    # the evaluation sample; the config's own dataset is never drawn
+    import localsvm.config as config_mod
+    import localsvm.experiments as experiments
+
+    exp = ({"kind": "consistency", "n_ladder": [30, 40, 50], "eval_n": 200}
+           if kind == "consistency"
+           else {"kind": "tradeoff", "lambda_grid": [1.0, 0.5], "eval_n": 200})
+    cfg_path = write_config(tmp_path, base_config(experiment=exp))
+    drawn = []
+
+    def counting_generate(task, n, *args, **kwargs):
+        drawn.append(n)
+        return generate(task, n, *args, **kwargs)
+
+    for module in (experiments, config_mod):
+        monkeypatch.setattr(module, "generate", counting_generate)
+    assert cli.main(["experiment", "--config", cfg_path,
+                     "--out", str(tmp_path / "exp")]) == 0
+    expected = [200, 30, 40, 50] if kind == "consistency" else [60, 200]
+    assert drawn == expected
+
+
+@pytest.mark.parametrize("command", ["train", "experiment"])
+def test_cli_json_outputs_reject_non_finite_values(tmp_path, monkeypatch,
+                                                   command):
+    from localsvm.experiments import SweepReport, SweepRow
+
+    cfg = base_config(experiment={"kind": "tradeoff", "lambda_grid": [1.0],
+                                  "eval_n": 200})
+    cfg_path = write_config(tmp_path, cfg)
+    if command == "train":
+        to_dict = ComposedModel.to_dict
+        monkeypatch.setattr(ComposedModel, "to_dict",
+                            lambda self: dict(to_dict(self), nan=float("nan")))
+        written = tmp_path / "out" / "model.json"
+    else:
+        row = SweepRow(lam=1.0, risk=0.5, if_bound_rough=float("inf"),
+                       mc_stderr=0.0)
+        monkeypatch.setattr(cli, "tradeoff_sweep",
+                            lambda *a, **k: SweepReport(rows=[row], n=60,
+                                                        eval_n=200))
+        written = tmp_path / "out" / "tradeoff.json"
+    with pytest.raises(ValueError, match="JSON compliant"):
+        cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
+    text = written.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+
+
 def test_setup_from_config_partition_defaults_are_the_library_defaults():
     import inspect
 

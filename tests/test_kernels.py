@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import pytest
 from localsvm import (GaussianRBF, InputError, InsufficientDataError, Linear,
                       Polynomial, RegionPredicate, kernel_from_dict,
                       sup_norm_on_region)
-from localsvm.kernels import _MIRROR_BLOCK
+from localsvm.kernels import _BLOCK_BUDGET, _MIRROR_BLOCK
 
 
 def test_gaussian_eval_equal_points_is_exactly_one():
@@ -212,3 +213,55 @@ def test_gaussian_cross_close_to_broadcast_form_high_dim():
     G = k._cross(X, X)
     np.testing.assert_array_equal(G, G.T)
     np.testing.assert_array_equal(np.diag(G), np.ones(61))
+
+
+def _assert_rbf_matches_broadcast(got, X, Z, gamma):
+    # bitwise up to 7 coordinates; from 8 on NumPy's pairwise sum reorders
+    # the broadcast form's additions
+    want = _broadcast_rbf(X, Z, gamma)
+    if X.shape[1] <= 7:
+        np.testing.assert_array_equal(got, want)
+    else:
+        np.testing.assert_allclose(got, want, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 5, 10])
+def test_gaussian_cross_row_blocks_match_broadcast_form(dim):
+    # the 61 x 37 cases above fit in one row block; these span several
+    # blocks with a partial last one, one row per block, and less than a block
+    k = GaussianRBF(gamma=0.9, input_dim=dim)
+    rng = np.random.default_rng(20 + dim)
+    m = 300
+    rows = _BLOCK_BUDGET // m
+    X = rng.normal(size=(3 * rows + 17, dim))
+    Z = rng.normal(size=(m, dim))
+    _assert_rbf_matches_broadcast(k._cross(X, Z), X, Z, 0.9)
+    wide = rng.normal(size=(_BLOCK_BUDGET + 3, dim))
+    _assert_rbf_matches_broadcast(k._cross(X[:5], wide), X[:5], wide, 0.9)
+    _assert_rbf_matches_broadcast(k._cross(X[:rows // 2], Z), X[:rows // 2],
+                                  Z, 0.9)
+
+
+@pytest.mark.parametrize("dim", [2, 10])
+def test_gaussian_multi_block_gram_symmetric_with_unit_diagonal(dim):
+    n = 700  # _BLOCK_BUDGET // n rows per block: eight blocks, the last partial
+    assert n * n > 7 * _BLOCK_BUDGET and n % (_BLOCK_BUDGET // n) != 0
+    k = GaussianRBF(gamma=1.1, input_dim=dim)
+    X = np.random.default_rng(30 + dim).normal(size=(n, dim))
+    G = k.gram(X)
+    np.testing.assert_array_equal(G, G.T)
+    np.testing.assert_array_equal(np.diag(G), np.ones(n))
+    _assert_rbf_matches_broadcast(G, X, X, 1.1)
+
+
+def test_gaussian_gram_peaks_at_one_n_by_n_buffer():
+    n = 2000
+    X = np.random.default_rng(15).normal(size=(n, 2))
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    tracemalloc.start()
+    try:
+        k.gram(X)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8

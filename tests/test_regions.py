@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from localsvm import (CoverageError, Dataset, InputError, InsufficientDataError,
-                      RegionPartition, WeightScheme, regionalize, restrict,
-                      weight_sup_norm)
+                      PartitionConfig, RegionPartition, WeightScheme,
+                      regionalize, restrict, weight_sup_norm)
 from conftest import manual_partition, two_blobs
 
 
@@ -46,6 +46,10 @@ def test_parameter_validation():
         regionalize(X, b_target=0)
     with pytest.raises(InputError):
         regionalize(X, b_target=2, tau=-0.1)
+    with pytest.raises(InputError):
+        regionalize(X, 2, tau=float("nan"))
+    with pytest.raises(InputError):
+        PartitionConfig(b_target=2, tau=float("nan")).build(X)
     with pytest.raises(InputError):
         regionalize(X, b_target=2, min_region_size=0)
 
