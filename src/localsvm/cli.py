@@ -1,7 +1,7 @@
 """Command-line front end: train, audit and experiment subcommands.
 
 Exit codes: 0 success, 1 a robustness bound was violated, 2 input or
-config error, 3 solver non-convergence.
+config error (or a non-finite output value), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -74,6 +74,15 @@ def _prepare(args):
     return raw, setup, config, _out_dir(args, raw)
 
 
+def _json_text(obj, name: str) -> str:
+    """Strict JSON of one output; made before any file is opened."""
+    try:
+        return json.dumps(obj, allow_nan=False)
+    except ValueError as exc:
+        raise LocalSvmError(f"{name} would hold a non-finite value ({exc}); "
+                            "no output written") from None
+
+
 def _train_summary(model: ComposedModel) -> str:
     lines = [f"regions: {model.partition.B}"]
     for b in sorted(model.locals):
@@ -97,9 +106,9 @@ def cmd_train(args) -> int:
     model = fit_composed(setup.data, partition, scheme, config,
                          threads=args.threads)
     model_path = out_dir / "model.json"
-    with open(model_path, "w") as fh:
-        json.dump(model.to_dict(), fh, allow_nan=False)
+    text = _json_text(model.to_dict(), model_path.name)
     summary = _train_summary(model)
+    model_path.write_text(text)
     (out_dir / "train_summary.txt").write_text(summary + "\n")
     print(f"wrote {model_path}")
     print(summary)
@@ -150,12 +159,6 @@ def cmd_audit(args) -> int:
             raise InputError(f"cannot parse model {args.model}: {exc}") from None
         if base.partition.B != partition.B:
             raise InputError("model partition does not match the config partition")
-        for b, local in base.locals.items():
-            if b not in base.null_region_ids and local.lam != config.lam_for(b):
-                raise InputError(
-                    f"model lambda {local.lam} in region {b} does not match "
-                    f"the config's {config.lam_for(b)}; audit with the training config"
-                )
         partition = base.partition
         if partition.points is None:
             # fit-time training points back the weight sup-norm estimates
@@ -164,16 +167,16 @@ def cmd_audit(args) -> int:
 
     z_specs = _z_specs_from_config(raw, setup.data, ladder,
                                    config.loss.is_classification)
-    maxbias_eps = audit_cfg.get("maxbias_eps", 0.1)
-    if audit_cfg.get("q_family", "corners-center-flip") == "none":
-        maxbias_eps = None
+    # only a key the config sets: run_audit holds the default
+    maxbias = {k: audit_cfg[k] for k in ("maxbias_eps",) if k in audit_cfg}
+    if audit_cfg.get("q_family") == "none":
+        maxbias["maxbias_eps"] = None
     report = run_audit(setup.data, partition, scheme, config, z_specs,
-                       maxbias_eps=maxbias_eps, probes=probes, base=base,
-                       threads=args.threads)
+                       probes=probes, base=base, threads=args.threads,
+                       **maxbias)
 
     audit_path = out_dir / "audit.json"
-    with open(audit_path, "w") as fh:
-        json.dump(report.to_dict(), fh, allow_nan=False)
+    audit_path.write_text(_json_text(report.to_dict(), audit_path.name))
     print(f"wrote {audit_path}")
     print(f"if_bound_rough = {report.if_bound_rough:.6g}  "
           f"empirical if_sup = {report.empirical['if_sup']:.6g}")
@@ -200,23 +203,22 @@ def cmd_experiment(args) -> int:
     pc = partition_from_config(raw, seed_override=args.seed)
     config = model_config_from_config(raw, task.dim)
     out_dir = _out_dir(args, raw)
+    # only the keys the config sets: the library holds the defaults
+    eval_n = {"eval_n": int(exp["eval_n"])} if "eval_n" in exp else {}
     if exp["kind"] == "consistency":
-        sched_cfg = exp.get("schedule", {})
-        schedule = LambdaSchedule(c=sched_cfg.get("c", 1.0),
-                                  beta=sched_cfg.get("beta", 0.25))
         report = consistency_trend(
-            task, exp["n_ladder"], schedule, pc, config,
-            eval_n=int(exp.get("eval_n", 100_000)))
+            task, exp["n_ladder"], LambdaSchedule(**exp.get("schedule", {})),
+            pc, config, **eval_n)
         stem = "consistency"
     else:
         report = tradeoff_sweep(
             task, int(raw["dataset"]["n"]), exp["lambda_grid"], pc, config,
-            eval_n=int(exp.get("eval_n", 100_000)))
+            **eval_n)
         stem = "tradeoff"
+    text = _json_text(report.to_dict(), f"{stem}.json")
     csv_path = out_dir / f"{stem}.csv"
     report.write_csv(csv_path)
-    with open(out_dir / f"{stem}.json", "w") as fh:
-        json.dump(report.to_dict(), fh, allow_nan=False)
+    (out_dir / f"{stem}.json").write_text(text)
     print(f"wrote {csv_path}")
     for row in report.rows:
         print(json.dumps(row.to_dict(), allow_nan=False))

@@ -223,8 +223,7 @@ def validate_config(raw: dict) -> None:
         raise InputError(f"audit eps_ladder must be strictly decreasing, got {ladder}")
     exp = raw.get("experiment")
     if exp is not None and exp["kind"] == "consistency":
-        sched = exp.get("schedule", {})
-        LambdaSchedule(c=sched.get("c", 1.0), beta=sched.get("beta", 0.25))
+        LambdaSchedule(**exp.get("schedule", {}))
         n_ladder = exp["n_ladder"]
         if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
             raise InputError(f"n_ladder must be increasing, got {n_ladder}")
@@ -281,16 +280,13 @@ def task_from_config(raw: dict, seed_override: Optional[int] = None
     ds = raw["dataset"]
     if ds["kind"] == "csv":
         return None
-    seed = int(ds.get("seed", 0))
+    # only the keys the config sets: SyntheticTask holds the defaults
+    fields = {key: cast(ds[key]) for key, cast in (
+        ("dim", int), ("noise", float), ("seed", int), ("breakpoints", tuple))
+        if key in ds}
     if seed_override is not None:
-        seed = int(seed_override)
-    return SyntheticTask(
-        kind=ds["task"],
-        dim=int(ds.get("dim", 2)),
-        noise=float(ds.get("noise", 0.25)),
-        seed=seed,
-        breakpoints=tuple(ds.get("breakpoints", (0.5,))),
-    )
+        fields["seed"] = int(seed_override)
+    return SyntheticTask(kind=ds["task"], **fields)
 
 
 def partition_from_config(raw: dict, seed_override: Optional[int] = None

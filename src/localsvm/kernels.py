@@ -2,6 +2,8 @@
 
 All shipped families are continuous and bounded on bounded sets; the
 Gaussian RBF family is bounded globally with sup_x sqrt(k(x, x)) = 1.
+A cross-kernel matrix or a Gram matrix is one call of the family's
+``_cross``; only ``LocalModel.predict`` splits its rows into chunks.
 """
 
 from __future__ import annotations
@@ -12,14 +14,13 @@ import numpy as np
 
 from .data import as_points
 from .errors import InputError, InsufficientDataError
+from .regions import RegionPredicate
 
-# entries per chunk when forming cross-kernel matrices, keeps memory flat
+# entries per chunk when predicting over many rows, keeps memory flat
 _CHUNK_BUDGET = 4_000_000
 # entries per row block inside the Gaussian-RBF kernel (512 KB of float64),
 # small enough that each elementwise pass over a block stays in L2
 _BLOCK_BUDGET = 65_536
-# rows per block when mirroring a Gram matrix's upper triangle
-_MIRROR_BLOCK = 256
 
 
 def chunk_rows(m: int) -> int:
@@ -28,11 +29,19 @@ def chunk_rows(m: int) -> int:
 
 
 class Kernel:
-    """Base class; subclasses implement ``_cross`` on (n, d) x (m, d) arrays."""
+    """Base class; subclasses implement ``_cross`` on (n, d) x (m, d) arrays.
+
+    ``matrix`` and ``gram`` check their inputs and call ``_cross`` once, so
+    each family's ``_cross`` allocates no (n, m) array besides its output,
+    and ``_cross(X, X)`` on one C-contiguous X is exactly symmetric: for
+    Gaussian RBF because (a - b)^2 == (b - a)^2 in IEEE arithmetic, for
+    Linear and Polynomial because numpy evaluates ``X @ X.T`` there as one
+    symmetric product (BLAS syrk), which the elementwise offset and power
+    keep.
+    """
 
     input_dim: int
     family: str = "abstract"
-    continuous: bool = True  # all shipped families; audits note exceptions
     # sqrt(k(x, x)) == 1 everywhere, so region sup-norms are exact
     unit_diagonal: bool = False
 
@@ -56,37 +65,22 @@ class Kernel:
         return float(self._cross(X, Z)[0, 0])
 
     def matrix(self, X, Z) -> np.ndarray:
-        """Cross-kernel matrix K[i, j] = k(X[i], Z[j]), chunked over rows."""
+        """Cross-kernel matrix K[i, j] = k(X[i], Z[j])."""
         X = self._check(X)
         Z = self._check(Z)
         if Z.shape[0] == 0 or X.shape[0] == 0:
             return np.zeros((X.shape[0], Z.shape[0]))
-        rows = chunk_rows(Z.shape[0])
-        if X.shape[0] <= rows:
-            return self._cross(X, Z)
-        out = np.empty((X.shape[0], Z.shape[0]))
-        for start in range(0, X.shape[0], rows):
-            out[start:start + rows] = self._cross(X[start:start + rows], Z)
-        return out
+        return self._cross(X, Z)
 
     def gram(self, points) -> np.ndarray:
-        """Symmetric Gram matrix: the full matrix is computed, then its upper
-        triangle is mirrored onto the lower one so symmetry is exact.
-
-        The mirror copies one block of rows at a time, so it needs no index
-        arrays the size of the triangle.
-        """
+        """Gram matrix K[i, j] = k(X[i], X[j]), exactly symmetric."""
         X = self._check(points)
-        n = X.shape[0]
-        if n == 0:
+        if X.shape[0] == 0:
             raise InputError("gram of an empty point list")
-        G = self._cross(X, X)
-        for i in range(0, n, _MIRROR_BLOCK):
-            j = min(i + _MIRROR_BLOCK, n)
-            G[i:j, :i] = G[:i, i:j].T
-            for r in range(i + 1, j):
-                G[r, i:r] = G[i:r, r]
-        return G
+        # one contiguous array as both operands: a strided view would let
+        # BLAS multiply X @ X.T as a general, not a symmetric, product
+        X = np.ascontiguousarray(X)
+        return self._cross(X, X)
 
     def diag(self, X) -> np.ndarray:
         """Vector of k(x, x) values."""
@@ -175,7 +169,10 @@ class Polynomial(Kernel):
             raise InputError(f"offset must be nonnegative, got {self.offset}")
 
     def _cross(self, X, Z):
-        return (X @ Z.T + self.offset) ** self.degree
+        K = X @ Z.T
+        K += self.offset
+        K **= self.degree
+        return K
 
     def _diag(self, X):
         return ((X * X).sum(axis=1) + self.offset) ** self.degree
@@ -211,7 +208,6 @@ class KernelSupNorm:
     """
 
     value: float
-    region_id: int
     method: str
 
     @property
@@ -231,26 +227,24 @@ def sup_sqrt_diag(kernel: Kernel, points) -> float:
     return float(np.sqrt(np.maximum(kernel.diag(points), 0.0)).max())
 
 
-def sup_norm_on_region(kernel: Kernel, region, probes=None) -> KernelSupNorm:
-    """Region sup-norm of a kernel.
+def sup_norm_on_region(kernel: Kernel, region: RegionPredicate,
+                       probes=None) -> KernelSupNorm:
+    """Sup-norm of a kernel on a ``RegionPredicate``.
 
     Exact for families with ``unit_diagonal`` (Gaussian RBF). Otherwise
     an empirical sup over the probe points that fall inside the region.
     """
-    region_id = getattr(region, "id", 0)
     if kernel.unit_diagonal:
-        return KernelSupNorm(1.0, region_id, METHOD_EXACT)
+        return KernelSupNorm(1.0, METHOD_EXACT)
     if probes is None or len(probes) == 0:
         raise InsufficientDataError(
             f"kernel family {kernel.family!r} has no exact region sup-norm; "
             "probe points are required"
         )
     P = as_points(probes)
-    if region is not None and hasattr(region, "contains_many"):
-        inside = region.contains_many(P)
-        P = P[inside]
-        if P.shape[0] == 0:
-            raise InsufficientDataError(
-                f"no probes inside region {region_id}; cannot estimate kernel sup-norm"
-            )
-    return KernelSupNorm(sup_sqrt_diag(kernel, P), region_id, METHOD_EMPIRICAL)
+    P = P[region.contains_many(P)]
+    if P.shape[0] == 0:
+        raise InsufficientDataError(
+            f"no probes inside region {region.id}; cannot estimate kernel sup-norm"
+        )
+    return KernelSupNorm(sup_sqrt_diag(kernel, P), METHOD_EMPIRICAL)

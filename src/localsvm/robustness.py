@@ -281,11 +281,6 @@ def _region_factors(scheme: WeightScheme, config: ModelConfig, probes):
                 f"region {b}: kernel sup-norm is an empirical lower bound of "
                 "||k||, hence the bound's RHS may be underestimated"
             )
-        if not config.kernel_for(b).continuous:
-            notes.append(
-                f"region {b}: kernel is not continuous; the existence theory "
-                "behind the influence-function bound is not verified"
-            )
         factors.append((b, w_sup, config.lam_for(b), ks))
     return factors, notes
 
@@ -342,7 +337,8 @@ class AuditContext:
     threads.
 
     The base model must be anchored at the regional samples of ``data``
-    (as ``fit_composed`` leaves it); a model trained on other data is an
+    (as ``fit_composed`` leaves it) and, in every region that is not null,
+    hold the config's kernel, loss and lambda; any other base model is an
     input error.
     """
 
@@ -380,6 +376,13 @@ class AuditContext:
             return RegionBlocks(None, None, rows, w[rows], points, None,
                                 np.zeros(rows.size))
         kernel = self.config.kernel_for(b)
+        for what, got, want in (("lambda", local.lam, self.config.lam_for(b)),
+                                ("kernel", local.kernel, kernel),
+                                ("loss", local.loss.name, self.config.loss.name)):
+            if got != want:
+                raise InputError(
+                    f"region {b}: the model's {what} {got} does not match the "
+                    f"config's {want}; audit with the training config")
         block = kernel.matrix(points, sample.X)
         return RegionBlocks(sample, kernel.gram(sample.X), rows, w[rows], points,
                             block, block @ local.alpha)

@@ -1,3 +1,5 @@
+import copy
+import inspect
 import json
 
 import numpy as np
@@ -9,8 +11,8 @@ from localsvm import (ComposedModel, GaussianRBF, InputError,
                       WeightScheme, fit_composed, regionalize)
 from localsvm.config import (load_config, load_csv_dataset,
                              model_config_from_config, setup_from_config,
-                             validate_config)
-from localsvm.experiments import SyntheticTask, generate
+                             task_from_config, validate_config)
+from localsvm.experiments import LambdaSchedule, SyntheticTask, generate
 
 
 def base_config(**overrides):
@@ -244,19 +246,35 @@ def test_cli_audit_with_pretrained_model(tmp_path):
     assert rc == 0
 
 
-def test_cli_audit_model_config_mismatch(tmp_path, capsys):
-    cfg = base_config()
-    cfg["dataset"]["n"] = 40
+@pytest.mark.parametrize("field", ["lambda", "gamma", "loss"])
+def test_cli_audit_model_config_mismatch(tmp_path, capsys, field):
+    # the model fits the config's data but was trained with another
+    # lambda, kernel or loss
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    if field == "loss":
+        # +-1 labels are valid for both losses
+        cfg["dataset"] = {"kind": "synthetic", "task": "two-moons", "n": 40,
+                          "dim": 2, "noise": 0.1, "seed": 7}
+    else:
+        cfg["dataset"]["n"] = 40
     cfg_path = write_config(tmp_path, cfg)
     assert cli.main(["train", "--config", cfg_path,
                      "--out", str(tmp_path / "m")]) == 0
-    cfg2 = base_config()
-    cfg2["dataset"]["n"] = 40
-    cfg2["model"]["lambda"] = 0.9
-    cfg2_path = write_config(tmp_path, cfg2, name="other.json")
-    rc = cli.main(["audit", "--config", cfg2_path,
-                   "--model", str(tmp_path / "m" / "model.json")])
+    other = copy.deepcopy(cfg)
+    if field == "lambda":
+        other["model"]["lambda"] = 0.9
+    elif field == "gamma":
+        other["model"]["kernel"]["gamma"] = 0.3
+    else:
+        other["model"]["loss"] = "logistic-classification"
+    rc = cli.main(["audit", "--config", write_config(tmp_path, other, "other.json"),
+                   "--model", str(tmp_path / "m" / "model.json"),
+                   "--out", str(tmp_path / "out")])
     assert rc == 2
+    what = "kernel" if field == "gamma" else field
+    assert f"the model's {what}" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "audit.json").exists()
 
 
 def test_cli_audit_bound_violation_exit_code(tmp_path, monkeypatch):
@@ -648,7 +666,7 @@ def test_cli_experiment_draws_only_the_samples_it_uses(tmp_path, monkeypatch,
 
 @pytest.mark.parametrize("command", ["train", "experiment"])
 def test_cli_json_outputs_reject_non_finite_values(tmp_path, monkeypatch,
-                                                   command):
+                                                   capsys, command):
     from localsvm.experiments import SweepReport, SweepRow
 
     cfg = base_config(experiment={"kind": "tradeoff", "lambda_grid": [1.0],
@@ -658,24 +676,25 @@ def test_cli_json_outputs_reject_non_finite_values(tmp_path, monkeypatch,
         to_dict = ComposedModel.to_dict
         monkeypatch.setattr(ComposedModel, "to_dict",
                             lambda self: dict(to_dict(self), nan=float("nan")))
-        written = tmp_path / "out" / "model.json"
+        output = "model.json"
     else:
         row = SweepRow(lam=1.0, risk=0.5, if_bound_rough=float("inf"),
                        mc_stderr=0.0)
         monkeypatch.setattr(cli, "tradeoff_sweep",
                             lambda *a, **k: SweepReport(rows=[row], n=60,
                                                         eval_n=200))
-        written = tmp_path / "out" / "tradeoff.json"
-    with pytest.raises(ValueError, match="JSON compliant"):
-        cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
-    text = written.read_text()
-    assert "NaN" not in text and "Infinity" not in text
+        output = "tradeoff.json"
+    rc = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert f"{output} would hold a non-finite value" in capsys.readouterr().err
+    assert list((tmp_path / "out").iterdir()) == []  # not even the CSV
 
 
-def test_setup_from_config_partition_defaults_are_the_library_defaults():
-    import inspect
-
+def test_setup_from_config_partition_defaults_are_the_library_defaults(
+        tmp_path, monkeypatch):
     from localsvm import PartitionConfig
+    from localsvm.experiments import TrendReport
+    from localsvm.robustness import AuditReport
 
     cfg = base_config(scheme={"kind": "smooth-bump", "h": 0.7})
     cfg["partition"] = {"b_target": 3}
@@ -685,6 +704,34 @@ def test_setup_from_config_partition_defaults_are_the_library_defaults():
     for name, param in inspect.signature(regionalize).parameters.items():
         if param.default is not inspect.Parameter.empty:
             assert getattr(pc, name) == param.default, name
+    # so are the task's, the schedule's, eval_n and maxbias_eps
+    cfg["dataset"] = {"kind": "synthetic", "task": "sine-regression", "n": 30}
+    task = task_from_config(cfg)
+    for name, param in inspect.signature(SyntheticTask).parameters.items():
+        if param.default is not inspect.Parameter.empty:
+            assert getattr(task, name) == param.default, name
+    passed = {}
+
+    def fake_trend(task, n_ladder, schedule, pc, config, **kwargs):
+        passed.update(kwargs, schedule=schedule)
+        return TrendReport(rows=[], eval_n=1)
+
+    def fake_audit(*args, **kwargs):
+        passed.update(kwargs)
+        return AuditReport(if_bound_rough=1.0, empirical={"if_sup": 0.0})
+
+    monkeypatch.setattr(cli, "consistency_trend", fake_trend)
+    monkeypatch.setattr(cli, "run_audit", fake_audit)
+    cfg["experiment"] = {"kind": "consistency", "n_ladder": [30, 40]}
+    cfg["audit"] = {"z_grid": 1}
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["experiment", "--config", cfg_path,
+                     "--out", str(tmp_path)]) == 0
+    assert passed == {"schedule": LambdaSchedule()}
+    for name, param in inspect.signature(LambdaSchedule).parameters.items():
+        assert getattr(passed["schedule"], name) == param.default, name
+    assert cli.main(["audit", "--config", cfg_path, "--out", str(tmp_path)]) == 0
+    assert "maxbias_eps" not in passed
 
 
 def test_benchmark_configs_load_and_build():

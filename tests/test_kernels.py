@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import tracemalloc
@@ -8,7 +9,7 @@ import pytest
 from localsvm import (GaussianRBF, InputError, InsufficientDataError, Linear,
                       Polynomial, RegionPredicate, kernel_from_dict,
                       sup_norm_on_region)
-from localsvm.kernels import _BLOCK_BUDGET, _MIRROR_BLOCK
+from localsvm.kernels import _BLOCK_BUDGET, _CHUNK_BUDGET, chunk_rows
 
 
 def test_gaussian_eval_equal_points_is_exactly_one():
@@ -74,41 +75,32 @@ def test_gram_elementwise_matches_eval():
     assert G[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
 
+def _layouts(X):
+    """X as C-ordered, Fortran-ordered, strided on both axes and with its
+    rows reversed; the last two are views, not copies."""
+    wide = np.zeros((2 * X.shape[0], 2 * X.shape[1]))
+    wide[::2, ::2] = X
+    return {"C": X, "F": np.asfortranarray(X), "strided": wide[::2, ::2],
+            "reversed": np.ascontiguousarray(X[::-1])[::-1]}
+
+
 @pytest.mark.parametrize("kernel", [
     GaussianRBF(gamma=1.3, input_dim=3),
     Linear(input_dim=3),
     Polynomial(degree=2, offset=0.5, input_dim=3),
 ])
 def test_gram_exactly_symmetric_and_psd(kernel):
-    rng = np.random.default_rng(11)
-    for seed in range(4):
-        X = np.random.default_rng(seed).normal(size=(25, 3))
-        G = kernel.gram(X)
-        np.testing.assert_array_equal(G, G.T)
-        eigs = np.linalg.eigvalsh(G)
-        assert eigs.min() >= -1e-8 * np.trace(G)
-    del rng
-
-
-@pytest.mark.parametrize("kernel", [
-    Linear(input_dim=3),
-    Polynomial(degree=3, offset=0.5, input_dim=3),
-])
-def test_gram_blocked_mirror_matches_index_mirror(kernel, monkeypatch):
-    # reference: the full matrix with its upper triangle copied onto the
-    # lower one through triangle index arrays; n spans two full mirror
-    # blocks and a partial one. BLAS may already return X X' exactly
-    # symmetric, so a fixed asymmetric term makes every mirrored entry count.
-    X = np.random.default_rng(12).normal(size=(2 * _MIRROR_BLOCK + 37, 3))
-    skew = np.random.default_rng(13).normal(size=(X.shape[0], X.shape[0]))
-    cross = type(kernel)._cross
-    monkeypatch.setattr(type(kernel), "_cross",
-                        lambda self, A, B: cross(self, A, B) + 1e-3 * skew)
-    expected = kernel._cross(X, X)
-    assert not np.array_equal(expected, expected.T)
-    iu = np.triu_indices(X.shape[0], k=1)
-    expected[(iu[1], iu[0])] = expected[iu]
-    np.testing.assert_array_equal(kernel.gram(X), expected)
+    # sizes across BLAS tile edges (255-257) and Gaussian-RBF row-block
+    # edges (549, 700), in every memory layout a caller can pass
+    for n in (1, 2, 255, 256, 257, 549, 700):
+        for d in (1, 3, 10):
+            k = dataclasses.replace(kernel, input_dim=d)
+            X = np.random.default_rng(n * d).normal(size=(n, d))
+            for layout, view in _layouts(X).items():
+                G = k.gram(view)
+                np.testing.assert_array_equal(G, G.T, err_msg=f"{n} {d} {layout}")
+            G = k.gram(X)
+            assert np.linalg.eigvalsh(G).min() >= -1e-8 * np.trace(G)
 
 
 def test_gaussian_values_in_unit_interval():
@@ -144,7 +136,6 @@ def test_sup_norm_linear_empirical():
     assert res.value == 0.0 and res.method == "empirical-sup"
     res = sup_norm_on_region(k, region, probes=[[3.0, 4.0], [0.0, 0.0]])
     assert res.value == pytest.approx(5.0, rel=1e-15)
-    assert res.region_id == 2
 
 
 def test_sup_norm_linear_needs_probes():
@@ -265,3 +256,46 @@ def test_gaussian_gram_peaks_at_one_n_by_n_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * n * n * 8
+
+
+def _chunked_matrix(kernel, X, Z):
+    # Kernel.matrix as it was written before it called _cross once
+    out = np.empty((X.shape[0], Z.shape[0]))
+    rows = chunk_rows(Z.shape[0])
+    for start in range(0, X.shape[0], rows):
+        out[start:start + rows] = kernel._cross(X[start:start + rows], Z)
+    return out
+
+
+@pytest.mark.parametrize("dim", [1, 3, 10])
+@pytest.mark.parametrize("kernel", [Linear(input_dim=1),
+                                    Polynomial(degree=3, offset=0.5, input_dim=1)],
+                         ids=["linear", "polynomial"])
+def test_matrix_above_chunk_budget_matches_chunked_form(kernel, dim):
+    k = dataclasses.replace(kernel, input_dim=dim)
+    rng = np.random.default_rng(40 + dim)
+    m = 2000
+    X = rng.normal(size=(_CHUNK_BUDGET // m + 101, dim))  # two chunks
+    Z = rng.normal(size=(m, dim))
+    got = k.matrix(X, Z)
+    want = _chunked_matrix(k, X, Z)
+    if dim <= 3:
+        np.testing.assert_array_equal(got, want)
+    else:
+        # BLAS may block the longer product differently over 10 columns
+        np.testing.assert_allclose(got, want, rtol=0,
+                                   atol=1e-15 * np.abs(want).max())
+
+
+def test_polynomial_matrix_peaks_at_its_output():
+    rng = np.random.default_rng(16)
+    X = rng.normal(size=(1000, 3))
+    Z = rng.normal(size=(1000, 3))
+    k = Polynomial(degree=3, offset=1.0, input_dim=3)
+    tracemalloc.start()
+    try:
+        k.matrix(X, Z)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * X.shape[0] * Z.shape[0] * 8
