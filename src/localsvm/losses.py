@@ -13,11 +13,16 @@ log1p/logaddexp branches instead of the naive formulas.
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import expit
 
 from .errors import InputError
 
 _LN4 = float(np.log(4.0))
+
+
+def _expit(v):
+    """1 / (1 + exp(-v)), from exp(-|v|) only: no overflow, exact tails."""
+    e = np.exp(-np.abs(v))
+    return np.where(v >= 0, 1.0, e) / (1.0 + e)
 
 
 class SmoothLoss:
@@ -71,13 +76,13 @@ class LogisticClassification(SmoothLoss):
     def dt(self, y, t):
         y = self._check_labels(y)
         t = np.asarray(t, dtype=float)
-        return -y * expit(-y * t)
+        return -y * _expit(-y * t)
 
     def dtt(self, y, t):
         y = self._check_labels(y)
         t = np.asarray(t, dtype=float)
         u = y * t
-        return expit(u) * expit(-u)
+        return _expit(u) * _expit(-u)
 
 
 class LogisticRegression(SmoothLoss):

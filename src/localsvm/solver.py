@@ -12,10 +12,14 @@ are exposed so the identity can be audited.
 With g = w . L'(y, K alpha) + 2 lam alpha and D = w . L''(y, K alpha) >= 0,
 the gradient in alpha-coordinates is K g and the Hessian is K (D K + 2 lam I).
 Any step s with (D K + 2 lam I) s = -g therefore solves the Newton system.
-It is found in the kernel-IRLS form (Zhu & Hastie, JCGS 2005): one Cholesky
-solve A r = -D^1/2 K g of the symmetric positive definite matrix
-A = D^1/2 K D^1/2 + 2 lam I, whose eigenvalues are at least 2 lam even when
-duplicated points make K singular, then s = -(g + D^1/2 r) / (2 lam).
+It is found in the kernel-IRLS form (Zhu & Hastie, JCGS 2005): conjugate
+gradients (Hestenes & Stiefel, 1952) solve A r = -D^1/2 K g, applying
+A = D^1/2 K D^1/2 + 2 lam I through one product with K per iteration, and
+s = -(g + D^1/2 r) / (2 lam). As the weights sum to 1, the eigenvalues of A
+lie in [2 lam, 2 lam + sum_i D_i K_ii], so kappa(A) <= 1 + L''_max
+||k||_inf^2 / (2 lam) for any data, even a singular K: a few iterations
+reach the stopping residual. Only for lam near 1e-4 and below can CG cost
+more than a Cholesky factorization of A would.
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .data import WeightedSample, as_points
 from .errors import ConvergenceError, InputError
@@ -37,6 +40,7 @@ _MIN_STEP = 1e-16
 # the Armijo decrease would drown in objective rounding noise; take the full
 # step (damping is a globalization device only)
 _FULL_STEP_GNORM = 1e-6
+_CG_RTOL = 1e-13  # relative residual at which conjugate gradients stop
 
 
 @dataclass(frozen=True)
@@ -57,13 +61,27 @@ class TrainConfig:
 
 
 @dataclass(frozen=True)
+class SolveInfo:
+    """How ``train`` reached its solution: Newton steps taken, conjugate
+    gradient iterations (total and the most in one step), Armijo halvings,
+    steepest-descent fallbacks and the final gradient sup-norm."""
+
+    newton_iters: int
+    cg_iters: int
+    cg_iters_max: int
+    backtracks: int
+    fallbacks: int
+    grad_norm: float
+
+
+@dataclass(frozen=True)
 class LocalModel:
     """Kernel expansion f(x) = sum_i alpha_i k(x, anchor_i).
 
     ``region_id`` is the region the model was trained for, or "global".
-    ``h_norm_sq`` is
-    alpha' K alpha as ``train`` already computed it; it is None on
-    hand-built and deserialized models, whose H-norm comes from the Gram.
+    ``h_norm_sq`` is alpha' K alpha as ``train`` already computed it, and
+    ``solve_info`` how it got there; both are None on hand-built and
+    deserialized models, whose H-norm comes from the Gram.
     """
 
     alpha: np.ndarray
@@ -73,6 +91,7 @@ class LocalModel:
     lam: float
     region_id: Union[int, str] = "global"
     h_norm_sq: Optional[float] = None
+    solve_info: Optional[SolveInfo] = None
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
@@ -164,25 +183,31 @@ def _loss_terms(loss, y, f, shifted):
     return loss.shifted_value(y, f) if shifted else loss.value(y, f)
 
 
-def _newton_step(K, g, grad, D, lam):
-    """A solution s of K (D K + 2 lam I) s = -grad, where grad = K g.
+def _irls_solve(K, sqrt_d, b, lam):
+    """Conjugate gradients on (D^1/2 K D^1/2 + 2 lam I) r = b; returns r and
+    the iteration count. Stops at |res| <= _CG_RTOL |b| or after n steps."""
+    r, res = np.zeros_like(b), b.copy()
+    p, rr = res.copy(), float(res @ res)
+    stop = _CG_RTOL ** 2 * rr
+    for it in range(b.shape[0]):
+        if not rr > stop:
+            return r, it
+        Ap = sqrt_d * (K @ (sqrt_d * p)) + 2.0 * lam * p
+        a = rr / float(p @ Ap)
+        r += a * p
+        res -= a * Ap
+        rr, rr_old = float(res @ res), rr
+        p = res + (rr / rr_old) * p
+    return r, b.shape[0]
 
-    One Cholesky solve A r = -D^1/2 grad of A = D^1/2 K D^1/2 + 2 lam I, then
-    s = -(g + D^1/2 r) / (2 lam). A is symmetric, so its C-ordered buffer
-    read as A.T is the Fortran-ordered matrix LAPACK factors in place; only
-    K and A are held. A fails to factor only on non-finite input, and the
-    step then falls back to steepest descent.
-    """
+
+def _newton_step(K, g, grad, D, lam):
+    """A solution s of K (D K + 2 lam I) s = -grad, where grad = K g, and its
+    CG iteration count. A non-finite D gives a NaN step, which ``train``
+    replaces by steepest descent."""
     sqrt_d = np.sqrt(D)
-    A = np.multiply(K, sqrt_d[:, None])
-    A *= sqrt_d
-    A.flat[::A.shape[0] + 1] += 2.0 * lam
-    try:
-        factor = cho_factor(A.T, lower=True, overwrite_a=True, check_finite=False)
-    except np.linalg.LinAlgError:
-        return -grad
-    r = cho_solve(factor, -sqrt_d * grad, overwrite_b=True, check_finite=False)
-    return -(g + sqrt_d * r) / (2.0 * lam)
+    r, iters = _irls_solve(K, sqrt_d, -sqrt_d * grad, lam)
+    return -(g + sqrt_d * r) / (2.0 * lam), iters
 
 
 def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
@@ -214,10 +239,13 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     else:
         alpha = np.zeros(n)
 
-    def fitted(alpha, f):
+    steps = cg_total = cg_max = backtracks = fallbacks = 0
+
+    def fitted(alpha, f, gnorm):
+        info = SolveInfo(steps, cg_total, cg_max, backtracks, fallbacks, gnorm)
         return LocalModel(alpha=alpha, anchors=sample.X, kernel=kernel,
                           loss=loss, lam=lam, region_id=region_id,
-                          h_norm_sq=float(alpha @ f))
+                          h_norm_sq=float(alpha @ f), solve_info=info)
 
     f = K @ alpha
     best_alpha, best_gnorm = alpha.copy(), np.inf
@@ -228,15 +256,17 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
         if gnorm < best_gnorm:
             best_alpha, best_gnorm = alpha.copy(), gnorm
         if gnorm <= cfg.grad_tol:
-            return fitted(alpha, f)
+            return fitted(alpha, f, gnorm)
 
-        step = _newton_step(K, g, grad, w * loss.dtt(y, f), lam)
+        step, cg = _newton_step(K, g, grad, w * loss.dtt(y, f), lam)
+        cg_total, cg_max = cg_total + cg, max(cg_max, cg)
         descent = float(grad @ step)
         if not descent < 0:
+            fallbacks += 1
             step = -grad
             descent = float(grad @ step)
             if not descent < 0:  # grad == 0 exactly
-                return fitted(alpha, f)
+                return fitted(alpha, f, gnorm)
 
         Ks = K @ step
         if gnorm <= _FULL_STEP_GNORM:
@@ -254,13 +284,15 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
                 if J_try <= J0 + ARMIJO_C * t * descent:
                     break
                 t *= 0.5
+                backtracks += 1
         alpha = alpha + t * step
         f = f + t * Ks
+        steps += 1
 
     grad = K @ (w * loss.dt(y, f) + 2.0 * lam * alpha)
     gnorm = float(np.max(np.abs(grad)))
     if gnorm <= cfg.grad_tol:
-        return fitted(alpha, f)
+        return fitted(alpha, f, gnorm)
     if gnorm < best_gnorm:
         best_alpha, best_gnorm = alpha, gnorm
     raise ConvergenceError(

@@ -157,6 +157,22 @@ def test_threaded_fit_matches_serial():
                                       threaded.locals[b].alpha)
 
 
+def test_fit_coefficients_bitwise_across_runs_and_threads():
+    # regions of a few hundred anchors, so every Newton step runs several
+    # conjugate-gradient iterations
+    data = two_blobs(n_per=300, gap=1.5, seed=12)
+    part = regionalize(data.X, b_target=3, tau=0.3, min_region_size=5, seed=4)
+    scheme = WeightScheme("normalized-indicator", part)
+    config = _config(lam=0.05)
+    fits = [fit_composed(data, part, scheme, config, threads=t) for t in (1, 1, 2)]
+    assert all(m.solve_info.cg_iters > m.solve_info.newton_iters
+               for m in fits[0].locals.values())
+    for other in fits[1:]:
+        for b in fits[0].locals:
+            np.testing.assert_array_equal(fits[0].locals[b].alpha,
+                                          other.locals[b].alpha)
+
+
 def test_empirical_risk_examples():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     y = np.array([0.3, -0.7])

@@ -430,12 +430,15 @@ def test_import_cli_leaves_scipy_stats_unloaded():
     import sys
     from pathlib import Path
 
+    # the only scipy import is scipy.stats inside default_probes
     src = str(Path(cli.__file__).resolve().parents[1])
     code = ("import sys, localsvm.cli; "
-            "sys.exit('scipy.stats' in sys.modules)")
+            "print(' '.join(m for m in sys.modules "
+            "if m == 'scipy' or m.startswith('scipy.')))")
     result = subprocess.run([sys.executable, "-c", code], cwd=src,
                             capture_output=True, timeout=120)
     assert result.returncode == 0, result.stderr.decode()
+    assert result.stdout.decode().split() == []
 
 
 def _summary_rebuilding_samples(model, data):

@@ -157,3 +157,18 @@ def test_loss_registry():
     assert isinstance(loss_from_name("logistic-regression"), LogisticRegression)
     with pytest.raises(InputError):
         loss_from_name("hinge")
+
+
+def test_expit_matches_scipy():
+    from scipy.special import expit
+    from localsvm.losses import _expit
+
+    v = np.concatenate([np.linspace(-740.0, 740.0, 200_001),
+                        [-1e300, -50.0, -1e-300, 0.0, 1e-300, 50.0, 1e300]])
+    ours, ref = _expit(v), expit(v)
+    # below -709.78 scipy's 1 / (1 + exp(-v)) underflows to 0 while the
+    # -|v| form keeps the subnormal value; both are within one tiny of 0
+    normal = ref >= np.finfo(float).tiny
+    np.testing.assert_allclose(ours[normal], ref[normal], rtol=1e-15, atol=0)
+    assert np.all(np.abs(ours[~normal] - ref[~normal]) <= np.finfo(float).tiny)
+    assert np.all((ours >= 0) & (ours <= 1))

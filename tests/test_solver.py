@@ -4,13 +4,14 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
 from localsvm import (CoverageError, ConvergenceError, GaussianRBF, InputError,
                       Linear, LocalModel, LogisticClassification,
-                      LogisticRegression, TrainConfig, WeightedSample,
-                      audit_model_bounds, objective,
-                      shifted_unshifted_identity_check, train)
+                      LogisticRegression, Polynomial, TrainConfig,
+                      WeightedSample, audit_model_bounds, objective,
+                      shifted_unshifted_identity_check, solver, train)
 from localsvm.kernels import _CHUNK_BUDGET
 from conftest import random_sample
 
@@ -290,9 +291,9 @@ def test_predict_memory_stays_within_a_few_chunks():
 
 
 def ridged_lu_newton(sample, kernel, loss, cfg):
-    """The Newton loop ``train`` used before its Cholesky step: the system
+    """The Newton loop ``train`` used before its IRLS step: the system
     K (D K) + 2 lam K with a trace-scaled ridge, solved by LU. Kept as the
-    reference the Cholesky step is compared against."""
+    reference the IRLS step is compared against."""
     K = kernel.gram(sample.X)
     y, w, lam = sample.y, sample.weights, cfg.lam
     alpha = np.zeros(sample.n)
@@ -335,7 +336,7 @@ def assert_matches_reference(sample, kernel, loss, cfg, probes):
 
 
 @pytest.mark.parametrize("seed", range(6))
-def test_cholesky_step_matches_ridged_lu_reference(seed):
+def test_newton_step_matches_ridged_lu_reference(seed):
     classification = seed % 2 == 0
     rng = np.random.default_rng(40 + seed)
     sample = random_sample(int(rng.integers(5, 41)), seed=seed + 200,
@@ -347,9 +348,9 @@ def test_cholesky_step_matches_ridged_lu_reference(seed):
 
 
 @pytest.mark.parametrize("loss", [REG, CLS])
-def test_cholesky_step_with_duplicated_points(loss):
+def test_newton_step_with_duplicated_points(loss):
     # three repeated points make the Gram matrix singular; the old loop
-    # needed its ridge there, the Cholesky system does not
+    # needed its ridge there, the IRLS system does not
     sample = random_sample(20, seed=31, classification=loss is CLS)
     X = sample.X.copy()
     X[17:] = X[:3]
@@ -360,7 +361,7 @@ def test_cholesky_step_with_duplicated_points(loss):
     assert_matches_reference(sample, k, loss, TrainConfig(lam=0.2), probes)
 
 
-def test_cholesky_step_with_rank_two_linear_kernel():
+def test_newton_step_with_rank_two_linear_kernel():
     rng = np.random.default_rng(33)
     X = rng.uniform(-1, 1, size=(25, 2))
     y = X @ np.array([0.5, -1.0]) + 0.05 * rng.standard_normal(25)
@@ -380,3 +381,144 @@ def test_recorded_h_norm_matches_gram(seed):
     from_gram = LocalModel.from_dict(model.to_dict())
     assert from_gram.h_norm_sq is None
     assert model.h_norm() == pytest.approx(from_gram.h_norm(), rel=1e-12)
+
+
+def cholesky_newton_step(K, g, grad, D, lam):
+    """The Newton step ``train`` took before conjugate gradients: one
+    Cholesky solve of A = D^1/2 K D^1/2 + 2 lam I formed in full. Kept as
+    the reference the CG step is compared against."""
+    sqrt_d = np.sqrt(D)
+    A = sqrt_d[:, None] * K * sqrt_d
+    A[np.diag_indices_from(A)] += 2.0 * lam
+    r = cho_solve(cho_factor(A, lower=True), -sqrt_d * grad)
+    return -(g + sqrt_d * r) / (2.0 * lam), 0
+
+
+def _with_duplicates(sample):
+    X = sample.X.copy()
+    X[-5:] = X[:5]
+    return WeightedSample(X, sample.y, sample.weights)
+
+
+STEP_KERNELS = [GaussianRBF(gamma=1.0, input_dim=2), GaussianRBF(gamma=5.0, input_dim=2),
+                Polynomial(degree=3, offset=1.0, input_dim=2), Linear(input_dim=2)]
+STEP_LAMS = [1e-4, 1e-2, 0.5]
+
+
+def _kappa_bound(kernel, loss, sample, lam):
+    """The a-priori condition bound 1 + L''_max ||k||^2_inf / (2 lam) of the
+    IRLS matrix; it holds because the sample weights sum to 1."""
+    d2_max = 0.25 if loss is CLS else 0.5
+    k_sq = float(np.max(np.diag(kernel.gram(sample.X))))
+    return 1.0 + d2_max * k_sq / (2.0 * lam)
+
+
+@pytest.mark.parametrize("lam", STEP_LAMS)
+@pytest.mark.parametrize("kernel", STEP_KERNELS, ids=["rbf1", "rbf5", "poly3", "linear"])
+@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
+def test_cg_step_matches_cholesky_step(loss, kernel, lam):
+    sample = _with_duplicates(random_sample(80, seed=50, classification=loss is CLS))
+    rng = np.random.default_rng(51)
+    K = kernel.gram(sample.X)
+    alpha = 0.1 * rng.standard_normal(sample.n)
+    f = K @ alpha
+    g = sample.weights * loss.dt(sample.y, f) + 2.0 * lam * alpha
+    grad = K @ g
+    D = sample.weights * loss.dtt(sample.y, f)
+    step, iters = solver._newton_step(K, g, grad, D, lam)
+    ref, _ = cholesky_newton_step(K, g, grad, D, lam)
+    assert 0 < iters <= sample.n
+    # both solve the Newton system K (D K + 2 lam I) s = -grad
+    scale = np.max(np.abs(ref))
+    np.testing.assert_allclose(step, ref, rtol=0, atol=1e-9 * scale)
+    newton = K @ (D * (K @ step) + 2.0 * lam * step) + grad
+    assert np.max(np.abs(newton)) <= 1e-10 * np.max(np.abs(grad))
+
+
+@pytest.mark.parametrize("lam", STEP_LAMS)
+@pytest.mark.parametrize("kernel", STEP_KERNELS, ids=["rbf1", "rbf5", "poly3", "linear"])
+@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
+def test_cg_train_matches_cholesky_train(monkeypatch, loss, kernel, lam):
+    sample = _with_duplicates(random_sample(60, seed=52, classification=loss is CLS))
+    cfg = TrainConfig(lam=lam)
+    model = train(sample, kernel, loss, cfg)
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_newton_step", cholesky_newton_step)
+        ref = train(sample, kernel, loss, cfg)
+    probes = np.random.default_rng(53).uniform(-2.5, 2.5, size=(200, 2))
+    expected = ref.predict(probes)
+    np.testing.assert_allclose(model.predict(probes), expected, rtol=0,
+                               atol=1e-9 * max(1.0, np.max(np.abs(expected))))
+    info = model.solve_info
+    assert info.grad_norm <= cfg.grad_tol and info.fallbacks == 0
+    assert info.newton_iters == ref.solve_info.newton_iters
+    # CG reaches residual tol * |b| within the Chebyshev bound
+    # 2 sqrt(kappa) rho^k, rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)
+    root = math.sqrt(_kappa_bound(kernel, loss, sample, lam))
+    rho = (root - 1.0) / (root + 1.0)
+    bound = math.ceil(math.log(2.0 * root / solver._CG_RTOL) / math.log(1.0 / rho))
+    assert 0 < info.cg_iters_max <= min(bound, sample.n)
+    assert info.cg_iters_max <= info.cg_iters <= info.newton_iters * info.cg_iters_max
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_curvature_gives_a_nan_step(bad):
+    sample = random_sample(10, seed=54)
+    K = GaussianRBF(gamma=1.0, input_dim=2).gram(sample.X)
+    g = np.linspace(-0.1, 0.1, 10)
+    D = np.full(10, 0.05)
+    D[3] = bad
+    with np.errstate(invalid="ignore"):
+        step, _ = solver._newton_step(K, g, K @ g, D, 0.1)
+    # the descent test in train then fails and takes -grad instead
+    assert np.isnan(step[3]) and np.isnan((K @ g) @ step)
+
+
+def test_non_finite_curvature_falls_back_to_steepest_descent():
+    class FirstCurvatureNaN(LogisticRegression):
+        calls = 0
+
+        def dtt(self, y, t):
+            FirstCurvatureNaN.calls += 1
+            d = super().dtt(y, t)
+            return d * np.nan if FirstCurvatureNaN.calls == 1 else d
+
+    sample = random_sample(15, seed=55)
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    cfg = TrainConfig(lam=0.3)
+    model = train(sample, k, FirstCurvatureNaN(), cfg)
+    assert model.solve_info.fallbacks == 1
+    assert model.solve_info.grad_norm <= cfg.grad_tol
+    ref = train(sample, k, REG, cfg)
+    assert ref.solve_info.fallbacks == 0
+    probes = np.random.default_rng(56).uniform(-2.5, 2.5, size=(100, 2))
+    np.testing.assert_allclose(model.predict(probes), ref.predict(probes),
+                               rtol=0, atol=1e-9)
+
+
+def test_solve_info_counts_and_is_not_serialized():
+    sample = random_sample(30, seed=57, classification=True)
+    model = train(sample, GaussianRBF(gamma=1.0, input_dim=2), CLS,
+                  TrainConfig(lam=0.05))
+    info = model.solve_info
+    assert info.newton_iters >= 1 and info.grad_norm <= 1e-10
+    assert info.cg_iters >= info.cg_iters_max >= 1
+    assert "solve_info" not in model.to_dict()
+    assert LocalModel.from_dict(model.to_dict()).solve_info is None
+    # a converged warm start takes no step
+    again = train(sample, model.kernel, CLS, TrainConfig(lam=0.05),
+                  warm_start=model.alpha)
+    assert again.solve_info.newton_iters == again.solve_info.cg_iters == 0
+
+
+def test_train_peaks_at_one_gram_buffer():
+    n = 1500
+    sample = random_sample(n, seed=58, classification=True)
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    tracemalloc.start()
+    try:
+        train(sample, k, CLS, TrainConfig(lam=0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * n * n * 8
