@@ -23,8 +23,10 @@ bounding box) and therefore lower bounds of the essential sup.
 
 from __future__ import annotations
 
+import importlib.util
 import warnings
 from dataclasses import dataclass, field
+from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -44,6 +46,9 @@ DEFAULT_EXTRA_PROBES = 512
 H_NORM_SLACK = 1e-3
 #: most bounding-box corners in the adversarial maxbias family
 MAX_CORNERS = 8
+#: Sobol points are multiples of 2^-_SOBOL_BITS, scipy's default precision
+_SOBOL_BITS = 30
+_SOBOL_TABLE = "_sobol_direction_numbers.npz"
 
 
 class LadderConvergenceWarning(UserWarning):
@@ -204,20 +209,59 @@ class InfluenceEstimate:
     converged: bool
 
 
+def _sobol_table(dim: int):
+    """Primitive polynomials and initial direction numbers of the first
+    ``dim`` Sobol dimensions (Joe & Kuo, 2008), read from the table file
+    scipy ships, without importing any scipy module."""
+    spec = importlib.util.find_spec("scipy")
+    roots = None if spec is None else spec.submodule_search_locations
+    path = Path(roots[0], "stats", _SOBOL_TABLE) if roots else None
+    if path is None or not path.is_file():
+        raise InputError(f"audit probes need the Sobol direction numbers in "
+                         f"scipy/stats/{_SOBOL_TABLE}, which was not found")
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    if dim > poly.shape[0]:
+        raise InputError(f"Sobol probes support at most {poly.shape[0]} "
+                         f"dimensions, got {dim}")
+    return poly[:dim], vinit[:dim]
+
+
+def _sobol(n: int, dim: int) -> np.ndarray:
+    """The first n points of the unscrambled Sobol sequence in [0, 1)^dim,
+    bitwise equal to scipy's ``qmc.Sobol(dim, scramble=False).random(n)``."""
+    if n > 2 ** _SOBOL_BITS:
+        raise InputError(f"at most 2^{_SOBOL_BITS} Sobol probes, got {n}")
+    poly, vinit = _sobol_table(dim)
+    bits = max(1, (n - 1).bit_length())  # direction columns n points use
+    v = np.ones((dim, bits), dtype=np.int64)
+    for d in range(1, dim):  # recurrence of Bratley & Fox (1988)
+        p = int(poly[d])
+        m = p.bit_length() - 1
+        row = [int(c) for c in vinit[d, :m]]
+        for j in range(m, bits):
+            new = row[j - m]
+            for k in range(m):
+                if (p >> (m - 1 - k)) & 1:
+                    new ^= row[j - k - 1] << (k + 1)
+            row.append(new)
+        v[d] = row[:bits]
+    v <<= np.arange(_SOBOL_BITS - 1, _SOBOL_BITS - 1 - bits, -1)
+    # point i is the XOR of the columns its Gray code i ^ (i >> 1) selects
+    i = np.arange(n, dtype=np.int64)
+    gray = i ^ (i >> 1)
+    x = np.zeros((n, dim), dtype=np.int64)
+    for j in range(bits):
+        x[(gray >> j) & 1 == 1] ^= v[:, j]
+    return x * 2.0 ** -_SOBOL_BITS
+
+
 def default_probes(data: Dataset, n_extra: int = DEFAULT_EXTRA_PROBES) -> np.ndarray:
     """Training inputs plus a deterministic Sobol fill of their bounding box."""
-    # imported here: scipy.stats is the slowest import of the package and
-    # only audits need probes
-    from scipy.stats import qmc
-
     lo, hi = data.bounding_box()
     if n_extra <= 0:
         return data.X.copy()
-    sampler = qmc.Sobol(d=data.dim, scramble=False)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", UserWarning)  # non power-of-two counts
-        unit = sampler.random(n_extra)
-    return np.vstack([data.X, lo + unit * (hi - lo)])
+    return np.vstack([data.X, lo + _sobol(n_extra, data.dim) * (hi - lo)])
 
 
 @dataclass(frozen=True)

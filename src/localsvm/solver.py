@@ -36,9 +36,10 @@ from .losses import SmoothLoss, loss_from_name
 
 ARMIJO_C = 1e-4
 _MIN_STEP = 1e-16
-# below this gradient norm the iteration is in Newton's quadratic phase and
-# the Armijo decrease would drown in objective rounding noise; take the full
-# step (damping is a globalization device only)
+# below this gradient norm, times max(1, max_i K_ii) since grad = K g, the
+# iteration is in Newton's quadratic phase and the Armijo decrease would drown
+# in objective rounding noise; take the full step (damping is a globalization
+# device only)
 _FULL_STEP_GNORM = 1e-6
 _CG_RTOL = 1e-13  # relative residual at which conjugate gradients stop
 
@@ -203,8 +204,10 @@ def _irls_solve(K, sqrt_d, b, lam):
 
 def _newton_step(K, g, grad, D, lam):
     """A solution s of K (D K + 2 lam I) s = -grad, where grad = K g, and its
-    CG iteration count. A non-finite D gives a NaN step, which ``train``
-    replaces by steepest descent."""
+    CG iteration count. A non-finite D gives an all-NaN step without any
+    arithmetic on it, which ``train`` replaces by steepest descent."""
+    if not np.isfinite(D).all():
+        return np.full_like(g, np.nan), 0
     sqrt_d = np.sqrt(D)
     r, iters = _irls_solve(K, sqrt_d, -sqrt_d * grad, lam)
     return -(g + sqrt_d * r) / (2.0 * lam), iters
@@ -239,6 +242,8 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     else:
         alpha = np.zeros(n)
 
+    full_step_gnorm = _FULL_STEP_GNORM * float(np.max(np.diagonal(K),
+                                                      initial=1.0))
     steps = cg_total = cg_max = backtracks = fallbacks = 0
 
     def fitted(alpha, f, gnorm):
@@ -269,7 +274,7 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
                 return fitted(alpha, f, gnorm)
 
         Ks = K @ step
-        if gnorm <= _FULL_STEP_GNORM:
+        if gnorm <= full_step_gnorm:
             t = 1.0
         else:
             # backtracking line search on the objective (Armijo, c = 1e-4)

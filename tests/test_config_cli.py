@@ -7,8 +7,9 @@ import pytest
 
 import localsvm.cli as cli
 from localsvm import (ComposedModel, GaussianRBF, InputError,
-                      LogisticRegression, ModelConfig, Polynomial, TrainConfig,
-                      WeightScheme, fit_composed, regionalize)
+                      LadderConvergenceWarning, LogisticRegression,
+                      ModelConfig, Polynomial, TrainConfig, WeightScheme,
+                      fit_composed, regionalize)
 from localsvm.config import (load_config, load_csv_dataset,
                              model_config_from_config, setup_from_config,
                              task_from_config, validate_config)
@@ -425,20 +426,71 @@ def test_cli_audit_z_grid_too_large_exits_2(tmp_path, capsys, monkeypatch):
     assert "z_grid" in capsys.readouterr().err
 
 
-def test_import_cli_leaves_scipy_stats_unloaded():
+def test_import_cli_leaves_scipy_stats_unloaded(tmp_path):
     import subprocess
     import sys
     from pathlib import Path
 
-    # the only scipy import is scipy.stats inside default_probes
+    # no command imports scipy: the audit probes read only its Sobol
+    # direction-number file
     src = str(Path(cli.__file__).resolve().parents[1])
-    code = ("import sys, localsvm.cli; "
-            "print(' '.join(m for m in sys.modules "
-            "if m == 'scipy' or m.startswith('scipy.')))")
-    result = subprocess.run([sys.executable, "-c", code], cwd=src,
-                            capture_output=True, timeout=120)
-    assert result.returncode == 0, result.stderr.decode()
-    assert result.stdout.decode().split() == []
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.1})
+    cfg["dataset"]["n"] = 30
+    cfg_path = write_config(tmp_path, cfg)
+    audit = (f"rc = localsvm.cli.main(['audit', '--config', {cfg_path!r}, "
+             f"'--out', {str(tmp_path / 'o')!r}]); assert rc == 0, rc; ")
+    loaded = ("print('scipy modules:', *(m for m in sys.modules "
+              "if m == 'scipy' or m.startswith('scipy.')))")
+    for run in ("", audit):
+        code = "import sys, localsvm.cli; " + run + loaded
+        result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                                capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr.decode()
+        last = result.stdout.decode().splitlines()[-1]
+        assert last.split() == ["scipy", "modules:"], last
+    assert (tmp_path / "o" / "audit.json").is_file()
+
+
+def test_cli_train_polynomial_with_large_kernel_diagonal(tmp_path):
+    # region 1's Gram is rank one with K_ii up to 8.8e4; with an absolute
+    # full-step threshold Armijo stalled at grad norm 8e-5 and this exited 3
+    cfg = {"version": 1,
+           "dataset": {"kind": "synthetic", "task": "sine-regression",
+                       "n": 40, "dim": 1, "noise": 0.0, "seed": 70},
+           "partition": {"b_target": 5, "tau": 2.0, "min_region_size": 1,
+                         "seed": 1},
+           "scheme": {"kind": "smooth-bump", "h": 0.5},
+           "model": {"loss": "logistic-regression",
+                     "kernel": {"family": "polynomial", "degree": 5,
+                                "offset": 0.0},
+                     "lambda": 1e-3}}
+    rc = cli.main(["train", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert (tmp_path / "o" / "model.json").is_file()
+
+
+def test_cli_audit_polynomial_with_tiny_lambda(tmp_path):
+    # two points in 3-d, degree 4, lambda 1e-6: the base fit or a retrain
+    # stalled above grad_tol with the absolute threshold and this exited 3
+    cfg = {"version": 1,
+           "dataset": {"kind": "synthetic", "task": "sine-regression",
+                       "n": 2, "dim": 3, "noise": 0.0, "seed": 3},
+           "partition": {"b_target": 1, "tau": 2.0, "min_region_size": 1,
+                         "seed": 1},
+           "scheme": {"kind": "normalized-indicator"},
+           "model": {"loss": "logistic-regression",
+                     "kernel": {"family": "polynomial", "degree": 4,
+                                "offset": 0.0},
+                     "lambda": 1e-6},
+           "audit": {"extra_probes": 16, "z_grid": 2}}
+    # the fit all but interpolates, so f~ - f does not shrink with eps
+    with pytest.warns(LadderConvergenceWarning):
+        rc = cli.main(["audit", "--config", write_config(tmp_path, cfg),
+                       "--out", str(tmp_path / "o")])
+    assert rc == 0
+    assert (tmp_path / "o" / "audit.json").is_file()
 
 
 def _summary_rebuilding_samples(model, data):

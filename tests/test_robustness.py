@@ -403,3 +403,58 @@ def test_run_audit_report_schema_and_flags():
     assert len(d["per_z"]) == 2
     ladder = d["empirical"]["ladder"]
     assert [r["eps"] for r in ladder] == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 40])
+def test_default_probes_equal_scipy_sobol_fill(d):
+    import warnings
+
+    from scipy.stats import qmc
+
+    X = np.random.default_rng(60 + d).uniform(-3.0, 2.0, size=(9, d))
+    data = Dataset(X, np.zeros(9))
+    lo, hi = data.bounding_box()
+    for n in (1, 7, 512, 1000, 4096):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # non power-of-two n
+            unit = qmc.Sobol(d=d, scramble=False).random(n)
+        probes = default_probes(data, n)
+        assert probes.dtype == np.float64
+        np.testing.assert_array_equal(probes[:9], X)
+        # bitwise: the fill the scipy sampler gave before
+        assert np.array_equal(probes[9:], lo + unit * (hi - lo)), (d, n)
+
+
+def test_default_probes_without_and_with_one_extra_point():
+    data = two_blobs(n_per=5, seed=61)
+    probes = default_probes(data, 0)
+    np.testing.assert_array_equal(probes, data.X)
+    assert probes is not data.X
+    probes = default_probes(data, 1)
+    # the first Sobol point is the origin, the box's lower corner
+    np.testing.assert_array_equal(probes, np.vstack([data.X,
+                                                     data.bounding_box()[0]]))
+
+
+def test_default_probes_need_the_direction_number_file(monkeypatch, tmp_path):
+    import importlib.machinery
+    import importlib.util
+
+    data = two_blobs(n_per=5, seed=62)
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
+    with pytest.raises(InputError, match="_sobol_direction_numbers.npz"):
+        default_probes(data, 8)
+    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
+    spec.submodule_search_locations = [str(tmp_path)]  # no stats/ in it
+    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
+    with pytest.raises(InputError, match="_sobol_direction_numbers.npz"):
+        default_probes(data, 8)
+
+
+def test_default_probes_reject_dimension_or_count_beyond_the_table():
+    data = Dataset(np.zeros((2, 21202)), np.zeros(2))
+    with pytest.raises(InputError, match="at most 21201 dimensions"):
+        default_probes(data, 4)
+    # 30-bit direction numbers give 2^30 distinct points; refused unbuilt
+    with pytest.raises(InputError, match="at most 2\\^30 Sobol probes"):
+        default_probes(two_blobs(n_per=5, seed=63), 2 ** 30 + 1)

@@ -1,6 +1,7 @@
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -468,32 +469,39 @@ def test_non_finite_curvature_gives_a_nan_step(bad):
     g = np.linspace(-0.1, 0.1, 10)
     D = np.full(10, 0.05)
     D[3] = bad
-    with np.errstate(invalid="ignore"):
-        step, _ = solver._newton_step(K, g, K @ g, D, 0.1)
+    g[3] = 0.0  # an inf weight times this zero would be a NaN with a warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        step, iters = solver._newton_step(K, g, K @ g, D, 0.1)
     # the descent test in train then fails and takes -grad instead
-    assert np.isnan(step[3]) and np.isnan((K @ g) @ step)
+    assert iters == 0 and np.isnan(step).all() and np.isnan((K @ g) @ step)
 
 
 def test_non_finite_curvature_falls_back_to_steepest_descent():
-    class FirstCurvatureNaN(LogisticRegression):
-        calls = 0
+    class FirstCurvatureBad(LogisticRegression):
+        def __init__(self, bad):
+            self.bad, self.calls = bad, 0
 
         def dtt(self, y, t):
-            FirstCurvatureNaN.calls += 1
+            self.calls += 1
             d = super().dtt(y, t)
-            return d * np.nan if FirstCurvatureNaN.calls == 1 else d
+            return d * self.bad if self.calls == 1 else d
 
     sample = random_sample(15, seed=55)
     k = GaussianRBF(gamma=1.0, input_dim=2)
     cfg = TrainConfig(lam=0.3)
-    model = train(sample, k, FirstCurvatureNaN(), cfg)
-    assert model.solve_info.fallbacks == 1
-    assert model.solve_info.grad_norm <= cfg.grad_tol
     ref = train(sample, k, REG, cfg)
     assert ref.solve_info.fallbacks == 0
     probes = np.random.default_rng(56).uniform(-2.5, 2.5, size=(100, 2))
-    np.testing.assert_allclose(model.predict(probes), ref.predict(probes),
-                               rtol=0, atol=1e-9)
+    for bad in (np.nan, np.inf):
+        # warnings as errors: an inf weight must not reach an inf * 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            model = train(sample, k, FirstCurvatureBad(bad), cfg)
+        assert model.solve_info.fallbacks == 1
+        assert model.solve_info.grad_norm <= cfg.grad_tol
+        np.testing.assert_allclose(model.predict(probes), ref.predict(probes),
+                                   rtol=0, atol=1e-9)
 
 
 def test_solve_info_counts_and_is_not_serialized():
