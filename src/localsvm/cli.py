@@ -232,13 +232,10 @@ def main(argv=None) -> int:
                 "experiment": cmd_experiment}
     try:
         return handlers[args.command](args)
-    except (InputError,) as exc:
+    except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except RegionTrainingError as exc:
-        print(f"convergence error: {exc}", file=sys.stderr)
-        return EXIT_CONVERGENCE
-    except ConvergenceError as exc:
+    except (RegionTrainingError, ConvergenceError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except LocalSvmError as exc:

@@ -383,7 +383,8 @@ class AuditContext:
     The base model must be anchored at the regional samples of ``data``
     (as ``fit_composed`` leaves it) and, in every region that is not null,
     hold the config's kernel, loss and lambda; any other base model is an
-    input error.
+    input error. ``threads`` is the worker count of the base fit and of
+    the retrains of every audit step run on the context.
     """
 
     def __init__(self, data: Dataset, partition: RegionPartition,
@@ -398,6 +399,7 @@ class AuditContext:
         self.scheme = scheme
         self.config = config
         self.base = base
+        self.threads = threads
         self.probes = as_points(probes)
         self.factors, self.notes = _region_factors(scheme, config, self.probes)
         W, self.covered = scheme.weights_many(self.probes, on_uncovered="nearest")
@@ -479,22 +481,6 @@ class AuditContext:
                      gram=bordered.gram)
 
 
-def _audit_context(context, data, partition, scheme, config, probes, base,
-                   threads) -> AuditContext:
-    """The given context, checked against the arguments, or a new one."""
-    if context is None:
-        return AuditContext(data, partition, scheme, config, probes=probes,
-                            base=base, threads=threads)
-    if probes is not None or base is not None:
-        raise InputError("pass probes and base through the AuditContext")
-    if any(a is not b for a, b in ((context.data, data),
-                                   (context.partition, partition),
-                                   (context.scheme, scheme),
-                                   (context.config, config))):
-        raise InputError("the AuditContext was built for another audit")
-    return context
-
-
 def _certificate_terms(factors, lip: float, tv_by_region):
     """The certificate's per-region terms ||w_b|| ||k_b|| cap_b and their
     total, where cap_b = ||k_b|| |L|_1 TV_b / lam_b also caps the H-norm of
@@ -550,10 +536,7 @@ def tv_refined_if_bound(data: Dataset, partition: RegionPartition,
                               _tv_by_region(samples, partition, z_x, z_y))[2]
 
 
-def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
-                   config: ModelConfig, spec: ContaminationSpec, probes=None,
-                   base: Optional[ComposedModel] = None, threads: int = 1,
-                   context: Optional[AuditContext] = None) -> InfluenceEstimate:
+def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceEstimate:
     """Finite-difference influence estimate along the eps ladder.
 
     Every touched region is retrained per rung on the contaminated mixture
@@ -561,43 +544,38 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
     contribute exactly zero. The reported estimate is the bottom-rung
     quotient; consecutive-rung residuals serve as the convergence
     diagnostic for the existence of the defining limit, and a linear
-    extrapolation to eps -> 0 is reported alongside as a diagnostic.
-
-    ``context`` is the audit's AuditContext, which then supplies the probes
-    and the base model; without one, a context is built from ``probes``
-    and ``base`` (fitting the base model when it is None).
+    extrapolation to eps -> 0 is reported alongside as a diagnostic. The
+    probes, the base model and the thread count are the context's.
     """
     if len(spec.eps_ladder) < 2:
         raise InputError("the eps ladder needs at least two rungs")
-    ctx = _audit_context(context, data, partition, scheme, config, probes, base,
-                         threads)
     bordered = {}
-    for b in ctx.regions:
-        region_b = ctx.border(b, spec)
+    for b in context.regions:
+        region_b = context.border(b, spec)
         if region_b is not None:
             bordered[b] = region_b
     tasks = [(eps, b) for eps in spec.eps_ladder for b in sorted(bordered)]
 
     def _train_one(task):
         eps, b = task
-        return task, ctx.retrain(bordered[b], eps)
+        return task, context.retrain(bordered[b], eps)
 
-    tilde_models = dict(_map_tasks(_train_one, tasks, threads))
+    tilde_models = dict(_map_tasks(_train_one, tasks, context.threads))
 
     rungs = []
     rung_values = []
     for eps in spec.eps_ladder:
         preds = {}
         quotients = {}
-        h_norms = {b: 0.0 for b in ctx.regions}
+        h_norms = {b: 0.0 for b in context.regions}
         for b in sorted(bordered):
             tilde = tilde_models[(eps, b)]
             preds[b] = bordered[b].probe_block @ tilde.alpha
-            q = LocalQuotient(tilde, ctx.base.locals[b], eps, bordered[b].gram,
-                              (preds[b] - ctx.regions[b].base_preds) / eps)
+            q = LocalQuotient(tilde, context.base.locals[b], eps, bordered[b].gram,
+                              (preds[b] - context.regions[b].base_preds) / eps)
             quotients[b] = q
             h_norms[b] = q.h_norm()
-        values = (ctx.compose(preds) - ctx.base_preds) / eps
+        values = (context.compose(preds) - context.base_preds) / eps
         sup = float(np.max(np.abs(values))) if values.size else 0.0
         rungs.append(LadderRung(eps=eps, sup=sup, h_norms=h_norms))
         rung_values.append(values)
@@ -628,7 +606,7 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
         )
 
     return InfluenceEstimate(
-        context=ctx,
+        context=context,
         per_region=quotients,
         values=rung_values[-1],
         eps_used=eps_lo,
@@ -643,24 +621,20 @@ def finite_diff_if(data: Dataset, partition: RegionPartition, scheme: WeightSche
     )
 
 
-def decomposition_check(estimate: InfluenceEstimate, probes) -> float:
-    """Max |composed - sum_b w_b per_region_b| over the probes.
+def decomposition_check(estimate: InfluenceEstimate) -> float:
+    """Max |composed - sum_b w_b per_region_b| over the estimate's probes.
 
     The composed quotient is assembled from the regional predictions while
     the right-hand side recombines the local quotients from the context's
     probe rows and weights, so the residual measures only floating-point
-    association. ``probes`` must be the estimate's own.
+    association.
     """
-    ctx = estimate.context
-    probes = as_points(probes)
-    if probes.shape != ctx.probes.shape or not np.array_equal(probes, ctx.probes):
-        raise InputError("decomposition_check needs the estimate's own probes")
-    recombined = np.zeros(probes.shape[0])
+    recombined = np.zeros(estimate.values.shape[0])
     for b, q in estimate.per_region.items():
-        blocks = ctx.regions[b]
+        blocks = estimate.context.regions[b]
         recombined[blocks.rows] += blocks.weights * q.values
     return (float(np.max(np.abs(estimate.values - recombined)))
-            if probes.shape[0] else 0.0)
+            if recombined.size else 0.0)
 
 
 def _as_eps_vector(eps_by_region, B: int) -> np.ndarray:
@@ -675,11 +649,7 @@ def _as_eps_vector(eps_by_region, B: int) -> np.ndarray:
     return eps
 
 
-def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
-                  config: ModelConfig, eps_by_region, probe_specs,
-                  probes=None, base: Optional[ComposedModel] = None,
-                  threads: int = 1,
-                  context: Optional[AuditContext] = None) -> AuditReport:
+def maxbias_probe(context: AuditContext, eps_by_region, probe_specs) -> AuditReport:
     """Empirical worst-case predictor shift under full-level contamination.
 
     For each candidate contaminating distribution Q the per-region models
@@ -688,34 +658,31 @@ def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightSchem
     measured over the probes. The closed-form bound
     2 |L|_1 sum_b ||w_b|| (eps_b / lam_b) ||k_b||^2 must dominate the
     empirical maximum; regions with eps_b = 0 keep their model bit-exactly.
-    ``context`` as for ``finite_diff_if``.
+    The probes, the base model and the thread count are the context's.
     """
-    eps = _as_eps_vector(eps_by_region, partition.B)
-    ctx = _audit_context(context, data, partition, scheme, config, probes, base,
-                         threads)
-
+    eps = _as_eps_vector(eps_by_region, context.partition.B)
     terms, _, bound = _certificate_terms(
-        ctx.factors, float(config.loss.lipschitz),
-        {b: 2.0 * eps[b - 1] for b, *_ in ctx.factors})
+        context.factors, float(context.config.loss.lipschitz),
+        {b: 2.0 * eps[b - 1] for b, *_ in context.factors})
 
     def _retrained_preds(b: int, spec: ContaminationSpec):
         # one bordered region alive at a time: it is freed on return
-        bordered = ctx.border(b, spec)
+        bordered = context.border(b, spec)
         if bordered is None:
             return None
-        return bordered.probe_block @ ctx.retrain(bordered, eps[b - 1]).alpha
+        return bordered.probe_block @ context.retrain(bordered, eps[b - 1]).alpha
 
     def _shift_for(spec: ContaminationSpec) -> float:
         preds = {}
-        for b in ctx.regions:
+        for b in context.regions:
             if eps[b - 1] != 0.0:
                 preds_b = _retrained_preds(b, spec)
                 if preds_b is not None:
                     preds[b] = preds_b
-        shift = np.abs(ctx.compose(preds) - ctx.base_preds)
+        shift = np.abs(context.compose(preds) - context.base_preds)
         return float(shift.max()) if shift.size else 0.0
 
-    shifts = _map_tasks(_shift_for, list(probe_specs), threads)
+    shifts = _map_tasks(_shift_for, list(probe_specs), context.threads)
     empirical = max(shifts) if shifts else 0.0
 
     return AuditReport(
@@ -725,7 +692,7 @@ def maxbias_probe(data: Dataset, partition: RegionPartition, scheme: WeightSchem
                    "per_q_shifts": [float(s) for s in shifts],
                    "eps_by_region": eps.tolist()},
         satisfied={"maxbias": bool(empirical <= bound)},
-        notes=list(ctx.notes),
+        notes=list(context.notes),
     )
 
 
@@ -755,9 +722,8 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
     if_ok = True
     worst = None
     for spec in z_specs:
-        est = finite_diff_if(data, partition, scheme, config, spec,
-                             threads=threads, context=ctx)
-        resid = decomposition_check(est, ctx.probes)
+        est = finite_diff_if(ctx, spec)
+        resid = decomposition_check(est)
         slack = 10.0 * (grad_tol / est.eps_used + est.eps_used * est.curvature)
         sup_ok = est.sup_norm_estimate <= rough + slack
 
@@ -798,8 +764,7 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
     mb_report = None
     if maxbias_eps is not None:
         specs = adversarial_q_specs(data, config.loss.is_classification)
-        mb_report = maxbias_probe(data, partition, scheme, config, maxbias_eps,
-                                  specs, threads=threads, context=ctx)
+        mb_report = maxbias_probe(ctx, maxbias_eps, specs)
 
     empirical = {
         "if_sup": max((e["if_sup"] for e in per_z), default=0.0),

@@ -12,9 +12,10 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from localsvm import (ContaminationSpec, GaussianRBF, LambdaSchedule,
-                      LogisticClassification, LogisticRegression, ModelConfig,
-                      PartitionConfig, SyntheticTask, TrainConfig,
+from localsvm import (AuditContext, ContaminationSpec, GaussianRBF,
+                      LambdaSchedule, LogisticClassification,
+                      LogisticRegression, ModelConfig, PartitionConfig,
+                      SyntheticTask, TrainConfig,
                       WeightedSample, WeightScheme, adversarial_q_specs,
                       audit_model_bounds, consistency_trend,
                       decomposition_check, default_probes, finite_diff_if,
@@ -72,13 +73,13 @@ def audited_zs(sine_fixture):
                                 indexing="ij"), axis=-1).reshape(-1, 2)
     y_lo, y_hi = float(data.y.min()), float(data.y.max())
     spread = y_hi - y_lo
+    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base)
     results = []
     for i, z_x in enumerate(mesh):
         z_y = (y_hi + 3.0 * spread) if i % 2 == 0 else (y_lo - 3.0 * spread)
         spec = ContaminationSpec.dirac(z_x, z_y)
-        est = finite_diff_if(data, part, scheme, config, spec,
-                             probes=probes, base=base)
-        resid = decomposition_check(est, probes)
+        est = finite_diff_if(ctx, spec)
+        resid = decomposition_check(est)
         results.append((spec, est, resid))
     return results
 
@@ -148,13 +149,12 @@ def test_criterion_4_maxbias_bound(sine_fixture):
     t0 = time.time()
     data, part, scheme, config, probes, base, _ = sine_fixture
     specs = adversarial_q_specs(data, classification=False)
-    report = maxbias_probe(data, part, scheme, config, 0.1, specs,
-                           probes=probes, base=base)
+    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base)
+    report = maxbias_probe(ctx, 0.1, specs)
     expected_bound = 0.0
     for t in report.per_region_terms:
         expected_bound += 2.0 * REG.lipschitz * t.w_sup * (0.1 / t.lam) * t.k_sup**2
-    zero = maxbias_probe(data, part, scheme, config, 0.0, specs,
-                         probes=probes, base=base)
+    zero = maxbias_probe(ctx, 0.0, specs)
     ok = (report.empirical["maxbias_sup"] <= report.maxbias_bound
           and math.isclose(report.maxbias_bound, expected_bound,
                            rel_tol=1e-15, abs_tol=0.0)

@@ -247,6 +247,53 @@ def test_cli_audit_with_pretrained_model(tmp_path):
     assert rc == 0
 
 
+def test_cli_audit_retrain_convergence_failure_exits_3(tmp_path, capsys):
+    # the base model comes from --model, so the first failing train is a
+    # contaminated retrain, which raises ConvergenceError itself
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    cfg["dataset"]["n"] = 40
+    assert cli.main(["train", "--config", write_config(tmp_path, cfg),
+                     "--out", str(tmp_path / "m")]) == 0
+    cfg["model"]["max_iter"] = 1
+    cfg["model"]["grad_tol"] = 1e-15
+    rc = cli.main(["audit", "--config", write_config(tmp_path, cfg, "stiff.json"),
+                   "--model", str(tmp_path / "m" / "model.json"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 3
+    assert "convergence error:" in capsys.readouterr().err
+
+
+def test_cli_audit_q_family_none_skips_the_maxbias_probe(tmp_path):
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.1, "q_family": "none"})
+    cfg["dataset"]["n"] = 40
+    rc = cli.main(["audit", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 0
+    report = json.loads((tmp_path / "out" / "audit.json").read_text())
+    assert report["maxbias_bound"] is None
+    assert report["empirical"]["maxbias_sup"] is None
+    assert "maxbias" not in report["satisfied"]
+
+
+def test_cli_audit_q_family_default_is_corners_center_flip(tmp_path):
+    outputs = []
+    for family in (None, "corners-center-flip"):
+        audit = {"eps_ladder": [1e-2, 5e-3], "extra_probes": 16, "z_grid": 2,
+                 "maxbias_eps": 0.1}
+        if family is not None:
+            audit["q_family"] = family
+        cfg = base_config(audit=audit)
+        cfg["dataset"]["n"] = 40
+        out = tmp_path / str(family)
+        assert cli.main(["audit", "--config",
+                         write_config(tmp_path, cfg, f"{family}.json"),
+                         "--out", str(out)]) == 0
+        outputs.append((out / "audit.json").read_bytes())
+    assert outputs[0] == outputs[1]
+
+
 @pytest.mark.parametrize("field", ["lambda", "gamma", "loss"])
 def test_cli_audit_model_config_mismatch(tmp_path, capsys, field):
     # the model fits the config's data but was trained with another

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from localsvm import (ContaminationSpec, Dataset, GaussianRBF, InputError,
+from localsvm import (AuditContext, ContaminationSpec, Dataset, GaussianRBF,
+                      InputError,
                       LadderConvergenceWarning, Linear, LogisticClassification,
                       LogisticRegression, ModelConfig, Polynomial, TrainConfig,
                       WeightScheme, WeightedSample, adversarial_q_specs,
@@ -125,7 +126,8 @@ def test_finite_diff_if_localized_to_touched_regions():
     # z inside region 2's ball only
     c2 = part.region(2).center
     spec = ContaminationSpec.dirac(c2, 5.0)
-    est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
+    est = finite_diff_if(AuditContext(data, part, scheme, config, probes=probes),
+                         spec)
     assert set(est.per_region) == {2}
     assert 1 not in est.per_region
     assert est.h_norms[1] == 0.0
@@ -143,7 +145,8 @@ def test_finite_diff_if_stationary_contamination_gives_zero():
     config = _config()
     spec = ContaminationSpec.dirac(X[0], 0.0)
     probes = default_probes(data, 32)
-    est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
+    est = finite_diff_if(AuditContext(data, part, scheme, config, probes=probes),
+                         spec)
     assert est.sup_norm_estimate <= 1e-8
 
 
@@ -152,11 +155,12 @@ def test_finite_diff_if_sup_below_rough_bound():
     config = _config()
     probes = default_probes(data, 128)
     bound = if_bound(scheme, config, probes=probes).if_bound_rough
+    ctx = AuditContext(data, part, scheme, config, probes=probes)
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.uniform(data.X.min(0), data.X.max(0))
         spec = ContaminationSpec.dirac(x, float(rng.uniform(-8, 8)))
-        est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
+        est = finite_diff_if(ctx, spec)
         assert est.sup_norm_estimate <= bound
         assert est.converged
 
@@ -165,9 +169,9 @@ def test_finite_diff_if_needs_two_rungs():
     data, part, scheme = _fixture()
     spec = ContaminationSpec(eps_ladder=(1e-2, 5e-3), z_x=np.zeros(2), z_y=1.0)
     short = ContaminationSpec(eps_ladder=(1e-2,), z_x=np.zeros(2), z_y=1.0)
+    ctx = AuditContext(data, part, scheme, _config(), probes=data.X)
     with pytest.raises(InputError):
-        finite_diff_if(data, part, scheme, _config(), short,
-                       probes=data.X)
+        finite_diff_if(ctx, short)
     del spec
 
 
@@ -177,9 +181,9 @@ def test_ladder_warning_when_not_contracting():
     # nearly equal rungs leave the residual noise-dominated: ratio ~ 1
     spec = ContaminationSpec.dirac(part.region(1).center, 4.0,
                                    eps_ladder=(1.0e-2, 0.99e-2, 0.98e-2))
+    ctx = AuditContext(data, part, scheme, config, probes=data.X)
     with pytest.warns(LadderConvergenceWarning):
-        est = finite_diff_if(data, part, scheme, config, spec,
-                             probes=data.X)
+        est = finite_diff_if(ctx, spec)
     assert not est.converged
 
 
@@ -187,12 +191,13 @@ def test_decomposition_identity():
     data, part, scheme = _fixture(n_per=15, gap=3.0, tau=0.5)
     config = _config()
     probes = default_probes(data, 128)
+    ctx = AuditContext(data, part, scheme, config, probes=probes)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = rng.uniform(data.X.min(0), data.X.max(0))
         spec = ContaminationSpec.dirac(x, float(rng.uniform(-6, 6)))
-        est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
-        assert decomposition_check(est, probes) <= 1e-10
+        est = finite_diff_if(ctx, spec)
+        assert decomposition_check(est) <= 1e-10
 
 
 def test_decomposition_single_region_is_weighted_local():
@@ -200,7 +205,8 @@ def test_decomposition_single_region_is_weighted_local():
     config = _config()
     probes = default_probes(data, 64)
     spec = ContaminationSpec.dirac(part.region(1).center, 3.0)
-    est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
+    est = finite_diff_if(AuditContext(data, part, scheme, config, probes=probes),
+                         spec)
     W, _ = scheme.weights_many(probes, on_uncovered="nearest")
     rows = est.context.regions[1].rows
     manual = np.zeros(len(probes))
@@ -213,18 +219,15 @@ def test_decomposition_check_uses_the_context_weights(monkeypatch):
     probes = default_probes(data, 64)
     overlap = (part.region(1).center + part.region(2).center) / 2.0
     spec = ContaminationSpec.dirac(overlap, 2.0)
-    est = finite_diff_if(data, part, scheme, _config(), spec, probes=probes)
+    est = finite_diff_if(AuditContext(data, part, scheme, _config(), probes=probes),
+                         spec)
     assert len(est.per_region) == 2
 
     def no_weights(*args, **kwargs):
         raise AssertionError("decomposition_check recomputed the weights")
 
     monkeypatch.setattr(WeightScheme, "weights_many", no_weights)
-    assert decomposition_check(est, probes.copy()) <= 1e-10
-    with pytest.raises(InputError):
-        decomposition_check(est, probes[:-1])
-    with pytest.raises(InputError):
-        decomposition_check(est, probes + 1e-9)
+    assert decomposition_check(est) <= 1e-10
 
 
 def test_tv_refined_examples():
@@ -298,8 +301,8 @@ def test_maxbias_zero_eps_is_exactly_zero():
     data, part, scheme = _fixture(n_per=10)
     config = _config()
     specs = adversarial_q_specs(data, classification=False)
-    report = maxbias_probe(data, part, scheme, config, 0.0, specs,
-                           probes=data.X)
+    report = maxbias_probe(AuditContext(data, part, scheme, config, probes=data.X),
+                           0.0, specs)
     assert report.maxbias_bound == 0.0
     assert report.empirical["maxbias_sup"] == 0.0
     assert report.satisfied["maxbias"]
@@ -313,8 +316,8 @@ def test_maxbias_bound_arithmetic():
     scheme = WeightScheme("normalized-indicator", part)
     config = _config(lam=0.5)
     specs = [ContaminationSpec.dirac([1.0, 1.0], 5.0)]
-    report = maxbias_probe(data, part, scheme, config, 0.1, specs,
-                           probes=data.X)
+    report = maxbias_probe(AuditContext(data, part, scheme, config, probes=data.X),
+                           0.1, specs)
     assert report.maxbias_bound == pytest.approx(0.4, rel=1e-15)
     assert report.empirical["maxbias_sup"] <= 0.4
 
@@ -324,8 +327,8 @@ def test_maxbias_empirical_below_bound_adversarial_family():
     config = _config(lam=0.4)
     specs = adversarial_q_specs(data, classification=False)
     probes = default_probes(data, 64)
-    report = maxbias_probe(data, part, scheme, config, 0.15, specs,
-                           probes=probes)
+    report = maxbias_probe(AuditContext(data, part, scheme, config, probes=probes),
+                           0.15, specs)
     assert report.empirical["maxbias_sup"] > 0.0
     assert report.empirical["maxbias_sup"] <= report.maxbias_bound
     assert report.satisfied["maxbias"]
@@ -334,10 +337,11 @@ def test_maxbias_empirical_below_bound_adversarial_family():
 def test_maxbias_eps_validation():
     data, part, scheme = _fixture(n_per=10)
     config = _config()
+    ctx = AuditContext(data, part, scheme, config, probes=data.X)
     with pytest.raises(InputError):
-        maxbias_probe(data, part, scheme, config, 0.5, [], probes=data.X)
+        maxbias_probe(ctx, 0.5, [])
     with pytest.raises(InputError):
-        maxbias_probe(data, part, scheme, config, [0.1], [], probes=data.X)
+        maxbias_probe(ctx, [0.1], [])
 
 
 def test_adversarial_q_family_structure():
@@ -362,10 +366,11 @@ def test_finite_diff_if_mixture_spec():
     probes = default_probes(data, 64)
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
     spec = ContaminationSpec.mixture(flipped)
-    est = finite_diff_if(data, part, scheme, config, spec, probes=probes)
+    est = finite_diff_if(AuditContext(data, part, scheme, config, probes=probes),
+                         spec)
     assert set(est.per_region) == {1, 2}
     assert est.sup_norm_estimate > 0.0
-    assert decomposition_check(est, probes) <= 1e-10
+    assert decomposition_check(est) <= 1e-10
     bound = if_bound(scheme, config, probes=probes).if_bound_rough
     assert est.sup_norm_estimate <= bound
 
