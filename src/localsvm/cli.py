@@ -102,9 +102,8 @@ def _train_summary(model: ComposedModel) -> str:
 
 def cmd_train(args) -> int:
     _, setup, config, out_dir = _prepare(args)
-    partition, scheme = setup.partition_cfg.build(setup.data.X)
-    model = fit_composed(setup.data, partition, scheme, config,
-                         threads=args.threads)
+    scheme = setup.partition_cfg.build(setup.data.X)
+    model = fit_composed(setup.data, scheme, config, threads=args.threads)
     model_path = out_dir / "model.json"
     text = _json_text(model.to_dict(), model_path.name)
     summary = _train_summary(model)
@@ -142,7 +141,7 @@ def _z_specs_from_config(raw, data, ladder, classification):
 
 def cmd_audit(args) -> int:
     raw, setup, config, out_dir = _prepare(args)
-    partition, scheme = setup.partition_cfg.build(setup.data.X)
+    scheme = setup.partition_cfg.build(setup.data.X)
     audit_cfg = raw.get("audit", {})
     ladder = tuple(audit_cfg.get("eps_ladder", DEFAULT_EPS_LADDER))
     probes = default_probes(setup.data,
@@ -157,12 +156,11 @@ def cmd_audit(args) -> int:
             raise InputError(f"model file not found: {args.model}") from None
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot parse model {args.model}: {exc}") from None
-        if base.partition.B != partition.B:
+        if base.partition.B != scheme.B:
             raise InputError("model partition does not match the config partition")
-        partition = base.partition
-        if partition.points is None:
+        if base.partition.points is None:
             # fit-time training points back the weight sup-norm estimates
-            partition.attach_points(setup.data.X)
+            base.partition.attach_points(setup.data.X)
         scheme = base.scheme
 
     z_specs = _z_specs_from_config(raw, setup.data, ladder,
@@ -171,7 +169,7 @@ def cmd_audit(args) -> int:
     maxbias = {k: audit_cfg[k] for k in ("maxbias_eps",) if k in audit_cfg}
     if audit_cfg.get("q_family") == "none":
         maxbias["maxbias_eps"] = None
-    report = run_audit(setup.data, partition, scheme, config, z_specs,
+    report = run_audit(setup.data, scheme, config, z_specs,
                        probes=probes, base=base, threads=args.threads,
                        **maxbias)
 

@@ -55,10 +55,9 @@ class ComposedModel:
     """f_comp(x) = sum_b w_b(x) f_b(x) over the scheme's regions."""
 
     def __init__(self, locals_by_region: Mapping[int, LocalModel],
-                 scheme: WeightScheme, null_region_ids=frozenset()):
+                 scheme: WeightScheme):
         self.locals = dict(sorted(locals_by_region.items()))
         self.scheme = scheme
-        self.null_region_ids = frozenset(int(b) for b in null_region_ids)
         B = scheme.partition.B
         if sorted(self.locals) != list(range(1, B + 1)):
             raise InputError(
@@ -68,6 +67,11 @@ class ComposedModel:
     @property
     def partition(self) -> RegionPartition:
         return self.scheme.partition
+
+    @property
+    def null_region_ids(self) -> frozenset:
+        """The null-measure regions: those whose local model has no anchors."""
+        return frozenset(b for b, m in self.locals.items() if m.n_anchors == 0)
 
     def predict_with_coverage(self, X):
         """Predictions and the covered mask (False rows used nearest fallback)."""
@@ -102,8 +106,7 @@ class ComposedModel:
         for entry in d["locals"]:
             model = LocalModel.from_dict(entry)
             locals_by_region[int(model.region_id)] = model
-        return cls(locals_by_region, scheme,
-                   null_region_ids=frozenset(d.get("null_region_ids", [])))
+        return cls(locals_by_region, scheme)
 
 
 def _map_tasks(fn, tasks, threads: int) -> list:
@@ -118,33 +121,28 @@ def _map_tasks(fn, tasks, threads: int) -> list:
 def _fit_one(data, partition, config, b):
     sample_b = restrict(data, partition, b)
     if sample_b is None:
-        return b, LocalModel.zero(config.kernel_for(b), config.loss,
-                                  config.lam_for(b), b), True
+        return LocalModel.zero(config.kernel_for(b), config.loss,
+                               config.lam_for(b), b)
     try:
-        model = train(sample_b, config.kernel_for(b), config.loss,
-                      config.train_for(b), region_id=b)
+        return train(sample_b, config.kernel_for(b), config.loss,
+                     config.train_for(b), region_id=b)
     except LocalSvmError as exc:
         raise RegionTrainingError(b, exc) from exc
-    return b, model, False
 
 
-def fit_composed(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
-                 config: ModelConfig, threads: int = 1) -> ComposedModel:
-    """Train one local model per region and compose them under the scheme.
+def fit_composed(data: Dataset, scheme: WeightScheme, config: ModelConfig,
+                 threads: int = 1) -> ComposedModel:
+    """Train one local model per region of the scheme and compose them.
 
     Null-measure regions (no training points inside the ball) receive the
-    zero function and are recorded in ``null_region_ids``. Region trainings
-    are independent; ``threads > 1`` runs them in a thread pool with a
-    deterministic, id-ordered reduction.
+    zero function, which has no anchors. Region trainings are independent;
+    ``threads > 1`` runs them in a thread pool with a deterministic,
+    id-ordered reduction.
     """
-    if (scheme.partition is not partition
-            and not scheme.partition.same_regions(partition)):
-        raise InputError("scheme was built for a different partition")
-    results = _map_tasks(lambda b: _fit_one(data, partition, config, b),
-                         list(range(1, partition.B + 1)), threads)
-    locals_by_region = {b: model for b, model, _ in results}
-    null_ids = frozenset(b for b, _, is_null in results if is_null)
-    return ComposedModel(locals_by_region, scheme, null_region_ids=null_ids)
+    region_ids = list(range(1, scheme.B + 1))
+    models = _map_tasks(lambda b: _fit_one(data, scheme.partition, config, b),
+                        region_ids, threads)
+    return ComposedModel(dict(zip(region_ids, models)), scheme)
 
 
 def predict_composed(model: ComposedModel, X) -> np.ndarray:

@@ -21,6 +21,17 @@ def as_points(X) -> np.ndarray:
     return X
 
 
+def _reject_non_finite(what: str, X: np.ndarray, *columns) -> None:
+    """InputError naming the first row of X, or of the aligned 1-d columns,
+    that holds a nan or inf."""
+    bad = ~np.isfinite(X).all(axis=1)
+    for column in columns:
+        bad |= ~np.isfinite(column)
+    if bad.any():
+        raise InputError(f"{what} {int(np.argmax(bad))} has a non-finite value "
+                         "(nan or inf)")
+
+
 def as_labels(y) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if y.ndim != 1:
@@ -42,12 +53,7 @@ class Dataset:
             raise InputError(
                 f"{self.X.shape[0]} points but {self.y.shape[0]} labels"
             )
-        bad = ~(np.isfinite(self.X).all(axis=1) & np.isfinite(self.y))
-        if bad.any():
-            raise InputError(
-                f"dataset row {int(np.argmax(bad))} has a non-finite value "
-                "(nan or inf)"
-            )
+        _reject_non_finite("dataset row", self.X, self.y)
 
     @property
     def n(self) -> int:
@@ -86,6 +92,7 @@ class WeightedSample:
             raise InputError("a weighted sample must contain at least one atom")
         if self.y.shape[0] != n or w.shape[0] != n:
             raise InputError("points, labels and weights must have equal length")
+        _reject_non_finite("weighted sample atom", self.X, self.y, w)
         if np.any(w < 0):
             raise InputError("negative weights are not a probability measure")
         total = w.sum()

@@ -20,7 +20,7 @@ import numpy as np
 from .composer import ModelConfig, empirical_risk, fit_composed
 from .data import Dataset, WeightedSample
 from .errors import InputError
-from .regions import KIND_INDICATOR, RegionPartition, WeightScheme, regionalize
+from .regions import KIND_INDICATOR, WeightScheme, regionalize
 from .robustness import if_bound
 from .solver import train
 
@@ -145,21 +145,21 @@ class PartitionConfig:
     scheme: str = KIND_INDICATOR
     h: Optional[float] = None
 
-    def build(self, X) -> tuple[RegionPartition, WeightScheme]:
-        """Regionalize the points X and compose this scheme over the regions."""
+    def build(self, X) -> WeightScheme:
+        """Regionalize the points X; the scheme over them holds the regions."""
         partition = regionalize(X, self.b_target, self.tau,
                                 self.min_region_size, self.seed)
-        return partition, WeightScheme(self.scheme, partition, h=self.h)
+        return WeightScheme(self.scheme, partition, h=self.h)
 
 
 def _fit_for_n(data, pc, config, schedule):
-    partition, scheme = pc.build(data.X)
-    counts = partition.membership(data.X).sum(axis=0)
+    scheme = pc.build(data.X)
+    counts = scheme.partition.membership(data.X).sum(axis=0)
     region_lambdas = {b: schedule(max(int(n_b), 1))
                       for b, n_b in enumerate(counts, start=1)}
     cfg = replace(config, train=replace(config.train, lam=schedule(data.n)),
                   region_lambdas=region_lambdas)
-    return fit_composed(data, partition, scheme, cfg)
+    return fit_composed(data, scheme, cfg)
 
 
 def _mc_risk(model, eval_data: Dataset, loss) -> tuple[float, float]:
@@ -286,7 +286,7 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
     if any(l <= 0 for l in lambda_grid):
         raise InputError(f"lambda grid must be positive, got {lambda_grid}")
     data = generate(task, n)
-    partition, scheme = pc.build(data.X)
+    scheme = pc.build(data.X)
     eval_task = replace(task, seed=task.seed + EVAL_SEED_OFFSET)
     eval_data = generate(eval_task, eval_n)
 
@@ -296,7 +296,7 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
         # in the grid's lambda
         cfg = replace(config, train=replace(config.train, lam=lam),
                       region_lambdas={})
-        model = fit_composed(data, partition, scheme, cfg)
+        model = fit_composed(data, scheme, cfg)
         risk, stderr = _mc_risk(model, eval_data, config.loss)
         bound = if_bound(scheme, cfg, probes=data.X).if_bound_rough
         rows.append(SweepRow(lam=lam, risk=risk, if_bound_rough=bound,

@@ -114,13 +114,6 @@ class RegionPartition:
         gaps = np.column_stack([r.gap(X) for r in self.regions])
         return gaps.argmin(axis=1)
 
-    def same_regions(self, other: "RegionPartition") -> bool:
-        """Whether both partitions hold the same balls (ids, centers, radii)."""
-        return self.B == other.B and all(
-            a.id == b.id and a.radius == b.radius
-            and np.array_equal(a.center, b.center)
-            for a, b in zip(self.regions, other.regions))
-
     def region(self, region_id: int) -> RegionPredicate:
         try:
             return self.regions[region_id - 1]

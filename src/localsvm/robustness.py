@@ -82,6 +82,9 @@ class ContaminationSpec:
         if has_z:
             object.__setattr__(self, "z_x", np.asarray(self.z_x, dtype=float).reshape(-1))
             object.__setattr__(self, "z_y", float(self.z_y))
+            if not (np.isfinite(self.z_x).all() and np.isfinite(self.z_y)):
+                raise InputError("contamination point z has a non-finite "
+                                 "value (nan or inf)")
 
     @property
     def kind(self) -> str:
@@ -387,15 +390,14 @@ class AuditContext:
     the retrains of every audit step run on the context.
     """
 
-    def __init__(self, data: Dataset, partition: RegionPartition,
-                 scheme: WeightScheme, config: ModelConfig, probes=None,
-                 base: Optional[ComposedModel] = None, threads: int = 1):
+    def __init__(self, data: Dataset, scheme: WeightScheme, config: ModelConfig,
+                 probes=None, base: Optional[ComposedModel] = None,
+                 threads: int = 1):
         if base is None:
-            base = fit_composed(data, partition, scheme, config, threads=threads)
+            base = fit_composed(data, scheme, config, threads=threads)
         if probes is None:
             probes = default_probes(data)
         self.data = data
-        self.partition = partition
         self.scheme = scheme
         self.config = config
         self.base = base
@@ -404,11 +406,11 @@ class AuditContext:
         self.factors, self.notes = _region_factors(scheme, config, self.probes)
         W, self.covered = scheme.weights_many(self.probes, on_uncovered="nearest")
         self.regions = {b: self._blocks(b, W[:, b - 1])
-                        for b in range(1, partition.B + 1)}
+                        for b in range(1, scheme.B + 1)}
         self.base_preds = self.compose({})
 
     def _blocks(self, b: int, w: np.ndarray) -> RegionBlocks:
-        sample = restrict(self.data, self.partition, b)
+        sample = restrict(self.data, self.scheme.partition, b)
         local = self.base.locals[b]
         anchors = np.zeros((0, self.data.dim)) if sample is None else sample.X
         if not np.array_equal(local.anchors, anchors):
@@ -448,7 +450,7 @@ class AuditContext:
         blocks = self.regions[b]
         if blocks.sample is None:
             return None
-        atoms = _contamination_atoms(spec, self.partition.region(b))
+        atoms = _contamination_atoms(spec, self.scheme.partition.region(b))
         if atoms is None:
             return None
         n, m = blocks.sample.n, blocks.sample.n + atoms.n
@@ -520,8 +522,7 @@ def _tv_by_region(samples, partition: RegionPartition, z_x, z_y: float) -> dict:
             for b, sample in samples.items()}
 
 
-def tv_refined_if_bound(data: Dataset, partition: RegionPartition,
-                        scheme: WeightScheme, config: ModelConfig,
+def tv_refined_if_bound(data: Dataset, scheme: WeightScheme, config: ModelConfig,
                         z_x, z_y: float, probes=None) -> float:
     """IF bound with the exact discrete TV distance instead of the constant 2.
 
@@ -530,10 +531,10 @@ def tv_refined_if_bound(data: Dataset, partition: RegionPartition,
     the local influence function vanishes). Never exceeds the rough bound.
     """
     z_x = np.asarray(z_x, dtype=float).reshape(-1)
-    samples = {b: restrict(data, partition, b) for b in range(1, partition.B + 1)}
+    samples = {b: restrict(data, scheme.partition, b) for b in range(1, scheme.B + 1)}
     factors, _ = _region_factors(scheme, config, probes)
     return _certificate_terms(factors, float(config.loss.lipschitz),
-                              _tv_by_region(samples, partition, z_x, z_y))[2]
+                              _tv_by_region(samples, scheme.partition, z_x, z_y))[2]
 
 
 def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceEstimate:
@@ -660,7 +661,7 @@ def maxbias_probe(context: AuditContext, eps_by_region, probe_specs) -> AuditRep
     empirical maximum; regions with eps_b = 0 keep their model bit-exactly.
     The probes, the base model and the thread count are the context's.
     """
-    eps = _as_eps_vector(eps_by_region, context.partition.B)
+    eps = _as_eps_vector(eps_by_region, context.scheme.B)
     terms, _, bound = _certificate_terms(
         context.factors, float(context.config.loss.lipschitz),
         {b: 2.0 * eps[b - 1] for b, *_ in context.factors})
@@ -696,8 +697,8 @@ def maxbias_probe(context: AuditContext, eps_by_region, probe_specs) -> AuditRep
     )
 
 
-def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
-              config: ModelConfig, z_specs, maxbias_eps=0.1, probes=None,
+def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
+              z_specs, maxbias_eps=0.1, probes=None,
               base: Optional[ComposedModel] = None, threads: int = 1) -> AuditReport:
     """Audit the composed predictor against the closed-form certificates.
 
@@ -710,8 +711,8 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
     family of ``adversarial_q_specs``. The per-run state is built once, as
     one AuditContext that every spec shares.
     """
-    ctx = AuditContext(data, partition, scheme, config, probes=probes,
-                       base=base, threads=threads)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base,
+                       threads=threads)
     grad_tol = config.train.grad_tol
     lip = float(config.loss.lipschitz)
     rough_tv = {b: 2.0 for b in ctx.regions}
@@ -728,7 +729,7 @@ def run_audit(data: Dataset, partition: RegionPartition, scheme: WeightScheme,
         sup_ok = est.sup_norm_estimate <= rough + slack
 
         if spec.kind == "dirac":
-            tvs = _tv_by_region(samples, partition, spec.z_x, spec.z_y)
+            tvs = _tv_by_region(samples, scheme.partition, spec.z_x, spec.z_y)
         else:
             tvs = rough_tv  # rough TV bound for mixtures
         _, caps, refined = _certificate_terms(ctx.factors, lip, tvs)
@@ -808,8 +809,7 @@ def adversarial_q_specs(data: Dataset, classification: bool):
     lo, hi = data.bounding_box()
     d = data.dim
     corners = []
-    n_corners = min(2**d, MAX_CORNERS) if d < 30 else MAX_CORNERS
-    for i in range(n_corners):
+    for i in range(min(2 ** d, MAX_CORNERS)):
         bits = [(i >> j) & 1 for j in range(d)]
         corners.append(np.where(np.asarray(bits, dtype=bool), hi, lo))
     xs = corners + [(lo + hi) / 2.0]

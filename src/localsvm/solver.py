@@ -53,10 +53,10 @@ class TrainConfig:
     max_iter: int = 200
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise InputError(f"lambda must be positive, got {self.lam}")
-        if not self.grad_tol > 0:
-            raise InputError(f"grad_tol must be positive, got {self.grad_tol}")
+        if not 0 < self.lam < np.inf:
+            raise InputError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0 < self.grad_tol < np.inf:
+            raise InputError(f"grad_tol must be positive and finite, got {self.grad_tol}")
         if self.max_iter < 1:
             raise InputError(f"max_iter must be >= 1, got {self.max_iter}")
 
@@ -174,10 +174,9 @@ def objective(alpha, sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[0] != sample.n:
         raise InputError("alpha length must equal the sample size")
-    K = kernel.gram(sample.X)
-    f = K @ alpha
-    vals = loss.shifted_value(sample.y, f) if shifted else loss.value(sample.y, f)
-    return float(sample.weights @ vals + cfg.lam * (alpha @ f))
+    f = kernel.gram(sample.X) @ alpha
+    return float(sample.weights @ _loss_terms(loss, sample.y, f, shifted)
+                 + cfg.lam * (alpha @ f))
 
 
 def _loss_terms(loss, y, f, shifted):
@@ -223,8 +222,8 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     callers that retrain on one sample under several weightings; it is
     read, never written. Deterministic: identical inputs give
     bitwise-identical coefficients. Raises ConvergenceError (with the best
-    iterate attached) if the gradient tolerance is not reached within
-    ``cfg.max_iter`` iterations.
+    iterate attached) if the gradient turns non-finite or the gradient
+    tolerance is not reached within ``cfg.max_iter`` iterations.
     """
     y, w, lam = sample.y, sample.weights, cfg.lam
     n = sample.n
@@ -258,6 +257,10 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
         g = w * loss.dt(y, f) + 2.0 * lam * alpha
         grad = K @ g
         gnorm = float(np.max(np.abs(grad))) if n else 0.0
+        if not np.isfinite(gnorm):
+            raise ConvergenceError(f"non-finite gradient after {steps} iterations",
+                                   best_alpha=best_alpha, grad_norm=gnorm,
+                                   iterations=steps)
         if gnorm < best_gnorm:
             best_alpha, best_gnorm = alpha.copy(), gnorm
         if gnorm <= cfg.grad_tol:
@@ -270,8 +273,6 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
             fallbacks += 1
             step = -grad
             descent = float(grad @ step)
-            if not descent < 0:  # grad == 0 exactly
-                return fitted(alpha, f, gnorm)
 
         Ks = K @ step
         if gnorm <= full_step_gnorm:

@@ -57,7 +57,7 @@ def sine_fixture():
     config = ModelConfig(loss=REG, kernel=GaussianRBF(gamma=1.0, input_dim=2),
                          train=TrainConfig(lam=FIXTURE_LAM))
     probes = default_probes(data, 512)
-    base = fit_composed(data, part, scheme, config)
+    base = fit_composed(data, scheme, config)
     bound = if_bound(scheme, config, probes=probes)
     return data, part, scheme, config, probes, base, bound
 
@@ -73,7 +73,7 @@ def audited_zs(sine_fixture):
                                 indexing="ij"), axis=-1).reshape(-1, 2)
     y_lo, y_hi = float(data.y.min()), float(data.y.max())
     spread = y_hi - y_lo
-    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     results = []
     for i, z_x in enumerate(mesh):
         z_y = (y_hi + 3.0 * spread) if i % 2 == 0 else (y_lo - 3.0 * spread)
@@ -149,7 +149,7 @@ def test_criterion_4_maxbias_bound(sine_fixture):
     t0 = time.time()
     data, part, scheme, config, probes, base, _ = sine_fixture
     specs = adversarial_q_specs(data, classification=False)
-    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     report = maxbias_probe(ctx, 0.1, specs)
     expected_bound = 0.0
     for t in report.per_region_terms:

@@ -84,8 +84,7 @@ def _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base):
             locals_b[b] = tilde
             alphas[b] = tilde.alpha
             h_norms[b] = _rebuild_h_norm(tilde, base.locals[b], eps)
-        tilde_composed = ComposedModel(locals_b, scheme,
-                                       null_region_ids=base.null_region_ids)
+        tilde_composed = ComposedModel(locals_b, scheme)
         values = (tilde_composed.predict(probes) - base_preds) / eps
         rungs.append((eps, float(np.max(np.abs(values))), h_norms, alphas))
     return rungs
@@ -100,7 +99,7 @@ def _rebuild_maxbias_shifts(data, part, scheme, config, eps, specs, probes, base
             if eps[b - 1] != 0.0:
                 locals_b[b] = _rebuild_retrain(data, part, config, base, spec, b,
                                                eps[b - 1])
-        tilde = ComposedModel(locals_b, scheme, null_region_ids=base.null_region_ids)
+        tilde = ComposedModel(locals_b, scheme)
         shifts.append(float(np.abs(tilde.predict(probes) - base_preds).max()))
     return shifts
 
@@ -111,7 +110,7 @@ def _rebuild_maxbias_shifts(data, part, scheme, config, eps, specs, probes, base
 def test_bordered_gram_and_probe_block_match_rebuilt(kernel):
     data, part, scheme = _fixture()
     config = _config(kernel=kernel)
-    ctx = AuditContext(data, part, scheme, config, probes=default_probes(data, 64))
+    ctx = AuditContext(data, scheme, config, probes=default_probes(data, 64))
     checked = 0
     for spec in _specs(data, part):
         for b, blocks in ctx.regions.items():
@@ -142,7 +141,7 @@ def test_bordering_the_label_flip_mixture_makes_no_kernel_call(kernel, monkeypat
     # the mixture's atoms are each region's own points, so the bordered Gram
     # and probe block are assembled from the context's cached blocks
     data, part, scheme = _fixture()
-    ctx = AuditContext(data, part, scheme, _config(kernel=kernel),
+    ctx = AuditContext(data, scheme, _config(kernel=kernel),
                        probes=default_probes(data, 64))
     flip = _specs(data, part)[-1]
 
@@ -167,8 +166,8 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
     data, part, scheme = _fixture()
     config = _config(region_lambdas={2: 0.25})
     probes = default_probes(data, 64)
-    base = fit_composed(data, part, scheme, config)
-    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base,
+    base = fit_composed(data, scheme, config)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base,
                        threads=threads)
     for spec in _specs(data, part):
         est = finite_diff_if(ctx, spec)
@@ -188,7 +187,7 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
             np.testing.assert_array_equal(est.per_region[b].tilde.alpha, alpha)
 
         # a context of its own, built from the same probes and base: same numbers
-        alone = finite_diff_if(AuditContext(data, part, scheme, config,
+        alone = finite_diff_if(AuditContext(data, scheme, config,
                                             probes=probes, base=base,
                                             threads=threads), spec)
         assert [r.sup for r in alone.ladder] == [r.sup for r in est.ladder]
@@ -199,8 +198,8 @@ def test_finite_diff_if_matches_rebuild_reference_polynomial():
     data, part, scheme = _fixture()
     config = _config(kernel=Polynomial(degree=2, offset=1.0, input_dim=2))
     probes = default_probes(data, 64)
-    base = fit_composed(data, part, scheme, config)
-    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base)
+    base = fit_composed(data, scheme, config)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     for spec in _specs(data, part)[:2]:
         est = finite_diff_if(ctx, spec)
         ref = _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base)
@@ -215,8 +214,8 @@ def test_maxbias_probe_matches_rebuild_reference(threads):
     data, part, scheme = _fixture()
     config = _config(lam=0.4)
     probes = default_probes(data, 64)
-    base = fit_composed(data, part, scheme, config)
-    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base,
+    base = fit_composed(data, scheme, config)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base,
                        threads=threads)
     specs = adversarial_q_specs(data, classification=False)
     for eps in (np.array([0.1, 0.1]), np.array([0.0, 0.2])):
@@ -232,7 +231,7 @@ def test_maxbias_probe_matches_rebuild_reference(threads):
 def test_run_audit_builds_per_run_state_once(monkeypatch):
     data, part, scheme = _fixture()
     config = _config()
-    base = fit_composed(data, part, scheme, config)
+    base = fit_composed(data, scheme, config)
     calls = {"restrict": 0, "factors": 0}
     restrict_orig = robustness.restrict
     factors_orig = robustness._region_factors
@@ -248,7 +247,7 @@ def test_run_audit_builds_per_run_state_once(monkeypatch):
     monkeypatch.setattr(robustness, "restrict", counting_restrict)
     monkeypatch.setattr(robustness, "_region_factors", counting_factors)
     specs = _specs(data, part)
-    report = run_audit(data, part, scheme, config, specs, maxbias_eps=0.1,
+    report = run_audit(data, scheme, config, specs, maxbias_eps=0.1,
                        probes=default_probes(data, 32), base=base)
     assert report.all_satisfied
     assert calls == {"restrict": part.B, "factors": 1}
@@ -259,7 +258,7 @@ def test_run_audit_hands_its_one_context_to_every_step(monkeypatch):
     # finite_diff_if and maxbias_probe, so run_audit must call those names
     data, part, scheme = _fixture()
     config = _config()
-    base = fit_composed(data, part, scheme, config)
+    base = fit_composed(data, scheme, config)
     built, seen = [], []
     init = AuditContext.__init__
 
@@ -279,7 +278,7 @@ def test_run_audit_hands_its_one_context_to_every_step(monkeypatch):
     for name in ("finite_diff_if", "maxbias_probe"):
         monkeypatch.setattr(robustness, name, recorder(name))
     specs = _specs(data, part)
-    run_audit(data, part, scheme, config, specs, maxbias_eps=0.1,
+    run_audit(data, scheme, config, specs, maxbias_eps=0.1,
               probes=default_probes(data, 32), base=base, threads=2)
     assert len(built) == 1
     assert [name for name, _ in seen] == (["finite_diff_if"] * len(specs)
@@ -291,12 +290,12 @@ def test_run_audit_hands_its_one_context_to_every_step(monkeypatch):
 def test_context_rejects_model_trained_on_other_data():
     data, part, scheme = _fixture()
     config = _config()
-    base = fit_composed(data, part, scheme, config)
+    base = fit_composed(data, scheme, config)
     moved = data.X.copy()
     moved[0] += 1e-9
     other = type(data)(moved, data.y)
     with pytest.raises(InputError, match="anchors differ"):
-        AuditContext(other, part, scheme, config, probes=data.X, base=base)
+        AuditContext(other, scheme, config, probes=data.X, base=base)
 
 
 def test_context_rejects_a_null_region_mismatch():
@@ -305,12 +304,12 @@ def test_context_rejects_a_null_region_mismatch():
     part = manual_partition([[0.0, 0.0], [9.0, 9.0]], [5.0, 1.0], points=X)
     scheme = WeightScheme("normalized-indicator", part)
     config = _config()
-    base = fit_composed(data, part, scheme, config)
+    base = fit_composed(data, scheme, config)
     assert base.null_region_ids == {2}
     probes = np.vstack([X, [[9.0, 9.0]]])
-    ctx = AuditContext(data, part, scheme, config, probes=probes, base=base)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     assert ctx.regions[2].sample is None
     assert ctx.border(2, ContaminationSpec.dirac([9.0, 9.0], 1.0)) is None
     shifted = type(data)(np.vstack([X, [[9.0, 9.0]]]), np.zeros(13))
     with pytest.raises(InputError, match="anchors differ"):
-        AuditContext(shifted, part, scheme, config, probes=probes, base=base)
+        AuditContext(shifted, scheme, config, probes=probes, base=base)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from localsvm import (ComposedModel, Dataset, GaussianRBF, InputError, LocalModel,
+from localsvm import (ComposedModel, Dataset, GaussianRBF, LocalModel,
                       LogisticRegression, ModelConfig, RegionTrainingError,
                       TrainConfig, WeightScheme, WeightedSample, empirical_risk,
                       fit_composed, predict_composed, regionalize, restrict,
@@ -23,7 +23,7 @@ def test_single_region_equals_global_model():
     part = regionalize(data.X, b_target=1, seed=0)
     scheme = WeightScheme("normalized-indicator", part)
     config = _config()
-    composed = fit_composed(data, part, scheme, config)
+    composed = fit_composed(data, scheme, config)
     global_model = train(WeightedSample.from_dataset(data), config.kernel,
                          REG, config.train)
     probes = np.random.default_rng(2).uniform(-2, 10, size=(200, 2))
@@ -35,7 +35,7 @@ def test_disjoint_regions_use_single_local():
     data = two_blobs(n_per=20, gap=10.0, seed=3)
     part = regionalize(data.X, b_target=2, tau=0.0, min_region_size=5, seed=0)
     scheme = WeightScheme("normalized-indicator", part)
-    composed = fit_composed(data, part, scheme, _config())
+    composed = fit_composed(data, scheme, _config())
     # a training point interior to exactly one region
     x = data.X[0]
     members = part.membership(x[None, :])[0]
@@ -51,7 +51,7 @@ def test_overlap_point_averages_locals():
     data = Dataset(X, y)
     part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], points=X)
     scheme = WeightScheme("normalized-indicator", part)
-    composed = fit_composed(data, part, scheme, _config())
+    composed = fit_composed(data, scheme, _config())
     mid = [0.5, 0.0]
     expected = 0.5 * (composed.locals[1].predict_one(mid)
                       + composed.locals[2].predict_one(mid))
@@ -86,7 +86,7 @@ def test_null_region_gets_zero_model():
     data = Dataset(X, y)
     part = manual_partition([[0.5, 0.0], [50.0, 50.0]], [2.0, 1.0], points=X)
     scheme = WeightScheme("normalized-indicator", part)
-    composed = fit_composed(data, part, scheme, _config())
+    composed = fit_composed(data, scheme, _config())
     assert composed.null_region_ids == {2}
     assert composed.locals[2].n_anchors == 0
     assert composed.locals[2].h_norm() == 0.0
@@ -98,7 +98,7 @@ def test_convex_combination_bound():
     data = two_blobs(n_per=25, gap=2.5, seed=4)
     part = regionalize(data.X, b_target=3, tau=0.5, min_region_size=5, seed=1)
     scheme = WeightScheme("smooth-bump", part, h=1.0)
-    composed = fit_composed(data, part, scheme, _config(lam=0.2))
+    composed = fit_composed(data, scheme, _config(lam=0.2))
     probes = np.random.default_rng(5).uniform(-1, 4, size=(400, 2))
     M = part.membership(probes)
     covered = M.any(axis=1)
@@ -115,7 +115,7 @@ def test_pointwise_sup_bound():
     part = regionalize(data.X, b_target=2, tau=0.3, min_region_size=5, seed=1)
     scheme = WeightScheme("normalized-indicator", part)
     lam = 0.25
-    composed = fit_composed(data, part, scheme, _config(lam=lam))
+    composed = fit_composed(data, scheme, _config(lam=lam))
     probes = np.random.default_rng(7).uniform(-1, 5, size=(500, 2))
     cap = sum(weight_sup_norm(scheme, b) * (1.0 / lam) * REG.lipschitz * 1.0**2
               for b in range(1, part.B + 1))
@@ -129,7 +129,7 @@ def test_per_region_hyperparameters():
     config = _config(lam=1.0,
                      region_kernels={2: GaussianRBF(gamma=2.0, input_dim=2)},
                      region_lambdas={2: 0.05})
-    composed = fit_composed(data, part, scheme, config)
+    composed = fit_composed(data, scheme, config)
     assert composed.locals[1].lam == 1.0 and composed.locals[2].lam == 0.05
     assert composed.locals[1].kernel.gamma == 1.0
     assert composed.locals[2].kernel.gamma == 2.0
@@ -142,7 +142,7 @@ def test_training_error_tagged_with_region():
     config = ModelConfig(loss=REG, kernel=GaussianRBF(gamma=1.0, input_dim=2),
                          train=TrainConfig(lam=0.01, grad_tol=1e-15, max_iter=1))
     with pytest.raises(RegionTrainingError) as err:
-        fit_composed(data, part, scheme, config)
+        fit_composed(data, scheme, config)
     assert err.value.region_id in (1, 2)
 
 
@@ -150,8 +150,8 @@ def test_threaded_fit_matches_serial():
     data = two_blobs(n_per=25, gap=4.0, seed=10)
     part = regionalize(data.X, b_target=3, tau=0.2, min_region_size=5, seed=2)
     scheme = WeightScheme("normalized-indicator", part)
-    serial = fit_composed(data, part, scheme, _config())
-    threaded = fit_composed(data, part, scheme, _config(), threads=4)
+    serial = fit_composed(data, scheme, _config())
+    threaded = fit_composed(data, scheme, _config(), threads=4)
     for b in serial.locals:
         np.testing.assert_array_equal(serial.locals[b].alpha,
                                       threaded.locals[b].alpha)
@@ -164,7 +164,7 @@ def test_fit_coefficients_bitwise_across_runs_and_threads():
     part = regionalize(data.X, b_target=3, tau=0.3, min_region_size=5, seed=4)
     scheme = WeightScheme("normalized-indicator", part)
     config = _config(lam=0.05)
-    fits = [fit_composed(data, part, scheme, config, threads=t) for t in (1, 1, 2)]
+    fits = [fit_composed(data, scheme, config, threads=t) for t in (1, 1, 2)]
     assert all(m.solve_info.cg_iters > m.solve_info.newton_iters
                for m in fits[0].locals.values())
     for other in fits[1:]:
@@ -190,7 +190,7 @@ def test_composed_model_json_round_trip():
     data = two_blobs(n_per=20, gap=3.0, seed=11)
     part = regionalize(data.X, b_target=2, tau=0.25, min_region_size=5, seed=1)
     scheme = WeightScheme("normalized-indicator", part)
-    composed = fit_composed(data, part, scheme, _config(lam=0.4))
+    composed = fit_composed(data, scheme, _config(lam=0.4))
     blob = json.dumps(composed.to_dict())
     back = ComposedModel.from_dict(json.loads(blob))
     probes = np.random.default_rng(12).uniform(-2, 6, size=(300, 2))
@@ -214,22 +214,3 @@ def test_restrict_count_fixture():
     assert half.n == 10
     np.testing.assert_allclose(half.weights, np.full(10, 2.0 / 20.0))
 
-
-def test_fit_composed_rejects_scheme_of_other_regions():
-    data = two_blobs(n_per=15, gap=6.0, seed=3)
-    part = regionalize(data.X, b_target=2, tau=0.2, min_region_size=5, seed=0)
-    moved = manual_partition([r.center + 0.5 for r in part.regions],
-                             [r.radius for r in part.regions], points=data.X)
-    assert moved.B == part.B
-    with pytest.raises(InputError, match="different partition"):
-        fit_composed(data, part, WeightScheme("normalized-indicator", moved),
-                     _config())
-    wider = manual_partition([r.center for r in part.regions],
-                             [r.radius * 1.1 for r in part.regions], points=data.X)
-    with pytest.raises(InputError, match="different partition"):
-        fit_composed(data, part, WeightScheme("normalized-indicator", wider),
-                     _config())
-    # an equal copy of the partition (as after serialization) is accepted
-    copy = manual_partition([r.center for r in part.regions],
-                            [r.radius for r in part.regions], points=data.X)
-    fit_composed(data, part, WeightScheme("normalized-indicator", copy), _config())

@@ -166,7 +166,7 @@ def test_cli_train_writes_model_and_summary(tmp_path, capsys):
     config = ModelConfig(loss=LogisticRegression(),
                          kernel=GaussianRBF(gamma=1.0, input_dim=2),
                          train=TrainConfig(lam=0.5))
-    expected = fit_composed(data, part, scheme, config)
+    expected = fit_composed(data, scheme, config)
     loaded = ComposedModel.from_dict(json.loads(model_path.read_text()))
     probes = np.random.default_rng(0).uniform(-3, 3, size=(100, 2))
     np.testing.assert_array_equal(loaded.predict(probes), expected.predict(probes))
@@ -234,8 +234,12 @@ def test_cli_audit_single_z(tmp_path):
     assert report["per_z"][0]["z"] == {"x": [0.0, 0.0], "y": 4.0}
 
 
-def test_cli_audit_with_pretrained_model(tmp_path):
-    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+@pytest.mark.parametrize("scheme", [{"kind": "normalized-indicator"},
+                                    {"kind": "smooth-bump", "h": 0.7}],
+                         ids=["normalized-indicator", "smooth-bump"])
+def test_cli_audit_with_pretrained_model(tmp_path, scheme):
+    cfg = base_config(scheme=scheme,
+                      audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
                              "z_grid": 2, "maxbias_eps": 0.0})
     cfg["dataset"]["n"] = 40
     cfg_path = write_config(tmp_path, cfg)
@@ -245,6 +249,11 @@ def test_cli_audit_with_pretrained_model(tmp_path):
                    "--model", str(tmp_path / "m" / "model.json"),
                    "--out", str(tmp_path / "out")])
     assert rc == 0
+    # auditing the stored model is the audit that fits its own base
+    assert cli.main(["audit", "--config", cfg_path,
+                     "--out", str(tmp_path / "fit")]) == 0
+    assert ((tmp_path / "out" / "audit.json").read_bytes()
+            == (tmp_path / "fit" / "audit.json").read_bytes())
 
 
 def test_cli_audit_retrain_convergence_failure_exits_3(tmp_path, capsys):
@@ -499,6 +508,29 @@ def test_import_cli_leaves_scipy_stats_unloaded(tmp_path):
     assert (tmp_path / "o" / "audit.json").is_file()
 
 
+def test_cli_train_overflowing_gram_exits_3(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # (x'y + 1)^400 overflows the Gram, so the first gradient is NaN: exit 3
+    # and no all-zero model.json. A subprocess, because the overflow warning
+    # is an error under the suite's warning filter
+    cfg = base_config()
+    cfg["model"]["kernel"] = {"family": "polynomial", "degree": 400,
+                              "offset": 1.0}
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "localsvm.cli", "train",
+         "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")],
+        env=env, capture_output=True, timeout=120)
+    assert result.returncode == 3, result.stderr.decode()
+    assert "convergence error:" in result.stderr.decode()
+    assert not (tmp_path / "o" / "model.json").exists()
+
+
 def test_cli_train_polynomial_with_large_kernel_diagonal(tmp_path):
     # region 1's Gram is rank one with K_ii up to 8.8e4; with an absolute
     # full-step threshold Armijo stalled at grad norm 8e-5 and this exited 3
@@ -578,8 +610,8 @@ def test_train_summary_unchanged(tmp_path, kernel):
     config = ModelConfig(loss=LogisticRegression(), kernel=kernel,
                          train=TrainConfig(lam=0.5))
     for partition in (part, far):
-        model = fit_composed(data, partition,
-                             WeightScheme("normalized-indicator", partition), config)
+        model = fit_composed(data, WeightScheme("normalized-indicator", partition),
+                             config)
         assert cli._train_summary(model) == _summary_rebuilding_samples(model, data)
     assert model.null_region_ids == {3}
 
@@ -846,8 +878,7 @@ def test_benchmark_configs_load_and_build():
         raw = load_config(path)
         setup = setup_from_config(raw)
         model_config_from_config(raw, setup.data.dim)
-        partition, scheme = setup.partition_cfg.build(setup.data.X)
-        assert 1 <= partition.B <= raw["partition"]["b_target"], path.name
-        assert scheme.partition is partition
+        scheme = setup.partition_cfg.build(setup.data.X)
+        assert 1 <= scheme.partition.B <= raw["partition"]["b_target"], path.name
         assert (scheme.kind, scheme.h) == (raw["scheme"]["kind"],
                                           raw["scheme"].get("h")), path.name

@@ -39,6 +39,20 @@ def test_spec_validation():
     assert spec.kind == "dirac"
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
+                         ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["z_x", "z_y"])
+def test_spec_rejects_non_finite_z(where, bad):
+    # a NaN z lies in no region, so its audit would read influence 0
+    z_x, z_y = [0.0, 0.0], 1.0
+    if where == "z_x":
+        z_x = [0.0, bad]
+    else:
+        z_y = bad
+    with pytest.raises(InputError, match="non-finite"):
+        ContaminationSpec.dirac(z_x, z_y)
+
+
 def test_contaminate_region_dirac_inside():
     X = np.random.default_rng(0).normal(size=(99, 2)) * 0.1
     sample = WeightedSample(X, np.zeros(99), np.full(99, 1.0 / 99.0))
@@ -126,7 +140,7 @@ def test_finite_diff_if_localized_to_touched_regions():
     # z inside region 2's ball only
     c2 = part.region(2).center
     spec = ContaminationSpec.dirac(c2, 5.0)
-    est = finite_diff_if(AuditContext(data, part, scheme, config, probes=probes),
+    est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
                          spec)
     assert set(est.per_region) == {2}
     assert 1 not in est.per_region
@@ -145,7 +159,7 @@ def test_finite_diff_if_stationary_contamination_gives_zero():
     config = _config()
     spec = ContaminationSpec.dirac(X[0], 0.0)
     probes = default_probes(data, 32)
-    est = finite_diff_if(AuditContext(data, part, scheme, config, probes=probes),
+    est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
                          spec)
     assert est.sup_norm_estimate <= 1e-8
 
@@ -155,7 +169,7 @@ def test_finite_diff_if_sup_below_rough_bound():
     config = _config()
     probes = default_probes(data, 128)
     bound = if_bound(scheme, config, probes=probes).if_bound_rough
-    ctx = AuditContext(data, part, scheme, config, probes=probes)
+    ctx = AuditContext(data, scheme, config, probes=probes)
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.uniform(data.X.min(0), data.X.max(0))
@@ -169,7 +183,7 @@ def test_finite_diff_if_needs_two_rungs():
     data, part, scheme = _fixture()
     spec = ContaminationSpec(eps_ladder=(1e-2, 5e-3), z_x=np.zeros(2), z_y=1.0)
     short = ContaminationSpec(eps_ladder=(1e-2,), z_x=np.zeros(2), z_y=1.0)
-    ctx = AuditContext(data, part, scheme, _config(), probes=data.X)
+    ctx = AuditContext(data, scheme, _config(), probes=data.X)
     with pytest.raises(InputError):
         finite_diff_if(ctx, short)
     del spec
@@ -181,7 +195,7 @@ def test_ladder_warning_when_not_contracting():
     # nearly equal rungs leave the residual noise-dominated: ratio ~ 1
     spec = ContaminationSpec.dirac(part.region(1).center, 4.0,
                                    eps_ladder=(1.0e-2, 0.99e-2, 0.98e-2))
-    ctx = AuditContext(data, part, scheme, config, probes=data.X)
+    ctx = AuditContext(data, scheme, config, probes=data.X)
     with pytest.warns(LadderConvergenceWarning):
         est = finite_diff_if(ctx, spec)
     assert not est.converged
@@ -191,7 +205,7 @@ def test_decomposition_identity():
     data, part, scheme = _fixture(n_per=15, gap=3.0, tau=0.5)
     config = _config()
     probes = default_probes(data, 128)
-    ctx = AuditContext(data, part, scheme, config, probes=probes)
+    ctx = AuditContext(data, scheme, config, probes=probes)
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = rng.uniform(data.X.min(0), data.X.max(0))
@@ -205,7 +219,7 @@ def test_decomposition_single_region_is_weighted_local():
     config = _config()
     probes = default_probes(data, 64)
     spec = ContaminationSpec.dirac(part.region(1).center, 3.0)
-    est = finite_diff_if(AuditContext(data, part, scheme, config, probes=probes),
+    est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
                          spec)
     W, _ = scheme.weights_many(probes, on_uncovered="nearest")
     rows = est.context.regions[1].rows
@@ -219,7 +233,7 @@ def test_decomposition_check_uses_the_context_weights(monkeypatch):
     probes = default_probes(data, 64)
     overlap = (part.region(1).center + part.region(2).center) / 2.0
     spec = ContaminationSpec.dirac(overlap, 2.0)
-    est = finite_diff_if(AuditContext(data, part, scheme, _config(), probes=probes),
+    est = finite_diff_if(AuditContext(data, scheme, _config(), probes=probes),
                          spec)
     assert len(est.per_region) == 2
 
@@ -240,11 +254,11 @@ def test_tv_refined_examples():
     rough = if_bound(scheme, config).if_bound_rough
 
     # z not an atom: TV = 2, refined == rough
-    refined = tv_refined_if_bound(data, part, scheme, config, [9.0, 0.0], 99.0)
+    refined = tv_refined_if_bound(data, scheme, config, [9.0, 0.0], 99.0)
     assert refined == rough == 4.0
 
     # z equal to one of n_b equally weighted atoms: TV = 2 (1 - 1/n_b)
-    refined2 = tv_refined_if_bound(data, part, scheme, config, X[3], y[3])
+    refined2 = tv_refined_if_bound(data, scheme, config, X[3], y[3])
     tv_oracle = sum(abs((1.0 if np.array_equal(X[i], X[3]) and y[i] == y[3]
                          else 0.0) - 1.0 / 10.0) for i in range(10))
     assert refined2 == pytest.approx(2.0 * tv_oracle / 0.5 / 2.0, rel=1e-12)
@@ -254,7 +268,7 @@ def test_tv_refined_examples():
     solo = Dataset(X[:1], y[:1])
     part1 = manual_partition([[0.0, 0.0]], [10.0], points=X[:1])
     scheme1 = WeightScheme("normalized-indicator", part1)
-    assert tv_refined_if_bound(solo, part1, scheme1, config, X[0], y[0]) == 0.0
+    assert tv_refined_if_bound(solo, scheme1, config, X[0], y[0]) == 0.0
 
 
 def test_tv_refined_never_exceeds_rough():
@@ -264,7 +278,7 @@ def test_tv_refined_never_exceeds_rough():
     rng = np.random.default_rng(7)
     for _ in range(10):
         x = rng.uniform(-2, 6, size=2)
-        refined = tv_refined_if_bound(data, part, scheme, config, x,
+        refined = tv_refined_if_bound(data, scheme, config, x,
                                       float(rng.uniform(-5, 5)))
         assert refined <= rough + 1e-12
 
@@ -286,11 +300,11 @@ def test_tv_refined_matches_rough_at_tv_two_polynomial():
     assert all(t.k_sup_method == "empirical-sup" for t in rough.per_region_terms)
 
     # z in both balls and not an atom: TV_b = 2 in every region
-    refined = tv_refined_if_bound(data, part, scheme, config, [0.1, 0.1], 99.0,
+    refined = tv_refined_if_bound(data, scheme, config, [0.1, 0.1], 99.0,
                                   probes=probes)
     assert refined == rough.if_bound_rough
     for i in range(5):
-        refined_atom = tv_refined_if_bound(data, part, scheme, config, X[i], data.y[i],
+        refined_atom = tv_refined_if_bound(data, scheme, config, X[i], data.y[i],
                                            probes=probes)
         assert refined_atom <= rough.if_bound_rough
         assert refined_atom == pytest.approx(rough.if_bound_rough * (1 - 1 / 20),
@@ -301,7 +315,7 @@ def test_maxbias_zero_eps_is_exactly_zero():
     data, part, scheme = _fixture(n_per=10)
     config = _config()
     specs = adversarial_q_specs(data, classification=False)
-    report = maxbias_probe(AuditContext(data, part, scheme, config, probes=data.X),
+    report = maxbias_probe(AuditContext(data, scheme, config, probes=data.X),
                            0.0, specs)
     assert report.maxbias_bound == 0.0
     assert report.empirical["maxbias_sup"] == 0.0
@@ -316,7 +330,7 @@ def test_maxbias_bound_arithmetic():
     scheme = WeightScheme("normalized-indicator", part)
     config = _config(lam=0.5)
     specs = [ContaminationSpec.dirac([1.0, 1.0], 5.0)]
-    report = maxbias_probe(AuditContext(data, part, scheme, config, probes=data.X),
+    report = maxbias_probe(AuditContext(data, scheme, config, probes=data.X),
                            0.1, specs)
     assert report.maxbias_bound == pytest.approx(0.4, rel=1e-15)
     assert report.empirical["maxbias_sup"] <= 0.4
@@ -327,7 +341,7 @@ def test_maxbias_empirical_below_bound_adversarial_family():
     config = _config(lam=0.4)
     specs = adversarial_q_specs(data, classification=False)
     probes = default_probes(data, 64)
-    report = maxbias_probe(AuditContext(data, part, scheme, config, probes=probes),
+    report = maxbias_probe(AuditContext(data, scheme, config, probes=probes),
                            0.15, specs)
     assert report.empirical["maxbias_sup"] > 0.0
     assert report.empirical["maxbias_sup"] <= report.maxbias_bound
@@ -337,7 +351,7 @@ def test_maxbias_empirical_below_bound_adversarial_family():
 def test_maxbias_eps_validation():
     data, part, scheme = _fixture(n_per=10)
     config = _config()
-    ctx = AuditContext(data, part, scheme, config, probes=data.X)
+    ctx = AuditContext(data, scheme, config, probes=data.X)
     with pytest.raises(InputError):
         maxbias_probe(ctx, 0.5, [])
     with pytest.raises(InputError):
@@ -366,7 +380,7 @@ def test_finite_diff_if_mixture_spec():
     probes = default_probes(data, 64)
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
     spec = ContaminationSpec.mixture(flipped)
-    est = finite_diff_if(AuditContext(data, part, scheme, config, probes=probes),
+    est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
                          spec)
     assert set(est.per_region) == {1, 2}
     assert est.sup_norm_estimate > 0.0
@@ -381,7 +395,7 @@ def test_run_audit_with_mixture_spec():
     probes = default_probes(data, 32)
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
     specs = [ContaminationSpec.mixture(flipped, eps_ladder=(1e-2, 5e-3))]
-    report = run_audit(data, part, scheme, config, specs, maxbias_eps=None,
+    report = run_audit(data, scheme, config, specs, maxbias_eps=None,
                        probes=probes)
     assert report.satisfied == {"if": True}
     assert report.maxbias_bound is None
@@ -395,7 +409,7 @@ def test_run_audit_report_schema_and_flags():
     probes = default_probes(data, 64)
     z_specs = [ContaminationSpec.dirac(part.region(1).center, 4.0),
                ContaminationSpec.dirac(part.region(2).center, -4.0)]
-    report = run_audit(data, part, scheme, config, z_specs, maxbias_eps=0.1,
+    report = run_audit(data, scheme, config, z_specs, maxbias_eps=0.1,
                        probes=probes)
     d = report.to_dict()
     assert set(d) >= {"if_bound_rough", "if_bound_tv", "maxbias_bound",

@@ -246,6 +246,38 @@ def test_train_config_validation():
         TrainConfig(lam=1.0, max_iter=0)
 
 
+NON_FINITE = [np.nan, np.inf, -np.inf]
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["lam", "grad_tol"])
+def test_train_config_rejects_non_finite_settings(field, bad):
+    settings = {"lam": 1.0, field: bad}
+    with pytest.raises(InputError, match="finite"):
+        TrainConfig(**settings)
+
+
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["X", "y", "weights"])
+def test_weighted_sample_rejects_non_finite_values(field, bad):
+    parts = {"X": np.zeros((3, 2)), "y": np.zeros(3), "weights": np.full(3, 1 / 3)}
+    parts[field][1] = bad
+    with pytest.raises(InputError, match="atom 1 has a non-finite value"):
+        WeightedSample(**parts)
+
+
+def test_train_raises_on_a_non_finite_gradient():
+    # an overflowed Gram entry makes the first gradient NaN: a failure, not
+    # a converged zero model
+    sample = random_sample(10, seed=58)
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    K = k.gram(sample.X)
+    K[0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
+                                                     match="non-finite gradient"):
+        train(sample, k, REG, TrainConfig(lam=0.5), gram=K)
+
+
 def test_local_model_json_round_trip():
     sample = random_sample(10, seed=12)
     k = GaussianRBF(gamma=0.9, input_dim=2)
