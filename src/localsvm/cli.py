@@ -158,9 +158,6 @@ def cmd_audit(args) -> int:
             raise InputError(f"cannot parse model {args.model}: {exc}") from None
         if base.partition.B != scheme.B:
             raise InputError("model partition does not match the config partition")
-        if base.partition.points is None:
-            # fit-time training points back the weight sup-norm estimates
-            base.partition.attach_points(setup.data.X)
         scheme = base.scheme
 
     z_specs = _z_specs_from_config(raw, setup.data, ladder,

@@ -44,6 +44,9 @@ class RegionPredicate:
     def __post_init__(self):
         c = np.asarray(self.center, dtype=float).reshape(-1)
         object.__setattr__(self, "center", c)
+        if not (np.isfinite(c).all() and np.isfinite(self.radius)):
+            raise InputError(f"region {self.id} has a non-finite center or "
+                             "radius (nan or inf)")
         if self.radius < 0:
             raise InputError(f"radius must be nonnegative, got {self.radius}")
 
@@ -68,21 +71,9 @@ class RegionPredicate:
 class RegionPartition:
     """A finite list of ball regions covering the training points."""
 
-    def __init__(self, regions, tau: float,
-                 points: Optional[np.ndarray] = None,
-                 exclusive: Optional[tuple] = None):
+    def __init__(self, regions, tau: float):
         self.regions = tuple(regions)
         self.tau = float(tau)
-        self._points = None if points is None else as_points(points)
-        if exclusive is not None:
-            self.exclusive = tuple(bool(e) for e in exclusive)
-        elif self._points is not None:
-            M = self.membership(self._points)
-            only_one = M.sum(axis=1) == 1
-            self.exclusive = tuple(bool(np.any(M[only_one, j]))
-                                   for j in range(self.B))
-        else:
-            self.exclusive = tuple(False for _ in self.regions)
         ids = [r.id for r in self.regions]
         if ids != list(range(1, self.B + 1)):
             raise InputError(f"region ids must be 1..B, got {ids}")
@@ -90,15 +81,6 @@ class RegionPartition:
     @property
     def B(self) -> int:
         return len(self.regions)
-
-    @property
-    def points(self) -> Optional[np.ndarray]:
-        """Training points the partition was fitted on (None after deserialization)."""
-        return self._points
-
-    def attach_points(self, X) -> None:
-        """Re-attach training points, e.g. after deserialization."""
-        self._points = as_points(X)
 
     def membership(self, X) -> np.ndarray:
         """Boolean (n, B) matrix of ball membership."""
@@ -122,8 +104,7 @@ class RegionPartition:
 
     def to_dict(self) -> dict:
         return {
-            "regions": [dict(r.to_dict(), exclusive=self.exclusive[j])
-                        for j, r in enumerate(self.regions)],
+            "regions": [r.to_dict() for r in self.regions],
             "tau": self.tau,
         }
 
@@ -132,8 +113,7 @@ class RegionPartition:
         regions = [RegionPredicate(center=np.asarray(r["center"], dtype=float),
                                    radius=float(r["radius"]), id=int(r["id"]))
                    for r in d["regions"]]
-        exclusive = tuple(bool(r.get("exclusive", False)) for r in d["regions"])
-        return cls(regions, tau=float(d.get("tau", 0.0)), exclusive=exclusive)
+        return cls(regions, tau=float(d.get("tau", 0.0)))
 
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -214,7 +194,7 @@ def regionalize(points, b_target: int, tau: float = 0.0,
         r = float(_dist_to(X[mask], centers[j]).max()) if mask.any() else 0.0
         regions.append(RegionPredicate(center=centers[j],
                                        radius=(1.0 + tau) * r, id=j + 1))
-    return RegionPartition(regions, tau=tau, points=X)
+    return RegionPartition(regions, tau=tau)
 
 
 class WeightScheme:
@@ -284,35 +264,22 @@ class WeightScheme:
         return cls(kind=d["kind"], partition=partition, h=d.get("h"))
 
 
-def weight_sup_norm(scheme: WeightScheme, region_id: int, probes=None) -> float:
-    """Empirical sup of w_b over region b.
+def weight_sup_norm(scheme: WeightScheme, region_id: int, probes) -> float:
+    """Max of w_b over the points of ``probes`` inside region b.
 
-    Exactly 1 when region b has a training point shared with no other
-    region (then w_b at that point is forced to 1 by the scheme axioms).
-    Otherwise the max over supplied probes and fit-time training points
-    inside the region, a lower bound of the true sup.
+    A lower bound of the true sup, and exactly 1 once the points include
+    one that no other region covers (w_b is 1 there by the scheme axioms),
+    as the training inputs do for a region with a point of its own.
     """
-    partition = scheme.partition
-    region = partition.region(region_id)
-    if partition.exclusive[region_id - 1]:
-        return 1.0
-    candidates = []
-    if probes is not None:
-        P = as_points(probes)
-        P = P[region.contains_many(P)]
-        if P.shape[0]:
-            candidates.append(P)
-    if partition.points is not None:
-        T = partition.points[region.contains_many(partition.points)]
-        if T.shape[0]:
-            candidates.append(T)
-    if not candidates:
+    region = scheme.partition.region(region_id)
+    P = as_points(probes)
+    P = P[region.contains_many(P)]
+    if P.shape[0] == 0:
         raise InsufficientDataError(
-            f"no probe or training points inside region {region_id}; "
-            "cannot estimate the weight sup-norm"
+            f"no points inside region {region_id}; cannot estimate the weight "
+            "sup-norm"
         )
-    pts = np.vstack(candidates)
-    W, _ = scheme.weights_many(pts, on_uncovered="nearest")
+    W, _ = scheme.weights_many(P, on_uncovered="nearest")
     return float(W[:, region_id - 1].max())
 
 

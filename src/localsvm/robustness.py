@@ -18,7 +18,10 @@ between the regional empirical measure and delta_z.
 
 Sup-norms of influence estimates are empirical sups over the probe grid
 (training points plus a deterministic low-discrepancy fill of the data
-bounding box) and therefore lower bounds of the essential sup.
+bounding box) and therefore lower bounds of the essential sup. The
+certificate's weight and kernel sup-norms are maxima over the probes and
+the training inputs, so a region with a training point of its own has
+||w_b|| exactly 1.
 """
 
 from __future__ import annotations
@@ -57,18 +60,19 @@ class LadderConvergenceWarning(UserWarning):
 
 @dataclass(frozen=True)
 class ContaminationSpec:
-    """Dirac point contamination or a general mixture distribution Q.
+    """A contaminating distribution Q; a one-atom Q is the Dirac point z.
 
     ``eps_ladder`` must be strictly decreasing with every entry in
     (0, 1/2); the bottom rung is the reported estimate.
     """
 
+    q: WeightedSample
     eps_ladder: tuple = DEFAULT_EPS_LADDER
-    z_x: Optional[np.ndarray] = None
-    z_y: Optional[float] = None
-    q: Optional[WeightedSample] = None
 
     def __post_init__(self):
+        if not isinstance(self.q, WeightedSample):
+            raise InputError(f"contamination Q must be a WeightedSample, got "
+                             f"{type(self.q).__name__}")
         ladder = tuple(float(e) for e in self.eps_ladder)
         object.__setattr__(self, "eps_ladder", ladder)
         for eps in ladder:
@@ -76,47 +80,38 @@ class ContaminationSpec:
                 raise InputError(f"contamination eps must lie in (0, 1/2), got {eps}")
         if any(a <= b for a, b in zip(ladder, ladder[1:])):
             raise InputError(f"eps ladder must be strictly decreasing, got {ladder}")
-        has_z = self.z_x is not None
-        if has_z == (self.q is not None):
-            raise InputError("specify exactly one of a Dirac point z or a mixture Q")
-        if has_z:
-            object.__setattr__(self, "z_x", np.asarray(self.z_x, dtype=float).reshape(-1))
-            object.__setattr__(self, "z_y", float(self.z_y))
-            if not (np.isfinite(self.z_x).all() and np.isfinite(self.z_y)):
-                raise InputError("contamination point z has a non-finite "
-                                 "value (nan or inf)")
 
     @property
     def kind(self) -> str:
-        return "dirac" if self.z_x is not None else "mixture"
+        return "dirac" if self.q.n == 1 else "mixture"
+
+    @property
+    def z_x(self) -> Optional[np.ndarray]:
+        return self.q.X[0] if self.q.n == 1 else None
+
+    @property
+    def z_y(self) -> Optional[float]:
+        return float(self.q.y[0]) if self.q.n == 1 else None
 
     @classmethod
     def dirac(cls, x, y, eps_ladder=DEFAULT_EPS_LADDER) -> "ContaminationSpec":
-        return cls(eps_ladder=tuple(eps_ladder), z_x=np.asarray(x, dtype=float),
-                   z_y=float(y))
+        q = WeightedSample(np.asarray(x, dtype=float).reshape(1, -1),
+                           np.array([float(y)]), np.ones(1))
+        return cls(q, tuple(eps_ladder))
 
     @classmethod
     def mixture(cls, q: WeightedSample, eps_ladder=DEFAULT_EPS_LADDER) -> "ContaminationSpec":
-        return cls(eps_ladder=tuple(eps_ladder), q=q)
+        return cls(q, tuple(eps_ladder))
 
 
-def _q_restricted(q: WeightedSample, region) -> Optional[WeightedSample]:
-    """Q conditioned on a region; None when Q puts no mass there."""
+def _contamination_atoms(spec: ContaminationSpec, region) -> Optional[WeightedSample]:
+    """The spec's Q conditioned on a region; None when Q puts no mass there."""
+    q = spec.q
     mask = region.contains_many(q.X)
     mass = float(q.weights[mask].sum())
     if mass <= 0.0:
         return None
     return WeightedSample(q.X[mask], q.y[mask], q.weights[mask] / mass)
-
-
-def _contamination_atoms(spec: ContaminationSpec, region) -> Optional[WeightedSample]:
-    """The contaminating measure on a region: delta_z, or Q conditioned on
-    the region; None when it puts no mass there."""
-    if spec.kind == "dirac":
-        if not region.contains(spec.z_x):
-            return None
-        return WeightedSample(spec.z_x[None, :], np.array([spec.z_y]), np.ones(1))
-    return _q_restricted(spec.q, region)
 
 
 def _mix(sample_b: WeightedSample, atoms: WeightedSample, eps: float) -> WeightedSample:
@@ -315,7 +310,8 @@ class AuditReport:
 
 
 def _region_factors(scheme: WeightScheme, config: ModelConfig, probes):
-    """(w_sup, lam, kernel sup-norm) per region, plus caveat notes."""
+    """(w_sup, lam, kernel sup-norm) per region, plus caveat notes; both
+    sup-norms are maxima over the points of ``probes`` in the region."""
     partition = scheme.partition
     factors = []
     notes = []
@@ -373,12 +369,13 @@ class AuditContext:
     """Per-audit state shared by every contamination spec.
 
     Built once per audit: the base composed model, the probes and their
-    weights, the bound factors (w_sup, lam_b, ||k_b||) with their notes,
-    and per region b a ``RegionBlocks``. ``border`` extends a region by a
-    spec's atoms, so a retrain forms only the new Gram columns and a
-    probe prediction is one matrix-vector product; ``compose`` sums the
-    regional predictions over the probes in the order
-    ``ComposedModel.predict`` does, so the results are bitwise equal.
+    weights, the bound factors (w_sup, lam_b, ||k_b||) as maxima over the
+    probes and the training inputs with their notes, and per region b a
+    ``RegionBlocks``. ``border`` extends a region by a spec's atoms, so a
+    retrain forms only the new Gram columns and a probe prediction is one
+    matrix-vector product; ``compose`` sums the regional predictions over
+    the probes in the order ``ComposedModel.predict`` does, so the results
+    are bitwise equal.
     Memory per region: n_b^2 for K_b plus |P_b| n_b for the probe block.
     The context is read-only after construction and shareable across
     threads.
@@ -403,7 +400,8 @@ class AuditContext:
         self.base = base
         self.threads = threads
         self.probes = as_points(probes)
-        self.factors, self.notes = _region_factors(scheme, config, self.probes)
+        self.factors, self.notes = _region_factors(
+            scheme, config, np.vstack([self.probes, data.X]))
         W, self.covered = scheme.weights_many(self.probes, on_uncovered="nearest")
         self.regions = {b: self._blocks(b, W[:, b - 1])
                         for b in range(1, scheme.B + 1)}
@@ -499,8 +497,9 @@ def _certificate_terms(factors, lip: float, tv_by_region):
     return terms, caps, total
 
 
-def if_bound(scheme: WeightScheme, config: ModelConfig, probes=None) -> AuditReport:
-    """Rough influence-function sup-norm bound 2 |L|_1 sum_b ||w_b|| ||k_b||^2 / lam_b."""
+def if_bound(scheme: WeightScheme, config: ModelConfig, probes) -> AuditReport:
+    """Rough influence-function sup-norm bound 2 |L|_1 sum_b ||w_b|| ||k_b||^2 / lam_b,
+    with the sup-norms taken as maxima over ``probes``."""
     factors, notes = _region_factors(scheme, config, probes)
     terms, _, total = _certificate_terms(factors, float(config.loss.lipschitz),
                                          {b: 2.0 for b, *_ in factors})
@@ -529,10 +528,12 @@ def tv_refined_if_bound(data: Dataset, scheme: WeightScheme, config: ModelConfig
     TV_b = 2 (1 - D_b({z})) when z's input lies in region b (0 otherwise,
     because the contaminated regional measure then equals the original and
     the local influence function vanishes). Never exceeds the rough bound.
+    The sup-norm factors are maxima over ``probes`` and the training inputs.
     """
     z_x = np.asarray(z_x, dtype=float).reshape(-1)
     samples = {b: restrict(data, scheme.partition, b) for b in range(1, scheme.B + 1)}
-    factors, _ = _region_factors(scheme, config, probes)
+    points = data.X if probes is None else np.vstack([as_points(probes), data.X])
+    factors, _ = _region_factors(scheme, config, points)
     return _certificate_terms(factors, float(config.loss.lipschitz),
                               _tv_by_region(samples, scheme.partition, z_x, z_y))[2]
 

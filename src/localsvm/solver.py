@@ -29,7 +29,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .data import WeightedSample, as_points
+from .data import WeightedSample, _reject_non_finite, as_points
 from .errors import ConvergenceError, InputError
 from .kernels import Kernel, chunk_rows, kernel_from_dict, sup_sqrt_diag
 from .losses import SmoothLoss, loss_from_name
@@ -102,6 +102,8 @@ class LocalModel:
         object.__setattr__(self, "anchors", as_points(anchors))
         if self.alpha.shape[0] != self.anchors.shape[0]:
             raise InputError("alpha and anchors must have equal length")
+        _reject_non_finite(f"local model {self.region_id}: anchor", self.anchors,
+                           self.alpha)
 
     @property
     def n_anchors(self) -> int:
@@ -253,7 +255,7 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
 
     f = K @ alpha
     best_alpha, best_gnorm = alpha.copy(), np.inf
-    for _ in range(cfg.max_iter):
+    for _ in range(cfg.max_iter + 1):
         g = w * loss.dt(y, f) + 2.0 * lam * alpha
         grad = K @ g
         gnorm = float(np.max(np.abs(grad))) if n else 0.0
@@ -265,6 +267,8 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
             best_alpha, best_gnorm = alpha.copy(), gnorm
         if gnorm <= cfg.grad_tol:
             return fitted(alpha, f, gnorm)
+        if steps == cfg.max_iter:
+            break
 
         step, cg = _newton_step(K, g, grad, w * loss.dtt(y, f), lam)
         cg_total, cg_max = cg_total + cg, max(cg_max, cg)
@@ -295,12 +299,6 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
         f = f + t * Ks
         steps += 1
 
-    grad = K @ (w * loss.dt(y, f) + 2.0 * lam * alpha)
-    gnorm = float(np.max(np.abs(grad)))
-    if gnorm <= cfg.grad_tol:
-        return fitted(alpha, f, gnorm)
-    if gnorm < best_gnorm:
-        best_alpha, best_gnorm = alpha, gnorm
     raise ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations "
         f"(grad norm {best_gnorm:.3e} > tol {cfg.grad_tol:.3e})",

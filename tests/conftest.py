@@ -26,11 +26,11 @@ def random_sample(n, dim=2, seed=0, classification=False):
     return WeightedSample(X, y, np.full(n, 1.0 / n))
 
 
-def manual_partition(centers, radii, points=None, tau=0.0):
+def manual_partition(centers, radii, tau=0.0):
     regions = [RegionPredicate(center=np.asarray(c, dtype=float),
                                radius=float(r), id=i + 1)
                for i, (c, r) in enumerate(zip(centers, radii))]
-    return RegionPartition(regions, tau=tau, points=points)
+    return RegionPartition(regions, tau=tau)
 
 
 @pytest.fixture

@@ -21,7 +21,8 @@ from localsvm import (AuditContext, ContaminationSpec, GaussianRBF,
                       decomposition_check, default_probes, finite_diff_if,
                       fit_composed, generate, if_bound, maxbias_probe,
                       objective, regionalize, restrict,
-                      shifted_unshifted_identity_check, tradeoff_sweep, train)
+                      shifted_unshifted_identity_check, tradeoff_sweep, train,
+                      weight_sup_norm)
 
 REG = LogisticRegression()
 CLS = LogisticClassification()
@@ -89,10 +90,11 @@ def test_criterion_1_gaussian_logistic_bound_closed_form():
     lam_values = [0.1, 0.5, 2.0]
     checked = 0
     for n_regions in (1, 2, 4):
-        _, _, part = _blob_partition(n_regions, seed=n_regions)
+        X, _, part = _blob_partition(n_regions, seed=n_regions)
         assert part.B == n_regions
-        assert all(part.exclusive)
         scheme = WeightScheme("normalized-indicator", part)
+        assert all(weight_sup_norm(scheme, b, X) == 1.0
+                   for b in range(1, n_regions + 1))
         for offset in range(len(lam_values)):
             lams = {b: lam_values[(b - 1 + offset) % len(lam_values)]
                     for b in range(1, n_regions + 1)}
@@ -100,7 +102,7 @@ def test_criterion_1_gaussian_logistic_bound_closed_form():
                                  kernel=GaussianRBF(gamma=1.0, input_dim=2),
                                  train=TrainConfig(lam=1.0),
                                  region_lambdas=lams)
-            got = if_bound(scheme, config).if_bound_rough
+            got = if_bound(scheme, config, probes=X).if_bound_rough
             expected = 0.0
             for b in range(1, n_regions + 1):
                 expected += 2.0 / lams[b]

@@ -301,7 +301,7 @@ def test_context_rejects_model_trained_on_other_data():
 def test_context_rejects_a_null_region_mismatch():
     X = np.random.default_rng(0).normal(size=(12, 2)) * 0.2
     data = type(two_blobs())(X, np.zeros(12))
-    part = manual_partition([[0.0, 0.0], [9.0, 9.0]], [5.0, 1.0], points=X)
+    part = manual_partition([[0.0, 0.0], [9.0, 9.0]], [5.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config()
     base = fit_composed(data, scheme, config)

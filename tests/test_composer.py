@@ -49,7 +49,7 @@ def test_overlap_point_averages_locals():
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     y = np.array([0.5, -0.5])
     data = Dataset(X, y)
-    part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], points=X)
+    part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
     composed = fit_composed(data, scheme, _config())
     mid = [0.5, 0.0]
@@ -61,7 +61,7 @@ def test_overlap_point_averages_locals():
 def test_predict_composed_hand_values():
     k = GaussianRBF(gamma=1.0, input_dim=2)
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
-    part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0], points=X)
+    part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
     # local models predicting the constants 2 and 4 at the midpoint
     mid = np.array([0.5, 0.0])
@@ -84,7 +84,7 @@ def test_null_region_gets_zero_model():
     X = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
     y = np.array([1.0, 0.0, -1.0])
     data = Dataset(X, y)
-    part = manual_partition([[0.5, 0.0], [50.0, 50.0]], [2.0, 1.0], points=X)
+    part = manual_partition([[0.5, 0.0], [50.0, 50.0]], [2.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
     composed = fit_composed(data, scheme, _config())
     assert composed.null_region_ids == {2}
@@ -117,7 +117,7 @@ def test_pointwise_sup_bound():
     lam = 0.25
     composed = fit_composed(data, scheme, _config(lam=lam))
     probes = np.random.default_rng(7).uniform(-1, 5, size=(500, 2))
-    cap = sum(weight_sup_norm(scheme, b) * (1.0 / lam) * REG.lipschitz * 1.0**2
+    cap = sum(weight_sup_norm(scheme, b, data.X) * (1.0 / lam) * REG.lipschitz * 1.0**2
               for b in range(1, part.B + 1))
     assert np.max(np.abs(composed.predict(probes))) <= cap
 
@@ -196,7 +196,6 @@ def test_composed_model_json_round_trip():
     probes = np.random.default_rng(12).uniform(-2, 6, size=(300, 2))
     np.testing.assert_array_equal(back.predict(probes), composed.predict(probes))
     assert back.null_region_ids == composed.null_region_ids
-    assert back.partition.exclusive == part.exclusive
     d = composed.to_dict()
     assert set(d) == {"partition", "scheme", "locals", "null_region_ids"}
     assert set(d["locals"][0]) == {"region_id", "lambda", "kernel", "loss",
@@ -209,7 +208,7 @@ def test_restrict_count_fixture():
                    np.full((10, 2), 5.0) + np.arange(10)[:, None] * 0.01])
     y = np.arange(20.0)
     data = Dataset(X, y)
-    part = manual_partition([[0.05, 0.05], [5.05, 5.05]], [1.0, 1.0], points=X)
+    part = manual_partition([[0.05, 0.05], [5.05, 5.05]], [1.0, 1.0])
     half = restrict(data, part, 1)
     assert half.n == 10
     np.testing.assert_allclose(half.weights, np.full(10, 2.0 / 20.0))

@@ -605,8 +605,7 @@ def test_train_summary_unchanged(tmp_path, kernel):
     data = generate(task, 60)
     part = regionalize(data.X, 2, 0.25, 5, seed=1)
     far = manual_partition([r.center for r in part.regions] + [[50.0, 50.0]],
-                           [r.radius for r in part.regions] + [1.0],
-                           points=data.X)
+                           [r.radius for r in part.regions] + [1.0])
     config = ModelConfig(loss=LogisticRegression(), kernel=kernel,
                          train=TrainConfig(lam=0.5))
     for partition in (part, far):
@@ -640,6 +639,56 @@ def test_cli_audit_rejects_model_with_other_anchors(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "anchors differ" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("corrupt", ["nan-alpha", "inf-anchor", "nan-radius",
+                                     "nan-center"])
+def test_cli_audit_rejects_a_model_with_non_finite_values(tmp_path, capsys,
+                                                          corrupt):
+    # json.load reads NaN and Infinity; the model must not reach the solver
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    cfg["dataset"]["n"] = 40
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "m")]) == 0
+    model_path = tmp_path / "m" / "model.json"
+    model = json.loads(model_path.read_text())
+    local, region = model["locals"][0], model["partition"]["regions"][0]
+    if corrupt == "nan-alpha":
+        local["alpha"][0] = float("nan")
+    elif corrupt == "inf-anchor":
+        local["anchors"][0][1] = float("inf")
+    elif corrupt == "nan-radius":
+        region["radius"] = float("nan")
+    else:
+        region["center"][0] = float("nan")
+    model_path.write_text(json.dumps(model))
+    capsys.readouterr()
+    rc = cli.main(["audit", "--config", cfg_path, "--model", str(model_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "audit.json").exists()
+
+
+def test_cli_audit_rejects_a_model_with_another_region_count(tmp_path, capsys):
+    from pathlib import Path
+
+    grid = (Path(__file__).resolve().parents[1] / "benchmark" / "configs"
+            / "audit-grid.json")
+    raw = json.loads(grid.read_text())
+    raw["partition"]["b_target"] = 3
+    assert cli.main(["train", "--config", write_config(tmp_path, raw),
+                     "--out", str(tmp_path / "m")]) == 0
+    capsys.readouterr()
+    rc = cli.main(["audit", "--config", str(grid),
+                   "--model", str(tmp_path / "m" / "model.json"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert ("model partition does not match the config partition"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "audit.json").exists()
 
 
 @pytest.mark.parametrize("kernel", [{"family": "linear"},

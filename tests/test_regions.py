@@ -14,7 +14,8 @@ def test_single_region_covers_everything():
     part = regionalize(data.X, b_target=1, tau=0.0, seed=0)
     assert part.B == 1
     assert part.covers(data.X).all()
-    assert part.exclusive == (True,)
+    scheme = WeightScheme("normalized-indicator", part)
+    assert weight_sup_norm(scheme, 1, data.X) == 1.0
 
 
 def test_separated_clusters_disjoint_regions():
@@ -85,7 +86,7 @@ def test_cover_invariant_after_regionalize():
 
 def test_weights_unit_vector_when_single_region():
     X = np.array([[0.0, 0.0], [2.0, 0.0]])
-    part = manual_partition([[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5], points=X)
+    part = manual_partition([[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5])
     scheme = WeightScheme("normalized-indicator", part)
     W, _ = scheme.weights_many([[0.1, 0.0]], on_uncovered="error")
     np.testing.assert_array_equal(W[0], [1.0, 0.0])
@@ -93,7 +94,7 @@ def test_weights_unit_vector_when_single_region():
 
 def test_weights_split_on_overlap():
     X = np.array([[0.0], [1.0]])
-    part = manual_partition([[0.0], [1.0]], [1.0, 1.0], points=X)
+    part = manual_partition([[0.0], [1.0]], [1.0, 1.0])
     ind = WeightScheme("normalized-indicator", part)
     W, _ = ind.weights_many([[0.5]], on_uncovered="error")
     np.testing.assert_array_equal(W[0], [0.5, 0.5])
@@ -126,7 +127,7 @@ def test_weights_partition_of_unity_properties():
 
 def test_uncovered_point_error_and_fallback():
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
-    part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [0.2, 0.2], points=X)
+    part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [0.2, 0.2])
     scheme = WeightScheme("normalized-indicator", part)
     far = [10.0, 0.0]
     with pytest.raises(CoverageError):
@@ -141,18 +142,17 @@ def test_weight_sup_norm_exclusive_point_gives_exact_one():
     data = two_blobs(n_per=20, gap=10.0, seed=7)
     part = regionalize(data.X, b_target=2, tau=0.0, min_region_size=5, seed=0)
     scheme = WeightScheme("normalized-indicator", part)
-    assert weight_sup_norm(scheme, 1) == 1.0
-    assert weight_sup_norm(scheme, 2) == 1.0
+    assert weight_sup_norm(scheme, 1, data.X) == 1.0
+    assert weight_sup_norm(scheme, 2, data.X) == 1.0
 
 
 def test_weight_sup_norm_fully_shared_region():
     # two identical balls: every point belongs to both, sup of w_b is 1/2
     X = np.random.default_rng(8).normal(size=(12, 2)) * 0.1
-    part = manual_partition([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0], points=X)
+    part = manual_partition([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
-    assert part.exclusive == (False, False)
-    assert weight_sup_norm(scheme, 1) == 0.5
-    assert weight_sup_norm(scheme, 2) == 0.5
+    assert weight_sup_norm(scheme, 1, X) == 0.5
+    assert weight_sup_norm(scheme, 2, X) == 0.5
 
 
 def test_weight_sup_norm_smooth_bump_bounded():
@@ -171,17 +171,16 @@ def test_weight_sup_norm_smooth_bump_bounded():
 
 def test_weight_sup_norm_without_points_or_probes():
     part = manual_partition([[0.0, 0.0]], [1.0])
-    part2 = RegionPartition(part.regions, tau=0.0)  # no points attached
-    scheme = WeightScheme("normalized-indicator", part2)
+    scheme = WeightScheme("normalized-indicator", part)
     with pytest.raises(InsufficientDataError):
-        weight_sup_norm(scheme, 1)
+        weight_sup_norm(scheme, 1, [[5.0, 5.0]])  # no point inside the ball
 
 
 def test_restrict_examples():
     X = np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 0.0], [5.5, 0.0]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
     data = Dataset(X, y)
-    part = manual_partition([[0.25, 0.0], [5.25, 0.0]], [1.0, 1.0], points=X)
+    part = manual_partition([[0.25, 0.0], [5.25, 0.0]], [1.0, 1.0])
 
     left = restrict(data, part, 1)
     assert left.n == 2
@@ -189,13 +188,13 @@ def test_restrict_examples():
     np.testing.assert_array_equal(left.y, [1.0, 2.0])
 
     # whole sample inside one big ball
-    big = manual_partition([[2.5, 0.0]], [10.0], points=X)
+    big = manual_partition([[2.5, 0.0]], [10.0])
     full = restrict(data, big, 1)
     assert full.n == 4
     np.testing.assert_array_equal(full.weights, np.full(4, 0.25))
 
     # empty ball -> null-measure marker
-    empty = manual_partition([[100.0, 100.0], [2.5, 0.0]], [1.0, 10.0], points=X)
+    empty = manual_partition([[100.0, 100.0], [2.5, 0.0]], [1.0, 10.0])
     assert restrict(data, empty, 1) is None
 
 
@@ -209,7 +208,6 @@ def test_partition_scheme_serialization_round_trip():
                                   RegionPartition.from_dict(d["partition"]))
     assert back.kind == "smooth-bump" and back.h == 1.2
     assert back.partition.B == part.B
-    assert back.partition.exclusive == part.exclusive
     for r1, r2 in zip(part.regions, back.partition.regions):
         np.testing.assert_array_equal(r1.center, r2.center)
         assert r1.radius == r2.radius and r1.id == r2.id
@@ -218,6 +216,26 @@ def test_partition_scheme_serialization_round_trip():
     W2, c2 = back.weights_many(probes)
     np.testing.assert_array_equal(W1, W2)
     np.testing.assert_array_equal(c1, c2)
+
+
+@pytest.mark.parametrize("center, radius",
+                         [([np.nan, 0.0], 1.0), ([0.0, np.inf], 1.0),
+                          ([0.0, 0.0], np.nan), ([0.0, 0.0], np.inf)],
+                         ids=["nan-center", "inf-center", "nan-radius",
+                              "inf-radius"])
+def test_region_predicate_rejects_non_finite_values(center, radius):
+    from localsvm import RegionPredicate
+    with pytest.raises(InputError, match="non-finite"):
+        RegionPredicate(center=np.array(center), radius=radius, id=1)
+
+
+def test_partition_dict_holds_only_the_balls():
+    part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 0.5], tau=0.2)
+    d = part.to_dict()
+    assert all(set(r) == {"id", "center", "radius"} for r in d["regions"])
+    for r in d["regions"]:
+        r["exclusive"] = True  # a key older model files carry
+    assert RegionPartition.from_dict(d).to_dict() == part.to_dict()
 
 
 def test_region_ids_must_be_contiguous():

@@ -34,7 +34,7 @@ def test_spec_validation():
     with pytest.raises(InputError):
         ContaminationSpec.dirac([0.0, 0.0], 1.0, eps_ladder=(1e-3, 1e-2))
     with pytest.raises(InputError):
-        ContaminationSpec(eps_ladder=(1e-2, 1e-3))  # neither z nor Q
+        ContaminationSpec(None, eps_ladder=(1e-2, 1e-3))  # Q not a sample
     spec = ContaminationSpec.dirac([0.0, 0.0], 1.0)
     assert spec.kind == "dirac"
 
@@ -56,7 +56,7 @@ def test_spec_rejects_non_finite_z(where, bad):
 def test_contaminate_region_dirac_inside():
     X = np.random.default_rng(0).normal(size=(99, 2)) * 0.1
     sample = WeightedSample(X, np.zeros(99), np.full(99, 1.0 / 99.0))
-    part = manual_partition([[0.0, 0.0]], [5.0], points=X)
+    part = manual_partition([[0.0, 0.0]], [5.0])
     spec = ContaminationSpec.dirac([0.5, 0.5], 7.0)
     out = contaminate_region(sample, spec, part.region(1), eps=0.01)
     assert out.n == 100
@@ -69,7 +69,7 @@ def test_contaminate_region_dirac_inside():
 def test_contaminate_region_dirac_outside_returns_same_object():
     X = np.zeros((5, 2))
     sample = WeightedSample(X, np.zeros(5), np.full(5, 0.2))
-    part = manual_partition([[0.0, 0.0]], [1.0], points=X)
+    part = manual_partition([[0.0, 0.0]], [1.0])
     spec = ContaminationSpec.dirac([9.0, 9.0], 1.0)
     out = contaminate_region(sample, spec, part.region(1), eps=0.01)
     assert out is sample
@@ -78,7 +78,7 @@ def test_contaminate_region_dirac_outside_returns_same_object():
 def test_contaminate_region_mixture_reduces_to_dirac():
     X = np.random.default_rng(1).normal(size=(10, 2)) * 0.1
     sample = WeightedSample(X, np.zeros(10), np.full(10, 0.1))
-    part = manual_partition([[0.0, 0.0]], [5.0], points=X)
+    part = manual_partition([[0.0, 0.0]], [5.0])
     z_x, z_y = np.array([0.2, -0.1]), 3.0
     dirac = ContaminationSpec.dirac(z_x, z_y)
     q = WeightedSample(z_x[None, :], np.array([z_y]), np.array([1.0]))
@@ -90,10 +90,19 @@ def test_contaminate_region_mixture_reduces_to_dirac():
     np.testing.assert_array_equal(a.weights, b.weights)
 
 
+def test_one_atom_mixture_is_a_dirac_spec():
+    spec = ContaminationSpec.mixture(WeightedSample([[0.2, -0.1]], [3.0], [1.0]))
+    assert spec.kind == "dirac" and spec.z_y == 3.0
+    np.testing.assert_array_equal(spec.z_x, [0.2, -0.1])
+    two = WeightedSample([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], [0.5, 0.5])
+    spec2 = ContaminationSpec.mixture(two)
+    assert spec2.kind == "mixture" and spec2.z_x is None and spec2.z_y is None
+
+
 def test_contaminate_region_eps_validation():
     X = np.zeros((3, 2))
     sample = WeightedSample(X, np.zeros(3), np.full(3, 1 / 3))
-    part = manual_partition([[0.0, 0.0]], [1.0], points=X)
+    part = manual_partition([[0.0, 0.0]], [1.0])
     spec = ContaminationSpec.dirac([0.0, 0.0], 1.0)
     for eps in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(InputError):
@@ -103,15 +112,16 @@ def test_contaminate_region_eps_validation():
 def test_if_bound_arithmetic_examples():
     # B = 1, lambda = 0.5, Gaussian + logistic: 2 * 1 * 1 * (1/0.5) * 1 = 4
     X = np.random.default_rng(2).normal(size=(10, 2))
-    part = manual_partition([[0.0, 0.0]], [50.0], points=X)
+    part = manual_partition([[0.0, 0.0]], [50.0])
     scheme = WeightScheme("normalized-indicator", part)
-    rep = if_bound(scheme, _config(lam=0.5))
+    rep = if_bound(scheme, _config(lam=0.5), probes=X)
     assert rep.if_bound_rough == 4.0
     assert rep.per_region_terms[0].k_sup_method == "exact"
 
     # B = 2, lambdas (1, 2): 2 * (1 + 0.5) = 3
     data, part2, scheme2 = _fixture(gap=10.0, tau=0.0)
-    rep2 = if_bound(scheme2, _config(lam=1.0, region_lambdas={2: 2.0}))
+    rep2 = if_bound(scheme2, _config(lam=1.0, region_lambdas={2: 2.0}),
+                    probes=data.X)
     assert rep2.if_bound_rough == pytest.approx(3.0, rel=1e-15)
     assert [t.w_sup for t in rep2.per_region_terms] == [1.0, 1.0]
 
@@ -119,8 +129,9 @@ def test_if_bound_arithmetic_examples():
 def test_if_bound_halving_lambda_doubles_bound():
     data, part, scheme = _fixture()
     for lam in (0.1, 0.37, 2.0):
-        full = if_bound(scheme, _config(lam=lam)).if_bound_rough
-        half = if_bound(scheme, _config(lam=lam / 2.0)).if_bound_rough
+        full = if_bound(scheme, _config(lam=lam), probes=data.X).if_bound_rough
+        half = if_bound(scheme, _config(lam=lam / 2.0),
+                        probes=data.X).if_bound_rough
         assert half == 2.0 * full
 
 
@@ -154,7 +165,7 @@ def test_finite_diff_if_stationary_contamination_gives_zero():
     # contamination at the same atoms changes nothing: IF estimate is 0
     X = np.random.default_rng(3).normal(size=(8, 2)) * 0.2
     data = Dataset(X, np.zeros(8))
-    part = manual_partition([[0.0, 0.0]], [5.0], points=X)
+    part = manual_partition([[0.0, 0.0]], [5.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config()
     spec = ContaminationSpec.dirac(X[0], 0.0)
@@ -181,8 +192,8 @@ def test_finite_diff_if_sup_below_rough_bound():
 
 def test_finite_diff_if_needs_two_rungs():
     data, part, scheme = _fixture()
-    spec = ContaminationSpec(eps_ladder=(1e-2, 5e-3), z_x=np.zeros(2), z_y=1.0)
-    short = ContaminationSpec(eps_ladder=(1e-2,), z_x=np.zeros(2), z_y=1.0)
+    spec = ContaminationSpec.dirac(np.zeros(2), 1.0, eps_ladder=(1e-2, 5e-3))
+    short = ContaminationSpec.dirac(np.zeros(2), 1.0, eps_ladder=(1e-2,))
     ctx = AuditContext(data, scheme, _config(), probes=data.X)
     with pytest.raises(InputError):
         finite_diff_if(ctx, short)
@@ -248,10 +259,10 @@ def test_tv_refined_examples():
     X = np.random.default_rng(6).normal(size=(10, 2)) * 0.3
     y = np.linspace(-1, 1, 10)
     data = Dataset(X, y)
-    part = manual_partition([[0.0, 0.0]], [10.0], points=X)
+    part = manual_partition([[0.0, 0.0]], [10.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config(lam=0.5)
-    rough = if_bound(scheme, config).if_bound_rough
+    rough = if_bound(scheme, config, probes=X).if_bound_rough
 
     # z not an atom: TV = 2, refined == rough
     refined = tv_refined_if_bound(data, scheme, config, [9.0, 0.0], 99.0)
@@ -266,7 +277,7 @@ def test_tv_refined_examples():
 
     # single-atom region contaminated by its own atom: TV = 0
     solo = Dataset(X[:1], y[:1])
-    part1 = manual_partition([[0.0, 0.0]], [10.0], points=X[:1])
+    part1 = manual_partition([[0.0, 0.0]], [10.0])
     scheme1 = WeightScheme("normalized-indicator", part1)
     assert tv_refined_if_bound(solo, scheme1, config, X[0], y[0]) == 0.0
 
@@ -274,7 +285,7 @@ def test_tv_refined_examples():
 def test_tv_refined_never_exceeds_rough():
     data, part, scheme = _fixture(n_per=12, gap=3.0, tau=0.4)
     config = _config(lam=0.3)
-    rough = if_bound(scheme, config).if_bound_rough
+    rough = if_bound(scheme, config, probes=data.X).if_bound_rough
     rng = np.random.default_rng(7)
     for _ in range(10):
         x = rng.uniform(-2, 6, size=2)
@@ -289,7 +300,7 @@ def test_tv_refined_matches_rough_at_tv_two_polynomial():
     rng = np.random.default_rng(8)
     X = rng.uniform(-1.0, 1.0, size=(20, 2))
     data = Dataset(X, np.sin(X.sum(axis=1)))
-    part = manual_partition([[-0.3, 0.0], [0.4, 0.2]], [4.0, 4.0], points=X)
+    part = manual_partition([[-0.3, 0.0], [0.4, 0.2]], [4.0, 4.0])
     scheme = WeightScheme("smooth-bump", part, h=1.0)
     config = ModelConfig(loss=REG,
                          kernel=Polynomial(degree=2, offset=1.0, input_dim=2),
@@ -326,7 +337,7 @@ def test_maxbias_bound_arithmetic():
     X = np.random.default_rng(8).normal(size=(10, 2))
     y = np.random.default_rng(9).uniform(-1, 1, 10)
     data = Dataset(X, y)
-    part = manual_partition([[0.0, 0.0]], [50.0], points=X)
+    part = manual_partition([[0.0, 0.0]], [50.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config(lam=0.5)
     specs = [ContaminationSpec.dirac([1.0, 1.0], 5.0)]

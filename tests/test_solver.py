@@ -266,6 +266,16 @@ def test_weighted_sample_rejects_non_finite_values(field, bad):
         WeightedSample(**parts)
 
 
+@pytest.mark.parametrize("bad", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("field", ["alpha", "anchors"])
+def test_local_model_rejects_non_finite_values(field, bad):
+    parts = {"alpha": np.zeros(3), "anchors": np.zeros((3, 2))}
+    parts[field][1] = bad
+    with pytest.raises(InputError, match="anchor 1 has a non-finite value"):
+        LocalModel(kernel=GaussianRBF(gamma=1.0, input_dim=2), loss=REG,
+                   lam=0.5, region_id=2, **parts)
+
+
 def test_train_raises_on_a_non_finite_gradient():
     # an overflowed Gram entry makes the first gradient NaN: a failure, not
     # a converged zero model
@@ -276,6 +286,24 @@ def test_train_raises_on_a_non_finite_gradient():
     with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError,
                                                      match="non-finite gradient"):
         train(sample, k, REG, TrainConfig(lam=0.5), gram=K)
+
+
+def test_train_checks_the_gradient_after_its_last_step():
+    # the gradient at the last iterate goes through the same test as every
+    # other: a NaN there is a non-finite gradient, not a missed tolerance
+    class NanAfterFirstStep(LogisticRegression):
+        calls = 0
+
+        def dt(self, y, t):
+            self.calls += 1
+            out = super().dt(y, t)
+            return out if self.calls == 1 else np.full_like(out, np.nan)
+
+    sample = random_sample(10, seed=58)
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    with pytest.raises(ConvergenceError,
+                       match="non-finite gradient after 1 iterations"):
+        train(sample, k, NanAfterFirstStep(), TrainConfig(lam=0.5, max_iter=1))
 
 
 def test_local_model_json_round_trip():
