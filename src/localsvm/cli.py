@@ -156,7 +156,8 @@ def cmd_audit(args) -> int:
             raise InputError(f"model file not found: {args.model}") from None
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot parse model {args.model}: {exc}") from None
-        if base.partition.B != scheme.B:
+        if ((base.partition.to_dict(), base.scheme.to_dict())
+                != (scheme.partition.to_dict(), scheme.to_dict())):
             raise InputError("model partition does not match the config partition")
         scheme = base.scheme
 

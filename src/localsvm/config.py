@@ -3,19 +3,19 @@
 Configs are single JSON documents with an explicit ``version`` field.
 Unknown keys are rejected everywhere; nothing is read from environment
 variables, so a config file pins a run completely (up to --seed/--threads
-command-line overrides).
+command-line overrides). ``CONFIG_SCHEMA`` states the rules as a JSON
+Schema; ``_schema_error`` checks a config against it in-package.
 """
 
 from __future__ import annotations
 
 import csv
 import json
+import operator
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-
-import jsonschema
 
 from .data import Dataset
 from .errors import InputError
@@ -209,11 +209,85 @@ def load_config(path) -> dict:
     return raw
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+_TYPES = {
+    "object": lambda v: isinstance(v, dict),
+    "array": lambda v: isinstance(v, list),
+    "string": lambda v: isinstance(v, str),
+    "number": _is_number,
+    # an integral float such as 1.0 is an integer in JSON Schema
+    "integer": lambda v: _is_number(v) and (isinstance(v, int) or v.is_integer()),
+}
+
+# (keyword, test that fails, wording); each applies to numbers only
+_BOUNDS = (("minimum", operator.lt, "less than the minimum of"),
+           ("exclusiveMinimum", operator.le, "less than or equal to the minimum of"),
+           ("exclusiveMaximum", operator.ge, "greater than or equal to the maximum of"))
+
+
+def _equal(a, b) -> bool:
+    # enum and const tell true/false from 1/0; their values are scalars
+    return a == b and isinstance(a, bool) == isinstance(b, bool)
+
+
+def _schema_error(value, schema: dict, path: tuple = ()):
+    """The first violation of ``schema`` by ``value`` as (path, message),
+    or None. Covers the keywords ``CONFIG_SCHEMA`` uses, with the Draft
+    2020-12 meaning of each: a keyword tests only values of its own type,
+    and ``oneOf`` holds when exactly one branch does."""
+    kind = schema.get("type")
+    if kind is not None and not _TYPES[kind](value):
+        return path, f"{value!r} is not of type {kind!r}"
+    if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
+        return path, f"{value!r} is not one of {schema['enum']!r}"
+    if "const" in schema and not _equal(value, schema["const"]):
+        return path, f"{schema['const']!r} was expected, got {value!r}"
+    if _is_number(value):
+        for key, fails, words in _BOUNDS:
+            if key in schema and fails(value, schema[key]):
+                return path, f"{value!r} is {words} {schema[key]!r}"
+    if isinstance(value, list):
+        if len(value) < schema.get("minItems", 0):
+            return path, f"{value!r} has fewer than {schema['minItems']} items"
+        if "items" in schema:
+            for i, item in enumerate(value):
+                error = _schema_error(item, schema["items"], path + (i,))
+                if error:
+                    return error
+    if isinstance(value, dict):
+        props = schema.get("properties", {})
+        for key in schema.get("required", ()):
+            if key not in value:
+                return path, f"{key!r} is a required property"
+        if schema.get("additionalProperties", True) is False:
+            extra = [key for key in value if key not in props]
+            if extra:
+                return path, f"unexpected key(s) {', '.join(map(repr, extra))}"
+        for key, sub in props.items():
+            if key in value:
+                error = _schema_error(value[key], sub, path + (key,))
+                if error:
+                    return error
+    if "oneOf" in schema:
+        errors = [_schema_error(value, sub, path) for sub in schema["oneOf"]]
+        misses = [e for e in errors if e]
+        if len(misses) == len(errors):  # report the branch that got furthest
+            return max(misses, key=lambda e: len(e[0]))
+        if len(errors) - len(misses) > 1:
+            return path, "valid under more than one of the oneOf branches"
+    return None
+
+
 def validate_config(raw: dict) -> None:
-    try:
-        jsonschema.validate(raw, CONFIG_SCHEMA)
-    except jsonschema.ValidationError as exc:
-        raise InputError(f"config schema violation at {exc.json_path}: {exc.message}") from None
+    error = _schema_error(raw, CONFIG_SCHEMA)
+    if error:
+        path, message = error
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                              for p in path)
+        raise InputError(f"config schema violation at {where}: {message}")
     # cross-field rules the schema cannot express
     if raw["scheme"]["kind"] == KIND_BUMP and "h" not in raw["scheme"]:
         raise InputError("scheme 'smooth-bump' requires a bandwidth h")

@@ -16,11 +16,12 @@ from .data import as_points
 from .errors import InputError, InsufficientDataError
 from .regions import RegionPredicate
 
-# entries per chunk when predicting over many rows, keeps memory flat
-_CHUNK_BUDGET = 4_000_000
 # entries per row block inside the Gaussian-RBF kernel (512 KB of float64),
 # small enough that each elementwise pass over a block stays in L2
 _BLOCK_BUDGET = 65_536
+# entries per chunk when predicting over many rows: at 512 KB a chunk's
+# cross-kernel is still in cache when its matrix-vector product reads it
+_CHUNK_BUDGET = _BLOCK_BUDGET
 
 
 def chunk_rows(m: int) -> int:

@@ -1,6 +1,7 @@
 import copy
 import inspect
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from localsvm import (ComposedModel, GaussianRBF, InputError,
                       LadderConvergenceWarning, LogisticRegression,
                       ModelConfig, Polynomial, TrainConfig, WeightScheme,
                       fit_composed, regionalize)
-from localsvm.config import (load_config, load_csv_dataset,
+from localsvm.config import (CONFIG_SCHEMA, load_config, load_csv_dataset,
                              model_config_from_config, setup_from_config,
                              task_from_config, validate_config)
 from localsvm.experiments import LambdaSchedule, SyntheticTask, generate
@@ -80,6 +81,121 @@ def test_smooth_bump_requires_h():
         validate_config(cfg)
     cfg = base_config(scheme={"kind": "smooth-bump", "h": 1.0})
     validate_config(cfg)
+
+
+BENCHMARK_CONFIGS = (Path(__file__).resolve().parents[1] / "benchmark"
+                     / "configs")
+CSV_DATASET = {"kind": "csv", "path": "data.csv"}
+TRADEOFF = {"kind": "tradeoff", "lambda_grid": [1.0, 0.5], "eval_n": 500}
+CONSISTENCY = {"kind": "consistency", "n_ladder": [100, 200],
+               "schedule": {"c": 1.0, "beta": 0.25}, "eval_n": 1000}
+# what a mutation writes at a path; the blocks are the oneOf branches
+MUTANTS = (None, True, False, 0, -1, 0.5, 1.0, 0.6, "text", [], {},
+           base_config()["dataset"], CSV_DATASET, CONSISTENCY, TRADEOFF)
+
+
+def _schema_cases():
+    """The benchmark configs, a CSV/polynomial/tradeoff config and their
+    single and seeded double mutations: every path set to each of MUTANTS
+    or deleted, and an unknown key added to every object."""
+    csv_cfg = base_config(dataset=CSV_DATASET, experiment=TRADEOFF,
+                          scheme={"kind": "smooth-bump", "h": 0.7},
+                          output={"dir": "out"},
+                          audit={"z": {"x": [0.5, -0.5], "y": 1.0},
+                                 "q_family": "none", "maxbias_eps": 0.0})
+    csv_cfg["model"]["kernel"] = {"family": "polynomial", "degree": 2,
+                                  "offset": 1.0}
+    csv_cfg["model"].update(
+        grad_tol=1e-9, max_iter=50, ridge=0.0,
+        per_region=[{"region": 1, "kernel": {"family": "linear"},
+                     "lambda": 0.25}])
+    bases = [json.loads(path.read_text())
+             for path in sorted(BENCHMARK_CONFIGS.glob("*.json"))] + [csv_cfg]
+
+    def nodes(node, path=()):
+        yield path, node
+        items = (node.items() if isinstance(node, dict)
+                 else enumerate(node) if isinstance(node, list) else ())
+        for key, child in items:
+            yield from nodes(child, path + (key,))
+
+    def mutations(cfg):
+        for path, node in nodes(cfg):
+            if isinstance(node, dict):
+                yield path, "add", None
+            if path:
+                yield path, "delete", None
+                for value in MUTANTS:
+                    yield path, "set", value
+
+    def apply(cfg, mutation):
+        path, op, value = mutation
+        node = cfg
+        for key in path[:-1]:
+            node = node[key]
+        if op == "add":
+            (node[path[-1]] if path else node)["unknown_key"] = 1
+        elif op == "delete":
+            del node[path[-1]]
+        else:
+            node[path[-1]] = copy.deepcopy(value)
+
+    cases = []
+    rng = np.random.default_rng(15)
+    for base in bases:
+        singles = list(mutations(base))
+        for mutation in singles:
+            cfg = copy.deepcopy(base)
+            apply(cfg, mutation)
+            cases.append(cfg)
+        for _ in range(len(singles) // 2):
+            cfg = copy.deepcopy(base)
+            apply(cfg, singles[rng.integers(len(singles))])
+            # drawn from the mutated config, so its path exists
+            second = list(mutations(cfg))
+            apply(cfg, second[rng.integers(len(second))])
+            cases.append(cfg)
+    return bases, cases
+
+
+def test_schema_check_agrees_with_jsonschema():
+    # jsonschema is the reference for the in-package checker; it is a test
+    # dependency only
+    from jsonschema import Draft202012Validator
+
+    reference = Draft202012Validator(CONFIG_SCHEMA)
+    bases, cases = _schema_cases()
+    assert len(cases) >= 2000
+    accepted = []
+    for cfg in bases + cases:
+        try:
+            validate_config(cfg)
+            ours = True
+        except InputError as exc:
+            ours = "config schema violation" not in str(exc)
+        assert ours == reference.is_valid(cfg), cfg
+        accepted.append(ours)
+    assert all(accepted[:len(bases)])
+    assert 200 < sum(accepted) < len(cases) - 200
+
+
+@pytest.mark.parametrize("where, value, path", [
+    (("model", "lambda"), 0, "$.model.lambda"),
+    (("model", "kernel", "degree"), 1.5, "$.model.kernel.degree"),
+    (("audit", "eps_ladder", 1), 0.6, "$.audit.eps_ladder[1]"),
+    (("dataset", "n"), True, "$.dataset.n"),
+    (("experiment", "n_ladder", 0), 0, "$.experiment.n_ladder[0]"),
+])
+def test_schema_violation_names_its_path(where, value, path):
+    cfg = base_config(audit={"eps_ladder": [0.01, 0.005]},
+                      experiment=copy.deepcopy(CONSISTENCY))
+    node = cfg
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(InputError) as err:
+        validate_config(cfg)
+    assert str(err.value).startswith(f"config schema violation at {path}: ")
 
 
 def test_config_json_error_has_line_context(tmp_path):
@@ -485,34 +601,37 @@ def test_cli_audit_z_grid_too_large_exits_2(tmp_path, capsys, monkeypatch):
 def test_import_cli_leaves_scipy_stats_unloaded(tmp_path):
     import subprocess
     import sys
-    from pathlib import Path
 
-    # no command imports scipy: the audit probes read only its Sobol
-    # direction-number file
+    # no command imports scipy or jsonschema: the audit probes read only
+    # scipy's Sobol direction-number file, and configs are checked in-package
     src = str(Path(cli.__file__).resolve().parents[1])
     cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
-                             "z_grid": 2, "maxbias_eps": 0.1})
+                             "z_grid": 2, "maxbias_eps": 0.1},
+                      experiment={"kind": "tradeoff", "lambda_grid": [1.0],
+                                  "eval_n": 200})
     cfg["dataset"]["n"] = 30
     cfg_path = write_config(tmp_path, cfg)
-    audit = (f"rc = localsvm.cli.main(['audit', '--config', {cfg_path!r}, "
-             f"'--out', {str(tmp_path / 'o')!r}]); assert rc == 0, rc; ")
-    loaded = ("print('scipy modules:', *(m for m in sys.modules "
-              "if m == 'scipy' or m.startswith('scipy.')))")
-    for run in ("", audit):
+    loaded = ("print('modules:', *(m for m in sys.modules "
+              "if m.split('.')[0] in ('scipy', 'jsonschema')))")
+    for command in ("", "train", "audit", "experiment"):
+        run = (f"rc = localsvm.cli.main([{command!r}, '--config', {cfg_path!r}, "
+               f"'--out', {str(tmp_path / command)!r}]); assert rc == 0, rc; "
+               if command else "")
         code = "import sys, localsvm.cli; " + run + loaded
         result = subprocess.run([sys.executable, "-c", code], cwd=src,
                                 capture_output=True, timeout=120)
         assert result.returncode == 0, result.stderr.decode()
         last = result.stdout.decode().splitlines()[-1]
-        assert last.split() == ["scipy", "modules:"], last
-    assert (tmp_path / "o" / "audit.json").is_file()
+        assert last.split() == ["modules:"], (command, last)
+    for command, output in (("train", "model.json"), ("audit", "audit.json"),
+                            ("experiment", "tradeoff.json")):
+        assert (tmp_path / command / output).is_file()
 
 
 def test_cli_train_overflowing_gram_exits_3(tmp_path):
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     # (x'y + 1)^400 overflows the Gram, so the first gradient is NaN: exit 3
     # and no all-zero model.json. A subprocess, because the overflow warning
@@ -673,16 +792,36 @@ def test_cli_audit_rejects_a_model_with_non_finite_values(tmp_path, capsys,
 
 
 def test_cli_audit_rejects_a_model_with_another_region_count(tmp_path, capsys):
-    from pathlib import Path
-
-    grid = (Path(__file__).resolve().parents[1] / "benchmark" / "configs"
-            / "audit-grid.json")
+    grid = BENCHMARK_CONFIGS / "audit-grid.json"
     raw = json.loads(grid.read_text())
     raw["partition"]["b_target"] = 3
     assert cli.main(["train", "--config", write_config(tmp_path, raw),
                      "--out", str(tmp_path / "m")]) == 0
     capsys.readouterr()
     rc = cli.main(["audit", "--config", str(grid),
+                   "--model", str(tmp_path / "m" / "model.json"),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert ("model partition does not match the config partition"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out" / "audit.json").exists()
+
+
+def test_cli_audit_rejects_a_model_with_another_partition_seed(tmp_path, capsys):
+    # same data and region count, other balls: the audit must not run on
+    # the model's partition in place of the config's
+    grid = BENCHMARK_CONFIGS / "audit-grid.json"
+    raw = json.loads(grid.read_text())
+    raw["audit"]["z_grid"] = 2
+    raw["partition"]["seed"] = 3
+    assert cli.main(["train", "--config", write_config(tmp_path, raw, "seed3.json"),
+                     "--out", str(tmp_path / "m")]) == 0
+    raw["partition"]["seed"] = 11
+    cfg_path = write_config(tmp_path, raw, "seed11.json")
+    model = json.loads((tmp_path / "m" / "model.json").read_text())
+    assert len(model["partition"]["regions"]) == raw["partition"]["b_target"]
+    capsys.readouterr()
+    rc = cli.main(["audit", "--config", cfg_path,
                    "--model", str(tmp_path / "m" / "model.json"),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
@@ -749,7 +888,6 @@ def test_public_names_resolve_and_tracer_instruments():
     import os
     import subprocess
     import sys
-    from pathlib import Path
 
     import localsvm
 
@@ -918,10 +1056,7 @@ def test_setup_from_config_partition_defaults_are_the_library_defaults(
 
 
 def test_benchmark_configs_load_and_build():
-    from pathlib import Path
-
-    configs = sorted((Path(__file__).resolve().parents[1]
-                      / "benchmark" / "configs").glob("*.json"))
+    configs = sorted(BENCHMARK_CONFIGS.glob("*.json"))
     assert len(configs) == 3
     for path in configs:
         raw = load_config(path)

@@ -275,7 +275,7 @@ def test_matrix_above_chunk_budget_matches_chunked_form(kernel, dim):
     k = dataclasses.replace(kernel, input_dim=dim)
     rng = np.random.default_rng(40 + dim)
     m = 2000
-    X = rng.normal(size=(_CHUNK_BUDGET // m + 101, dim))  # two chunks
+    X = rng.normal(size=(_CHUNK_BUDGET // m + 101, dim))  # several chunks
     Z = rng.normal(size=(m, dim))
     got = k.matrix(X, Z)
     want = _chunked_matrix(k, X, Z)
