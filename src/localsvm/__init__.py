@@ -13,8 +13,8 @@ from .errors import (ConvergenceError, CoverageError, InputError,
                      InsufficientDataError, LocalSvmError)
 from .experiments import (LambdaSchedule, PartitionConfig, SyntheticTask,
                           consistency_trend, generate, tradeoff_sweep)
-from .kernels import (GaussianRBF, Kernel, KernelSupNorm, Linear, Polynomial,
-                      kernel_from_dict, sup_norm_on_region)
+from .kernels import (GaussianRBF, Kernel, Linear, Polynomial, kernel_from_dict,
+                      sup_norm_on_region)
 from .losses import (LogisticClassification, LogisticRegression, SmoothLoss,
                      loss_from_name)
 from .regions import (RegionPartition, RegionPredicate, WeightScheme,
@@ -34,7 +34,7 @@ __all__ = [
     "AuditContext", "AuditReport", "ComposedModel", "ContaminationSpec",
     "ConvergenceError", "CoverageError", "Dataset",
     "GaussianRBF", "IdentityReport", "InfluenceEstimate", "InputError",
-    "InsufficientDataError", "Kernel", "KernelSupNorm",
+    "InsufficientDataError", "Kernel",
     "LadderConvergenceWarning", "LambdaSchedule", "Linear", "LocalModel",
     "LocalSvmError", "LogisticClassification", "LogisticRegression",
     "ModelConfig", "PartitionConfig", "Polynomial", "RegionPartition",

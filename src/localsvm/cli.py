@@ -179,8 +179,6 @@ def cmd_audit(args) -> int:
     if report.maxbias_bound is not None:
         print(f"maxbias_bound  = {report.maxbias_bound:.6g}  "
               f"empirical maxbias = {report.empirical['maxbias_sup']:.6g}")
-    for note in report.notes:
-        print(f"note: {note}")
     for key, ok in report.satisfied.items():
         print(f"satisfied[{key}] = {ok}")
     return EXIT_OK if report.all_satisfied else EXIT_BOUND_VIOLATION

@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset, as_points
-from .errors import InputError, LocalSvmError
+from .errors import ConvergenceError, InputError, LocalSvmError
 from .kernels import Kernel
 from .losses import SmoothLoss
 from .regions import RegionPartition, WeightScheme, restrict
@@ -43,7 +43,7 @@ class ModelConfig:
 
 
 class RegionTrainingError(LocalSvmError):
-    """A local training failed; carries the offending region id."""
+    """A local training did not converge; carries the offending region id."""
 
     def __init__(self, region_id, cause):
         super().__init__(f"training failed in region {region_id}: {cause}")
@@ -126,7 +126,7 @@ def _fit_one(data, partition, config, b):
     try:
         return train(sample_b, config.kernel_for(b), config.loss,
                      config.train_for(b), region_id=b)
-    except LocalSvmError as exc:
+    except ConvergenceError as exc:
         raise RegionTrainingError(b, exc) from exc
 
 

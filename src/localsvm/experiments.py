@@ -278,9 +278,8 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
     """Monte-Carlo risk and influence bound across a lambda grid.
 
     The bound is exactly inversely linear in lambda; the risk column shows
-    the consistency-vs-robustness trade-off on one fixed partition. Its
-    bound factors are estimated on the training inputs, which kernels
-    without an exact sup-norm need as probes.
+    the consistency-vs-robustness trade-off on one fixed partition, whose
+    balls alone give the bound's sup-norm factors.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if any(l <= 0 for l in lambda_grid):
@@ -298,7 +297,7 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
                       region_lambdas={})
         model = fit_composed(data, scheme, cfg)
         risk, stderr = _mc_risk(model, eval_data, config.loss)
-        bound = if_bound(scheme, cfg, probes=data.X).if_bound_rough
+        bound = if_bound(scheme, cfg).if_bound_rough
         rows.append(SweepRow(lam=lam, risk=risk, if_bound_rough=bound,
                              mc_stderr=stderr))
     return SweepReport(rows=rows, n=n, eval_n=eval_n)

@@ -1,4 +1,4 @@
-"""Positive-definite kernels, Gram matrices and region-restricted sup-norms.
+"""Positive-definite kernels, Gram matrices and region sup-norms.
 
 All shipped families are continuous and bounded on bounded sets; the
 Gaussian RBF family is bounded globally with sup_x sqrt(k(x, x)) = 1.
@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .data import as_points
-from .errors import InputError, InsufficientDataError
+from .errors import InputError
 from .regions import RegionPredicate
 
 # entries per row block inside the Gaussian-RBF kernel (512 KB of float64),
@@ -39,12 +39,16 @@ class Kernel:
     Linear and Polynomial because numpy evaluates ``X @ X.T`` there as one
     symmetric product (BLAS syrk), which the elementwise offset and power
     keep.
+
+    Every family's k(x, x) depends on x only through ||x|| and does not
+    decrease as ||x|| grows (1 for Gaussian RBF, ||x||^2 for Linear,
+    (||x||^2 + offset)^degree for Polynomial), so its sup over a ball is
+    its value at one point of largest norm; ``sup_norm_on_region`` relies
+    on this.
     """
 
     input_dim: int
     family: str = "abstract"
-    # sqrt(k(x, x)) == 1 everywhere, so region sup-norms are exact
-    unit_diagonal: bool = False
 
     def _check(self, X: np.ndarray) -> np.ndarray:
         X = as_points(X)
@@ -91,6 +95,13 @@ class Kernel:
     def _diag(self, X: np.ndarray) -> np.ndarray:
         raise NotImplementedError
 
+    def _finite(self, K: np.ndarray) -> np.ndarray:
+        """K itself, or an InputError naming the kernel if an entry overflowed."""
+        if not np.isfinite(K).all():
+            raise InputError(f"kernel {self.to_dict()} overflows: some k(x, x') "
+                             "is not finite on these inputs")
+        return K
+
     def to_dict(self) -> dict:
         """family, input_dim, then the family's parameters in field order."""
         d = {"family": self.family, "input_dim": self.input_dim}
@@ -106,7 +117,6 @@ class GaussianRBF(Kernel):
     gamma: float
     input_dim: int
     family = "gaussian-rbf"
-    unit_diagonal = True
 
     def __post_init__(self):
         if not self.gamma > 0:
@@ -148,10 +158,12 @@ class Linear(Kernel):
     family = "linear"
 
     def _cross(self, X, Z):
-        return X @ Z.T
+        with np.errstate(over="ignore"):
+            return self._finite(X @ Z.T)
 
     def _diag(self, X):
-        return (X * X).sum(axis=1)
+        with np.errstate(over="ignore"):
+            return self._finite((X * X).sum(axis=1))
 
 
 @dataclass(frozen=True)
@@ -170,13 +182,15 @@ class Polynomial(Kernel):
             raise InputError(f"offset must be nonnegative, got {self.offset}")
 
     def _cross(self, X, Z):
-        K = X @ Z.T
-        K += self.offset
-        K **= self.degree
-        return K
+        with np.errstate(over="ignore"):
+            K = X @ Z.T
+            K += self.offset
+            K **= self.degree
+        return self._finite(K)
 
     def _diag(self, X):
-        return ((X * X).sum(axis=1) + self.offset) ** self.degree
+        with np.errstate(over="ignore"):
+            return self._finite(((X * X).sum(axis=1) + self.offset) ** self.degree)
 
 
 def kernel_from_dict(d: dict) -> Kernel:
@@ -195,57 +209,25 @@ def kernel_from_dict(d: dict) -> Kernel:
     raise InputError(f"unknown kernel family {family!r}")
 
 
-METHOD_EXACT = "exact"
-METHOD_EMPIRICAL = "empirical-sup"
-
-
-@dataclass(frozen=True)
-class KernelSupNorm:
-    """sup over a region of sqrt(k(x, x)).
-
-    ``empirical-sup`` values are maxima over probe points and therefore lower
-    bounds of the true sup; reports must flag bounds computed from them as
-    possibly underestimated.
-    """
-
-    value: float
-    method: str
-
-    @property
-    def is_exact(self) -> bool:
-        return self.method == METHOD_EXACT
-
-
 def sup_sqrt_diag(kernel: Kernel, points) -> float:
-    """max of sqrt(k(x, x)) over the rows of ``points``; exactly 1 for a
-    family with ``unit_diagonal`` (Gaussian RBF), without evaluating it.
+    """max of sqrt(k(x, x)) over the rows of ``points`` (0 when there are none).
 
     The one kernel sup-norm computation: region sup-norms, model bound
     audits and the train summary all go through it.
     """
-    if kernel.unit_diagonal:
-        return 1.0
-    return float(np.sqrt(np.maximum(kernel.diag(points), 0.0)).max())
+    return float(np.sqrt(kernel.diag(points)).max(initial=0.0))
 
 
-def sup_norm_on_region(kernel: Kernel, region: RegionPredicate,
-                       probes=None) -> KernelSupNorm:
-    """Sup-norm of a kernel on a ``RegionPredicate``.
+def sup_norm_on_region(kernel: Kernel, region: RegionPredicate) -> float:
+    """sup of sqrt(k(x, x)) over the closed ball ``region``, exactly.
 
-    Exact for families with ``unit_diagonal`` (Gaussian RBF). Otherwise
-    an empirical sup over the probe points that fall inside the region.
+    k(x, x) is a nondecreasing function of ||x|| (see ``Kernel``), and
+    ||x|| <= ||c|| + r on the ball with equality at c + r c / ||c|| (any
+    point at distance r when c = 0), so the sup is the value at a point of
+    norm ||c|| + r; it is 1 for Gaussian RBF, ||c|| + r for Linear and
+    ((||c|| + r)^2 + offset)^(degree / 2) for Polynomial.
     """
-    if kernel.unit_diagonal:
-        return KernelSupNorm(1.0, METHOD_EXACT)
-    if probes is None or len(probes) == 0:
-        raise InsufficientDataError(
-            f"kernel family {kernel.family!r} has no exact region sup-norm; "
-            "probe points are required"
-        )
-    P = as_points(probes)
-    P = P[region.contains_many(P)]
-    if P.shape[0] == 0:
-        raise InsufficientDataError(
-            f"no probes inside region {region.id}; cannot estimate kernel sup-norm"
-        )
-    return KernelSupNorm(sup_sqrt_diag(kernel, P), METHOD_EMPIRICAL)
+    x = np.zeros((1, region.center.size))
+    with np.errstate(over="ignore"):  # Linear and Polynomial reject an inf norm
+        x[0, 0] = np.linalg.norm(region.center) + region.radius
+    return sup_sqrt_diag(kernel, x)

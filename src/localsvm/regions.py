@@ -97,10 +97,9 @@ class RegionPartition:
         return gaps.argmin(axis=1)
 
     def region(self, region_id: int) -> RegionPredicate:
-        try:
-            return self.regions[region_id - 1]
-        except IndexError:
-            raise InputError(f"no region with id {region_id}") from None
+        if not 1 <= region_id <= self.B:  # id 0 would index from the end
+            raise InputError(f"no region with id {region_id}")
+        return self.regions[region_id - 1]
 
     def to_dict(self) -> dict:
         return {
@@ -264,23 +263,15 @@ class WeightScheme:
         return cls(kind=d["kind"], partition=partition, h=d.get("h"))
 
 
-def weight_sup_norm(scheme: WeightScheme, region_id: int, probes) -> float:
-    """Max of w_b over the points of ``probes`` inside region b.
+def weight_sup_norm(scheme: WeightScheme, region_id: int) -> float:
+    """Certified bound 1 of sup_x w_b(x) over region b.
 
-    A lower bound of the true sup, and exactly 1 once the points include
-    one that no other region covers (w_b is 1 there by the scheme axioms),
-    as the training inputs do for a region with a point of its own.
+    Both schemes give weights in [0, 1]. A maximum of w_b over sample
+    points would only be a lower bound of the sup, and a certificate
+    built on it could be too small.
     """
-    region = scheme.partition.region(region_id)
-    P = as_points(probes)
-    P = P[region.contains_many(P)]
-    if P.shape[0] == 0:
-        raise InsufficientDataError(
-            f"no points inside region {region_id}; cannot estimate the weight "
-            "sup-norm"
-        )
-    W, _ = scheme.weights_many(P, on_uncovered="nearest")
-    return float(W[:, region_id - 1].max())
+    scheme.partition.region(region_id)  # InputError for an unknown id
+    return 1.0
 
 
 def restrict(data: Dataset, partition: RegionPartition, region_id: int):

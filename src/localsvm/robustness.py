@@ -19,9 +19,9 @@ between the regional empirical measure and delta_z.
 Sup-norms of influence estimates are empirical sups over the probe grid
 (training points plus a deterministic low-discrepancy fill of the data
 bounding box) and therefore lower bounds of the essential sup. The
-certificate's weight and kernel sup-norms are maxima over the probes and
-the training inputs, so a region with a training point of its own has
-||w_b|| exactly 1.
+certificate's factors need no points: ||w_b|| is bounded by 1, because
+both weight schemes take values in [0, 1], and ||k_b|| is the exact sup of
+sqrt(k(x, x)) over region b's ball (``sup_norm_on_region``).
 """
 
 from __future__ import annotations
@@ -268,13 +268,11 @@ class PerRegionTerm:
     w_sup: float
     lam: float
     k_sup: float
-    k_sup_method: str
     term: float
 
     def to_dict(self) -> dict:
         return {"region_id": self.region_id, "w_sup": self.w_sup,
-                "lambda": self.lam, "k_sup": self.k_sup,
-                "k_sup_method": self.k_sup_method, "term": self.term}
+                "lambda": self.lam, "k_sup": self.k_sup, "term": self.term}
 
 
 @dataclass
@@ -290,7 +288,6 @@ class AuditReport:
     per_z: list = field(default_factory=list)
     empirical: dict = field(default_factory=dict)
     satisfied: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
 
     @property
     def all_satisfied(self) -> bool:
@@ -305,27 +302,14 @@ class AuditReport:
             "per_z": self.per_z,
             "empirical": self.empirical,
             "satisfied": self.satisfied,
-            "notes": self.notes,
         }
 
 
-def _region_factors(scheme: WeightScheme, config: ModelConfig, probes):
-    """(w_sup, lam, kernel sup-norm) per region, plus caveat notes; both
-    sup-norms are maxima over the points of ``probes`` in the region."""
-    partition = scheme.partition
-    factors = []
-    notes = []
-    for b in range(1, partition.B + 1):
-        region = partition.region(b)
-        w_sup = weight_sup_norm(scheme, b, probes)
-        ks = sup_norm_on_region(config.kernel_for(b), region, probes)
-        if not ks.is_exact:
-            notes.append(
-                f"region {b}: kernel sup-norm is an empirical lower bound of "
-                "||k||, hence the bound's RHS may be underestimated"
-            )
-        factors.append((b, w_sup, config.lam_for(b), ks))
-    return factors, notes
+def _region_factors(scheme: WeightScheme, config: ModelConfig):
+    """(b, w_sup, lam_b, k_sup) per region, from the balls alone."""
+    return [(b, weight_sup_norm(scheme, b), config.lam_for(b),
+             sup_norm_on_region(config.kernel_for(b), scheme.partition.region(b)))
+            for b in range(1, scheme.B + 1)]
 
 
 @dataclass(frozen=True)
@@ -369,13 +353,13 @@ class AuditContext:
     """Per-audit state shared by every contamination spec.
 
     Built once per audit: the base composed model, the probes and their
-    weights, the bound factors (w_sup, lam_b, ||k_b||) as maxima over the
-    probes and the training inputs with their notes, and per region b a
-    ``RegionBlocks``. ``border`` extends a region by a spec's atoms, so a
-    retrain forms only the new Gram columns and a probe prediction is one
-    matrix-vector product; ``compose`` sums the regional predictions over
-    the probes in the order ``ComposedModel.predict`` does, so the results
-    are bitwise equal.
+    weights, the bound factors (w_sup, lam_b, ||k_b||) of the regions'
+    balls, and per region b a ``RegionBlocks``. The probes serve the
+    influence estimates only, not the bound. ``border`` extends a region
+    by a spec's atoms, so a retrain forms only the new Gram columns and a
+    probe prediction is one matrix-vector product; ``compose`` sums the
+    regional predictions over the probes in the order
+    ``ComposedModel.predict`` does, so the results are bitwise equal.
     Memory per region: n_b^2 for K_b plus |P_b| n_b for the probe block.
     The context is read-only after construction and shareable across
     threads.
@@ -400,8 +384,7 @@ class AuditContext:
         self.base = base
         self.threads = threads
         self.probes = as_points(probes)
-        self.factors, self.notes = _region_factors(
-            scheme, config, np.vstack([self.probes, data.X]))
+        self.factors = _region_factors(scheme, config)
         W, self.covered = scheme.weights_many(self.probes, on_uncovered="nearest")
         self.regions = {b: self._blocks(b, W[:, b - 1])
                         for b in range(1, scheme.B + 1)}
@@ -488,22 +471,22 @@ def _certificate_terms(factors, lip: float, tv_by_region):
     terms = []
     caps = {}
     total = 0.0
-    for b, w_sup, lam, ks in factors:
-        cap = ks.value * lip * tv_by_region[b] / lam
-        term = w_sup * ks.value * cap
-        terms.append(PerRegionTerm(b, w_sup, lam, ks.value, ks.method, term))
+    for b, w_sup, lam, k_sup in factors:
+        cap = k_sup * lip * tv_by_region[b] / lam
+        term = w_sup * k_sup * cap
+        terms.append(PerRegionTerm(b, w_sup, lam, k_sup, term))
         caps[b] = cap
         total += term
     return terms, caps, total
 
 
-def if_bound(scheme: WeightScheme, config: ModelConfig, probes) -> AuditReport:
+def if_bound(scheme: WeightScheme, config: ModelConfig) -> AuditReport:
     """Rough influence-function sup-norm bound 2 |L|_1 sum_b ||w_b|| ||k_b||^2 / lam_b,
-    with the sup-norms taken as maxima over ``probes``."""
-    factors, notes = _region_factors(scheme, config, probes)
+    with the sup-norms of the regions' balls."""
+    factors = _region_factors(scheme, config)
     terms, _, total = _certificate_terms(factors, float(config.loss.lipschitz),
                                          {b: 2.0 for b, *_ in factors})
-    return AuditReport(if_bound_rough=total, per_region_terms=terms, notes=list(notes))
+    return AuditReport(if_bound_rough=total, per_region_terms=terms)
 
 
 def _tv_distance(sample_b: Optional[WeightedSample], region, z_x, z_y: float) -> float:
@@ -522,19 +505,19 @@ def _tv_by_region(samples, partition: RegionPartition, z_x, z_y: float) -> dict:
 
 
 def tv_refined_if_bound(data: Dataset, scheme: WeightScheme, config: ModelConfig,
-                        z_x, z_y: float, probes=None) -> float:
+                        z_x, z_y: float) -> float:
     """IF bound with the exact discrete TV distance instead of the constant 2.
 
     TV_b = 2 (1 - D_b({z})) when z's input lies in region b (0 otherwise,
     because the contaminated regional measure then equals the original and
     the local influence function vanishes). Never exceeds the rough bound.
-    The sup-norm factors are maxima over ``probes`` and the training inputs.
+    The sup-norm factors are those of ``if_bound``; ``data`` enters only
+    through the regional measures D_b.
     """
     z_x = np.asarray(z_x, dtype=float).reshape(-1)
     samples = {b: restrict(data, scheme.partition, b) for b in range(1, scheme.B + 1)}
-    points = data.X if probes is None else np.vstack([as_points(probes), data.X])
-    factors, _ = _region_factors(scheme, config, points)
-    return _certificate_terms(factors, float(config.loss.lipschitz),
+    return _certificate_terms(_region_factors(scheme, config),
+                              float(config.loss.lipschitz),
                               _tv_by_region(samples, scheme.partition, z_x, z_y))[2]
 
 
@@ -694,7 +677,6 @@ def maxbias_probe(context: AuditContext, eps_by_region, probe_specs) -> AuditRep
                    "per_q_shifts": [float(s) for s in shifts],
                    "eps_by_region": eps.tolist()},
         satisfied={"maxbias": bool(empirical <= bound)},
-        notes=list(context.notes),
     )
 
 
@@ -790,7 +772,6 @@ def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
         per_z=per_z,
         empirical=empirical,
         satisfied=satisfied,
-        notes=list(ctx.notes) + (mb_report.notes if mb_report else []),
     )
 
 

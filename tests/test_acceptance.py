@@ -59,7 +59,7 @@ def sine_fixture():
                          train=TrainConfig(lam=FIXTURE_LAM))
     probes = default_probes(data, 512)
     base = fit_composed(data, scheme, config)
-    bound = if_bound(scheme, config, probes=probes)
+    bound = if_bound(scheme, config)
     return data, part, scheme, config, probes, base, bound
 
 
@@ -93,7 +93,7 @@ def test_criterion_1_gaussian_logistic_bound_closed_form():
         X, _, part = _blob_partition(n_regions, seed=n_regions)
         assert part.B == n_regions
         scheme = WeightScheme("normalized-indicator", part)
-        assert all(weight_sup_norm(scheme, b, X) == 1.0
+        assert all(weight_sup_norm(scheme, b) == 1.0
                    for b in range(1, n_regions + 1))
         for offset in range(len(lam_values)):
             lams = {b: lam_values[(b - 1 + offset) % len(lam_values)]
@@ -102,7 +102,7 @@ def test_criterion_1_gaussian_logistic_bound_closed_form():
                                  kernel=GaussianRBF(gamma=1.0, input_dim=2),
                                  train=TrainConfig(lam=1.0),
                                  region_lambdas=lams)
-            got = if_bound(scheme, config, probes=X).if_bound_rough
+            got = if_bound(scheme, config).if_bound_rough
             expected = 0.0
             for b in range(1, n_regions + 1):
                 expected += 2.0 / lams[b]

@@ -117,7 +117,7 @@ def test_pointwise_sup_bound():
     lam = 0.25
     composed = fit_composed(data, scheme, _config(lam=lam))
     probes = np.random.default_rng(7).uniform(-1, 5, size=(500, 2))
-    cap = sum(weight_sup_norm(scheme, b, data.X) * (1.0 / lam) * REG.lipschitz * 1.0**2
+    cap = sum(weight_sup_norm(scheme, b) * (1.0 / lam) * REG.lipschitz * 1.0**2
               for b in range(1, part.B + 1))
     assert np.max(np.abs(composed.predict(probes))) <= cap
 

@@ -460,7 +460,7 @@ def test_cli_audit_bound_violation_exit_code(tmp_path, monkeypatch):
                                       "decomposition_residual": 0.0,
                                       "ladder": [],
                                       "coverage_violations": 0},
-                           satisfied={"if": False}, notes=[])
+                           satisfied={"if": False})
 
     monkeypatch.setattr(cli, "run_audit", fake_audit)
     cfg = base_config(audit={"z_grid": 1})
@@ -628,26 +628,20 @@ def test_import_cli_leaves_scipy_stats_unloaded(tmp_path):
         assert (tmp_path / command / output).is_file()
 
 
-def test_cli_train_overflowing_gram_exits_3(tmp_path):
-    import os
-    import subprocess
-    import sys
-
-    # (x'y + 1)^400 overflows the Gram, so the first gradient is NaN: exit 3
-    # and no all-zero model.json. A subprocess, because the overflow warning
-    # is an error under the suite's warning filter
-    cfg = base_config()
+@pytest.mark.parametrize("command", ["train", "audit"])
+def test_cli_overflowing_gram_is_input_error(tmp_path, capsys, command):
+    # (x'y + 1)^400 overflows the Gram: a config error (exit 2) naming the
+    # kernel, raised before any solve and without numpy's overflow warning,
+    # which the suite's warning filter would turn into an exception
+    cfg = base_config(audit={"z_grid": 2})
     cfg["model"]["kernel"] = {"family": "polynomial", "degree": 400,
                               "offset": 1.0}
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-m", "localsvm.cli", "train",
-         "--config", write_config(tmp_path, cfg), "--out", str(tmp_path / "o")],
-        env=env, capture_output=True, timeout=120)
-    assert result.returncode == 3, result.stderr.decode()
-    assert "convergence error:" in result.stderr.decode()
-    assert not (tmp_path / "o" / "model.json").exists()
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "input error:" in err and "'polynomial'" in err and "overflows" in err
+    assert not any((tmp_path / "o").glob("*.json"))
 
 
 def test_cli_train_polynomial_with_large_kernel_diagonal(tmp_path):
@@ -849,7 +843,7 @@ def test_cli_experiment_tradeoff_non_rbf_kernels(tmp_path, kernel):
     assert rc == 0
     report = json.loads((tmp_path / "exp" / "tradeoff.json").read_text())
 
-    # the sweep's bound is if_bound with the training inputs as probes
+    # the sweep's bound is if_bound on the balls of the sweep's partition
     raw = load_config(cfg_path)
     setup = setup_from_config(raw)
     config = model_config_from_config(raw, setup.data.dim)
@@ -860,8 +854,38 @@ def test_cli_experiment_tradeoff_non_rbf_kernels(tmp_path, kernel):
     for row in report["rows"]:
         cfg_lam = ModelConfig(loss=config.loss, kernel=config.kernel,
                               train=replace(config.train, lam=row["lambda"]))
-        expected = if_bound(scheme, cfg_lam, probes=data.X).if_bound_rough
+        expected = if_bound(scheme, cfg_lam).if_bound_rough
         assert row["if_bound_rough"] == expected
+
+
+@pytest.mark.parametrize("kernel", [{"family": "linear"},
+                                    {"family": "polynomial", "degree": 2,
+                                     "offset": 1.0}],
+                         ids=["linear", "polynomial"])
+def test_cli_audit_non_rbf_factors_from_balls(tmp_path, capsys, kernel):
+    cfg = base_config(audit={"z_grid": 2})
+    cfg["model"]["kernel"] = kernel
+    cfg_path = write_config(tmp_path, cfg)
+    rc = cli.main(["audit", "--config", cfg_path, "--out", str(tmp_path / "a")])
+    out = capsys.readouterr().out
+    assert rc == 0, out
+    assert "note:" not in out
+    report = json.loads((tmp_path / "a" / "audit.json").read_text())
+
+    # ||k_b|| = ||c_b|| + r_b, or ((||c_b|| + r_b)^2 + 1)^(2/2), on the
+    # balls the config builds
+    raw = load_config(cfg_path)
+    setup = setup_from_config(raw)
+    part = setup.partition_cfg.build(setup.data.X).partition
+    terms = report["per_region_terms"]
+    assert len(terms) == part.B
+    for t, region in zip(terms, part.regions):
+        rho = float(np.linalg.norm(region.center)) + region.radius
+        k_sup = rho if kernel["family"] == "linear" else rho**2 + 1.0
+        assert t["w_sup"] == 1.0
+        assert t["k_sup"] == pytest.approx(k_sup, rel=1e-12)
+        assert set(t) == {"region_id", "w_sup", "lambda", "k_sup", "term"}
+    assert "notes" not in report
 
 
 def test_cli_audit_json_is_strict_when_z_touches_no_region(tmp_path):

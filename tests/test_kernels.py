@@ -6,9 +6,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from localsvm import (GaussianRBF, InputError, InsufficientDataError, Linear,
-                      Polynomial, RegionPredicate, kernel_from_dict,
-                      sup_norm_on_region)
+from localsvm import (GaussianRBF, InputError, Linear, Polynomial,
+                      RegionPredicate, kernel_from_dict, sup_norm_on_region)
 from localsvm.kernels import _BLOCK_BUDGET, _CHUNK_BUDGET, chunk_rows
 
 
@@ -123,28 +122,54 @@ def test_matrix_chunking_consistent():
 
 def test_sup_norm_gaussian_exact():
     region = RegionPredicate(center=np.zeros(2), radius=1.0, id=1)
-    res = sup_norm_on_region(GaussianRBF(gamma=2.0, input_dim=2), region)
-    assert res.value == 1.0
-    assert res.method == "exact"
-    assert res.is_exact
+    assert sup_norm_on_region(GaussianRBF(gamma=2.0, input_dim=2), region) == 1.0
 
 
-def test_sup_norm_linear_empirical():
-    region = RegionPredicate(center=np.zeros(2), radius=10.0, id=2)
-    k = Linear(input_dim=2)
-    res = sup_norm_on_region(k, region, probes=[[0.0, 0.0]])
-    assert res.value == 0.0 and res.method == "empirical-sup"
-    res = sup_norm_on_region(k, region, probes=[[3.0, 4.0], [0.0, 0.0]])
-    assert res.value == pytest.approx(5.0, rel=1e-15)
+def test_sup_norm_linear_closed_form():
+    # ||x|| <= ||c|| + r = 5 + 1 on the ball
+    region = RegionPredicate(center=np.array([3.0, 4.0]), radius=1.0, id=2)
+    assert sup_norm_on_region(Linear(input_dim=2), region) == 6.0
+    origin = RegionPredicate(center=np.zeros(2), radius=10.0, id=1)
+    assert sup_norm_on_region(Linear(input_dim=2), origin) == 10.0
 
 
-def test_sup_norm_linear_needs_probes():
-    region = RegionPredicate(center=np.zeros(2), radius=1.0, id=1)
-    with pytest.raises(InsufficientDataError):
-        sup_norm_on_region(Linear(input_dim=2), region, probes=None)
-    with pytest.raises(InsufficientDataError):
-        # probes outside the region do not count
-        sup_norm_on_region(Linear(input_dim=2), region, probes=[[5.0, 5.0]])
+SUP_FAMILIES = ({"family": "gaussian-rbf", "gamma": 0.7},
+                {"family": "linear"},
+                {"family": "polynomial", "degree": 3, "offset": 0.5},
+                {"family": "polynomial", "degree": 2, "offset": 0.0})
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+@pytest.mark.parametrize("spec", SUP_FAMILIES, ids=lambda s: "-".join(
+    str(v) for v in s.values()))
+def test_sup_norm_on_region_is_the_sup_over_the_ball(spec, dim):
+    k = kernel_from_dict({**spec, "input_dim": dim})
+    rng = np.random.default_rng(dim)
+    for trial in range(25):
+        # trial 0 is a ball centred at the origin
+        c = rng.normal(scale=3.0, size=dim) if trial else np.zeros(dim)
+        r = float(rng.uniform(0.0, 2.0))
+        region = RegionPredicate(center=c, radius=r, id=1)
+        sup = sup_norm_on_region(k, region)
+        u = rng.normal(size=(300, dim))
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        inside = c + u * (r * rng.uniform(size=(300, 1)) ** (1.0 / dim))
+        assert region.contains_many(inside).all()
+        # 1e-12 relative: the points' norms are rounded, like the sup's
+        assert (np.sqrt(k.diag(inside)) <= sup * (1.0 + 1e-12)).all()
+        far = c + r * (c / np.linalg.norm(c) if trial else u[0])
+        assert sup == pytest.approx(math.sqrt(k.eval(far, far)), rel=1e-12)
+
+
+@pytest.mark.parametrize("kernel", [Polynomial(degree=400, offset=1.0, input_dim=1),
+                                    Linear(input_dim=1)], ids=["polynomial", "linear"])
+def test_overflowing_kernel_matrix_is_input_error(kernel):
+    X = np.array([[3.0], [1e200]]) if kernel.family == "linear" else np.array([[3.0]])
+    ball = RegionPredicate(center=X[-1], radius=1.0, id=1)
+    for build in (lambda: kernel.gram(X), lambda: kernel.matrix(X, X),
+                  lambda: kernel.diag(X), lambda: sup_norm_on_region(kernel, ball)):
+        with pytest.raises(InputError, match=kernel.family):
+            build()
 
 
 def test_kernel_dict_round_trip():

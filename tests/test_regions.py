@@ -15,7 +15,7 @@ def test_single_region_covers_everything():
     assert part.B == 1
     assert part.covers(data.X).all()
     scheme = WeightScheme("normalized-indicator", part)
-    assert weight_sup_norm(scheme, 1, data.X) == 1.0
+    assert weight_sup_norm(scheme, 1) == 1.0
 
 
 def test_separated_clusters_disjoint_regions():
@@ -142,17 +142,23 @@ def test_weight_sup_norm_exclusive_point_gives_exact_one():
     data = two_blobs(n_per=20, gap=10.0, seed=7)
     part = regionalize(data.X, b_target=2, tau=0.0, min_region_size=5, seed=0)
     scheme = WeightScheme("normalized-indicator", part)
-    assert weight_sup_norm(scheme, 1, data.X) == 1.0
-    assert weight_sup_norm(scheme, 2, data.X) == 1.0
+    # each region holds a point of its own, where its weight is exactly 1
+    W, _ = scheme.weights_many(data.X)
+    np.testing.assert_array_equal(W.max(axis=0), [1.0, 1.0])
+    assert weight_sup_norm(scheme, 1) == 1.0
+    assert weight_sup_norm(scheme, 2) == 1.0
 
 
 def test_weight_sup_norm_fully_shared_region():
-    # two identical balls: every point belongs to both, sup of w_b is 1/2
+    # two identical balls: every point belongs to both, so w_b is 1/2
+    # everywhere; the certified bound is still 1
     X = np.random.default_rng(8).normal(size=(12, 2)) * 0.1
     part = manual_partition([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
-    assert weight_sup_norm(scheme, 1, X) == 0.5
-    assert weight_sup_norm(scheme, 2, X) == 0.5
+    W, _ = scheme.weights_many(X)
+    np.testing.assert_array_equal(W, np.full((12, 2), 0.5))
+    assert weight_sup_norm(scheme, 1) == 1.0
+    assert weight_sup_norm(scheme, 2) == 1.0
 
 
 def test_weight_sup_norm_smooth_bump_bounded():
@@ -161,19 +167,17 @@ def test_weight_sup_norm_smooth_bump_bounded():
     part = regionalize(X, b_target=2, tau=0.5, min_region_size=5, seed=3)
     scheme = WeightScheme("smooth-bump", part, h=0.8)
     probes = np.random.default_rng(11).uniform(-1, 2, size=(200, 2))
+    W, _ = scheme.weights_many(probes)
     for b in range(1, part.B + 1):
-        v = weight_sup_norm(scheme, b, probes=probes)
-        assert 0.0 < v <= 1.0
-        # monotone in probe-set inclusion
-        v_small = weight_sup_norm(scheme, b, probes=probes[:20])
-        assert v_small <= v
+        assert 0.0 < W[:, b - 1].max() <= weight_sup_norm(scheme, b) == 1.0
 
 
-def test_weight_sup_norm_without_points_or_probes():
+def test_weight_sup_norm_unknown_region_rejected():
     part = manual_partition([[0.0, 0.0]], [1.0])
     scheme = WeightScheme("normalized-indicator", part)
-    with pytest.raises(InsufficientDataError):
-        weight_sup_norm(scheme, 1, [[5.0, 5.0]])  # no point inside the ball
+    for region_id in (0, -1, 2):  # 0 and -1 must not index from the end
+        with pytest.raises(InputError):
+            weight_sup_norm(scheme, region_id)
 
 
 def test_restrict_examples():

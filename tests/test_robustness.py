@@ -114,14 +114,13 @@ def test_if_bound_arithmetic_examples():
     X = np.random.default_rng(2).normal(size=(10, 2))
     part = manual_partition([[0.0, 0.0]], [50.0])
     scheme = WeightScheme("normalized-indicator", part)
-    rep = if_bound(scheme, _config(lam=0.5), probes=X)
+    rep = if_bound(scheme, _config(lam=0.5))
     assert rep.if_bound_rough == 4.0
-    assert rep.per_region_terms[0].k_sup_method == "exact"
+    assert rep.per_region_terms[0].k_sup == 1.0
 
     # B = 2, lambdas (1, 2): 2 * (1 + 0.5) = 3
     data, part2, scheme2 = _fixture(gap=10.0, tau=0.0)
-    rep2 = if_bound(scheme2, _config(lam=1.0, region_lambdas={2: 2.0}),
-                    probes=data.X)
+    rep2 = if_bound(scheme2, _config(lam=1.0, region_lambdas={2: 2.0}))
     assert rep2.if_bound_rough == pytest.approx(3.0, rel=1e-15)
     assert [t.w_sup for t in rep2.per_region_terms] == [1.0, 1.0]
 
@@ -129,19 +128,26 @@ def test_if_bound_arithmetic_examples():
 def test_if_bound_halving_lambda_doubles_bound():
     data, part, scheme = _fixture()
     for lam in (0.1, 0.37, 2.0):
-        full = if_bound(scheme, _config(lam=lam), probes=data.X).if_bound_rough
-        half = if_bound(scheme, _config(lam=lam / 2.0),
-                        probes=data.X).if_bound_rough
+        full = if_bound(scheme, _config(lam=lam)).if_bound_rough
+        half = if_bound(scheme, _config(lam=lam / 2.0)).if_bound_rough
         assert half == 2.0 * full
 
 
-def test_if_bound_flags_empirical_kernel_sup():
+def test_if_bound_non_rbf_factors_from_balls():
+    # Linear: ||k_b|| = ||c_b|| + r_b, at least the max of ||x|| over the
+    # region's training points, and w_sup = 1
     data, part, scheme = _fixture()
     cfg = ModelConfig(loss=REG, kernel=Linear(input_dim=2),
                       train=TrainConfig(lam=0.5))
-    rep = if_bound(scheme, cfg, probes=data.X)
-    assert all(t.k_sup_method == "empirical-sup" for t in rep.per_region_terms)
-    assert any("lower bound" in note for note in rep.notes)
+    rep = if_bound(scheme, cfg)
+    for t, region in zip(rep.per_region_terms, part.regions):
+        assert t.w_sup == 1.0
+        assert t.k_sup == pytest.approx(
+            np.linalg.norm(region.center) + region.radius, rel=1e-15)
+        inside = data.X[region.contains_many(data.X)]
+        assert t.k_sup >= np.linalg.norm(inside, axis=1).max()
+        assert t.term == pytest.approx(2.0 * REG.lipschitz * t.k_sup**2 / 0.5,
+                                       rel=1e-15)
 
 
 def test_finite_diff_if_localized_to_touched_regions():
@@ -179,7 +185,7 @@ def test_finite_diff_if_sup_below_rough_bound():
     data, part, scheme = _fixture(n_per=15, gap=4.0)
     config = _config()
     probes = default_probes(data, 128)
-    bound = if_bound(scheme, config, probes=probes).if_bound_rough
+    bound = if_bound(scheme, config).if_bound_rough
     ctx = AuditContext(data, scheme, config, probes=probes)
     rng = np.random.default_rng(4)
     for _ in range(3):
@@ -262,7 +268,7 @@ def test_tv_refined_examples():
     part = manual_partition([[0.0, 0.0]], [10.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config(lam=0.5)
-    rough = if_bound(scheme, config, probes=X).if_bound_rough
+    rough = if_bound(scheme, config).if_bound_rough
 
     # z not an atom: TV = 2, refined == rough
     refined = tv_refined_if_bound(data, scheme, config, [9.0, 0.0], 99.0)
@@ -285,7 +291,7 @@ def test_tv_refined_examples():
 def test_tv_refined_never_exceeds_rough():
     data, part, scheme = _fixture(n_per=12, gap=3.0, tau=0.4)
     config = _config(lam=0.3)
-    rough = if_bound(scheme, config, probes=data.X).if_bound_rough
+    rough = if_bound(scheme, config).if_bound_rough
     rng = np.random.default_rng(7)
     for _ in range(10):
         x = rng.uniform(-2, 6, size=2)
@@ -295,8 +301,10 @@ def test_tv_refined_never_exceeds_rough():
 
 
 def test_tv_refined_matches_rough_at_tv_two_polynomial():
-    # every point lies in both balls, so no region has an exclusive point and
-    # the bump weights' sup-norms are below 1
+    # every point lies in both balls, so no region has an exclusive point:
+    # the bump weights stay below 1 on the data, and the data fill only
+    # [-1, 1]^2 of the radius-4 balls; the certificate's factors are the
+    # balls' all the same, w_sup = 1 and ||k_b|| = (||c_b|| + 4)^2 + 1
     rng = np.random.default_rng(8)
     X = rng.uniform(-1.0, 1.0, size=(20, 2))
     data = Dataset(X, np.sin(X.sum(axis=1)))
@@ -305,18 +313,22 @@ def test_tv_refined_matches_rough_at_tv_two_polynomial():
     config = ModelConfig(loss=REG,
                          kernel=Polynomial(degree=2, offset=1.0, input_dim=2),
                          train=TrainConfig(lam=0.3), region_lambdas={2: 0.7})
-    probes = default_probes(data, 64)
-    rough = if_bound(scheme, config, probes=probes)
-    assert all(t.w_sup != 1.0 for t in rough.per_region_terms)
-    assert all(t.k_sup_method == "empirical-sup" for t in rough.per_region_terms)
+    W, _ = scheme.weights_many(default_probes(data, 64))
+    assert (W.max(axis=0) < 1.0).all()
+    rough = if_bound(scheme, config)
+    expected = 0.0
+    for t, region, lam in zip(rough.per_region_terms, part.regions, (0.3, 0.7)):
+        k_sup = (np.linalg.norm(region.center) + 4.0) ** 2 + 1.0
+        assert t.w_sup == 1.0
+        assert t.k_sup == pytest.approx(k_sup, rel=1e-12)
+        expected += 2.0 * REG.lipschitz * k_sup**2 / lam
+    assert rough.if_bound_rough == pytest.approx(expected, rel=1e-12)
 
     # z in both balls and not an atom: TV_b = 2 in every region
-    refined = tv_refined_if_bound(data, scheme, config, [0.1, 0.1], 99.0,
-                                  probes=probes)
+    refined = tv_refined_if_bound(data, scheme, config, [0.1, 0.1], 99.0)
     assert refined == rough.if_bound_rough
     for i in range(5):
-        refined_atom = tv_refined_if_bound(data, scheme, config, X[i], data.y[i],
-                                           probes=probes)
+        refined_atom = tv_refined_if_bound(data, scheme, config, X[i], data.y[i])
         assert refined_atom <= rough.if_bound_rough
         assert refined_atom == pytest.approx(rough.if_bound_rough * (1 - 1 / 20),
                                              rel=1e-12)
@@ -396,7 +408,7 @@ def test_finite_diff_if_mixture_spec():
     assert set(est.per_region) == {1, 2}
     assert est.sup_norm_estimate > 0.0
     assert decomposition_check(est) <= 1e-10
-    bound = if_bound(scheme, config, probes=probes).if_bound_rough
+    bound = if_bound(scheme, config).if_bound_rough
     assert est.sup_norm_estimate <= bound
 
 

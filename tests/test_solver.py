@@ -226,6 +226,17 @@ def test_train_with_linear_kernel_and_bound_audit():
     assert check.k_sup > 0 and check.sup_bound_ok and check.h_norm_ok
 
 
+@pytest.mark.parametrize("kernel", [GaussianRBF(gamma=1.0, input_dim=2),
+                                    Polynomial(degree=2, offset=1.0, input_dim=2)],
+                         ids=["rbf", "polynomial"])
+def test_bound_audit_of_zero_model_without_probes(kernel):
+    # no anchors and no probes: every sup is over an empty set, hence 0
+    check = audit_model_bounds(LocalModel.zero(kernel, REG, 0.5, 1),
+                               np.zeros((0, 2)))
+    assert check.k_sup == check.h_norm == check.sup_abs_f == 0.0
+    assert check.sup_bound_ok and check.h_norm_ok
+
+
 def test_convergence_error_carries_best_iterate():
     sample = random_sample(30, seed=9)
     k = GaussianRBF(gamma=1.0, input_dim=2)
