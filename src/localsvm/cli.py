@@ -202,12 +202,12 @@ def cmd_experiment(args) -> int:
     if exp["kind"] == "consistency":
         report = consistency_trend(
             task, exp["n_ladder"], LambdaSchedule(**exp.get("schedule", {})),
-            pc, config, **eval_n)
+            pc, config, threads=args.threads, **eval_n)
         stem = "consistency"
     else:
         report = tradeoff_sweep(
             task, int(raw["dataset"]["n"]), exp["lambda_grid"], pc, config,
-            **eval_n)
+            threads=args.threads, **eval_n)
         stem = "tradeoff"
     text = _json_text(report.to_dict(), f"{stem}.json")
     csv_path = out_dir / f"{stem}.csv"

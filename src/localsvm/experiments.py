@@ -152,14 +152,14 @@ class PartitionConfig:
         return WeightScheme(self.scheme, partition, h=self.h)
 
 
-def _fit_for_n(data, pc, config, schedule):
+def _fit_for_n(data, pc, config, schedule, threads):
     scheme = pc.build(data.X)
     counts = scheme.partition.membership(data.X).sum(axis=0)
     region_lambdas = {b: schedule(max(int(n_b), 1))
                       for b, n_b in enumerate(counts, start=1)}
     cfg = replace(config, train=replace(config.train, lam=schedule(data.n)),
                   region_lambdas=region_lambdas)
-    return fit_composed(data, scheme, cfg)
+    return fit_composed(data, scheme, cfg, threads=threads)
 
 
 def _mc_risk(model, eval_data: Dataset, loss) -> tuple[float, float]:
@@ -215,14 +215,15 @@ class TrendReport:
 
 def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
                       pc: PartitionConfig, config: ModelConfig,
-                      eval_n: int = 100_000) -> TrendReport:
+                      eval_n: int = 100_000, threads: int = 1) -> TrendReport:
     """Risk of the composed predictor along an increasing sample ladder.
 
     Each ladder point gets its own partition and the per-region schedule
     lam_b = schedule(n_b); risks are Monte-Carlo estimates on one fresh
     evaluation sample shared across the ladder, reported next to the Bayes
     proxy (the known optimal predictor's risk) and the unregionalized
-    model's risk at lam = schedule(n).
+    model's risk at lam = schedule(n). ``threads`` caps the parallel
+    region trainings of each fit, as in ``fit_composed``.
     """
     n_ladder = [int(n) for n in n_ladder]
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
@@ -234,7 +235,7 @@ def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
     rows = []
     for n in n_ladder:
         data = generate(task, n)
-        model = _fit_for_n(data, pc, config, schedule)
+        model = _fit_for_n(data, pc, config, schedule, threads)
         risk, stderr = _mc_risk(model, eval_data, config.loss)
         lam_global = schedule(n)
         global_model = train(WeightedSample.from_dataset(data), config.kernel,
@@ -274,12 +275,13 @@ class SweepReport:
 
 def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
                    pc: PartitionConfig, config: ModelConfig,
-                   eval_n: int = 100_000) -> SweepReport:
+                   eval_n: int = 100_000, threads: int = 1) -> SweepReport:
     """Monte-Carlo risk and influence bound across a lambda grid.
 
     The bound is exactly inversely linear in lambda; the risk column shows
     the consistency-vs-robustness trade-off on one fixed partition, whose
-    balls alone give the bound's sup-norm factors.
+    balls alone give the bound's sup-norm factors. ``threads`` caps the
+    parallel region trainings of each fit, as in ``fit_composed``.
     """
     lambda_grid = [float(l) for l in lambda_grid]
     if any(l <= 0 for l in lambda_grid):
@@ -295,7 +297,7 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
         # in the grid's lambda
         cfg = replace(config, train=replace(config.train, lam=lam),
                       region_lambdas={})
-        model = fit_composed(data, scheme, cfg)
+        model = fit_composed(data, scheme, cfg, threads=threads)
         risk, stderr = _mc_risk(model, eval_data, config.loss)
         bound = if_bound(scheme, cfg).if_bound_rough
         rows.append(SweepRow(lam=lam, risk=risk, if_bound_rough=bound,

@@ -110,6 +110,17 @@ class Kernel:
         return d
 
 
+def _difference_factors(X: np.ndarray, Z: np.ndarray):
+    """(d, n, 2) and (d, 2, m) stacks whose products xs[j] @ zs[j] are the
+    coordinate differences X[:, j] - Z[:, j]': xs[j] = [X[:, j], 1] and
+    zs[j] = [1, -Z[:, j]]'."""
+    xs = np.ones((X.shape[1], X.shape[0], 2))
+    xs[:, :, 0] = X.T
+    zs = np.ones((Z.shape[1], 2, Z.shape[0]))
+    np.negative(Z.T, out=zs[:, 1])
+    return xs, zs
+
+
 @dataclass(frozen=True)
 class GaussianRBF(Kernel):
     """k(x, x') = exp(-gamma^-2 ||x - x'||_2^2); k(x, x) = 1 exactly."""
@@ -123,12 +134,19 @@ class GaussianRBF(Kernel):
             raise InputError(f"gamma must be positive, got {self.gamma}")
 
     def _cross(self, X, Z):
-        # direct differences, one coordinate at a time, written straight into
-        # the output one row block at a time with one block-sized scratch: no
-        # (n, m, d) temporary and no second (n, m) buffer, and each entry gets
-        # the same elementwise arithmetic as the unblocked form, so it is
-        # bitwise equal to it, exactly symmetric and exactly 1 on the diagonal
-        n, m = X.shape[0], Z.shape[0]
+        # each coordinate difference is one k = 2 matrix product
+        # [x_j, 1] @ [1, -z_j]^T, which BLAS writes into the block faster
+        # than numpy broadcasts x_j - z_j. Both products are exact, so only
+        # their sum is rounded, once: every entry is round(x_j - z_j) under
+        # any summation order, FMA or thread split (an exact zero may come
+        # out +0 where x_j - z_j gives -0; the square erases the sign).
+        # Squares are summed one coordinate at a time into the output, one
+        # row block at a time with one block-sized scratch: no (n, m, d)
+        # temporary and no second (n, m) buffer. So each entry is bitwise
+        # equal to the direct elementwise form, exactly symmetric (rounding
+        # is sign-symmetric) and exactly 1 on the diagonal
+        n, m, d = X.shape[0], Z.shape[0], X.shape[1]
+        xs, zs = _difference_factors(X, Z)
         out = np.empty((n, m))
         rows = max(1, _BLOCK_BUDGET // max(1, m))
         diff = np.empty((min(rows, n), m))
@@ -136,10 +154,10 @@ class GaussianRBF(Kernel):
         for start in range(0, n, rows):
             d2 = out[start:start + rows]
             t = diff[:d2.shape[0]]
-            np.subtract.outer(X[start:start + rows, 0], Z[:, 0], out=d2)
+            np.matmul(xs[0, start:start + rows], zs[0], out=d2)
             np.square(d2, out=d2)
-            for j in range(1, X.shape[1]):
-                np.subtract.outer(X[start:start + rows, j], Z[:, j], out=t)
+            for j in range(1, d):
+                np.matmul(xs[j, start:start + rows], zs[j], out=t)
                 np.square(t, out=t)
                 d2 += t
             np.divide(d2, scale, out=d2)

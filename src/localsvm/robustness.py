@@ -39,7 +39,7 @@ from .data import Dataset, WeightedSample, as_points
 from .errors import InputError
 from .kernels import sup_norm_on_region
 from .regions import RegionPartition, WeightScheme, restrict, weight_sup_norm
-from .solver import LocalModel, train
+from .solver import LocalModel, grad_scale, train
 
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
 #: ladder residual ratio above which the limit is flagged as not converging
@@ -688,7 +688,9 @@ def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
     For every contamination spec the finite-difference influence estimate,
     its decomposition residual and (for Dirac specs) the TV-refined bound
     are computed; the sup-norm certificate allows the numerically justified
-    slack 10 (grad_tol / eps + eps * curvature), and each local H-norm its
+    slack 10 (grad_tol / eps + eps * curvature), with grad_tol scaled as the
+    retrains scaled it (the largest ``grad_scale`` of the touched regions'
+    bordered Grams, 1 for Gaussian RBF), and each local H-norm its
     cap with slack ``H_NORM_SLACK``. A maxbias probe at the given full
     contamination level runs against the adversarial corner/label-flip
     family of ``adversarial_q_specs``. The per-run state is built once, as
@@ -708,7 +710,9 @@ def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
     for spec in z_specs:
         est = finite_diff_if(ctx, spec)
         resid = decomposition_check(est)
-        slack = 10.0 * (grad_tol / est.eps_used + est.eps_used * est.curvature)
+        tol = grad_tol * max((grad_scale(q.gram) for q in est.per_region.values()),
+                             default=1.0)
+        slack = 10.0 * (tol / est.eps_used + est.eps_used * est.curvature)
         sup_ok = est.sup_norm_estimate <= rough + slack
 
         if spec.kind == "dirac":

@@ -36,17 +36,24 @@ from .losses import SmoothLoss, loss_from_name
 
 ARMIJO_C = 1e-4
 _MIN_STEP = 1e-16
-# below this gradient norm, times max(1, max_i K_ii) since grad = K g, the
-# iteration is in Newton's quadratic phase and the Armijo decrease would drown
-# in objective rounding noise; take the full step (damping is a globalization
-# device only)
+# below this gradient norm, times grad_scale(K), the iteration is in Newton's
+# quadratic phase and the Armijo decrease would drown in objective rounding
+# noise; take the full step (damping is a globalization device only)
 _FULL_STEP_GNORM = 1e-6
 _CG_RTOL = 1e-13  # relative residual at which conjugate gradients stop
 
 
+def grad_scale(K) -> float:
+    """max(1, max_i K_ii): the gradient K g scales with the kernel diagonal,
+    so ``train`` multiplies its gradient thresholds by this factor."""
+    return float(np.max(np.diagonal(K), initial=1.0))
+
+
 @dataclass(frozen=True)
 class TrainConfig:
-    """Solver settings; ``lam`` is the regularization parameter (> 0)."""
+    """Solver settings; ``lam`` is the regularization parameter (> 0) and
+    ``grad_tol`` the gradient sup-norm at which ``train`` stops, relative
+    to ``grad_scale`` of the Gram matrix (1 for Gaussian RBF)."""
 
     lam: float
     grad_tol: float = 1e-10
@@ -65,7 +72,9 @@ class TrainConfig:
 class SolveInfo:
     """How ``train`` reached its solution: Newton steps taken, conjugate
     gradient iterations (total and the most in one step), Armijo halvings,
-    steepest-descent fallbacks and the final gradient sup-norm."""
+    steepest-descent fallbacks, the final gradient sup-norm and the largest
+    relative residual |res| / |b| at which a Newton step's CG solve ended
+    (above 1e-13 only where CG stopped at its n-iteration cap)."""
 
     newton_iters: int
     cg_iters: int
@@ -73,6 +82,7 @@ class SolveInfo:
     backtracks: int
     fallbacks: int
     grad_norm: float
+    cg_residual_max: float
 
 
 @dataclass(frozen=True)
@@ -170,13 +180,27 @@ class LocalModel:
                    region_id=d["region_id"])
 
 
+# objective's one-entry memo, ((kernel, shape, point bytes), Gram): an
+# optimizer evaluates the objective many times on one sample, and keying by
+# value, not identity, lets a rebuilt but equal sample reuse the Gram. Only
+# the last sample's Gram is held; the tuple is replaced whole, never mutated
+_objective_gram = (None, None)
+
+
 def objective(alpha, sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
               cfg: TrainConfig, shifted: bool = True) -> float:
     """Objective value at a coefficient vector anchored at the sample points."""
+    global _objective_gram
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[0] != sample.n:
         raise InputError("alpha length must equal the sample size")
-    f = kernel.gram(sample.X) @ alpha
+    X = np.ascontiguousarray(sample.X)
+    key = (kernel, X.shape, X.tobytes())
+    memo_key, K = _objective_gram
+    if memo_key != key:
+        K = kernel.gram(X)
+        _objective_gram = (key, K)
+    f = K @ alpha
     return float(sample.weights @ _loss_terms(loss, sample.y, f, shifted)
                  + cfg.lam * (alpha @ f))
 
@@ -186,32 +210,34 @@ def _loss_terms(loss, y, f, shifted):
 
 
 def _irls_solve(K, sqrt_d, b, lam):
-    """Conjugate gradients on (D^1/2 K D^1/2 + 2 lam I) r = b; returns r and
-    the iteration count. Stops at |res| <= _CG_RTOL |b| or after n steps."""
+    """Conjugate gradients on (D^1/2 K D^1/2 + 2 lam I) r = b; returns r,
+    the iteration count and the final relative residual |res| / |b| (0 for
+    b = 0). Stops at |res| <= _CG_RTOL |b| or after n steps."""
     r, res = np.zeros_like(b), b.copy()
     p, rr = res.copy(), float(res @ res)
+    rr_b, it = rr, 0
     stop = _CG_RTOL ** 2 * rr
-    for it in range(b.shape[0]):
-        if not rr > stop:
-            return r, it
+    while it < b.shape[0] and rr > stop:
         Ap = sqrt_d * (K @ (sqrt_d * p)) + 2.0 * lam * p
         a = rr / float(p @ Ap)
         r += a * p
         res -= a * Ap
         rr, rr_old = float(res @ res), rr
         p = res + (rr / rr_old) * p
-    return r, b.shape[0]
+        it += 1
+    return r, it, float(np.sqrt(rr / rr_b)) if rr_b > 0 else 0.0
 
 
 def _newton_step(K, g, grad, D, lam):
-    """A solution s of K (D K + 2 lam I) s = -grad, where grad = K g, and its
-    CG iteration count. A non-finite D gives an all-NaN step without any
-    arithmetic on it, which ``train`` replaces by steepest descent."""
+    """A solution s of K (D K + 2 lam I) s = -grad, where grad = K g, its CG
+    iteration count and final relative residual. A non-finite D gives an
+    all-NaN step without any arithmetic on it (and no CG solve, residual
+    0), which ``train`` replaces by steepest descent."""
     if not np.isfinite(D).all():
-        return np.full_like(g, np.nan), 0
+        return np.full_like(g, np.nan), 0, 0.0
     sqrt_d = np.sqrt(D)
-    r, iters = _irls_solve(K, sqrt_d, -sqrt_d * grad, lam)
-    return -(g + sqrt_d * r) / (2.0 * lam), iters
+    r, iters, rel_res = _irls_solve(K, sqrt_d, -sqrt_d * grad, lam)
+    return -(g + sqrt_d * r) / (2.0 * lam), iters, rel_res
 
 
 def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
@@ -243,12 +269,15 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     else:
         alpha = np.zeros(n)
 
-    full_step_gnorm = _FULL_STEP_GNORM * float(np.max(np.diagonal(K),
-                                                      initial=1.0))
+    scale = grad_scale(K)
+    full_step_gnorm = _FULL_STEP_GNORM * scale
+    grad_tol = cfg.grad_tol * scale
     steps = cg_total = cg_max = backtracks = fallbacks = 0
+    cg_res_max = 0.0
 
     def fitted(alpha, f, gnorm):
-        info = SolveInfo(steps, cg_total, cg_max, backtracks, fallbacks, gnorm)
+        info = SolveInfo(steps, cg_total, cg_max, backtracks, fallbacks, gnorm,
+                         cg_res_max)
         return LocalModel(alpha=alpha, anchors=sample.X, kernel=kernel,
                           loss=loss, lam=lam, region_id=region_id,
                           h_norm_sq=float(alpha @ f), solve_info=info)
@@ -265,21 +294,25 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
                                    iterations=steps)
         if gnorm < best_gnorm:
             best_alpha, best_gnorm = alpha.copy(), gnorm
-        if gnorm <= cfg.grad_tol:
+        if gnorm <= grad_tol:
             return fitted(alpha, f, gnorm)
         if steps == cfg.max_iter:
             break
 
-        step, cg = _newton_step(K, g, grad, w * loss.dtt(y, f), lam)
+        step, cg, cg_res = _newton_step(K, g, grad, w * loss.dtt(y, f), lam)
         cg_total, cg_max = cg_total + cg, max(cg_max, cg)
+        cg_res_max = max(cg_res_max, cg_res)
         descent = float(grad @ step)
-        if not descent < 0:
+        newton = descent < 0
+        if not newton:
             fallbacks += 1
             step = -grad
             descent = float(grad @ step)
 
         Ks = K @ step
-        if gnorm <= full_step_gnorm:
+        # only a Newton step may skip the line search: a full steepest-descent
+        # step -grad has no natural length and can throw f far off
+        if newton and gnorm <= full_step_gnorm:
             t = 1.0
         else:
             # backtracking line search on the objective (Armijo, c = 1e-4)
@@ -301,7 +334,7 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
 
     raise ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations "
-        f"(grad norm {best_gnorm:.3e} > tol {cfg.grad_tol:.3e})",
+        f"(grad norm {best_gnorm:.3e} > tol {grad_tol:.3e})",
         best_alpha=best_alpha, grad_norm=best_gnorm, iterations=cfg.max_iter)
 
 

@@ -503,6 +503,33 @@ def test_cli_experiment_consistency_deterministic(tmp_path):
     assert len(lines) == 3  # header + one row per ladder point
 
 
+@pytest.mark.parametrize("exp", [
+    {"kind": "consistency", "n_ladder": [30, 60], "eval_n": 500},
+    {"kind": "tradeoff", "lambda_grid": [1.0, 0.5], "eval_n": 500}],
+    ids=["consistency", "tradeoff"])
+def test_cli_experiment_threads_give_identical_outputs(tmp_path, monkeypatch,
+                                                        exp):
+    import localsvm.experiments as experiments
+
+    seen = []
+    fit = experiments.fit_composed
+
+    def spy(*args, threads=1, **kwargs):
+        seen.append(threads)
+        return fit(*args, threads=threads, **kwargs)
+
+    monkeypatch.setattr(experiments, "fit_composed", spy)
+    cfg_path = write_config(tmp_path, base_config(experiment=exp))
+    for threads in ("1", "2"):
+        assert cli.main(["experiment", "--config", cfg_path, "--threads",
+                         threads, "--out", str(tmp_path / threads)]) == 0
+    assert seen == [1, 1, 2, 2]
+    for suffix in ("csv", "json"):
+        name = f"{exp['kind']}.{suffix}"
+        assert (tmp_path / "1" / name).read_bytes() == \
+            (tmp_path / "2" / name).read_bytes()
+
+
 def test_cli_experiment_without_section_exits_2(tmp_path):
     cfg_path = write_config(tmp_path, base_config())
     assert cli.main(["experiment", "--config", cfg_path,
@@ -663,12 +690,15 @@ def test_cli_train_polynomial_with_large_kernel_diagonal(tmp_path):
     assert (tmp_path / "o" / "model.json").is_file()
 
 
-def test_cli_audit_polynomial_with_tiny_lambda(tmp_path):
-    # two points in 3-d, degree 4, lambda 1e-6: the base fit or a retrain
-    # stalled above grad_tol with the absolute threshold and this exited 3
+@pytest.mark.parametrize("seed", [0, 3, 4, 6])
+def test_cli_audit_polynomial_with_tiny_lambda(tmp_path, seed):
+    # two points in 3-d, degree 4, lambda 1e-6, K_ii up to ~1e5. Seed 3
+    # stalled above grad_tol with an absolute full-step threshold; seeds 0,
+    # 4 and 6 stalled at grad norm 1e-10 to 3e-8 with an absolute grad_tol,
+    # and seed 4 then needs a line search on its steepest-descent fallbacks
     cfg = {"version": 1,
            "dataset": {"kind": "synthetic", "task": "sine-regression",
-                       "n": 2, "dim": 3, "noise": 0.0, "seed": 3},
+                       "n": 2, "dim": 3, "noise": 0.0, "seed": seed},
            "partition": {"b_target": 1, "tau": 2.0, "min_region_size": 1,
                          "seed": 1},
            "scheme": {"kind": "normalized-indicator"},
@@ -1072,7 +1102,8 @@ def test_setup_from_config_partition_defaults_are_the_library_defaults(
     cfg_path = write_config(tmp_path, cfg)
     assert cli.main(["experiment", "--config", cfg_path,
                      "--out", str(tmp_path)]) == 0
-    assert passed == {"schedule": LambdaSchedule()}
+    # --threads is a flag, not a config key: the command always passes it
+    assert passed == {"schedule": LambdaSchedule(), "threads": 1}
     for name, param in inspect.signature(LambdaSchedule).parameters.items():
         assert getattr(passed["schedule"], name) == param.default, name
     assert cli.main(["audit", "--config", cfg_path, "--out", str(tmp_path)]) == 0

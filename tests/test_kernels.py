@@ -8,7 +8,8 @@ import pytest
 
 from localsvm import (GaussianRBF, InputError, Linear, Polynomial,
                       RegionPredicate, kernel_from_dict, sup_norm_on_region)
-from localsvm.kernels import _BLOCK_BUDGET, _CHUNK_BUDGET, chunk_rows
+from localsvm.kernels import (_BLOCK_BUDGET, _CHUNK_BUDGET, _difference_factors,
+                              chunk_rows)
 
 
 def test_gaussian_eval_equal_points_is_exactly_one():
@@ -268,6 +269,119 @@ def test_gaussian_multi_block_gram_symmetric_with_unit_diagonal(dim):
     np.testing.assert_array_equal(G, G.T)
     np.testing.assert_array_equal(np.diag(G), np.ones(n))
     _assert_rbf_matches_broadcast(G, X, X, 1.1)
+
+
+def _direct_rbf(X, Z, gamma):
+    # the per-coordinate kernel before its differences became k = 2 products:
+    # broadcast subtraction, squares added in coordinate order
+    d2 = np.square(np.subtract.outer(X[:, 0], Z[:, 0]))
+    for j in range(1, X.shape[1]):
+        d2 += np.square(np.subtract.outer(X[:, j], Z[:, j]))
+    return np.exp(d2 / -(gamma**2))
+
+
+def _difference_cases():
+    """(id, X, Z, gamma); gamma follows the data's scale, so the kernel
+    values stay away from 0 and 1 and show every bit of the differences."""
+    rng = np.random.default_rng(50)
+    cases = []
+    for dim in range(1, 11):
+        X, Z = rng.normal(size=(23, dim)), rng.normal(size=(19, dim))
+        cases += [(f"d{dim}", X, Z, 0.9), (f"d{dim}-n1", X[:1], Z, 0.9),
+                  (f"d{dim}-m1", X, Z[:1], 0.9), (f"d{dim}-gram", X, X, 0.9)]
+    pool = rng.normal(size=(5, 3))
+    dup = pool[rng.integers(0, 5, size=20)]  # exact zero differences
+    cases += [("duplicates", dup, dup, 1.3), ("duplicates-cross", dup, pool, 1.3)]
+    for e in (-150, -75, -1, 0, 1, 75, 150):
+        s = 10.0 ** e
+        cases.append((f"scale1e{e}", s * rng.normal(size=(17, 2)),
+                      s * rng.normal(size=(13, 2)), 2 * s))
+    mixed = np.column_stack([1e150 * rng.normal(size=11),
+                             1e-150 * rng.normal(size=11)])
+    cases.append(("mixed-scales", mixed, mixed[::-1].copy(), 1e150))
+    zeros = np.array([[0.0, -0.0], [-0.0, 0.0], [-0.0, -0.0], [0.0, 1.0]])
+    cases += [("signed-zeros", zeros, zeros, 1.0),
+              ("signed-zeros-cross", zeros, -zeros, 1.0)]
+    return cases
+
+
+_CASES = _difference_cases()
+
+
+@pytest.mark.parametrize("X, Z, gamma", [c[1:] for c in _CASES],
+                         ids=[c[0] for c in _CASES])
+def test_difference_products_equal_direct_differences(X, Z, gamma):
+    # [x_j, 1] @ [1, -z_j]' has two exact products and one rounding, so it
+    # is round(x_j - z_j); only an exact zero may differ from x_j - z_j in
+    # its sign, and the square erases that
+    xs, zs = _difference_factors(X, Z)
+    for j in range(X.shape[1]):
+        got = xs[j] @ zs[j]
+        want = np.subtract.outer(X[:, j], Z[:, j])
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.square(got).view(np.int64),
+                              np.square(want).view(np.int64))
+
+
+@pytest.mark.parametrize("X, Z, gamma", [c[1:] for c in _CASES],
+                         ids=[c[0] for c in _CASES])
+def test_gaussian_cross_bitwise_equal_to_direct_differences(X, Z, gamma):
+    k = GaussianRBF(gamma=gamma, input_dim=X.shape[1])
+    got = k.matrix(X, Z)
+    assert np.array_equal(got.view(np.int64),
+                          _direct_rbf(X, Z, gamma).view(np.int64))
+    if Z is X:
+        G = k.gram(X)
+        assert np.array_equal(G.view(np.int64), got.view(np.int64))
+        np.testing.assert_array_equal(G, G.T)
+        np.testing.assert_array_equal(np.diag(G), np.ones(X.shape[0]))
+
+
+def test_gaussian_multi_block_cross_bitwise_equal_to_direct_differences():
+    # several row blocks with a partial last one, in 10 coordinates, where
+    # the broadcast form's pairwise sum allows only a tolerance
+    rng = np.random.default_rng(51)
+    m = 300
+    X = rng.normal(size=(3 * (_BLOCK_BUDGET // m) + 17, 10))
+    Z = rng.normal(size=(m, 10))
+    k = GaussianRBF(gamma=2.1, input_dim=10)
+    assert np.array_equal(k.matrix(X, Z).view(np.int64),
+                          _direct_rbf(X, Z, 2.1).view(np.int64))
+
+
+def test_train_model_identical_across_blas_thread_counts(tmp_path):
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    # the RBF kernel's differences come from dgemm, so a BLAS that splits
+    # work over threads must still write the same model
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    cfg = {"version": 1,
+           "dataset": {"kind": "synthetic", "task": "sine-regression",
+                       "n": 400, "dim": 2, "noise": 0.3, "seed": 3},
+           "partition": {"b_target": 2, "tau": 0.25, "min_region_size": 5,
+                         "seed": 1},
+           "scheme": {"kind": "normalized-indicator"},
+           "model": {"loss": "logistic-regression",
+                     "kernel": {"family": "gaussian-rbf", "gamma": 0.8},
+                     "lambda": 0.05}}
+    cfg_path = tmp_path / "config.json"
+    cfg_path.write_text(json.dumps(cfg))
+    models = []
+    for blas_threads in ("1", "2"):
+        out = tmp_path / f"blas{blas_threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=blas_threads,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        result = subprocess.run(
+            [sys.executable, "-m", "localsvm.cli", "train", "--config",
+             str(cfg_path), "--out", str(out)],
+            env=env, capture_output=True, timeout=120)
+        assert result.returncode == 0, result.stderr.decode()
+        models.append((out / "model.json").read_bytes())
+    assert models[0] == models[1]
 
 
 def test_gaussian_gram_peaks_at_one_n_by_n_buffer():

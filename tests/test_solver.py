@@ -79,6 +79,38 @@ def test_objective_uniform_weights_recover_mean_form():
     assert objective(alpha, sample, k, REG, cfg) == pytest.approx(by_hand, rel=1e-13)
 
 
+def test_objective_rebuilds_the_gram_only_for_other_points_or_kernel(monkeypatch):
+    sample = random_sample(6, seed=59)
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    cfg = TrainConfig(lam=0.3)
+    alpha = np.linspace(-0.2, 0.3, 6)
+    calls = []
+    gram = GaussianRBF.gram
+
+    def counted(self, points):
+        calls.append(self)
+        return gram(self, points)
+
+    def by_hand(sample, kernel):
+        f = gram(kernel, sample.X) @ alpha
+        return float(sample.weights @ REG.shifted_value(sample.y, f)
+                     + cfg.lam * (alpha @ f))
+
+    monkeypatch.setattr(GaussianRBF, "gram", counted)
+    assert objective(alpha, sample, k, REG, cfg) == by_hand(sample, k)
+    calls.clear()
+    # equal values, new arrays and a new but equal kernel: the memo holds
+    same = WeightedSample(sample.X.copy(), sample.y.copy(), sample.weights.copy())
+    assert objective(alpha, same, GaussianRBF(gamma=1.0, input_dim=2), REG,
+                     cfg) == by_hand(sample, k)
+    assert calls == []
+    moved = WeightedSample(sample.X + 0.1, sample.y, sample.weights)
+    assert objective(alpha, moved, k, REG, cfg) == by_hand(moved, k)
+    wider = GaussianRBF(gamma=2.0, input_dim=2)
+    assert objective(alpha, moved, wider, REG, cfg) == by_hand(moved, wider)
+    assert calls == [k, wider]
+
+
 def test_train_single_point_y0_matches_golden_section():
     x = np.array([[1.0, 2.0]])
     sample = WeightedSample(x, np.array([0.0]), np.array([1.0]))
@@ -463,7 +495,7 @@ def cholesky_newton_step(K, g, grad, D, lam):
     A = sqrt_d[:, None] * K * sqrt_d
     A[np.diag_indices_from(A)] += 2.0 * lam
     r = cho_solve(cho_factor(A, lower=True), -sqrt_d * grad)
-    return -(g + sqrt_d * r) / (2.0 * lam), 0
+    return -(g + sqrt_d * r) / (2.0 * lam), 0, 0.0
 
 
 def _with_duplicates(sample):
@@ -497,8 +529,8 @@ def test_cg_step_matches_cholesky_step(loss, kernel, lam):
     g = sample.weights * loss.dt(sample.y, f) + 2.0 * lam * alpha
     grad = K @ g
     D = sample.weights * loss.dtt(sample.y, f)
-    step, iters = solver._newton_step(K, g, grad, D, lam)
-    ref, _ = cholesky_newton_step(K, g, grad, D, lam)
+    step, iters, _ = solver._newton_step(K, g, grad, D, lam)
+    ref, _, _ = cholesky_newton_step(K, g, grad, D, lam)
     assert 0 < iters <= sample.n
     # both solve the Newton system K (D K + 2 lam I) s = -grad
     scale = np.max(np.abs(ref))
@@ -522,7 +554,9 @@ def test_cg_train_matches_cholesky_train(monkeypatch, loss, kernel, lam):
     np.testing.assert_allclose(model.predict(probes), expected, rtol=0,
                                atol=1e-9 * max(1.0, np.max(np.abs(expected))))
     info = model.solve_info
-    assert info.grad_norm <= cfg.grad_tol and info.fallbacks == 0
+    # grad_tol is relative to max(1, max_i K_ii), which is 468 for poly3 here
+    tol = cfg.grad_tol * solver.grad_scale(kernel.gram(sample.X))
+    assert info.grad_norm <= tol and info.fallbacks == 0
     assert info.newton_iters == ref.solve_info.newton_iters
     # CG reaches residual tol * |b| within the Chebyshev bound
     # 2 sqrt(kappa) rho^k, rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)
@@ -543,7 +577,7 @@ def test_non_finite_curvature_gives_a_nan_step(bad):
     g[3] = 0.0  # an inf weight times this zero would be a NaN with a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step, iters = solver._newton_step(K, g, K @ g, D, 0.1)
+        step, iters, _ = solver._newton_step(K, g, K @ g, D, 0.1)
     # the descent test in train then fails and takes -grad instead
     assert iters == 0 and np.isnan(step).all() and np.isnan((K @ g) @ step)
 
@@ -588,6 +622,38 @@ def test_solve_info_counts_and_is_not_serialized():
     again = train(sample, model.kernel, CLS, TrainConfig(lam=0.05),
                   warm_start=model.alpha)
     assert again.solve_info.newton_iters == again.solve_info.cg_iters == 0
+
+
+def test_solve_info_reports_a_cg_solve_stopped_by_its_cap():
+    # lambda 1e-4 on 60 points: CG stops after n = 60 iterations short of
+    # its 1e-13 relative residual, and Newton still meets grad_tol
+    rng = np.random.default_rng(5)
+    X = rng.uniform(-np.pi, np.pi, size=(60, 2))
+    y = np.sin(X.sum(axis=1)) + 0.25 * rng.standard_normal(60)
+    model = train(WeightedSample(X, y, np.full(60, 1.0 / 60)),
+                  GaussianRBF(gamma=1.0, input_dim=2), REG, TrainConfig(lam=1e-4))
+    info = model.solve_info
+    assert info.cg_iters_max == 60
+    assert info.cg_residual_max > solver._CG_RTOL
+    assert info.grad_norm <= 1e-10
+
+
+@pytest.mark.parametrize("name", ["audit-grid", "train-large"])
+def test_cg_meets_its_residual_on_benchmark_fits(name):
+    from pathlib import Path
+
+    from localsvm import fit_composed
+    from localsvm.config import model_config_from_config, setup_from_config
+
+    path = Path(__file__).resolve().parents[1] / "benchmark" / "configs" / f"{name}.json"
+    raw = json.loads(path.read_text())
+    setup = setup_from_config(raw)
+    config = model_config_from_config(raw, setup.data.dim)
+    model = fit_composed(setup.data, setup.partition_cfg.build(setup.data.X), config)
+    for local in model.locals.values():
+        info = local.solve_info
+        assert info.cg_iters_max < local.n_anchors
+        assert 0.0 < info.cg_residual_max <= solver._CG_RTOL
 
 
 def test_train_peaks_at_one_gram_buffer():
