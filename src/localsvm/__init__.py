@@ -9,8 +9,8 @@ bounds.
 from .composer import (ComposedModel, ModelConfig, RegionTrainingError,
                        empirical_risk, fit_composed, predict_composed)
 from .data import Dataset, WeightedSample
-from .errors import (ConvergenceError, CoverageError, InputError,
-                     InsufficientDataError, LocalSvmError)
+from .errors import (ConvergenceError, InputError, InsufficientDataError,
+                     LocalSvmError)
 from .experiments import (LambdaSchedule, PartitionConfig, SyntheticTask,
                           consistency_trend, generate, tradeoff_sweep)
 from .kernels import (GaussianRBF, Kernel, Linear, Polynomial, kernel_from_dict,
@@ -32,7 +32,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditContext", "AuditReport", "ComposedModel", "ContaminationSpec",
-    "ConvergenceError", "CoverageError", "Dataset",
+    "ConvergenceError", "Dataset",
     "GaussianRBF", "IdentityReport", "InfluenceEstimate", "InputError",
     "InsufficientDataError", "Kernel",
     "LadderConvergenceWarning", "LambdaSchedule", "Linear", "LocalModel",

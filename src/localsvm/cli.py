@@ -17,7 +17,7 @@ from .composer import ComposedModel, RegionTrainingError, fit_composed
 from .config import (load_config, model_config_from_config,
                      partition_from_config, setup_from_config, task_from_config)
 from .errors import ConvergenceError, InputError, LocalSvmError
-from .experiments import (LambdaSchedule, consistency_trend, tradeoff_sweep)
+from .experiments import LambdaSchedule, consistency_trend, tradeoff_sweep
 from .kernels import sup_sqrt_diag
 from .robustness import (DEFAULT_EPS_LADDER, DEFAULT_EXTRA_PROBES,
                          ContaminationSpec, default_probes, extreme_labels,
@@ -215,7 +215,7 @@ def cmd_experiment(args) -> int:
     (out_dir / f"{stem}.json").write_text(text)
     print(f"wrote {csv_path}")
     for row in report.rows:
-        print(json.dumps(row.to_dict(), allow_nan=False))
+        print(json.dumps(row, allow_nan=False))
     return EXIT_OK
 
 

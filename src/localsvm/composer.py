@@ -76,7 +76,7 @@ class ComposedModel:
     def predict_with_coverage(self, X):
         """Predictions and the covered mask (False rows used nearest fallback)."""
         X = as_points(X)
-        W, covered = self.scheme.weights_many(X, on_uncovered="nearest")
+        W, covered = self.scheme.weights_many(X)
         out = np.zeros(X.shape[0])
         for b, model in self.locals.items():
             active = W[:, b - 1] != 0.0
@@ -150,9 +150,8 @@ def predict_composed(model: ComposedModel, X) -> np.ndarray:
     return model.predict(X)
 
 
-def empirical_risk(predictor, data: Dataset, loss: SmoothLoss,
-                   shifted: bool = False) -> float:
-    """Mean loss (or shifted loss) of a predictor over a dataset.
+def empirical_risk(predictor, data: Dataset, loss: SmoothLoss) -> float:
+    """Mean loss of a predictor over a dataset.
 
     ``predictor`` is anything with .predict, or a plain array of
     precomputed predictions aligned with ``data``.
@@ -165,5 +164,4 @@ def empirical_risk(predictor, data: Dataset, loss: SmoothLoss,
         preds = np.asarray(predictor, dtype=float)
         if preds.shape[0] != data.n:
             raise InputError("predictions and dataset lengths differ")
-    vals = loss.shifted_value(data.y, preds) if shifted else loss.value(data.y, preds)
-    return float(np.mean(vals))
+    return float(np.mean(loss.value(data.y, preds)))

@@ -344,7 +344,6 @@ class RunSetup:
 
     data: Dataset
     partition_cfg: PartitionConfig
-    task: Optional[SyntheticTask]
 
 
 def task_from_config(raw: dict, seed_override: Optional[int] = None
@@ -380,8 +379,7 @@ def setup_from_config(raw: dict, seed_override: Optional[int] = None) -> RunSetu
     else:
         data = generate(task, int(raw["dataset"]["n"]))
     return RunSetup(data=data,
-                    partition_cfg=partition_from_config(raw, seed_override),
-                    task=task)
+                    partition_cfg=partition_from_config(raw, seed_override))
 
 
 def model_config_from_config(raw: dict, input_dim: int):

@@ -13,10 +13,6 @@ class InsufficientDataError(InputError):
     """Not enough data to carry out the requested computation."""
 
 
-class CoverageError(LocalSvmError):
-    """A query point lies outside every region of the partition."""
-
-
 class ConvergenceError(LocalSvmError):
     """The solver did not reach its gradient tolerance.
 

@@ -67,10 +67,6 @@ class SyntheticTask:
         if self.kind == TASK_PIECEWISE and not self.breakpoints:
             raise InputError("piecewise-regression needs at least one breakpoint")
 
-    @property
-    def classification(self) -> bool:
-        return self.kind == TASK_MOONS
-
 
 def _moon_logit(flip: float) -> float:
     # optimal logistic score ln((1-p)/p); capped when flip = 0 so the
@@ -152,14 +148,11 @@ class PartitionConfig:
         return WeightScheme(self.scheme, partition, h=self.h)
 
 
-def _fit_for_n(data, pc, config, schedule, threads):
-    scheme = pc.build(data.X)
-    counts = scheme.partition.membership(data.X).sum(axis=0)
-    region_lambdas = {b: schedule(max(int(n_b), 1))
-                      for b, n_b in enumerate(counts, start=1)}
-    cfg = replace(config, train=replace(config.train, lam=schedule(data.n)),
-                  region_lambdas=region_lambdas)
-    return fit_composed(data, scheme, cfg, threads=threads)
+def _eval_sample(task: SyntheticTask, eval_n: int, with_oracle: bool = False):
+    """The task's evaluation sample, drawn from its own stream (seed offset
+    by ``EVAL_SEED_OFFSET``) so it never reuses a training draw."""
+    return generate(replace(task, seed=task.seed + EVAL_SEED_OFFSET), eval_n,
+                    with_oracle=with_oracle)
 
 
 def _mc_risk(model, eval_data: Dataset, loss) -> tuple[float, float]:
@@ -169,48 +162,32 @@ def _mc_risk(model, eval_data: Dataset, loss) -> tuple[float, float]:
     return float(np.mean(vals)), float(np.std(vals) / np.sqrt(eval_data.n))
 
 
-def _write_csv(path, fieldnames, rows):
+def _write_csv(report, path):
+    """The report's rows as CSV under the header ``COLUMNS``."""
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fieldnames)
+        writer = csv.DictWriter(fh, fieldnames=report.COLUMNS)
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row.to_dict())
-
-
-@dataclass
-class TrendRow:
-    n: int
-    lam: float
-    risk: float
-    bayes_proxy: float
-    global_risk: float
-    mc_stderr: float
-
-    def to_dict(self) -> dict:
-        return {"n": self.n, "lambda": self.lam, "risk": self.risk,
-                "bayes_proxy": self.bayes_proxy, "global_risk": self.global_risk,
-                "mc_stderr": self.mc_stderr}
+        writer.writerows(report.rows)
 
 
 @dataclass
 class TrendReport:
-    rows: list
-    eval_n: int
+    """Consistency-trend rows: dicts keyed, in order, by ``COLUMNS``."""
+
+    COLUMNS = ("n", "lambda", "risk", "bayes_proxy", "global_risk", "mc_stderr")
     #: the composed-vs-global comparison is an engineering target of the
     #: harness, not a consequence of the consistency theory
-    notes: tuple = (
-        "global_risk comparison is an engineering target, not a theoretical "
-        "guarantee",
-    )
+    NOTES = ("global_risk comparison is an engineering target, not a "
+             "theoretical guarantee",)
+
+    rows: list
+    eval_n: int
 
     def to_dict(self) -> dict:
-        return {"kind": "consistency", "eval_n": self.eval_n,
-                "rows": [r.to_dict() for r in self.rows],
-                "notes": list(self.notes)}
+        return {"kind": "consistency", "eval_n": self.eval_n, "rows": self.rows,
+                "notes": list(self.NOTES)}
 
-    def write_csv(self, path):
-        _write_csv(path, ["n", "lambda", "risk", "bayes_proxy", "global_risk",
-                          "mc_stderr"], self.rows)
+    write_csv = _write_csv
 
 
 def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
@@ -228,49 +205,43 @@ def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
     n_ladder = [int(n) for n in n_ladder]
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise InputError(f"n ladder must be increasing, got {n_ladder}")
-    eval_task = replace(task, seed=task.seed + EVAL_SEED_OFFSET)
-    eval_data, t_star = generate(eval_task, eval_n, with_oracle=True)
+    eval_data, t_star = _eval_sample(task, eval_n, with_oracle=True)
     bayes = empirical_risk(t_star, eval_data, config.loss)
 
-    rows = []
-    for n in n_ladder:
+    def row(n: int) -> dict:
         data = generate(task, n)
-        model = _fit_for_n(data, pc, config, schedule, threads)
+        scheme = pc.build(data.X)
+        counts = scheme.partition.membership(data.X).sum(axis=0)
+        lam = schedule(n)
+        cfg = replace(config, train=replace(config.train, lam=lam),
+                      region_lambdas={b: schedule(max(int(n_b), 1))
+                                      for b, n_b in enumerate(counts, start=1)})
+        model = fit_composed(data, scheme, cfg, threads=threads)
         risk, stderr = _mc_risk(model, eval_data, config.loss)
-        lam_global = schedule(n)
         global_model = train(WeightedSample.from_dataset(data), config.kernel,
-                             config.loss, replace(config.train, lam=lam_global))
+                             config.loss, replace(config.train, lam=lam))
         global_risk = empirical_risk(global_model, eval_data, config.loss)
-        rows.append(TrendRow(n=n, lam=lam_global, risk=risk, bayes_proxy=bayes,
-                             global_risk=global_risk, mc_stderr=stderr))
-    return TrendReport(rows=rows, eval_n=eval_n)
+        return dict(zip(TrendReport.COLUMNS,
+                        (n, lam, risk, bayes, global_risk, stderr)))
 
-
-@dataclass
-class SweepRow:
-    lam: float
-    risk: float
-    if_bound_rough: float
-    mc_stderr: float
-
-    def to_dict(self) -> dict:
-        return {"lambda": self.lam, "risk": self.risk,
-                "if_bound_rough": self.if_bound_rough, "mc_stderr": self.mc_stderr}
+    return TrendReport(rows=[row(n) for n in n_ladder], eval_n=eval_n)
 
 
 @dataclass
 class SweepReport:
+    """Lambda-sweep rows: dicts keyed, in order, by ``COLUMNS``."""
+
+    COLUMNS = ("lambda", "risk", "if_bound_rough", "mc_stderr")
+
     rows: list
     n: int
     eval_n: int
 
     def to_dict(self) -> dict:
         return {"kind": "tradeoff", "n": self.n, "eval_n": self.eval_n,
-                "rows": [r.to_dict() for r in self.rows]}
+                "rows": self.rows}
 
-    def write_csv(self, path):
-        _write_csv(path, ["lambda", "risk", "if_bound_rough", "mc_stderr"],
-                   self.rows)
+    write_csv = _write_csv
 
 
 def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
@@ -288,11 +259,9 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
         raise InputError(f"lambda grid must be positive, got {lambda_grid}")
     data = generate(task, n)
     scheme = pc.build(data.X)
-    eval_task = replace(task, seed=task.seed + EVAL_SEED_OFFSET)
-    eval_data = generate(eval_task, eval_n)
+    eval_data = _eval_sample(task, eval_n)
 
-    rows = []
-    for lam in lambda_grid:
+    def row(lam: float) -> dict:
         # no per-region lambdas: the bound stays exactly inversely linear
         # in the grid's lambda
         cfg = replace(config, train=replace(config.train, lam=lam),
@@ -300,6 +269,6 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
         model = fit_composed(data, scheme, cfg, threads=threads)
         risk, stderr = _mc_risk(model, eval_data, config.loss)
         bound = if_bound(scheme, cfg).if_bound_rough
-        rows.append(SweepRow(lam=lam, risk=risk, if_bound_rough=bound,
-                             mc_stderr=stderr))
-    return SweepReport(rows=rows, n=n, eval_n=eval_n)
+        return dict(zip(SweepReport.COLUMNS, (lam, risk, bound, stderr)))
+
+    return SweepReport(rows=[row(lam) for lam in lambda_grid], n=n, eval_n=eval_n)

@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, WeightedSample, as_points
-from .errors import CoverageError, InputError, InsufficientDataError
+from .errors import InputError, InsufficientDataError
 
 KIND_INDICATOR = "normalized-indicator"
 KIND_BUMP = "smooth-bump"
@@ -234,20 +234,16 @@ class WeightScheme:
             s[dead] = M[dead].astype(float)
         return s
 
-    def weights_many(self, X, on_uncovered: str = "nearest"):
+    def weights_many(self, X):
         """(n, B) weight matrix and the boolean covered mask.
 
-        Uncovered rows get the nearest region's unit vector when
-        ``on_uncovered="nearest"``; with "error" a CoverageError is raised.
+        Uncovered rows (False in the mask) get the nearest region's unit
+        vector.
         """
         X = as_points(X)
         M = self.partition.membership(X)
         covered = M.any(axis=1)
         if not covered.all():
-            if on_uncovered == "error":
-                raise CoverageError(
-                    f"{int((~covered).sum())} point(s) lie outside every region"
-                )
             nearest = self.partition.nearest_region_index(X[~covered])
             M[np.where(~covered)[0], nearest] = True
         raw = self._raw(X, M)

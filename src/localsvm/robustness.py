@@ -173,17 +173,6 @@ class LocalQuotient:
         return float(np.sqrt(max(0.0, float(coef @ (self.gram @ coef)))))
 
 
-@dataclass(frozen=True)
-class LadderRung:
-    eps: float
-    sup: float
-    h_norms: dict
-
-    def to_dict(self) -> dict:
-        return {"eps": self.eps, "sup": self.sup,
-                "h_norms": {str(b): v for b, v in self.h_norms.items()}}
-
-
 @dataclass
 class InfluenceEstimate:
     """Finite-difference influence estimate at the bottom of the eps ladder.
@@ -191,6 +180,8 @@ class InfluenceEstimate:
     ``values`` is the composed quotient on the context's probes and
     ``per_region`` maps each touched region to its local quotient; the
     influence estimate of an untouched region is identically zero.
+    ``ladder`` holds one ``{"eps", "sup", "h_norms"}`` dict per rung, with
+    ``h_norms`` keyed by region id.
     """
 
     context: AuditContext
@@ -262,24 +253,13 @@ def default_probes(data: Dataset, n_extra: int = DEFAULT_EXTRA_PROBES) -> np.nda
     return np.vstack([data.X, lo + _sobol(n_extra, data.dim) * (hi - lo)])
 
 
-@dataclass(frozen=True)
-class PerRegionTerm:
-    region_id: int
-    w_sup: float
-    lam: float
-    k_sup: float
-    term: float
-
-    def to_dict(self) -> dict:
-        return {"region_id": self.region_id, "w_sup": self.w_sup,
-                "lambda": self.lam, "k_sup": self.k_sup, "term": self.term}
-
-
 @dataclass
 class AuditReport:
-    """Certificate values with their per-region decomposition, the per-z
-    audit entries, empirical sups and satisfaction flags. ``if_bound`` and
-    ``maxbias_probe`` fill the fields they compute; ``run_audit`` all."""
+    """Certificate values with their per-region decomposition (one
+    ``{"region_id", "w_sup", "lambda", "k_sup", "term"}`` dict per region),
+    the per-z audit entries, empirical sups and satisfaction flags.
+    ``if_bound`` and ``maxbias_probe`` fill the fields they compute;
+    ``run_audit`` all."""
 
     if_bound_rough: Optional[float] = None
     if_bound_tv: Optional[float] = None
@@ -298,7 +278,7 @@ class AuditReport:
             "if_bound_rough": self.if_bound_rough,
             "if_bound_tv": self.if_bound_tv,
             "maxbias_bound": self.maxbias_bound,
-            "per_region_terms": [t.to_dict() for t in self.per_region_terms],
+            "per_region_terms": self.per_region_terms,
             "per_z": self.per_z,
             "empirical": self.empirical,
             "satisfied": self.satisfied,
@@ -385,7 +365,7 @@ class AuditContext:
         self.threads = threads
         self.probes = as_points(probes)
         self.factors = _region_factors(scheme, config)
-        W, self.covered = scheme.weights_many(self.probes, on_uncovered="nearest")
+        W, self.covered = scheme.weights_many(self.probes)
         self.regions = {b: self._blocks(b, W[:, b - 1])
                         for b in range(1, scheme.B + 1)}
         self.base_preds = self.compose({})
@@ -474,7 +454,8 @@ def _certificate_terms(factors, lip: float, tv_by_region):
     for b, w_sup, lam, k_sup in factors:
         cap = k_sup * lip * tv_by_region[b] / lam
         term = w_sup * k_sup * cap
-        terms.append(PerRegionTerm(b, w_sup, lam, k_sup, term))
+        terms.append({"region_id": b, "w_sup": w_sup, "lambda": lam,
+                      "k_sup": k_sup, "term": term})
         caps[b] = cap
         total += term
     return terms, caps, total
@@ -489,18 +470,13 @@ def if_bound(scheme: WeightScheme, config: ModelConfig) -> AuditReport:
     return AuditReport(if_bound_rough=total, per_region_terms=terms)
 
 
-def _tv_distance(sample_b: Optional[WeightedSample], region, z_x, z_y: float) -> float:
-    """Exact TV distance 2 (1 - D_b({z})) between region b's empirical
-    measure and its contamination by delta_z; 0 when z lies outside the
-    ball, because the contaminated regional measure is then the original."""
-    if sample_b is None or not region.contains(z_x):
-        return 0.0
-    return 2.0 * (1.0 - sample_b.atom_mass(z_x, z_y))
-
-
 def _tv_by_region(samples, partition: RegionPartition, z_x, z_y: float) -> dict:
-    """``_tv_distance`` for each region id of ``samples``."""
-    return {b: _tv_distance(sample, partition.region(b), z_x, z_y)
+    """Exact TV distance 2 (1 - D_b({z})) between each region b's empirical
+    measure ``samples[b]`` and its contamination by delta_z; 0 for a null
+    region and when z lies outside the ball, because the contaminated
+    regional measure is then the original."""
+    return {b: 0.0 if sample is None or not partition.region(b).contains(z_x)
+            else 2.0 * (1.0 - sample.atom_mass(z_x, z_y))
             for b, sample in samples.items()}
 
 
@@ -562,14 +538,14 @@ def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceE
             h_norms[b] = q.h_norm()
         values = (context.compose(preds) - context.base_preds) / eps
         sup = float(np.max(np.abs(values))) if values.size else 0.0
-        rungs.append(LadderRung(eps=eps, sup=sup, h_norms=h_norms))
+        rungs.append({"eps": eps, "sup": sup, "h_norms": h_norms})
         rung_values.append(values)
 
     residuals = []
     ratios = []
     for i in range(len(rungs) - 1):
         r = float(np.max(np.abs(rung_values[i] - rung_values[i + 1])))
-        residuals.append((rungs[i].eps, r))
+        residuals.append((rungs[i]["eps"], r))
     for i in range(len(residuals) - 1):
         prev, cur = residuals[i][1], residuals[i + 1][1]
         ratios.append(cur / prev if prev > 0 else np.nan)
@@ -595,8 +571,8 @@ def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceE
         per_region=quotients,
         values=rung_values[-1],
         eps_used=eps_lo,
-        sup_norm_estimate=rungs[-1].sup,
-        h_norms=rungs[-1].h_norms,
+        sup_norm_estimate=rungs[-1]["sup"],
+        h_norms=rungs[-1]["h_norms"],
         ladder=rungs,
         residuals=residuals,
         ratios=ratios,
@@ -740,7 +716,7 @@ def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
             "decomposition_residual": resid,
             "tv_refined_bound": tv_bound,
             "h_norms": {str(b): c for b, c in h_checks.items()},
-            "ladder": [r.to_dict() for r in est.ladder],
+            "ladder": est.ladder,
             "satisfied": z_ok,
         }
         if spec.kind == "dirac":

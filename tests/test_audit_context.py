@@ -175,10 +175,10 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
         assert sorted(est.per_region) == _touched(data, part, spec)
         assert len(est.ladder) == len(ref)
         for rung, (eps, sup, h_norms, alphas) in zip(est.ladder, ref):
-            assert rung.eps == eps
-            assert rung.sup == pytest.approx(sup, rel=1e-12, abs=0.0)
+            assert rung["eps"] == eps
+            assert rung["sup"] == pytest.approx(sup, rel=1e-12, abs=0.0)
             for b, h in h_norms.items():
-                assert rung.h_norms[b] == pytest.approx(h, rel=1e-12, abs=0.0)
+                assert rung["h_norms"][b] == pytest.approx(h, rel=1e-12, abs=0.0)
             for b, alpha in alphas.items():
                 retrained = ctx.retrain(ctx.border(b, spec), eps)
                 np.testing.assert_array_equal(retrained.alpha, alpha)
@@ -190,7 +190,7 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
         alone = finite_diff_if(AuditContext(data, scheme, config,
                                             probes=probes, base=base,
                                             threads=threads), spec)
-        assert [r.sup for r in alone.ladder] == [r.sup for r in est.ladder]
+        assert [r["sup"] for r in alone.ladder] == [r["sup"] for r in est.ladder]
         assert alone.h_norms == est.h_norms
 
 
@@ -204,9 +204,9 @@ def test_finite_diff_if_matches_rebuild_reference_polynomial():
         est = finite_diff_if(ctx, spec)
         ref = _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base)
         for rung, (_, sup, h_norms, _) in zip(est.ladder, ref):
-            assert rung.sup == pytest.approx(sup, rel=1e-6)
+            assert rung["sup"] == pytest.approx(sup, rel=1e-6)
             for b, h in h_norms.items():
-                assert rung.h_norms[b] == pytest.approx(h, rel=1e-6)
+                assert rung["h_norms"][b] == pytest.approx(h, rel=1e-6)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

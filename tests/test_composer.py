@@ -177,10 +177,8 @@ def test_empirical_risk_examples():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     y = np.array([0.3, -0.7])
     data = Dataset(X, y)
-    zero_preds = np.zeros(2)
-    assert empirical_risk(zero_preds, data, REG, shifted=True) == 0.0
     perfect = y.copy()
-    assert empirical_risk(perfect, data, REG, shifted=False) == 0.0
+    assert empirical_risk(perfect, data, REG) == 0.0
     preds = np.array([0.1, 0.2])
     by_hand = float(np.mean([REG.value(0.3, 0.1), REG.value(-0.7, 0.2)]))
     assert empirical_risk(preds, data, REG) == pytest.approx(by_hand, rel=1e-15)

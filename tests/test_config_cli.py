@@ -507,6 +507,30 @@ def test_cli_experiment_consistency_deterministic(tmp_path):
     {"kind": "consistency", "n_ladder": [30, 60], "eval_n": 500},
     {"kind": "tradeoff", "lambda_grid": [1.0, 0.5], "eval_n": 500}],
     ids=["consistency", "tradeoff"])
+def test_cli_experiment_csv_json_and_stdout_rows_agree(tmp_path, capsys, exp):
+    from localsvm.experiments import SweepReport, TrendReport
+
+    columns = {"consistency": TrendReport, "tradeoff": SweepReport}[
+        exp["kind"]].COLUMNS
+    cfg_path = write_config(tmp_path, base_config(experiment=exp))
+    assert cli.main(["experiment", "--config", cfg_path,
+                     "--out", str(tmp_path / "exp")]) == 0
+    rows = json.loads((tmp_path / "exp" / f"{exp['kind']}.json").read_text())["rows"]
+    header, *cells = [line.split(",") for line in
+                      (tmp_path / "exp" / f"{exp['kind']}.csv").read_text().splitlines()]
+    printed = capsys.readouterr().out.splitlines()[1:]  # after "wrote ..."
+    assert tuple(header) == columns
+    assert len(rows) == len(cells) == len(printed) == 2
+    for row, line, text in zip(rows, cells, printed):
+        assert tuple(row) == columns
+        assert [float(c) for c in line] == list(row.values())
+        assert list(json.loads(text).items()) == list(row.items())
+
+
+@pytest.mark.parametrize("exp", [
+    {"kind": "consistency", "n_ladder": [30, 60], "eval_n": 500},
+    {"kind": "tradeoff", "lambda_grid": [1.0, 0.5], "eval_n": 500}],
+    ids=["consistency", "tradeoff"])
 def test_cli_experiment_threads_give_identical_outputs(tmp_path, monkeypatch,
                                                         exp):
     import localsvm.experiments as experiments
@@ -561,7 +585,7 @@ def test_setup_from_config_csv(tmp_path):
     validate_config(raw)
     setup = setup_from_config(raw)
     assert setup.data.n == 4 and setup.data.dim == 1
-    assert setup.task is None
+    assert task_from_config(raw) is None
 
 
 def test_cli_audit_z_grid_classification_uses_unit_labels(tmp_path):
@@ -878,7 +902,7 @@ def test_cli_experiment_tradeoff_non_rbf_kernels(tmp_path, kernel):
     setup = setup_from_config(raw)
     config = model_config_from_config(raw, setup.data.dim)
     pc = setup.partition_cfg
-    data = generate(setup.task, setup.data.n)
+    data = generate(task_from_config(raw), setup.data.n)
     part = regionalize(data.X, pc.b_target, pc.tau, pc.min_region_size, pc.seed)
     scheme = WeightScheme(pc.scheme, part, h=pc.h)
     for row in report["rows"]:
@@ -1042,7 +1066,7 @@ def test_cli_experiment_draws_only_the_samples_it_uses(tmp_path, monkeypatch,
 @pytest.mark.parametrize("command", ["train", "experiment"])
 def test_cli_json_outputs_reject_non_finite_values(tmp_path, monkeypatch,
                                                    capsys, command):
-    from localsvm.experiments import SweepReport, SweepRow
+    from localsvm.experiments import SweepReport
 
     cfg = base_config(experiment={"kind": "tradeoff", "lambda_grid": [1.0],
                                   "eval_n": 200})
@@ -1053,8 +1077,8 @@ def test_cli_json_outputs_reject_non_finite_values(tmp_path, monkeypatch,
                             lambda self: dict(to_dict(self), nan=float("nan")))
         output = "model.json"
     else:
-        row = SweepRow(lam=1.0, risk=0.5, if_bound_rough=float("inf"),
-                       mc_stderr=0.0)
+        row = {"lambda": 1.0, "risk": 0.5, "if_bound_rough": float("inf"),
+               "mc_stderr": 0.0}
         monkeypatch.setattr(cli, "tradeoff_sweep",
                             lambda *a, **k: SweepReport(rows=[row], n=60,
                                                         eval_n=200))

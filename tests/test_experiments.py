@@ -85,14 +85,14 @@ def test_consistency_trend_small():
                                PartitionConfig(b_target=2, tau=0.25,
                                                min_region_size=5, seed=1),
                                _small_config(), eval_n=2000)
-    assert [r.n for r in report.rows] == [40, 80]
+    assert [r["n"] for r in report.rows] == [40, 80]
     for row in report.rows:
-        assert np.isfinite(row.risk) and np.isfinite(row.global_risk)
-        assert row.bayes_proxy > 0.0
+        assert np.isfinite(row["risk"]) and np.isfinite(row["global_risk"])
+        assert row["bayes_proxy"] > 0.0
         # MC risk cannot drop below the Bayes proxy by more than MC noise
-        assert row.risk >= row.bayes_proxy - 6.0 * row.mc_stderr
-        assert row.lam == pytest.approx(LambdaSchedule()(row.n), rel=1e-15)
-    assert report.rows[0].bayes_proxy == report.rows[1].bayes_proxy
+        assert row["risk"] >= row["bayes_proxy"] - 6.0 * row["mc_stderr"]
+        assert row["lambda"] == pytest.approx(LambdaSchedule()(row["n"]), rel=1e-15)
+    assert report.rows[0]["bayes_proxy"] == report.rows[1]["bayes_proxy"]
 
 
 def test_consistency_trend_ladder_validation():
@@ -108,11 +108,11 @@ def test_tradeoff_sweep_bound_column():
                             PartitionConfig(b_target=2, tau=0.25,
                                             min_region_size=5, seed=1),
                             _small_config(), eval_n=2000)
-    bounds = [r.if_bound_rough for r in report.rows]
+    bounds = [r["if_bound_rough"] for r in report.rows]
     # bound exactly inversely linear in lambda
     assert bounds[1] == 2.0 * bounds[0]
     assert bounds[2] == 2.0 * bounds[1]
-    risks = [r.risk for r in report.rows]
+    risks = [r["risk"] for r in report.rows]
     assert all(np.isfinite(r) for r in risks)
 
 
@@ -133,8 +133,8 @@ def test_classification_trend_runs():
                                                min_region_size=5, seed=2),
                                config, eval_n=1000)
     for row in report.rows:
-        assert np.isfinite(row.risk)
-        assert row.bayes_proxy >= 0.0
+        assert np.isfinite(row["risk"])
+        assert row["bayes_proxy"] >= 0.0
 
 
 def test_reports_write_csv(tmp_path):

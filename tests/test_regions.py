@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from localsvm import (CoverageError, Dataset, InputError, InsufficientDataError,
+from localsvm import (Dataset, InputError, InsufficientDataError,
                       PartitionConfig, RegionPartition, WeightScheme,
                       regionalize, restrict, weight_sup_norm)
 from conftest import manual_partition, two_blobs
@@ -88,7 +88,7 @@ def test_weights_unit_vector_when_single_region():
     X = np.array([[0.0, 0.0], [2.0, 0.0]])
     part = manual_partition([[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5])
     scheme = WeightScheme("normalized-indicator", part)
-    W, _ = scheme.weights_many([[0.1, 0.0]], on_uncovered="error")
+    W, _ = scheme.weights_many([[0.1, 0.0]])
     np.testing.assert_array_equal(W[0], [1.0, 0.0])
 
 
@@ -96,13 +96,13 @@ def test_weights_split_on_overlap():
     X = np.array([[0.0], [1.0]])
     part = manual_partition([[0.0], [1.0]], [1.0, 1.0])
     ind = WeightScheme("normalized-indicator", part)
-    W, _ = ind.weights_many([[0.5]], on_uncovered="error")
+    W, _ = ind.weights_many([[0.5]])
     np.testing.assert_array_equal(W[0], [0.5, 0.5])
     bump = WeightScheme("smooth-bump", part, h=0.7)
-    W, _ = bump.weights_many([[0.5]], on_uncovered="error")
+    W, _ = bump.weights_many([[0.5]])
     np.testing.assert_allclose(W[0], [0.5, 0.5], atol=1e-15)
     # off-center bump weights favor the nearer region but stay normalized
-    w = bump.weights_many([[0.2]], on_uncovered="error")[0][0]
+    w = bump.weights_many([[0.2]])[0][0]
     assert w[0] > w[1] and w.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -116,7 +116,7 @@ def test_weights_partition_of_unity_properties():
     covered = M.any(axis=1)
     for scheme in (WeightScheme("normalized-indicator", part),
                    WeightScheme("smooth-bump", part, h=1.0)):
-        W, cov = scheme.weights_many(probes, on_uncovered="nearest")
+        W, cov = scheme.weights_many(probes)
         np.testing.assert_array_equal(cov, covered)
         # (W1) on the covered set
         np.testing.assert_allclose(W[covered].sum(axis=1), 1.0, atol=1e-12)
@@ -125,14 +125,12 @@ def test_weights_partition_of_unity_properties():
         assert np.all((W >= 0.0) & (W <= 1.0))
 
 
-def test_uncovered_point_error_and_fallback():
+def test_uncovered_point_fallback():
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [0.2, 0.2])
     scheme = WeightScheme("normalized-indicator", part)
     far = [10.0, 0.0]
-    with pytest.raises(CoverageError):
-        scheme.weights_many([far], on_uncovered="error")
-    W, _ = scheme.weights_many([far], on_uncovered="nearest")
+    W, _ = scheme.weights_many([far])
     np.testing.assert_array_equal(W[0], [0.0, 1.0])
     W, covered = scheme.weights_many(np.array([far, [0.1, 0.0]]))
     assert not covered[0] and covered[1]

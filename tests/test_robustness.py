@@ -116,13 +116,13 @@ def test_if_bound_arithmetic_examples():
     scheme = WeightScheme("normalized-indicator", part)
     rep = if_bound(scheme, _config(lam=0.5))
     assert rep.if_bound_rough == 4.0
-    assert rep.per_region_terms[0].k_sup == 1.0
+    assert rep.per_region_terms[0]["k_sup"] == 1.0
 
     # B = 2, lambdas (1, 2): 2 * (1 + 0.5) = 3
     data, part2, scheme2 = _fixture(gap=10.0, tau=0.0)
     rep2 = if_bound(scheme2, _config(lam=1.0, region_lambdas={2: 2.0}))
     assert rep2.if_bound_rough == pytest.approx(3.0, rel=1e-15)
-    assert [t.w_sup for t in rep2.per_region_terms] == [1.0, 1.0]
+    assert [t["w_sup"] for t in rep2.per_region_terms] == [1.0, 1.0]
 
 
 def test_if_bound_halving_lambda_doubles_bound():
@@ -141,13 +141,13 @@ def test_if_bound_non_rbf_factors_from_balls():
                       train=TrainConfig(lam=0.5))
     rep = if_bound(scheme, cfg)
     for t, region in zip(rep.per_region_terms, part.regions):
-        assert t.w_sup == 1.0
-        assert t.k_sup == pytest.approx(
+        assert t["w_sup"] == 1.0
+        assert t["k_sup"] == pytest.approx(
             np.linalg.norm(region.center) + region.radius, rel=1e-15)
         inside = data.X[region.contains_many(data.X)]
-        assert t.k_sup >= np.linalg.norm(inside, axis=1).max()
-        assert t.term == pytest.approx(2.0 * REG.lipschitz * t.k_sup**2 / 0.5,
-                                       rel=1e-15)
+        assert t["k_sup"] >= np.linalg.norm(inside, axis=1).max()
+        assert t["term"] == pytest.approx(2.0 * REG.lipschitz * t["k_sup"]**2 / 0.5,
+                                          rel=1e-15)
 
 
 def test_finite_diff_if_localized_to_touched_regions():
@@ -238,7 +238,7 @@ def test_decomposition_single_region_is_weighted_local():
     spec = ContaminationSpec.dirac(part.region(1).center, 3.0)
     est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
                          spec)
-    W, _ = scheme.weights_many(probes, on_uncovered="nearest")
+    W, _ = scheme.weights_many(probes)
     rows = est.context.regions[1].rows
     manual = np.zeros(len(probes))
     manual[rows] = W[rows, 0] * est.per_region[1].values
@@ -319,8 +319,8 @@ def test_tv_refined_matches_rough_at_tv_two_polynomial():
     expected = 0.0
     for t, region, lam in zip(rough.per_region_terms, part.regions, (0.3, 0.7)):
         k_sup = (np.linalg.norm(region.center) + 4.0) ** 2 + 1.0
-        assert t.w_sup == 1.0
-        assert t.k_sup == pytest.approx(k_sup, rel=1e-12)
+        assert t["w_sup"] == 1.0
+        assert t["k_sup"] == pytest.approx(k_sup, rel=1e-12)
         expected += 2.0 * REG.lipschitz * k_sup**2 / lam
     assert rough.if_bound_rough == pytest.approx(expected, rel=1e-12)
 

@@ -8,7 +8,7 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from localsvm import (CoverageError, ConvergenceError, GaussianRBF, InputError,
+from localsvm import (ConvergenceError, GaussianRBF, InputError,
                       Linear, LocalModel, LogisticClassification,
                       LogisticRegression, Polynomial, TrainConfig,
                       WeightedSample, audit_model_bounds, objective,
