@@ -4,8 +4,11 @@ The influence function of the composed predictor toward a contamination
 point z is estimated by finite differences: every region whose ball
 contains z is retrained on the mixture (1 - eps) D_b + eps delta_z for a
 decreasing ladder of eps values, and the difference quotient
-(f_tilde - f) / eps is evaluated on a probe grid. Regions not containing z
-keep their model, so their local influence estimate is identically zero.
+(f_tilde - f) / eps is evaluated on a probe grid. A region's rungs are
+retrained as one chain down the ladder: the top rung starts from the
+zero-padded base coefficients, each lower rung from the secant through the
+rung above. Regions not containing z keep their model, so their local
+influence estimate is identically zero.
 
 The closed-form certificates are
 
@@ -316,7 +319,10 @@ class BorderedRegion:
     """A region's sample, Gram and probe block extended by one contamination
     spec's atoms, which follow the n_b sample atoms: the Gram is
     [[K_b, k(X_b, A)], [k(A, X_b), k(A, A)]]. Every eps rung retrains on
-    this one Gram."""
+    this one Gram. ``warm_start`` is pad(alpha), the base coefficients
+    zero-padded over the atoms: the start of a maxbias retrain and of the
+    top rung of a ladder chain, and the origin of the secant that starts
+    each lower rung."""
 
     region_id: int
     sample: WeightedSample
@@ -337,7 +343,9 @@ class AuditContext:
     balls, and per region b a ``RegionBlocks``. The probes serve the
     influence estimates only, not the bound. ``border`` extends a region
     by a spec's atoms, so a retrain forms only the new Gram columns and a
-    probe prediction is one matrix-vector product; ``compose`` sums the
+    probe prediction is one matrix-vector product; ``retrain`` starts from
+    pad(alpha) unless given a start, such as the secant start of a lower
+    ladder rung; ``compose`` sums the
     regional predictions over the probes in the order
     ``ComposedModel.predict`` does, so the results are bitwise equal.
     Memory per region: n_b^2 for K_b plus |P_b| n_b for the probe block.
@@ -348,7 +356,9 @@ class AuditContext:
     (as ``fit_composed`` leaves it) and, in every region that is not null,
     hold the config's kernel, loss and lambda; any other base model is an
     input error. ``threads`` is the worker count of the base fit and of
-    the retrains of every audit step run on the context.
+    the retrains of every audit step run on the context: the touched
+    regions of a finite-difference spec (each one sequential ladder chain)
+    and the candidate distributions of a maxbias probe.
     """
 
     def __init__(self, data: Dataset, scheme: WeightScheme, config: ModelConfig,
@@ -434,14 +444,16 @@ class AuditContext:
         warm = np.concatenate([self.base.locals[b].alpha, np.zeros(atoms.n)])
         return BorderedRegion(b, blocks.sample, atoms, gram, probe_block, warm)
 
-    def retrain(self, bordered: BorderedRegion, eps: float) -> LocalModel:
-        """Train region b on (1 - eps) D_b + eps A, warm-started from the
-        zero-padded base coefficients, on the bordered Gram."""
+    def retrain(self, bordered: BorderedRegion, eps: float,
+                start: Optional[np.ndarray] = None) -> LocalModel:
+        """Train region b on (1 - eps) D_b + eps A on the bordered Gram,
+        warm-started from ``start`` (over the bordered anchors), by default
+        the zero-padded base coefficients ``bordered.warm_start``."""
         b = bordered.region_id
         return train(bordered.contaminated(eps), self.config.kernel_for(b),
                      self.config.loss, self.config.train_for(b),
-                     warm_start=bordered.warm_start, region_id=b,
-                     gram=bordered.gram)
+                     warm_start=bordered.warm_start if start is None else start,
+                     region_id=b, gram=bordered.gram)
 
 
 def _certificate_terms(factors, lip: float, tv_by_region):
@@ -497,16 +509,38 @@ def tv_refined_if_bound(data: Dataset, scheme: WeightScheme, config: ModelConfig
                               _tv_by_region(samples, scheme.partition, z_x, z_y))[2]
 
 
+def _retrain_chain(context: AuditContext, bordered: BorderedRegion,
+                   ladder) -> list:
+    """One region's retrains down the eps ladder, in ladder order.
+
+    The top rung starts from pad(alpha). The retrained coefficients move
+    smoothly away from pad(alpha) as eps grows, so each lower rung k starts
+    from the secant through pad(alpha) and the rung above,
+    pad(alpha) + (eps_k / eps_{k-1}) (alpha~_{k-1} - pad(alpha)), which is
+    O(eps^2) from its answer (a secant predictor of numerical continuation).
+    """
+    pad = bordered.warm_start
+    models = [context.retrain(bordered, ladder[0])]
+    for eps_above, eps in zip(ladder, ladder[1:]):
+        start = pad + (eps / eps_above) * (models[-1].alpha - pad)
+        models.append(context.retrain(bordered, eps, start))
+    return models
+
+
 def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceEstimate:
     """Finite-difference influence estimate along the eps ladder.
 
-    Every touched region is retrained per rung on the contaminated mixture
-    (warm-started from the uncontaminated coefficients); untouched regions
-    contribute exactly zero. The reported estimate is the bottom-rung
-    quotient; consecutive-rung residuals serve as the convergence
-    diagnostic for the existence of the defining limit, and a linear
-    extrapolation to eps -> 0 is reported alongside as a diagnostic. The
-    probes, the base model and the thread count are the context's.
+    Every touched region is retrained per rung on the contaminated mixture;
+    untouched regions contribute exactly zero. A region's rungs are one
+    sequential chain (``_retrain_chain``): the top rung starts from the
+    zero-padded uncontaminated coefficients and each lower rung from the
+    secant through the rung above, and the context's threads spread the
+    touched regions, not the rungs, so the result does not depend on the
+    thread count. The reported estimate is the bottom-rung quotient;
+    consecutive-rung residuals serve as the convergence diagnostic for the
+    existence of the defining limit, and a linear extrapolation to
+    eps -> 0 is reported alongside as a diagnostic. The probes, the base
+    model and the thread count are the context's.
     """
     if len(spec.eps_ladder) < 2:
         raise InputError("the eps ladder needs at least two rungs")
@@ -515,22 +549,19 @@ def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceE
         region_b = context.border(b, spec)
         if region_b is not None:
             bordered[b] = region_b
-    tasks = [(eps, b) for eps in spec.eps_ladder for b in sorted(bordered)]
-
-    def _train_one(task):
-        eps, b = task
-        return task, context.retrain(bordered[b], eps)
-
-    tilde_models = dict(_map_tasks(_train_one, tasks, context.threads))
+    touched = sorted(bordered)
+    chains = dict(zip(touched, _map_tasks(
+        lambda b: _retrain_chain(context, bordered[b], spec.eps_ladder),
+        touched, context.threads)))
 
     rungs = []
     rung_values = []
-    for eps in spec.eps_ladder:
+    for k, eps in enumerate(spec.eps_ladder):
         preds = {}
         quotients = {}
         h_norms = {b: 0.0 for b in context.regions}
-        for b in sorted(bordered):
-            tilde = tilde_models[(eps, b)]
+        for b in touched:
+            tilde = chains[b][k]
             preds[b] = bordered[b].probe_block @ tilde.alpha
             q = LocalQuotient(tilde, context.base.locals[b], eps, bordered[b].gram,
                               (preds[b] - context.regions[b].base_preds) / eps)

@@ -4,24 +4,30 @@
 copies of the audit before the context existed: every retrain rebuilds its
 Gram from the contaminated sample, every quotient evaluates full composed
 predictors, and every H-norm builds the Gram of the stacked base and
-contaminated anchors.
+contaminated anchors. Both start their retrains as the audit does: a
+maxbias retrain and the top ladder rung from pad(alpha), each lower rung
+from the secant through the rung above (``_secant_start``).
 """
 
 import numpy as np
 import pytest
 
 from localsvm import (ComposedModel, ContaminationSpec, GaussianRBF, InputError,
-                      Linear, LogisticRegression, ModelConfig, Polynomial,
+                      Linear, LogisticClassification, LogisticRegression,
+                      ModelConfig, Polynomial,
                       TrainConfig, WeightedSample, WeightScheme,
                       adversarial_q_specs, contaminate_region, default_probes,
                       finite_diff_if, fit_composed, maxbias_probe, regionalize,
                       restrict, run_audit, train)
 from localsvm import robustness
 from localsvm.robustness import AuditContext
+from localsvm.solver import grad_scale
 from conftest import manual_partition, two_blobs
 
 REG = LogisticRegression()
 RBF = GaussianRBF(gamma=1.0, input_dim=2)
+KERNELS = [RBF, Linear(input_dim=2), Polynomial(degree=2, offset=1.0, input_dim=2)]
+KERNEL_IDS = ["rbf", "linear", "polynomial"]
 
 
 def _config(kernel=RBF, lam=0.5, region_lambdas=None):
@@ -35,23 +41,31 @@ def _fixture(n_per=15, gap=1.5, tau=0.5, seed=0):
     return data, part, WeightScheme("normalized-indicator", part)
 
 
-def _specs(data, part):
+def _specs(data, part, labels=(4.0, -4.0, 5.0)):
     """A Dirac point in each ball, one in their overlap, and a flip mixture."""
     c1, c2 = part.region(1).center, part.region(2).center
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
-    return [ContaminationSpec.dirac(c1, 4.0),
-            ContaminationSpec.dirac(c2, -4.0),
-            ContaminationSpec.dirac((c1 + c2) / 2.0, 5.0),
-            ContaminationSpec.mixture(flipped)]
+    zs = (c1, c2, (c1 + c2) / 2.0)
+    return ([ContaminationSpec.dirac(x, y) for x, y in zip(zs, labels)]
+            + [ContaminationSpec.mixture(flipped)])
 
 
-def _rebuild_retrain(data, part, config, base, spec, b, eps):
+def _secant_start(pad, above, eps):
+    """pad(alpha) + (eps / eps_above) (alpha_above - pad(alpha)), the start of
+    the rung below the rung ``above`` = (eps_above, alpha_above)."""
+    eps_above, alpha_above = above
+    return pad + (eps / eps_above) * (alpha_above - pad)
+
+
+def _rebuild_retrain(data, part, config, base, spec, b, eps, above=None):
+    """Retrain from pad(alpha), or from the secant start below ``above``."""
     contaminated = contaminate_region(restrict(data, part, b), spec,
                                       part.region(b), eps)
     extra = contaminated.n - base.locals[b].n_anchors
+    pad = np.concatenate([base.locals[b].alpha, np.zeros(extra)])
     return train(contaminated, config.kernel_for(b), config.loss,
                  config.train_for(b),
-                 warm_start=np.concatenate([base.locals[b].alpha, np.zeros(extra)]),
+                 warm_start=pad if above is None else _secant_start(pad, above, eps),
                  region_id=b)
 
 
@@ -80,7 +94,8 @@ def _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base):
         locals_b = dict(base.locals)
         h_norms, alphas = {}, {}
         for b in _touched(data, part, spec):
-            tilde = _rebuild_retrain(data, part, config, base, spec, b, eps)
+            above = (rungs[-1][0], rungs[-1][3][b]) if rungs else None
+            tilde = _rebuild_retrain(data, part, config, base, spec, b, eps, above)
             locals_b[b] = tilde
             alphas[b] = tilde.alpha
             h_norms[b] = _rebuild_h_norm(tilde, base.locals[b], eps)
@@ -104,9 +119,7 @@ def _rebuild_maxbias_shifts(data, part, scheme, config, eps, specs, probes, base
     return shifts
 
 
-@pytest.mark.parametrize("kernel", [RBF, Linear(input_dim=2),
-                                    Polynomial(degree=2, offset=1.0, input_dim=2)],
-                         ids=["rbf", "linear", "polynomial"])
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_bordered_gram_and_probe_block_match_rebuilt(kernel):
     data, part, scheme = _fixture()
     config = _config(kernel=kernel)
@@ -174,13 +187,16 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
         ref = _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base)
         assert sorted(est.per_region) == _touched(data, part, spec)
         assert len(est.ladder) == len(ref)
-        for rung, (eps, sup, h_norms, alphas) in zip(est.ladder, ref):
+        for k, (rung, (eps, sup, h_norms, alphas)) in enumerate(zip(est.ladder, ref)):
             assert rung["eps"] == eps
             assert rung["sup"] == pytest.approx(sup, rel=1e-12, abs=0.0)
             for b, h in h_norms.items():
                 assert rung["h_norms"][b] == pytest.approx(h, rel=1e-12, abs=0.0)
             for b, alpha in alphas.items():
-                retrained = ctx.retrain(ctx.border(b, spec), eps)
+                bordered = ctx.border(b, spec)
+                start = None if k == 0 else _secant_start(
+                    bordered.warm_start, (ref[k - 1][0], ref[k - 1][3][b]), eps)
+                retrained = ctx.retrain(bordered, eps, start)
                 np.testing.assert_array_equal(retrained.alpha, alpha)
         assert est.sup_norm_estimate == pytest.approx(ref[-1][1], rel=1e-12, abs=0.0)
         for b, alpha in ref[-1][3].items():
@@ -313,3 +329,60 @@ def test_context_rejects_a_null_region_mismatch():
     shifted = type(data)(np.vstack([X, [[9.0, 9.0]]]), np.zeros(13))
     with pytest.raises(InputError, match="anchors differ"):
         AuditContext(shifted, scheme, config, probes=probes, base=base)
+
+
+@pytest.mark.parametrize("loss", [REG, LogisticClassification()],
+                         ids=["regression", "classification"])
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_chained_ladder_matches_the_cold_ladder_within_the_audit_slack(
+        kernel, loss, monkeypatch):
+    data, part, scheme = _fixture()
+    labels = (4.0, -4.0, 5.0)
+    if loss.is_classification:
+        data = type(data)(data.X, np.where(data.y >= 0.0, 1.0, -1.0))
+        labels = (1.0, -1.0, 1.0)
+    config = ModelConfig(loss=loss, kernel=kernel, train=TrainConfig(lam=0.5))
+    probes = default_probes(data, 64)
+    base = fit_composed(data, scheme, config)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base)
+    specs = _specs(data, part, labels)
+    chained = [finite_diff_if(ctx, spec) for spec in specs]
+    report = run_audit(data, scheme, config, specs, probes=probes, base=base)
+    # the ladder it replaced: every rung starts from pad(alpha)
+    retrain = AuditContext.retrain
+    monkeypatch.setattr(AuditContext, "retrain",
+                        lambda self, bordered, eps, start=None:
+                        retrain(self, bordered, eps))
+    cold = [finite_diff_if(ctx, spec) for spec in specs]
+    cold_report = run_audit(data, scheme, config, specs, probes=probes, base=base)
+
+    for est, ref in zip(chained, cold):
+        # the audit's own slack: both retrains stop within grad_tol of the
+        # optimum, and the quotient divides their difference by eps
+        tol = config.train.grad_tol * max(grad_scale(q.gram)
+                                          for q in est.per_region.values())
+        for rung, ref_rung in zip(est.ladder, ref.ladder, strict=True):
+            slack = 10.0 * tol / rung["eps"]
+            assert abs(rung["sup"] - ref_rung["sup"]) <= slack
+            assert rung["h_norms"].keys() == ref_rung["h_norms"].keys()
+            for b, h in ref_rung["h_norms"].items():
+                assert abs(rung["h_norms"][b] - h) <= slack
+    assert ([e["satisfied"] for e in report.per_z]
+            == [e["satisfied"] for e in cold_report.per_z])
+    assert report.satisfied == cold_report.satisfied
+
+
+@pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
+def test_chained_bottom_rung_takes_fewer_newton_steps_than_a_cold_start(kernel):
+    data, part, scheme = _fixture()
+    ctx = AuditContext(data, scheme, _config(kernel=kernel),
+                       probes=default_probes(data, 64))
+    checked = 0
+    for spec in _specs(data, part):
+        est = finite_diff_if(ctx, spec)
+        for b, q in est.per_region.items():
+            cold = ctx.retrain(ctx.border(b, spec), est.eps_used)
+            assert (q.tilde.solve_info.newton_iters
+                    < cold.solve_info.newton_iters), (spec.kind, b)
+            checked += 1
+    assert checked == 6  # every touched region of every spec

@@ -1,10 +1,11 @@
 """The README's examples run as shown: its Python quick start executes and
-its example config passes the schema."""
+its example config passes the schema; the budgets it states are the code's."""
 
 import json
 import re
 from pathlib import Path
 
+from localsvm import kernels
 from localsvm.config import validate_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -22,3 +23,11 @@ def test_readme_python_quick_start_runs():
 def test_readme_example_config_validates():
     (text,) = _blocks("json")
     validate_config(json.loads(text))
+
+
+def test_readme_budgets_are_the_kernels_budgets():
+    # each "`_NAME` = 65 536" in the README names a kernels constant
+    stated = re.findall(r"`(_[A-Z_]+_BUDGET)` = ([\d ]+\d)", README.read_text())
+    assert {name for name, _ in stated} >= {"_BLOCK_BUDGET", "_CHUNK_BUDGET"}
+    for name, value in stated:
+        assert int(value.replace(" ", "")) == getattr(kernels, name), name
