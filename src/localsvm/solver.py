@@ -20,6 +20,15 @@ lie in [2 lam, 2 lam + sum_i D_i K_ii], so kappa(A) <= 1 + L''_max
 ||k||_inf^2 / (2 lam) for any data, even a singular K: a few iterations
 reach the stopping residual. Only for lam near 1e-4 and below can CG cost
 more than a Cholesky factorization of A would.
+
+Steps are solved inexactly while the fit is far from its end (Dembo,
+Eisenstat & Steihaug, SINUM 1982): step k stops its CG solve once the
+Newton residual (D K + 2 lam I) s + g, which equals D^1/2 res / (2 lam)
+for the CG residual res, is at most eta_k |g|_2 with the forcing term
+eta_k = min(1/2, |grad|_inf / grad_scale(K)). The rate stays quadratic
+because eta_k shrinks with the gradient. The step expected to close the
+fit is solved to _CG_RTOL, so the returned coefficients are those of an
+exact Newton finish.
 """
 
 from __future__ import annotations
@@ -41,6 +50,11 @@ _MIN_STEP = 1e-16
 # noise; take the full step (damping is a globalization device only)
 _FULL_STEP_GNORM = 1e-6
 _CG_RTOL = 1e-13  # relative residual at which conjugate gradients stop
+# a Newton step is solved to the relative Newton residual
+# eta = min(_FORCING_MAX, gnorm / grad_scale(K)), except the one expected to
+# close the fit, eta * gnorm <= _CLOSING_FACTOR * grad_tol, solved exactly
+_FORCING_MAX = 0.5
+_CLOSING_FACTOR = 100.0
 
 
 def grad_scale(K) -> float:
@@ -73,8 +87,9 @@ class SolveInfo:
     """How ``train`` reached its solution: Newton steps taken, conjugate
     gradient iterations (total and the most in one step), Armijo halvings,
     steepest-descent fallbacks, the final gradient sup-norm and the largest
-    relative residual |res| / |b| at which a Newton step's CG solve ended
-    (above 1e-13 only where CG stopped at its n-iteration cap)."""
+    ratio of a CG solve's final residual to the residual at which it was
+    set to stop, in the norm of the stopping test it came closest to
+    meeting (above 1 only where CG stopped at its n-iteration cap)."""
 
     newton_iters: int
     cg_iters: int
@@ -82,7 +97,7 @@ class SolveInfo:
     backtracks: int
     fallbacks: int
     grad_norm: float
-    cg_residual_max: float
+    cg_residual_ratio_max: float
 
 
 @dataclass(frozen=True)
@@ -209,35 +224,52 @@ def _loss_terms(loss, y, f, shifted):
     return loss.shifted_value(y, f) if shifted else loss.value(y, f)
 
 
-def _irls_solve(K, sqrt_d, b, lam):
-    """Conjugate gradients on (D^1/2 K D^1/2 + 2 lam I) r = b; returns r,
-    the iteration count and the final relative residual |res| / |b| (0 for
-    b = 0). Stops at |res| <= _CG_RTOL |b| or after n steps."""
+def _irls_solve(K, sqrt_d, b, lam, target=0.0):
+    """Conjugate gradients on (D^1/2 K D^1/2 + 2 lam I) r = b. Stops at
+    |res| <= _CG_RTOL |b|, at |D^1/2 res| <= target if target > 0, or after
+    n steps. Returns r, the iteration count and the final residual over its
+    stopping residual in the test it came closest to meeting (0 for b = 0;
+    above 1 only at the iteration cap)."""
     r, res = np.zeros_like(b), b.copy()
     p, rr = res.copy(), float(res @ res)
     rr_b, it = rr, 0
-    stop = _CG_RTOL ** 2 * rr
-    while it < b.shape[0] and rr > stop:
+    stop, forced = _CG_RTOL ** 2 * rr, target ** 2
+    dd = _sq_norm(sqrt_d * res) if forced > 0 else np.inf
+    while it < b.shape[0] and rr > stop and dd > forced:
         Ap = sqrt_d * (K @ (sqrt_d * p)) + 2.0 * lam * p
         a = rr / float(p @ Ap)
         r += a * p
         res -= a * Ap
         rr, rr_old = float(res @ res), rr
+        if forced > 0:
+            dd = _sq_norm(sqrt_d * res)
         p = res + (rr / rr_old) * p
         it += 1
-    return r, it, float(np.sqrt(rr / rr_b)) if rr_b > 0 else 0.0
+    if rr_b == 0:
+        return r, it, 0.0
+    ratio = float(np.sqrt(rr / rr_b)) / _CG_RTOL
+    if forced > 0:
+        ratio = min(ratio, float(np.sqrt(dd)) / target)
+    return r, it, ratio
 
 
-def _newton_step(K, g, grad, D, lam):
-    """A solution s of K (D K + 2 lam I) s = -grad, where grad = K g, its CG
-    iteration count and final relative residual. A non-finite D gives an
-    all-NaN step without any arithmetic on it (and no CG solve, residual
-    0), which ``train`` replaces by steepest descent."""
+def _sq_norm(v):
+    return float(v @ v)
+
+
+def _newton_step(K, g, grad, D, lam, eta=0.0):
+    """A step s with |(D K + 2 lam I) s + g|_2 <= eta |g|_2, solving
+    K (D K + 2 lam I) s = -grad (grad = K g) exactly for eta = 0, with its
+    CG iteration count and residual ratio (see ``_irls_solve``). A
+    non-finite D gives an all-NaN step without any arithmetic on it (and
+    no CG solve, ratio 0), which ``train`` replaces by steepest descent."""
     if not np.isfinite(D).all():
         return np.full_like(g, np.nan), 0, 0.0
     sqrt_d = np.sqrt(D)
-    r, iters, rel_res = _irls_solve(K, sqrt_d, -sqrt_d * grad, lam)
-    return -(g + sqrt_d * r) / (2.0 * lam), iters, rel_res
+    # the Newton residual is D^1/2 res / (2 lam) for the CG residual res
+    target = 2.0 * lam * eta * float(np.sqrt(g @ g))
+    r, iters, ratio = _irls_solve(K, sqrt_d, -sqrt_d * grad, lam, target)
+    return -(g + sqrt_d * r) / (2.0 * lam), iters, ratio
 
 
 def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
@@ -266,23 +298,24 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
         alpha = np.asarray(warm_start, dtype=float).copy()
         if alpha.shape[0] != n:
             raise InputError("warm start length must equal the sample size")
+        f = K @ alpha
     else:
-        alpha = np.zeros(n)
+        alpha, f = np.zeros(n), np.zeros(n)
 
     scale = grad_scale(K)
     full_step_gnorm = _FULL_STEP_GNORM * scale
     grad_tol = cfg.grad_tol * scale
+    closing_gnorm = _CLOSING_FACTOR * grad_tol
     steps = cg_total = cg_max = backtracks = fallbacks = 0
-    cg_res_max = 0.0
+    cg_ratio_max = 0.0
 
     def fitted(alpha, f, gnorm):
         info = SolveInfo(steps, cg_total, cg_max, backtracks, fallbacks, gnorm,
-                         cg_res_max)
+                         cg_ratio_max)
         return LocalModel(alpha=alpha, anchors=sample.X, kernel=kernel,
                           loss=loss, lam=lam, region_id=region_id,
                           h_norm_sq=float(alpha @ f), solve_info=info)
 
-    f = K @ alpha
     best_alpha, best_gnorm = alpha.copy(), np.inf
     for _ in range(cfg.max_iter + 1):
         g = w * loss.dt(y, f) + 2.0 * lam * alpha
@@ -299,9 +332,12 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
         if steps == cfg.max_iter:
             break
 
-        step, cg, cg_res = _newton_step(K, g, grad, w * loss.dtt(y, f), lam)
+        eta = min(_FORCING_MAX, gnorm / scale)
+        if eta * gnorm <= closing_gnorm:
+            eta = 0.0  # the step expected to close the fit is solved exactly
+        step, cg, cg_ratio = _newton_step(K, g, grad, w * loss.dtt(y, f), lam, eta)
         cg_total, cg_max = cg_total + cg, max(cg_max, cg)
-        cg_res_max = max(cg_res_max, cg_res)
+        cg_ratio_max = max(cg_ratio_max, cg_ratio)
         descent = float(grad @ step)
         newton = descent < 0
         if not newton:

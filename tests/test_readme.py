@@ -5,7 +5,7 @@ import json
 import re
 from pathlib import Path
 
-from localsvm import kernels
+from localsvm import kernels, solver
 from localsvm.config import validate_config
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -31,3 +31,11 @@ def test_readme_budgets_are_the_kernels_budgets():
     assert {name for name, _ in stated} >= {"_BLOCK_BUDGET", "_CHUNK_BUDGET"}
     for name, value in stated:
         assert int(value.replace(" ", "")) == getattr(kernels, name), name
+
+
+def test_readme_cg_constants_are_the_solvers():
+    # the CG notes state each stopping constant as "`_NAME` = value"
+    text = README.read_text()
+    for name in ("_CG_RTOL", "_FORCING_MAX", "_CLOSING_FACTOR"):
+        (value,) = re.findall(rf"`{name}` = ([\d.e+-]*\d)", text)
+        assert float(value) == getattr(solver, name), name

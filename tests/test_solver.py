@@ -13,6 +13,7 @@ from localsvm import (ConvergenceError, GaussianRBF, InputError,
                       LogisticRegression, Polynomial, TrainConfig,
                       WeightedSample, audit_model_bounds, objective,
                       shifted_unshifted_identity_check, solver, train)
+from localsvm.experiments import SyntheticTask, generate
 from localsvm.kernels import _CHUNK_BUDGET
 from conftest import random_sample
 
@@ -487,10 +488,11 @@ def test_recorded_h_norm_matches_gram(seed):
     assert model.h_norm() == pytest.approx(from_gram.h_norm(), rel=1e-12)
 
 
-def cholesky_newton_step(K, g, grad, D, lam):
+def cholesky_newton_step(K, g, grad, D, lam, eta=0.0):
     """The Newton step ``train`` took before conjugate gradients: one
     Cholesky solve of A = D^1/2 K D^1/2 + 2 lam I formed in full. Kept as
-    the reference the CG step is compared against."""
+    the reference the CG step is compared against; it ignores ``eta``, as
+    an exact solve meets every forcing target."""
     sqrt_d = np.sqrt(D)
     A = sqrt_d[:, None] * K * sqrt_d
     A[np.diag_indices_from(A)] += 2.0 * lam
@@ -517,21 +519,27 @@ def _kappa_bound(kernel, loss, sample, lam):
     return 1.0 + d2_max * k_sq / (2.0 * lam)
 
 
-@pytest.mark.parametrize("lam", STEP_LAMS)
-@pytest.mark.parametrize("kernel", STEP_KERNELS, ids=["rbf1", "rbf5", "poly3", "linear"])
-@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
-def test_cg_step_matches_cholesky_step(loss, kernel, lam):
+def _step_inputs(loss, kernel, lam):
+    """K, g, grad = K g and D at a random coefficient vector of an 80-point
+    sample with five duplicated points."""
     sample = _with_duplicates(random_sample(80, seed=50, classification=loss is CLS))
     rng = np.random.default_rng(51)
     K = kernel.gram(sample.X)
     alpha = 0.1 * rng.standard_normal(sample.n)
     f = K @ alpha
     g = sample.weights * loss.dt(sample.y, f) + 2.0 * lam * alpha
-    grad = K @ g
     D = sample.weights * loss.dtt(sample.y, f)
+    return K, g, K @ g, D
+
+
+@pytest.mark.parametrize("lam", STEP_LAMS)
+@pytest.mark.parametrize("kernel", STEP_KERNELS, ids=["rbf1", "rbf5", "poly3", "linear"])
+@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
+def test_cg_step_matches_cholesky_step(loss, kernel, lam):
+    K, g, grad, D = _step_inputs(loss, kernel, lam)
     step, iters, _ = solver._newton_step(K, g, grad, D, lam)
     ref, _, _ = cholesky_newton_step(K, g, grad, D, lam)
-    assert 0 < iters <= sample.n
+    assert 0 < iters <= len(g)
     # both solve the Newton system K (D K + 2 lam I) s = -grad
     scale = np.max(np.abs(ref))
     np.testing.assert_allclose(step, ref, rtol=0, atol=1e-9 * scale)
@@ -542,7 +550,9 @@ def test_cg_step_matches_cholesky_step(loss, kernel, lam):
 @pytest.mark.parametrize("lam", STEP_LAMS)
 @pytest.mark.parametrize("kernel", STEP_KERNELS, ids=["rbf1", "rbf5", "poly3", "linear"])
 @pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
-def test_cg_train_matches_cholesky_train(monkeypatch, loss, kernel, lam):
+def _train_against_cholesky(monkeypatch, loss, kernel, lam):
+    """Train on a 60-point sample with five duplicated points, check the
+    fit against the Cholesky-step reference and return both SolveInfos."""
     sample = _with_duplicates(random_sample(60, seed=52, classification=loss is CLS))
     cfg = TrainConfig(lam=lam)
     model = train(sample, kernel, loss, cfg)
@@ -557,7 +567,17 @@ def test_cg_train_matches_cholesky_train(monkeypatch, loss, kernel, lam):
     # grad_tol is relative to max(1, max_i K_ii), which is 468 for poly3 here
     tol = cfg.grad_tol * solver.grad_scale(kernel.gram(sample.X))
     assert info.grad_norm <= tol and info.fallbacks == 0
-    assert info.newton_iters == ref.solve_info.newton_iters
+    return info, ref.solve_info, sample
+
+
+@pytest.mark.parametrize("lam", STEP_LAMS)
+@pytest.mark.parametrize("kernel", STEP_KERNELS, ids=["rbf1", "rbf5", "poly3", "linear"])
+@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
+def test_cg_train_matches_cholesky_train(monkeypatch, loss, kernel, lam):
+    # every Newton step solved to _CG_RTOL, as with no forcing term
+    monkeypatch.setattr(solver, "_FORCING_MAX", 0.0)
+    info, ref_info, sample = _train_against_cholesky(monkeypatch, loss, kernel, lam)
+    assert info.newton_iters == ref_info.newton_iters
     # CG reaches residual tol * |b| within the Chebyshev bound
     # 2 sqrt(kappa) rho^k, rho = (sqrt(kappa) - 1) / (sqrt(kappa) + 1)
     root = math.sqrt(_kappa_bound(kernel, loss, sample, lam))
@@ -565,6 +585,71 @@ def test_cg_train_matches_cholesky_train(monkeypatch, loss, kernel, lam):
     bound = math.ceil(math.log(2.0 * root / solver._CG_RTOL) / math.log(1.0 / rho))
     assert 0 < info.cg_iters_max <= min(bound, sample.n)
     assert info.cg_iters_max <= info.cg_iters <= info.newton_iters * info.cg_iters_max
+
+
+FORCING_CASES = [pytest.param(loss, kernel, lam, id=f"{lid}-{kid}-{lam:g}")
+                 for loss, lid in ((REG, "reg"), (CLS, "cls"))
+                 for kernel, kid in zip(STEP_KERNELS, ["rbf1", "rbf5", "poly3", "linear"])
+                 for lam in STEP_LAMS]
+# lambda 1e-6 divides the CG residual by 2e-6 in the Newton residual
+FORCING_CASES.append(pytest.param(REG, STEP_KERNELS[2], 1e-6, id="reg-poly3-1e-06"))
+
+
+@pytest.mark.parametrize("loss, kernel, lam", FORCING_CASES)
+def test_truncated_step_meets_its_forcing_term(loss, kernel, lam):
+    K, g, grad, D = _step_inputs(loss, kernel, lam)
+    _, exact_iters, _ = solver._newton_step(K, g, grad, D, lam)
+    norm = np.linalg.norm
+    for eta in (0.5, 1e-2, 1e-4):
+        step, iters, ratio = solver._newton_step(K, g, grad, D, lam, eta)
+        DKs, ridge = D * (K @ step), 2.0 * lam * step
+        # rounding slack: n machine epsilons times the summed terms' norms,
+        # at most 2e-9 eta |g| here
+        slack = len(g) * np.finfo(float).eps * (norm(DKs) + norm(ridge) + norm(g))
+        assert norm(DKs + ridge + g) <= eta * norm(g) + slack, eta
+        assert iters <= exact_iters and ratio <= 1.0
+
+
+@pytest.mark.parametrize("lam", STEP_LAMS)
+@pytest.mark.parametrize("kernel", STEP_KERNELS, ids=["rbf1", "rbf5", "poly3", "linear"])
+@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
+def test_truncated_train_matches_cholesky_train(monkeypatch, loss, kernel, lam):
+    info, ref_info, _ = _train_against_cholesky(monkeypatch, loss, kernel, lam)
+    # inexact steps may cost one more Newton step than exact ones
+    assert info.newton_iters <= ref_info.newton_iters + 1
+
+
+def test_forcing_saves_cg_iterations(monkeypatch):
+    # train-large's loss, kernel and lambda on one 1 500-point region
+    data = generate(SyntheticTask("two-moons", noise=0.1, seed=0), 1500)
+    sample = WeightedSample(data.X, data.y, np.full(1500, 1.0 / 1500))
+    args = (sample, GaussianRBF(gamma=0.5, input_dim=2), CLS, TrainConfig(lam=0.05))
+    shipped = train(*args).solve_info
+    monkeypatch.setattr(solver, "_FORCING_MAX", 0.0)
+    exact = train(*args).solve_info
+    assert shipped.cg_iters <= 0.6 * exact.cg_iters
+    assert shipped.grad_norm <= 1e-10
+
+
+class CountingGram(np.ndarray):
+    """A Gram matrix that counts its products with vectors."""
+
+    def __matmul__(self, other):
+        self.products += 1
+        return np.asarray(self) @ other
+
+
+def test_cold_start_skips_the_product_with_zero_coefficients():
+    sample = random_sample(40, seed=59, classification=True)
+    kernel = GaussianRBF(gamma=1.0, input_dim=2)
+    K = kernel.gram(sample.X).view(CountingGram)
+    cfg = TrainConfig(lam=0.05)
+    K.products = 0
+    cold = train(sample, kernel, CLS, cfg, gram=K)
+    cold_products, K.products = K.products, 0
+    warm = train(sample, kernel, CLS, cfg, warm_start=np.zeros(40), gram=K)
+    assert cold_products == K.products - 1
+    assert cold.alpha.tobytes() == warm.alpha.tobytes()
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -634,7 +719,7 @@ def test_solve_info_reports_a_cg_solve_stopped_by_its_cap():
                   GaussianRBF(gamma=1.0, input_dim=2), REG, TrainConfig(lam=1e-4))
     info = model.solve_info
     assert info.cg_iters_max == 60
-    assert info.cg_residual_max > solver._CG_RTOL
+    assert info.cg_residual_ratio_max > 1.0
     assert info.grad_norm <= 1e-10
 
 
@@ -653,7 +738,7 @@ def test_cg_meets_its_residual_on_benchmark_fits(name):
     for local in model.locals.values():
         info = local.solve_info
         assert info.cg_iters_max < local.n_anchors
-        assert 0.0 < info.cg_residual_max <= solver._CG_RTOL
+        assert 0.0 < info.cg_residual_ratio_max <= 1.0
 
 
 def test_train_peaks_at_one_gram_buffer():
