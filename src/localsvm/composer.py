@@ -51,6 +51,23 @@ class RegionTrainingError(LocalSvmError):
         self.cause = cause
 
 
+def compose(scheme: WeightScheme, X: np.ndarray, local_predict):
+    """sum_b w_b(x) f_b(x) at the rows of X, and the covered mask.
+
+    The weights are ``scheme.weights_many(X)``, nearest-region fallback
+    included. ``local_predict(b, rows)`` gives f_b at the rows of X where
+    the boolean mask ``rows`` is True, which are those with w_b != 0; the
+    terms are summed in region order.
+    """
+    W, covered = scheme.weights_many(X)
+    out = np.zeros(X.shape[0])
+    for b in range(1, scheme.B + 1):
+        active = W[:, b - 1] != 0.0
+        if active.any():
+            out[active] += W[active, b - 1] * local_predict(b, active)
+    return out, covered
+
+
 class ComposedModel:
     """f_comp(x) = sum_b w_b(x) f_b(x) over the scheme's regions."""
 
@@ -76,13 +93,8 @@ class ComposedModel:
     def predict_with_coverage(self, X):
         """Predictions and the covered mask (False rows used nearest fallback)."""
         X = as_points(X)
-        W, covered = self.scheme.weights_many(X)
-        out = np.zeros(X.shape[0])
-        for b, model in self.locals.items():
-            active = W[:, b - 1] != 0.0
-            if active.any():
-                out[active] += W[active, b - 1] * model.predict(X[active])
-        return out, covered
+        return compose(self.scheme, X,
+                       lambda b, rows: self.locals[b].predict(X[rows]))
 
     def predict(self, X) -> np.ndarray:
         return self.predict_with_coverage(X)[0]

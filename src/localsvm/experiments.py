@@ -17,12 +17,12 @@ from typing import Optional
 
 import numpy as np
 
-from .composer import ModelConfig, empirical_risk, fit_composed
+from .composer import ComposedModel, ModelConfig, compose, fit_composed
 from .data import Dataset, WeightedSample
 from .errors import InputError
 from .regions import KIND_INDICATOR, WeightScheme, regionalize
 from .robustness import if_bound
-from .solver import train
+from .solver import LocalModel, train
 
 TASK_SINE = "sine-regression"
 TASK_MOONS = "two-moons"
@@ -155,11 +155,35 @@ def _eval_sample(task: SyntheticTask, eval_n: int, with_oracle: bool = False):
                     with_oracle=with_oracle)
 
 
-def _mc_risk(model, eval_data: Dataset, loss) -> tuple[float, float]:
-    """Monte-Carlo risk of the model on the evaluation sample, with its
-    standard error."""
-    vals = loss.value(eval_data.y, model.predict(eval_data.X))
+def _mc_risk(preds: np.ndarray, eval_data: Dataset, loss) -> tuple[float, float]:
+    """Monte-Carlo risk of predictions at the evaluation sample's points,
+    with its standard error; the mean is ``empirical_risk``'s expression."""
+    vals = loss.value(eval_data.y, preds)
     return float(np.mean(vals)), float(np.std(vals) / np.sqrt(eval_data.n))
+
+
+def _rung_predictions(model: ComposedModel, global_model: LocalModel,
+                      membership: np.ndarray, X: np.ndarray):
+    """Composed and unregionalized predictions at the rows of X, from one
+    ``Kernel.apply`` per distinct kernel among the models.
+
+    Region b's anchors are the global anchors on the rows where
+    ``membership[:, b - 1]``, the test ``restrict`` applies. So each model
+    is a column of one coefficient matrix over the global anchors: column
+    0 the global alpha, column b region b's alpha scattered onto its rows
+    (a zero column for a null region).
+    """
+    models = [global_model, *model.locals.values()]  # locals: ids 1..B in order
+    C = np.zeros((global_model.n_anchors, len(models)))
+    C[:, 0] = global_model.alpha
+    for b in range(1, len(models)):
+        C[membership[:, b - 1], b] = models[b].alpha
+    P = np.empty((X.shape[0], len(models)))
+    for kernel in dict.fromkeys(m.kernel for m in models):
+        cols = [j for j, m in enumerate(models) if m.kernel == kernel]
+        P[:, cols] = kernel.apply(X, global_model.anchors, C[:, cols])
+    composed, _ = compose(model.scheme, X, lambda b, rows: P[rows, b])
+    return composed, P[:, 0]
 
 
 def _write_csv(report, path):
@@ -199,28 +223,33 @@ def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
     lam_b = schedule(n_b); risks are Monte-Carlo estimates on one fresh
     evaluation sample shared across the ladder, reported next to the Bayes
     proxy (the known optimal predictor's risk) and the unregionalized
-    model's risk at lam = schedule(n). ``threads`` caps the parallel
-    region trainings of each fit, as in ``fit_composed``.
+    model's risk at lam = schedule(n). One cross-kernel pass over the
+    evaluation sample per rung scores both models (``_rung_predictions``).
+    ``threads`` caps the parallel region trainings of each fit, as in
+    ``fit_composed``.
     """
     n_ladder = [int(n) for n in n_ladder]
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise InputError(f"n ladder must be increasing, got {n_ladder}")
     eval_data, t_star = _eval_sample(task, eval_n, with_oracle=True)
-    bayes = empirical_risk(t_star, eval_data, config.loss)
+    bayes, _ = _mc_risk(t_star, eval_data, config.loss)
 
     def row(n: int) -> dict:
         data = generate(task, n)
         scheme = pc.build(data.X)
-        counts = scheme.partition.membership(data.X).sum(axis=0)
+        membership = scheme.partition.membership(data.X)
+        counts = membership.sum(axis=0)
         lam = schedule(n)
         cfg = replace(config, train=replace(config.train, lam=lam),
                       region_lambdas={b: schedule(max(int(n_b), 1))
                                       for b, n_b in enumerate(counts, start=1)})
         model = fit_composed(data, scheme, cfg, threads=threads)
-        risk, stderr = _mc_risk(model, eval_data, config.loss)
         global_model = train(WeightedSample.from_dataset(data), config.kernel,
                              config.loss, replace(config.train, lam=lam))
-        global_risk = empirical_risk(global_model, eval_data, config.loss)
+        composed, global_preds = _rung_predictions(model, global_model,
+                                                   membership, eval_data.X)
+        risk, stderr = _mc_risk(composed, eval_data, config.loss)
+        global_risk, _ = _mc_risk(global_preds, eval_data, config.loss)
         return dict(zip(TrendReport.COLUMNS,
                         (n, lam, risk, bayes, global_risk, stderr)))
 
@@ -267,7 +296,7 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
         cfg = replace(config, train=replace(config.train, lam=lam),
                       region_lambdas={})
         model = fit_composed(data, scheme, cfg, threads=threads)
-        risk, stderr = _mc_risk(model, eval_data, config.loss)
+        risk, stderr = _mc_risk(model.predict(eval_data.X), eval_data, config.loss)
         bound = if_bound(scheme, cfg).if_bound_rough
         return dict(zip(SweepReport.COLUMNS, (lam, risk, bound, stderr)))
 

@@ -3,7 +3,10 @@
 All shipped families are continuous and bounded on bounded sets; the
 Gaussian RBF family is bounded globally with sup_x sqrt(k(x, x)) = 1.
 A cross-kernel matrix or a Gram matrix is one call of the family's
-``_cross``; only ``LocalModel.predict`` splits its rows into chunks.
+``_cross``. ``Kernel.apply`` computes K(X, Z) @ coef one row chunk at a
+time into buffers it allocates once per call, so predictions never hold
+the full cross-kernel matrix; ``LocalModel.predict`` and the consistency
+experiment's scoring go through it.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ from .regions import RegionPredicate
 # entries per row block inside the Gaussian-RBF kernel (512 KB of float64),
 # small enough that each elementwise pass over a block stays in L2
 _BLOCK_BUDGET = 65_536
-# entries per chunk when predicting over many rows: at 512 KB a chunk's
-# cross-kernel is still in cache when its matrix-vector product reads it
+# entries per chunk of ``Kernel.apply``: at 512 KB a chunk's cross-kernel
+# is still in cache when its matrix product reads it
 _CHUNK_BUDGET = _BLOCK_BUDGET
 
 
@@ -32,13 +35,17 @@ def chunk_rows(m: int) -> int:
 class Kernel:
     """Base class; subclasses implement ``_cross`` on (n, d) x (m, d) arrays.
 
-    ``matrix`` and ``gram`` check their inputs and call ``_cross`` once, so
-    each family's ``_cross`` allocates no (n, m) array besides its output,
-    and ``_cross(X, X)`` on one C-contiguous X is exactly symmetric: for
-    Gaussian RBF because (a - b)^2 == (b - a)^2 in IEEE arithmetic, for
-    Linear and Polynomial because numpy evaluates ``X @ X.T`` there as one
-    symmetric product (BLAS syrk), which the elementwise offset and power
-    keep.
+    ``_cross(X, Z, out=None, workspace=None)`` writes K(X, Z) into ``out``
+    (allocated when None) and returns it. ``workspace`` is what the
+    family's ``_workspace(Z, rows)`` built for blocks of up to ``rows`` rows
+    against Z (built by ``_cross`` itself when None), so ``apply`` builds it
+    once for all its chunks. ``matrix`` and ``gram`` check their inputs and
+    call ``_cross`` once, so each family's ``_cross`` allocates no (n, m)
+    array besides its output and workspace, and ``_cross(X, X)`` on one
+    C-contiguous X is exactly symmetric: for Gaussian RBF because
+    (a - b)^2 == (b - a)^2 in IEEE arithmetic, for Linear and Polynomial
+    because numpy evaluates ``X @ X.T`` there as one symmetric product
+    (BLAS syrk), which the elementwise offset and power keep.
 
     Every family's k(x, x) depends on x only through ||x|| and does not
     decrease as ||x|| grows (1 for Gaussian RBF, ||x||^2 for Linear,
@@ -58,8 +65,14 @@ class Kernel:
             )
         return X
 
-    def _cross(self, X: np.ndarray, Z: np.ndarray) -> np.ndarray:
+    def _cross(self, X: np.ndarray, Z: np.ndarray, out=None,
+               workspace=None) -> np.ndarray:
         raise NotImplementedError
+
+    def _workspace(self, Z: np.ndarray, rows: int):
+        """What ``_cross`` reuses across row blocks of up to ``rows`` rows
+        against the columns Z: nothing, unless a family overrides it."""
+        return None
 
     def eval(self, x, xp) -> float:
         """Evaluate k(x, x') for two single points."""
@@ -87,6 +100,34 @@ class Kernel:
         X = np.ascontiguousarray(X)
         return self._cross(X, X)
 
+    def apply(self, X, Z, coef) -> np.ndarray:
+        """K(X, Z) @ coef for ``coef`` of shape (m,) or (m, c), one
+        ``chunk_rows(m)`` row chunk at a time.
+
+        The chunk buffer and the family's ``_workspace`` are built once per
+        call and every chunk's ``_cross`` writes into them, so the full
+        (n, m) matrix is never held. Each kernel entry is computed alone,
+        so the chunk's entries are bitwise those of ``matrix``.
+        """
+        X = self._check(X)
+        Z = self._check(Z)
+        coef = np.asarray(coef, dtype=float)
+        if coef.ndim not in (1, 2) or coef.shape[0] != Z.shape[0]:
+            raise InputError(f"coef of shape {coef.shape} does not match "
+                             f"{Z.shape[0]} kernel columns")
+        n, m = X.shape[0], Z.shape[0]
+        out = np.zeros((n,) + coef.shape[1:])
+        if n == 0 or m == 0:
+            return out
+        rows = chunk_rows(m)
+        block = np.empty((min(rows, n), m))
+        workspace = self._workspace(Z, block.shape[0])
+        for start in range(0, n, rows):
+            chunk = X[start:start + rows]
+            K = self._cross(chunk, Z, out=block[:chunk.shape[0]], workspace=workspace)
+            np.matmul(K, coef, out=out[start:start + rows])
+        return out
+
     def diag(self, X) -> np.ndarray:
         """Vector of k(x, x) values."""
         X = self._check(X)
@@ -110,15 +151,20 @@ class Kernel:
         return d
 
 
-def _difference_factors(X: np.ndarray, Z: np.ndarray):
-    """(d, n, 2) and (d, 2, m) stacks whose products xs[j] @ zs[j] are the
-    coordinate differences X[:, j] - Z[:, j]': xs[j] = [X[:, j], 1] and
-    zs[j] = [1, -Z[:, j]]'."""
+def _row_factors(X: np.ndarray) -> np.ndarray:
+    """(d, n, 2) stack xs with xs[j] = [X[:, j], 1]; the products
+    xs[j] @ zs[j] with ``_column_factors(Z)`` are the coordinate
+    differences X[:, j] - Z[:, j]'."""
     xs = np.ones((X.shape[1], X.shape[0], 2))
     xs[:, :, 0] = X.T
+    return xs
+
+
+def _column_factors(Z: np.ndarray) -> np.ndarray:
+    """(d, 2, m) stack zs with zs[j] = [1, -Z[:, j]]'."""
     zs = np.ones((Z.shape[1], 2, Z.shape[0]))
     np.negative(Z.T, out=zs[:, 1])
-    return xs, zs
+    return zs
 
 
 @dataclass(frozen=True)
@@ -133,7 +179,11 @@ class GaussianRBF(Kernel):
         if not self.gamma > 0:
             raise InputError(f"gamma must be positive, got {self.gamma}")
 
-    def _cross(self, X, Z):
+    def _workspace(self, Z, rows):
+        # a scratch of ``rows`` rows for the squares, and Z's factors
+        return np.empty((rows, Z.shape[0])), _column_factors(Z)
+
+    def _cross(self, X, Z, out=None, workspace=None):
         # each coordinate difference is one k = 2 matrix product
         # [x_j, 1] @ [1, -z_j]^T, which BLAS writes into the block faster
         # than numpy broadcasts x_j - z_j. Both products are exact, so only
@@ -141,15 +191,18 @@ class GaussianRBF(Kernel):
         # any summation order, FMA or thread split (an exact zero may come
         # out +0 where x_j - z_j gives -0; the square erases the sign).
         # Squares are summed one coordinate at a time into the output, one
-        # row block at a time with one block-sized scratch: no (n, m, d)
-        # temporary and no second (n, m) buffer. So each entry is bitwise
-        # equal to the direct elementwise form, exactly symmetric (rounding
-        # is sign-symmetric) and exactly 1 on the diagonal
+        # row block at a time with one block-sized scratch (the workspace's):
+        # no (n, m, d) temporary and no second (n, m) buffer. So each entry
+        # is bitwise equal to the direct elementwise form, exactly symmetric
+        # (rounding is sign-symmetric) and exactly 1 on the diagonal
         n, m, d = X.shape[0], Z.shape[0], X.shape[1]
-        xs, zs = _difference_factors(X, Z)
-        out = np.empty((n, m))
+        if out is None:
+            out = np.empty((n, m))
         rows = max(1, _BLOCK_BUDGET // max(1, m))
-        diff = np.empty((min(rows, n), m))
+        if workspace is None:
+            workspace = self._workspace(Z, min(rows, n))
+        diff, zs = workspace
+        xs = _row_factors(X)
         scale = -(self.gamma**2)  # IEEE division is sign-symmetric
         for start in range(0, n, rows):
             d2 = out[start:start + rows]
@@ -175,9 +228,9 @@ class Linear(Kernel):
     input_dim: int
     family = "linear"
 
-    def _cross(self, X, Z):
+    def _cross(self, X, Z, out=None, workspace=None):
         with np.errstate(over="ignore"):
-            return self._finite(X @ Z.T)
+            return self._finite(np.matmul(X, Z.T, out=out))
 
     def _diag(self, X):
         with np.errstate(over="ignore"):
@@ -199,9 +252,9 @@ class Polynomial(Kernel):
         if self.offset < 0:
             raise InputError(f"offset must be nonnegative, got {self.offset}")
 
-    def _cross(self, X, Z):
+    def _cross(self, X, Z, out=None, workspace=None):
         with np.errstate(over="ignore"):
-            K = X @ Z.T
+            K = np.matmul(X, Z.T, out=out)
             K += self.offset
             K **= self.degree
         return self._finite(K)

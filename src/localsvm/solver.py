@@ -40,7 +40,7 @@ import numpy as np
 
 from .data import WeightedSample, _reject_non_finite, as_points
 from .errors import ConvergenceError, InputError
-from .kernels import Kernel, chunk_rows, kernel_from_dict, sup_sqrt_diag
+from .kernels import Kernel, kernel_from_dict, sup_sqrt_diag
 from .losses import SmoothLoss, loss_from_name
 
 ARMIJO_C = 1e-4
@@ -135,17 +135,9 @@ class LocalModel:
         return self.anchors.shape[0]
 
     def predict(self, X) -> np.ndarray:
-        """Evaluate the expansion at the rows of X, one row chunk at a time,
+        """Evaluate the expansion at the rows of X with ``Kernel.apply``,
         so the full cross-kernel matrix is never held."""
-        X = as_points(X)
-        if self.n_anchors == 0:
-            return np.zeros(X.shape[0])
-        rows = chunk_rows(self.n_anchors)
-        out = np.empty(X.shape[0])
-        for start in range(0, X.shape[0], rows):
-            K = self.kernel.matrix(X[start:start + rows], self.anchors)
-            out[start:start + rows] = K @ self.alpha
-        return out
+        return self.kernel.apply(X, self.anchors, self.alpha)
 
     def predict_one(self, x) -> float:
         return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])

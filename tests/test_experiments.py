@@ -1,10 +1,15 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from localsvm import (GaussianRBF, InputError, LambdaSchedule,
+from localsvm import (GaussianRBF, InputError, LambdaSchedule, Linear,
                       LogisticClassification, LogisticRegression, ModelConfig,
                       PartitionConfig, SyntheticTask, TrainConfig,
-                      consistency_trend, generate, tradeoff_sweep)
+                      consistency_trend, fit_composed, generate, train,
+                      tradeoff_sweep)
+from localsvm.data import WeightedSample
+from localsvm.experiments import EVAL_SEED_OFFSET
 
 
 def test_generate_deterministic():
@@ -148,3 +153,59 @@ def test_reports_write_csv(tmp_path):
     lines = path.read_text().strip().splitlines()
     assert lines[0] == "lambda,risk,if_bound_rough,mc_stderr"
     assert len(lines) == 3
+
+
+def _separately_scored_trend(task, n_ladder, schedule, pc, config, eval_n):
+    # consistency_trend's rows with each model scored on its own:
+    # ComposedModel.predict and LocalModel.predict, no shared kernel pass
+    eval_data, t_star = generate(replace(task, seed=task.seed + EVAL_SEED_OFFSET),
+                                 eval_n, with_oracle=True)
+    loss = config.loss
+    bayes = float(np.mean(loss.value(eval_data.y, t_star)))
+    rows = []
+    for n in n_ladder:
+        data = generate(task, n)
+        scheme = pc.build(data.X)
+        counts = scheme.partition.membership(data.X).sum(axis=0)
+        lam = schedule(n)
+        cfg = replace(config, train=replace(config.train, lam=lam),
+                      region_lambdas={b: schedule(max(int(c), 1))
+                                      for b, c in enumerate(counts, start=1)})
+        vals = loss.value(eval_data.y, fit_composed(data, scheme, cfg).predict(eval_data.X))
+        global_model = train(WeightedSample.from_dataset(data), config.kernel, loss,
+                             replace(config.train, lam=lam))
+        global_vals = loss.value(eval_data.y, global_model.predict(eval_data.X))
+        rows.append({"n": n, "lambda": lam, "risk": float(np.mean(vals)),
+                     "bayes_proxy": bayes, "global_risk": float(np.mean(global_vals)),
+                     "mc_stderr": float(np.std(vals) / np.sqrt(eval_n))})
+    return rows, eval_data
+
+
+SCORING_CASES = {
+    "normalized-indicator": (PartitionConfig(b_target=3, tau=0.25, min_region_size=5,
+                                             seed=1), {}),
+    "smooth-bump": (PartitionConfig(b_target=3, tau=0.25, min_region_size=5, seed=1,
+                                    scheme="smooth-bump", h=0.8), {}),
+    "per-region-linear": (PartitionConfig(b_target=3, tau=0.25, min_region_size=5,
+                                          seed=1), {2: Linear(input_dim=2)}),
+    "uncovered": (PartitionConfig(b_target=4, tau=0.0, min_region_size=5, seed=3), {}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCORING_CASES))
+def test_trend_scores_match_separately_scored_models(case):
+    pc, region_kernels = SCORING_CASES[case]
+    task = SyntheticTask("sine-regression", dim=2, noise=0.3, seed=11)
+    config = replace(_small_config(), region_kernels=region_kernels)
+    ladder, schedule = [60, 120], LambdaSchedule()
+    report = consistency_trend(task, ladder, schedule, pc, config, eval_n=3000)
+    want, eval_data = _separately_scored_trend(task, ladder, schedule, pc, config, 3000)
+    if case == "uncovered":  # the nearest-region fallback is exercised
+        for n in ladder:
+            assert not pc.build(generate(task, n).X).partition.covers(eval_data.X).all()
+    assert list(report.rows[0]) == list(want[0])
+    for got, ref in zip(report.rows, want, strict=True):
+        for key in ("n", "lambda", "bayes_proxy"):
+            assert got[key] == ref[key], key
+        for key in ("risk", "global_risk", "mc_stderr"):
+            assert abs(got[key] - ref[key]) <= 1e-12 * abs(ref[key]), key

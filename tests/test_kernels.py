@@ -8,8 +8,8 @@ import pytest
 
 from localsvm import (GaussianRBF, InputError, Linear, Polynomial,
                       RegionPredicate, kernel_from_dict, sup_norm_on_region)
-from localsvm.kernels import (_BLOCK_BUDGET, _CHUNK_BUDGET, _difference_factors,
-                              chunk_rows)
+from localsvm.kernels import (_BLOCK_BUDGET, _CHUNK_BUDGET, _column_factors,
+                              _row_factors, chunk_rows)
 
 
 def test_gaussian_eval_equal_points_is_exactly_one():
@@ -314,7 +314,7 @@ def test_difference_products_equal_direct_differences(X, Z, gamma):
     # [x_j, 1] @ [1, -z_j]' has two exact products and one rounding, so it
     # is round(x_j - z_j); only an exact zero may differ from x_j - z_j in
     # its sign, and the square erases that
-    xs, zs = _difference_factors(X, Z)
+    xs, zs = _row_factors(X), _column_factors(Z)
     for j in range(X.shape[1]):
         got = xs[j] @ zs[j]
         want = np.subtract.outer(X[:, j], Z[:, j])
@@ -438,3 +438,91 @@ def test_polynomial_matrix_peaks_at_its_output():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * X.shape[0] * Z.shape[0] * 8
+
+
+APPLY_KERNELS = [GaussianRBF(gamma=0.9, input_dim=1), GaussianRBF(gamma=0.9, input_dim=2),
+                 GaussianRBF(gamma=1.3, input_dim=3), Linear(input_dim=2),
+                 Polynomial(degree=3, offset=0.5, input_dim=3)]
+APPLY_IDS = ["rbf-d1", "rbf-d2", "rbf-d3", "linear", "polynomial"]
+
+
+def _chunked_products(kernel, X, Z, coef):
+    # LocalModel.predict's loop before Kernel.apply: matrix(chunk) @ coef
+    out = np.zeros((X.shape[0],) + coef.shape[1:])
+    rows = chunk_rows(Z.shape[0])
+    for start in range(0, X.shape[0], rows):
+        out[start:start + rows] = kernel.matrix(X[start:start + rows], Z) @ coef
+    return out
+
+
+def _apply_inputs(kernel, n, m, seed, cols=None):
+    rng = np.random.default_rng(seed)
+    X = rng.normal(size=(n, kernel.input_dim))
+    Z = rng.normal(size=(m, kernel.input_dim))
+    coef = rng.normal(size=(m,) if cols is None else (m, cols))
+    return X, Z, coef
+
+
+@pytest.mark.parametrize("kernel", APPLY_KERNELS, ids=APPLY_IDS)
+@pytest.mark.parametrize("m", [1, 700])
+@pytest.mark.parametrize("rows", ["none", "one", "multiple", "non-multiple"])
+@pytest.mark.parametrize("cols", [None, 4], ids=["1d", "2d"])
+def test_apply_bitwise_equal_to_chunked_matrix_products(kernel, m, rows, cols):
+    chunk = chunk_rows(m)
+    n = {"none": 0, "one": 1, "multiple": 3 * chunk, "non-multiple": 3 * chunk + 5}[rows]
+    X, Z, coef = _apply_inputs(kernel, n, m, seed=50 + m + n, cols=cols)
+    got = kernel.apply(X, Z, coef)
+    want = _chunked_products(kernel, X, Z, coef)
+    assert got.shape == want.shape == (n,) + coef.shape[1:]
+    np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("kernel", APPLY_KERNELS, ids=APPLY_IDS)
+def test_apply_columns_match_one_dimensional_calls(kernel):
+    m = 700
+    X, Z, coef = _apply_inputs(kernel, 3 * chunk_rows(m) + 5, m, seed=60, cols=5)
+    got = kernel.apply(X, Z, coef)
+    scale = np.abs(kernel.matrix(X, Z)) @ np.abs(coef)  # each sum's rounding scale
+    for j in range(coef.shape[1]):
+        one = kernel.apply(X, Z, coef[:, j])
+        assert np.all(np.abs(got[:, j] - one) <= m * np.finfo(float).eps * scale[:, j])
+
+
+def test_apply_with_no_columns_is_zero():
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    got = k.apply(np.ones((3, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
+    np.testing.assert_array_equal(got, np.zeros((3, 2)))
+
+
+def test_apply_rejects_a_coefficient_of_the_wrong_length():
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    with pytest.raises(InputError):
+        k.apply(np.ones((3, 2)), np.zeros((4, 2)), np.zeros(3))
+
+
+@pytest.mark.parametrize("kernel", APPLY_KERNELS, ids=APPLY_IDS)
+def test_prediction_writes_every_chunk_into_one_buffer(kernel, monkeypatch):
+    # every chunk's _cross writes into the same block (and, for Gaussian
+    # RBF, uses the same scratch and column factors): the buffers are built
+    # once per call
+    from localsvm import LocalModel, LogisticRegression
+
+    seen = []
+    cls = type(kernel)
+    original = cls._cross
+
+    def spy(self, X, Z, *args, **kwargs):
+        K = original(self, X, Z, *args, **kwargs)
+        workspace = kwargs.get("workspace") or ()
+        seen.append(tuple(a.__array_interface__["data"][0] for a in (K, *workspace)))
+        return K
+
+    monkeypatch.setattr(cls, "_cross", spy)
+    m = 700
+    X, Z, coef = _apply_inputs(kernel, 3 * chunk_rows(m) + 5, m, seed=70)
+    model = LocalModel(alpha=coef, anchors=Z, kernel=kernel,
+                       loss=LogisticRegression(), lam=1.0)
+    model.predict(X)
+    assert len(seen) == 4
+    assert len(set(seen)) == 1
+    assert len(seen[0]) == (3 if isinstance(kernel, GaussianRBF) else 1)

@@ -246,6 +246,23 @@ def test_h_norm_and_sup_bounds_on_trained_models(seed):
     assert check.sup_bound_ok and check.h_norm_ok
 
 
+@pytest.mark.parametrize("kernel", [GaussianRBF(gamma=1.0, input_dim=2),
+                                    Linear(input_dim=2),
+                                    Polynomial(degree=3, offset=0.5, input_dim=2)],
+                         ids=["rbf", "linear", "polynomial"])
+@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
+@pytest.mark.parametrize("lam", [1.0, 0.01])
+def test_fit_h_norm_within_half_the_anchor_cap(kernel, loss, lam):
+    # alpha_i = -w_i L'_i / (2 lam) at the minimizer, so ||f||_H is at most
+    # |L|_1 max_i sqrt(k(x_i, x_i)) / (2 lam): half the cap over the anchors
+    # that the train summary and audit_model_bounds use (README)
+    sample = random_sample(80, seed=31, classification=loss is CLS)
+    model = train(sample, kernel, loss, TrainConfig(lam=lam))
+    k_anchors = float(np.sqrt(kernel.diag(model.anchors)).max())
+    assert model.h_norm() <= 0.5 * model.h_norm_bound(k_anchors)
+    assert np.abs(model.alpha).sum() <= loss.lipschitz / (2.0 * lam) * (1 + 1e-6)
+
+
 def test_train_with_linear_kernel_and_bound_audit():
     rng = np.random.default_rng(21)
     X = rng.uniform(-1, 1, size=(12, 2))
