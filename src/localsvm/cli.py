@@ -69,9 +69,10 @@ def _out_dir(args, raw) -> Path:
 
 def _prepare(args):
     raw = load_config(args.config)
-    setup = setup_from_config(raw, seed_override=args.seed)
-    config = model_config_from_config(raw, setup.data.dim)
-    return raw, setup, config, _out_dir(args, raw)
+    data, pc = setup_from_config(raw, seed_override=args.seed)
+    config = model_config_from_config(raw, data.dim)
+    config.loss._check_labels(data.y)  # before any computation on the data
+    return raw, data, pc, config, _out_dir(args, raw)
 
 
 def _json_text(obj, name: str) -> str:
@@ -101,9 +102,8 @@ def _train_summary(model: ComposedModel) -> str:
 
 
 def cmd_train(args) -> int:
-    _, setup, config, out_dir = _prepare(args)
-    scheme = setup.partition_cfg.build(setup.data.X)
-    model = fit_composed(setup.data, scheme, config, threads=args.threads)
+    _, data, pc, config, out_dir = _prepare(args)
+    model = fit_composed(data, pc.build(data.X), config, threads=args.threads)
     model_path = out_dir / "model.json"
     text = _json_text(model.to_dict(), model_path.name)
     summary = _train_summary(model)
@@ -114,7 +114,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _z_specs_from_config(raw, data, ladder, classification):
+def _z_specs_from_config(raw, data, ladder, loss):
     audit = raw.get("audit", {})
     if "z" in audit:
         z = audit["z"]
@@ -122,6 +122,10 @@ def _z_specs_from_config(raw, data, ladder, classification):
         if z_x.shape != (data.dim,):
             raise InputError(f"audit.z.x has {z_x.size} coordinates, but the "
                              f"data has dimension {data.dim}")
+        try:
+            loss._check_labels(z["y"])
+        except InputError as exc:
+            raise InputError(f"audit.z.y: {exc}") from None
         return [ContaminationSpec.dirac(z_x, float(z["y"]), ladder)]
     # grid of Dirac points over the data bounding box with extreme labels
     per_dim = int(audit.get("z_grid", 5))
@@ -134,19 +138,19 @@ def _z_specs_from_config(raw, data, ladder, classification):
     axes = [np.linspace(lo[j], hi[j], per_dim) for j in range(data.dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
-    y_lo, y_hi = extreme_labels(data, classification)
+    y_lo, y_hi = extreme_labels(data, loss.is_classification)
     return [ContaminationSpec.dirac(x, y_hi if i % 2 == 0 else y_lo, ladder)
             for i, x in enumerate(grid)]
 
 
 def cmd_audit(args) -> int:
-    raw, setup, config, out_dir = _prepare(args)
-    scheme = setup.partition_cfg.build(setup.data.X)
+    raw, data, pc, config, out_dir = _prepare(args)
     audit_cfg = raw.get("audit", {})
+    # every input is checked before the partition is built
     ladder = tuple(audit_cfg.get("eps_ladder", DEFAULT_EPS_LADDER))
-    probes = default_probes(setup.data,
+    z_specs = _z_specs_from_config(raw, data, ladder, config.loss)
+    probes = default_probes(data,
                             int(audit_cfg.get("extra_probes", DEFAULT_EXTRA_PROBES)))
-
     base = None
     if args.model is not None:
         try:
@@ -156,18 +160,19 @@ def cmd_audit(args) -> int:
             raise InputError(f"model file not found: {args.model}") from None
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot parse model {args.model}: {exc}") from None
+
+    scheme = pc.build(data.X)
+    if base is not None:
         if ((base.partition.to_dict(), base.scheme.to_dict())
                 != (scheme.partition.to_dict(), scheme.to_dict())):
             raise InputError("model partition does not match the config partition")
         scheme = base.scheme
 
-    z_specs = _z_specs_from_config(raw, setup.data, ladder,
-                                   config.loss.is_classification)
     # only a key the config sets: run_audit holds the default
     maxbias = {k: audit_cfg[k] for k in ("maxbias_eps",) if k in audit_cfg}
     if audit_cfg.get("q_family") == "none":
         maxbias["maxbias_eps"] = None
-    report = run_audit(setup.data, scheme, config, z_specs,
+    report = run_audit(data, scheme, config, z_specs,
                        probes=probes, base=base, threads=args.threads,
                        **maxbias)
 

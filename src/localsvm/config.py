@@ -12,7 +12,6 @@ from __future__ import annotations
 import csv
 import json
 import operator
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -110,9 +109,6 @@ CONFIG_SCHEMA = {
                 },
                 "grad_tol": {"type": "number", "exclusiveMinimum": 0},
                 "max_iter": {"type": "integer", "minimum": 1},
-                # accepted and ignored so existing configs load; the
-                # Newton system needs no ridge
-                "ridge": {"type": "number", "minimum": 0},
             },
             "required": ["loss", "kernel", "lambda"],
             "additionalProperties": False,
@@ -338,14 +334,6 @@ def load_csv_dataset(path) -> Dataset:
     return Dataset(np.asarray(rows_x), np.asarray(rows_y))
 
 
-@dataclass
-class RunSetup:
-    """Everything a command needs, constructed from a validated config."""
-
-    data: Dataset
-    partition_cfg: PartitionConfig
-
-
 def task_from_config(raw: dict, seed_override: Optional[int] = None
                      ) -> Optional[SyntheticTask]:
     """The synthetic task of the config's dataset block, without drawing
@@ -372,14 +360,15 @@ def partition_from_config(raw: dict, seed_override: Optional[int] = None
     return PartitionConfig(**part, scheme=scheme["kind"], h=scheme.get("h"))
 
 
-def setup_from_config(raw: dict, seed_override: Optional[int] = None) -> RunSetup:
+def setup_from_config(raw: dict, seed_override: Optional[int] = None
+                      ) -> tuple[Dataset, PartitionConfig]:
+    """The run's data (CSV rows or a synthetic draw) and partition recipe."""
     task = task_from_config(raw, seed_override)
     if task is None:
         data = load_csv_dataset(raw["dataset"]["path"])
     else:
         data = generate(task, int(raw["dataset"]["n"]))
-    return RunSetup(data=data,
-                    partition_cfg=partition_from_config(raw, seed_override))
+    return data, partition_from_config(raw, seed_override)
 
 
 def model_config_from_config(raw: dict, input_dim: int):

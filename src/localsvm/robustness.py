@@ -102,10 +102,6 @@ class ContaminationSpec:
                            np.array([float(y)]), np.ones(1))
         return cls(q, tuple(eps_ladder))
 
-    @classmethod
-    def mixture(cls, q: WeightedSample, eps_ladder=DEFAULT_EPS_LADDER) -> "ContaminationSpec":
-        return cls(q, tuple(eps_ladder))
-
 
 def _contamination_atoms(spec: ContaminationSpec, region) -> Optional[WeightedSample]:
     """The spec's Q conditioned on a region; None when Q puts no mass there."""
@@ -194,7 +190,6 @@ class InfluenceEstimate:
     sup_norm_estimate: float
     h_norms: dict
     ladder: list
-    residuals: list
     ratios: list
     curvature: float
     richardson_sup: float
@@ -572,18 +567,14 @@ def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceE
         rungs.append({"eps": eps, "sup": sup, "h_norms": h_norms})
         rung_values.append(values)
 
-    residuals = []
-    ratios = []
-    for i in range(len(rungs) - 1):
-        r = float(np.max(np.abs(rung_values[i] - rung_values[i + 1])))
-        residuals.append((rungs[i]["eps"], r))
-    for i in range(len(residuals) - 1):
-        prev, cur = residuals[i][1], residuals[i + 1][1]
-        ratios.append(cur / prev if prev > 0 else np.nan)
+    residuals = [float(np.max(np.abs(upper - lower)))
+                 for upper, lower in zip(rung_values, rung_values[1:])]
+    ratios = [cur / prev if prev > 0 else np.nan
+              for prev, cur in zip(residuals, residuals[1:])]
 
     eps_lo = spec.eps_ladder[-1]
     eps_hi = spec.eps_ladder[-2]
-    curvature = residuals[-1][1] / (eps_hi - eps_lo) if residuals else 0.0
+    curvature = residuals[-1] / (eps_hi - eps_lo)
     slope = (rung_values[-2] - rung_values[-1]) / (eps_hi - eps_lo)
     extrapolated = rung_values[-1] - eps_lo * slope
     richardson_sup = float(np.max(np.abs(extrapolated))) if extrapolated.size else 0.0
@@ -605,7 +596,6 @@ def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceE
         sup_norm_estimate=rungs[-1]["sup"],
         h_norms=rungs[-1]["h_norms"],
         ladder=rungs,
-        residuals=residuals,
         ratios=ratios,
         curvature=float(curvature),
         richardson_sup=richardson_sup,
@@ -815,5 +805,5 @@ def adversarial_q_specs(data: Dataset, classification: bool):
     specs = [ContaminationSpec.dirac(x, y)
              for x in xs for y in extreme_labels(data, classification)]
     flip_mixture = WeightedSample(data.X, flipped, np.full(data.n, 1.0 / data.n))
-    specs.append(ContaminationSpec.mixture(flip_mixture))
+    specs.append(ContaminationSpec(flip_mixture))
     return specs

@@ -50,11 +50,17 @@ _MIN_STEP = 1e-16
 # noise; take the full step (damping is a globalization device only)
 _FULL_STEP_GNORM = 1e-6
 _CG_RTOL = 1e-13  # relative residual at which conjugate gradients stop
+# conjugate gradients stop after _CG_CAP * n iterations at the latest: in
+# floating point, CG on an ill-conditioned n x n system can need more than n
+_CG_CAP = 3
 # a Newton step is solved to the relative Newton residual
 # eta = min(_FORCING_MAX, gnorm / grad_scale(K)), except the one expected to
 # close the fit, eta * gnorm <= _CLOSING_FACTOR * grad_tol, solved exactly
 _FORCING_MAX = 0.5
 _CLOSING_FACTOR = 100.0
+# absolute slacks of audit_model_bounds' sup-norm and H-norm checks
+_SUP_SLACK = 1e-12
+_H_SLACK = 1e-9
 
 
 def grad_scale(K) -> float:
@@ -89,7 +95,7 @@ class SolveInfo:
     steepest-descent fallbacks, the final gradient sup-norm and the largest
     ratio of a CG solve's final residual to the residual at which it was
     set to stop, in the norm of the stopping test it came closest to
-    meeting (above 1 only where CG stopped at its n-iteration cap)."""
+    meeting (above 1 only where CG stopped at its iteration cap)."""
 
     newton_iters: int
     cg_iters: int
@@ -219,15 +225,15 @@ def _loss_terms(loss, y, f, shifted):
 def _irls_solve(K, sqrt_d, b, lam, target=0.0):
     """Conjugate gradients on (D^1/2 K D^1/2 + 2 lam I) r = b. Stops at
     |res| <= _CG_RTOL |b|, at |D^1/2 res| <= target if target > 0, or after
-    n steps. Returns r, the iteration count and the final residual over its
-    stopping residual in the test it came closest to meeting (0 for b = 0;
-    above 1 only at the iteration cap)."""
+    _CG_CAP * n steps. Returns r, the iteration count and the final
+    residual over its stopping residual in the test it came closest to
+    meeting (0 for b = 0; above 1 only at the iteration cap)."""
     r, res = np.zeros_like(b), b.copy()
     p, rr = res.copy(), float(res @ res)
     rr_b, it = rr, 0
     stop, forced = _CG_RTOL ** 2 * rr, target ** 2
     dd = _sq_norm(sqrt_d * res) if forced > 0 else np.inf
-    while it < b.shape[0] and rr > stop and dd > forced:
+    while it < _CG_CAP * b.shape[0] and rr > stop and dd > forced:
         Ap = sqrt_d * (K @ (sqrt_d * p)) + 2.0 * lam * p
         a = rr / float(p @ Ap)
         r += a * p
@@ -400,9 +406,9 @@ class ModelBoundCheck:
     h_norm_ok: bool
 
 
-def audit_model_bounds(model: LocalModel, probes, sup_slack: float = 1e-12,
-                       h_slack: float = 1e-9) -> ModelBoundCheck:
-    """Check |f(x)| <= ||f||_H ||k||_inf on probes and ||f||_H <= lam^-1 |L|_1 ||k||_inf.
+def audit_model_bounds(model: LocalModel, probes) -> ModelBoundCheck:
+    """Check |f(x)| <= ||f||_H ||k||_inf on probes and ||f||_H <= lam^-1 |L|_1 ||k||_inf,
+    up to the absolute slacks 1e-12 and 1e-9.
 
     ||k||_inf is the empirical sup of sqrt(k(x, x)) over probes and anchors
     (exact 1 for Gaussian RBF).
@@ -415,6 +421,6 @@ def audit_model_bounds(model: LocalModel, probes, sup_slack: float = 1e-12,
     cap = model.h_norm_bound(k_sup)
     return ModelBoundCheck(
         sup_abs_f=sup_f, h_norm=h, k_sup=k_sup, h_norm_cap=cap,
-        sup_bound_ok=bool(sup_f <= h * k_sup + sup_slack),
-        h_norm_ok=bool(h <= cap + h_slack),
+        sup_bound_ok=bool(sup_f <= h * k_sup + _SUP_SLACK),
+        h_norm_ok=bool(h <= cap + _H_SLACK),
     )

@@ -218,8 +218,7 @@ def test_criterion_7_norm_bounds_everywhere(sine_fixture):
     checked = 0
     ok = True
     for model in suite_models:
-        res = audit_model_bounds(model, wide_probes,
-                                 sup_slack=1e-12, h_slack=1e-9)
+        res = audit_model_bounds(model, wide_probes)
         ok = ok and res.sup_bound_ok and res.h_norm_ok
         checked += 1
     _report(7, ok and checked >= 50,

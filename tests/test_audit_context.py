@@ -47,7 +47,7 @@ def _specs(data, part, labels=(4.0, -4.0, 5.0)):
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
     zs = (c1, c2, (c1 + c2) / 2.0)
     return ([ContaminationSpec.dirac(x, y) for x, y in zip(zs, labels)]
-            + [ContaminationSpec.mixture(flipped)])
+            + [ContaminationSpec(flipped)])
 
 
 def _secant_start(pad, above, eps):

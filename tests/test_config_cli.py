@@ -10,7 +10,7 @@ import localsvm.cli as cli
 from localsvm import (ComposedModel, GaussianRBF, InputError,
                       LadderConvergenceWarning, LogisticRegression,
                       ModelConfig, Polynomial, TrainConfig, WeightScheme,
-                      fit_composed, regionalize)
+                      fit_composed, regionalize, train)
 from localsvm.config import (CONFIG_SCHEMA, load_config, load_csv_dataset,
                              model_config_from_config, setup_from_config,
                              task_from_config, validate_config)
@@ -106,7 +106,7 @@ def _schema_cases():
     csv_cfg["model"]["kernel"] = {"family": "polynomial", "degree": 2,
                                   "offset": 1.0}
     csv_cfg["model"].update(
-        grad_tol=1e-9, max_iter=50, ridge=0.0,
+        grad_tol=1e-9, max_iter=50,
         per_region=[{"region": 1, "kernel": {"family": "linear"},
                      "lambda": 0.25}])
     bases = [json.loads(path.read_text())
@@ -250,17 +250,15 @@ def test_model_config_construction():
     assert config.kernel == GaussianRBF(gamma=1.0, input_dim=2)
 
 
-def test_ignored_ridge_key_still_validated(tmp_path, capsys):
+def test_ridge_key_rejected(tmp_path, capsys):
+    # the Newton system needs no ridge: the key is unknown like any other
     cfg = base_config()
     cfg["model"]["ridge"] = 1e-8
-    config = model_config_from_config(load_config(write_config(tmp_path, cfg)),
-                                       input_dim=2)
-    assert config.train == TrainConfig(lam=0.5)
-    cfg["model"]["ridge"] = -1
     rc = cli.main(["train", "--config", write_config(tmp_path, cfg),
-                   "--out", str(tmp_path)])
+                   "--out", str(tmp_path / "o")])
     assert rc == 2
-    assert "ridge" in capsys.readouterr().err
+    assert "'ridge'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 def test_cli_train_writes_model_and_summary(tmp_path, capsys):
@@ -583,8 +581,8 @@ def test_setup_from_config_csv(tmp_path):
     raw = base_config(dataset={"kind": "csv", "path": str(path)})
     raw["partition"] = {"b_target": 1}
     validate_config(raw)
-    setup = setup_from_config(raw)
-    assert setup.data.n == 4 and setup.data.dim == 1
+    data, _ = setup_from_config(raw)
+    assert data.n == 4 and data.dim == 1
     assert task_from_config(raw) is None
 
 
@@ -600,6 +598,44 @@ def test_cli_audit_z_grid_classification_uses_unit_labels(tmp_path):
     report = json.loads((tmp_path / "out" / "audit.json").read_text())
     assert len(report["per_z"]) == 4
     assert {entry["z"]["y"] for entry in report["per_z"]} == {-1.0, 1.0}
+
+
+def _forbid_partition_and_fit(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called before every input was checked")
+
+    monkeypatch.setattr("localsvm.experiments.regionalize", forbidden)
+    monkeypatch.setattr("localsvm.composer.train", forbidden)
+
+
+@pytest.mark.parametrize("command", ["train", "audit"])
+def test_cli_rejects_labels_the_loss_cannot_take_before_any_fit(
+        tmp_path, capsys, monkeypatch, command):
+    path = tmp_path / "data.csv"
+    path.write_text("x0,y\n0.0,1.0\n1.0,-1.0\n2.0,0.5\n3.0,1.0\n")
+    cfg = base_config(dataset={"kind": "csv", "path": str(path)})
+    cfg["partition"] = {"b_target": 1}
+    cfg["model"]["loss"] = "logistic-classification"
+    _forbid_partition_and_fit(monkeypatch)
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "labels must be -1 or +1" in err and "0.5" in err
+
+
+def test_cli_audit_rejects_a_z_label_the_loss_cannot_take_before_any_fit(
+        tmp_path, capsys, monkeypatch):
+    cfg = base_config(audit={"z": {"x": [0.5, -0.5], "y": 0.5}})
+    cfg["dataset"] = {"kind": "synthetic", "task": "two-moons", "n": 40,
+                      "dim": 2, "noise": 0.1, "seed": 7}
+    cfg["model"]["loss"] = "logistic-classification"
+    _forbid_partition_and_fit(monkeypatch)
+    rc = cli.main(["audit", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "audit.z.y" in err and "labels must be -1 or +1" in err
 
 
 @pytest.mark.parametrize("cell", ["nan", "inf"])
@@ -714,12 +750,12 @@ def test_cli_train_polynomial_with_large_kernel_diagonal(tmp_path):
     assert (tmp_path / "o" / "model.json").is_file()
 
 
-@pytest.mark.parametrize("seed", [0, 3, 4, 6])
-def test_cli_audit_polynomial_with_tiny_lambda(tmp_path, seed):
-    # two points in 3-d, degree 4, lambda 1e-6, K_ii up to ~1e5. Seed 3
-    # stalled above grad_tol with an absolute full-step threshold; seeds 0,
-    # 4 and 6 stalled at grad norm 1e-10 to 3e-8 with an absolute grad_tol,
-    # and seed 4 then needs a line search on its steepest-descent fallbacks
+TINY_LAMBDA_SEEDS = [0, 3, 4, 6]
+
+
+def _tiny_lambda_audit(tmp_path, seed):
+    """Audit two points in 3-d with a degree-4 polynomial kernel and
+    lambda 1e-6 (K_ii up to ~1e5); returns the exit code."""
     cfg = {"version": 1,
            "dataset": {"kind": "synthetic", "task": "sine-regression",
                        "n": 2, "dim": 3, "noise": 0.0, "seed": seed},
@@ -733,10 +769,38 @@ def test_cli_audit_polynomial_with_tiny_lambda(tmp_path, seed):
            "audit": {"extra_probes": 16, "z_grid": 2}}
     # the fit all but interpolates, so f~ - f does not shrink with eps
     with pytest.warns(LadderConvergenceWarning):
-        rc = cli.main(["audit", "--config", write_config(tmp_path, cfg),
-                       "--out", str(tmp_path / "o")])
-    assert rc == 0
+        return cli.main(["audit", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "o")])
+
+
+@pytest.mark.parametrize("seed", TINY_LAMBDA_SEEDS)
+def test_cli_audit_polynomial_with_tiny_lambda(tmp_path, seed):
+    # Seed 3 stalled above grad_tol with an absolute full-step threshold;
+    # seeds 0, 4 and 6 stalled at grad norm 1e-10 to 3e-8 with an absolute
+    # grad_tol, and seed 4 then needs a line search on its steepest-descent
+    # fallbacks
+    assert _tiny_lambda_audit(tmp_path, seed) == 0
     assert (tmp_path / "o" / "audit.json").is_file()
+
+
+@pytest.mark.parametrize("seed", TINY_LAMBDA_SEEDS)
+def test_tiny_lambda_audit_takes_only_newton_steps(tmp_path, monkeypatch, seed):
+    # with CG capped at n iterations these fits fell back to steepest
+    # descent 16 to 221 times, after solves ending 8e3 to 2e7 times over
+    # their stopping residual
+    infos = []
+
+    def recording(*args, **kwargs):
+        model = train(*args, **kwargs)
+        infos.append(model.solve_info)
+        return model
+
+    monkeypatch.setattr("localsvm.composer.train", recording)
+    monkeypatch.setattr("localsvm.robustness.train", recording)
+    assert _tiny_lambda_audit(tmp_path, seed) == 0
+    assert len(infos) > 1
+    assert all(info.fallbacks == 0 for info in infos)
+    assert max(info.cg_residual_ratio_max for info in infos) <= 1.0
 
 
 def _summary_rebuilding_samples(model, data):
@@ -899,10 +963,10 @@ def test_cli_experiment_tradeoff_non_rbf_kernels(tmp_path, kernel):
 
     # the sweep's bound is if_bound on the balls of the sweep's partition
     raw = load_config(cfg_path)
-    setup = setup_from_config(raw)
-    config = model_config_from_config(raw, setup.data.dim)
-    pc = setup.partition_cfg
-    data = generate(task_from_config(raw), setup.data.n)
+    _, pc = setup_from_config(raw)
+    task = task_from_config(raw)
+    config = model_config_from_config(raw, task.dim)
+    data = generate(task, raw["dataset"]["n"])
     part = regionalize(data.X, pc.b_target, pc.tau, pc.min_region_size, pc.seed)
     scheme = WeightScheme(pc.scheme, part, h=pc.h)
     for row in report["rows"]:
@@ -929,8 +993,8 @@ def test_cli_audit_non_rbf_factors_from_balls(tmp_path, capsys, kernel):
     # ||k_b|| = ||c_b|| + r_b, or ((||c_b|| + r_b)^2 + 1)^(2/2), on the
     # balls the config builds
     raw = load_config(cfg_path)
-    setup = setup_from_config(raw)
-    part = setup.partition_cfg.build(setup.data.X).partition
+    data, pc = setup_from_config(raw)
+    part = pc.build(data.X).partition
     terms = report["per_region_terms"]
     assert len(terms) == part.B
     for t, region in zip(terms, part.regions):
@@ -1097,7 +1161,7 @@ def test_setup_from_config_partition_defaults_are_the_library_defaults(
 
     cfg = base_config(scheme={"kind": "smooth-bump", "h": 0.7})
     cfg["partition"] = {"b_target": 3}
-    pc = setup_from_config(cfg).partition_cfg
+    _, pc = setup_from_config(cfg)
     assert pc == PartitionConfig(b_target=3, scheme="smooth-bump", h=0.7)
     # the recipe's defaults are regionalize's
     for name, param in inspect.signature(regionalize).parameters.items():
@@ -1139,9 +1203,9 @@ def test_benchmark_configs_load_and_build():
     assert len(configs) == 3
     for path in configs:
         raw = load_config(path)
-        setup = setup_from_config(raw)
-        model_config_from_config(raw, setup.data.dim)
-        scheme = setup.partition_cfg.build(setup.data.X)
+        data, pc = setup_from_config(raw)
+        model_config_from_config(raw, data.dim)
+        scheme = pc.build(data.X)
         assert 1 <= scheme.partition.B <= raw["partition"]["b_target"], path.name
         assert (scheme.kind, scheme.h) == (raw["scheme"]["kind"],
                                           raw["scheme"].get("h")), path.name

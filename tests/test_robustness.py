@@ -82,7 +82,7 @@ def test_contaminate_region_mixture_reduces_to_dirac():
     z_x, z_y = np.array([0.2, -0.1]), 3.0
     dirac = ContaminationSpec.dirac(z_x, z_y)
     q = WeightedSample(z_x[None, :], np.array([z_y]), np.array([1.0]))
-    mixture = ContaminationSpec.mixture(q)
+    mixture = ContaminationSpec(q)
     a = contaminate_region(sample, dirac, part.region(1), eps=0.05)
     b = contaminate_region(sample, mixture, part.region(1), eps=0.05)
     np.testing.assert_array_equal(a.X, b.X)
@@ -91,11 +91,11 @@ def test_contaminate_region_mixture_reduces_to_dirac():
 
 
 def test_one_atom_mixture_is_a_dirac_spec():
-    spec = ContaminationSpec.mixture(WeightedSample([[0.2, -0.1]], [3.0], [1.0]))
+    spec = ContaminationSpec(WeightedSample([[0.2, -0.1]], [3.0], [1.0]))
     assert spec.kind == "dirac" and spec.z_y == 3.0
     np.testing.assert_array_equal(spec.z_x, [0.2, -0.1])
     two = WeightedSample([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], [0.5, 0.5])
-    spec2 = ContaminationSpec.mixture(two)
+    spec2 = ContaminationSpec(two)
     assert spec2.kind == "mixture" and spec2.z_x is None and spec2.z_y is None
 
 
@@ -402,7 +402,7 @@ def test_finite_diff_if_mixture_spec():
     config = _config()
     probes = default_probes(data, 64)
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
-    spec = ContaminationSpec.mixture(flipped)
+    spec = ContaminationSpec(flipped)
     est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
                          spec)
     assert set(est.per_region) == {1, 2}
@@ -417,7 +417,7 @@ def test_run_audit_with_mixture_spec():
     config = _config()
     probes = default_probes(data, 32)
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
-    specs = [ContaminationSpec.mixture(flipped, eps_ladder=(1e-2, 5e-3))]
+    specs = [ContaminationSpec(flipped, eps_ladder=(1e-2, 5e-3))]
     report = run_audit(data, scheme, config, specs, maxbias_eps=None,
                        probes=probes)
     assert report.satisfied == {"if": True}

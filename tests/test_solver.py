@@ -600,7 +600,7 @@ def test_cg_train_matches_cholesky_train(monkeypatch, loss, kernel, lam):
     root = math.sqrt(_kappa_bound(kernel, loss, sample, lam))
     rho = (root - 1.0) / (root + 1.0)
     bound = math.ceil(math.log(2.0 * root / solver._CG_RTOL) / math.log(1.0 / rho))
-    assert 0 < info.cg_iters_max <= min(bound, sample.n)
+    assert 0 < info.cg_iters_max <= min(bound, solver._CG_CAP * sample.n)
     assert info.cg_iters_max <= info.cg_iters <= info.newton_iters * info.cg_iters_max
 
 
@@ -727,17 +727,30 @@ def test_solve_info_counts_and_is_not_serialized():
 
 
 def test_solve_info_reports_a_cg_solve_stopped_by_its_cap():
-    # lambda 1e-4 on 60 points: CG stops after n = 60 iterations short of
-    # its 1e-13 relative residual, and Newton still meets grad_tol
+    # gamma 2 and lambda 1e-6 on 60 points: CG stops after 3n = 180
+    # iterations short of its 1e-13 relative residual, and Newton still
+    # meets grad_tol
     rng = np.random.default_rng(5)
     X = rng.uniform(-np.pi, np.pi, size=(60, 2))
     y = np.sin(X.sum(axis=1)) + 0.25 * rng.standard_normal(60)
     model = train(WeightedSample(X, y, np.full(60, 1.0 / 60)),
-                  GaussianRBF(gamma=1.0, input_dim=2), REG, TrainConfig(lam=1e-4))
+                  GaussianRBF(gamma=2.0, input_dim=2), REG, TrainConfig(lam=1e-6))
     info = model.solve_info
-    assert info.cg_iters_max == 60
+    assert info.cg_iters_max == solver._CG_CAP * 60 == 180
     assert info.cg_residual_ratio_max > 1.0
     assert info.grad_norm <= 1e-10
+
+
+@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
+def test_cg_meets_its_residual_on_small_ill_conditioned_fits(loss):
+    # RBF gamma 1 and lambda 1e-4 on 60 points: in floating point CG needs
+    # more than n iterations on some of these systems
+    kernel, cfg = GaussianRBF(gamma=1.0, input_dim=2), TrainConfig(lam=1e-4)
+    for seed in range(40):
+        sample = random_sample(60, seed=seed, classification=loss is CLS)
+        info = train(sample, kernel, loss, cfg).solve_info
+        assert info.cg_residual_ratio_max <= 1.0, seed
+        assert info.fallbacks == 0 and info.grad_norm <= cfg.grad_tol, seed
 
 
 @pytest.mark.parametrize("name", ["audit-grid", "train-large"])
@@ -749,9 +762,9 @@ def test_cg_meets_its_residual_on_benchmark_fits(name):
 
     path = Path(__file__).resolve().parents[1] / "benchmark" / "configs" / f"{name}.json"
     raw = json.loads(path.read_text())
-    setup = setup_from_config(raw)
-    config = model_config_from_config(raw, setup.data.dim)
-    model = fit_composed(setup.data, setup.partition_cfg.build(setup.data.X), config)
+    data, pc = setup_from_config(raw)
+    config = model_config_from_config(raw, data.dim)
+    model = fit_composed(data, pc.build(data.X), config)
     for local in model.locals.values():
         info = local.solve_info
         assert info.cg_iters_max < local.n_anchors
