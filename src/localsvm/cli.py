@@ -33,11 +33,19 @@ EXIT_CONVERGENCE = 3
 MAX_Z_GRID_POINTS = 10_000
 
 
-def _positive_int(text: str) -> int:
+def _int_at_least(text: str, low: int) -> int:
     value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    if value < low:
+        raise argparse.ArgumentTypeError(f"must be at least {low}, got {value}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    return _int_at_least(text, 1)
+
+
+def _non_negative_int(text: str) -> int:
+    return _int_at_least(text, 0)
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -53,7 +61,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--out", default=None, help="output directory")
         p.add_argument("--threads", type=_positive_int, default=1,
                        help="max parallel trainings")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_non_negative_int, default=None,
                        help="override the config's dataset/partition seeds")
         if name == "audit":
             p.add_argument("--model", default=None,

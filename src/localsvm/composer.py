@@ -51,21 +51,20 @@ class RegionTrainingError(LocalSvmError):
         self.cause = cause
 
 
-def compose(scheme: WeightScheme, X: np.ndarray, local_predict):
-    """sum_b w_b(x) f_b(x) at the rows of X, and the covered mask.
+def compose(W: np.ndarray, local_predict) -> np.ndarray:
+    """sum_b w_b(x) f_b(x) over the rows of the (n, B) weight matrix W.
 
-    The weights are ``scheme.weights_many(X)``, nearest-region fallback
-    included. ``local_predict(b, rows)`` gives f_b at the rows of X where
-    the boolean mask ``rows`` is True, which are those with w_b != 0; the
-    terms are summed in region order.
+    ``local_predict(b, rows)`` gives f_b at the rows of W that the index
+    array ``rows`` names, in order: those with w_b != 0. The terms are
+    summed in region order. Every weighted sum of local predictors goes
+    through here: the composed model, the consistency trend and the audit.
     """
-    W, covered = scheme.weights_many(X)
-    out = np.zeros(X.shape[0])
-    for b in range(1, scheme.B + 1):
-        active = W[:, b - 1] != 0.0
-        if active.any():
-            out[active] += W[active, b - 1] * local_predict(b, active)
-    return out, covered
+    out = np.zeros(W.shape[0])
+    for b, w in enumerate(W.T, start=1):
+        rows = np.nonzero(w != 0.0)[0]
+        if rows.size:
+            out[rows] += w[rows] * local_predict(b, rows)
+    return out
 
 
 class ComposedModel:
@@ -93,8 +92,9 @@ class ComposedModel:
     def predict_with_coverage(self, X):
         """Predictions and the covered mask (False rows used nearest fallback)."""
         X = as_points(X)
-        return compose(self.scheme, X,
-                       lambda b, rows: self.locals[b].predict(X[rows]))
+        W, covered = self.scheme.weights_many(X)
+        preds = compose(W, lambda b, rows: self.locals[b].predict(X[rows]))
+        return preds, covered
 
     def predict(self, X) -> np.ndarray:
         return self.predict_with_coverage(X)[0]

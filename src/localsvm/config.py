@@ -53,7 +53,7 @@ CONFIG_SCHEMA = {
                         "noise": {"type": "number", "minimum": 0},
                         "breakpoints": {"type": "array",
                                         "items": {"type": "number"}},
-                        "seed": {"type": "integer"},
+                        "seed": {"type": "integer", "minimum": 0},
                     },
                     "required": ["kind", "task", "n"],
                     "additionalProperties": False,
@@ -74,7 +74,7 @@ CONFIG_SCHEMA = {
                 "b_target": {"type": "integer", "minimum": 1},
                 "tau": {"type": "number", "minimum": 0},
                 "min_region_size": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer"},
+                "seed": {"type": "integer", "minimum": 0},
             },
             "required": ["b_target"],
             "additionalProperties": False,

@@ -56,6 +56,8 @@ class SyntheticTask:
             raise InputError(f"unknown task {self.kind!r}; expected one of {_TASKS}")
         if self.dim < 1:
             raise InputError(f"dim must be positive, got {self.dim}")
+        if self.seed < 0:
+            raise InputError(f"seed must be non-negative, got {self.seed}")
         if self.kind == TASK_MOONS:
             if self.dim != 2:
                 raise InputError("two-moons is a 2-d task")
@@ -182,8 +184,8 @@ def _rung_predictions(model: ComposedModel, global_model: LocalModel,
     for kernel in dict.fromkeys(m.kernel for m in models):
         cols = [j for j, m in enumerate(models) if m.kernel == kernel]
         P[:, cols] = kernel.apply(X, global_model.anchors, C[:, cols])
-    composed, _ = compose(model.scheme, X, lambda b, rows: P[rows, b])
-    return composed, P[:, 0]
+    W, _ = model.scheme.weights_many(X)
+    return compose(W, lambda b, rows: P[rows, b]), P[:, 0]
 
 
 def _write_csv(report, path):

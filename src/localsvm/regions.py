@@ -167,6 +167,8 @@ def regionalize(points, b_target: int, tau: float = 0.0,
         raise InputError(f"min_region_size must be >= 1, got {min_region_size}")
     if not tau >= 0:  # also rejects NaN, for which tau < 0 is false
         raise InputError(f"tau must be >= 0, got {tau}")
+    if seed < 0:
+        raise InputError(f"seed must be >= 0, got {seed}")
     if n < b_target * min_region_size:
         raise InsufficientDataError(
             f"{n} points cannot fill {b_target} regions of size >= {min_region_size}"

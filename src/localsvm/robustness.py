@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .composer import ComposedModel, ModelConfig, _map_tasks, fit_composed
+from .composer import ComposedModel, ModelConfig, compose, fit_composed
 from .data import Dataset, WeightedSample, as_points
 from .errors import InputError
 from .kernels import sup_norm_on_region
@@ -294,16 +294,14 @@ def _region_factors(scheme: WeightScheme, config: ModelConfig):
 class RegionBlocks:
     """One region's share of an AuditContext.
 
-    ``rows`` index the probes where w_b != 0, ``weights`` holds w_b there,
-    ``points`` are those probes, ``probe_block`` is k(points, X_b) and
-    ``base_preds`` the base local model at the points. ``sample``, ``gram``
-    (K_b) and ``probe_block`` are None for a null-measure region.
+    ``points`` are the probes where w_b != 0, ``probe_block`` is
+    k(points, X_b) and ``base_preds`` the base local model at the points.
+    ``sample``, ``gram`` (K_b) and ``probe_block`` are None for a
+    null-measure region.
     """
 
     sample: Optional[WeightedSample]
     gram: Optional[np.ndarray]
-    rows: np.ndarray
-    weights: np.ndarray
     points: np.ndarray
     probe_block: Optional[np.ndarray]
     base_preds: np.ndarray
@@ -334,26 +332,26 @@ class AuditContext:
     """Per-audit state shared by every contamination spec.
 
     Built once per audit: the base composed model, the probes and their
-    weights, the bound factors (w_sup, lam_b, ||k_b||) of the regions'
-    balls, and per region b a ``RegionBlocks``. The probes serve the
-    influence estimates only, not the bound. ``border`` extends a region
-    by a spec's atoms, so a retrain forms only the new Gram columns and a
-    probe prediction is one matrix-vector product; ``retrain`` starts from
-    pad(alpha) unless given a start, such as the secant start of a lower
-    ladder rung; ``compose`` sums the
-    regional predictions over the probes in the order
-    ``ComposedModel.predict`` does, so the results are bitwise equal.
+    (n, B) weight matrix ``W``, the bound factors (w_sup, lam_b, ||k_b||)
+    of the regions' balls, and per region b a ``RegionBlocks``. The probes
+    serve the influence estimates only, not the bound. ``border`` extends
+    a region by a spec's atoms, so a retrain forms only the new Gram
+    columns and a probe prediction is one matrix-vector product;
+    ``retrain`` starts from pad(alpha) unless given a start, such as the
+    secant start of a lower ladder rung; ``compose`` sums the regional
+    predictions over the probes with ``composer.compose``, in the region
+    order of ``ComposedModel.predict``. A regional prediction here is one
+    product with the probe block, while ``LocalModel.predict`` sums the
+    same kernel entries in row chunks, so ``base_preds`` agrees with
+    ``base.predict(probes)`` to rounding, not bitwise.
     Memory per region: n_b^2 for K_b plus |P_b| n_b for the probe block.
-    The context is read-only after construction and shareable across
-    threads.
+    The context is read-only after construction.
 
     The base model must be anchored at the regional samples of ``data``
     (as ``fit_composed`` leaves it) and, in every region that is not null,
     hold the config's kernel, loss and lambda; any other base model is an
-    input error. ``threads`` is the worker count of the base fit and of
-    the retrains of every audit step run on the context: the touched
-    regions of a finite-difference spec (each one sequential ladder chain)
-    and the candidate distributions of a maxbias probe.
+    input error. ``threads`` is the worker count of the base fit when
+    ``base`` is omitted; the audit's retrains run in sequence.
     """
 
     def __init__(self, data: Dataset, scheme: WeightScheme, config: ModelConfig,
@@ -367,15 +365,13 @@ class AuditContext:
         self.scheme = scheme
         self.config = config
         self.base = base
-        self.threads = threads
         self.probes = as_points(probes)
         self.factors = _region_factors(scheme, config)
-        W, self.covered = scheme.weights_many(self.probes)
-        self.regions = {b: self._blocks(b, W[:, b - 1])
-                        for b in range(1, scheme.B + 1)}
+        self.W, self.covered = scheme.weights_many(self.probes)
+        self.regions = {b: self._blocks(b) for b in range(1, scheme.B + 1)}
         self.base_preds = self.compose({})
 
-    def _blocks(self, b: int, w: np.ndarray) -> RegionBlocks:
+    def _blocks(self, b: int) -> RegionBlocks:
         sample = restrict(self.data, self.scheme.partition, b)
         local = self.base.locals[b]
         anchors = np.zeros((0, self.data.dim)) if sample is None else sample.X
@@ -384,11 +380,9 @@ class AuditContext:
                 f"region {b}: the model's {local.n_anchors} anchors differ from "
                 f"the {anchors.shape[0]} training points in the region; audit a "
                 "model with the data it was trained on")
-        rows = np.flatnonzero(w)
-        points = self.probes[rows]
+        points = self.probes[self.W[:, b - 1] != 0.0]
         if sample is None:
-            return RegionBlocks(None, None, rows, w[rows], points, None,
-                                np.zeros(rows.size))
+            return RegionBlocks(None, None, points, None, np.zeros(points.shape[0]))
         kernel = self.config.kernel_for(b)
         for what, got, want in (("lambda", local.lam, self.config.lam_for(b)),
                                 ("kernel", local.kernel, kernel),
@@ -398,17 +392,14 @@ class AuditContext:
                     f"region {b}: the model's {what} {got} does not match the "
                     f"config's {want}; audit with the training config")
         block = kernel.matrix(points, sample.X)
-        return RegionBlocks(sample, kernel.gram(sample.X), rows, w[rows], points,
-                            block, block @ local.alpha)
+        return RegionBlocks(sample, kernel.gram(sample.X), points, block,
+                            block @ local.alpha)
 
     def compose(self, preds_by_region) -> np.ndarray:
         """sum_b w_b f_b over the probes, f_b given on region b's probe rows
         by ``preds_by_region`` or else the base local model."""
-        out = np.zeros(self.probes.shape[0])
-        for b, blocks in self.regions.items():
-            preds = preds_by_region.get(b, blocks.base_preds)
-            out[blocks.rows] += blocks.weights * preds
-        return out
+        return compose(self.W, lambda b, rows: preds_by_region.get(
+            b, self.regions[b].base_preds))
 
     def border(self, b: int, spec: ContaminationSpec) -> Optional[BorderedRegion]:
         """Region b bordered by the spec's atoms; None when the spec leaves
@@ -529,25 +520,20 @@ def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceE
     untouched regions contribute exactly zero. A region's rungs are one
     sequential chain (``_retrain_chain``): the top rung starts from the
     zero-padded uncontaminated coefficients and each lower rung from the
-    secant through the rung above, and the context's threads spread the
-    touched regions, not the rungs, so the result does not depend on the
-    thread count. The reported estimate is the bottom-rung quotient;
-    consecutive-rung residuals serve as the convergence diagnostic for the
-    existence of the defining limit, and a linear extrapolation to
-    eps -> 0 is reported alongside as a diagnostic. The probes, the base
-    model and the thread count are the context's.
+    secant through the rung above. The reported estimate is the
+    bottom-rung quotient; consecutive-rung residuals serve as the
+    convergence diagnostic for the existence of the defining limit, and a
+    linear extrapolation to eps -> 0 is reported alongside as a
+    diagnostic. The probes and the base model are the context's.
     """
     if len(spec.eps_ladder) < 2:
         raise InputError("the eps ladder needs at least two rungs")
-    bordered = {}
+    bordered, chains = {}, {}
     for b in context.regions:
         region_b = context.border(b, spec)
         if region_b is not None:
             bordered[b] = region_b
-    touched = sorted(bordered)
-    chains = dict(zip(touched, _map_tasks(
-        lambda b: _retrain_chain(context, bordered[b], spec.eps_ladder),
-        touched, context.threads)))
+            chains[b] = _retrain_chain(context, region_b, spec.eps_ladder)
 
     rungs = []
     rung_values = []
@@ -555,8 +541,8 @@ def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceE
         preds = {}
         quotients = {}
         h_norms = {b: 0.0 for b in context.regions}
-        for b in touched:
-            tilde = chains[b][k]
+        for b, chain in chains.items():
+            tilde = chain[k]
             preds[b] = bordered[b].probe_block @ tilde.alpha
             q = LocalQuotient(tilde, context.base.locals[b], eps, bordered[b].gram,
                               (preds[b] - context.regions[b].base_preds) / eps)
@@ -607,14 +593,13 @@ def decomposition_check(estimate: InfluenceEstimate) -> float:
     """Max |composed - sum_b w_b per_region_b| over the estimate's probes.
 
     The composed quotient is assembled from the regional predictions while
-    the right-hand side recombines the local quotients from the context's
-    probe rows and weights, so the residual measures only floating-point
-    association.
+    the right-hand side recombines the local quotients (zero in an
+    untouched region) with the context's probe weights, so the residual
+    measures only floating-point association.
     """
-    recombined = np.zeros(estimate.values.shape[0])
-    for b, q in estimate.per_region.items():
-        blocks = estimate.context.regions[b]
-        recombined[blocks.rows] += blocks.weights * q.values
+    per_region = estimate.per_region
+    recombined = compose(estimate.context.W, lambda b, rows: (
+        per_region[b].values if b in per_region else 0.0))
     return (float(np.max(np.abs(estimate.values - recombined)))
             if recombined.size else 0.0)
 
@@ -640,31 +625,26 @@ def maxbias_probe(context: AuditContext, eps_by_region, probe_specs) -> AuditRep
     measured over the probes. The closed-form bound
     2 |L|_1 sum_b ||w_b|| (eps_b / lam_b) ||k_b||^2 must dominate the
     empirical maximum; regions with eps_b = 0 keep their model bit-exactly.
-    The probes, the base model and the thread count are the context's.
+    The probes and the base model are the context's.
     """
     eps = _as_eps_vector(eps_by_region, context.scheme.B)
     terms, _, bound = _certificate_terms(
         context.factors, float(context.config.loss.lipschitz),
         {b: 2.0 * eps[b - 1] for b, *_ in context.factors})
 
-    def _retrained_preds(b: int, spec: ContaminationSpec):
-        # one bordered region alive at a time: it is freed on return
-        bordered = context.border(b, spec)
-        if bordered is None:
-            return None
-        return bordered.probe_block @ context.retrain(bordered, eps[b - 1]).alpha
-
-    def _shift_for(spec: ContaminationSpec) -> float:
+    shifts = []
+    for spec in probe_specs:
         preds = {}
         for b in context.regions:
-            if eps[b - 1] != 0.0:
-                preds_b = _retrained_preds(b, spec)
-                if preds_b is not None:
-                    preds[b] = preds_b
+            if eps[b - 1] == 0.0:
+                continue
+            bordered = context.border(b, spec)
+            if bordered is not None:
+                preds[b] = (bordered.probe_block
+                            @ context.retrain(bordered, eps[b - 1]).alpha)
+            del bordered  # one bordered region alive at a time
         shift = np.abs(context.compose(preds) - context.base_preds)
-        return float(shift.max()) if shift.size else 0.0
-
-    shifts = _map_tasks(_shift_for, list(probe_specs), context.threads)
+        shifts.append(float(shift.max()) if shift.size else 0.0)
     empirical = max(shifts) if shifts else 0.0
 
     return AuditReport(
@@ -691,7 +671,8 @@ def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
     cap with slack ``H_NORM_SLACK``. A maxbias probe at the given full
     contamination level runs against the adversarial corner/label-flip
     family of ``adversarial_q_specs``. The per-run state is built once, as
-    one AuditContext that every spec shares.
+    one AuditContext that every spec shares. ``threads`` reaches only the
+    base fit (when ``base`` is omitted); the retrains run in sequence.
     """
     ctx = AuditContext(data, scheme, config, probes=probes, base=base,
                        threads=threads)

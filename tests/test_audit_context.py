@@ -19,7 +19,7 @@ from localsvm import (ComposedModel, ContaminationSpec, GaussianRBF, InputError,
                       adversarial_q_specs, contaminate_region, default_probes,
                       finite_diff_if, fit_composed, maxbias_probe, regionalize,
                       restrict, run_audit, train)
-from localsvm import robustness
+from localsvm import composer, robustness
 from localsvm.robustness import AuditContext
 from localsvm.solver import grad_scale
 from conftest import manual_partition, two_blobs
@@ -176,12 +176,12 @@ def test_bordering_the_label_flip_mixture_makes_no_kernel_call(kernel, monkeypat
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_finite_diff_if_matches_rebuild_reference(threads):
+    # threads reaches only the base fit; the audit's retrains are serial
     data, part, scheme = _fixture()
     config = _config(region_lambdas={2: 0.25})
     probes = default_probes(data, 64)
-    base = fit_composed(data, scheme, config)
-    ctx = AuditContext(data, scheme, config, probes=probes, base=base,
-                       threads=threads)
+    base = fit_composed(data, scheme, config, threads=threads)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     for spec in _specs(data, part):
         est = finite_diff_if(ctx, spec)
         ref = _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base)
@@ -204,8 +204,7 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
 
         # a context of its own, built from the same probes and base: same numbers
         alone = finite_diff_if(AuditContext(data, scheme, config,
-                                            probes=probes, base=base,
-                                            threads=threads), spec)
+                                            probes=probes, base=base), spec)
         assert [r["sup"] for r in alone.ladder] == [r["sup"] for r in est.ladder]
         assert alone.h_norms == est.h_norms
 
@@ -227,12 +226,12 @@ def test_finite_diff_if_matches_rebuild_reference_polynomial():
 
 @pytest.mark.parametrize("threads", [1, 2])
 def test_maxbias_probe_matches_rebuild_reference(threads):
+    # threads reaches only the base fit; the audit's retrains are serial
     data, part, scheme = _fixture()
     config = _config(lam=0.4)
     probes = default_probes(data, 64)
-    base = fit_composed(data, scheme, config)
-    ctx = AuditContext(data, scheme, config, probes=probes, base=base,
-                       threads=threads)
+    base = fit_composed(data, scheme, config, threads=threads)
+    ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     specs = adversarial_q_specs(data, classification=False)
     for eps in (np.array([0.1, 0.1]), np.array([0.0, 0.2])):
         report = maxbias_probe(ctx, eps, specs)
@@ -300,7 +299,42 @@ def test_run_audit_hands_its_one_context_to_every_step(monkeypatch):
     assert [name for name, _ in seen] == (["finite_diff_if"] * len(specs)
                                           + ["maxbias_probe"])
     assert all(context is built[0] for _, context in seen)
-    assert built[0].threads == 2
+
+
+def test_run_audit_retrains_without_a_thread_pool(monkeypatch):
+    # threads reaches only the base fit: with the base given, no pool starts
+    data, part, scheme = _fixture()
+    config = _config()
+    base = fit_composed(data, scheme, config)
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("the audit started a thread pool")
+
+    monkeypatch.setattr(composer, "ThreadPoolExecutor", no_pool)
+    specs = _specs(data, part)
+    assert sum(len(_touched(data, part, spec)) > 1 for spec in specs) >= 1
+    report = run_audit(data, scheme, config, specs, maxbias_eps=0.1,
+                       probes=default_probes(data, 32), base=base, threads=2)
+    assert report.all_satisfied
+    assert not hasattr(AuditContext(data, scheme, config, base=base), "threads")
+
+
+@pytest.mark.parametrize("kind,h", [("normalized-indicator", None),
+                                    ("smooth-bump", 0.5)])
+def test_context_base_predictions_agree_with_the_model_to_rounding(kind, h):
+    # the context predicts with one product on its probe block, the model
+    # in Kernel.apply's row chunks: the same entries, summed in another order
+    data, part, _ = _fixture()
+    scheme = WeightScheme(kind, part, h=h)
+    base = fit_composed(data, scheme, _config())
+    far = data.X.max(axis=0) + np.array([[5.0, 0.0], [0.0, 7.0], [9.0, 9.0]])
+    probes = np.vstack([default_probes(data, 64), far, data.X.min(axis=0) - 6.0])
+    ctx = AuditContext(data, scheme, _config(), probes=probes, base=base)
+    preds, covered = base.predict_with_coverage(probes)
+    assert not covered[-4:].any()  # nearest-region fallback
+    np.testing.assert_array_equal(ctx.covered, covered)
+    scale = np.max(np.abs(preds))
+    assert np.max(np.abs(ctx.base_preds - preds)) <= 1e-12 * scale
 
 
 def test_context_rejects_model_trained_on_other_data():

@@ -8,6 +8,7 @@ from localsvm import (ComposedModel, Dataset, GaussianRBF, LocalModel,
                       TrainConfig, WeightScheme, WeightedSample, empirical_risk,
                       fit_composed, predict_composed, regionalize, restrict,
                       train, weight_sup_norm)
+from localsvm.composer import compose
 from conftest import manual_partition, two_blobs
 
 REG = LogisticRegression()
@@ -210,4 +211,22 @@ def test_restrict_count_fixture():
     half = restrict(data, part, 1)
     assert half.n == 10
     np.testing.assert_allclose(half.weights, np.full(10, 2.0 / 20.0))
+
+
+def test_compose_sums_weighted_local_predictions_over_active_rows():
+    W = np.array([[1.0, 0.0, 0.0],
+                  [0.25, 0.75, 0.0],
+                  [0.0, 1.0, 0.0]])
+    f = {1: np.array([2.0, 4.0, 6.0]), 2: np.array([10.0, 20.0, 30.0]),
+         3: np.array([7.0, 7.0, 7.0])}
+    asked = []
+
+    def local_predict(b, rows):
+        asked.append((b, rows.tolist()))
+        return f[b][rows]
+
+    out = compose(W, local_predict)
+    np.testing.assert_array_equal(out, [2.0, 0.25 * 4.0 + 0.75 * 20.0, 30.0])
+    # region order, only the rows with w_b != 0, and no call for region 3
+    assert asked == [(1, [0, 1]), (2, [1, 2])]
 

@@ -552,6 +552,64 @@ def test_cli_experiment_threads_give_identical_outputs(tmp_path, monkeypatch,
             (tmp_path / "2" / name).read_bytes()
 
 
+def test_cli_audit_threads_reach_only_the_fit(tmp_path, monkeypatch):
+    import localsvm.robustness as robustness
+
+    seen = []
+    fit = robustness.fit_composed
+
+    def spy(*args, threads=1, **kwargs):
+        seen.append(threads)
+        return fit(*args, threads=threads, **kwargs)
+
+    monkeypatch.setattr(robustness, "fit_composed", spy)
+    cfg_path = write_config(tmp_path, base_config(audit={"z_grid": 2}))
+    for threads in ("1", "2"):
+        assert cli.main(["audit", "--config", cfg_path, "--threads", threads,
+                         "--out", str(tmp_path / threads)]) == 0
+    assert seen == [1, 2]
+    assert (tmp_path / "1" / "audit.json").read_bytes() == \
+        (tmp_path / "2" / "audit.json").read_bytes()
+
+
+def _all_commands_config():
+    return base_config(audit={"z_grid": 1},
+                       experiment={"kind": "tradeoff", "lambda_grid": [1.0],
+                                   "eval_n": 200})
+
+
+@pytest.mark.parametrize("command", ["train", "audit", "experiment"])
+def test_cli_negative_seed_flag_exits_2(tmp_path, capsys, command):
+    cfg_path = write_config(tmp_path, _all_commands_config())
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--config", cfg_path, "--seed", "-2",
+                  "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--seed" in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("block", ["dataset", "partition"])
+@pytest.mark.parametrize("command", ["train", "audit", "experiment"])
+def test_cli_negative_config_seed_exits_2(tmp_path, capsys, command, block):
+    cfg = _all_commands_config()
+    cfg[block]["seed"] = -1
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error:") and "seed" in err
+    assert "Traceback" not in err
+
+
+def test_negative_seed_is_an_input_error():
+    with pytest.raises(InputError, match="seed"):
+        SyntheticTask("sine-regression", seed=-1)
+    with pytest.raises(InputError, match="seed"):
+        regionalize(np.zeros((10, 2)), 2, seed=-1)
+
+
 def test_cli_experiment_without_section_exits_2(tmp_path):
     cfg_path = write_config(tmp_path, base_config())
     assert cli.main(["experiment", "--config", cfg_path,
