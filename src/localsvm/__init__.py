@@ -19,20 +19,18 @@ from .losses import (LogisticClassification, LogisticRegression, SmoothLoss,
                      loss_from_name)
 from .regions import (RegionPartition, RegionPredicate, WeightScheme,
                       regionalize, restrict, weight_sup_norm)
-from .robustness import (AuditContext, AuditReport, ContaminationSpec,
-                         InfluenceEstimate, LadderConvergenceWarning,
-                         adversarial_q_specs, contaminate_region,
-                         decomposition_check, default_probes,
-                         finite_diff_if, if_bound, maxbias_probe, run_audit,
-                         tv_refined_if_bound)
+from .robustness import (AuditContext, AuditReport, InfluenceEstimate,
+                         LadderConvergenceWarning, adversarial_q_specs,
+                         contaminate_region, decomposition_check,
+                         default_probes, finite_diff_if, if_bound,
+                         maxbias_probe, run_audit, tv_refined_if_bound)
 from .solver import (IdentityReport, LocalModel, TrainConfig, audit_model_bounds,
                      objective, shifted_unshifted_identity_check, train)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditContext", "AuditReport", "ComposedModel", "ContaminationSpec",
-    "ConvergenceError", "Dataset",
+    "AuditContext", "AuditReport", "ComposedModel", "ConvergenceError", "Dataset",
     "GaussianRBF", "IdentityReport", "InfluenceEstimate", "InputError",
     "InsufficientDataError", "Kernel",
     "LadderConvergenceWarning", "LambdaSchedule", "Linear", "LocalModel",

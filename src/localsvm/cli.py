@@ -1,7 +1,8 @@
 """Command-line front end: train, audit and experiment subcommands.
 
 Exit codes: 0 success, 1 a robustness bound was violated, 2 input or
-config error (or a non-finite output value), 3 solver non-convergence.
+config error (or a non-finite output value, or a file that cannot be read
+or written), 3 solver non-convergence.
 """
 
 from __future__ import annotations
@@ -16,11 +17,11 @@ import numpy as np
 from .composer import ComposedModel, RegionTrainingError, fit_composed
 from .config import (load_config, model_config_from_config,
                      partition_from_config, setup_from_config, task_from_config)
+from .data import WeightedSample
 from .errors import ConvergenceError, InputError, LocalSvmError
 from .experiments import LambdaSchedule, consistency_trend, tradeoff_sweep
 from .kernels import sup_sqrt_diag
-from .robustness import (DEFAULT_EPS_LADDER, DEFAULT_EXTRA_PROBES,
-                         ContaminationSpec, default_probes, extreme_labels,
+from .robustness import (DEFAULT_EXTRA_PROBES, default_probes, extreme_labels,
                          run_audit)
 
 EXIT_OK = 0
@@ -122,7 +123,7 @@ def cmd_train(args) -> int:
     return EXIT_OK
 
 
-def _z_specs_from_config(raw, data, ladder, loss):
+def _contaminations_from_config(raw, data, loss):
     audit = raw.get("audit", {})
     if "z" in audit:
         z = audit["z"]
@@ -134,7 +135,7 @@ def _z_specs_from_config(raw, data, ladder, loss):
             loss._check_labels(z["y"])
         except InputError as exc:
             raise InputError(f"audit.z.y: {exc}") from None
-        return [ContaminationSpec.dirac(z_x, float(z["y"]), ladder)]
+        return [WeightedSample.dirac(z_x, float(z["y"]))]
     # grid of Dirac points over the data bounding box with extreme labels
     per_dim = int(audit.get("z_grid", 5))
     if per_dim ** data.dim > MAX_Z_GRID_POINTS:
@@ -147,7 +148,7 @@ def _z_specs_from_config(raw, data, ladder, loss):
     mesh = np.meshgrid(*axes, indexing="ij")
     grid = np.column_stack([m.ravel() for m in mesh])
     y_lo, y_hi = extreme_labels(data, loss.is_classification)
-    return [ContaminationSpec.dirac(x, y_hi if i % 2 == 0 else y_lo, ladder)
+    return [WeightedSample.dirac(x, y_hi if i % 2 == 0 else y_lo)
             for i, x in enumerate(grid)]
 
 
@@ -155,8 +156,7 @@ def cmd_audit(args) -> int:
     raw, data, pc, config, out_dir = _prepare(args)
     audit_cfg = raw.get("audit", {})
     # every input is checked before the partition is built
-    ladder = tuple(audit_cfg.get("eps_ladder", DEFAULT_EPS_LADDER))
-    z_specs = _z_specs_from_config(raw, data, ladder, config.loss)
+    qs = _contaminations_from_config(raw, data, config.loss)
     probes = default_probes(data,
                             int(audit_cfg.get("extra_probes", DEFAULT_EXTRA_PROBES)))
     base = None
@@ -176,13 +176,14 @@ def cmd_audit(args) -> int:
             raise InputError("model partition does not match the config partition")
         scheme = base.scheme
 
-    # only a key the config sets: run_audit holds the default
-    maxbias = {k: audit_cfg[k] for k in ("maxbias_eps",) if k in audit_cfg}
+    # only the keys the config sets: run_audit holds the defaults
+    settings = {k: audit_cfg[k] for k in ("maxbias_eps", "eps_ladder")
+                if k in audit_cfg}
     if audit_cfg.get("q_family") == "none":
-        maxbias["maxbias_eps"] = None
-    report = run_audit(data, scheme, config, z_specs,
+        settings["maxbias_eps"] = None
+    report = run_audit(data, scheme, config, qs,
                        probes=probes, base=base, threads=args.threads,
-                       **maxbias)
+                       **settings)
 
     audit_path = out_dir / "audit.json"
     audit_path.write_text(_json_text(report.to_dict(), audit_path.name))
@@ -245,7 +246,7 @@ def main(argv=None) -> int:
     except (RegionTrainingError, ConvergenceError) as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
-    except LocalSvmError as exc:
+    except (LocalSvmError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

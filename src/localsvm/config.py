@@ -196,6 +196,8 @@ def load_config(path) -> dict:
             raw = json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
         raise InputError(f"config file not found: {path}") from None
+    except UnicodeDecodeError as exc:
+        raise InputError(f"config is not {exc.encoding} text: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(
             f"config is not valid JSON: {path}, line {exc.lineno} col {exc.colno}: "
@@ -302,33 +304,35 @@ def validate_config(raw: dict) -> None:
 def load_csv_dataset(path) -> Dataset:
     """Dataset CSV: header x0..x{d-1},y; decimal literals; no missing values."""
     try:
-        fh = open(path, newline="")
+        with open(path, newline="") as fh:
+            lines = fh.readlines()
     except FileNotFoundError:
         raise InputError(f"dataset file not found: {path}") from None
-    with fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise InputError(f"dataset CSV is empty: {path}") from None
-        d = len(header) - 1
-        expected = [f"x{i}" for i in range(d)] + ["y"]
-        if d < 1 or header != expected:
+    except UnicodeDecodeError as exc:
+        raise InputError(f"dataset CSV is not {exc.encoding} text: {path}") from None
+    reader = csv.reader(lines)
+    try:
+        header = next(reader)
+    except StopIteration:
+        raise InputError(f"dataset CSV is empty: {path}") from None
+    d = len(header) - 1
+    expected = [f"x{i}" for i in range(d)] + ["y"]
+    if d < 1 or header != expected:
+        raise InputError(
+            f"dataset CSV header must be x0..x{{d-1}},y; got {header} in {path}"
+        )
+    rows_x, rows_y = [], []
+    for lineno, row in enumerate(reader, start=2):
+        if len(row) != d + 1 or any(cell.strip() == "" for cell in row):
             raise InputError(
-                f"dataset CSV header must be x0..x{{d-1}},y; got {header} in {path}"
+                f"{path}, line {lineno}: expected {d + 1} non-empty values"
             )
-        rows_x, rows_y = [], []
-        for lineno, row in enumerate(reader, start=2):
-            if len(row) != d + 1 or any(cell.strip() == "" for cell in row):
-                raise InputError(
-                    f"{path}, line {lineno}: expected {d + 1} non-empty values"
-                )
-            try:
-                values = [float(cell) for cell in row]
-            except ValueError as exc:
-                raise InputError(f"{path}, line {lineno}: {exc}") from None
-            rows_x.append(values[:-1])
-            rows_y.append(values[-1])
+        try:
+            values = [float(cell) for cell in row]
+        except ValueError as exc:
+            raise InputError(f"{path}, line {lineno}: {exc}") from None
+        rows_x.append(values[:-1])
+        rows_y.append(values[-1])
     if not rows_x:
         raise InputError(f"dataset CSV has a header but no rows: {path}")
     return Dataset(np.asarray(rows_x), np.asarray(rows_y))

@@ -114,6 +114,12 @@ class WeightedSample:
             raise InputError("cannot build an empirical measure from an empty sample")
         return cls(data.X, data.y, np.full(n, 1.0 / n))
 
+    @classmethod
+    def dirac(cls, x, y: float) -> "WeightedSample":
+        """The one-atom measure delta_z at the point z = (x, y)."""
+        return cls(np.asarray(x, dtype=float).reshape(1, -1),
+                   np.array([float(y)]), np.ones(1))
+
     def atom_mass(self, x, y: float) -> float:
         """Total weight of atoms exactly equal to (x, y)."""
         x = np.asarray(x, dtype=float).reshape(-1)

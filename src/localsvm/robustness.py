@@ -61,51 +61,29 @@ class LadderConvergenceWarning(UserWarning):
     """Finite-difference ladder residuals are not contracting."""
 
 
-@dataclass(frozen=True)
-class ContaminationSpec:
-    """A contaminating distribution Q; a one-atom Q is the Dirac point z.
-
-    ``eps_ladder`` must be strictly decreasing with every entry in
-    (0, 1/2); the bottom rung is the reported estimate.
-    """
-
-    q: WeightedSample
-    eps_ladder: tuple = DEFAULT_EPS_LADDER
-
-    def __post_init__(self):
-        if not isinstance(self.q, WeightedSample):
-            raise InputError(f"contamination Q must be a WeightedSample, got "
-                             f"{type(self.q).__name__}")
-        ladder = tuple(float(e) for e in self.eps_ladder)
-        object.__setattr__(self, "eps_ladder", ladder)
-        for eps in ladder:
-            if not 0.0 < eps < 0.5:
-                raise InputError(f"contamination eps must lie in (0, 1/2), got {eps}")
-        if any(a <= b for a, b in zip(ladder, ladder[1:])):
-            raise InputError(f"eps ladder must be strictly decreasing, got {ladder}")
-
-    @property
-    def kind(self) -> str:
-        return "dirac" if self.q.n == 1 else "mixture"
-
-    @property
-    def z_x(self) -> Optional[np.ndarray]:
-        return self.q.X[0] if self.q.n == 1 else None
-
-    @property
-    def z_y(self) -> Optional[float]:
-        return float(self.q.y[0]) if self.q.n == 1 else None
-
-    @classmethod
-    def dirac(cls, x, y, eps_ladder=DEFAULT_EPS_LADDER) -> "ContaminationSpec":
-        q = WeightedSample(np.asarray(x, dtype=float).reshape(1, -1),
-                           np.array([float(y)]), np.ones(1))
-        return cls(q, tuple(eps_ladder))
+def _check_ladder(eps_ladder) -> tuple:
+    """The eps ladder as floats; its bottom rung is the reported estimate."""
+    ladder = tuple(float(e) for e in eps_ladder)
+    if (len(ladder) < 2 or not all(0.0 < e < 0.5 for e in ladder)
+            or any(a <= b for a, b in zip(ladder, ladder[1:]))):
+        raise InputError(f"the eps ladder needs at least two strictly decreasing "
+                         f"rungs in (0, 1/2), got {ladder}")
+    return ladder
 
 
-def _contamination_atoms(spec: ContaminationSpec, region) -> Optional[WeightedSample]:
-    """The spec's Q conditioned on a region; None when Q puts no mass there."""
-    q = spec.q
+def _check_q(q, dim: int) -> WeightedSample:
+    """A contamination Q: a WeightedSample on inputs of dimension ``dim``."""
+    if not isinstance(q, WeightedSample):
+        raise InputError(f"contamination Q must be a WeightedSample, got "
+                         f"{type(q).__name__}")
+    if q.dim != dim:
+        raise InputError(f"contamination Q has dimension {q.dim}, but the data "
+                         f"has dimension {dim}")
+    return q
+
+
+def _contamination_atoms(q: WeightedSample, region) -> Optional[WeightedSample]:
+    """Q conditioned on a region; None when Q puts no mass there."""
     mask = region.contains_many(q.X)
     mass = float(q.weights[mask].sum())
     if mass <= 0.0:
@@ -121,20 +99,21 @@ def _mix(sample_b: WeightedSample, atoms: WeightedSample, eps: float) -> Weighte
                                           atoms.weights * eps]))
 
 
-def contaminate_region(sample_b: WeightedSample, spec: ContaminationSpec,
+def contaminate_region(sample_b: WeightedSample, q: WeightedSample,
                        region, eps: float) -> WeightedSample:
-    """The mixture (1 - eps) D_b + eps (delta_z or Q_b) on region b.
+    """The mixture (1 - eps) D_b + eps Q_b on region b, Q_b being Q
+    conditioned on the region.
 
-    Returns ``sample_b`` unchanged when the contamination does not touch
-    the region (Dirac outside the ball, or Q with no mass in it).
+    Returns ``sample_b`` unchanged when Q puts no mass in the region.
     Contamination atoms are appended after the original ones, so warm
     starts can zero-pad existing coefficients.
     """
     if sample_b is None:
         raise InputError("cannot contaminate a null measure")
+    _check_q(q, sample_b.dim)
     if not 0.0 < eps < 0.5:
         raise InputError(f"contamination eps must lie in (0, 1/2), got {eps}")
-    atoms = _contamination_atoms(spec, region)
+    atoms = _contamination_atoms(q, region)
     if atoms is None:
         return sample_b
     return _mix(sample_b, atoms, eps)
@@ -309,8 +288,8 @@ class RegionBlocks:
 
 @dataclass(frozen=True)
 class BorderedRegion:
-    """A region's sample, Gram and probe block extended by one contamination
-    spec's atoms, which follow the n_b sample atoms: the Gram is
+    """A region's sample, Gram and probe block extended by the atoms of one
+    contamination Q, which follow the n_b sample atoms: the Gram is
     [[K_b, k(X_b, A)], [k(A, X_b), k(A, A)]]. Every eps rung retrains on
     this one Gram. ``warm_start`` is pad(alpha), the base coefficients
     zero-padded over the atoms: the start of a maxbias retrain and of the
@@ -329,13 +308,13 @@ class BorderedRegion:
 
 
 class AuditContext:
-    """Per-audit state shared by every contamination spec.
+    """Per-audit state shared by every contamination Q.
 
     Built once per audit: the base composed model, the probes and their
     (n, B) weight matrix ``W``, the bound factors (w_sup, lam_b, ||k_b||)
     of the regions' balls, and per region b a ``RegionBlocks``. The probes
     serve the influence estimates only, not the bound. ``border`` extends
-    a region by a spec's atoms, so a retrain forms only the new Gram
+    a region by a Q's atoms, so a retrain forms only the new Gram
     columns and a probe prediction is one matrix-vector product;
     ``retrain`` starts from pad(alpha) unless given a start, such as the
     secant start of a lower ladder rung; ``compose`` sums the regional
@@ -401,13 +380,13 @@ class AuditContext:
         return compose(self.W, lambda b, rows: preds_by_region.get(
             b, self.regions[b].base_preds))
 
-    def border(self, b: int, spec: ContaminationSpec) -> Optional[BorderedRegion]:
-        """Region b bordered by the spec's atoms; None when the spec leaves
-        the regional measure unchanged (or the region is null)."""
+    def border(self, b: int, q: WeightedSample) -> Optional[BorderedRegion]:
+        """Region b bordered by Q's atoms in it; None when Q leaves the
+        regional measure unchanged (or the region is null)."""
         blocks = self.regions[b]
         if blocks.sample is None:
             return None
-        atoms = _contamination_atoms(spec, self.scheme.partition.region(b))
+        atoms = _contamination_atoms(q, self.scheme.partition.region(b))
         if atoms is None:
             return None
         n, m = blocks.sample.n, blocks.sample.n + atoms.n
@@ -468,11 +447,12 @@ def if_bound(scheme: WeightScheme, config: ModelConfig) -> AuditReport:
     return AuditReport(if_bound_rough=total, per_region_terms=terms)
 
 
-def _tv_by_region(samples, partition: RegionPartition, z_x, z_y: float) -> dict:
+def _tv_by_region(samples, partition: RegionPartition, z: WeightedSample) -> dict:
     """Exact TV distance 2 (1 - D_b({z})) between each region b's empirical
-    measure ``samples[b]`` and its contamination by delta_z; 0 for a null
-    region and when z lies outside the ball, because the contaminated
-    regional measure is then the original."""
+    measure ``samples[b]`` and its contamination by the one-atom ``z``; 0
+    for a null region and when z lies outside the ball, because the
+    contaminated regional measure is then the original."""
+    z_x, z_y = z.X[0], z.y[0]
     return {b: 0.0 if sample is None or not partition.region(b).contains(z_x)
             else 2.0 * (1.0 - sample.atom_mass(z_x, z_y))
             for b, sample in samples.items()}
@@ -488,11 +468,11 @@ def tv_refined_if_bound(data: Dataset, scheme: WeightScheme, config: ModelConfig
     The sup-norm factors are those of ``if_bound``; ``data`` enters only
     through the regional measures D_b.
     """
-    z_x = np.asarray(z_x, dtype=float).reshape(-1)
+    z = _check_q(WeightedSample.dirac(z_x, z_y), data.dim)
     samples = {b: restrict(data, scheme.partition, b) for b in range(1, scheme.B + 1)}
     return _certificate_terms(_region_factors(scheme, config),
                               float(config.loss.lipschitz),
-                              _tv_by_region(samples, scheme.partition, z_x, z_y))[2]
+                              _tv_by_region(samples, scheme.partition, z))[2]
 
 
 def _retrain_chain(context: AuditContext, bordered: BorderedRegion,
@@ -513,8 +493,10 @@ def _retrain_chain(context: AuditContext, bordered: BorderedRegion,
     return models
 
 
-def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceEstimate:
-    """Finite-difference influence estimate along the eps ladder.
+def finite_diff_if(context: AuditContext, q: WeightedSample,
+                   eps_ladder=DEFAULT_EPS_LADDER) -> InfluenceEstimate:
+    """Finite-difference influence estimate toward Q along the eps ladder
+    (at least two strictly decreasing rungs in (0, 1/2)).
 
     Every touched region is retrained per rung on the contaminated mixture;
     untouched regions contribute exactly zero. A region's rungs are one
@@ -526,28 +508,28 @@ def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceE
     linear extrapolation to eps -> 0 is reported alongside as a
     diagnostic. The probes and the base model are the context's.
     """
-    if len(spec.eps_ladder) < 2:
-        raise InputError("the eps ladder needs at least two rungs")
+    ladder = _check_ladder(eps_ladder)
+    _check_q(q, context.data.dim)
     bordered, chains = {}, {}
     for b in context.regions:
-        region_b = context.border(b, spec)
+        region_b = context.border(b, q)
         if region_b is not None:
             bordered[b] = region_b
-            chains[b] = _retrain_chain(context, region_b, spec.eps_ladder)
+            chains[b] = _retrain_chain(context, region_b, ladder)
 
     rungs = []
     rung_values = []
-    for k, eps in enumerate(spec.eps_ladder):
+    for k, eps in enumerate(ladder):
         preds = {}
         quotients = {}
         h_norms = {b: 0.0 for b in context.regions}
         for b, chain in chains.items():
             tilde = chain[k]
             preds[b] = bordered[b].probe_block @ tilde.alpha
-            q = LocalQuotient(tilde, context.base.locals[b], eps, bordered[b].gram,
-                              (preds[b] - context.regions[b].base_preds) / eps)
-            quotients[b] = q
-            h_norms[b] = q.h_norm()
+            local = LocalQuotient(tilde, context.base.locals[b], eps, bordered[b].gram,
+                                  (preds[b] - context.regions[b].base_preds) / eps)
+            quotients[b] = local
+            h_norms[b] = local.h_norm()
         values = (context.compose(preds) - context.base_preds) / eps
         sup = float(np.max(np.abs(values))) if values.size else 0.0
         rungs.append({"eps": eps, "sup": sup, "h_norms": h_norms})
@@ -558,8 +540,8 @@ def finite_diff_if(context: AuditContext, spec: ContaminationSpec) -> InfluenceE
     ratios = [cur / prev if prev > 0 else np.nan
               for prev, cur in zip(residuals, residuals[1:])]
 
-    eps_lo = spec.eps_ladder[-1]
-    eps_hi = spec.eps_ladder[-2]
+    eps_lo = ladder[-1]
+    eps_hi = ladder[-2]
     curvature = residuals[-1] / (eps_hi - eps_lo)
     slope = (rung_values[-2] - rung_values[-1]) / (eps_hi - eps_lo)
     extrapolated = rung_values[-1] - eps_lo * slope
@@ -616,29 +598,30 @@ def _as_eps_vector(eps_by_region, B: int) -> np.ndarray:
     return eps
 
 
-def maxbias_probe(context: AuditContext, eps_by_region, probe_specs) -> AuditReport:
+def maxbias_probe(context: AuditContext, eps_by_region, qs) -> AuditReport:
     """Empirical worst-case predictor shift under full-level contamination.
 
-    For each candidate contaminating distribution Q the per-region models
-    are retrained on (1 - eps_b) D_b + eps_b Q_b at the full contamination
-    level (no limit), and the sup-norm shift of the composed predictor is
-    measured over the probes. The closed-form bound
+    For each candidate contaminating distribution Q in ``qs`` the per-region
+    models are retrained on (1 - eps_b) D_b + eps_b Q_b at the full
+    contamination level (no limit), and the sup-norm shift of the composed
+    predictor is measured over the probes. The closed-form bound
     2 |L|_1 sum_b ||w_b|| (eps_b / lam_b) ||k_b||^2 must dominate the
     empirical maximum; regions with eps_b = 0 keep their model bit-exactly.
     The probes and the base model are the context's.
     """
     eps = _as_eps_vector(eps_by_region, context.scheme.B)
+    qs = [_check_q(q, context.data.dim) for q in qs]
     terms, _, bound = _certificate_terms(
         context.factors, float(context.config.loss.lipschitz),
         {b: 2.0 * eps[b - 1] for b, *_ in context.factors})
 
     shifts = []
-    for spec in probe_specs:
+    for q in qs:
         preds = {}
         for b in context.regions:
             if eps[b - 1] == 0.0:
                 continue
-            bordered = context.border(b, spec)
+            bordered = context.border(b, q)
             if bordered is not None:
                 preds[b] = (bordered.probe_block
                             @ context.retrain(bordered, eps[b - 1]).alpha)
@@ -658,22 +641,27 @@ def maxbias_probe(context: AuditContext, eps_by_region, probe_specs) -> AuditRep
 
 
 def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
-              z_specs, maxbias_eps=0.1, probes=None,
-              base: Optional[ComposedModel] = None, threads: int = 1) -> AuditReport:
+              qs, maxbias_eps=0.1, probes=None,
+              base: Optional[ComposedModel] = None, threads: int = 1,
+              eps_ladder=DEFAULT_EPS_LADDER) -> AuditReport:
     """Audit the composed predictor against the closed-form certificates.
 
-    For every contamination spec the finite-difference influence estimate,
-    its decomposition residual and (for Dirac specs) the TV-refined bound
-    are computed; the sup-norm certificate allows the numerically justified
-    slack 10 (grad_tol / eps + eps * curvature), with grad_tol scaled as the
+    For every contamination Q in ``qs`` the finite-difference influence
+    estimate along ``eps_ladder``, its decomposition residual and (for a
+    one-atom Q, the Dirac point z) the TV-refined bound are computed; the
+    sup-norm certificate allows the numerically justified slack
+    10 (grad_tol / eps + eps * curvature), with grad_tol scaled as the
     retrains scaled it (the largest ``grad_scale`` of the touched regions'
     bordered Grams, 1 for Gaussian RBF), and each local H-norm its
     cap with slack ``H_NORM_SLACK``. A maxbias probe at the given full
     contamination level runs against the adversarial corner/label-flip
     family of ``adversarial_q_specs``. The per-run state is built once, as
-    one AuditContext that every spec shares. ``threads`` reaches only the
-    base fit (when ``base`` is omitted); the retrains run in sequence.
+    one AuditContext that every Q shares, after the ladder and every Q are
+    checked. ``threads`` reaches only the base fit (when ``base`` is
+    omitted); the retrains run in sequence.
     """
+    ladder = _check_ladder(eps_ladder)
+    qs = [_check_q(q, data.dim) for q in qs]
     ctx = AuditContext(data, scheme, config, probes=probes, base=base,
                        threads=threads)
     grad_tol = config.train.grad_tol
@@ -685,20 +673,21 @@ def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
     per_z = []
     if_ok = True
     worst = None
-    for spec in z_specs:
-        est = finite_diff_if(ctx, spec)
+    for q in qs:
+        dirac = q.n == 1
+        est = finite_diff_if(ctx, q, ladder)
         resid = decomposition_check(est)
-        tol = grad_tol * max((grad_scale(q.gram) for q in est.per_region.values()),
-                             default=1.0)
+        tol = grad_tol * max((grad_scale(local.gram)
+                              for local in est.per_region.values()), default=1.0)
         slack = 10.0 * (tol / est.eps_used + est.eps_used * est.curvature)
         sup_ok = est.sup_norm_estimate <= rough + slack
 
-        if spec.kind == "dirac":
-            tvs = _tv_by_region(samples, scheme.partition, spec.z_x, spec.z_y)
+        if dirac:
+            tvs = _tv_by_region(samples, scheme.partition, q)
         else:
             tvs = rough_tv  # rough TV bound for mixtures
         _, caps, refined = _certificate_terms(ctx.factors, lip, tvs)
-        tv_bound = refined if spec.kind == "dirac" else None
+        tv_bound = refined if dirac else None
         h_checks = {b: {"h_norm": h, "cap": caps[b],
                         "ok": bool(h <= caps[b] + H_NORM_SLACK)}
                     for b, h in est.h_norms.items()}
@@ -706,7 +695,7 @@ def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
         if_ok = if_ok and z_ok
 
         entry = {
-            "kind": spec.kind,
+            "kind": "dirac" if dirac else "mixture",
             "eps": est.eps_used,
             "if_sup": est.sup_norm_estimate,
             "slack": slack,
@@ -721,16 +710,16 @@ def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
             "ladder": est.ladder,
             "satisfied": z_ok,
         }
-        if spec.kind == "dirac":
-            entry["z"] = {"x": spec.z_x.tolist(), "y": spec.z_y}
+        if dirac:
+            entry["z"] = {"x": q.X[0].tolist(), "y": float(q.y[0])}
         per_z.append(entry)
         if worst is None or est.sup_norm_estimate > worst[0]:
             worst = (est.sup_norm_estimate, entry)
 
     mb_report = None
     if maxbias_eps is not None:
-        specs = adversarial_q_specs(data, config.loss.is_classification)
-        mb_report = maxbias_probe(ctx, maxbias_eps, specs)
+        family = adversarial_q_specs(data, config.loss.is_classification)
+        mb_report = maxbias_probe(ctx, maxbias_eps, family)
 
     empirical = {
         "if_sup": max((e["if_sup"] for e in per_z), default=0.0),
@@ -767,9 +756,10 @@ def extreme_labels(data: Dataset, classification: bool) -> tuple[float, float]:
     return y_lo - 3.0 * spread, y_hi + 3.0 * spread
 
 
-def adversarial_q_specs(data: Dataset, classification: bool):
-    """Adversarial candidates: box corners and center with extreme labels,
-    plus a uniform label-flip mixture of the sample itself."""
+def adversarial_q_specs(data: Dataset, classification: bool) -> list:
+    """Adversarial contaminations Q: the Dirac points at the box corners (in
+    bit order) and then its center, each with the low and then the high
+    extreme label, and last a uniform label-flip mixture of the sample."""
     lo, hi = data.bounding_box()
     d = data.dim
     corners = []
@@ -783,8 +773,6 @@ def adversarial_q_specs(data: Dataset, classification: bool):
     else:
         flipped = float(data.y.min()) + float(data.y.max()) - data.y
 
-    specs = [ContaminationSpec.dirac(x, y)
+    return ([WeightedSample.dirac(x, y)
              for x in xs for y in extreme_labels(data, classification)]
-    flip_mixture = WeightedSample(data.X, flipped, np.full(data.n, 1.0 / data.n))
-    specs.append(ContaminationSpec(flip_mixture))
-    return specs
+            + [WeightedSample(data.X, flipped, np.full(data.n, 1.0 / data.n))])

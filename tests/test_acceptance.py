@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from localsvm import (AuditContext, ContaminationSpec, GaussianRBF,
+from localsvm import (AuditContext, GaussianRBF,
                       LambdaSchedule, LogisticClassification,
                       LogisticRegression, ModelConfig, PartitionConfig,
                       SyntheticTask, TrainConfig,
@@ -78,10 +78,9 @@ def audited_zs(sine_fixture):
     results = []
     for i, z_x in enumerate(mesh):
         z_y = (y_hi + 3.0 * spread) if i % 2 == 0 else (y_lo - 3.0 * spread)
-        spec = ContaminationSpec.dirac(z_x, z_y)
-        est = finite_diff_if(ctx, spec)
+        est = finite_diff_if(ctx, WeightedSample.dirac(z_x, z_y))
         resid = decomposition_check(est)
-        results.append((spec, est, resid))
+        results.append(((z_x, z_y), est, resid))
     return results
 
 
@@ -121,15 +120,15 @@ def test_criterion_2_if_sup_bound_audit(sine_fixture, audited_zs):
     sup_ok = True
     h_ok = True
     worst_sup = 0.0
-    for spec, est, _ in audited_zs:
+    for (z_x, z_y), est, _ in audited_zs:
         assert est.eps_used == 1.25e-3
         worst_sup = max(worst_sup, est.sup_norm_estimate)
         if est.sup_norm_estimate > bound.if_bound_rough:
             sup_ok = False
         for b, h in est.h_norms.items():
             sample_b = restrict(data, part, b)
-            if sample_b is not None and part.region(b).contains(spec.z_x):
-                tv_b = 2.0 * (1.0 - sample_b.atom_mass(spec.z_x, spec.z_y))
+            if sample_b is not None and part.region(b).contains(z_x):
+                tv_b = 2.0 * (1.0 - sample_b.atom_mass(z_x, z_y))
             else:
                 tv_b = 0.0
             if h > tv_b * lip / config.lam_for(b) + 1e-3:

@@ -12,7 +12,7 @@ from the secant through the rung above (``_secant_start``).
 import numpy as np
 import pytest
 
-from localsvm import (ComposedModel, ContaminationSpec, GaussianRBF, InputError,
+from localsvm import (ComposedModel, GaussianRBF, InputError,
                       Linear, LogisticClassification, LogisticRegression,
                       ModelConfig, Polynomial,
                       TrainConfig, WeightedSample, WeightScheme,
@@ -20,7 +20,7 @@ from localsvm import (ComposedModel, ContaminationSpec, GaussianRBF, InputError,
                       finite_diff_if, fit_composed, maxbias_probe, regionalize,
                       restrict, run_audit, train)
 from localsvm import composer, robustness
-from localsvm.robustness import AuditContext
+from localsvm.robustness import DEFAULT_EPS_LADDER, AuditContext
 from localsvm.solver import grad_scale
 from conftest import manual_partition, two_blobs
 
@@ -41,13 +41,12 @@ def _fixture(n_per=15, gap=1.5, tau=0.5, seed=0):
     return data, part, WeightScheme("normalized-indicator", part)
 
 
-def _specs(data, part, labels=(4.0, -4.0, 5.0)):
+def _qs(data, part, labels=(4.0, -4.0, 5.0)):
     """A Dirac point in each ball, one in their overlap, and a flip mixture."""
     c1, c2 = part.region(1).center, part.region(2).center
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
     zs = (c1, c2, (c1 + c2) / 2.0)
-    return ([ContaminationSpec.dirac(x, y) for x, y in zip(zs, labels)]
-            + [ContaminationSpec(flipped)])
+    return [WeightedSample.dirac(x, y) for x, y in zip(zs, labels)] + [flipped]
 
 
 def _secant_start(pad, above, eps):
@@ -57,9 +56,9 @@ def _secant_start(pad, above, eps):
     return pad + (eps / eps_above) * (alpha_above - pad)
 
 
-def _rebuild_retrain(data, part, config, base, spec, b, eps, above=None):
+def _rebuild_retrain(data, part, config, base, q, b, eps, above=None):
     """Retrain from pad(alpha), or from the secant start below ``above``."""
-    contaminated = contaminate_region(restrict(data, part, b), spec,
+    contaminated = contaminate_region(restrict(data, part, b), q,
                                       part.region(b), eps)
     extra = contaminated.n - base.locals[b].n_anchors
     pad = np.concatenate([base.locals[b].alpha, np.zeros(extra)])
@@ -76,26 +75,26 @@ def _rebuild_h_norm(tilde, base, eps):
     return float(np.sqrt(max(0.0, float(coef @ (G @ coef)))))
 
 
-def _touches(spec, sample, region):
-    return contaminate_region(sample, spec, region, 0.01) is not sample
+def _touches(q, sample, region):
+    return contaminate_region(sample, q, region, 0.01) is not sample
 
 
-def _touched(data, part, spec):
+def _touched(data, part, q):
     return [b for b in range(1, part.B + 1)
             if restrict(data, part, b) is not None
-            and _touches(spec, restrict(data, part, b), part.region(b))]
+            and _touches(q, restrict(data, part, b), part.region(b))]
 
 
-def _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base):
+def _rebuild_finite_diff_if(data, part, scheme, config, q, probes, base):
     """Per rung: (eps, sup, {b: h_norm}, {b: alpha})."""
     base_preds = base.predict(probes)
     rungs = []
-    for eps in spec.eps_ladder:
+    for eps in DEFAULT_EPS_LADDER:
         locals_b = dict(base.locals)
         h_norms, alphas = {}, {}
-        for b in _touched(data, part, spec):
+        for b in _touched(data, part, q):
             above = (rungs[-1][0], rungs[-1][3][b]) if rungs else None
-            tilde = _rebuild_retrain(data, part, config, base, spec, b, eps, above)
+            tilde = _rebuild_retrain(data, part, config, base, q, b, eps, above)
             locals_b[b] = tilde
             alphas[b] = tilde.alpha
             h_norms[b] = _rebuild_h_norm(tilde, base.locals[b], eps)
@@ -105,14 +104,14 @@ def _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base):
     return rungs
 
 
-def _rebuild_maxbias_shifts(data, part, scheme, config, eps, specs, probes, base):
+def _rebuild_maxbias_shifts(data, part, scheme, config, eps, qs, probes, base):
     base_preds = base.predict(probes)
     shifts = []
-    for spec in specs:
+    for q in qs:
         locals_b = dict(base.locals)
-        for b in _touched(data, part, spec):
+        for b in _touched(data, part, q):
             if eps[b - 1] != 0.0:
-                locals_b[b] = _rebuild_retrain(data, part, config, base, spec, b,
+                locals_b[b] = _rebuild_retrain(data, part, config, base, q, b,
                                                eps[b - 1])
         tilde = ComposedModel(locals_b, scheme)
         shifts.append(float(np.abs(tilde.predict(probes) - base_preds).max()))
@@ -125,14 +124,14 @@ def test_bordered_gram_and_probe_block_match_rebuilt(kernel):
     config = _config(kernel=kernel)
     ctx = AuditContext(data, scheme, config, probes=default_probes(data, 64))
     checked = 0
-    for spec in _specs(data, part):
+    for q in _qs(data, part):
         for b, blocks in ctx.regions.items():
-            bordered = ctx.border(b, spec)
+            bordered = ctx.border(b, q)
             if bordered is None:
-                assert not _touches(spec, blocks.sample, part.region(b))
+                assert not _touches(q, blocks.sample, part.region(b))
                 continue
             contaminated = bordered.contaminated(0.01)
-            rebuilt = contaminate_region(blocks.sample, spec, part.region(b), 0.01)
+            rebuilt = contaminate_region(blocks.sample, q, part.region(b), 0.01)
             np.testing.assert_array_equal(contaminated.X, rebuilt.X)
             np.testing.assert_array_equal(contaminated.weights, rebuilt.weights)
             gram = kernel.gram(rebuilt.X)
@@ -156,7 +155,7 @@ def test_bordering_the_label_flip_mixture_makes_no_kernel_call(kernel, monkeypat
     data, part, scheme = _fixture()
     ctx = AuditContext(data, scheme, _config(kernel=kernel),
                        probes=default_probes(data, 64))
-    flip = _specs(data, part)[-1]
+    flip = _qs(data, part)[-1]
 
     def no_kernel(*args, **kwargs):
         raise AssertionError("bordering the label-flip mixture evaluated the kernel")
@@ -182,10 +181,10 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
     probes = default_probes(data, 64)
     base = fit_composed(data, scheme, config, threads=threads)
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
-    for spec in _specs(data, part):
-        est = finite_diff_if(ctx, spec)
-        ref = _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base)
-        assert sorted(est.per_region) == _touched(data, part, spec)
+    for q in _qs(data, part):
+        est = finite_diff_if(ctx, q)
+        ref = _rebuild_finite_diff_if(data, part, scheme, config, q, probes, base)
+        assert sorted(est.per_region) == _touched(data, part, q)
         assert len(est.ladder) == len(ref)
         for k, (rung, (eps, sup, h_norms, alphas)) in enumerate(zip(est.ladder, ref)):
             assert rung["eps"] == eps
@@ -193,7 +192,7 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
             for b, h in h_norms.items():
                 assert rung["h_norms"][b] == pytest.approx(h, rel=1e-12, abs=0.0)
             for b, alpha in alphas.items():
-                bordered = ctx.border(b, spec)
+                bordered = ctx.border(b, q)
                 start = None if k == 0 else _secant_start(
                     bordered.warm_start, (ref[k - 1][0], ref[k - 1][3][b]), eps)
                 retrained = ctx.retrain(bordered, eps, start)
@@ -204,7 +203,7 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
 
         # a context of its own, built from the same probes and base: same numbers
         alone = finite_diff_if(AuditContext(data, scheme, config,
-                                            probes=probes, base=base), spec)
+                                            probes=probes, base=base), q)
         assert [r["sup"] for r in alone.ladder] == [r["sup"] for r in est.ladder]
         assert alone.h_norms == est.h_norms
 
@@ -215,9 +214,9 @@ def test_finite_diff_if_matches_rebuild_reference_polynomial():
     probes = default_probes(data, 64)
     base = fit_composed(data, scheme, config)
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
-    for spec in _specs(data, part)[:2]:
-        est = finite_diff_if(ctx, spec)
-        ref = _rebuild_finite_diff_if(data, part, scheme, config, spec, probes, base)
+    for q in _qs(data, part)[:2]:
+        est = finite_diff_if(ctx, q)
+        ref = _rebuild_finite_diff_if(data, part, scheme, config, q, probes, base)
         for rung, (_, sup, h_norms, _) in zip(est.ladder, ref):
             assert rung["sup"] == pytest.approx(sup, rel=1e-6)
             for b, h in h_norms.items():
@@ -232,10 +231,10 @@ def test_maxbias_probe_matches_rebuild_reference(threads):
     probes = default_probes(data, 64)
     base = fit_composed(data, scheme, config, threads=threads)
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
-    specs = adversarial_q_specs(data, classification=False)
+    qs = adversarial_q_specs(data, classification=False)
     for eps in (np.array([0.1, 0.1]), np.array([0.0, 0.2])):
-        report = maxbias_probe(ctx, eps, specs)
-        ref = _rebuild_maxbias_shifts(data, part, scheme, config, eps, specs,
+        report = maxbias_probe(ctx, eps, qs)
+        ref = _rebuild_maxbias_shifts(data, part, scheme, config, eps, qs,
                                       probes, base)
         got = report.empirical["per_q_shifts"]
         assert len(got) == len(ref)
@@ -261,8 +260,8 @@ def test_run_audit_builds_per_run_state_once(monkeypatch):
 
     monkeypatch.setattr(robustness, "restrict", counting_restrict)
     monkeypatch.setattr(robustness, "_region_factors", counting_factors)
-    specs = _specs(data, part)
-    report = run_audit(data, scheme, config, specs, maxbias_eps=0.1,
+    qs = _qs(data, part)
+    report = run_audit(data, scheme, config, qs, maxbias_eps=0.1,
                        probes=default_probes(data, 32), base=base)
     assert report.all_satisfied
     assert calls == {"restrict": part.B, "factors": 1}
@@ -292,11 +291,11 @@ def test_run_audit_hands_its_one_context_to_every_step(monkeypatch):
     monkeypatch.setattr(AuditContext, "__init__", counting_init)
     for name in ("finite_diff_if", "maxbias_probe"):
         monkeypatch.setattr(robustness, name, recorder(name))
-    specs = _specs(data, part)
-    run_audit(data, scheme, config, specs, maxbias_eps=0.1,
+    qs = _qs(data, part)
+    run_audit(data, scheme, config, qs, maxbias_eps=0.1,
               probes=default_probes(data, 32), base=base, threads=2)
     assert len(built) == 1
-    assert [name for name, _ in seen] == (["finite_diff_if"] * len(specs)
+    assert [name for name, _ in seen] == (["finite_diff_if"] * len(qs)
                                           + ["maxbias_probe"])
     assert all(context is built[0] for _, context in seen)
 
@@ -311,9 +310,9 @@ def test_run_audit_retrains_without_a_thread_pool(monkeypatch):
         raise AssertionError("the audit started a thread pool")
 
     monkeypatch.setattr(composer, "ThreadPoolExecutor", no_pool)
-    specs = _specs(data, part)
-    assert sum(len(_touched(data, part, spec)) > 1 for spec in specs) >= 1
-    report = run_audit(data, scheme, config, specs, maxbias_eps=0.1,
+    qs = _qs(data, part)
+    assert sum(len(_touched(data, part, q)) > 1 for q in qs) >= 1
+    report = run_audit(data, scheme, config, qs, maxbias_eps=0.1,
                        probes=default_probes(data, 32), base=base, threads=2)
     assert report.all_satisfied
     assert not hasattr(AuditContext(data, scheme, config, base=base), "threads")
@@ -359,7 +358,7 @@ def test_context_rejects_a_null_region_mismatch():
     probes = np.vstack([X, [[9.0, 9.0]]])
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     assert ctx.regions[2].sample is None
-    assert ctx.border(2, ContaminationSpec.dirac([9.0, 9.0], 1.0)) is None
+    assert ctx.border(2, WeightedSample.dirac([9.0, 9.0], 1.0)) is None
     shifted = type(data)(np.vstack([X, [[9.0, 9.0]]]), np.zeros(13))
     with pytest.raises(InputError, match="anchors differ"):
         AuditContext(shifted, scheme, config, probes=probes, base=base)
@@ -379,22 +378,22 @@ def test_chained_ladder_matches_the_cold_ladder_within_the_audit_slack(
     probes = default_probes(data, 64)
     base = fit_composed(data, scheme, config)
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
-    specs = _specs(data, part, labels)
-    chained = [finite_diff_if(ctx, spec) for spec in specs]
-    report = run_audit(data, scheme, config, specs, probes=probes, base=base)
+    qs = _qs(data, part, labels)
+    chained = [finite_diff_if(ctx, q) for q in qs]
+    report = run_audit(data, scheme, config, qs, probes=probes, base=base)
     # the ladder it replaced: every rung starts from pad(alpha)
     retrain = AuditContext.retrain
     monkeypatch.setattr(AuditContext, "retrain",
                         lambda self, bordered, eps, start=None:
                         retrain(self, bordered, eps))
-    cold = [finite_diff_if(ctx, spec) for spec in specs]
-    cold_report = run_audit(data, scheme, config, specs, probes=probes, base=base)
+    cold = [finite_diff_if(ctx, q) for q in qs]
+    cold_report = run_audit(data, scheme, config, qs, probes=probes, base=base)
 
     for est, ref in zip(chained, cold):
         # the audit's own slack: both retrains stop within grad_tol of the
         # optimum, and the quotient divides their difference by eps
-        tol = config.train.grad_tol * max(grad_scale(q.gram)
-                                          for q in est.per_region.values())
+        tol = config.train.grad_tol * max(grad_scale(local.gram)
+                                          for local in est.per_region.values())
         for rung, ref_rung in zip(est.ladder, ref.ladder, strict=True):
             slack = 10.0 * tol / rung["eps"]
             assert abs(rung["sup"] - ref_rung["sup"]) <= slack
@@ -412,11 +411,11 @@ def test_chained_bottom_rung_takes_fewer_newton_steps_than_a_cold_start(kernel):
     ctx = AuditContext(data, scheme, _config(kernel=kernel),
                        probes=default_probes(data, 64))
     checked = 0
-    for spec in _specs(data, part):
-        est = finite_diff_if(ctx, spec)
-        for b, q in est.per_region.items():
-            cold = ctx.retrain(ctx.border(b, spec), est.eps_used)
-            assert (q.tilde.solve_info.newton_iters
-                    < cold.solve_info.newton_iters), (spec.kind, b)
+    for q in _qs(data, part):
+        est = finite_diff_if(ctx, q)
+        for b, local in est.per_region.items():
+            cold = ctx.retrain(ctx.border(b, q), est.eps_used)
+            assert (local.tilde.solve_info.newton_iters
+                    < cold.solve_info.newton_iters), (q.n, b)
             checked += 1
-    assert checked == 6  # every touched region of every spec
+    assert checked == 6  # every touched region of every Q

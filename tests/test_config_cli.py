@@ -303,6 +303,63 @@ def test_cli_missing_csv_exits_2(tmp_path, capsys):
     assert "not found" in capsys.readouterr().err
 
 
+def _one_error_line_naming(capsys, path):
+    err = capsys.readouterr().err
+    assert "error: " in err and err.count("\n") == 1, err
+    assert str(path) in err, err
+
+
+@pytest.mark.parametrize("content", [b"", b"\xff\xfe\x00\x80 binary"],
+                         ids=["directory", "binary"])
+def test_cli_unreadable_csv_exits_2(tmp_path, capsys, content):
+    path = tmp_path / "data.csv"
+    if content:
+        path.write_bytes(content)
+    else:
+        path.mkdir()
+    cfg = base_config(dataset={"kind": "csv", "path": str(path)})
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", cfg_path, "--out", str(tmp_path)]) == 2
+    _one_error_line_naming(capsys, path)
+
+
+def test_cli_config_naming_a_directory_exits_2(tmp_path, capsys):
+    assert cli.main(["train", "--config", str(tmp_path)]) == 2
+    _one_error_line_naming(capsys, tmp_path)
+
+
+def test_cli_binary_config_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(b"\xff\xfe\x00\x80 binary")
+    assert cli.main(["train", "--config", str(path)]) == 2
+    _one_error_line_naming(capsys, path)
+
+
+def test_cli_out_naming_a_file_exits_2(tmp_path, capsys):
+    out = tmp_path / "taken"
+    out.write_text("")
+    cfg_path = write_config(tmp_path, base_config())
+    assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    _one_error_line_naming(capsys, out)
+
+
+def test_cli_out_below_a_file_exits_2(tmp_path, capsys):
+    (tmp_path / "taken").write_text("")
+    out = tmp_path / "taken" / "sub"
+    cfg_path = write_config(tmp_path, base_config())
+    assert cli.main(["train", "--config", cfg_path, "--out", str(out)]) == 2
+    _one_error_line_naming(capsys, out)
+
+
+def test_cli_audit_model_naming_a_directory_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, base_config(audit={"z_grid": 2}))
+    model = tmp_path / "model"
+    model.mkdir()
+    assert cli.main(["audit", "--config", cfg_path, "--model", str(model),
+                     "--out", str(tmp_path)]) == 2
+    _one_error_line_naming(capsys, model)
+
+
 def test_cli_bad_config_exits_2(tmp_path, capsys):
     cfg_path = write_config(tmp_path, base_config(bogus={}))
     rc = cli.main(["train", "--config", cfg_path])

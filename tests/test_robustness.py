@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from localsvm import (AuditContext, ContaminationSpec, Dataset, GaussianRBF,
-                      InputError,
+from localsvm import (AuditContext, Dataset, GaussianRBF, InputError,
                       LadderConvergenceWarning, Linear, LogisticClassification,
                       LogisticRegression, ModelConfig, Polynomial, TrainConfig,
                       WeightScheme, WeightedSample, adversarial_q_specs,
                       contaminate_region, decomposition_check, default_probes,
                       finite_diff_if, fit_composed, if_bound, maxbias_probe,
                       regionalize, restrict, run_audit, tv_refined_if_bound)
+from localsvm import composer, robustness
 from conftest import manual_partition, two_blobs
 
 REG = LogisticRegression()
@@ -28,37 +28,97 @@ def _fixture(n_per=15, gap=6.0, seed=0, b=2, tau=0.25):
     return data, part, scheme
 
 
-def test_spec_validation():
-    with pytest.raises(InputError):
-        ContaminationSpec.dirac([0.0, 0.0], 1.0, eps_ladder=(0.6, 0.3))
-    with pytest.raises(InputError):
-        ContaminationSpec.dirac([0.0, 0.0], 1.0, eps_ladder=(1e-3, 1e-2))
-    with pytest.raises(InputError):
-        ContaminationSpec(None, eps_ladder=(1e-2, 1e-3))  # Q not a sample
-    spec = ContaminationSpec.dirac([0.0, 0.0], 1.0)
-    assert spec.kind == "dirac"
+@pytest.fixture
+def train_calls(monkeypatch):
+    """Every train call of a base fit or an audit retrain, recorded."""
+    calls = []
+    for module in (composer, robustness):
+        def spy(*args, _train=module.train, **kwargs):
+            calls.append(kwargs.get("region_id"))
+            return _train(*args, **kwargs)
+        monkeypatch.setattr(module, "train", spy)
+    return calls
+
+
+def test_eps_ladder_and_q_validation():
+    data, part, scheme = _fixture(n_per=10)
+    ctx = AuditContext(data, scheme, _config(), probes=data.X)
+    z = WeightedSample.dirac(part.region(1).center, 1.0)
+    for ladder in ((0.6, 0.3), (1e-3, 1e-2), (1e-2, 0.0)):
+        with pytest.raises(InputError, match="eps ladder"):
+            finite_diff_if(ctx, z, ladder)
+    with pytest.raises(InputError, match="must be a WeightedSample"):
+        finite_diff_if(ctx, None)  # Q not a sample
+    assert z.n == 1 and z.weights.tolist() == [1.0]
+
+
+@pytest.mark.parametrize("ladder", [(0.6, 0.3), (1e-3, 1e-2), (1e-2,)],
+                         ids=["above-half", "increasing", "one-rung"])
+def test_run_audit_rejects_a_bad_ladder_or_q_before_training(ladder, train_calls):
+    data, part, scheme = _fixture(n_per=10)
+    z = WeightedSample.dirac(part.region(1).center, 1.0)
+    with pytest.raises(InputError, match="eps ladder"):
+        run_audit(data, scheme, _config(), [z], probes=data.X, eps_ladder=ladder)
+    with pytest.raises(InputError, match="must be a WeightedSample"):
+        run_audit(data, scheme, _config(), [z, (z.X[0], 1.0)], probes=data.X)
+    assert train_calls == []
+
+
+@pytest.mark.parametrize("z_x", [[0.0, 0.0, 0.0], [50.0], [0.0]],
+                         ids=["3-d", "1-d-outside", "1-d-inside"])
+def test_contamination_of_another_dimension_is_rejected(z_x, train_calls):
+    # unchecked, a 1-d z broadcasts against 2-d balls, and an audit at
+    # z = [50] reads influence 0 and passes
+    data, part, scheme = _fixture(n_per=10)
+    config = _config()
+    z = WeightedSample.dirac(z_x, 1.0)
+    wrong = f"dimension {len(z_x)}, but the data has dimension 2"
+    with pytest.raises(InputError, match=wrong):
+        run_audit(data, scheme, config, [z], probes=data.X)  # before the base fit
+    assert train_calls == []
+    base = fit_composed(data, scheme, config)
+    ctx = AuditContext(data, scheme, config, probes=data.X, base=base)
+    good = WeightedSample.dirac(part.region(1).center, 1.0)
+    train_calls.clear()
+    with pytest.raises(InputError, match=wrong):
+        finite_diff_if(ctx, z)
+    with pytest.raises(InputError, match=wrong):
+        maxbias_probe(ctx, 0.1, [good, z])
+    with pytest.raises(InputError, match=wrong):
+        run_audit(data, scheme, config, [good, z], probes=data.X, base=base)
+    assert train_calls == []
+    with pytest.raises(InputError, match=wrong):
+        contaminate_region(restrict(data, part, 1), z, part.region(1), 0.01)
+    with pytest.raises(InputError, match=wrong):
+        tv_refined_if_bound(data, scheme, config, z_x, 1.0)
+    finite_diff_if(ctx, good, (1e-2, 5e-3))
+    assert train_calls  # the spy sees the audit's retrains
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf],
                          ids=["nan", "inf", "-inf"])
 @pytest.mark.parametrize("where", ["z_x", "z_y"])
 def test_spec_rejects_non_finite_z(where, bad):
-    # a NaN z lies in no region, so its audit would read influence 0
+    # a NaN z lies in no region, so its audit would read influence 0 and
+    # its TV-refined bound 0
     z_x, z_y = [0.0, 0.0], 1.0
     if where == "z_x":
         z_x = [0.0, bad]
     else:
         z_y = bad
     with pytest.raises(InputError, match="non-finite"):
-        ContaminationSpec.dirac(z_x, z_y)
+        WeightedSample.dirac(z_x, z_y)
+    data, part, scheme = _fixture(n_per=5)
+    with pytest.raises(InputError, match="non-finite"):
+        tv_refined_if_bound(data, scheme, _config(), z_x, z_y)
 
 
 def test_contaminate_region_dirac_inside():
     X = np.random.default_rng(0).normal(size=(99, 2)) * 0.1
     sample = WeightedSample(X, np.zeros(99), np.full(99, 1.0 / 99.0))
     part = manual_partition([[0.0, 0.0]], [5.0])
-    spec = ContaminationSpec.dirac([0.5, 0.5], 7.0)
-    out = contaminate_region(sample, spec, part.region(1), eps=0.01)
+    z = WeightedSample.dirac([0.5, 0.5], 7.0)
+    out = contaminate_region(sample, z, part.region(1), eps=0.01)
     assert out.n == 100
     np.testing.assert_allclose(out.weights[:99], 0.99 / 99.0)
     assert out.weights[-1] == 0.01
@@ -70,8 +130,8 @@ def test_contaminate_region_dirac_outside_returns_same_object():
     X = np.zeros((5, 2))
     sample = WeightedSample(X, np.zeros(5), np.full(5, 0.2))
     part = manual_partition([[0.0, 0.0]], [1.0])
-    spec = ContaminationSpec.dirac([9.0, 9.0], 1.0)
-    out = contaminate_region(sample, spec, part.region(1), eps=0.01)
+    z = WeightedSample.dirac([9.0, 9.0], 1.0)
+    out = contaminate_region(sample, z, part.region(1), eps=0.01)
     assert out is sample
 
 
@@ -80,9 +140,8 @@ def test_contaminate_region_mixture_reduces_to_dirac():
     sample = WeightedSample(X, np.zeros(10), np.full(10, 0.1))
     part = manual_partition([[0.0, 0.0]], [5.0])
     z_x, z_y = np.array([0.2, -0.1]), 3.0
-    dirac = ContaminationSpec.dirac(z_x, z_y)
-    q = WeightedSample(z_x[None, :], np.array([z_y]), np.array([1.0]))
-    mixture = ContaminationSpec(q)
+    dirac = WeightedSample.dirac(z_x, z_y)
+    mixture = WeightedSample(z_x[None, :], np.array([z_y]), np.array([1.0]))
     a = contaminate_region(sample, dirac, part.region(1), eps=0.05)
     b = contaminate_region(sample, mixture, part.region(1), eps=0.05)
     np.testing.assert_array_equal(a.X, b.X)
@@ -91,22 +150,34 @@ def test_contaminate_region_mixture_reduces_to_dirac():
 
 
 def test_one_atom_mixture_is_a_dirac_spec():
-    spec = ContaminationSpec(WeightedSample([[0.2, -0.1]], [3.0], [1.0]))
-    assert spec.kind == "dirac" and spec.z_y == 3.0
-    np.testing.assert_array_equal(spec.z_x, [0.2, -0.1])
-    two = WeightedSample([[0.0, 0.0], [1.0, 0.0]], [1.0, -1.0], [0.5, 0.5])
-    spec2 = ContaminationSpec(two)
-    assert spec2.kind == "mixture" and spec2.z_x is None and spec2.z_y is None
+    # a one-atom Q, however it is built, is the Dirac point z and gets the
+    # TV-refined bound; a Q of two atoms is a mixture
+    data, part, scheme = _fixture(n_per=10, gap=4.0)
+    config = _config()
+    z_x = part.region(1).center
+    qs = [WeightedSample([z_x], [3.0], [1.0]), WeightedSample.dirac(z_x, 3.0),
+          WeightedSample([z_x, part.region(2).center], [3.0, -3.0], [0.5, 0.5])]
+    report = run_audit(data, scheme, config, qs, maxbias_eps=None,
+                       probes=data.X, eps_ladder=(1e-2, 5e-3))
+    refined = tv_refined_if_bound(data, scheme, config, z_x, 3.0)
+    for entry in report.per_z[:2]:
+        assert entry["kind"] == "dirac"
+        assert entry["z"] == {"x": z_x.tolist(), "y": 3.0}
+        assert entry["tv_refined_bound"] == refined
+    assert report.per_z[0] == report.per_z[1]
+    mixture = report.per_z[2]
+    assert mixture["kind"] == "mixture" and "z" not in mixture
+    assert mixture["tv_refined_bound"] is None
 
 
 def test_contaminate_region_eps_validation():
     X = np.zeros((3, 2))
     sample = WeightedSample(X, np.zeros(3), np.full(3, 1 / 3))
     part = manual_partition([[0.0, 0.0]], [1.0])
-    spec = ContaminationSpec.dirac([0.0, 0.0], 1.0)
+    z = WeightedSample.dirac([0.0, 0.0], 1.0)
     for eps in (0.0, 0.5, 0.7, -0.1):
         with pytest.raises(InputError):
-            contaminate_region(sample, spec, part.region(1), eps=eps)
+            contaminate_region(sample, z, part.region(1), eps=eps)
 
 
 def test_if_bound_arithmetic_examples():
@@ -156,9 +227,8 @@ def test_finite_diff_if_localized_to_touched_regions():
     probes = default_probes(data, 64)
     # z inside region 2's ball only
     c2 = part.region(2).center
-    spec = ContaminationSpec.dirac(c2, 5.0)
     est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
-                         spec)
+                         WeightedSample.dirac(c2, 5.0))
     assert set(est.per_region) == {2}
     assert 1 not in est.per_region
     assert est.h_norms[1] == 0.0
@@ -174,10 +244,9 @@ def test_finite_diff_if_stationary_contamination_gives_zero():
     part = manual_partition([[0.0, 0.0]], [5.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config()
-    spec = ContaminationSpec.dirac(X[0], 0.0)
     probes = default_probes(data, 32)
     est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
-                         spec)
+                         WeightedSample.dirac(X[0], 0.0))
     assert est.sup_norm_estimate <= 1e-8
 
 
@@ -190,31 +259,26 @@ def test_finite_diff_if_sup_below_rough_bound():
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.uniform(data.X.min(0), data.X.max(0))
-        spec = ContaminationSpec.dirac(x, float(rng.uniform(-8, 8)))
-        est = finite_diff_if(ctx, spec)
+        est = finite_diff_if(ctx, WeightedSample.dirac(x, float(rng.uniform(-8, 8))))
         assert est.sup_norm_estimate <= bound
         assert est.converged
 
 
 def test_finite_diff_if_needs_two_rungs():
     data, part, scheme = _fixture()
-    spec = ContaminationSpec.dirac(np.zeros(2), 1.0, eps_ladder=(1e-2, 5e-3))
-    short = ContaminationSpec.dirac(np.zeros(2), 1.0, eps_ladder=(1e-2,))
     ctx = AuditContext(data, scheme, _config(), probes=data.X)
     with pytest.raises(InputError):
-        finite_diff_if(ctx, short)
-    del spec
+        finite_diff_if(ctx, WeightedSample.dirac(np.zeros(2), 1.0), (1e-2,))
 
 
 def test_ladder_warning_when_not_contracting():
     data, part, scheme = _fixture(n_per=10)
     config = _config()
     # nearly equal rungs leave the residual noise-dominated: ratio ~ 1
-    spec = ContaminationSpec.dirac(part.region(1).center, 4.0,
-                                   eps_ladder=(1.0e-2, 0.99e-2, 0.98e-2))
     ctx = AuditContext(data, scheme, config, probes=data.X)
     with pytest.warns(LadderConvergenceWarning):
-        est = finite_diff_if(ctx, spec)
+        est = finite_diff_if(ctx, WeightedSample.dirac(part.region(1).center, 4.0),
+                             (1.0e-2, 0.99e-2, 0.98e-2))
     assert not est.converged
 
 
@@ -226,8 +290,7 @@ def test_decomposition_identity():
     rng = np.random.default_rng(5)
     for _ in range(3):
         x = rng.uniform(data.X.min(0), data.X.max(0))
-        spec = ContaminationSpec.dirac(x, float(rng.uniform(-6, 6)))
-        est = finite_diff_if(ctx, spec)
+        est = finite_diff_if(ctx, WeightedSample.dirac(x, float(rng.uniform(-6, 6))))
         assert decomposition_check(est) <= 1e-10
 
 
@@ -235,9 +298,8 @@ def test_decomposition_single_region_is_weighted_local():
     data, part, scheme = _fixture(gap=10.0, tau=0.0)
     config = _config()
     probes = default_probes(data, 64)
-    spec = ContaminationSpec.dirac(part.region(1).center, 3.0)
     est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
-                         spec)
+                         WeightedSample.dirac(part.region(1).center, 3.0))
     W, _ = scheme.weights_many(probes)
     rows = W[:, 0] != 0
     manual = np.zeros(len(probes))
@@ -249,9 +311,8 @@ def test_decomposition_check_uses_the_context_weights(monkeypatch):
     data, part, scheme = _fixture(n_per=15, gap=1.5, tau=0.5)
     probes = default_probes(data, 64)
     overlap = (part.region(1).center + part.region(2).center) / 2.0
-    spec = ContaminationSpec.dirac(overlap, 2.0)
     est = finite_diff_if(AuditContext(data, scheme, _config(), probes=probes),
-                         spec)
+                         WeightedSample.dirac(overlap, 2.0))
     assert len(est.per_region) == 2
 
     def no_weights(*args, **kwargs):
@@ -352,9 +413,8 @@ def test_maxbias_bound_arithmetic():
     part = manual_partition([[0.0, 0.0]], [50.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config(lam=0.5)
-    specs = [ContaminationSpec.dirac([1.0, 1.0], 5.0)]
     report = maxbias_probe(AuditContext(data, scheme, config, probes=data.X),
-                           0.1, specs)
+                           0.1, [WeightedSample.dirac([1.0, 1.0], 5.0)])
     assert report.maxbias_bound == pytest.approx(0.4, rel=1e-15)
     assert report.empirical["maxbias_sup"] <= 0.4
 
@@ -382,19 +442,25 @@ def test_maxbias_eps_validation():
 
 
 def test_adversarial_q_family_structure():
+    # the 2^2 corners in bit order, then the center, each with the low and
+    # then the high extreme label; the label-flip mixture last
     data = two_blobs(n_per=10, seed=11)
-    specs = adversarial_q_specs(data, classification=False)
-    # 2^2 corners + center, two extreme labels each, plus one flip mixture
-    assert len(specs) == 11
-    kinds = [s.kind for s in specs]
-    assert kinds.count("mixture") == 1 and kinds.count("dirac") == 10
+    lo, hi = data.bounding_box()
+    points = [lo, [hi[0], lo[1]], [lo[0], hi[1]], hi, (lo + hi) / 2.0]
     y_lo, y_hi = data.y.min(), data.y.max()
     spread = y_hi - y_lo
-    dirac_labels = {s.z_y for s in specs if s.kind == "dirac"}
-    assert dirac_labels == {y_lo - 3 * spread, y_hi + 3 * spread}
-
-    cls_specs = adversarial_q_specs(data, classification=True)
-    assert {s.z_y for s in cls_specs if s.kind == "dirac"} == {-1.0, 1.0}
+    for classification, labels, flipped in (
+            (False, (y_lo - 3 * spread, y_hi + 3 * spread), y_lo + y_hi - data.y),
+            (True, (-1.0, 1.0), -data.y)):
+        qs = adversarial_q_specs(data, classification=classification)
+        assert len(qs) == 11 and all(isinstance(q, WeightedSample) for q in qs)
+        for q, (x, y) in zip(qs, [(x, y) for x in points for y in labels]):
+            np.testing.assert_array_equal(q.X, [x])
+            assert q.y.tolist() == [y] and q.weights.tolist() == [1.0]
+        np.testing.assert_array_equal(qs[-1].X, data.X)
+        np.testing.assert_array_equal(qs[-1].y, flipped)
+        np.testing.assert_array_equal(qs[-1].weights,
+                                      np.full(data.n, 1.0 / data.n))
 
 
 def test_finite_diff_if_mixture_spec():
@@ -402,9 +468,8 @@ def test_finite_diff_if_mixture_spec():
     config = _config()
     probes = default_probes(data, 64)
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
-    spec = ContaminationSpec(flipped)
     est = finite_diff_if(AuditContext(data, scheme, config, probes=probes),
-                         spec)
+                         flipped)
     assert set(est.per_region) == {1, 2}
     assert est.sup_norm_estimate > 0.0
     assert decomposition_check(est) <= 1e-10
@@ -417,9 +482,8 @@ def test_run_audit_with_mixture_spec():
     config = _config()
     probes = default_probes(data, 32)
     flipped = WeightedSample(data.X, -data.y, np.full(data.n, 1.0 / data.n))
-    specs = [ContaminationSpec(flipped, eps_ladder=(1e-2, 5e-3))]
-    report = run_audit(data, scheme, config, specs, maxbias_eps=None,
-                       probes=probes)
+    report = run_audit(data, scheme, config, [flipped], maxbias_eps=None,
+                       probes=probes, eps_ladder=(1e-2, 5e-3))
     assert report.satisfied == {"if": True}
     assert report.maxbias_bound is None
     assert report.if_bound_tv is None  # TV refinement applies to Dirac z only
@@ -430,9 +494,9 @@ def test_run_audit_report_schema_and_flags():
     data, part, scheme = _fixture(n_per=12, gap=4.0)
     config = _config()
     probes = default_probes(data, 64)
-    z_specs = [ContaminationSpec.dirac(part.region(1).center, 4.0),
-               ContaminationSpec.dirac(part.region(2).center, -4.0)]
-    report = run_audit(data, scheme, config, z_specs, maxbias_eps=0.1,
+    qs = [WeightedSample.dirac(part.region(1).center, 4.0),
+          WeightedSample.dirac(part.region(2).center, -4.0)]
+    report = run_audit(data, scheme, config, qs, maxbias_eps=0.1,
                        probes=probes)
     d = report.to_dict()
     assert set(d) >= {"if_bound_rough", "if_bound_tv", "maxbias_bound",
