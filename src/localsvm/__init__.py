@@ -6,11 +6,10 @@ predictor's robustness against closed-form influence-function and maxbias
 bounds.
 """
 
-from .composer import (ComposedModel, ModelConfig, RegionTrainingError,
-                       empirical_risk, fit_composed, predict_composed)
+from .composer import (ComposedModel, ModelConfig, empirical_risk, fit_composed,
+                       predict_composed)
 from .data import Dataset, WeightedSample
-from .errors import (ConvergenceError, InputError, InsufficientDataError,
-                     LocalSvmError)
+from .errors import ConvergenceError, InputError, LocalSvmError
 from .experiments import (LambdaSchedule, PartitionConfig, SyntheticTask,
                           consistency_trend, generate, tradeoff_sweep)
 from .kernels import (GaussianRBF, Kernel, Linear, Polynomial, kernel_from_dict,
@@ -31,12 +30,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AuditContext", "AuditReport", "ComposedModel", "ConvergenceError", "Dataset",
-    "GaussianRBF", "IdentityReport", "InfluenceEstimate", "InputError",
-    "InsufficientDataError", "Kernel",
+    "GaussianRBF", "IdentityReport", "InfluenceEstimate", "InputError", "Kernel",
     "LadderConvergenceWarning", "LambdaSchedule", "Linear", "LocalModel",
     "LocalSvmError", "LogisticClassification", "LogisticRegression",
     "ModelConfig", "PartitionConfig", "Polynomial", "RegionPartition",
-    "RegionPredicate", "RegionTrainingError", "SmoothLoss",
+    "RegionPredicate", "SmoothLoss",
     "SyntheticTask", "TrainConfig", "WeightScheme", "WeightedSample",
     "adversarial_q_specs", "audit_model_bounds", "consistency_trend",
     "contaminate_region", "decomposition_check", "default_probes",

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 1 a robustness bound was violated, 2 input or
 config error (or a non-finite output value, or a file that cannot be read
-or written), 3 solver non-convergence.
+or written), 3 solver non-convergence (the message names the region).
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .composer import ComposedModel, RegionTrainingError, fit_composed
+from .composer import ComposedModel, fit_composed
 from .config import (load_config, model_config_from_config,
                      partition_from_config, setup_from_config, task_from_config)
 from .data import WeightedSample
@@ -243,7 +243,7 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except (RegionTrainingError, ConvergenceError) as exc:
+    except ConvergenceError as exc:
         print(f"convergence error: {exc}", file=sys.stderr)
         return EXIT_CONVERGENCE
     except (LocalSvmError, OSError) as exc:

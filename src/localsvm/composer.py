@@ -9,7 +9,7 @@ from typing import Mapping
 import numpy as np
 
 from .data import Dataset, as_points
-from .errors import ConvergenceError, InputError, LocalSvmError
+from .errors import InputError
 from .kernels import Kernel
 from .losses import SmoothLoss
 from .regions import RegionPartition, WeightScheme, restrict
@@ -40,15 +40,6 @@ class ModelConfig:
 
     def lam_for(self, region_id: int) -> float:
         return self.train_for(region_id).lam
-
-
-class RegionTrainingError(LocalSvmError):
-    """A local training did not converge; carries the offending region id."""
-
-    def __init__(self, region_id, cause):
-        super().__init__(f"training failed in region {region_id}: {cause}")
-        self.region_id = region_id
-        self.cause = cause
 
 
 def compose(W: np.ndarray, local_predict) -> np.ndarray:
@@ -99,9 +90,6 @@ class ComposedModel:
     def predict(self, X) -> np.ndarray:
         return self.predict_with_coverage(X)[0]
 
-    def predict_one(self, x) -> float:
-        return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     def to_dict(self) -> dict:
         return {
             "partition": self.partition.to_dict(),
@@ -135,11 +123,8 @@ def _fit_one(data, partition, config, b):
     if sample_b is None:
         return LocalModel.zero(config.kernel_for(b), config.loss,
                                config.lam_for(b), b)
-    try:
-        return train(sample_b, config.kernel_for(b), config.loss,
-                     config.train_for(b), region_id=b)
-    except ConvergenceError as exc:
-        raise RegionTrainingError(b, exc) from exc
+    return train(sample_b, config.kernel_for(b), config.loss,
+                 config.train_for(b), region_id=b)
 
 
 def fit_composed(data: Dataset, scheme: WeightScheme, config: ModelConfig,

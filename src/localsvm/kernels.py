@@ -19,17 +19,16 @@ from .data import as_points
 from .errors import InputError
 from .regions import RegionPredicate
 
-# entries per row block inside the Gaussian-RBF kernel (512 KB of float64),
-# small enough that each elementwise pass over a block stays in L2
+# entries per row block inside the Gaussian-RBF kernel and per chunk of
+# ``Kernel.apply`` (512 KB of float64): small enough that each elementwise
+# pass over a block stays in L2, and that a chunk's cross-kernel is still in
+# cache when its matrix product reads it
 _BLOCK_BUDGET = 65_536
-# entries per chunk of ``Kernel.apply``: at 512 KB a chunk's cross-kernel
-# is still in cache when its matrix product reads it
-_CHUNK_BUDGET = _BLOCK_BUDGET
 
 
 def chunk_rows(m: int) -> int:
     """Rows per chunk so that a chunk against m columns stays within budget."""
-    return max(1, _CHUNK_BUDGET // max(1, m))
+    return max(1, _BLOCK_BUDGET // max(1, m))
 
 
 class Kernel:
@@ -73,14 +72,6 @@ class Kernel:
         """What ``_cross`` reuses across row blocks of up to ``rows`` rows
         against the columns Z: nothing, unless a family overrides it."""
         return None
-
-    def eval(self, x, xp) -> float:
-        """Evaluate k(x, x') for two single points."""
-        X = self._check(np.atleast_2d(np.asarray(x, dtype=float)))
-        Z = self._check(np.atleast_2d(np.asarray(xp, dtype=float)))
-        if X.shape[0] != 1 or Z.shape[0] != 1:
-            raise InputError("eval takes single points; use matrix() for batches")
-        return float(self._cross(X, Z)[0, 0])
 
     def matrix(self, X, Z) -> np.ndarray:
         """Cross-kernel matrix K[i, j] = k(X[i], Z[j])."""
@@ -198,7 +189,7 @@ class GaussianRBF(Kernel):
         n, m, d = X.shape[0], Z.shape[0], X.shape[1]
         if out is None:
             out = np.empty((n, m))
-        rows = max(1, _BLOCK_BUDGET // max(1, m))
+        rows = chunk_rows(m)
         if workspace is None:
             workspace = self._workspace(Z, min(rows, n))
         diff, zs = workspace

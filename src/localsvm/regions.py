@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .data import Dataset, WeightedSample, as_points
-from .errors import InputError, InsufficientDataError
+from .errors import InputError
 
 KIND_INDICATOR = "normalized-indicator"
 KIND_BUMP = "smooth-bump"
@@ -50,18 +50,22 @@ class RegionPredicate:
         if self.radius < 0:
             raise InputError(f"radius must be nonnegative, got {self.radius}")
 
-    def contains(self, x) -> bool:
-        x = np.asarray(x, dtype=float).reshape(1, -1)
-        return bool(_dist_to(x, self.center)[0] <= self.radius)
+    def _dist(self, X) -> np.ndarray:
+        """Distance from each row of X to the center; every ball test goes
+        through here, so points of another dimension are an InputError
+        instead of a silent broadcast."""
+        X = as_points(X)
+        if X.shape[1] != self.center.size:
+            raise InputError(f"region {self.id} is {self.center.size}-d, got "
+                             f"points of dimension {X.shape[1]}")
+        return _dist_to(X, self.center)
 
     def contains_many(self, X) -> np.ndarray:
-        X = as_points(X)
-        return _dist_to(X, self.center) <= self.radius
+        return self._dist(X) <= self.radius
 
     def gap(self, X) -> np.ndarray:
         """Distance from each row of X to the ball (0 inside)."""
-        X = as_points(X)
-        return np.maximum(0.0, _dist_to(X, self.center) - self.radius)
+        return np.maximum(0.0, self._dist(X) - self.radius)
 
     def to_dict(self) -> dict:
         return {"id": self.id, "center": self.center.tolist(),
@@ -77,6 +81,9 @@ class RegionPartition:
         ids = [r.id for r in self.regions]
         if ids != list(range(1, self.B + 1)):
             raise InputError(f"region ids must be 1..B, got {ids}")
+        dims = sorted({r.center.size for r in self.regions})
+        if len(dims) > 1:
+            raise InputError(f"regions must share one dimension, got {dims}")
 
     @property
     def B(self) -> int:
@@ -86,9 +93,6 @@ class RegionPartition:
         """Boolean (n, B) matrix of ball membership."""
         X = as_points(X)
         return np.column_stack([r.contains_many(X) for r in self.regions])
-
-    def covers(self, X) -> np.ndarray:
-        return self.membership(X).any(axis=1)
 
     def nearest_region_index(self, X) -> np.ndarray:
         """0-based index of the closest ball (ties to the lowest id)."""
@@ -170,7 +174,7 @@ def regionalize(points, b_target: int, tau: float = 0.0,
     if seed < 0:
         raise InputError(f"seed must be >= 0, got {seed}")
     if n < b_target * min_region_size:
-        raise InsufficientDataError(
+        raise InputError(
             f"{n} points cannot fill {b_target} regions of size >= {min_region_size}"
         )
 

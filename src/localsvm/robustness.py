@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import importlib.util
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Optional
 
@@ -251,15 +251,9 @@ class AuditReport:
         return all(self.satisfied.values())
 
     def to_dict(self) -> dict:
-        return {
-            "if_bound_rough": self.if_bound_rough,
-            "if_bound_tv": self.if_bound_tv,
-            "maxbias_bound": self.maxbias_bound,
-            "per_region_terms": self.per_region_terms,
-            "per_z": self.per_z,
-            "empirical": self.empirical,
-            "satisfied": self.satisfied,
-        }
+        # shallow, unlike dataclasses.asdict: the nested lists and dicts are
+        # already JSON values, and a deep copy costs milliseconds per audit
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _region_factors(scheme: WeightScheme, config: ModelConfig):
@@ -453,7 +447,8 @@ def _tv_by_region(samples, partition: RegionPartition, z: WeightedSample) -> dic
     for a null region and when z lies outside the ball, because the
     contaminated regional measure is then the original."""
     z_x, z_y = z.X[0], z.y[0]
-    return {b: 0.0 if sample is None or not partition.region(b).contains(z_x)
+    inside = partition.membership(z.X)[0]
+    return {b: 0.0 if sample is None or not inside[b - 1]
             else 2.0 * (1.0 - sample.atom_mass(z_x, z_y))
             for b, sample in samples.items()}
 

@@ -145,9 +145,6 @@ class LocalModel:
         so the full cross-kernel matrix is never held."""
         return self.kernel.apply(X, self.anchors, self.alpha)
 
-    def predict_one(self, x) -> float:
-        return float(self.predict(np.atleast_2d(np.asarray(x, dtype=float)))[0])
-
     def h_norm(self) -> float:
         """RKHS norm sqrt(alpha' G alpha) over the anchor Gram matrix; the
         Gram is built only when ``train`` recorded no ``h_norm_sq``."""
@@ -279,9 +276,10 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     ``gram`` is an optional precomputed ``kernel.gram(sample.X)``, for
     callers that retrain on one sample under several weightings; it is
     read, never written. Deterministic: identical inputs give
-    bitwise-identical coefficients. Raises ConvergenceError (with the best
-    iterate attached) if the gradient turns non-finite or the gradient
-    tolerance is not reached within ``cfg.max_iter`` iterations.
+    bitwise-identical coefficients. Raises ConvergenceError (with
+    ``region_id`` and the best iterate attached) if the gradient turns
+    non-finite or the gradient tolerance is not reached within
+    ``cfg.max_iter`` iterations.
     """
     y, w, lam = sample.y, sample.weights, cfg.lam
     n = sample.n
@@ -322,7 +320,7 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
         if not np.isfinite(gnorm):
             raise ConvergenceError(f"non-finite gradient after {steps} iterations",
                                    best_alpha=best_alpha, grad_norm=gnorm,
-                                   iterations=steps)
+                                   iterations=steps, region_id=region_id)
         if gnorm < best_gnorm:
             best_alpha, best_gnorm = alpha.copy(), gnorm
         if gnorm <= grad_tol:
@@ -369,7 +367,8 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     raise ConvergenceError(
         f"no convergence after {cfg.max_iter} iterations "
         f"(grad norm {best_gnorm:.3e} > tol {grad_tol:.3e})",
-        best_alpha=best_alpha, grad_norm=best_gnorm, iterations=cfg.max_iter)
+        best_alpha=best_alpha, grad_norm=best_gnorm, iterations=cfg.max_iter,
+        region_id=region_id)
 
 
 @dataclass(frozen=True)

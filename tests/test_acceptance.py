@@ -127,7 +127,7 @@ def test_criterion_2_if_sup_bound_audit(sine_fixture, audited_zs):
             sup_ok = False
         for b, h in est.h_norms.items():
             sample_b = restrict(data, part, b)
-            if sample_b is not None and part.region(b).contains(z_x):
+            if sample_b is not None and part.region(b).contains_many([z_x])[0]:
                 tv_b = 2.0 * (1.0 - sample_b.atom_mass(z_x, z_y))
             else:
                 tv_b = 0.0
@@ -317,7 +317,7 @@ def test_criterion_11_weight_axioms_and_cover(sine_fixture):
     ok = True
     n_checked = 0
     for partition, X in partitions:
-        assert partition.covers(X).all()
+        assert partition.membership(X).any(axis=1).all()
         lo, hi = X.min(axis=0), X.max(axis=0)
         probes_w = rng.uniform(lo, hi, size=(10_000, 2))
         M = partition.membership(probes_w)

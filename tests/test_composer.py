@@ -3,11 +3,11 @@ import json
 import numpy as np
 import pytest
 
-from localsvm import (ComposedModel, Dataset, GaussianRBF, LocalModel,
-                      LogisticRegression, ModelConfig, RegionTrainingError,
-                      TrainConfig, WeightScheme, WeightedSample, empirical_risk,
-                      fit_composed, predict_composed, regionalize, restrict,
-                      train, weight_sup_norm)
+from localsvm import (ComposedModel, ConvergenceError, Dataset, GaussianRBF,
+                      InputError, LocalModel, LogisticRegression, ModelConfig,
+                      TrainConfig, WeightScheme, WeightedSample, composer,
+                      empirical_risk, fit_composed, predict_composed,
+                      regionalize, restrict, train, weight_sup_norm)
 from localsvm.composer import compose
 from conftest import manual_partition, two_blobs
 
@@ -42,8 +42,8 @@ def test_disjoint_regions_use_single_local():
     members = part.membership(x[None, :])[0]
     assert members.sum() == 1
     b = int(np.argmax(members)) + 1
-    assert composed.predict_one(x) == pytest.approx(
-        composed.locals[b].predict_one(x), abs=1e-15)
+    assert composed.predict([x])[0] == pytest.approx(
+        composed.locals[b].predict([x])[0], abs=1e-15)
 
 
 def test_overlap_point_averages_locals():
@@ -53,10 +53,10 @@ def test_overlap_point_averages_locals():
     part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
     composed = fit_composed(data, scheme, _config())
-    mid = [0.5, 0.0]
-    expected = 0.5 * (composed.locals[1].predict_one(mid)
-                      + composed.locals[2].predict_one(mid))
-    assert composed.predict_one(mid) == pytest.approx(expected, rel=1e-14)
+    mid = [[0.5, 0.0]]
+    expected = 0.5 * (composed.locals[1].predict(mid)[0]
+                      + composed.locals[2].predict(mid)[0])
+    assert composed.predict(mid)[0] == pytest.approx(expected, rel=1e-14)
 
 
 def test_predict_composed_hand_values():
@@ -65,8 +65,8 @@ def test_predict_composed_hand_values():
     part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
     # local models predicting the constants 2 and 4 at the midpoint
-    mid = np.array([0.5, 0.0])
-    k_mid = k.eval(mid, [0.0, 0.0])
+    mid = np.array([[0.5, 0.0]])
+    k_mid = k.matrix(mid, [[0.0, 0.0]])[0, 0]
     locals_b = {
         1: LocalModel(alpha=np.array([2.0 / k_mid]), anchors=[[0.0, 0.0]],
                       kernel=k, loss=REG, lam=0.5, region_id=1),
@@ -74,7 +74,7 @@ def test_predict_composed_hand_values():
                       kernel=k, loss=REG, lam=0.5, region_id=2),
     }
     composed = ComposedModel(locals_b, scheme)
-    assert composed.predict_one(mid) == pytest.approx(3.0, rel=1e-14)
+    assert composed.predict(mid)[0] == pytest.approx(3.0, rel=1e-14)
 
     zeros = ComposedModel(
         {b: LocalModel.zero(k, REG, 0.5, b) for b in (1, 2)}, scheme)
@@ -92,7 +92,7 @@ def test_null_region_gets_zero_model():
     assert composed.locals[2].n_anchors == 0
     assert composed.locals[2].h_norm() == 0.0
     # near the empty ball the fallback seeks region 2's zero model
-    assert composed.predict_one([50.0, 50.0]) == 0.0
+    assert composed.predict([[50.0, 50.0]])[0] == 0.0
 
 
 def test_convex_combination_bound():
@@ -142,9 +142,56 @@ def test_training_error_tagged_with_region():
     scheme = WeightScheme("normalized-indicator", part)
     config = ModelConfig(loss=REG, kernel=GaussianRBF(gamma=1.0, input_dim=2),
                          train=TrainConfig(lam=0.01, grad_tol=1e-15, max_iter=1))
-    with pytest.raises(RegionTrainingError) as err:
+    with pytest.raises(ConvergenceError) as err:
         fit_composed(data, scheme, config)
     assert err.value.region_id in (1, 2)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_training_error_names_the_failing_region(monkeypatch, threads):
+    # only region 2's fit is starved of iterations: the error that reaches
+    # the caller is train's own, naming region 2, serial or pooled
+    data = two_blobs(n_per=20, gap=10.0, seed=9)
+    part = regionalize(data.X, b_target=2, tau=0.0, min_region_size=5, seed=0)
+    scheme = WeightScheme("normalized-indicator", part)
+    real_train = composer.train
+
+    def starve_region_2(sample, kernel, loss, cfg, **kw):
+        if kw["region_id"] == 2:
+            cfg = TrainConfig(lam=0.01, grad_tol=1e-15, max_iter=1)
+        return real_train(sample, kernel, loss, cfg, **kw)
+
+    monkeypatch.setattr(composer, "train", starve_region_2)
+    with pytest.raises(ConvergenceError) as err:
+        fit_composed(data, scheme, _config(), threads=threads)
+    assert err.value.region_id == 2
+    assert str(err.value).startswith(
+        "training failed in region 2: no convergence after 1 iterations")
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_points_of_another_dimension_reach_no_fit_or_prediction(monkeypatch, dim):
+    # a 2-d partition and data (and kernels) of another dimension: the ball
+    # tests reject the data before any region trains, and the queries before
+    # any local model predicts
+    rng = np.random.default_rng(8)
+    part = regionalize(rng.uniform(-1.0, 1.0, size=(60, 2)), b_target=2,
+                       tau=0.1, seed=0)
+    scheme = WeightScheme("normalized-indicator", part)
+    data = Dataset(rng.uniform(-1.0, 1.0, size=(60, dim)), rng.normal(size=60))
+    kernel = GaussianRBF(gamma=1.0, input_dim=dim)
+    config = ModelConfig(loss=REG, kernel=kernel, train=TrainConfig(lam=0.5))
+    calls = []
+    monkeypatch.setattr(composer, "train", lambda *a, **kw: calls.append(kw))
+    message = f"is 2-d, got points of dimension {dim}"
+    for threads in (1, 2):
+        with pytest.raises(InputError, match=message):
+            fit_composed(data, scheme, config, threads=threads)
+    assert calls == []
+    model = ComposedModel({b: LocalModel.zero(kernel, REG, 0.5, b) for b in (1, 2)},
+                          scheme)
+    with pytest.raises(InputError, match=message):
+        model.predict(data.X)
 
 
 def test_threaded_fit_matches_serial():

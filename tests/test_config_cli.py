@@ -1,6 +1,7 @@
 import copy
 import inspect
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,21 @@ def test_cli_convergence_failure_exits_3(tmp_path, capsys):
     assert rc == 3
 
 
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_cli_convergence_failure_stderr_names_the_region(tmp_path, capsys, threads):
+    # the whole line, byte for byte: the region's id, then train's own words
+    cfg = base_config()
+    cfg["model"]["max_iter"] = 1
+    cfg["model"]["grad_tol"] = 1e-15
+    cfg["model"]["lambda"] = 0.01
+    rc = cli.main(["train", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out"), "--threads", threads])
+    assert rc == 3
+    assert capsys.readouterr().err == (
+        "convergence error: training failed in region 1: no convergence after "
+        "1 iterations (grad norm 2.333e-03 > tol 1.000e-15)\n")
+
+
 def test_cli_audit_small_fixture(tmp_path, capsys):
     cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 32,
                              "z_grid": 2, "maxbias_eps": 0.1})
@@ -429,7 +445,7 @@ def test_cli_audit_with_pretrained_model(tmp_path, scheme):
 
 def test_cli_audit_retrain_convergence_failure_exits_3(tmp_path, capsys):
     # the base model comes from --model, so the first failing train is a
-    # contaminated retrain, which raises ConvergenceError itself
+    # contaminated retrain; its error names the region like a base fit's
     cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
                              "z_grid": 2, "maxbias_eps": 0.0})
     cfg["dataset"]["n"] = 40
@@ -441,7 +457,9 @@ def test_cli_audit_retrain_convergence_failure_exits_3(tmp_path, capsys):
                    "--model", str(tmp_path / "m" / "model.json"),
                    "--out", str(tmp_path / "out")])
     assert rc == 3
-    assert "convergence error:" in capsys.readouterr().err
+    assert re.fullmatch(r"convergence error: training failed in region [12]: "
+                        r"no convergence after 1 iterations \(.*\)\n",
+                        capsys.readouterr().err)
 
 
 def test_cli_audit_q_family_none_skips_the_maxbias_probe(tmp_path):

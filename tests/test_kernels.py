@@ -8,41 +8,41 @@ import pytest
 
 from localsvm import (GaussianRBF, InputError, Linear, Polynomial,
                       RegionPredicate, kernel_from_dict, sup_norm_on_region)
-from localsvm.kernels import (_BLOCK_BUDGET, _CHUNK_BUDGET, _column_factors,
-                              _row_factors, chunk_rows)
+from localsvm.kernels import (_BLOCK_BUDGET, _column_factors, _row_factors,
+                              chunk_rows)
 
 
 def test_gaussian_eval_equal_points_is_exactly_one():
     k = GaussianRBF(gamma=1.0, input_dim=1)
-    assert k.eval([0.3], [0.3]) == 1.0
+    assert k.matrix([0.3], [0.3])[0, 0] == 1.0
 
 
 def test_gaussian_eval_matches_direct_formula():
     # independent evaluation of exp(-gamma^-2 ||x - x'||^2)
     k = GaussianRBF(gamma=1.0, input_dim=1)
-    assert k.eval([0.0], [1.0]) == pytest.approx(math.exp(-1.0), rel=1e-15)
+    assert k.matrix([0.0], [1.0])[0, 0] == pytest.approx(math.exp(-1.0), rel=1e-15)
     k2 = GaussianRBF(gamma=0.7, input_dim=2)
     x, xp = [0.2, -1.0], [1.4, 0.3]
     expected = math.exp(-((0.2 - 1.4) ** 2 + (-1.0 - 0.3) ** 2) / 0.7**2)
-    assert k2.eval(x, xp) == pytest.approx(expected, rel=1e-15)
+    assert k2.matrix([x], [xp])[0, 0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_linear_eval_is_dot_product():
     k = Linear(input_dim=2)
-    assert k.eval([1.0, 2.0], [3.0, 4.0]) == 11.0
+    assert k.matrix([[1.0, 2.0]], [[3.0, 4.0]])[0, 0] == 11.0
 
 
 def test_polynomial_eval_matches_direct_formula():
     k = Polynomial(degree=3, offset=1.0, input_dim=2)
-    assert k.eval([1.0, 2.0], [3.0, 4.0]) == (11.0 + 1.0) ** 3
+    assert k.matrix([[1.0, 2.0]], [[3.0, 4.0]])[0, 0] == (11.0 + 1.0) ** 3
 
 
 def test_eval_dimension_mismatch():
     k = GaussianRBF(gamma=1.0, input_dim=2)
     with pytest.raises(InputError):
-        k.eval([1.0], [1.0, 2.0])
+        k.matrix([[1.0]], [[1.0, 2.0]])
     with pytest.raises(InputError):
-        k.eval([1.0, 2.0, 3.0], [1.0, 2.0, 3.0])
+        k.matrix([[1.0, 2.0, 3.0]], [[1.0, 2.0, 3.0]])
 
 
 def test_invalid_parameters():
@@ -70,7 +70,7 @@ def test_gram_elementwise_matches_eval():
     k = GaussianRBF(gamma=1.0, input_dim=1)
     pts = [[0.0], [1.0]]
     G = k.gram(pts)
-    expected = np.array([[k.eval(a, b) for b in pts] for a in pts])
+    expected = np.array([[k.matrix([a], [b])[0, 0] for b in pts] for a in pts])
     np.testing.assert_allclose(G, expected, rtol=0, atol=0)
     assert G[0, 1] == pytest.approx(math.exp(-1.0), rel=1e-15)
 
@@ -117,7 +117,7 @@ def test_matrix_chunking_consistent():
     X = rng.normal(size=(137, 2))
     Z = rng.normal(size=(29, 2))
     full = k.matrix(X, Z)
-    expected = np.array([[k.eval(a, b) for b in Z] for a in X])
+    expected = np.array([[k.matrix([a], [b])[0, 0] for b in Z] for a in X])
     np.testing.assert_allclose(full, expected, rtol=0, atol=1e-15)
 
 
@@ -159,7 +159,7 @@ def test_sup_norm_on_region_is_the_sup_over_the_ball(spec, dim):
         # 1e-12 relative: the points' norms are rounded, like the sup's
         assert (np.sqrt(k.diag(inside)) <= sup * (1.0 + 1e-12)).all()
         far = c + r * (c / np.linalg.norm(c) if trial else u[0])
-        assert sup == pytest.approx(math.sqrt(k.eval(far, far)), rel=1e-12)
+        assert sup == pytest.approx(math.sqrt(k.matrix([far], [far])[0, 0]), rel=1e-12)
 
 
 @pytest.mark.parametrize("kernel", [Polynomial(degree=400, offset=1.0, input_dim=1),
@@ -414,7 +414,7 @@ def test_matrix_above_chunk_budget_matches_chunked_form(kernel, dim):
     k = dataclasses.replace(kernel, input_dim=dim)
     rng = np.random.default_rng(40 + dim)
     m = 2000
-    X = rng.normal(size=(_CHUNK_BUDGET // m + 101, dim))  # several chunks
+    X = rng.normal(size=(_BLOCK_BUDGET // m + 101, dim))  # several chunks
     Z = rng.normal(size=(m, dim))
     got = k.matrix(X, Z)
     want = _chunked_matrix(k, X, Z)

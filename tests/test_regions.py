@@ -3,9 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from localsvm import (Dataset, InputError, InsufficientDataError,
-                      PartitionConfig, RegionPartition, WeightScheme,
-                      regionalize, restrict, weight_sup_norm)
+from localsvm import (Dataset, InputError, PartitionConfig, RegionPartition,
+                      WeightScheme, regionalize, restrict, weight_sup_norm)
 from conftest import manual_partition, two_blobs
 
 
@@ -13,7 +12,7 @@ def test_single_region_covers_everything():
     data = two_blobs(seed=1)
     part = regionalize(data.X, b_target=1, tau=0.0, seed=0)
     assert part.B == 1
-    assert part.covers(data.X).all()
+    assert part.membership(data.X).any(axis=1).all()
     scheme = WeightScheme("normalized-indicator", part)
     assert weight_sup_norm(scheme, 1) == 1.0
 
@@ -37,7 +36,7 @@ def test_overlap_factor_creates_shared_membership():
 
 def test_too_few_points_rejected():
     X = np.random.default_rng(0).normal(size=(9, 2))
-    with pytest.raises(InsufficientDataError):
+    with pytest.raises(InputError, match="9 points cannot fill 2 regions"):
         regionalize(X, b_target=2, min_region_size=5, seed=0)
 
 
@@ -73,7 +72,7 @@ def test_small_clusters_get_merged():
                    np.array([[20.0, 20.0], [20.1, 20.0]])])
     part = regionalize(X, b_target=3, tau=0.0, min_region_size=5, seed=1)
     assert part.B == 2
-    assert part.covers(X).all()
+    assert part.membership(X).any(axis=1).all()
 
 
 def test_cover_invariant_after_regionalize():
@@ -81,7 +80,45 @@ def test_cover_invariant_after_regionalize():
         rng = np.random.default_rng(seed)
         X = rng.uniform(-5, 5, size=(80, 3))
         part = regionalize(X, b_target=4, tau=0.1, min_region_size=2, seed=seed)
-        assert part.covers(X).all()
+        assert part.membership(X).any(axis=1).all()
+
+
+def plane_partition():
+    """A 2-d partition of 60 points into two overlapping balls."""
+    X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(60, 2))
+    part = regionalize(X, b_target=2, tau=0.1, seed=0)
+    assert part.B == 2
+    return part
+
+
+@pytest.mark.parametrize("dim", [1, 3])
+def test_points_of_another_dimension_are_rejected(dim):
+    # a 1-d point would broadcast against a 2-d center and a 3-d one fail
+    # inside numpy; every ball test rejects both alike
+    part = plane_partition()
+    X = np.random.default_rng(8).uniform(-1.0, 1.0, size=(60, dim))
+    message = f"region 1 is 2-d, got points of dimension {dim}"
+    with pytest.raises(InputError, match=message):
+        part.membership(X)
+    with pytest.raises(InputError, match=message):
+        part.nearest_region_index(X)
+    for scheme in (WeightScheme("normalized-indicator", part),
+                   WeightScheme("smooth-bump", part, h=1.0)):
+        with pytest.raises(InputError, match=message):
+            scheme.weights_many(X)
+    data = Dataset(X, np.zeros(60))
+    for b in (1, 2):
+        with pytest.raises(InputError, match=f"region {b} is 2-d"):
+            restrict(data, part, b)
+
+
+def test_partition_rejects_balls_of_different_dimensions():
+    with pytest.raises(InputError, match=r"one dimension, got \[2, 3\]"):
+        manual_partition([[0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0])
+    with pytest.raises(InputError, match=r"one dimension, got \[2, 3\]"):
+        RegionPartition.from_dict(
+            {"regions": [{"id": 1, "center": [0.0, 0.0], "radius": 1.0},
+                         {"id": 2, "center": [0.0, 0.0, 0.0], "radius": 1.0}]})
 
 
 def test_weights_unit_vector_when_single_region():

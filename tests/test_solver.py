@@ -14,7 +14,7 @@ from localsvm import (ConvergenceError, GaussianRBF, InputError,
                       WeightedSample, audit_model_bounds, objective,
                       shifted_unshifted_identity_check, solver, train)
 from localsvm.experiments import SyntheticTask, generate
-from localsvm.kernels import _CHUNK_BUDGET
+from localsvm.kernels import _BLOCK_BUDGET
 from conftest import random_sample
 
 REG = LogisticRegression()
@@ -118,7 +118,7 @@ def test_train_single_point_y0_matches_golden_section():
     k = GaussianRBF(gamma=1.0, input_dim=2)
     cfg = TrainConfig(lam=10.0)
     model = train(sample, k, REG, cfg)
-    f_hat = model.predict_one([1.0, 2.0])
+    f_hat = model.predict(x)[0]
     # golden-section oracle on the scalar coefficient
     a_star = golden_section(
         lambda a: REG.shifted_value(0.0, a) + 10.0 * a * a, -1.0, 1.0)
@@ -132,7 +132,7 @@ def test_train_symmetric_pair_classification_is_zero():
     sample = WeightedSample(X, np.array([1.0, -1.0]), np.array([0.5, 0.5]))
     k = GaussianRBF(gamma=1.0, input_dim=2)
     model = train(sample, k, CLS, TrainConfig(lam=0.4))
-    assert abs(model.predict_one([0.3, 0.3])) <= 1e-10
+    assert abs(model.predict([[0.3, 0.3]])[0]) <= 1e-10
 
 
 def test_train_matches_nelder_mead_oracle_five_points():
@@ -202,16 +202,17 @@ def test_predict_examples():
     k = GaussianRBF(gamma=1.0, input_dim=2)
     zero = LocalModel(alpha=np.zeros(2), anchors=np.zeros((2, 2)), kernel=k,
                       loss=REG, lam=0.5)
-    assert zero.predict_one([5.0, 5.0]) == 0.0
+    assert zero.predict([[5.0, 5.0]])[0] == 0.0
     single = LocalModel(alpha=np.array([2.5]), anchors=np.array([[1.0, 1.0]]),
                         kernel=k, loss=REG, lam=0.5)
-    assert single.predict_one([1.0, 1.0]) == 2.5
+    assert single.predict([[1.0, 1.0]])[0] == 2.5
     two = LocalModel(alpha=np.array([1.0, -2.0]),
                      anchors=np.array([[0.0, 0.0], [1.0, 0.0]]),
                      kernel=k, loss=REG, lam=0.5)
-    x = [0.5, 0.5]
-    expected = 1.0 * k.eval(x, [0.0, 0.0]) - 2.0 * k.eval(x, [1.0, 0.0])
-    assert two.predict_one(x) == pytest.approx(expected, rel=1e-15)
+    x = [[0.5, 0.5]]
+    expected = (1.0 * k.matrix(x, [[0.0, 0.0]])[0, 0]
+                - 2.0 * k.matrix(x, [[1.0, 0.0]])[0, 0])
+    assert two.predict(x)[0] == pytest.approx(expected, rel=1e-15)
 
 
 def test_predict_dimension_mismatch():
@@ -296,6 +297,31 @@ def test_convergence_error_carries_best_iterate():
     assert err.value.best_alpha is not None
     assert err.value.grad_norm > 0
     assert err.value.iterations == 1
+
+
+def test_convergence_error_names_its_region():
+    # a fit on the whole sample is the "global" region; a regional fit
+    # names its region, whichever way it fails
+    sample = random_sample(30, seed=9)
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    cfg = TrainConfig(lam=0.01, grad_tol=1e-14, max_iter=1)
+    with pytest.raises(ConvergenceError) as err:
+        train(sample, k, REG, cfg)
+    assert err.value.region_id == "global"
+    assert str(err.value).startswith(
+        "training failed in region global: no convergence after 1 iterations")
+    with pytest.raises(ConvergenceError) as err:
+        train(sample, k, REG, cfg, region_id=4)
+    assert err.value.region_id == 4
+    assert str(err.value).startswith(
+        "training failed in region 4: no convergence after 1 iterations")
+    K = k.gram(sample.X)
+    K[0, 0] = np.inf
+    with np.errstate(invalid="ignore"), pytest.raises(ConvergenceError) as err:
+        train(sample, k, REG, TrainConfig(lam=0.5), region_id=2, gram=K)
+    assert err.value.region_id == 2
+    assert str(err.value).startswith(
+        "training failed in region 2: non-finite gradient after 0 iterations")
 
 
 def test_train_config_validation():
@@ -389,7 +415,7 @@ def test_predict_in_chunks_matches_full_matrix():
     m = 2001
     anchors = rng.uniform(-2.0, 2.0, size=(m, 2))
     alpha = rng.normal(size=m)
-    X = rng.uniform(-2.5, 2.5, size=(2 * (_CHUNK_BUDGET // m) + 17, 2))
+    X = rng.uniform(-2.5, 2.5, size=(2 * (_BLOCK_BUDGET // m) + 17, 2))
     model = LocalModel(alpha=alpha, anchors=anchors, kernel=k, loss=REG, lam=0.5)
     expected = k.matrix(X, anchors) @ alpha
     np.testing.assert_allclose(model.predict(X), expected, rtol=0,
@@ -409,7 +435,7 @@ def test_predict_memory_stays_within_a_few_chunks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 4 * _CHUNK_BUDGET * 8
+    assert peak < 4 * _BLOCK_BUDGET * 8
 
 
 def ridged_lu_newton(sample, kernel, loss, cfg):
