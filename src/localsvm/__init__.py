@@ -8,7 +8,7 @@ bounds.
 
 from .composer import (ComposedModel, ModelConfig, empirical_risk, fit_composed,
                        predict_composed)
-from .data import Dataset, WeightedSample
+from .data import WeightedSample
 from .errors import ConvergenceError, InputError, LocalSvmError
 from .experiments import (LambdaSchedule, PartitionConfig, SyntheticTask,
                           consistency_trend, generate, tradeoff_sweep)
@@ -29,7 +29,7 @@ from .solver import (IdentityReport, LocalModel, TrainConfig, audit_model_bounds
 __version__ = "0.1.0"
 
 __all__ = [
-    "AuditContext", "AuditReport", "ComposedModel", "ConvergenceError", "Dataset",
+    "AuditContext", "AuditReport", "ComposedModel", "ConvergenceError",
     "GaussianRBF", "IdentityReport", "InfluenceEstimate", "InputError", "Kernel",
     "LadderConvergenceWarning", "LambdaSchedule", "Linear", "LocalModel",
     "LocalSvmError", "LogisticClassification", "LogisticRegression",

@@ -71,9 +71,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _out_dir(args, raw) -> Path:
-    out_dir = Path(args.out or raw.get("output", {}).get("dir", "."))
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return out_dir
+    """The output directory; a command creates it only once its outputs
+    are ready to write, so a failed run leaves no new directory."""
+    return Path(args.out or raw.get("output", {}).get("dir", "."))
 
 
 def _prepare(args):
@@ -116,6 +116,7 @@ def cmd_train(args) -> int:
     model_path = out_dir / "model.json"
     text = _json_text(model.to_dict(), model_path.name)
     summary = _train_summary(model)
+    out_dir.mkdir(parents=True, exist_ok=True)
     model_path.write_text(text)
     (out_dir / "train_summary.txt").write_text(summary + "\n")
     print(f"wrote {model_path}")
@@ -186,7 +187,9 @@ def cmd_audit(args) -> int:
                        **settings)
 
     audit_path = out_dir / "audit.json"
-    audit_path.write_text(_json_text(report.to_dict(), audit_path.name))
+    text = _json_text(report.to_dict(), audit_path.name)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    audit_path.write_text(text)
     print(f"wrote {audit_path}")
     print(f"if_bound_rough = {report.if_bound_rough:.6g}  "
           f"empirical if_sup = {report.empirical['if_sup']:.6g}")
@@ -225,6 +228,7 @@ def cmd_experiment(args) -> int:
         stem = "tradeoff"
     text = _json_text(report.to_dict(), f"{stem}.json")
     csv_path = out_dir / f"{stem}.csv"
+    out_dir.mkdir(parents=True, exist_ok=True)
     report.write_csv(csv_path)
     (out_dir / f"{stem}.json").write_text(text)
     print(f"wrote {csv_path}")

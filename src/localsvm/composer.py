@@ -8,7 +8,7 @@ from typing import Mapping
 
 import numpy as np
 
-from .data import Dataset, as_points
+from .data import WeightedSample, as_points
 from .errors import InputError
 from .kernels import Kernel
 from .losses import SmoothLoss
@@ -70,6 +70,13 @@ class ComposedModel:
             raise InputError(
                 f"need one local model per region 1..{B}, got ids {sorted(self.locals)}"
             )
+        for b, local in self.locals.items():
+            dim = scheme.partition.region(b).center.size
+            if {local.kernel.input_dim, local.anchors.shape[1]} != {dim}:
+                raise InputError(
+                    f"region {b} is {dim}-d, but its local model's kernel takes "
+                    f"{local.kernel.input_dim}-d points and its anchors are "
+                    f"{local.anchors.shape[1]}-d")
 
     @property
     def partition(self) -> RegionPartition:
@@ -119,7 +126,7 @@ def _map_tasks(fn, tasks, threads: int) -> list:
 
 
 def _fit_one(data, partition, config, b):
-    sample_b = restrict(data, partition, b)
+    sample_b = restrict(data, partition.region(b))
     if sample_b is None:
         return LocalModel.zero(config.kernel_for(b), config.loss,
                                config.lam_for(b), b)
@@ -127,10 +134,11 @@ def _fit_one(data, partition, config, b):
                  config.train_for(b), region_id=b)
 
 
-def fit_composed(data: Dataset, scheme: WeightScheme, config: ModelConfig,
-                 threads: int = 1) -> ComposedModel:
+def fit_composed(data: WeightedSample, scheme: WeightScheme,
+                 config: ModelConfig, threads: int = 1) -> ComposedModel:
     """Train one local model per region of the scheme and compose them.
 
+    Region b trains on the data conditioned on its ball (``restrict``).
     Null-measure regions (no training points inside the ball) receive the
     zero function, which has no anchors. Region trainings are independent;
     ``threads > 1`` runs them in a thread pool with a deterministic,
@@ -147,18 +155,17 @@ def predict_composed(model: ComposedModel, X) -> np.ndarray:
     return model.predict(X)
 
 
-def empirical_risk(predictor, data: Dataset, loss: SmoothLoss) -> float:
-    """Mean loss of a predictor over a dataset.
+def empirical_risk(predictor, data: WeightedSample, loss: SmoothLoss) -> float:
+    """Loss of a predictor integrated against the measure ``data``: the
+    weighted mean sum_i w_i L(y_i, f(x_i)).
 
     ``predictor`` is anything with .predict, or a plain array of
     precomputed predictions aligned with ``data``.
     """
-    if data.n == 0:
-        raise InputError("empirical risk of an empty dataset")
     if hasattr(predictor, "predict"):
         preds = predictor.predict(data.X)
     else:
         preds = np.asarray(predictor, dtype=float)
         if preds.shape[0] != data.n:
-            raise InputError("predictions and dataset lengths differ")
-    return float(np.mean(loss.value(data.y, preds)))
+            raise InputError("predictions and sample lengths differ")
+    return float(data.weights @ loss.value(data.y, preds))

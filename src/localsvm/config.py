@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset
+from .data import WeightedSample
 from .errors import InputError
 from .experiments import LambdaSchedule, PartitionConfig, SyntheticTask, generate
 from .kernels import kernel_from_dict
@@ -301,8 +301,9 @@ def validate_config(raw: dict) -> None:
             raise InputError(f"n_ladder must be increasing, got {n_ladder}")
 
 
-def load_csv_dataset(path) -> Dataset:
-    """Dataset CSV: header x0..x{d-1},y; decimal literals; no missing values."""
+def load_csv_dataset(path) -> WeightedSample:
+    """The empirical measure of a dataset CSV: header x0..x{d-1},y; decimal
+    literals; no missing values."""
     try:
         with open(path, newline="") as fh:
             lines = fh.readlines()
@@ -335,7 +336,7 @@ def load_csv_dataset(path) -> Dataset:
         rows_y.append(values[-1])
     if not rows_x:
         raise InputError(f"dataset CSV has a header but no rows: {path}")
-    return Dataset(np.asarray(rows_x), np.asarray(rows_y))
+    return WeightedSample.uniform(np.asarray(rows_x), np.asarray(rows_y))
 
 
 def task_from_config(raw: dict, seed_override: Optional[int] = None
@@ -365,7 +366,7 @@ def partition_from_config(raw: dict, seed_override: Optional[int] = None
 
 
 def setup_from_config(raw: dict, seed_override: Optional[int] = None
-                      ) -> tuple[Dataset, PartitionConfig]:
+                      ) -> tuple[WeightedSample, PartitionConfig]:
     """The run's data (CSV rows or a synthetic draw) and partition recipe."""
     task = task_from_config(raw, seed_override)
     if task is None:

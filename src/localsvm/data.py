@@ -40,42 +40,12 @@ def as_labels(y) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class Dataset:
-    """A plain sample of (x, y) pairs."""
-
-    X: np.ndarray
-    y: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "X", as_points(self.X))
-        object.__setattr__(self, "y", as_labels(self.y))
-        if self.X.shape[0] != self.y.shape[0]:
-            raise InputError(
-                f"{self.X.shape[0]} points but {self.y.shape[0]} labels"
-            )
-        _reject_non_finite("dataset row", self.X, self.y)
-
-    @property
-    def n(self) -> int:
-        return self.X.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.X.shape[1]
-
-    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-coordinate (lo, hi) of the inputs."""
-        if self.n == 0:
-            raise InputError("empty dataset has no bounding box")
-        return self.X.min(axis=0), self.X.max(axis=0)
-
-
-@dataclass(frozen=True)
 class WeightedSample:
     """Discrete probability measure on (x, y) atoms.
 
-    Uniform weights 1/n recover the usual empirical measure; non-uniform
-    weights represent mixtures such as (1 - eps) * D + eps * delta_z.
+    A sample of data is its empirical measure, uniform weights 1/n
+    (``uniform``); non-uniform weights represent mixtures such as
+    (1 - eps) * D + eps * delta_z, or a sample with repeated points.
     """
 
     X: np.ndarray
@@ -107,12 +77,15 @@ class WeightedSample:
     def dim(self) -> int:
         return self.X.shape[1]
 
+    def bounding_box(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-coordinate (lo, hi) of the atoms' inputs."""
+        return self.X.min(axis=0), self.X.max(axis=0)
+
     @classmethod
-    def from_dataset(cls, data: Dataset) -> "WeightedSample":
-        n = data.n
-        if n == 0:
-            raise InputError("cannot build an empirical measure from an empty sample")
-        return cls(data.X, data.y, np.full(n, 1.0 / n))
+    def uniform(cls, X, y) -> "WeightedSample":
+        """The empirical measure of the sample (X, y): weight 1/n per point."""
+        X = as_points(X)
+        return cls(X, y, np.ones(X.shape[0]) / X.shape[0])
 
     @classmethod
     def dirac(cls, x, y: float) -> "WeightedSample":

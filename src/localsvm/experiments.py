@@ -18,7 +18,7 @@ from typing import Optional
 import numpy as np
 
 from .composer import ComposedModel, ModelConfig, compose, fit_composed
-from .data import Dataset, WeightedSample
+from .data import WeightedSample
 from .errors import InputError
 from .regions import KIND_INDICATOR, WeightScheme, regionalize
 from .robustness import if_bound
@@ -78,7 +78,8 @@ def _moon_logit(flip: float) -> float:
 
 
 def generate(task: SyntheticTask, n: int, with_oracle: bool = False):
-    """Draw n i.i.d. points; optionally also return the optimal predictions."""
+    """Draw n i.i.d. points as their empirical measure; optionally also
+    return the optimal predictions."""
     if n < 1:
         raise InputError(f"n must be >= 1, got {n}")
     rng = np.random.default_rng(task.seed)
@@ -103,7 +104,7 @@ def generate(task: SyntheticTask, n: int, with_oracle: bool = False):
         flips = rng.random(n) < task.noise
         y = np.where(flips, -clean, clean)
         t_star = clean * _moon_logit(task.noise)
-    data = Dataset(X, y)
+    data = WeightedSample.uniform(X, y)
     if with_oracle:
         return data, t_star
     return data
@@ -157,9 +158,12 @@ def _eval_sample(task: SyntheticTask, eval_n: int, with_oracle: bool = False):
                     with_oracle=with_oracle)
 
 
-def _mc_risk(preds: np.ndarray, eval_data: Dataset, loss) -> tuple[float, float]:
+def _mc_risk(preds: np.ndarray, eval_data: WeightedSample,
+             loss) -> tuple[float, float]:
     """Monte-Carlo risk of predictions at the evaluation sample's points,
-    with its standard error; the mean is ``empirical_risk``'s expression."""
+    with its standard error. The points are an i.i.d. draw, so the risk is
+    the plain mean of their losses (``np.mean``), not ``empirical_risk``'s
+    weighted sum, which differs from it by rounding."""
     vals = loss.value(eval_data.y, preds)
     return float(np.mean(vals)), float(np.std(vals) / np.sqrt(eval_data.n))
 
@@ -246,8 +250,8 @@ def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
                       region_lambdas={b: schedule(max(int(n_b), 1))
                                       for b, n_b in enumerate(counts, start=1)})
         model = fit_composed(data, scheme, cfg, threads=threads)
-        global_model = train(WeightedSample.from_dataset(data), config.kernel,
-                             config.loss, replace(config.train, lam=lam))
+        global_model = train(data, config.kernel, config.loss,
+                             replace(config.train, lam=lam))
         composed, global_preds = _rung_predictions(model, global_model,
                                                    membership, eval_data.X)
         risk, stderr = _mc_risk(composed, eval_data, config.loss)

@@ -19,7 +19,7 @@ from typing import Optional
 
 import numpy as np
 
-from .data import Dataset, WeightedSample, as_points
+from .data import WeightedSample, as_points
 from .errors import InputError
 
 KIND_INDICATOR = "normalized-indicator"
@@ -276,14 +276,22 @@ def weight_sup_norm(scheme: WeightScheme, region_id: int) -> float:
     return 1.0
 
 
-def restrict(data: Dataset, partition: RegionPartition, region_id: int):
-    """Uniform empirical measure on the points of ``data`` inside region b.
+def restrict(measure: WeightedSample,
+             region: RegionPredicate) -> Optional[WeightedSample]:
+    """The measure conditioned on the ball: its atoms inside the region,
+    with weights w[mask] / w[mask].sum().
 
-    Returns None (the null-measure marker) when the region holds no points.
+    The one regional restriction, of the data (D_b) and of a contamination
+    (Q_b) alike. Returns None (the null-measure marker) when the measure
+    puts no mass in the ball.
     """
-    region = partition.region(region_id)
-    mask = region.contains_many(data.X)
-    n_b = int(mask.sum())
-    if n_b == 0:
+    mask = region.contains_many(measure.X)
+    weights = measure.weights[mask]
+    top = weights.max(initial=0.0)
+    if top <= 0.0:
         return None
-    return WeightedSample(data.X[mask], data.y[mask], np.full(n_b, 1.0 / n_b))
+    # scaled by the largest weight first, so that equal weights condition
+    # to exactly 1/n_b, the uniform measure on the n_b atoms in the ball
+    weights = weights / top
+    return WeightedSample(measure.X[mask], measure.y[mask],
+                          weights / weights.sum())

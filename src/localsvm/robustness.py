@@ -38,7 +38,7 @@ from typing import Optional
 import numpy as np
 
 from .composer import ComposedModel, ModelConfig, compose, fit_composed
-from .data import Dataset, WeightedSample, as_points
+from .data import WeightedSample, as_points
 from .errors import InputError
 from .kernels import sup_norm_on_region
 from .regions import RegionPartition, WeightScheme, restrict, weight_sup_norm
@@ -82,15 +82,6 @@ def _check_q(q, dim: int) -> WeightedSample:
     return q
 
 
-def _contamination_atoms(q: WeightedSample, region) -> Optional[WeightedSample]:
-    """Q conditioned on a region; None when Q puts no mass there."""
-    mask = region.contains_many(q.X)
-    mass = float(q.weights[mask].sum())
-    if mass <= 0.0:
-        return None
-    return WeightedSample(q.X[mask], q.y[mask], q.weights[mask] / mass)
-
-
 def _mix(sample_b: WeightedSample, atoms: WeightedSample, eps: float) -> WeightedSample:
     """(1 - eps) sample_b + eps atoms, with the atoms appended last."""
     return WeightedSample(np.vstack([sample_b.X, atoms.X]),
@@ -113,7 +104,7 @@ def contaminate_region(sample_b: WeightedSample, q: WeightedSample,
     _check_q(q, sample_b.dim)
     if not 0.0 < eps < 0.5:
         raise InputError(f"contamination eps must lie in (0, 1/2), got {eps}")
-    atoms = _contamination_atoms(q, region)
+    atoms = restrict(q, region)
     if atoms is None:
         return sample_b
     return _mix(sample_b, atoms, eps)
@@ -222,7 +213,7 @@ def _sobol(n: int, dim: int) -> np.ndarray:
     return x * 2.0 ** -_SOBOL_BITS
 
 
-def default_probes(data: Dataset, n_extra: int = DEFAULT_EXTRA_PROBES) -> np.ndarray:
+def default_probes(data: WeightedSample, n_extra: int = DEFAULT_EXTRA_PROBES) -> np.ndarray:
     """Training inputs plus a deterministic Sobol fill of their bounding box."""
     lo, hi = data.bounding_box()
     if n_extra <= 0:
@@ -327,7 +318,7 @@ class AuditContext:
     ``base`` is omitted; the audit's retrains run in sequence.
     """
 
-    def __init__(self, data: Dataset, scheme: WeightScheme, config: ModelConfig,
+    def __init__(self, data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
                  probes=None, base: Optional[ComposedModel] = None,
                  threads: int = 1):
         if base is None:
@@ -345,7 +336,7 @@ class AuditContext:
         self.base_preds = self.compose({})
 
     def _blocks(self, b: int) -> RegionBlocks:
-        sample = restrict(self.data, self.scheme.partition, b)
+        sample = restrict(self.data, self.scheme.partition.region(b))
         local = self.base.locals[b]
         anchors = np.zeros((0, self.data.dim)) if sample is None else sample.X
         if not np.array_equal(local.anchors, anchors):
@@ -380,7 +371,7 @@ class AuditContext:
         blocks = self.regions[b]
         if blocks.sample is None:
             return None
-        atoms = _contamination_atoms(q, self.scheme.partition.region(b))
+        atoms = restrict(q, self.scheme.partition.region(b))
         if atoms is None:
             return None
         n, m = blocks.sample.n, blocks.sample.n + atoms.n
@@ -453,7 +444,7 @@ def _tv_by_region(samples, partition: RegionPartition, z: WeightedSample) -> dic
             for b, sample in samples.items()}
 
 
-def tv_refined_if_bound(data: Dataset, scheme: WeightScheme, config: ModelConfig,
+def tv_refined_if_bound(data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
                         z_x, z_y: float) -> float:
     """IF bound with the exact discrete TV distance instead of the constant 2.
 
@@ -464,7 +455,7 @@ def tv_refined_if_bound(data: Dataset, scheme: WeightScheme, config: ModelConfig
     through the regional measures D_b.
     """
     z = _check_q(WeightedSample.dirac(z_x, z_y), data.dim)
-    samples = {b: restrict(data, scheme.partition, b) for b in range(1, scheme.B + 1)}
+    samples = {r.id: restrict(data, r) for r in scheme.partition.regions}
     return _certificate_terms(_region_factors(scheme, config),
                               float(config.loss.lipschitz),
                               _tv_by_region(samples, scheme.partition, z))[2]
@@ -635,7 +626,7 @@ def maxbias_probe(context: AuditContext, eps_by_region, qs) -> AuditReport:
     )
 
 
-def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
+def run_audit(data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
               qs, maxbias_eps=0.1, probes=None,
               base: Optional[ComposedModel] = None, threads: int = 1,
               eps_ladder=DEFAULT_EPS_LADDER) -> AuditReport:
@@ -741,7 +732,7 @@ def run_audit(data: Dataset, scheme: WeightScheme, config: ModelConfig,
     )
 
 
-def extreme_labels(data: Dataset, classification: bool) -> tuple[float, float]:
+def extreme_labels(data: WeightedSample, classification: bool) -> tuple[float, float]:
     """(low, high) contamination labels: -1 and +1 for classification,
     otherwise three label spreads beyond the sample's label range."""
     if classification:
@@ -751,10 +742,11 @@ def extreme_labels(data: Dataset, classification: bool) -> tuple[float, float]:
     return y_lo - 3.0 * spread, y_hi + 3.0 * spread
 
 
-def adversarial_q_specs(data: Dataset, classification: bool) -> list:
+def adversarial_q_specs(data: WeightedSample, classification: bool) -> list:
     """Adversarial contaminations Q: the Dirac points at the box corners (in
     bit order) and then its center, each with the low and then the high
-    extreme label, and last a uniform label-flip mixture of the sample."""
+    extreme label, and last the label flip of the measure: its atoms, with
+    their weights, under flipped labels."""
     lo, hi = data.bounding_box()
     d = data.dim
     corners = []
@@ -770,4 +762,4 @@ def adversarial_q_specs(data: Dataset, classification: bool) -> list:
 
     return ([WeightedSample.dirac(x, y)
              for x in xs for y in extreme_labels(data, classification)]
-            + [WeightedSample(data.X, flipped, np.full(data.n, 1.0 / data.n))])
+            + [WeightedSample(data.X, flipped, data.weights)])

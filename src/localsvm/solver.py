@@ -275,8 +275,9 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
 
     ``gram`` is an optional precomputed ``kernel.gram(sample.X)``, for
     callers that retrain on one sample under several weightings; it is
-    read, never written. Deterministic: identical inputs give
-    bitwise-identical coefficients. Raises ConvergenceError (with
+    read, never written. Deterministic at a fixed BLAS thread count:
+    identical inputs give bitwise-identical coefficients (a different
+    thread count may change the last bits). Raises ConvergenceError (with
     ``region_id`` and the best iterate attached) if the gradient turns
     non-finite or the gradient tolerance is not reached within
     ``cfg.max_iter`` iterations.

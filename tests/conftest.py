@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from localsvm import (Dataset, GaussianRBF, LogisticRegression, ModelConfig,
+from localsvm import (GaussianRBF, LogisticRegression, ModelConfig,
                       RegionPartition, RegionPredicate, TrainConfig,
                       WeightedSample, WeightScheme)
 
@@ -13,7 +13,7 @@ def two_blobs(n_per=20, gap=8.0, seed=0):
     b = rng.normal(gap, 0.5, size=(n_per, 2))
     X = np.vstack([a, b])
     y = np.sin(X.sum(axis=1)) + 0.1 * rng.standard_normal(2 * n_per)
-    return Dataset(X, y)
+    return WeightedSample.uniform(X, y)
 
 
 def random_sample(n, dim=2, seed=0, classification=False):

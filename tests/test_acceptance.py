@@ -126,7 +126,7 @@ def test_criterion_2_if_sup_bound_audit(sine_fixture, audited_zs):
         if est.sup_norm_estimate > bound.if_bound_rough:
             sup_ok = False
         for b, h in est.h_norms.items():
-            sample_b = restrict(data, part, b)
+            sample_b = restrict(data, part.region(b))
             if sample_b is not None and part.region(b).contains_many([z_x])[0]:
                 tv_b = 2.0 * (1.0 - sample_b.atom_mass(z_x, z_y))
             else:
@@ -208,8 +208,7 @@ def test_criterion_6_shifted_unshifted_identity():
 def test_criterion_7_norm_bounds_everywhere(sine_fixture):
     data, part, scheme, config, probes, base, _ = sine_fixture
     suite_models = [m for m in base.locals.values() if m.n_anchors > 0]
-    suite_models.append(train(WeightedSample.from_dataset(data), config.kernel,
-                              REG, config.train))
+    suite_models.append(train(data, config.kernel, REG, config.train))
     extra = getattr(test_criterion_6_shifted_unshifted_identity, "models", [])
     suite_models.extend(extra)
     rng = np.random.default_rng(2)

@@ -58,7 +58,7 @@ def _secant_start(pad, above, eps):
 
 def _rebuild_retrain(data, part, config, base, q, b, eps, above=None):
     """Retrain from pad(alpha), or from the secant start below ``above``."""
-    contaminated = contaminate_region(restrict(data, part, b), q,
+    contaminated = contaminate_region(restrict(data, part.region(b)), q,
                                       part.region(b), eps)
     extra = contaminated.n - base.locals[b].n_anchors
     pad = np.concatenate([base.locals[b].alpha, np.zeros(extra)])
@@ -81,8 +81,8 @@ def _touches(q, sample, region):
 
 def _touched(data, part, q):
     return [b for b in range(1, part.B + 1)
-            if restrict(data, part, b) is not None
-            and _touches(q, restrict(data, part, b), part.region(b))]
+            if restrict(data, part.region(b)) is not None
+            and _touches(q, restrict(data, part.region(b)), part.region(b))]
 
 
 def _rebuild_finite_diff_if(data, part, scheme, config, q, probes, base):
@@ -250,9 +250,10 @@ def test_run_audit_builds_per_run_state_once(monkeypatch):
     restrict_orig = robustness.restrict
     factors_orig = robustness._region_factors
 
-    def counting_restrict(*args, **kwargs):
-        calls["restrict"] += 1
-        return restrict_orig(*args, **kwargs)
+    def counting_restrict(measure, region):
+        # restrict also conditions each Q on a region; count the data's
+        calls["restrict"] += measure is data
+        return restrict_orig(measure, region)
 
     def counting_factors(*args, **kwargs):
         calls["factors"] += 1
@@ -342,14 +343,14 @@ def test_context_rejects_model_trained_on_other_data():
     base = fit_composed(data, scheme, config)
     moved = data.X.copy()
     moved[0] += 1e-9
-    other = type(data)(moved, data.y)
+    other = WeightedSample.uniform(moved, data.y)
     with pytest.raises(InputError, match="anchors differ"):
         AuditContext(other, scheme, config, probes=data.X, base=base)
 
 
 def test_context_rejects_a_null_region_mismatch():
     X = np.random.default_rng(0).normal(size=(12, 2)) * 0.2
-    data = type(two_blobs())(X, np.zeros(12))
+    data = WeightedSample.uniform(X, np.zeros(12))
     part = manual_partition([[0.0, 0.0], [9.0, 9.0]], [5.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config()
@@ -359,7 +360,7 @@ def test_context_rejects_a_null_region_mismatch():
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     assert ctx.regions[2].sample is None
     assert ctx.border(2, WeightedSample.dirac([9.0, 9.0], 1.0)) is None
-    shifted = type(data)(np.vstack([X, [[9.0, 9.0]]]), np.zeros(13))
+    shifted = WeightedSample.uniform(np.vstack([X, [[9.0, 9.0]]]), np.zeros(13))
     with pytest.raises(InputError, match="anchors differ"):
         AuditContext(shifted, scheme, config, probes=probes, base=base)
 
@@ -372,7 +373,7 @@ def test_chained_ladder_matches_the_cold_ladder_within_the_audit_slack(
     data, part, scheme = _fixture()
     labels = (4.0, -4.0, 5.0)
     if loss.is_classification:
-        data = type(data)(data.X, np.where(data.y >= 0.0, 1.0, -1.0))
+        data = WeightedSample.uniform(data.X, np.where(data.y >= 0.0, 1.0, -1.0))
         labels = (1.0, -1.0, 1.0)
     config = ModelConfig(loss=loss, kernel=kernel, train=TrainConfig(lam=0.5))
     probes = default_probes(data, 64)

@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from localsvm import (ComposedModel, ConvergenceError, Dataset, GaussianRBF,
+from localsvm import (ComposedModel, ConvergenceError, GaussianRBF,
                       InputError, LocalModel, LogisticRegression, ModelConfig,
                       TrainConfig, WeightScheme, WeightedSample, composer,
                       empirical_risk, fit_composed, predict_composed,
@@ -25,8 +25,7 @@ def test_single_region_equals_global_model():
     scheme = WeightScheme("normalized-indicator", part)
     config = _config()
     composed = fit_composed(data, scheme, config)
-    global_model = train(WeightedSample.from_dataset(data), config.kernel,
-                         REG, config.train)
+    global_model = train(data, config.kernel, REG, config.train)
     probes = np.random.default_rng(2).uniform(-2, 10, size=(200, 2))
     np.testing.assert_allclose(composed.predict(probes),
                                global_model.predict(probes), atol=1e-12)
@@ -49,7 +48,7 @@ def test_disjoint_regions_use_single_local():
 def test_overlap_point_averages_locals():
     X = np.array([[0.0, 0.0], [1.0, 0.0]])
     y = np.array([0.5, -0.5])
-    data = Dataset(X, y)
+    data = WeightedSample.uniform(X, y)
     part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
     composed = fit_composed(data, scheme, _config())
@@ -84,7 +83,7 @@ def test_predict_composed_hand_values():
 def test_null_region_gets_zero_model():
     X = np.array([[0.0, 0.0], [0.5, 0.0], [1.0, 0.0]])
     y = np.array([1.0, 0.0, -1.0])
-    data = Dataset(X, y)
+    data = WeightedSample.uniform(X, y)
     part = manual_partition([[0.5, 0.0], [50.0, 50.0]], [2.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
     composed = fit_composed(data, scheme, _config())
@@ -178,7 +177,8 @@ def test_points_of_another_dimension_reach_no_fit_or_prediction(monkeypatch, dim
     part = regionalize(rng.uniform(-1.0, 1.0, size=(60, 2)), b_target=2,
                        tau=0.1, seed=0)
     scheme = WeightScheme("normalized-indicator", part)
-    data = Dataset(rng.uniform(-1.0, 1.0, size=(60, dim)), rng.normal(size=60))
+    data = WeightedSample.uniform(rng.uniform(-1.0, 1.0, size=(60, dim)),
+                                  rng.normal(size=60))
     kernel = GaussianRBF(gamma=1.0, input_dim=dim)
     config = ModelConfig(loss=REG, kernel=kernel, train=TrainConfig(lam=0.5))
     calls = []
@@ -188,8 +188,12 @@ def test_points_of_another_dimension_reach_no_fit_or_prediction(monkeypatch, dim
         with pytest.raises(InputError, match=message):
             fit_composed(data, scheme, config, threads=threads)
     assert calls == []
-    model = ComposedModel({b: LocalModel.zero(kernel, REG, 0.5, b) for b in (1, 2)},
-                          scheme)
+    with pytest.raises(InputError, match=f"region 1 is 2-d, but its local "
+                                         f"model's kernel takes {dim}-d"):
+        ComposedModel({b: LocalModel.zero(kernel, REG, 0.5, b) for b in (1, 2)},
+                      scheme)
+    model = ComposedModel({b: LocalModel.zero(_config().kernel, REG, 0.5, b)
+                           for b in (1, 2)}, scheme)
     with pytest.raises(InputError, match=message):
         model.predict(data.X)
 
@@ -224,12 +228,16 @@ def test_fit_coefficients_bitwise_across_runs_and_threads():
 def test_empirical_risk_examples():
     X = np.array([[0.0, 0.0], [1.0, 1.0]])
     y = np.array([0.3, -0.7])
-    data = Dataset(X, y)
+    data = WeightedSample.uniform(X, y)
     perfect = y.copy()
     assert empirical_risk(perfect, data, REG) == 0.0
     preds = np.array([0.1, 0.2])
     by_hand = float(np.mean([REG.value(0.3, 0.1), REG.value(-0.7, 0.2)]))
     assert empirical_risk(preds, data, REG) == pytest.approx(by_hand, rel=1e-15)
+    # a non-uniform measure weights each point's loss by its mass
+    skewed = WeightedSample(X, y, [0.25, 0.75])
+    by_hand = 0.25 * REG.value(0.3, 0.1) + 0.75 * REG.value(-0.7, 0.2)
+    assert empirical_risk(preds, skewed, REG) == pytest.approx(by_hand, rel=1e-15)
 
 
 def test_composed_model_json_round_trip():
@@ -248,14 +256,54 @@ def test_composed_model_json_round_trip():
                                    "anchors", "alpha"}
 
 
+def test_composed_model_from_dict_rejects_a_local_model_of_another_dimension():
+    data = two_blobs(n_per=20, gap=3.0, seed=11)
+    part = regionalize(data.X, b_target=2, tau=0.25, min_region_size=5, seed=1)
+    d = fit_composed(data, WeightScheme("normalized-indicator", part),
+                     _config(lam=0.4)).to_dict()
+    kernel_3d = json.loads(json.dumps(d))
+    kernel_3d["locals"][1]["kernel"]["input_dim"] = 3
+    with pytest.raises(InputError, match="region 2 is 2-d, but its local "
+                                         "model's kernel takes 3-d points"):
+        ComposedModel.from_dict(kernel_3d)
+    anchors_3d = json.loads(json.dumps(d))
+    anchors_3d["locals"][0]["anchors"] = [a + [0.0] for a in
+                                          d["locals"][0]["anchors"]]
+    with pytest.raises(InputError, match="region 1 .* its anchors are 3-d"):
+        ComposedModel.from_dict(anchors_3d)
+
+
+def test_fit_on_a_repeated_point_matches_its_doubled_weight():
+    # the sample with point 0 drawn twice and the measure that gives point 0
+    # twice the weight of the others are one measure; the two fits differ
+    # only in how the repeated point's coefficient is split
+    data = two_blobs(n_per=20, gap=3.0, seed=11)
+    part = regionalize(data.X, b_target=2, tau=0.25, min_region_size=5, seed=1)
+    scheme = WeightScheme("normalized-indicator", part)
+    n = data.n
+    repeated = WeightedSample.uniform(np.vstack([data.X, data.X[:1]]),
+                                      np.append(data.y, data.y[0]))
+    weights = np.full(n, 1.0 / (n + 1))
+    weights[0] = 2.0 / (n + 1)
+    doubled = WeightedSample(data.X, data.y, weights)
+    config = _config(lam=0.4)
+    a = fit_composed(repeated, scheme, config)
+    b = fit_composed(doubled, scheme, config)
+    assert [m.n_anchors for m in a.locals.values()] != [
+        m.n_anchors for m in b.locals.values()]
+    probes = np.random.default_rng(12).uniform(-2, 6, size=(300, 2))
+    np.testing.assert_allclose(a.predict(probes), b.predict(probes),
+                               rtol=0.0, atol=1e-9)
+
+
 def test_restrict_count_fixture():
     # half the sample in each region
     X = np.vstack([np.full((10, 2), 0.0) + np.arange(10)[:, None] * 0.01,
                    np.full((10, 2), 5.0) + np.arange(10)[:, None] * 0.01])
     y = np.arange(20.0)
-    data = Dataset(X, y)
+    data = WeightedSample.uniform(X, y)
     part = manual_partition([[0.05, 0.05], [5.05, 5.05]], [1.0, 1.0])
-    half = restrict(data, part, 1)
+    half = restrict(data, part.region(1))
     assert half.n == 10
     np.testing.assert_allclose(half.weights, np.full(10, 2.0 / 20.0))
 

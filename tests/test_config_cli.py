@@ -392,6 +392,25 @@ def test_cli_convergence_failure_stderr_names_the_region(tmp_path, capsys, threa
         "1 iterations (grad norm 2.333e-03 > tol 1.000e-15)\n")
 
 
+@pytest.mark.parametrize("command", ["train", "audit", "experiment"])
+@pytest.mark.parametrize("failure, code", [("partition", 2), ("convergence", 3)])
+def test_cli_failed_run_leaves_no_new_directory(tmp_path, capsys, command,
+                                                failure, code):
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0},
+                      experiment={"kind": "tradeoff", "lambda_grid": [1.0],
+                                  "eval_n": 200})
+    if failure == "partition":
+        cfg["dataset"]["n"] = 9  # two regions of at least 5 points need 10
+    else:
+        cfg["model"].update(max_iter=1, grad_tol=1e-15, **{"lambda": 0.01})
+    out = tmp_path / "new" / "out"
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(out)])
+    assert rc == code
+    assert not (tmp_path / "new").exists()
+
+
 def test_cli_audit_small_fixture(tmp_path, capsys):
     cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 32,
                              "z_grid": 2, "maxbias_eps": 0.1})
@@ -943,7 +962,7 @@ def _summary_rebuilding_samples(model, data):
     lines = [f"regions: {model.partition.B}"]
     for b in sorted(model.locals):
         local = model.locals[b]
-        sample_b = restrict(data, model.partition, b)
+        sample_b = restrict(data, model.partition.region(b))
         n_b = 0 if sample_b is None else sample_b.n
         if b in model.null_region_ids:
             lines.append(f"  region {b}: n_b={n_b} null measure, zero predictor")
@@ -1003,6 +1022,28 @@ def test_cli_audit_rejects_model_with_other_anchors(tmp_path, capsys):
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     assert "anchors differ" in capsys.readouterr().err
+
+
+def test_cli_audit_rejects_a_model_of_another_dimension(tmp_path, capsys):
+    # a local kernel of another input dimension is rejected on load, naming
+    # its region, before any prediction
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    cfg["dataset"]["n"] = 40
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "m")]) == 0
+    model_path = tmp_path / "m" / "model.json"
+    model = json.loads(model_path.read_text())
+    model["locals"][1]["kernel"]["input_dim"] = 3
+    model_path.write_text(json.dumps(model))
+    capsys.readouterr()
+    rc = cli.main(["audit", "--config", cfg_path, "--model", str(model_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert ("region 2 is 2-d, but its local model's kernel takes 3-d points"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("corrupt", ["nan-alpha", "inf-anchor", "nan-radius",
@@ -1283,7 +1324,7 @@ def test_cli_json_outputs_reject_non_finite_values(tmp_path, monkeypatch,
     rc = cli.main([command, "--config", cfg_path, "--out", str(tmp_path / "out")])
     assert rc == 2
     assert f"{output} would hold a non-finite value" in capsys.readouterr().err
-    assert list((tmp_path / "out").iterdir()) == []  # not even the CSV
+    assert not (tmp_path / "out").exists()  # not even the CSV
 
 
 def test_setup_from_config_partition_defaults_are_the_library_defaults(

@@ -8,7 +8,6 @@ from localsvm import (GaussianRBF, InputError, LambdaSchedule, Linear,
                       PartitionConfig, SyntheticTask, TrainConfig,
                       consistency_trend, fit_composed, generate, train,
                       tradeoff_sweep)
-from localsvm.data import WeightedSample
 from localsvm.experiments import EVAL_SEED_OFFSET
 
 
@@ -172,7 +171,7 @@ def _separately_scored_trend(task, n_ladder, schedule, pc, config, eval_n):
                       region_lambdas={b: schedule(max(int(c), 1))
                                       for b, c in enumerate(counts, start=1)})
         vals = loss.value(eval_data.y, fit_composed(data, scheme, cfg).predict(eval_data.X))
-        global_model = train(WeightedSample.from_dataset(data), config.kernel, loss,
+        global_model = train(data, config.kernel, loss,
                              replace(config.train, lam=lam))
         global_vals = loss.value(eval_data.y, global_model.predict(eval_data.X))
         rows.append({"n": n, "lambda": lam, "risk": float(np.mean(vals)),

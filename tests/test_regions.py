@@ -3,7 +3,7 @@ import json
 import numpy as np
 import pytest
 
-from localsvm import (Dataset, InputError, PartitionConfig, RegionPartition,
+from localsvm import (InputError, PartitionConfig, RegionPartition, WeightedSample,
                       WeightScheme, regionalize, restrict, weight_sup_norm)
 from conftest import manual_partition, two_blobs
 
@@ -106,10 +106,10 @@ def test_points_of_another_dimension_are_rejected(dim):
                    WeightScheme("smooth-bump", part, h=1.0)):
         with pytest.raises(InputError, match=message):
             scheme.weights_many(X)
-    data = Dataset(X, np.zeros(60))
+    data = WeightedSample.uniform(X, np.zeros(60))
     for b in (1, 2):
         with pytest.raises(InputError, match=f"region {b} is 2-d"):
-            restrict(data, part, b)
+            restrict(data, part.region(b))
 
 
 def test_partition_rejects_balls_of_different_dimensions():
@@ -218,23 +218,45 @@ def test_weight_sup_norm_unknown_region_rejected():
 def test_restrict_examples():
     X = np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 0.0], [5.5, 0.0]])
     y = np.array([1.0, 2.0, 3.0, 4.0])
-    data = Dataset(X, y)
+    data = WeightedSample.uniform(X, y)
     part = manual_partition([[0.25, 0.0], [5.25, 0.0]], [1.0, 1.0])
 
-    left = restrict(data, part, 1)
+    left = restrict(data, part.region(1))
     assert left.n == 2
     np.testing.assert_array_equal(left.weights, [0.5, 0.5])
     np.testing.assert_array_equal(left.y, [1.0, 2.0])
 
     # whole sample inside one big ball
     big = manual_partition([[2.5, 0.0]], [10.0])
-    full = restrict(data, big, 1)
+    full = restrict(data, big.region(1))
     assert full.n == 4
     np.testing.assert_array_equal(full.weights, np.full(4, 0.25))
 
     # empty ball -> null-measure marker
     empty = manual_partition([[100.0, 100.0], [2.5, 0.0]], [1.0, 10.0])
-    assert restrict(data, empty, 1) is None
+    assert restrict(data, empty.region(1)) is None
+
+
+def test_restrict_conditions_a_non_uniform_measure():
+    X = np.array([[0.0, 0.0], [0.5, 0.0], [5.0, 0.0], [5.5, 0.0]])
+    y = np.array([1.0, 2.0, 3.0, 4.0])
+    measure = WeightedSample(X, y, [0.0625, 0.1875, 0.25, 0.5])
+    part = manual_partition([[0.25, 0.0], [5.25, 0.0]], [1.0, 1.0])
+
+    left = restrict(measure, part.region(1))  # mass 1/4
+    np.testing.assert_array_equal(left.X, X[:2])
+    np.testing.assert_array_equal(left.y, [1.0, 2.0])
+    np.testing.assert_allclose(left.weights, [0.25, 0.75], rtol=1e-15)
+    right = restrict(measure, part.region(2))  # mass 3/4
+    np.testing.assert_allclose(right.weights, [1.0 / 3.0, 2.0 / 3.0],
+                               rtol=1e-15)
+    # atoms inside but no mass: the null-measure marker, as for no atoms
+    massless = WeightedSample(X, y, [0.0, 0.25, 0.25, 0.5])
+    ball = manual_partition([[0.0, 0.0]], [0.1]).region(1)
+    assert restrict(massless, ball) is None
+    # a zero-weight atom beside a weighted one stays, with weight 0
+    both = restrict(massless, part.region(1))
+    np.testing.assert_array_equal(both.weights, [0.0, 1.0])
 
 
 def test_partition_scheme_serialization_round_trip():

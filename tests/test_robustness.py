@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from localsvm import (AuditContext, Dataset, GaussianRBF, InputError,
+from localsvm import (AuditContext, GaussianRBF, InputError,
                       LadderConvergenceWarning, Linear, LogisticClassification,
                       LogisticRegression, ModelConfig, Polynomial, TrainConfig,
                       WeightScheme, WeightedSample, adversarial_q_specs,
@@ -88,7 +88,7 @@ def test_contamination_of_another_dimension_is_rejected(z_x, train_calls):
         run_audit(data, scheme, config, [good, z], probes=data.X, base=base)
     assert train_calls == []
     with pytest.raises(InputError, match=wrong):
-        contaminate_region(restrict(data, part, 1), z, part.region(1), 0.01)
+        contaminate_region(restrict(data, part.region(1)), z, part.region(1), 0.01)
     with pytest.raises(InputError, match=wrong):
         tv_refined_if_bound(data, scheme, config, z_x, 1.0)
     finite_diff_if(ctx, good, (1e-2, 5e-3))
@@ -240,7 +240,7 @@ def test_finite_diff_if_stationary_contamination_gives_zero():
     # a model that already interpolates (y = 0 everywhere -> f = 0) and a
     # contamination at the same atoms changes nothing: IF estimate is 0
     X = np.random.default_rng(3).normal(size=(8, 2)) * 0.2
-    data = Dataset(X, np.zeros(8))
+    data = WeightedSample.uniform(X, np.zeros(8))
     part = manual_partition([[0.0, 0.0]], [5.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config()
@@ -325,7 +325,7 @@ def test_decomposition_check_uses_the_context_weights(monkeypatch):
 def test_tv_refined_examples():
     X = np.random.default_rng(6).normal(size=(10, 2)) * 0.3
     y = np.linspace(-1, 1, 10)
-    data = Dataset(X, y)
+    data = WeightedSample.uniform(X, y)
     part = manual_partition([[0.0, 0.0]], [10.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config(lam=0.5)
@@ -343,7 +343,7 @@ def test_tv_refined_examples():
     assert refined2 == pytest.approx(4.0 * (1.0 - 0.1), rel=1e-12)
 
     # single-atom region contaminated by its own atom: TV = 0
-    solo = Dataset(X[:1], y[:1])
+    solo = WeightedSample.uniform(X[:1], y[:1])
     part1 = manual_partition([[0.0, 0.0]], [10.0])
     scheme1 = WeightScheme("normalized-indicator", part1)
     assert tv_refined_if_bound(solo, scheme1, config, X[0], y[0]) == 0.0
@@ -368,7 +368,7 @@ def test_tv_refined_matches_rough_at_tv_two_polynomial():
     # balls' all the same, w_sup = 1 and ||k_b|| = (||c_b|| + 4)^2 + 1
     rng = np.random.default_rng(8)
     X = rng.uniform(-1.0, 1.0, size=(20, 2))
-    data = Dataset(X, np.sin(X.sum(axis=1)))
+    data = WeightedSample.uniform(X, np.sin(X.sum(axis=1)))
     part = manual_partition([[-0.3, 0.0], [0.4, 0.2]], [4.0, 4.0])
     scheme = WeightScheme("smooth-bump", part, h=1.0)
     config = ModelConfig(loss=REG,
@@ -409,7 +409,7 @@ def test_maxbias_zero_eps_is_exactly_zero():
 def test_maxbias_bound_arithmetic():
     X = np.random.default_rng(8).normal(size=(10, 2))
     y = np.random.default_rng(9).uniform(-1, 1, 10)
-    data = Dataset(X, y)
+    data = WeightedSample.uniform(X, y)
     part = manual_partition([[0.0, 0.0]], [50.0])
     scheme = WeightScheme("normalized-indicator", part)
     config = _config(lam=0.5)
@@ -518,7 +518,7 @@ def test_default_probes_equal_scipy_sobol_fill(d):
     from scipy.stats import qmc
 
     X = np.random.default_rng(60 + d).uniform(-3.0, 2.0, size=(9, d))
-    data = Dataset(X, np.zeros(9))
+    data = WeightedSample.uniform(X, np.zeros(9))
     lo, hi = data.bounding_box()
     for n in (1, 7, 512, 1000, 4096):
         with warnings.catch_warnings():
@@ -558,7 +558,7 @@ def test_default_probes_need_the_direction_number_file(monkeypatch, tmp_path):
 
 
 def test_default_probes_reject_dimension_or_count_beyond_the_table():
-    data = Dataset(np.zeros((2, 21202)), np.zeros(2))
+    data = WeightedSample.uniform(np.zeros((2, 21202)), np.zeros(2))
     with pytest.raises(InputError, match="at most 21201 dimensions"):
         default_probes(data, 4)
     # 30-bit direction numbers give 2^30 distinct points; refused unbuilt
