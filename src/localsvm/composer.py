@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
 from typing import Mapping
 
@@ -118,8 +117,10 @@ class ComposedModel:
 
 def _map_tasks(fn, tasks, threads: int) -> list:
     """[fn(t) for t in tasks], in a pool of ``threads`` threads when there
-    is more than one task; results keep the order of ``tasks``."""
+    is more than one task; results keep the order of ``tasks``. The pool
+    is imported here, so a serial run never loads it (nor ``logging``)."""
     if threads > 1 and len(tasks) > 1:
+        from concurrent.futures import ThreadPoolExecutor
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(fn, tasks))
     return [fn(t) for t in tasks]

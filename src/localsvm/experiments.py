@@ -12,17 +12,18 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .composer import ComposedModel, ModelConfig, compose, fit_composed
+from .composer import ModelConfig, compose, fit_composed
 from .data import WeightedSample
 from .errors import InputError
 from .regions import KIND_INDICATOR, WeightScheme, regionalize
 from .robustness import if_bound
-from .solver import LocalModel, train
+from .solver import train
 
 TASK_SINE = "sine-regression"
 TASK_MOONS = "two-moons"
@@ -151,6 +152,14 @@ class PartitionConfig:
         return WeightScheme(self.scheme, partition, h=self.h)
 
 
+def _sample_size(name: str, n) -> int:
+    """n as an int; an InputError unless it is an integer (numpy integers
+    are, bools are not), so that no sample size is silently truncated."""
+    if isinstance(n, bool) or not isinstance(n, numbers.Integral):
+        raise InputError(f"{name} must be an integer, got {n!r}")
+    return int(n)
+
+
 def _eval_sample(task: SyntheticTask, eval_n: int, with_oracle: bool = False):
     """The task's evaluation sample, drawn from its own stream (seed offset
     by ``EVAL_SEED_OFFSET``) so it never reuses a training draw."""
@@ -168,28 +177,40 @@ def _mc_risk(preds: np.ndarray, eval_data: WeightedSample,
     return float(np.mean(vals)), float(np.std(vals) / np.sqrt(eval_data.n))
 
 
-def _rung_predictions(model: ComposedModel, global_model: LocalModel,
-                      membership: np.ndarray, X: np.ndarray):
-    """Composed and unregionalized predictions at the rows of X, from one
-    ``Kernel.apply`` per distinct kernel among the models.
+def _model_columns(sets, X: np.ndarray) -> list:
+    """Predictions at the rows of X of sets of models over shared anchors:
+    for each set ``(anchors, columns)``, the (len(X), len(columns)) matrix
+    whose column j is the j-th model's prediction.
 
-    Region b's anchors are the global anchors on the rows where
-    ``membership[:, b - 1]``, the test ``restrict`` applies. So each model
-    is a column of one coefficient matrix over the global anchors: column
-    0 the global alpha, column b region b's alpha scattered onto its rows
-    (a zero column for a null region).
+    ``columns`` lists ``(model, rows)``: the model's anchors are
+    ``anchors[rows]``, as region b's anchors are the rows where
+    ``restrict``'s test ``membership[:, b - 1]`` holds. So each model is a
+    column of one coefficient block over the set's anchors, its alpha
+    scattered onto its rows (a zero column for a null region). A set whose
+    anchors are exactly the leading rows of the largest set's anchors (a
+    nested prefix, checked with ``np.array_equal``) shares that set's pass;
+    any other set has its own. Each pass is one ``Kernel.apply`` per
+    distinct kernel, with one coefficient block per set.
     """
-    models = [global_model, *model.locals.values()]  # locals: ids 1..B in order
-    C = np.zeros((global_model.n_anchors, len(models)))
-    C[:, 0] = global_model.alpha
-    for b in range(1, len(models)):
-        C[membership[:, b - 1], b] = models[b].alpha
-    P = np.empty((X.shape[0], len(models)))
-    for kernel in dict.fromkeys(m.kernel for m in models):
-        cols = [j for j, m in enumerate(models) if m.kernel == kernel]
-        P[:, cols] = kernel.apply(X, global_model.anchors, C[:, cols])
-    W, _ = model.scheme.weights_many(X)
-    return compose(W, lambda b, rows: P[rows, b]), P[:, 0]
+    largest = max((anchors for anchors, _ in sets), key=len)
+    passes = {}  # (id of anchors, kernel) -> (anchors, kernel, [(set, cols, block)])
+    out = []
+    for i, (anchors, columns) in enumerate(sets):
+        C = np.zeros((anchors.shape[0], len(columns)))
+        for j, (model, rows) in enumerate(columns):
+            C[rows, j] = model.alpha
+        nested = np.array_equal(anchors, largest[:anchors.shape[0]])
+        Z = largest if nested else anchors
+        for kernel in dict.fromkeys(model.kernel for model, _ in columns):
+            cols = [j for j, (model, _) in enumerate(columns) if model.kernel == kernel]
+            passes.setdefault((id(Z), kernel), (Z, kernel, []))[2].append(
+                (i, cols, C[:, cols]))
+        out.append(np.empty((X.shape[0], len(columns))))
+    for Z, kernel, blocks in passes.values():
+        preds = kernel.apply(X, Z, [C for _, _, C in blocks])
+        for (i, cols, _), P in zip(blocks, preds):
+            out[i][:, cols] = P
+    return out
 
 
 def _write_csv(report, path):
@@ -229,18 +250,21 @@ def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
     lam_b = schedule(n_b); risks are Monte-Carlo estimates on one fresh
     evaluation sample shared across the ladder, reported next to the Bayes
     proxy (the known optimal predictor's risk) and the unregionalized
-    model's risk at lam = schedule(n). One cross-kernel pass over the
-    evaluation sample per rung scores both models (``_rung_predictions``).
-    ``threads`` caps the parallel region trainings of each fit, as in
-    ``fit_composed``.
+    model's risk at lam = schedule(n). Every rung is fitted first, then all
+    are scored together (``_model_columns``): rungs whose samples are
+    nested prefixes of the largest rung's (sine and piecewise draws are)
+    share one cross-kernel pass over the evaluation sample, and any other
+    rung gets its own. ``threads`` caps the parallel region trainings of
+    each fit, as in ``fit_composed``.
     """
-    n_ladder = [int(n) for n in n_ladder]
+    n_ladder = [_sample_size("n_ladder entry", n) for n in n_ladder]
+    eval_n = _sample_size("eval_n", eval_n)
     if any(b <= a for a, b in zip(n_ladder, n_ladder[1:])):
         raise InputError(f"n ladder must be increasing, got {n_ladder}")
     eval_data, t_star = _eval_sample(task, eval_n, with_oracle=True)
     bayes, _ = _mc_risk(t_star, eval_data, config.loss)
 
-    def row(n: int) -> dict:
+    def fit(n: int):
         data = generate(task, n)
         scheme = pc.build(data.X)
         membership = scheme.partition.membership(data.X)
@@ -252,14 +276,21 @@ def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
         model = fit_composed(data, scheme, cfg, threads=threads)
         global_model = train(data, config.kernel, config.loss,
                              replace(config.train, lam=lam))
-        composed, global_preds = _rung_predictions(model, global_model,
-                                                   membership, eval_data.X)
-        risk, stderr = _mc_risk(composed, eval_data, config.loss)
-        global_risk, _ = _mc_risk(global_preds, eval_data, config.loss)
-        return dict(zip(TrendReport.COLUMNS,
-                        (n, lam, risk, bayes, global_risk, stderr)))
+        columns = [(global_model, slice(None)),
+                   *zip(model.locals.values(), membership.T)]
+        return lam, scheme, (data.X, columns)
 
-    return TrendReport(rows=[row(n) for n in n_ladder], eval_n=eval_n)
+    fits = [fit(n) for n in n_ladder]
+    preds = _model_columns([model_set for _, _, model_set in fits], eval_data.X)
+    report_rows = []
+    for n, (lam, scheme, _), P in zip(n_ladder, fits, preds):
+        W, _ = scheme.weights_many(eval_data.X)
+        risk, stderr = _mc_risk(compose(W, lambda b, rows: P[rows, b]),
+                                eval_data, config.loss)
+        global_risk, _ = _mc_risk(P[:, 0], eval_data, config.loss)
+        report_rows.append(dict(zip(TrendReport.COLUMNS,
+                                    (n, lam, risk, bayes, global_risk, stderr))))
+    return TrendReport(rows=report_rows, eval_n=eval_n)
 
 
 @dataclass
@@ -286,24 +317,34 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
 
     The bound is exactly inversely linear in lambda; the risk column shows
     the consistency-vs-robustness trade-off on one fixed partition, whose
-    balls alone give the bound's sup-norm factors. ``threads`` caps the
-    parallel region trainings of each fit, as in ``fit_composed``.
+    balls alone give the bound's sup-norm factors. Every lambda's model is
+    fitted on the same data and scheme, so all are scored from one
+    cross-kernel pass over the evaluation sample (``_model_columns``) and
+    one set of weights. ``threads`` caps the parallel region trainings of
+    each fit, as in ``fit_composed``.
     """
+    n = _sample_size("n", n)
+    eval_n = _sample_size("eval_n", eval_n)
     lambda_grid = [float(l) for l in lambda_grid]
     if any(l <= 0 for l in lambda_grid):
         raise InputError(f"lambda grid must be positive, got {lambda_grid}")
     data = generate(task, n)
     scheme = pc.build(data.X)
+    membership = scheme.partition.membership(data.X)
     eval_data = _eval_sample(task, eval_n)
-
-    def row(lam: float) -> dict:
+    bounds, sets = [], []
+    for lam in lambda_grid:
         # no per-region lambdas: the bound stays exactly inversely linear
         # in the grid's lambda
         cfg = replace(config, train=replace(config.train, lam=lam),
                       region_lambdas={})
         model = fit_composed(data, scheme, cfg, threads=threads)
-        risk, stderr = _mc_risk(model.predict(eval_data.X), eval_data, config.loss)
-        bound = if_bound(scheme, cfg).if_bound_rough
-        return dict(zip(SweepReport.COLUMNS, (lam, risk, bound, stderr)))
-
-    return SweepReport(rows=[row(lam) for lam in lambda_grid], n=n, eval_n=eval_n)
+        bounds.append(if_bound(scheme, cfg).if_bound_rough)
+        sets.append((data.X, list(zip(model.locals.values(), membership.T))))
+    W, _ = scheme.weights_many(eval_data.X)
+    report_rows = []
+    for lam, bound, P in zip(lambda_grid, bounds, _model_columns(sets, eval_data.X)):
+        risk, stderr = _mc_risk(compose(W, lambda b, rows: P[rows, b - 1]),
+                                eval_data, config.loss)
+        report_rows.append(dict(zip(SweepReport.COLUMNS, (lam, risk, bound, stderr))))
+    return SweepReport(rows=report_rows, n=n, eval_n=eval_n)

@@ -5,8 +5,8 @@ Gaussian RBF family is bounded globally with sup_x sqrt(k(x, x)) = 1.
 A cross-kernel matrix or a Gram matrix is one call of the family's
 ``_cross``. ``Kernel.apply`` computes K(X, Z) @ coef one row chunk at a
 time into buffers it allocates once per call, so predictions never hold
-the full cross-kernel matrix; ``LocalModel.predict`` and the consistency
-experiment's scoring go through it.
+the full cross-kernel matrix; ``LocalModel.predict`` and the experiments'
+scoring go through it.
 """
 
 from __future__ import annotations
@@ -91,33 +91,43 @@ class Kernel:
         X = np.ascontiguousarray(X)
         return self._cross(X, X)
 
-    def apply(self, X, Z, coef) -> np.ndarray:
+    def apply(self, X, Z, coef):
         """K(X, Z) @ coef for ``coef`` of shape (m,) or (m, c), one
         ``chunk_rows(m)`` row chunk at a time.
 
-        The chunk buffer and the family's ``_workspace`` are built once per
-        call and every chunk's ``_cross`` writes into them, so the full
-        (n, m) matrix is never held. Each kernel entry is computed alone,
-        so the chunk's entries are bitwise those of ``matrix``.
+        ``coef`` may also be a list of blocks C_i of shape (m_i,) or
+        (m_i, c_i) with m_i <= m; the result is then the list of
+        K(X, Z[:m_i]) @ C_i, all from one pass over the chunks of
+        K(X, Z[:max m_i]), each block multiplying the first m_i columns of
+        every chunk (no zero padding). The chunk buffer and the family's
+        ``_workspace`` are built once per call and every chunk's ``_cross``
+        writes into them, so the full (n, m) matrix is never held. Each
+        kernel entry is computed alone, so the chunk's entries are bitwise
+        those of ``matrix``.
         """
         X = self._check(X)
         Z = self._check(Z)
-        coef = np.asarray(coef, dtype=float)
-        if coef.ndim not in (1, 2) or coef.shape[0] != Z.shape[0]:
-            raise InputError(f"coef of shape {coef.shape} does not match "
-                             f"{Z.shape[0]} kernel columns")
+        single = not isinstance(coef, list)
+        blocks = [np.asarray(c, dtype=float) for c in ([coef] if single else coef)]
+        for c in blocks:
+            if (c.ndim not in (1, 2) or c.shape[0] > Z.shape[0]
+                    or (single and c.shape[0] != Z.shape[0])):
+                raise InputError(f"coef of shape {c.shape} does not match "
+                                 f"{Z.shape[0]} kernel columns")
+        Z = Z[:max((c.shape[0] for c in blocks), default=0)]
         n, m = X.shape[0], Z.shape[0]
-        out = np.zeros((n,) + coef.shape[1:])
-        if n == 0 or m == 0:
-            return out
-        rows = chunk_rows(m)
-        block = np.empty((min(rows, n), m))
-        workspace = self._workspace(Z, block.shape[0])
-        for start in range(0, n, rows):
-            chunk = X[start:start + rows]
-            K = self._cross(chunk, Z, out=block[:chunk.shape[0]], workspace=workspace)
-            np.matmul(K, coef, out=out[start:start + rows])
-        return out
+        outs = [np.zeros((n,) + c.shape[1:]) for c in blocks]
+        if n and m:
+            rows = chunk_rows(m)
+            block = np.empty((min(rows, n), m))
+            workspace = self._workspace(Z, block.shape[0])
+            for start in range(0, n, rows):
+                chunk = X[start:start + rows]
+                K = self._cross(chunk, Z, out=block[:chunk.shape[0]],
+                                workspace=workspace)
+                for c, out in zip(blocks, outs):
+                    np.matmul(K[:, :c.shape[0]], c, out=out[start:start + rows])
+        return outs[0] if single else outs
 
     def diag(self, X) -> np.ndarray:
         """Vector of k(x, x) values."""

@@ -9,6 +9,8 @@ maxbias retrain and the top ladder rung from pad(alpha), each lower rung
 from the secant through the rung above (``_secant_start``).
 """
 
+import concurrent.futures
+
 import numpy as np
 import pytest
 
@@ -19,7 +21,7 @@ from localsvm import (ComposedModel, GaussianRBF, InputError,
                       adversarial_q_specs, contaminate_region, default_probes,
                       finite_diff_if, fit_composed, maxbias_probe, regionalize,
                       restrict, run_audit, train)
-from localsvm import composer, robustness
+from localsvm import robustness
 from localsvm.robustness import DEFAULT_EPS_LADDER, AuditContext
 from localsvm.solver import grad_scale
 from conftest import manual_partition, two_blobs
@@ -310,7 +312,7 @@ def test_run_audit_retrains_without_a_thread_pool(monkeypatch):
     def no_pool(*args, **kwargs):
         raise AssertionError("the audit started a thread pool")
 
-    monkeypatch.setattr(composer, "ThreadPoolExecutor", no_pool)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     qs = _qs(data, part)
     assert sum(len(_touched(data, part, q)) > 1 for q in qs) >= 1
     report = run_audit(data, scheme, config, qs, maxbias_eps=0.1,

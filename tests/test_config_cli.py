@@ -636,14 +636,15 @@ def test_cli_experiment_threads_give_identical_outputs(tmp_path, monkeypatch,
 
     monkeypatch.setattr(experiments, "fit_composed", spy)
     cfg_path = write_config(tmp_path, base_config(experiment=exp))
-    for threads in ("1", "2"):
+    for threads, out in (("1", "1"), ("1", "repeat"), ("2", "2")):
         assert cli.main(["experiment", "--config", cfg_path, "--threads",
-                         threads, "--out", str(tmp_path / threads)]) == 0
-    assert seen == [1, 1, 2, 2]
+                         threads, "--out", str(tmp_path / out)]) == 0
+    assert seen == [1, 1, 1, 1, 2, 2]
     for suffix in ("csv", "json"):
         name = f"{exp['kind']}.{suffix}"
-        assert (tmp_path / "1" / name).read_bytes() == \
-            (tmp_path / "2" / name).read_bytes()
+        for out in ("repeat", "2"):
+            assert (tmp_path / "1" / name).read_bytes() == \
+                (tmp_path / out / name).read_bytes()
 
 
 def test_cli_audit_threads_reach_only_the_fit(tmp_path, monkeypatch):
@@ -842,7 +843,9 @@ def test_import_cli_leaves_scipy_stats_unloaded(tmp_path):
     import sys
 
     # no command imports scipy or jsonschema: the audit probes read only
-    # scipy's Sobol direction-number file, and configs are checked in-package
+    # scipy's Sobol direction-number file, and configs are checked in-package;
+    # and at one thread (the default) none loads the composer's pool,
+    # concurrent.futures, or the logging it imports
     src = str(Path(cli.__file__).resolve().parents[1])
     cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
                              "z_grid": 2, "maxbias_eps": 0.1},
@@ -851,7 +854,8 @@ def test_import_cli_leaves_scipy_stats_unloaded(tmp_path):
     cfg["dataset"]["n"] = 30
     cfg_path = write_config(tmp_path, cfg)
     loaded = ("print('modules:', *(m for m in sys.modules "
-              "if m.split('.')[0] in ('scipy', 'jsonschema')))")
+              "if m.split('.')[0] in ('scipy', 'jsonschema', 'concurrent', "
+              "'logging')))")
     for command in ("", "train", "audit", "experiment"):
         run = (f"rc = localsvm.cli.main([{command!r}, '--config', {cfg_path!r}, "
                f"'--out', {str(tmp_path / command)!r}]); assert rc == 0, rc; "

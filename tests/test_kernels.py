@@ -488,6 +488,46 @@ def test_apply_columns_match_one_dimensional_calls(kernel):
         assert np.all(np.abs(got[:, j] - one) <= m * np.finfo(float).eps * scale[:, j])
 
 
+@pytest.mark.parametrize("kernel", APPLY_KERNELS, ids=APPLY_IDS)
+def test_apply_blocks_match_one_call_per_block(kernel):
+    # a list of blocks is one pass: block i multiplies the first m_i
+    # columns of each chunk, the product apply(X, Z[:m_i], C_i) gives over
+    # its own, narrower chunks (and, for Linear and Polynomial, with entries
+    # from a product of another shape); the largest block has m_i = m
+    m = 700
+    X, Z, _ = _apply_inputs(kernel, 3 * chunk_rows(m) + 5, m, seed=61)
+    rng = np.random.default_rng(62)
+    blocks = [rng.normal(size=(250, 3)), rng.normal(size=1),
+              rng.normal(size=(m, 2)), rng.normal(size=(699, 1))]
+    got = kernel.apply(X, Z, blocks)
+    assert isinstance(got, list) and len(got) == len(blocks)
+    for C, P in zip(blocks, got):
+        m_i = C.shape[0]
+        one = kernel.apply(X, Z[:m_i], C)
+        assert P.shape == one.shape == (X.shape[0],) + C.shape[1:]
+        scale = np.abs(kernel.matrix(X, Z[:m_i])) @ np.abs(C)
+        assert np.all(np.abs(P - one) <= m * np.finfo(float).eps * scale)
+
+
+def test_apply_blocks_narrower_than_z_compute_only_their_columns(monkeypatch):
+    # the pass covers the columns of the widest block, not all of Z
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    widths = []
+    original = GaussianRBF._cross
+
+    def spy(self, X, Z, *args, **kwargs):
+        widths.append(Z.shape[0])
+        return original(self, X, Z, *args, **kwargs)
+
+    monkeypatch.setattr(GaussianRBF, "_cross", spy)
+    X, Z, _ = _apply_inputs(k, 50, 40, seed=63)
+    got = k.apply(X, Z, [np.ones(10), np.ones((25, 2))])
+    assert set(widths) == {25}
+    assert [P.shape for P in got] == [(50,), (50, 2)]
+    assert k.apply(X, Z, []) == []
+    np.testing.assert_array_equal(k.apply(X, Z, [np.ones(0)])[0], np.zeros(50))
+
+
 def test_apply_with_no_columns_is_zero():
     k = GaussianRBF(gamma=1.0, input_dim=2)
     got = k.apply(np.ones((3, 2)), np.zeros((0, 2)), np.zeros((0, 2)))
@@ -498,6 +538,11 @@ def test_apply_rejects_a_coefficient_of_the_wrong_length():
     k = GaussianRBF(gamma=1.0, input_dim=2)
     with pytest.raises(InputError):
         k.apply(np.ones((3, 2)), np.zeros((4, 2)), np.zeros(3))
+    # a block may be shorter than Z, not longer, and is 1-d or 2-d
+    with pytest.raises(InputError):
+        k.apply(np.ones((3, 2)), np.zeros((4, 2)), [np.zeros(4), np.zeros((5, 2))])
+    with pytest.raises(InputError):
+        k.apply(np.ones((3, 2)), np.zeros((4, 2)), [np.zeros((2, 2, 2))])
 
 
 @pytest.mark.parametrize("kernel", APPLY_KERNELS, ids=APPLY_IDS)
