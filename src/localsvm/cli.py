@@ -84,6 +84,18 @@ def _prepare(args):
     return raw, data, pc, config, _out_dir(args, raw)
 
 
+def _build_scheme(pc, data, config):
+    """The run's weight scheme; every model.per_region entry must name
+    one of its regions."""
+    scheme = pc.build(data.X)
+    unknown = sorted({*config.region_kernels, *config.region_lambdas}
+                     - set(range(1, scheme.B + 1)))
+    if unknown:
+        raise InputError(f"model.per_region names region(s) {unknown}, but the "
+                         f"partition has regions 1..{scheme.B}")
+    return scheme
+
+
 def _json_text(obj, name: str) -> str:
     """Strict JSON of one output; made before any file is opened."""
     try:
@@ -112,7 +124,8 @@ def _train_summary(model: ComposedModel) -> str:
 
 def cmd_train(args) -> int:
     _, data, pc, config, out_dir = _prepare(args)
-    model = fit_composed(data, pc.build(data.X), config, threads=args.threads)
+    model = fit_composed(data, _build_scheme(pc, data, config), config,
+                         threads=args.threads)
     model_path = out_dir / "model.json"
     text = _json_text(model.to_dict(), model_path.name)
     summary = _train_summary(model)
@@ -170,7 +183,7 @@ def cmd_audit(args) -> int:
         except (KeyError, ValueError, json.JSONDecodeError) as exc:
             raise InputError(f"cannot parse model {args.model}: {exc}") from None
 
-    scheme = pc.build(data.X)
+    scheme = _build_scheme(pc, data, config)
     if base is not None:
         if ((base.partition.to_dict(), base.scheme.to_dict())
                 != (scheme.partition.to_dict(), scheme.to_dict())):

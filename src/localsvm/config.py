@@ -289,7 +289,13 @@ def validate_config(raw: dict) -> None:
     # cross-field rules the schema cannot express
     if raw["scheme"]["kind"] == KIND_BUMP and "h" not in raw["scheme"]:
         raise InputError("scheme 'smooth-bump' requires a bandwidth h")
+    regions = [int(e["region"]) for e in raw["model"].get("per_region", [])]
+    repeated = sorted({b for b in regions if regions.count(b) > 1})
+    if repeated:
+        raise InputError(f"model.per_region names region(s) {repeated} more than once")
     audit = raw.get("audit", {})
+    if "z" in audit and "z_grid" in audit:
+        raise InputError("audit sets both z and z_grid; give one of them")
     ladder = audit.get("eps_ladder")
     if ladder is not None and any(a <= b for a, b in zip(ladder, ladder[1:])):
         raise InputError(f"audit eps_ladder must be strictly decreasing, got {ladder}")
@@ -384,21 +390,15 @@ def model_config_from_config(raw: dict, input_dim: int):
     loss = loss_from_name(m["loss"])
     kernel = kernel_from_dict(dict(m["kernel"], input_dim=input_dim))
     # only the keys the config sets: TrainConfig holds the defaults
-    solver = {}
-    if "grad_tol" in m:
-        solver["grad_tol"] = float(m["grad_tol"])
-    if "max_iter" in m:
-        solver["max_iter"] = int(m["max_iter"])
+    solver = {key: cast(m[key]) for key, cast in
+              (("grad_tol", float), ("max_iter", int)) if key in m}
     train_cfg = TrainConfig(lam=float(m["lambda"]), **solver)
-    region_kernels = {}
-    region_lambdas = {}
-    for entry in m.get("per_region", []):
-        b = int(entry["region"])
-        if "kernel" in entry:
-            region_kernels[b] = kernel_from_dict(
-                dict(entry["kernel"], input_dim=input_dim))
-        if "lambda" in entry:
-            region_lambdas[b] = float(entry["lambda"])
+    per_region = m.get("per_region", [])
+    region_kernels = {
+        int(e["region"]): kernel_from_dict(dict(e["kernel"], input_dim=input_dim))
+        for e in per_region if "kernel" in e}
+    region_lambdas = {int(e["region"]): float(e["lambda"])
+                      for e in per_region if "lambda" in e}
     return ModelConfig(loss=loss, kernel=kernel, train=train_cfg,
                        region_kernels=region_kernels,
                        region_lambdas=region_lambdas)

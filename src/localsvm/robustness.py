@@ -29,10 +29,8 @@ sqrt(k(x, x)) over region b's ball (``sup_norm_on_region``).
 
 from __future__ import annotations
 
-import importlib.util
 import warnings
 from dataclasses import dataclass, field, fields
-from pathlib import Path
 from typing import Optional
 
 import numpy as np
@@ -52,9 +50,8 @@ DEFAULT_EXTRA_PROBES = 512
 H_NORM_SLACK = 1e-3
 #: most bounding-box corners in the adversarial maxbias family
 MAX_CORNERS = 8
-#: Sobol points are multiples of 2^-_SOBOL_BITS, scipy's default precision
+#: Sobol points are multiples of 2^-_SOBOL_BITS, so at most 2^_SOBOL_BITS differ
 _SOBOL_BITS = 30
-_SOBOL_TABLE = "_sobol_direction_numbers.npz"
 
 
 class LadderConvergenceWarning(UserWarning):
@@ -166,22 +163,52 @@ class InfluenceEstimate:
     converged: bool
 
 
-def _sobol_table(dim: int):
-    """Primitive polynomials and initial direction numbers of the first
-    ``dim`` Sobol dimensions (Joe & Kuo, 2008), read from the table file
-    scipy ships, without importing any scipy module."""
-    spec = importlib.util.find_spec("scipy")
-    roots = None if spec is None else spec.submodule_search_locations
-    path = Path(roots[0], "stats", _SOBOL_TABLE) if roots else None
-    if path is None or not path.is_file():
-        raise InputError(f"audit probes need the Sobol direction numbers in "
-                         f"scipy/stats/{_SOBOL_TABLE}, which was not found")
-    with np.load(path) as table:
-        poly, vinit = table["poly"], table["vinit"]
-    if dim > poly.shape[0]:
-        raise InputError(f"Sobol probes support at most {poly.shape[0]} "
-                         f"dimensions, got {dim}")
-    return poly[:dim], vinit[:dim]
+#: Primitive polynomials (bit-encoded, leading and constant terms included)
+#: and initial direction numbers m_1..m_deg of the first 64 Sobol
+#: dimensions: the new-joe-kuo-6.21201 table of S. Joe and F. Y. Kuo,
+#: "Constructing Sobol sequences with better two-dimensional projections",
+#: SIAM J. Sci. Comput. 30(5), 2635-2654 (2008). Dimension 0 is van der
+#: Corput's, with every direction number 1.
+_SOBOL_DIRECTIONS = (
+    (1, (1,)), (3, (1,)), (7, (1, 3)), (11, (1, 3, 1)), (13, (1, 1, 1)),
+    (19, (1, 1, 3, 3)), (25, (1, 3, 5, 13)), (37, (1, 1, 5, 5, 17)),
+    (41, (1, 1, 5, 5, 5)), (47, (1, 1, 7, 11, 19)), (55, (1, 1, 5, 1, 1)),
+    (59, (1, 1, 1, 3, 11)), (61, (1, 3, 5, 5, 31)), (67, (1, 3, 3, 9, 7, 49)),
+    (91, (1, 1, 1, 15, 21, 21)), (97, (1, 3, 1, 13, 27, 49)),
+    (103, (1, 1, 1, 15, 7, 5)), (109, (1, 3, 1, 15, 13, 25)),
+    (115, (1, 1, 5, 5, 19, 61)), (131, (1, 3, 7, 11, 23, 15, 103)),
+    (137, (1, 3, 7, 13, 13, 15, 69)), (143, (1, 1, 3, 13, 7, 35, 63)),
+    (145, (1, 3, 5, 9, 1, 25, 53)), (157, (1, 3, 1, 13, 9, 35, 107)),
+    (167, (1, 3, 1, 5, 27, 61, 31)), (171, (1, 1, 5, 11, 19, 41, 61)),
+    (185, (1, 3, 5, 3, 3, 13, 69)), (191, (1, 1, 7, 13, 1, 19, 1)),
+    (193, (1, 3, 7, 5, 13, 19, 59)), (203, (1, 1, 3, 9, 25, 29, 41)),
+    (211, (1, 3, 5, 13, 23, 1, 55)), (213, (1, 3, 7, 3, 13, 59, 17)),
+    (229, (1, 3, 1, 3, 5, 53, 69)), (239, (1, 1, 5, 5, 23, 33, 13)),
+    (241, (1, 1, 7, 7, 1, 61, 123)), (247, (1, 1, 7, 9, 13, 61, 49)),
+    (253, (1, 3, 3, 5, 3, 55, 33)), (285, (1, 3, 1, 15, 31, 13, 49, 245)),
+    (299, (1, 3, 5, 15, 31, 59, 63, 97)),
+    (301, (1, 3, 1, 11, 11, 11, 77, 249)),
+    (333, (1, 3, 1, 11, 27, 43, 71, 9)), (351, (1, 1, 7, 15, 21, 11, 81, 45)),
+    (355, (1, 3, 7, 3, 25, 31, 65, 79)), (357, (1, 3, 1, 1, 19, 11, 3, 205)),
+    (361, (1, 1, 5, 9, 19, 21, 29, 157)),
+    (369, (1, 3, 7, 11, 1, 33, 89, 185)), (391, (1, 3, 3, 3, 15, 9, 79, 71)),
+    (397, (1, 3, 7, 11, 15, 39, 119, 27)),
+    (425, (1, 1, 3, 1, 11, 31, 97, 225)),
+    (451, (1, 1, 1, 3, 23, 43, 57, 177)), (463, (1, 3, 7, 7, 17, 17, 37, 71)),
+    (487, (1, 3, 1, 5, 27, 63, 123, 213)),
+    (501, (1, 1, 3, 5, 11, 43, 53, 133)),
+    (529, (1, 3, 5, 5, 29, 17, 47, 173, 479)),
+    (539, (1, 3, 3, 11, 3, 1, 109, 9, 69)),
+    (545, (1, 1, 1, 5, 17, 39, 23, 5, 343)),
+    (557, (1, 3, 1, 5, 25, 15, 31, 103, 499)),
+    (563, (1, 1, 1, 11, 11, 17, 63, 105, 183)),
+    (601, (1, 1, 5, 11, 9, 29, 97, 231, 363)),
+    (607, (1, 1, 5, 15, 19, 45, 41, 7, 383)),
+    (617, (1, 3, 7, 7, 31, 19, 83, 137, 221)),
+    (623, (1, 1, 1, 3, 23, 15, 111, 223, 83)),
+    (631, (1, 1, 5, 13, 31, 15, 55, 25, 161)),
+    (637, (1, 1, 3, 13, 25, 47, 39, 87, 257)),
+)
 
 
 def _sobol(n: int, dim: int) -> np.ndarray:
@@ -189,13 +216,16 @@ def _sobol(n: int, dim: int) -> np.ndarray:
     bitwise equal to scipy's ``qmc.Sobol(dim, scramble=False).random(n)``."""
     if n > 2 ** _SOBOL_BITS:
         raise InputError(f"at most 2^{_SOBOL_BITS} Sobol probes, got {n}")
-    poly, vinit = _sobol_table(dim)
+    if dim > len(_SOBOL_DIRECTIONS):
+        raise InputError(f"Sobol probes support at most {len(_SOBOL_DIRECTIONS)} "
+                         f"dimensions, got {dim}; an audit with "
+                         f"extra_probes 0 needs none")
     bits = max(1, (n - 1).bit_length())  # direction columns n points use
     v = np.ones((dim, bits), dtype=np.int64)
     for d in range(1, dim):  # recurrence of Bratley & Fox (1988)
-        p = int(poly[d])
+        p, init = _SOBOL_DIRECTIONS[d]
         m = p.bit_length() - 1
-        row = [int(c) for c in vinit[d, :m]]
+        row = list(init)
         for j in range(m, bits):
             new = row[j - m]
             for k in range(m):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import localsvm.cli as cli
+from localsvm import composer, robustness
 from localsvm import (ComposedModel, GaussianRBF, InputError,
                       LadderConvergenceWarning, LogisticRegression,
                       ModelConfig, Polynomial, TrainConfig, WeightScheme,
@@ -82,6 +83,32 @@ def test_smooth_bump_requires_h():
         validate_config(cfg)
     cfg = base_config(scheme={"kind": "smooth-bump", "h": 1.0})
     validate_config(cfg)
+
+
+def test_per_region_naming_a_region_twice_exits_2(tmp_path, capsys):
+    # the second entry would silently replace the first one's lambda
+    cfg = base_config()
+    cfg["model"]["per_region"] = [{"region": 2, "lambda": 0.1},
+                                  {"region": 2.0, "lambda": 0.3}]
+    with pytest.raises(InputError, match=r"region\(s\) \[2\] more than once"):
+        validate_config(cfg)
+    rc = cli.main(["train", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "model.per_region" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_audit_z_with_z_grid_exits_2(tmp_path, capsys):
+    # z would silently win over the grid
+    cfg = base_config(audit={"z": {"x": [0.0, 0.0], "y": 4.0}, "z_grid": 2})
+    with pytest.raises(InputError, match="both z and z_grid"):
+        validate_config(cfg)
+    rc = cli.main(["audit", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert "both z and z_grid" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 BENCHMARK_CONFIGS = (Path(__file__).resolve().parents[1] / "benchmark"
@@ -842,10 +869,11 @@ def test_import_cli_leaves_scipy_stats_unloaded(tmp_path):
     import subprocess
     import sys
 
-    # no command imports scipy or jsonschema: the audit probes read only
-    # scipy's Sobol direction-number file, and configs are checked in-package;
-    # and at one thread (the default) none loads the composer's pool,
-    # concurrent.futures, or the logging it imports
+    # no command imports scipy or jsonschema: the audit probes embed their
+    # Sobol direction numbers, and configs are checked in-package; and at
+    # one thread (the default) none loads the composer's pool,
+    # concurrent.futures, or the logging it imports. Each command also runs
+    # with scipy unimportable, and writes the same files
     src = str(Path(cli.__file__).resolve().parents[1])
     cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
                              "z_grid": 2, "maxbias_eps": 0.1},
@@ -854,21 +882,52 @@ def test_import_cli_leaves_scipy_stats_unloaded(tmp_path):
     cfg["dataset"]["n"] = 30
     cfg_path = write_config(tmp_path, cfg)
     loaded = ("print('modules:', *(m for m in sys.modules "
-              "if m.split('.')[0] in ('scipy', 'jsonschema', 'concurrent', "
-              "'logging')))")
-    for command in ("", "train", "audit", "experiment"):
-        run = (f"rc = localsvm.cli.main([{command!r}, '--config', {cfg_path!r}, "
-               f"'--out', {str(tmp_path / command)!r}]); assert rc == 0, rc; "
-               if command else "")
-        code = "import sys, localsvm.cli; " + run + loaded
-        result = subprocess.run([sys.executable, "-c", code], cwd=src,
-                                capture_output=True, timeout=120)
-        assert result.returncode == 0, result.stderr.decode()
-        last = result.stdout.decode().splitlines()[-1]
-        assert last.split() == ["modules:"], (command, last)
+              "if sys.modules[m] is not None and m.split('.')[0] in "
+              "('scipy', 'jsonschema', 'concurrent', 'logging')))")
+    for block, suffix in (("", ""), ("sys.modules['scipy'] = None; ", "-blocked")):
+        for command in ("", "train", "audit", "experiment"):
+            out = str(tmp_path / (command + suffix))
+            run = (f"rc = localsvm.cli.main([{command!r}, '--config', "
+                   f"{cfg_path!r}, '--out', {out!r}]); assert rc == 0, rc; "
+                   if command else "")
+            code = "import sys; " + block + "import localsvm.cli; " + run + loaded
+            result = subprocess.run([sys.executable, "-c", code], cwd=src,
+                                    capture_output=True, timeout=120)
+            assert result.returncode == 0, (block, result.stderr.decode())
+            last = result.stdout.decode().splitlines()[-1]
+            assert last.split() == ["modules:"], (block, command, last)
     for command, output in (("train", "model.json"), ("audit", "audit.json"),
                             ("experiment", "tradeoff.json")):
-        assert (tmp_path / command / output).is_file()
+        assert ((tmp_path / command / output).read_bytes()
+                == (tmp_path / f"{command}-blocked" / output).read_bytes())
+
+
+@pytest.mark.parametrize("command", ["train", "audit", "audit --model"])
+def test_per_region_naming_a_missing_region_exits_2_before_any_fit(
+        tmp_path, capsys, monkeypatch, command):
+    # region 9 of a two-region partition would be silently ignored
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    argv = command.split()
+    if command == "audit --model":
+        assert cli.main(["train", "--config", write_config(tmp_path, cfg),
+                         "--out", str(tmp_path / "m")]) == 0
+        argv.append(str(tmp_path / "m" / "model.json"))
+    cfg["model"]["per_region"] = [{"region": 1, "lambda": 0.1},
+                                  {"region": 9, "lambda": 0.1}]
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a local model was trained")
+
+    for module in (composer, robustness):
+        monkeypatch.setattr(module, "train", no_fit)
+    rc = cli.main(argv + ["--config", write_config(tmp_path, cfg),
+                          "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "model.per_region names region(s) [9]" in err
+    assert "regions 1..2" in err
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "audit"])

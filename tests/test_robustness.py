@@ -511,7 +511,7 @@ def test_run_audit_report_schema_and_flags():
     assert [r["eps"] for r in ladder] == [1e-2, 5e-3, 2.5e-3, 1.25e-3]
 
 
-@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 40])
+@pytest.mark.parametrize("d", [1, 2, 3, 5, 10, 40, 64])
 def test_default_probes_equal_scipy_sobol_fill(d):
     import warnings
 
@@ -542,24 +542,27 @@ def test_default_probes_without_and_with_one_extra_point():
                                                      data.bounding_box()[0]]))
 
 
-def test_default_probes_need_the_direction_number_file(monkeypatch, tmp_path):
-    import importlib.machinery
-    import importlib.util
+def test_sobol_directions_equal_the_first_rows_of_scipys_table():
+    # the embedded Joe & Kuo (2008) rows, against the table file scipy ships
+    from pathlib import Path
 
-    data = two_blobs(n_per=5, seed=62)
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: None)
-    with pytest.raises(InputError, match="_sobol_direction_numbers.npz"):
-        default_probes(data, 8)
-    spec = importlib.machinery.ModuleSpec("scipy", None, is_package=True)
-    spec.submodule_search_locations = [str(tmp_path)]  # no stats/ in it
-    monkeypatch.setattr(importlib.util, "find_spec", lambda name: spec)
-    with pytest.raises(InputError, match="_sobol_direction_numbers.npz"):
-        default_probes(data, 8)
+    import scipy
+
+    path = Path(scipy.__file__).parent / "stats" / "_sobol_direction_numbers.npz"
+    with np.load(path) as table:
+        poly, vinit = table["poly"], table["vinit"]
+    directions = robustness._SOBOL_DIRECTIONS
+    assert len(directions) == 64
+    np.testing.assert_array_equal([p for p, _ in directions], poly[:64])
+    padded = np.zeros((64, vinit.shape[1]), dtype=vinit.dtype)
+    for d, (_, init) in enumerate(directions):
+        padded[d, :len(init)] = init
+    np.testing.assert_array_equal(padded, vinit[:64])
 
 
 def test_default_probes_reject_dimension_or_count_beyond_the_table():
-    data = WeightedSample.uniform(np.zeros((2, 21202)), np.zeros(2))
-    with pytest.raises(InputError, match="at most 21201 dimensions"):
+    data = WeightedSample.uniform(np.zeros((2, 65)), np.zeros(2))
+    with pytest.raises(InputError, match="at most 64 dimensions"):
         default_probes(data, 4)
     # 30-bit direction numbers give 2^30 distinct points; refused unbuilt
     with pytest.raises(InputError, match="at most 2\\^30 Sobol probes"):
