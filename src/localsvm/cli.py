@@ -226,6 +226,16 @@ def cmd_experiment(args) -> int:
         raise InputError("experiments need a synthetic dataset (risk oracle)")
     pc = partition_from_config(raw, seed_override=args.seed)
     config = model_config_from_config(raw, task.dim)
+    # experiments build each rung's partition in the library, of at most
+    # b_target regions, and set every lambda from their schedule or grid
+    beyond = sorted(b for b in {*config.region_kernels, *config.region_lambdas}
+                    if b > pc.b_target)
+    if beyond:
+        raise InputError(f"model.per_region names region(s) {beyond}, but the "
+                         f"partition has at most b_target = {pc.b_target} regions")
+    if config.region_lambdas:
+        raise InputError("model.per_region sets lambda, which experiments do not "
+                         "use: they take lambda from the schedule or lambda_grid")
     out_dir = _out_dir(args, raw)
     # only the keys the config sets: the library holds the defaults
     eval_n = {"eval_n": int(exp["eval_n"])} if "eval_n" in exp else {}

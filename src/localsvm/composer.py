@@ -41,19 +41,31 @@ class ModelConfig:
         return self.train_for(region_id).lam
 
 
-def compose(W: np.ndarray, local_predict) -> np.ndarray:
+def active_rows(W: np.ndarray) -> list:
+    """Per region b = 1..B, the rows of the (n, B) weight matrix W with
+    w_b != 0 and their weights: (rows, W[rows, b - 1])."""
+    active = []
+    for w in W.T:
+        rows = np.nonzero(w != 0.0)[0]
+        active.append((rows, w[rows]))
+    return active
+
+
+def compose(W: np.ndarray, local_predict, active=None) -> np.ndarray:
     """sum_b w_b(x) f_b(x) over the rows of the (n, B) weight matrix W.
 
     ``local_predict(b, rows)`` gives f_b at the rows of W that the index
-    array ``rows`` names, in order: those with w_b != 0. The terms are
-    summed in region order. Every weighted sum of local predictors goes
-    through here: the composed model, the consistency trend and the audit.
+    array ``rows`` names, in order: those with w_b != 0. ``active`` is
+    ``active_rows(W)``, for callers that compose over one W many times.
+    The terms are summed in region order. Every weighted sum of local
+    predictors goes through here: the composed model, the consistency
+    trend and the audit.
     """
     out = np.zeros(W.shape[0])
-    for b, w in enumerate(W.T, start=1):
-        rows = np.nonzero(w != 0.0)[0]
+    for b, (rows, w) in enumerate(active_rows(W) if active is None else active,
+                                  start=1):
         if rows.size:
-            out[rows] += w[rows] * local_predict(b, rows)
+            out[rows] += w * local_predict(b, rows)
     return out
 
 

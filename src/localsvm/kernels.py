@@ -3,10 +3,14 @@
 All shipped families are continuous and bounded on bounded sets; the
 Gaussian RBF family is bounded globally with sup_x sqrt(k(x, x)) = 1.
 A cross-kernel matrix or a Gram matrix is one call of the family's
-``_cross``. ``Kernel.apply`` computes K(X, Z) @ coef one row chunk at a
-time into buffers it allocates once per call, so predictions never hold
-the full cross-kernel matrix; ``LocalModel.predict`` and the experiments'
-scoring go through it.
+``_cross``. ``Kernel.gram_rows``, which ``train`` and ``LocalModel.h_norm``
+use, holds the Gram of more than ``_GRAM_ROWS`` points as its upper block
+rows (``BlockRowGram``): about half the entries of the full matrix,
+computed by two ``matrix`` calls per block row, and multiplied with
+vectors as the full matrix. ``Kernel.apply`` computes K(X, Z) @ coef one
+row chunk at a time into buffers it allocates once per call, so
+predictions never hold the full cross-kernel matrix; ``LocalModel.predict``
+and the experiments' scoring go through it.
 """
 
 from __future__ import annotations
@@ -24,6 +28,12 @@ from .regions import RegionPredicate
 # pass over a block stays in L2, and that a chunk's cross-kernel is still in
 # cache when its matrix product reads it
 _BLOCK_BUDGET = 65_536
+
+
+# rows per block row of ``BlockRowGram``: a sample of at most this many
+# points keeps its dense Gram. Smaller blocks hold less (n (n + rows) / 2
+# entries) but make each product more, shorter BLAS calls
+_GRAM_ROWS = 512
 
 
 def chunk_rows(m: int) -> int:
@@ -91,6 +101,15 @@ class Kernel:
         X = np.ascontiguousarray(X)
         return self._cross(X, X)
 
+    def gram_rows(self, points):
+        """The Gram matrix of ``points`` as an operator with ``@``,
+        ``.shape`` and ``.diagonal()``: the dense ``gram`` for at most
+        ``_GRAM_ROWS`` points, else a ``BlockRowGram``."""
+        X = self._check(points)
+        if X.shape[0] <= _GRAM_ROWS:
+            return self.gram(X)
+        return BlockRowGram(self, np.ascontiguousarray(X))
+
     def apply(self, X, Z, coef):
         """K(X, Z) @ coef for ``coef`` of shape (m,) or (m, c), one
         ``chunk_rows(m)`` row chunk at a time.
@@ -150,6 +169,48 @@ class Kernel:
         d.update((f.name, getattr(self, f.name)) for f in fields(self)
                  if f.name != "input_dim")
         return d
+
+
+class BlockRowGram:
+    """The Gram matrix K of the rows of a C-contiguous X, held as its upper
+    block rows K[s:e, s:] of ``_GRAM_ROWS`` rows each (the last may be
+    shorter); K being symmetric, the blocks below the diagonal are the
+    transposes of those above it. About n (n + _GRAM_ROWS) / 2 entries are
+    computed and held instead of n^2.
+
+    Block row (s, e) keeps its diagonal block ``matrix(X[s:e], X[s:e])``,
+    one C-contiguous array as both operands and so exactly symmetric like
+    any ``gram``, and the block right of it, ``matrix(X[s:e], X[e:])``.
+    Every entry is computed as in ``gram``: bitwise equal to it for
+    Gaussian RBF, up to the rounding of the inner products (syrk against
+    gemm) for Linear and Polynomial. ``K @ v`` runs block row by block row
+    in a fixed order, so it is deterministic at a fixed BLAS thread count.
+    """
+
+    def __init__(self, kernel: Kernel, X: np.ndarray):
+        n = X.shape[0]
+        self.shape = (n, n)
+        self.blocks = []  # (s, e, K[s:e, s:e], K[s:e, e:])
+        for s in range(0, n, _GRAM_ROWS):
+            e = min(s + _GRAM_ROWS, n)
+            self.blocks.append((s, e, kernel.matrix(X[s:e], X[s:e]),
+                                kernel.matrix(X[s:e], X[e:])))
+
+    def diagonal(self) -> np.ndarray:
+        return np.concatenate([np.diagonal(D) for _, _, D, _ in self.blocks])
+
+    def __matmul__(self, v):
+        """K @ v for v of shape (n,) or (n, c): y[s:e] += K[s:e, s:] v[s:]
+        and y[e:] += K[s:e, e:]' v[s:e] per block row."""
+        v = np.asarray(v, dtype=float)
+        if v.ndim not in (1, 2) or v.shape[0] != self.shape[1]:
+            raise ValueError(f"cannot multiply a {self.shape} Gram by shape {v.shape}")
+        y = np.zeros(v.shape)
+        for s, e, D, C in self.blocks:
+            y[s:e] += D @ v[s:e]
+            y[s:e] += C @ v[e:]
+            y[e:] += C.T @ v[s:e]
+        return y
 
 
 def _row_factors(X: np.ndarray) -> np.ndarray:

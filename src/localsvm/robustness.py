@@ -35,7 +35,8 @@ from typing import Optional
 
 import numpy as np
 
-from .composer import ComposedModel, ModelConfig, compose, fit_composed
+from .composer import (ComposedModel, ModelConfig, active_rows, compose,
+                       fit_composed)
 from .data import WeightedSample, as_points
 from .errors import InputError
 from .kernels import sup_norm_on_region
@@ -326,7 +327,8 @@ class AuditContext:
     """Per-audit state shared by every contamination Q.
 
     Built once per audit: the base composed model, the probes and their
-    (n, B) weight matrix ``W``, the bound factors (w_sup, lam_b, ||k_b||)
+    (n, B) weight matrix ``W`` with each region's nonzero rows ``active``
+    (``composer.active_rows``), the bound factors (w_sup, lam_b, ||k_b||)
     of the regions' balls, and per region b a ``RegionBlocks``. The probes
     serve the influence estimates only, not the bound. ``border`` extends
     a region by a Q's atoms, so a retrain forms only the new Gram
@@ -362,6 +364,7 @@ class AuditContext:
         self.probes = as_points(probes)
         self.factors = _region_factors(scheme, config)
         self.W, self.covered = scheme.weights_many(self.probes)
+        self.active = active_rows(self.W)
         self.regions = {b: self._blocks(b) for b in range(1, scheme.B + 1)}
         self.base_preds = self.compose({})
 
@@ -374,7 +377,7 @@ class AuditContext:
                 f"region {b}: the model's {local.n_anchors} anchors differ from "
                 f"the {anchors.shape[0]} training points in the region; audit a "
                 "model with the data it was trained on")
-        points = self.probes[self.W[:, b - 1] != 0.0]
+        points = self.probes[self.active[b - 1][0]]
         if sample is None:
             return RegionBlocks(None, None, points, None, np.zeros(points.shape[0]))
         kernel = self.config.kernel_for(b)
@@ -393,7 +396,7 @@ class AuditContext:
         """sum_b w_b f_b over the probes, f_b given on region b's probe rows
         by ``preds_by_region`` or else the base local model."""
         return compose(self.W, lambda b, rows: preds_by_region.get(
-            b, self.regions[b].base_preds))
+            b, self.regions[b].base_preds), self.active)
 
     def border(self, b: int, q: WeightedSample) -> Optional[BorderedRegion]:
         """Region b bordered by Q's atoms in it; None when Q leaves the
@@ -596,8 +599,9 @@ def decomposition_check(estimate: InfluenceEstimate) -> float:
     measures only floating-point association.
     """
     per_region = estimate.per_region
-    recombined = compose(estimate.context.W, lambda b, rows: (
-        per_region[b].values if b in per_region else 0.0))
+    context = estimate.context
+    recombined = compose(context.W, lambda b, rows: (
+        per_region[b].values if b in per_region else 0.0), context.active)
     return (float(np.max(np.abs(estimate.values - recombined)))
             if recombined.size else 0.0)
 

@@ -66,7 +66,7 @@ _H_SLACK = 1e-9
 def grad_scale(K) -> float:
     """max(1, max_i K_ii): the gradient K g scales with the kernel diagonal,
     so ``train`` multiplies its gradient thresholds by this factor."""
-    return float(np.max(np.diagonal(K), initial=1.0))
+    return float(np.max(K.diagonal(), initial=1.0))
 
 
 @dataclass(frozen=True)
@@ -147,12 +147,13 @@ class LocalModel:
 
     def h_norm(self) -> float:
         """RKHS norm sqrt(alpha' G alpha) over the anchor Gram matrix; the
-        Gram is built only when ``train`` recorded no ``h_norm_sq``."""
+        Gram (``Kernel.gram_rows``, as in ``train``) is built only when
+        ``train`` recorded no ``h_norm_sq``."""
         if self.n_anchors == 0:
             return 0.0
         sq = self.h_norm_sq
         if sq is None:
-            sq = float(self.alpha @ (self.kernel.gram(self.anchors) @ self.alpha))
+            sq = float(self.alpha @ (self.kernel.gram_rows(self.anchors) @ self.alpha))
         return float(np.sqrt(max(0.0, sq)))
 
     def h_norm_bound(self, k_sup: float) -> float:
@@ -270,12 +271,18 @@ def _newton_step(K, g, grad, D, lam, eta=0.0):
 def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
           cfg: TrainConfig, warm_start: Optional[np.ndarray] = None,
           shifted: bool = True, region_id: Union[int, str] = "global",
-          gram: Optional[np.ndarray] = None) -> LocalModel:
+          gram=None) -> LocalModel:
     """Damped Newton minimization of the (shifted) regularized risk.
 
-    ``gram`` is an optional precomputed ``kernel.gram(sample.X)``, for
-    callers that retrain on one sample under several weightings; it is
-    read, never written. Deterministic at a fixed BLAS thread count:
+    The solver only multiplies vectors by the Gram matrix K of
+    ``sample.X`` and reads its diagonal. Without ``gram`` it builds
+    ``kernel.gram_rows(sample.X)``: the dense Gram for at most
+    ``kernels._GRAM_ROWS`` points, else its upper block rows, about
+    n (n + _GRAM_ROWS) / 2 entries. ``gram`` is an optional precomputed K,
+    for callers that retrain on one sample under several weightings:
+    anything with ``@`` on vectors, ``.shape`` and ``.diagonal()``, such as
+    a dense array; it is read, never written. Deterministic at a fixed BLAS
+    thread count:
     identical inputs give bitwise-identical coefficients (a different
     thread count may change the last bits). Raises ConvergenceError (with
     ``region_id`` and the best iterate attached) if the gradient turns
@@ -285,7 +292,7 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
     y, w, lam = sample.y, sample.weights, cfg.lam
     n = sample.n
     if gram is None:
-        K = kernel.gram(sample.X)
+        K = kernel.gram_rows(sample.X)
     else:
         K = gram
         if K.shape != (n, n):

@@ -1364,6 +1364,60 @@ def test_cli_experiment_draws_only_the_samples_it_uses(tmp_path, monkeypatch,
     assert drawn == expected
 
 
+def _experiment_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, cfg):
+    """Run ``localsvm experiment`` on cfg, with drawing a sample an error;
+    assert it exits 2 and writes nothing, and return its stderr."""
+    import localsvm.config as config_mod
+    import localsvm.experiments as experiments
+
+    def no_draw(*args, **kwargs):
+        raise AssertionError("a sample was drawn")
+
+    for module in (experiments, config_mod):
+        monkeypatch.setattr(module, "generate", no_draw)
+    rc = cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert not (tmp_path / "o").exists()
+    return err
+
+
+@pytest.mark.parametrize("entry", [
+    {"region": 9, "kernel": {"family": "linear"}, "lambda": 0.1},
+    {"region": 9, "kernel": {"family": "linear"}}], ids=["kernel-lambda", "kernel"])
+def test_experiment_per_region_beyond_b_target_exits_2(tmp_path, monkeypatch,
+                                                       capsys, entry):
+    # no partition of the experiment has a region 9: the entry would be ignored
+    cfg = base_config(experiment=TRADEOFF)
+    cfg["partition"]["b_target"] = 4
+    cfg["model"]["per_region"] = [entry]
+    err = _experiment_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, cfg)
+    assert "model.per_region names region(s) [9]" in err
+    assert "b_target = 4" in err
+
+
+def test_experiment_per_region_lambda_exits_2(tmp_path, monkeypatch, capsys):
+    # the schedule sets every region's lambda: the entry would be ignored
+    cfg = base_config(experiment=CONSISTENCY)
+    cfg["model"]["per_region"] = [{"region": 1, "lambda": 0.1}]
+    err = _experiment_exits_2_before_any_draw(tmp_path, monkeypatch, capsys, cfg)
+    assert "model.per_region sets lambda" in err
+
+
+def test_experiment_per_region_kernel_is_used(tmp_path):
+    # a per-region kernel within b_target still takes effect
+    outputs = []
+    for per_region in ([], [{"region": 1, "kernel": {"family": "linear"}}]):
+        cfg = base_config(experiment=TRADEOFF)
+        cfg["model"]["per_region"] = per_region
+        out = tmp_path / str(len(per_region))
+        assert cli.main(["experiment", "--config", write_config(tmp_path, cfg),
+                         "--out", str(out)]) == 0
+        outputs.append((out / "tradeoff.json").read_bytes())
+    assert outputs[0] != outputs[1]
+
+
 @pytest.mark.parametrize("command", ["train", "experiment"])
 def test_cli_json_outputs_reject_non_finite_values(tmp_path, monkeypatch,
                                                    capsys, command):

@@ -8,8 +8,8 @@ import pytest
 
 from localsvm import (GaussianRBF, InputError, Linear, Polynomial,
                       RegionPredicate, kernel_from_dict, sup_norm_on_region)
-from localsvm.kernels import (_BLOCK_BUDGET, _column_factors, _row_factors,
-                              chunk_rows)
+from localsvm.kernels import (_BLOCK_BUDGET, _GRAM_ROWS, BlockRowGram,
+                              _column_factors, _row_factors, chunk_rows)
 
 
 def test_gaussian_eval_equal_points_is_exactly_one():
@@ -395,6 +395,75 @@ def test_gaussian_gram_peaks_at_one_n_by_n_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * n * n * 8
+
+
+GRAM_ROWS_KERNELS = [GaussianRBF(gamma=0.8, input_dim=2), Linear(input_dim=2),
+                     Polynomial(degree=3, offset=1.0, input_dim=2)]
+GRAM_ROWS_IDS = ["rbf", "linear", "poly3"]
+
+
+@pytest.mark.parametrize("n", [1, 511, 512, 513, 1100, 1537])
+@pytest.mark.parametrize("kernel", GRAM_ROWS_KERNELS, ids=GRAM_ROWS_IDS)
+def test_gram_rows_are_the_upper_block_rows_of_the_gram(kernel, n):
+    rng = np.random.default_rng(n)
+    X = rng.uniform(-2.0, 2.0, size=(n, 2))
+    G = kernel.gram(X)
+    K = kernel.gram_rows(X)
+    rbf = kernel.family == "gaussian-rbf"
+
+    def same(block, ref):
+        # Gaussian RBF entries are computed alone; inner products may be
+        # rounded differently by a general and a symmetric BLAS product
+        if rbf:
+            assert np.array_equal(block, ref)
+        else:
+            np.testing.assert_allclose(block, ref, rtol=0,
+                                       atol=1e-14 * np.max(np.abs(G)))
+
+    if n <= _GRAM_ROWS:
+        # one block: the dense Gram itself
+        assert type(K) is np.ndarray and np.array_equal(K, G)
+    else:
+        assert isinstance(K, BlockRowGram)
+        assert [(s, e) for s, e, _, _ in K.blocks] == [
+            (s, min(s + _GRAM_ROWS, n)) for s in range(0, n, _GRAM_ROWS)]
+        for s, e, D, C in K.blocks:
+            assert np.array_equal(D, D.T)
+            same(D, G[s:e, s:e])
+            same(C, G[s:e, e:])
+    assert K.shape == G.shape
+    same(K.diagonal(), np.diagonal(G))
+    for v in (rng.standard_normal(n), rng.standard_normal((n, 3))):
+        ref = G @ v
+        np.testing.assert_allclose(K @ v, ref, rtol=0,
+                                   atol=1e-13 * np.max(np.abs(ref)))
+
+
+@pytest.mark.parametrize("kernel", GRAM_ROWS_KERNELS, ids=GRAM_ROWS_IDS)
+def test_gram_rows_compute_only_the_upper_block_rows(kernel, monkeypatch):
+    n = 1537
+    X = np.random.default_rng(16).uniform(-2.0, 2.0, size=(n, 2))
+    entries = []
+    cross = type(kernel)._cross
+
+    def counting_cross(self, X, Z, **kwargs):
+        entries.append(X.shape[0] * Z.shape[0])
+        return cross(self, X, Z, **kwargs)
+
+    # every kernel evaluation goes through the family's _cross
+    monkeypatch.setattr(type(kernel), "_cross", counting_cross)
+    kernel.gram_rows(X)
+    assert sum(entries) == sum(min(_GRAM_ROWS, n - s) * (n - s)
+                               for s in range(0, n, _GRAM_ROWS))
+    assert sum(entries) <= n * (n + _GRAM_ROWS) / 2
+
+
+def test_gram_rows_reject_a_vector_of_the_wrong_length():
+    X = np.random.default_rng(17).uniform(-2.0, 2.0, size=(600, 2))
+    K = GaussianRBF(gamma=1.0, input_dim=2).gram_rows(X)
+    for shape in ((599,), (601, 2), (600, 2, 1)):
+        with pytest.raises(ValueError):
+            K @ np.zeros(shape)
 
 
 def _chunked_matrix(kernel, X, Z):

@@ -40,3 +40,8 @@ def test_readme_cg_constants_are_the_solvers():
     for name in ("_CG_RTOL", "_FORCING_MAX", "_CLOSING_FACTOR"):
         (value,) = re.findall(rf"`{name}` = ([\d.e+-]*\d)", text)
         assert float(value) == getattr(solver, name), name
+
+
+def test_readme_gram_rows_is_the_kernels():
+    (value,) = re.findall(r"`_GRAM_ROWS` = (\d+)", README.read_text())
+    assert int(value) == kernels._GRAM_ROWS

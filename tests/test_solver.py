@@ -14,7 +14,7 @@ from localsvm import (ConvergenceError, GaussianRBF, InputError,
                       WeightedSample, audit_model_bounds, objective,
                       shifted_unshifted_identity_check, solver, train)
 from localsvm.experiments import SyntheticTask, generate
-from localsvm.kernels import _BLOCK_BUDGET
+from localsvm.kernels import _BLOCK_BUDGET, _GRAM_ROWS
 from conftest import random_sample
 
 REG = LogisticRegression()
@@ -808,3 +808,72 @@ def test_train_peaks_at_one_gram_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * n * n * 8
+
+
+BLOCK_ROW_KERNELS = [GaussianRBF(gamma=0.8, input_dim=2), Linear(input_dim=2),
+                     Polynomial(degree=3, offset=1.0, input_dim=2)]
+
+
+@pytest.mark.parametrize("n", [1100, 1537])
+@pytest.mark.parametrize("kernel", BLOCK_ROW_KERNELS, ids=["rbf", "linear", "poly3"])
+@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
+def test_block_row_train_matches_dense_gram_train(loss, kernel, n):
+    # the slower method: every product with the full n x n Gram
+    sample = random_sample(n, seed=60, classification=loss is CLS)
+    cfg = TrainConfig(lam=0.05)
+    model = train(sample, kernel, loss, cfg)
+    dense = train(sample, kernel, loss, cfg, gram=kernel.gram(sample.X))
+    probes = np.random.default_rng(61).uniform(-2.5, 2.5, size=(200, 2))
+    expected = dense.predict(probes)
+    np.testing.assert_allclose(model.predict(probes), expected, rtol=0,
+                               atol=1e-9 * max(1.0, np.max(np.abs(expected))))
+    assert model.h_norm() == pytest.approx(dense.h_norm(), rel=1e-9)
+    tol = cfg.grad_tol * solver.grad_scale(kernel.gram(sample.X))
+    assert model.solve_info.grad_norm <= tol
+    assert model.solve_info.fallbacks == 0
+
+
+def test_block_row_train_peaks_below_three_quarters_of_a_gram():
+    n = 1500
+    sample = random_sample(n, seed=58, classification=True)
+    k = GaussianRBF(gamma=1.0, input_dim=2)
+    tracemalloc.start()
+    try:
+        train(sample, k, CLS, TrainConfig(lam=0.05))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the upper block rows hold n (n + _GRAM_ROWS) / 2 entries
+    assert n * (n + _GRAM_ROWS) / 2 * 8 < peak < 0.75 * n * n * 8
+
+
+def test_h_norm_of_a_deserialized_model_uses_the_block_rows(monkeypatch):
+    sample = random_sample(1100, seed=62, classification=True)
+    model = train(sample, GaussianRBF(gamma=0.7, input_dim=2), CLS,
+                  TrainConfig(lam=0.05))
+    loaded = LocalModel.from_dict(model.to_dict())
+
+    def no_gram(self, points):
+        raise AssertionError("the dense Gram was built")
+
+    monkeypatch.setattr(type(model.kernel), "gram", no_gram)
+    assert model.h_norm() == pytest.approx(loaded.h_norm(), rel=1e-12)
+
+
+def test_train_large_model_is_bitwise_identical_across_runs_and_threads(tmp_path):
+    # four regions of 1 600-2 800 points, each on its upper block rows
+    from pathlib import Path
+
+    import localsvm.cli as cli
+
+    config = (Path(__file__).resolve().parents[1] / "benchmark" / "configs"
+              / "train-large.json")
+    outputs = []
+    for run, threads in enumerate(("1", "1", "2")):
+        out = tmp_path / str(run)
+        assert cli.main(["train", "--config", str(config), "--out", str(out),
+                         "--threads", threads]) == 0
+        outputs.append((out / "model.json").read_bytes())
+    model = json.loads(outputs[0])
+    assert min(len(local["alpha"]) for local in model["locals"]) > _GRAM_ROWS
+    assert outputs[0] == outputs[1] == outputs[2]
