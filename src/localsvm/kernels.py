@@ -10,11 +10,15 @@ computed by two ``matrix`` calls per block row, and multiplied with
 vectors as the full matrix. ``Kernel.apply`` computes K(X, Z) @ coef one
 row chunk at a time into buffers it allocates once per call, so
 predictions never hold the full cross-kernel matrix; ``LocalModel.predict``
-and the experiments' scoring go through it.
+and the experiments' scoring go through it. The Gaussian RBF family
+scales its squared distances by -(gamma^2) with a multiply by the exact
+reciprocal when -(gamma^2) is a power of two whose reciprocal is a finite
+nonzero double, else with a division; both give the same bits.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -265,7 +269,11 @@ class GaussianRBF(Kernel):
             workspace = self._workspace(Z, min(rows, n))
         diff, zs = workspace
         xs = _row_factors(X)
-        scale = -(self.gamma**2)  # IEEE division is sign-symmetric
+        # IEEE division is sign-symmetric; by a power of two whose reciprocal
+        # is finite and nonzero, a multiply by that reciprocal gives its bits
+        scale, scale_by = -(self.gamma**2), np.divide
+        if abs(math.frexp(scale)[0]) == 0.5 and 0.0 < abs(1.0 / scale) < math.inf:
+            scale, scale_by = 1.0 / scale, np.multiply
         for start in range(0, n, rows):
             d2 = out[start:start + rows]
             t = diff[:d2.shape[0]]
@@ -275,7 +283,7 @@ class GaussianRBF(Kernel):
                 np.matmul(xs[j, start:start + rows], zs[j], out=t)
                 np.square(t, out=t)
                 d2 += t
-            np.divide(d2, scale, out=d2)
+            scale_by(d2, scale, out=d2)
             np.exp(d2, out=d2)
         return out
 

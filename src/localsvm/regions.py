@@ -27,10 +27,23 @@ KIND_BUMP = "smooth-bump"
 _KINDS = (KIND_INDICATOR, KIND_BUMP)
 
 
+def _sq_dists(X: np.ndarray, centers: np.ndarray) -> np.ndarray:
+    """(n, k) squared distances from the rows of X to the k rows of
+    ``centers``, the one formula of every ball test, radius, k-means
+    distance and bump weight, so boundary points compare bitwise-equal.
+    numpy adds fewer than 8 terms in order, so for d < 8 a sum over one
+    coordinate at a time gives the bits of its slow reduction over the
+    short axis; from 8 on it sums pairwise, and the reduction stays."""
+    if X.shape[1] >= 8:
+        return ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+    d2 = np.square(X[:, :1] - centers[:, 0])
+    for j in range(1, X.shape[1]):
+        d2 += np.square(X[:, j:j + 1] - centers[:, j])
+    return d2
+
+
 def _dist_to(X: np.ndarray, center: np.ndarray) -> np.ndarray:
-    # single formula shared by radius computation and membership tests so
-    # boundary points compare bitwise-equal
-    return np.sqrt(((X - center) ** 2).sum(axis=1))
+    return np.sqrt(_sq_dists(X, center[None])[:, 0])
 
 
 @dataclass(frozen=True)
@@ -123,7 +136,7 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
     n = X.shape[0]
     centers = np.empty((k, X.shape[1]))
     centers[0] = X[rng.integers(n)]
-    d2 = ((X - centers[0]) ** 2).sum(axis=1)
+    d2 = _sq_dists(X, centers[:1])[:, 0]
     for j in range(1, k):
         total = d2.sum()
         if total <= 0:  # all points coincide with chosen centers
@@ -131,14 +144,14 @@ def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarr
             break
         probs = d2 / total
         centers[j] = X[rng.choice(n, p=probs)]
-        d2 = np.minimum(d2, ((X - centers[j]) ** 2).sum(axis=1))
+        d2 = np.minimum(d2, _sq_dists(X, centers[j:j + 1])[:, 0])
     return centers
 
 
 def _lloyd(X: np.ndarray, centers: np.ndarray, max_iter: int = 100):
     assign = None
     for _ in range(max_iter):
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+        d2 = _sq_dists(X, centers)
         new_assign = d2.argmin(axis=1)  # argmin ties resolve to the lowest id
         if assign is not None and np.array_equal(new_assign, assign):
             break
@@ -190,8 +203,7 @@ def regionalize(points, b_target: int, tau: float = 0.0,
             break
         drop = small[counts[small].argsort(kind="stable")][0]
         centers = np.delete(centers, drop, axis=0)
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        assign = d2.argmin(axis=1)
+        assign = _sq_dists(X, centers).argmin(axis=1)
 
     regions = []
     for j in range(centers.shape[0]):
@@ -231,8 +243,7 @@ class WeightScheme:
         if self.kind == KIND_INDICATOR:
             return M.astype(float)
         centers = np.stack([r.center for r in self.partition.regions])
-        d2 = ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-        s = np.exp(-d2 / self.h**2)
+        s = np.exp(-_sq_dists(X, centers) / self.h**2)
         s[~M] = 0.0
         # guard against total underflow far from all centers
         dead = M.any(axis=1) & (s.sum(axis=1) == 0.0)
@@ -248,12 +259,17 @@ class WeightScheme:
         """
         X = as_points(X)
         M = self.partition.membership(X)
-        covered = M.any(axis=1)
+        # reductions over the B regions run along the long axis of the
+        # transpose, many times faster than numpy's over the short one; an
+        # "any" and the indicator row counts are exact in any order
+        covered = np.ascontiguousarray(M.T).any(axis=0)
         if not covered.all():
             nearest = self.partition.nearest_region_index(X[~covered])
             M[np.where(~covered)[0], nearest] = True
         raw = self._raw(X, M)
-        W = raw / raw.sum(axis=1, keepdims=True)
+        total = (np.ascontiguousarray(raw.T).sum(axis=0)
+                 if self.kind == KIND_INDICATOR else raw.sum(axis=1))
+        W = raw / total[:, None]
         W[~M] = 0.0
         return W, covered
 

@@ -306,21 +306,29 @@ class RegionBlocks:
 class BorderedRegion:
     """A region's sample, Gram and probe block extended by the atoms of one
     contamination Q, which follow the n_b sample atoms: the Gram is
-    [[K_b, k(X_b, A)], [k(A, X_b), k(A, A)]]. Every eps rung retrains on
-    this one Gram. ``warm_start`` is pad(alpha), the base coefficients
-    zero-padded over the atoms: the start of a maxbias retrain and of the
-    top rung of a ladder chain, and the origin of the secant that starts
-    each lower rung."""
+    [[K_b, k(X_b, A)], [k(A, X_b), k(A, A)]], the probe block
+    [probe_block | atom_block], the region's cached k(P_b, X_b) and
+    k(P_b, A) kept side by side, not copied into one. Every eps rung
+    retrains on this one Gram. ``warm_start`` is pad(alpha), the base
+    coefficients zero-padded over the atoms: the start of a maxbias retrain
+    and of the top rung of a ladder chain, and the origin of the secant
+    that starts each lower rung."""
 
     region_id: int
     sample: WeightedSample
     atoms: WeightedSample
     gram: np.ndarray
     probe_block: np.ndarray
+    atom_block: np.ndarray
     warm_start: np.ndarray
 
     def contaminated(self, eps: float) -> WeightedSample:
         return _mix(self.sample, self.atoms, eps)
+
+    def predict(self, alpha: np.ndarray) -> np.ndarray:
+        """The bordered expansion at region b's probe points."""
+        n = self.sample.n
+        return self.probe_block @ alpha[:n] + self.atom_block @ alpha[n:]
 
 
 class AuditContext:
@@ -340,7 +348,9 @@ class AuditContext:
     product with the probe block, while ``LocalModel.predict`` sums the
     same kernel entries in row chunks, so ``base_preds`` agrees with
     ``base.predict(probes)`` to rounding, not bitwise.
-    Memory per region: n_b^2 for K_b plus |P_b| n_b for the probe block.
+    Memory per region: n_b^2 for K_b plus |P_b| n_b for the probe block; a
+    bordered region adds its bordered Gram and the |P_b| x |A| atom block,
+    not a bordered copy of the probe block.
     The context is read-only after construction.
 
     The base model must be anchored at the regional samples of ``data``
@@ -423,9 +433,9 @@ class AuditContext:
         gram[:n, n:] = cross
         gram[n:, :n] = cross.T
         gram[n:, n:] = atom_gram
-        probe_block = np.hstack([blocks.probe_block, atom_block])
         warm = np.concatenate([self.base.locals[b].alpha, np.zeros(atoms.n)])
-        return BorderedRegion(b, blocks.sample, atoms, gram, probe_block, warm)
+        return BorderedRegion(b, blocks.sample, atoms, gram, blocks.probe_block,
+                              atom_block, warm)
 
     def retrain(self, bordered: BorderedRegion, eps: float,
                 start: Optional[np.ndarray] = None) -> LocalModel:
@@ -544,7 +554,7 @@ def finite_diff_if(context: AuditContext, q: WeightedSample,
         h_norms = {b: 0.0 for b in context.regions}
         for b, chain in chains.items():
             tilde = chain[k]
-            preds[b] = bordered[b].probe_block @ tilde.alpha
+            preds[b] = bordered[b].predict(tilde.alpha)
             local = LocalQuotient(tilde, context.base.locals[b], eps, bordered[b].gram,
                                   (preds[b] - context.regions[b].base_preds) / eps)
             quotients[b] = local
@@ -643,8 +653,8 @@ def maxbias_probe(context: AuditContext, eps_by_region, qs) -> AuditReport:
                 continue
             bordered = context.border(b, q)
             if bordered is not None:
-                preds[b] = (bordered.probe_block
-                            @ context.retrain(bordered, eps[b - 1]).alpha)
+                tilde = context.retrain(bordered, eps[b - 1])
+                preds[b] = bordered.predict(tilde.alpha)
             del bordered  # one bordered region alive at a time
         shift = np.abs(context.compose(preds) - context.base_preds)
         shifts.append(float(shift.max()) if shift.size else 0.0)

@@ -15,10 +15,13 @@ Any step s with (D K + 2 lam I) s = -g therefore solves the Newton system.
 It is found in the kernel-IRLS form (Zhu & Hastie, JCGS 2005): conjugate
 gradients (Hestenes & Stiefel, 1952) solve A r = -D^1/2 K g, applying
 A = D^1/2 K D^1/2 + 2 lam I through one product with K per iteration, and
-s = -(g + D^1/2 r) / (2 lam). As the weights sum to 1, the eigenvalues of A
-lie in [2 lam, 2 lam + sum_i D_i K_ii], so kappa(A) <= 1 + L''_max
-||k||_inf^2 / (2 lam) for any data, even a singular K: a few iterations
-reach the stopping residual. Only for lam near 1e-4 and below can CG cost
+s = -(g + D^1/2 r) / (2 lam). The line search and the update of K alpha
+need K s = -(K g + K D^1/2 r) / (2 lam); CG accumulates K D^1/2 r from the
+products it already makes, so a Newton step costs one product for the
+gradient K g plus one per CG iteration. As the weights sum to 1, the
+eigenvalues of A lie in [2 lam, 2 lam + sum_i D_i K_ii], so kappa(A) <=
+1 + L''_max ||k||_inf^2 / (2 lam) for any data, even a singular K: a few
+iterations reach the stopping residual. Only for lam near 1e-4 and below can CG cost
 more than a Cholesky factorization of A would.
 
 Steps are solved inexactly while the fit is far from its end (Dembo,
@@ -223,18 +226,21 @@ def _loss_terms(loss, y, f, shifted):
 def _irls_solve(K, sqrt_d, b, lam, target=0.0):
     """Conjugate gradients on (D^1/2 K D^1/2 + 2 lam I) r = b. Stops at
     |res| <= _CG_RTOL |b|, at |D^1/2 res| <= target if target > 0, or after
-    _CG_CAP * n steps. Returns r, the iteration count and the final
-    residual over its stopping residual in the test it came closest to
-    meeting (0 for b = 0; above 1 only at the iteration cap)."""
-    r, res = np.zeros_like(b), b.copy()
+    _CG_CAP * n steps. Returns r, K D^1/2 r (carried along the iteration
+    from the products it makes, not by one more), the iteration count and
+    the final residual over its stopping residual in the test it came
+    closest to meeting (0 for b = 0; above 1 only at the iteration cap)."""
+    r, Kr, res = np.zeros_like(b), np.zeros_like(b), b.copy()
     p, rr = res.copy(), float(res @ res)
     rr_b, it = rr, 0
     stop, forced = _CG_RTOL ** 2 * rr, target ** 2
     dd = _sq_norm(sqrt_d * res) if forced > 0 else np.inf
     while it < _CG_CAP * b.shape[0] and rr > stop and dd > forced:
-        Ap = sqrt_d * (K @ (sqrt_d * p)) + 2.0 * lam * p
+        Kp = K @ (sqrt_d * p)
+        Ap = sqrt_d * Kp + 2.0 * lam * p
         a = rr / float(p @ Ap)
         r += a * p
+        Kr += a * Kp
         res -= a * Ap
         rr, rr_old = float(res @ res), rr
         if forced > 0:
@@ -242,11 +248,11 @@ def _irls_solve(K, sqrt_d, b, lam, target=0.0):
         p = res + (rr / rr_old) * p
         it += 1
     if rr_b == 0:
-        return r, it, 0.0
+        return r, Kr, it, 0.0
     ratio = float(np.sqrt(rr / rr_b)) / _CG_RTOL
     if forced > 0:
         ratio = min(ratio, float(np.sqrt(dd)) / target)
-    return r, it, ratio
+    return r, Kr, it, ratio
 
 
 def _sq_norm(v):
@@ -255,17 +261,26 @@ def _sq_norm(v):
 
 def _newton_step(K, g, grad, D, lam, eta=0.0):
     """A step s with |(D K + 2 lam I) s + g|_2 <= eta |g|_2, solving
-    K (D K + 2 lam I) s = -grad (grad = K g) exactly for eta = 0, with its
-    CG iteration count and residual ratio (see ``_irls_solve``). A
-    non-finite D gives an all-NaN step without any arithmetic on it (and
-    no CG solve, ratio 0), which ``train`` replaces by steepest descent."""
+    K (D K + 2 lam I) s = -grad (grad = K g) exactly for eta = 0, with
+    K s, the CG iteration count and residual ratio (see ``_irls_solve``).
+    K s = -(grad + K D^1/2 r) / (2 lam) needs no product, but its rounding
+    grows with the cancellation |grad|_inf / |grad + K D^1/2 r|_inf (at most
+    2.3 on the benchmark configs); above 1e3, where a small lam meets a
+    large kernel, K s is the product K @ s. A non-finite D gives an all-NaN
+    step and K s without any arithmetic on them (and no CG solve, ratio 0),
+    which ``train`` replaces by steepest descent."""
     if not np.isfinite(D).all():
-        return np.full_like(g, np.nan), 0, 0.0
+        nan = np.full_like(g, np.nan)
+        return nan, nan, 0, 0.0
     sqrt_d = np.sqrt(D)
     # the Newton residual is D^1/2 res / (2 lam) for the CG residual res
     target = 2.0 * lam * eta * float(np.sqrt(g @ g))
-    r, iters, ratio = _irls_solve(K, sqrt_d, -sqrt_d * grad, lam, target)
-    return -(g + sqrt_d * r) / (2.0 * lam), iters, ratio
+    r, Kr, iters, ratio = _irls_solve(K, sqrt_d, -sqrt_d * grad, lam, target)
+    step = -(g + sqrt_d * r) / (2.0 * lam)
+    u = grad + Kr
+    if np.max(np.abs(grad)) > 1e3 * np.max(np.abs(u)):
+        return step, K @ step, iters, ratio
+    return step, -u / (2.0 * lam), iters, ratio
 
 
 def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
@@ -339,7 +354,8 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
         eta = min(_FORCING_MAX, gnorm / scale)
         if eta * gnorm <= closing_gnorm:
             eta = 0.0  # the step expected to close the fit is solved exactly
-        step, cg, cg_ratio = _newton_step(K, g, grad, w * loss.dtt(y, f), lam, eta)
+        step, Ks, cg, cg_ratio = _newton_step(K, g, grad, w * loss.dtt(y, f),
+                                              lam, eta)
         cg_total, cg_max = cg_total + cg, max(cg_max, cg)
         cg_ratio_max = max(cg_ratio_max, cg_ratio)
         descent = float(grad @ step)
@@ -348,8 +364,8 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
             fallbacks += 1
             step = -grad
             descent = float(grad @ step)
+            Ks = K @ step
 
-        Ks = K @ step
         # only a Newton step may skip the line search: a full steepest-descent
         # step -grad has no natural length and can throw f far off
         if newton and gnorm <= full_step_gnorm:

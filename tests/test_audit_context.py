@@ -138,14 +138,21 @@ def test_bordered_gram_and_probe_block_match_rebuilt(kernel):
             np.testing.assert_array_equal(contaminated.weights, rebuilt.weights)
             gram = kernel.gram(rebuilt.X)
             block = kernel.matrix(blocks.points, rebuilt.X)
+            # the region's cached probe block, not a copy
+            assert bordered.probe_block is blocks.probe_block
+            probe_block = np.hstack([bordered.probe_block, bordered.atom_block])
             if kernel is RBF:
                 np.testing.assert_array_equal(bordered.gram, gram)
-                np.testing.assert_array_equal(bordered.probe_block, block)
+                np.testing.assert_array_equal(probe_block, block)
             else:
-                for got, want in ((bordered.gram, gram), (bordered.probe_block, block)):
+                for got, want in ((bordered.gram, gram), (probe_block, block)):
                     scale = np.abs(want).max()
                     np.testing.assert_allclose(got, want, rtol=1e-12,
                                                atol=1e-12 * scale)
+            alpha = np.random.default_rng(checked).standard_normal(rebuilt.n)
+            want = block @ alpha
+            np.testing.assert_allclose(bordered.predict(alpha), want, rtol=0,
+                                       atol=1e-12 * np.abs(block).sum(axis=1).max())
             checked += 1
     assert checked == 6  # one region per ball center, two each for the rest
 
@@ -171,8 +178,8 @@ def test_bordering_the_label_flip_mixture_makes_no_kernel_call(kernel, monkeypat
         for rows in (slice(None, n), slice(n, None)):
             for cols in (slice(None, n), slice(n, None)):
                 np.testing.assert_array_equal(bordered.gram[rows, cols], blocks.gram)
-            np.testing.assert_array_equal(bordered.probe_block[:, rows],
-                                          blocks.probe_block)
+        for block in (bordered.probe_block, bordered.atom_block):
+            np.testing.assert_array_equal(block, blocks.probe_block)
 
 
 @pytest.mark.parametrize("threads", [1, 2])

@@ -349,6 +349,55 @@ def test_gaussian_multi_block_cross_bitwise_equal_to_direct_differences():
                           _direct_rbf(X, Z, 2.1).view(np.int64))
 
 
+def _power_of_two_cases():
+    """(id, X, Z, gamma) with gamma^2 a power of two, which ``_cross``
+    scales by multiplying with 1 / -(gamma^2): inputs at gamma's scale,
+    and at 1e+-150 for gamma 1, where d2 overflows or nears underflow."""
+    rng = np.random.default_rng(52)
+    cases = []
+    for e in (-3, -1, 0, 1, 40, -498, 498):
+        gamma = 2.0 ** e
+        X, Z = gamma * rng.normal(size=(29, 2)), gamma * rng.normal(size=(23, 2))
+        cases.append((f"gamma2^{e}", X, Z, gamma))
+    for e in (-150, 150):
+        X, Z = 10.0 ** e * rng.normal(size=(17, 2)), 10.0 ** e * rng.normal(size=(13, 2))
+        cases.append((f"gamma1-scale1e{e}", X, Z, 1.0))
+    return cases
+
+
+_POWER_OF_TWO_CASES = _power_of_two_cases()
+
+
+@pytest.mark.parametrize("X, Z, gamma", [c[1:] for c in _POWER_OF_TWO_CASES],
+                         ids=[c[0] for c in _POWER_OF_TWO_CASES])
+def test_gaussian_power_of_two_scale_bitwise_equal_to_division(X, Z, gamma):
+    # d2 * (1 / s) and d2 / s round the same exact real when s is a power
+    # of two with a finite nonzero reciprocal
+    k = GaussianRBF(gamma=gamma, input_dim=2)
+    want = _direct_rbf(X, Z, gamma)
+    assert np.array_equal(k.matrix(X, Z).view(np.int64), want.view(np.int64))
+    assert np.array_equal(k.gram(X).view(np.int64),
+                          _direct_rbf(X, X, gamma).view(np.int64))
+    coef = np.random.default_rng(53).normal(size=Z.shape[0])
+    rows = chunk_rows(Z.shape[0])
+    chunked = np.concatenate([want[s:s + rows] @ coef
+                              for s in range(0, X.shape[0], rows)])
+    assert np.array_equal(k.apply(X, Z, coef).view(np.int64), chunked.view(np.int64))
+
+
+def test_gaussian_scale_with_an_overflowing_reciprocal_divides():
+    # gamma^2 = 2^-1074, the least subnormal: 1 / gamma^2 overflows, so the
+    # kernel must divide; a multiply by -inf would give 0 and NaN entries
+    gamma = 2.0 ** -537
+    assert gamma ** 2 == 2.0 ** -1074 and math.isinf(1.0 / gamma ** 2)
+    X = gamma * np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 1.0], [2.0, 0.0]])
+    k = GaussianRBF(gamma=gamma, input_dim=2)
+    got = k.matrix(X, X)
+    assert np.array_equal(got.view(np.int64), _direct_rbf(X, X, gamma).view(np.int64))
+    np.testing.assert_array_equal(np.diag(got), np.ones(4))
+    assert got[0, 1] == math.exp(-1.0) and got[0, 3] == math.exp(-4.0)
+
+
 def test_train_model_identical_across_blas_thread_counts(tmp_path):
     import os
     import subprocess

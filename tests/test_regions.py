@@ -304,3 +304,56 @@ def test_region_ids_must_be_contiguous():
     bad = [RegionPredicate(center=np.zeros(1), radius=1.0, id=2)]
     with pytest.raises(InputError):
         RegionPartition(bad, tau=0.0)
+
+
+def _broadcast_sq_dists(X, centers):
+    # the broadcast form of every squared distance before the column sums
+    return ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
+
+
+def _broadcast_weights_many(scheme, X):
+    # WeightScheme.weights_many as it was with the broadcast distances and
+    # numpy's reductions over the short region axis
+    regions = scheme.partition.regions
+    dist = [np.sqrt(((X - r.center) ** 2).sum(axis=1)) for r in regions]
+    M = np.column_stack([d <= r.radius for d, r in zip(dist, regions)])
+    covered = M.any(axis=1)
+    gaps = np.column_stack([np.maximum(0.0, d - r.radius) for d, r in zip(dist, regions)])
+    M[np.where(~covered)[0], gaps[~covered].argmin(axis=1)] = True
+    if scheme.kind == "normalized-indicator":
+        raw = M.astype(float)
+    else:
+        centers = np.stack([r.center for r in regions])
+        raw = np.exp(-_broadcast_sq_dists(X, centers) / scheme.h**2)
+        raw[~M] = 0.0
+        dead = M.any(axis=1) & (raw.sum(axis=1) == 0.0)
+        raw[dead] = M[dead].astype(float)
+    W = raw / raw.sum(axis=1, keepdims=True)
+    W[~M] = 0.0
+    return W, covered
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 12])
+def test_ball_geometry_bitwise_equal_to_broadcast_forms(dim, monkeypatch):
+    from localsvm import regions
+
+    rng = np.random.default_rng(70 + dim)
+    X = rng.normal(size=(300, dim))
+    queries = np.vstack([X, 3.0 * rng.normal(size=(200, dim))])  # some uncovered
+    for c in (X[0], np.zeros(dim), 0.5 * rng.normal(size=dim)):
+        want = np.sqrt(((queries - c) ** 2).sum(axis=1))
+        assert np.array_equal(regions._dist_to(queries, c), want)
+    for tau in (0.0, 0.25):  # at tau 0 each ball's farthest point is on it
+        part = regionalize(X, b_target=4, tau=tau, min_region_size=5, seed=dim)
+        with monkeypatch.context() as m:
+            m.setattr(regions, "_sq_dists", _broadcast_sq_dists)
+            ref = regionalize(X, b_target=4, tau=tau, min_region_size=5, seed=dim)
+        assert part.B == ref.B
+        for r, q in zip(part.regions, ref.regions):
+            assert r.center.tobytes() == q.center.tobytes() and r.radius == q.radius
+        for scheme in (WeightScheme("normalized-indicator", part),
+                       WeightScheme("smooth-bump", part, h=0.5)):
+            W, covered = scheme.weights_many(queries)
+            W_ref, covered_ref = _broadcast_weights_many(scheme, queries)
+            assert not covered.all() and W.tobytes() == W_ref.tobytes()
+            np.testing.assert_array_equal(covered, covered_ref)

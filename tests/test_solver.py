@@ -533,14 +533,16 @@ def test_recorded_h_norm_matches_gram(seed):
 
 def cholesky_newton_step(K, g, grad, D, lam, eta=0.0):
     """The Newton step ``train`` took before conjugate gradients: one
-    Cholesky solve of A = D^1/2 K D^1/2 + 2 lam I formed in full. Kept as
-    the reference the CG step is compared against; it ignores ``eta``, as
-    an exact solve meets every forcing target."""
+    Cholesky solve of A = D^1/2 K D^1/2 + 2 lam I formed in full, and K s
+    as the product K @ s. Kept as the reference the CG step is compared
+    against; it ignores ``eta``, as an exact solve meets every forcing
+    target."""
     sqrt_d = np.sqrt(D)
     A = sqrt_d[:, None] * K * sqrt_d
     A[np.diag_indices_from(A)] += 2.0 * lam
     r = cho_solve(cho_factor(A, lower=True), -sqrt_d * grad)
-    return -(g + sqrt_d * r) / (2.0 * lam), 0, 0.0
+    step = -(g + sqrt_d * r) / (2.0 * lam)
+    return step, K @ step, 0, 0.0
 
 
 def _with_duplicates(sample):
@@ -580,8 +582,8 @@ def _step_inputs(loss, kernel, lam):
 @pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
 def test_cg_step_matches_cholesky_step(loss, kernel, lam):
     K, g, grad, D = _step_inputs(loss, kernel, lam)
-    step, iters, _ = solver._newton_step(K, g, grad, D, lam)
-    ref, _, _ = cholesky_newton_step(K, g, grad, D, lam)
+    step, _, iters, _ = solver._newton_step(K, g, grad, D, lam)
+    ref, _, _, _ = cholesky_newton_step(K, g, grad, D, lam)
     assert 0 < iters <= len(g)
     # both solve the Newton system K (D K + 2 lam I) s = -grad
     scale = np.max(np.abs(ref))
@@ -641,10 +643,10 @@ FORCING_CASES.append(pytest.param(REG, STEP_KERNELS[2], 1e-6, id="reg-poly3-1e-0
 @pytest.mark.parametrize("loss, kernel, lam", FORCING_CASES)
 def test_truncated_step_meets_its_forcing_term(loss, kernel, lam):
     K, g, grad, D = _step_inputs(loss, kernel, lam)
-    _, exact_iters, _ = solver._newton_step(K, g, grad, D, lam)
+    _, _, exact_iters, _ = solver._newton_step(K, g, grad, D, lam)
     norm = np.linalg.norm
     for eta in (0.5, 1e-2, 1e-4):
-        step, iters, ratio = solver._newton_step(K, g, grad, D, lam, eta)
+        step, _, iters, ratio = solver._newton_step(K, g, grad, D, lam, eta)
         DKs, ridge = D * (K @ step), 2.0 * lam * step
         # rounding slack: n machine epsilons times the summed terms' norms,
         # at most 2e-9 eta |g| here
@@ -695,6 +697,45 @@ def test_cold_start_skips_the_product_with_zero_coefficients():
     assert cold.alpha.tobytes() == warm.alpha.tobytes()
 
 
+def test_cold_train_makes_one_product_per_newton_step_and_cg_iteration():
+    # the gradient K g at every iterate, one product per CG iteration and
+    # one per steepest-descent fallback: K s comes from the CG recurrence
+    sample = random_sample(40, seed=59, classification=True)
+    kernel = GaussianRBF(gamma=1.0, input_dim=2)
+    K = kernel.gram(sample.X).view(CountingGram)
+    K.products = 0
+    info = train(sample, kernel, CLS, TrainConfig(lam=0.05), gram=K).solve_info
+    assert info.newton_iters >= 3 and info.fallbacks == 0
+    assert K.products == info.newton_iters + 1 + info.cg_iters + info.fallbacks
+
+
+@pytest.mark.parametrize("lam", STEP_LAMS)
+@pytest.mark.parametrize("kernel", STEP_KERNELS, ids=["rbf1", "rbf5", "poly3", "linear"])
+@pytest.mark.parametrize("loss", [REG, CLS], ids=["reg", "cls"])
+def test_newton_step_returns_the_product_of_the_gram_and_the_step(loss, kernel, lam):
+    K, g, grad, D = _step_inputs(loss, kernel, lam)
+    norm, eps = np.linalg.norm, np.finfo(float).eps
+    for eta in (0.0, 0.5):
+        step, Ks, _, _ = solver._newton_step(K, g, grad, D, lam, eta)
+        want = K @ step
+        assert norm(Ks - want) <= len(g) * eps * norm(K, 2) * norm(step), eta
+
+
+@pytest.mark.parametrize("loss, kernel, lam, extra", [
+    (REG, STEP_KERNELS[0], 0.5, 0),
+    # grad + K D^1/2 r cancels 1.4e3-fold: K s is the product instead
+    (REG, STEP_KERNELS[3], 1e-4, 1)], ids=["recurrence", "product"])
+def test_newton_step_multiplies_by_k_only_where_the_recurrence_cancels(
+        loss, kernel, lam, extra):
+    K, g, grad, D = _step_inputs(loss, kernel, lam)
+    K = K.view(CountingGram)
+    K.products = 0
+    step, Ks, iters, _ = solver._newton_step(K, g, grad, D, lam)
+    assert iters > 0 and K.products == iters + extra
+    if extra:
+        assert Ks.tobytes() == (np.asarray(K) @ step).tobytes()
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_curvature_gives_a_nan_step(bad):
     sample = random_sample(10, seed=54)
@@ -705,9 +746,10 @@ def test_non_finite_curvature_gives_a_nan_step(bad):
     g[3] = 0.0  # an inf weight times this zero would be a NaN with a warning
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        step, iters, _ = solver._newton_step(K, g, K @ g, D, 0.1)
+        step, Ks, iters, _ = solver._newton_step(K, g, K @ g, D, 0.1)
     # the descent test in train then fails and takes -grad instead
     assert iters == 0 and np.isnan(step).all() and np.isnan((K @ g) @ step)
+    assert np.isnan(Ks).all()
 
 
 def test_non_finite_curvature_falls_back_to_steepest_descent():
