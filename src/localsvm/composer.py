@@ -41,29 +41,18 @@ class ModelConfig:
         return self.train_for(region_id).lam
 
 
-def active_rows(W: np.ndarray) -> list:
-    """Per region b = 1..B, the rows of the (n, B) weight matrix W with
-    w_b != 0 and their weights: (rows, W[rows, b - 1])."""
-    active = []
-    for w in W.T:
-        rows = np.nonzero(w != 0.0)[0]
-        active.append((rows, w[rows]))
-    return active
+def compose(weights, n: int, local_predict) -> np.ndarray:
+    """sum_b w_b(x) f_b(x) over n rows, from the per-region ``(rows, w)``
+    pairs of ``WeightScheme.weights_many``.
 
-
-def compose(W: np.ndarray, local_predict, active=None) -> np.ndarray:
-    """sum_b w_b(x) f_b(x) over the rows of the (n, B) weight matrix W.
-
-    ``local_predict(b, rows)`` gives f_b at the rows of W that the index
-    array ``rows`` names, in order: those with w_b != 0. ``active`` is
-    ``active_rows(W)``, for callers that compose over one W many times.
-    The terms are summed in region order. Every weighted sum of local
+    ``local_predict(b, rows)`` gives f_b at the rows that the index array
+    ``rows`` names, in order: region b's rows, outside which w_b = 0. The
+    terms are summed in region order. Every weighted sum of local
     predictors goes through here: the composed model, the consistency
     trend and the audit.
     """
-    out = np.zeros(W.shape[0])
-    for b, (rows, w) in enumerate(active_rows(W) if active is None else active,
-                                  start=1):
+    out = np.zeros(n)
+    for b, (rows, w) in enumerate(weights, start=1):
         if rows.size:
             out[rows] += w * local_predict(b, rows)
     return out
@@ -101,8 +90,9 @@ class ComposedModel:
     def predict_with_coverage(self, X):
         """Predictions and the covered mask (False rows used nearest fallback)."""
         X = as_points(X)
-        W, covered = self.scheme.weights_many(X)
-        preds = compose(W, lambda b, rows: self.locals[b].predict(X[rows]))
+        weights, covered = self.scheme.weights_many(X)
+        preds = compose(weights, len(X),
+                        lambda b, rows: self.locals[b].predict(X[rows]))
         return preds, covered
 
     def predict(self, X) -> np.ndarray:

@@ -183,10 +183,10 @@ def _model_columns(sets, X: np.ndarray) -> list:
     whose column j is the j-th model's prediction.
 
     ``columns`` lists ``(model, rows)``: the model's anchors are
-    ``anchors[rows]``, as region b's anchors are the rows where
-    ``restrict``'s test ``membership[:, b - 1]`` holds. So each model is a
-    column of one coefficient block over the set's anchors, its alpha
-    scattered onto its rows (a zero column for a null region). A set whose
+    ``anchors[rows]``, as region b's anchors (``restrict``'s) are the rows
+    that ``partition.members`` lists for b. So each model is a column of
+    one coefficient block over the set's anchors, its alpha scattered onto
+    its rows (a zero column for a null region). A set whose
     anchors are exactly the leading rows of the largest set's anchors (a
     nested prefix, checked with ``np.array_equal``) shares that set's pass;
     any other set has its own. Each pass is one ``Kernel.apply`` per
@@ -267,26 +267,25 @@ def consistency_trend(task: SyntheticTask, n_ladder, schedule: LambdaSchedule,
     def fit(n: int):
         data = generate(task, n)
         scheme = pc.build(data.X)
-        membership = scheme.partition.membership(data.X)
-        counts = membership.sum(axis=0)
+        members = scheme.partition.members(data.X)
         lam = schedule(n)
         cfg = replace(config, train=replace(config.train, lam=lam),
-                      region_lambdas={b: schedule(max(int(n_b), 1))
-                                      for b, n_b in enumerate(counts, start=1)})
+                      region_lambdas={b: schedule(max(rows.size, 1))
+                                      for b, rows in enumerate(members, start=1)})
         model = fit_composed(data, scheme, cfg, threads=threads)
         global_model = train(data, config.kernel, config.loss,
                              replace(config.train, lam=lam))
         columns = [(global_model, slice(None)),
-                   *zip(model.locals.values(), membership.T)]
+                   *zip(model.locals.values(), members)]
         return lam, scheme, (data.X, columns)
 
     fits = [fit(n) for n in n_ladder]
     preds = _model_columns([model_set for _, _, model_set in fits], eval_data.X)
     report_rows = []
     for n, (lam, scheme, _), P in zip(n_ladder, fits, preds):
-        W, _ = scheme.weights_many(eval_data.X)
-        risk, stderr = _mc_risk(compose(W, lambda b, rows: P[rows, b]),
-                                eval_data, config.loss)
+        weights, _ = scheme.weights_many(eval_data.X)
+        composed = compose(weights, eval_data.n, lambda b, rows: P[rows, b])
+        risk, stderr = _mc_risk(composed, eval_data, config.loss)
         global_risk, _ = _mc_risk(P[:, 0], eval_data, config.loss)
         report_rows.append(dict(zip(TrendReport.COLUMNS,
                                     (n, lam, risk, bayes, global_risk, stderr))))
@@ -330,7 +329,7 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
         raise InputError(f"lambda grid must be positive, got {lambda_grid}")
     data = generate(task, n)
     scheme = pc.build(data.X)
-    membership = scheme.partition.membership(data.X)
+    members = scheme.partition.members(data.X)
     eval_data = _eval_sample(task, eval_n)
     bounds, sets = [], []
     for lam in lambda_grid:
@@ -340,11 +339,11 @@ def tradeoff_sweep(task: SyntheticTask, n: int, lambda_grid,
                       region_lambdas={})
         model = fit_composed(data, scheme, cfg, threads=threads)
         bounds.append(if_bound(scheme, cfg).if_bound_rough)
-        sets.append((data.X, list(zip(model.locals.values(), membership.T))))
-    W, _ = scheme.weights_many(eval_data.X)
+        sets.append((data.X, list(zip(model.locals.values(), members))))
+    weights, _ = scheme.weights_many(eval_data.X)
     report_rows = []
     for lam, bound, P in zip(lambda_grid, bounds, _model_columns(sets, eval_data.X)):
-        risk, stderr = _mc_risk(compose(W, lambda b, rows: P[rows, b - 1]),
-                                eval_data, config.loss)
+        composed = compose(weights, eval_data.n, lambda b, rows: P[rows, b - 1])
+        risk, stderr = _mc_risk(composed, eval_data, config.loss)
         report_rows.append(dict(zip(SweepReport.COLUMNS, (lam, risk, bound, stderr))))
     return SweepReport(rows=report_rows, n=n, eval_n=eval_n)

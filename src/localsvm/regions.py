@@ -102,10 +102,11 @@ class RegionPartition:
     def B(self) -> int:
         return len(self.regions)
 
-    def membership(self, X) -> np.ndarray:
-        """Boolean (n, B) matrix of ball membership."""
+    def members(self, X) -> list:
+        """Per region b = 1..B, the sorted indices of the rows of X inside
+        its ball."""
         X = as_points(X)
-        return np.column_stack([r.contains_many(X) for r in self.regions])
+        return [np.flatnonzero(r.contains_many(X)) for r in self.regions]
 
     def nearest_region_index(self, X) -> np.ndarray:
         """0-based index of the closest ball (ties to the lowest id)."""
@@ -239,39 +240,40 @@ class WeightScheme:
     def B(self) -> int:
         return self.partition.B
 
-    def _raw(self, X: np.ndarray, M: np.ndarray) -> np.ndarray:
-        if self.kind == KIND_INDICATOR:
-            return M.astype(float)
-        centers = np.stack([r.center for r in self.partition.regions])
-        s = np.exp(-_sq_dists(X, centers) / self.h**2)
-        s[~M] = 0.0
-        # guard against total underflow far from all centers
-        dead = M.any(axis=1) & (s.sum(axis=1) == 0.0)
-        if dead.any():
-            s[dead] = M[dead].astype(float)
-        return s
-
     def weights_many(self, X):
-        """(n, B) weight matrix and the boolean covered mask.
+        """Per region b = 1..B, the rows of X in its ball and their weights,
+        [(rows_b, w_b)], and the boolean covered mask.
 
-        Uncovered rows (False in the mask) get the nearest region's unit
-        vector.
+        An uncovered row (False in the mask) joins its nearest region's
+        rows with weight 1.
         """
         X = as_points(X)
-        M = self.partition.membership(X)
-        # reductions over the B regions run along the long axis of the
-        # transpose, many times faster than numpy's over the short one; an
-        # "any" and the indicator row counts are exact in any order
-        covered = np.ascontiguousarray(M.T).any(axis=0)
+        rows = self.partition.members(X)
+        count = np.zeros(X.shape[0])  # of the regions that hold each row
+        for r in rows:
+            count[r] += 1.0
+        covered = count > 0.0
         if not covered.all():
-            nearest = self.partition.nearest_region_index(X[~covered])
-            M[np.where(~covered)[0], nearest] = True
-        raw = self._raw(X, M)
-        total = (np.ascontiguousarray(raw.T).sum(axis=0)
-                 if self.kind == KIND_INDICATOR else raw.sum(axis=1))
-        W = raw / total[:, None]
-        W[~M] = 0.0
-        return W, covered
+            lost = np.flatnonzero(~covered)
+            nearest = self.partition.nearest_region_index(X[lost])
+            rows = [np.union1d(r, lost[nearest == j]) for j, r in enumerate(rows)]
+            count[lost] = 1.0
+        if self.kind == KIND_INDICATOR:
+            return [(r, 1.0 / count[r]) for r in rows], covered
+        centers = np.stack([r.center for r in self.partition.regions])
+        s = np.exp(-_sq_dists(X, centers) / self.h**2)
+        raw = np.zeros_like(s)
+        for j, r in enumerate(rows):
+            raw[r, j] = s[r, j]
+        # the total is numpy's sum over the short region axis of the
+        # C-contiguous (n, B) matrix; a sum in another order changes bits
+        total = raw.sum(axis=1)
+        dead = total == 0.0  # every bump underflows: indicator weights
+        if dead.any():
+            for j, r in enumerate(rows):
+                raw[r[dead[r]], j] = 1.0
+            total[dead] = count[dead]
+        return [(r, raw[r, j] / total[r]) for j, r in enumerate(rows)], covered
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "h": self.h}

@@ -35,8 +35,7 @@ from typing import Optional
 
 import numpy as np
 
-from .composer import (ComposedModel, ModelConfig, active_rows, compose,
-                       fit_composed)
+from .composer import ComposedModel, ModelConfig, compose, fit_composed
 from .data import WeightedSample, as_points
 from .errors import InputError
 from .kernels import sup_norm_on_region
@@ -335,10 +334,10 @@ class AuditContext:
     """Per-audit state shared by every contamination Q.
 
     Built once per audit: the base composed model, the probes and their
-    (n, B) weight matrix ``W`` with each region's nonzero rows ``active``
-    (``composer.active_rows``), the bound factors (w_sup, lam_b, ||k_b||)
-    of the regions' balls, and per region b a ``RegionBlocks``. The probes
-    serve the influence estimates only, not the bound. ``border`` extends
+    ``weights`` (``WeightScheme.weights_many``'s per-region probe rows and
+    weights), the bound factors (w_sup, lam_b, ||k_b||) of the regions'
+    balls, and per region b a ``RegionBlocks``. The probes serve the
+    influence estimates only, not the bound. ``border`` extends
     a region by a Q's atoms, so a retrain forms only the new Gram
     columns and a probe prediction is one matrix-vector product;
     ``retrain`` starts from pad(alpha) unless given a start, such as the
@@ -373,8 +372,7 @@ class AuditContext:
         self.base = base
         self.probes = as_points(probes)
         self.factors = _region_factors(scheme, config)
-        self.W, self.covered = scheme.weights_many(self.probes)
-        self.active = active_rows(self.W)
+        self.weights, self.covered = scheme.weights_many(self.probes)
         self.regions = {b: self._blocks(b) for b in range(1, scheme.B + 1)}
         self.base_preds = self.compose({})
 
@@ -387,7 +385,7 @@ class AuditContext:
                 f"region {b}: the model's {local.n_anchors} anchors differ from "
                 f"the {anchors.shape[0]} training points in the region; audit a "
                 "model with the data it was trained on")
-        points = self.probes[self.active[b - 1][0]]
+        points = self.probes[self.weights[b - 1][0]]
         if sample is None:
             return RegionBlocks(None, None, points, None, np.zeros(points.shape[0]))
         kernel = self.config.kernel_for(b)
@@ -405,8 +403,8 @@ class AuditContext:
     def compose(self, preds_by_region) -> np.ndarray:
         """sum_b w_b f_b over the probes, f_b given on region b's probe rows
         by ``preds_by_region`` or else the base local model."""
-        return compose(self.W, lambda b, rows: preds_by_region.get(
-            b, self.regions[b].base_preds), self.active)
+        return compose(self.weights, len(self.probes), lambda b, rows:
+                       preds_by_region.get(b, self.regions[b].base_preds))
 
     def border(self, b: int, q: WeightedSample) -> Optional[BorderedRegion]:
         """Region b bordered by Q's atoms in it; None when Q leaves the
@@ -425,9 +423,11 @@ class AuditContext:
             atom_block = blocks.probe_block
         else:
             kernel = self.config.kernel_for(b)
-            cross = kernel.matrix(blocks.sample.X, atoms.X)
+            # one cross-kernel pass for the sample's and the probes' columns
+            columns = kernel.matrix(np.vstack([blocks.sample.X, blocks.points]),
+                                    atoms.X)
+            cross, atom_block = columns[:n], columns[n:]
             atom_gram = kernel.gram(atoms.X)
-            atom_block = kernel.matrix(blocks.points, atoms.X)
         gram = np.empty((m, m))
         gram[:n, :n] = blocks.gram
         gram[:n, n:] = cross
@@ -475,14 +475,19 @@ def if_bound(scheme: WeightScheme, config: ModelConfig) -> AuditReport:
     return AuditReport(if_bound_rough=total, per_region_terms=terms)
 
 
+def _touched(partition: RegionPartition, q: WeightedSample) -> list:
+    """Ids of the regions whose balls hold an atom of Q, in id order."""
+    return [b for b, rows in enumerate(partition.members(q.X), 1) if rows.size]
+
+
 def _tv_by_region(samples, partition: RegionPartition, z: WeightedSample) -> dict:
     """Exact TV distance 2 (1 - D_b({z})) between each region b's empirical
     measure ``samples[b]`` and its contamination by the one-atom ``z``; 0
     for a null region and when z lies outside the ball, because the
     contaminated regional measure is then the original."""
     z_x, z_y = z.X[0], z.y[0]
-    inside = partition.membership(z.X)[0]
-    return {b: 0.0 if sample is None or not inside[b - 1]
+    inside = _touched(partition, z)
+    return {b: 0.0 if sample is None or b not in inside
             else 2.0 * (1.0 - sample.atom_mass(z_x, z_y))
             for b, sample in samples.items()}
 
@@ -540,7 +545,7 @@ def finite_diff_if(context: AuditContext, q: WeightedSample,
     ladder = _check_ladder(eps_ladder)
     _check_q(q, context.data.dim)
     bordered, chains = {}, {}
-    for b in context.regions:
+    for b in _touched(context.scheme.partition, q):
         region_b = context.border(b, q)
         if region_b is not None:
             bordered[b] = region_b
@@ -610,8 +615,8 @@ def decomposition_check(estimate: InfluenceEstimate) -> float:
     """
     per_region = estimate.per_region
     context = estimate.context
-    recombined = compose(context.W, lambda b, rows: (
-        per_region[b].values if b in per_region else 0.0), context.active)
+    recombined = compose(context.weights, len(context.probes), lambda b, rows: (
+        per_region[b].values if b in per_region else 0.0))
     return (float(np.max(np.abs(estimate.values - recombined)))
             if recombined.size else 0.0)
 
@@ -648,7 +653,7 @@ def maxbias_probe(context: AuditContext, eps_by_region, qs) -> AuditReport:
     shifts = []
     for q in qs:
         preds = {}
-        for b in context.regions:
+        for b in _touched(context.scheme.partition, q):
             if eps[b - 1] == 0.0:
                 continue
             bordered = context.border(b, q)

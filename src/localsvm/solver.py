@@ -215,12 +215,8 @@ def objective(alpha, sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
         K = kernel.gram(X)
         _objective_gram = (key, K)
     f = K @ alpha
-    return float(sample.weights @ _loss_terms(loss, sample.y, f, shifted)
-                 + cfg.lam * (alpha @ f))
-
-
-def _loss_terms(loss, y, f, shifted):
-    return loss.shifted_value(y, f) if shifted else loss.value(y, f)
+    terms = loss.shifted_value(sample.y, f) if shifted else loss.value(sample.y, f)
+    return float(sample.weights @ terms + cfg.lam * (alpha @ f))
 
 
 def _irls_solve(K, sqrt_d, b, lam, target=0.0):
@@ -235,17 +231,22 @@ def _irls_solve(K, sqrt_d, b, lam, target=0.0):
     rr_b, it = rr, 0
     stop, forced = _CG_RTOL ** 2 * rr, target ** 2
     dd = _sq_norm(sqrt_d * res) if forced > 0 else np.inf
+    # the plain recurrence's products, in its order and bits, into two work vectors
+    u, Ap = np.empty_like(b), np.empty_like(b)
     while it < _CG_CAP * b.shape[0] and rr > stop and dd > forced:
-        Kp = K @ (sqrt_d * p)
-        Ap = sqrt_d * Kp + 2.0 * lam * p
+        np.multiply(sqrt_d, p, out=u)
+        Kp = K @ u
+        np.multiply(sqrt_d, Kp, out=Ap)
+        Ap += np.multiply(2.0 * lam, p, out=u)
         a = rr / float(p @ Ap)
-        r += a * p
-        Kr += a * Kp
-        res -= a * Ap
+        r += np.multiply(a, p, out=u)
+        Kr += np.multiply(a, Kp, out=u)
+        res -= np.multiply(a, Ap, out=u)
         rr, rr_old = float(res @ res), rr
         if forced > 0:
-            dd = _sq_norm(sqrt_d * res)
-        p = res + (rr / rr_old) * p
+            dd = _sq_norm(np.multiply(sqrt_d, res, out=u))
+        p *= rr / rr_old
+        p += res
         it += 1
     if rr_b == 0:
         return r, Kr, it, 0.0
@@ -278,7 +279,7 @@ def _newton_step(K, g, grad, D, lam, eta=0.0):
     r, Kr, iters, ratio = _irls_solve(K, sqrt_d, -sqrt_d * grad, lam, target)
     step = -(g + sqrt_d * r) / (2.0 * lam)
     u = grad + Kr
-    if np.max(np.abs(grad)) > 1e3 * np.max(np.abs(u)):
+    if np.abs(grad).max() > 1e3 * np.abs(u).max():
         return step, K @ step, iters, ratio
     return step, -u / (2.0 * lam), iters, ratio
 
@@ -336,10 +337,11 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
                           h_norm_sq=float(alpha @ f), solve_info=info)
 
     best_alpha, best_gnorm = alpha.copy(), np.inf
+    zero = None  # L(y, 0) of the shifted loss (0 unshifted), at the first line search
     for _ in range(cfg.max_iter + 1):
         g = w * loss.dt(y, f) + 2.0 * lam * alpha
         grad = K @ g
-        gnorm = float(np.max(np.abs(grad))) if n else 0.0
+        gnorm = float(np.abs(grad).max()) if n else 0.0
         if not np.isfinite(gnorm):
             raise ConvergenceError(f"non-finite gradient after {steps} iterations",
                                    best_alpha=best_alpha, grad_norm=gnorm,
@@ -372,13 +374,15 @@ def train(sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
             t = 1.0
         else:
             # backtracking line search on the objective (Armijo, c = 1e-4)
-            J0 = float(w @ _loss_terms(loss, y, f, shifted) + lam * (alpha @ f))
+            if zero is None:
+                zero = loss.value(y, np.zeros_like(y)) if shifted else 0.0
+            J0 = float(w @ (loss.value(y, f) - zero) + lam * (alpha @ f))
             aKs = float(alpha @ Ks)
             sKs = float(step @ Ks)
             t = 1.0
             while t >= _MIN_STEP:
                 f_try = f + t * Ks
-                J_try = float(w @ _loss_terms(loss, y, f_try, shifted)
+                J_try = float(w @ (loss.value(y, f_try) - zero)
                               + lam * (alpha @ f + 2.0 * t * aKs + t * t * sKs))
                 if J_try <= J0 + ARMIJO_C * t * descent:
                     break

@@ -33,6 +33,23 @@ def manual_partition(centers, radii, tau=0.0):
     return RegionPartition(regions, tau=tau)
 
 
+def member_matrix(members, n):
+    """(n, B) boolean matrix of ``RegionPartition.members``' row lists."""
+    M = np.zeros((n, len(members)), dtype=bool)
+    for j, rows in enumerate(members):
+        M[rows, j] = True
+    return M
+
+
+def weight_matrix(weights, n):
+    """(n, B) matrix of ``WeightScheme.weights_many``'s per-region
+    (rows, w) pairs, zero off each region's rows."""
+    W = np.zeros((n, len(weights)))
+    for j, (rows, w) in enumerate(weights):
+        W[rows, j] = w
+    return W
+
+
 @pytest.fixture
 def gauss2():
     return GaussianRBF(gamma=1.0, input_dim=2)

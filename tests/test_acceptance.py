@@ -23,6 +23,7 @@ from localsvm import (AuditContext, GaussianRBF,
                       objective, regionalize, restrict,
                       shifted_unshifted_identity_check, tradeoff_sweep, train,
                       weight_sup_norm)
+from conftest import member_matrix, weight_matrix
 
 REG = LogisticRegression()
 CLS = LogisticClassification()
@@ -316,17 +317,21 @@ def test_criterion_11_weight_axioms_and_cover(sine_fixture):
     ok = True
     n_checked = 0
     for partition, X in partitions:
-        assert partition.membership(X).any(axis=1).all()
+        assert member_matrix(partition.members(X), len(X)).any(axis=1).all()
         lo, hi = X.min(axis=0), X.max(axis=0)
         probes_w = rng.uniform(lo, hi, size=(10_000, 2))
-        M = partition.membership(probes_w)
+        members = partition.members(probes_w)
+        M = member_matrix(members, len(probes_w))
         covered = M.any(axis=1)
         for kind, h in (("normalized-indicator", None), ("smooth-bump", 1.0)):
             sch = WeightScheme(kind, partition, h=h)
-            W, _ = sch.weights_many(probes_w)
+            weights, _ = sch.weights_many(probes_w)
+            W = weight_matrix(weights, len(probes_w))
             if not np.allclose(W[covered].sum(axis=1), 1.0, atol=1e-12):
                 ok = False
-            if not np.all(W[covered][~M[covered]] == 0.0):
+            # (W2): a region lists, of the covered probes, only its own
+            if not all(np.isin(rows[covered[rows]], inside).all()
+                       for (rows, _), inside in zip(weights, members)):
                 ok = False
             n_checked += 1
     elapsed = time.time() - t0

@@ -9,7 +9,7 @@ from localsvm import (ComposedModel, ConvergenceError, GaussianRBF,
                       empirical_risk, fit_composed, predict_composed,
                       regionalize, restrict, train, weight_sup_norm)
 from localsvm.composer import compose
-from conftest import manual_partition, two_blobs
+from conftest import manual_partition, member_matrix, two_blobs
 
 REG = LogisticRegression()
 
@@ -38,8 +38,8 @@ def test_disjoint_regions_use_single_local():
     composed = fit_composed(data, scheme, _config())
     # a training point interior to exactly one region
     x = data.X[0]
-    members = part.membership(x[None, :])[0]
-    assert members.sum() == 1
+    members = [rows.size for rows in part.members(x[None, :])]
+    assert sum(members) == 1
     b = int(np.argmax(members)) + 1
     assert composed.predict([x])[0] == pytest.approx(
         composed.locals[b].predict([x])[0], abs=1e-15)
@@ -100,7 +100,7 @@ def test_convex_combination_bound():
     scheme = WeightScheme("smooth-bump", part, h=1.0)
     composed = fit_composed(data, scheme, _config(lam=0.2))
     probes = np.random.default_rng(5).uniform(-1, 4, size=(400, 2))
-    M = part.membership(probes)
+    M = member_matrix(part.members(probes), len(probes))
     covered = M.any(axis=1)
     preds = composed.predict(probes)
     local_preds = np.column_stack(
@@ -309,9 +309,11 @@ def test_restrict_count_fixture():
 
 
 def test_compose_sums_weighted_local_predictions_over_active_rows():
-    W = np.array([[1.0, 0.0, 0.0],
-                  [0.25, 0.75, 0.0],
-                  [0.0, 1.0, 0.0]])
+    # the per-region (rows, w) pairs of the weights [[1, 0, 0],
+    # [1/4, 3/4, 0], [0, 1, 0]]
+    weights = [(np.array([0, 1]), np.array([1.0, 0.25])),
+               (np.array([1, 2]), np.array([0.75, 1.0])),
+               (np.array([], dtype=int), np.array([]))]
     f = {1: np.array([2.0, 4.0, 6.0]), 2: np.array([10.0, 20.0, 30.0]),
          3: np.array([7.0, 7.0, 7.0])}
     asked = []
@@ -320,8 +322,8 @@ def test_compose_sums_weighted_local_predictions_over_active_rows():
         asked.append((b, rows.tolist()))
         return f[b][rows]
 
-    out = compose(W, local_predict)
+    out = compose(weights, 3, local_predict)
     np.testing.assert_array_equal(out, [2.0, 0.25 * 4.0 + 0.75 * 20.0, 30.0])
-    # region order, only the rows with w_b != 0, and no call for region 3
+    # region order, only each region's rows, and no call for region 3
     assert asked == [(1, [0, 1]), (2, [1, 2])]
 

@@ -166,11 +166,11 @@ def _separately_scored_trend(task, n_ladder, schedule, pc, config, eval_n):
     for n in n_ladder:
         data = generate(task, n)
         scheme = pc.build(data.X)
-        counts = scheme.partition.membership(data.X).sum(axis=0)
+        members = scheme.partition.members(data.X)
         lam = schedule(n)
         cfg = replace(config, train=replace(config.train, lam=lam),
-                      region_lambdas={b: schedule(max(int(c), 1))
-                                      for b, c in enumerate(counts, start=1)})
+                      region_lambdas={b: schedule(max(rows.size, 1))
+                                      for b, rows in enumerate(members, start=1)})
         vals = loss.value(eval_data.y, fit_composed(data, scheme, cfg).predict(eval_data.X))
         global_model = train(data, config.kernel, loss,
                              replace(config.train, lam=lam))
@@ -203,7 +203,10 @@ def test_trend_scores_match_separately_scored_models(case):
     if case == "uncovered":  # the nearest-region fallback is exercised
         for n in ladder:
             partition = pc.build(generate(task, n).X).partition
-            assert not partition.membership(eval_data.X).any(axis=1).all()
+            covered = np.zeros(eval_data.n, dtype=bool)
+            for rows in partition.members(eval_data.X):
+                covered[rows] = True
+            assert not covered.all()
     assert list(report.rows[0]) == list(want[0])
     for got, ref in zip(report.rows, want, strict=True):
         for key in ("n", "lambda", "bayes_proxy"):
@@ -225,24 +228,24 @@ def _rung_scored_trend(task, n_ladder, schedule, pc, config, eval_n):
     for n in n_ladder:
         data = generate(task, n)
         scheme = pc.build(data.X)
-        membership = scheme.partition.membership(data.X)
+        members = scheme.partition.members(data.X)
         lam = schedule(n)
         cfg = replace(config, train=replace(config.train, lam=lam),
-                      region_lambdas={b: schedule(max(int(c), 1))
-                                      for b, c in enumerate(membership.sum(axis=0),
-                                                            start=1)})
+                      region_lambdas={b: schedule(max(rows.size, 1))
+                                      for b, rows in enumerate(members, start=1)})
         models = [train(data, config.kernel, loss, replace(config.train, lam=lam)),
                   *fit_composed(data, scheme, cfg).locals.values()]
         C = np.zeros((n, len(models)))
         C[:, 0] = models[0].alpha
         for b in range(1, len(models)):
-            C[membership[:, b - 1], b] = models[b].alpha
+            C[members[b - 1], b] = models[b].alpha
         P = np.empty((eval_n, len(models)))
         for kernel in dict.fromkeys(m.kernel for m in models):
             cols = [j for j, m in enumerate(models) if m.kernel == kernel]
             P[:, cols] = kernel.apply(eval_data.X, data.X, C[:, cols])
-        W, _ = scheme.weights_many(eval_data.X)
-        vals = loss.value(eval_data.y, compose(W, lambda b, rows: P[rows, b]))
+        weights, _ = scheme.weights_many(eval_data.X)
+        vals = loss.value(eval_data.y,
+                          compose(weights, eval_n, lambda b, rows: P[rows, b]))
         rows.append({"n": n, "lambda": lam, "risk": float(np.mean(vals)),
                      "bayes_proxy": bayes,
                      "global_risk": float(np.mean(loss.value(eval_data.y, P[:, 0]))),

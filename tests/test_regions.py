@@ -5,14 +5,15 @@ import pytest
 
 from localsvm import (InputError, PartitionConfig, RegionPartition, WeightedSample,
                       WeightScheme, regionalize, restrict, weight_sup_norm)
-from conftest import manual_partition, two_blobs
+from conftest import manual_partition, member_matrix, two_blobs, weight_matrix
 
 
 def test_single_region_covers_everything():
     data = two_blobs(seed=1)
     part = regionalize(data.X, b_target=1, tau=0.0, seed=0)
     assert part.B == 1
-    assert part.membership(data.X).any(axis=1).all()
+    (rows,) = part.members(data.X)
+    np.testing.assert_array_equal(rows, np.arange(data.n))
     scheme = WeightScheme("normalized-indicator", part)
     assert weight_sup_norm(scheme, 1) == 1.0
 
@@ -21,7 +22,7 @@ def test_separated_clusters_disjoint_regions():
     data = two_blobs(n_per=25, gap=10.0, seed=2)
     part = regionalize(data.X, b_target=2, tau=0.0, min_region_size=5, seed=0)
     assert part.B == 2
-    M = part.membership(data.X)
+    M = member_matrix(part.members(data.X), data.n)
     assert M.any(axis=1).all()
     assert (M.sum(axis=1) == 1).all()  # tau = 0 on well-separated blobs
 
@@ -31,7 +32,7 @@ def test_overlap_factor_creates_shared_membership():
     X = np.concatenate([np.linspace(0.0, 1.0, 20), np.linspace(1.2, 2.2, 20)])[:, None]
     part = regionalize(X, b_target=2, tau=0.5, min_region_size=5, seed=0)
     mid = np.array([[1.1]])
-    assert part.membership(mid).sum() >= 2
+    assert [rows.tolist() for rows in part.members(mid)] == [[0], [0]]
 
 
 def test_too_few_points_rejected():
@@ -72,7 +73,7 @@ def test_small_clusters_get_merged():
                    np.array([[20.0, 20.0], [20.1, 20.0]])])
     part = regionalize(X, b_target=3, tau=0.0, min_region_size=5, seed=1)
     assert part.B == 2
-    assert part.membership(X).any(axis=1).all()
+    assert member_matrix(part.members(X), len(X)).any(axis=1).all()
 
 
 def test_cover_invariant_after_regionalize():
@@ -80,7 +81,7 @@ def test_cover_invariant_after_regionalize():
         rng = np.random.default_rng(seed)
         X = rng.uniform(-5, 5, size=(80, 3))
         part = regionalize(X, b_target=4, tau=0.1, min_region_size=2, seed=seed)
-        assert part.membership(X).any(axis=1).all()
+        assert member_matrix(part.members(X), len(X)).any(axis=1).all()
 
 
 def plane_partition():
@@ -99,7 +100,7 @@ def test_points_of_another_dimension_are_rejected(dim):
     X = np.random.default_rng(8).uniform(-1.0, 1.0, size=(60, dim))
     message = f"region 1 is 2-d, got points of dimension {dim}"
     with pytest.raises(InputError, match=message):
-        part.membership(X)
+        part.members(X)
     with pytest.raises(InputError, match=message):
         part.nearest_region_index(X)
     for scheme in (WeightScheme("normalized-indicator", part),
@@ -125,21 +126,22 @@ def test_weights_unit_vector_when_single_region():
     X = np.array([[0.0, 0.0], [2.0, 0.0]])
     part = manual_partition([[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5])
     scheme = WeightScheme("normalized-indicator", part)
-    W, _ = scheme.weights_many([[0.1, 0.0]])
-    np.testing.assert_array_equal(W[0], [1.0, 0.0])
+    (rows1, w1), (rows2, w2) = scheme.weights_many([[0.1, 0.0]])[0]
+    assert rows1.tolist() == [0] and w1.tolist() == [1.0]
+    assert rows2.size == 0 and w2.size == 0
 
 
 def test_weights_split_on_overlap():
     X = np.array([[0.0], [1.0]])
     part = manual_partition([[0.0], [1.0]], [1.0, 1.0])
     ind = WeightScheme("normalized-indicator", part)
-    W, _ = ind.weights_many([[0.5]])
+    W = weight_matrix(ind.weights_many([[0.5]])[0], 1)
     np.testing.assert_array_equal(W[0], [0.5, 0.5])
     bump = WeightScheme("smooth-bump", part, h=0.7)
-    W, _ = bump.weights_many([[0.5]])
+    W = weight_matrix(bump.weights_many([[0.5]])[0], 1)
     np.testing.assert_allclose(W[0], [0.5, 0.5], atol=1e-15)
     # off-center bump weights favor the nearer region but stay normalized
-    w = bump.weights_many([[0.2]])[0][0]
+    w = weight_matrix(bump.weights_many([[0.2]])[0], 1)[0]
     assert w[0] > w[1] and w.sum() == pytest.approx(1.0, abs=1e-15)
 
 
@@ -149,15 +151,20 @@ def test_weights_partition_of_unity_properties():
     rng = np.random.default_rng(6)
     lo, hi = data.bounding_box()
     probes = rng.uniform(lo, hi, size=(10_000, 2))
-    M = part.membership(probes)
+    members = part.members(probes)
+    M = member_matrix(members, len(probes))
     covered = M.any(axis=1)
     for scheme in (WeightScheme("normalized-indicator", part),
                    WeightScheme("smooth-bump", part, h=1.0)):
-        W, cov = scheme.weights_many(probes)
+        weights, cov = scheme.weights_many(probes)
         np.testing.assert_array_equal(cov, covered)
+        W = weight_matrix(weights, len(probes))
         # (W1) on the covered set
         np.testing.assert_allclose(W[covered].sum(axis=1), 1.0, atol=1e-12)
-        # (W2) exact zeros off-region
+        # (W2) exact zeros off-region: a region lists, of the covered
+        # rows, only those inside its ball
+        for (rows, w), inside in zip(weights, members):
+            assert np.isin(rows[covered[rows]], inside).all()
         assert np.all(W[covered][~M[covered]] == 0.0)
         assert np.all((W >= 0.0) & (W <= 1.0))
 
@@ -167,10 +174,14 @@ def test_uncovered_point_fallback():
     part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [0.2, 0.2])
     scheme = WeightScheme("normalized-indicator", part)
     far = [10.0, 0.0]
-    W, _ = scheme.weights_many([far])
-    np.testing.assert_array_equal(W[0], [0.0, 1.0])
-    W, covered = scheme.weights_many(np.array([far, [0.1, 0.0]]))
+    weights, covered = scheme.weights_many([far])
+    np.testing.assert_array_equal(weight_matrix(weights, 1)[0], [0.0, 1.0])
+    assert not covered[0]
+    weights, covered = scheme.weights_many(np.array([far, [0.1, 0.0]]))
     assert not covered[0] and covered[1]
+    # the uncovered row joins its nearest region's row list, in row order
+    assert [(rows.tolist(), w.tolist()) for rows, w in weights] == [
+        ([1], [1.0]), ([0], [1.0])]
 
 
 def test_weight_sup_norm_exclusive_point_gives_exact_one():
@@ -178,7 +189,7 @@ def test_weight_sup_norm_exclusive_point_gives_exact_one():
     part = regionalize(data.X, b_target=2, tau=0.0, min_region_size=5, seed=0)
     scheme = WeightScheme("normalized-indicator", part)
     # each region holds a point of its own, where its weight is exactly 1
-    W, _ = scheme.weights_many(data.X)
+    W = weight_matrix(scheme.weights_many(data.X)[0], data.n)
     np.testing.assert_array_equal(W.max(axis=0), [1.0, 1.0])
     assert weight_sup_norm(scheme, 1) == 1.0
     assert weight_sup_norm(scheme, 2) == 1.0
@@ -190,7 +201,7 @@ def test_weight_sup_norm_fully_shared_region():
     X = np.random.default_rng(8).normal(size=(12, 2)) * 0.1
     part = manual_partition([[0.0, 0.0], [0.0, 0.0]], [1.0, 1.0])
     scheme = WeightScheme("normalized-indicator", part)
-    W, _ = scheme.weights_many(X)
+    W = weight_matrix(scheme.weights_many(X)[0], 12)
     np.testing.assert_array_equal(W, np.full((12, 2), 0.5))
     assert weight_sup_norm(scheme, 1) == 1.0
     assert weight_sup_norm(scheme, 2) == 1.0
@@ -202,7 +213,7 @@ def test_weight_sup_norm_smooth_bump_bounded():
     part = regionalize(X, b_target=2, tau=0.5, min_region_size=5, seed=3)
     scheme = WeightScheme("smooth-bump", part, h=0.8)
     probes = np.random.default_rng(11).uniform(-1, 2, size=(200, 2))
-    W, _ = scheme.weights_many(probes)
+    W = weight_matrix(scheme.weights_many(probes)[0], len(probes))
     for b in range(1, part.B + 1):
         assert 0.0 < W[:, b - 1].max() <= weight_sup_norm(scheme, b) == 1.0
 
@@ -275,7 +286,9 @@ def test_partition_scheme_serialization_round_trip():
     probes = np.random.default_rng(13).uniform(-2, 10, size=(100, 2))
     W1, c1 = scheme.weights_many(probes)
     W2, c2 = back.weights_many(probes)
-    np.testing.assert_array_equal(W1, W2)
+    for (rows1, w1), (rows2, w2) in zip(W1, W2, strict=True):
+        np.testing.assert_array_equal(rows1, rows2)
+        np.testing.assert_array_equal(w1, w2)
     np.testing.assert_array_equal(c1, c2)
 
 
@@ -353,7 +366,68 @@ def test_ball_geometry_bitwise_equal_to_broadcast_forms(dim, monkeypatch):
             assert r.center.tobytes() == q.center.tobytes() and r.radius == q.radius
         for scheme in (WeightScheme("normalized-indicator", part),
                        WeightScheme("smooth-bump", part, h=0.5)):
-            W, covered = scheme.weights_many(queries)
+            weights, covered = scheme.weights_many(queries)
+            W = weight_matrix(weights, len(queries))
             W_ref, covered_ref = _broadcast_weights_many(scheme, queries)
             assert not covered.all() and W.tobytes() == W_ref.tobytes()
             np.testing.assert_array_equal(covered, covered_ref)
+
+
+def _membership_reference(partition, X):
+    # RegionPartition.membership before the per-region row lists: the
+    # dense (n, B) boolean matrix
+    return np.column_stack([r.contains_many(X) for r in partition.regions])
+
+
+def _weights_many_reference(scheme, X):
+    # WeightScheme.weights_many before the per-region row lists: the dense
+    # (n, B) weights, with the membership after the nearest-region
+    # fallback and the covered mask
+    from localsvm import regions
+
+    M = _membership_reference(scheme.partition, X)
+    covered = np.ascontiguousarray(M.T).any(axis=0)
+    if not covered.all():
+        nearest = scheme.partition.nearest_region_index(X[~covered])
+        M[np.where(~covered)[0], nearest] = True
+    if scheme.kind == "normalized-indicator":
+        raw = M.astype(float)
+        total = np.ascontiguousarray(raw.T).sum(axis=0)
+    else:
+        centers = np.stack([r.center for r in scheme.partition.regions])
+        raw = np.exp(-regions._sq_dists(X, centers) / scheme.h**2)
+        raw[~M] = 0.0
+        dead = M.any(axis=1) & (raw.sum(axis=1) == 0.0)
+        if dead.any():
+            raw[dead] = M[dead].astype(float)
+        total = raw.sum(axis=1)
+    W = raw / total[:, None]
+    W[~M] = 0.0
+    return M, W, covered
+
+
+@pytest.mark.parametrize("B", [1, 4, 64])
+@pytest.mark.parametrize("dim", [1, 2, 3, 8, 9])
+def test_row_lists_bitwise_equal_to_the_dense_reference(dim, B):
+    rng = np.random.default_rng(100 * dim + B)
+    X = rng.normal(size=(8 * B, dim))
+    # near queries (some outside every ball) and far ones, where every bump
+    # weight underflows and the fallback's indicator weight takes over
+    queries = np.vstack([X, 2.0 * rng.normal(size=(150, dim)),
+                         60.0 * rng.normal(size=(10, dim))])
+    part = regionalize(X, b_target=B, tau=0.1, min_region_size=2, seed=dim)
+    assert part.B >= B // 2
+    members = part.members(queries)
+    M_in = _membership_reference(part, queries)
+    for j, rows in enumerate(members):
+        np.testing.assert_array_equal(rows, np.flatnonzero(M_in[:, j]))
+    for scheme in (WeightScheme("normalized-indicator", part),
+                   WeightScheme("smooth-bump", part, h=0.5)):
+        weights, covered = scheme.weights_many(queries)
+        M, W, covered_ref = _weights_many_reference(scheme, queries)
+        assert not covered.all()
+        np.testing.assert_array_equal(covered, covered_ref)
+        assert len(weights) == part.B
+        for j, (rows, w) in enumerate(weights):
+            np.testing.assert_array_equal(rows, np.flatnonzero(M[:, j]))
+            assert w.tobytes() == W[rows, j].tobytes()
