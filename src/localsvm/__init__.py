@@ -17,7 +17,7 @@ from .kernels import (GaussianRBF, Kernel, Linear, Polynomial, kernel_from_dict,
 from .losses import (LogisticClassification, LogisticRegression, SmoothLoss,
                      loss_from_name)
 from .regions import (RegionPartition, RegionPredicate, WeightScheme,
-                      regionalize, restrict, weight_sup_norm)
+                      regional_measures, regionalize, restrict, weight_sup_norm)
 from .robustness import (AuditContext, AuditReport, InfluenceEstimate,
                          LadderConvergenceWarning, adversarial_q_specs,
                          contaminate_region, decomposition_check,
@@ -40,8 +40,8 @@ __all__ = [
     "contaminate_region", "decomposition_check", "default_probes",
     "empirical_risk", "finite_diff_if", "fit_composed", "generate",
     "if_bound", "kernel_from_dict", "loss_from_name",
-    "maxbias_probe", "objective", "predict_composed", "regionalize",
-    "restrict", "run_audit", "shifted_unshifted_identity_check",
+    "maxbias_probe", "objective", "predict_composed", "regional_measures",
+    "regionalize", "restrict", "run_audit", "shifted_unshifted_identity_check",
     "sup_norm_on_region", "tradeoff_sweep", "train", "tv_refined_if_bound",
     "weight_sup_norm",
 ]

@@ -11,7 +11,7 @@ from .data import WeightedSample, as_points
 from .errors import InputError
 from .kernels import Kernel
 from .losses import SmoothLoss
-from .regions import RegionPartition, WeightScheme, restrict
+from .regions import RegionPartition, WeightScheme, regional_measures
 from .solver import LocalModel, TrainConfig, train
 
 
@@ -128,8 +128,7 @@ def _map_tasks(fn, tasks, threads: int) -> list:
     return [fn(t) for t in tasks]
 
 
-def _fit_one(data, partition, config, b):
-    sample_b = restrict(data, partition.region(b))
+def _fit_one(b, sample_b, config):
     if sample_b is None:
         return LocalModel.zero(config.kernel_for(b), config.loss,
                                config.lam_for(b), b)
@@ -141,16 +140,15 @@ def fit_composed(data: WeightedSample, scheme: WeightScheme,
                  config: ModelConfig, threads: int = 1) -> ComposedModel:
     """Train one local model per region of the scheme and compose them.
 
-    Region b trains on the data conditioned on its ball (``restrict``).
-    Null-measure regions (no training points inside the ball) receive the
-    zero function, which has no anchors. Region trainings are independent;
-    ``threads > 1`` runs them in a thread pool with a deterministic,
-    id-ordered reduction.
+    Region b trains on the data conditioned on its ball, from one ball
+    test of the data (``regional_measures``). Null-measure regions (no
+    training points inside the ball) receive the zero function, which has
+    no anchors. Region trainings are independent; ``threads > 1`` runs
+    them in a thread pool with a deterministic, id-ordered reduction.
     """
-    region_ids = list(range(1, scheme.B + 1))
-    models = _map_tasks(lambda b: _fit_one(data, scheme.partition, config, b),
-                        region_ids, threads)
-    return ComposedModel(dict(zip(region_ids, models)), scheme)
+    tasks = list(enumerate(regional_measures(scheme.partition, data), 1))
+    models = _map_tasks(lambda task: _fit_one(*task, config), tasks, threads)
+    return ComposedModel(dict(enumerate(models, 1)), scheme)
 
 
 def predict_composed(model: ComposedModel, X) -> np.ndarray:

@@ -183,8 +183,8 @@ def _model_columns(sets, X: np.ndarray) -> list:
     whose column j is the j-th model's prediction.
 
     ``columns`` lists ``(model, rows)``: the model's anchors are
-    ``anchors[rows]``, as region b's anchors (``restrict``'s) are the rows
-    that ``partition.members`` lists for b. So each model is a column of
+    ``anchors[rows]``, as ``fit_composed`` trains region b on the rows that
+    ``partition.members`` lists for b. So each model is a column of
     one coefficient block over the set's anchors, its alpha scattered onto
     its rows (a zero column for a null region). A set whose
     anchors are exactly the leading rows of the largest set's anchors (a

@@ -9,7 +9,8 @@ and their points reassigned, shrinking the number of regions.
 Weight schemes form a partition of unity over the covered set: weights sum
 to one wherever at least one region applies and vanish identically outside
 each region. Queries outside all balls fall back to the nearest region;
-callers may count those events as coverage violations.
+callers may count those events as coverage violations. The one ball test
+is ``RegionPartition.members``; ``restrict`` conditions on its row lists.
 """
 
 from __future__ import annotations
@@ -294,22 +295,26 @@ def weight_sup_norm(scheme: WeightScheme, region_id: int) -> float:
     return 1.0
 
 
-def restrict(measure: WeightedSample,
-             region: RegionPredicate) -> Optional[WeightedSample]:
-    """The measure conditioned on the ball: its atoms inside the region,
-    with weights w[mask] / w[mask].sum().
-
-    The one regional restriction, of the data (D_b) and of a contamination
-    (Q_b) alike. Returns None (the null-measure marker) when the measure
-    puts no mass in the ball.
+def restrict(measure: WeightedSample, rows) -> Optional[WeightedSample]:
+    """The measure conditioned on a region: its atoms at ``rows``, the
+    sorted indices ``RegionPartition.members`` lists for the region, with
+    weights w[rows] / w[rows].sum(). The one regional restriction, of the
+    data (D_b) and of a contamination (Q_b) alike; it makes no ball test.
+    Returns None (the null-measure marker) when those atoms carry no mass.
     """
-    mask = region.contains_many(measure.X)
-    weights = measure.weights[mask]
+    weights = measure.weights[rows]
     top = weights.max(initial=0.0)
     if top <= 0.0:
         return None
     # scaled by the largest weight first, so that equal weights condition
     # to exactly 1/n_b, the uniform measure on the n_b atoms in the ball
     weights = weights / top
-    return WeightedSample(measure.X[mask], measure.y[mask],
+    return WeightedSample(measure.X[rows], measure.y[rows],
                           weights / weights.sum())
+
+
+def regional_measures(partition: RegionPartition, measure: WeightedSample) -> list:
+    """Per region b = 1..B, the measure conditioned on ball b, or None when
+    the ball holds no atom: one ball test of the atoms decides every region."""
+    return [restrict(measure, rows) if rows.size else None
+            for rows in partition.members(measure.X)]

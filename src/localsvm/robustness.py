@@ -39,7 +39,7 @@ from .composer import ComposedModel, ModelConfig, compose, fit_composed
 from .data import WeightedSample, as_points
 from .errors import InputError
 from .kernels import sup_norm_on_region
-from .regions import RegionPartition, WeightScheme, restrict, weight_sup_norm
+from .regions import WeightScheme, regional_measures, restrict, weight_sup_norm
 from .solver import LocalModel, grad_scale, train
 
 DEFAULT_EPS_LADDER = (1e-2, 5e-3, 2.5e-3, 1.25e-3)
@@ -101,10 +101,9 @@ def contaminate_region(sample_b: WeightedSample, q: WeightedSample,
     _check_q(q, sample_b.dim)
     if not 0.0 < eps < 0.5:
         raise InputError(f"contamination eps must lie in (0, 1/2), got {eps}")
-    atoms = restrict(q, region)
-    if atoms is None:
-        return sample_b
-    return _mix(sample_b, atoms, eps)
+    rows = np.flatnonzero(region.contains_many(q.X))
+    atoms = restrict(q, rows) if rows.size else None
+    return sample_b if atoms is None else _mix(sample_b, atoms, eps)
 
 
 class LocalQuotient:
@@ -336,10 +335,11 @@ class AuditContext:
     Built once per audit: the base composed model, the probes and their
     ``weights`` (``WeightScheme.weights_many``'s per-region probe rows and
     weights), the bound factors (w_sup, lam_b, ||k_b||) of the regions'
-    balls, and per region b a ``RegionBlocks``. The probes serve the
-    influence estimates only, not the bound. ``border`` extends
-    a region by a Q's atoms, so a retrain forms only the new Gram
-    columns and a probe prediction is one matrix-vector product;
+    balls, and per region b a ``RegionBlocks`` on the data's regional
+    measure, from one ball test of the data (``regional_measures``). The
+    probes serve the influence estimates only, not the bound. ``border``
+    extends a region by Q_b, a Q conditioned on it, so a retrain forms only
+    the new Gram columns and a probe prediction is one matrix-vector product;
     ``retrain`` starts from pad(alpha) unless given a start, such as the
     secant start of a lower ladder rung; ``compose`` sums the regional
     predictions over the probes with ``composer.compose``, in the region
@@ -373,11 +373,11 @@ class AuditContext:
         self.probes = as_points(probes)
         self.factors = _region_factors(scheme, config)
         self.weights, self.covered = scheme.weights_many(self.probes)
-        self.regions = {b: self._blocks(b) for b in range(1, scheme.B + 1)}
+        self.regions = {b: self._blocks(b, sample) for b, sample
+                        in enumerate(regional_measures(scheme.partition, data), 1)}
         self.base_preds = self.compose({})
 
-    def _blocks(self, b: int) -> RegionBlocks:
-        sample = restrict(self.data, self.scheme.partition.region(b))
+    def _blocks(self, b: int, sample: Optional[WeightedSample]) -> RegionBlocks:
         local = self.base.locals[b]
         anchors = np.zeros((0, self.data.dim)) if sample is None else sample.X
         if not np.array_equal(local.anchors, anchors):
@@ -406,14 +406,11 @@ class AuditContext:
         return compose(self.weights, len(self.probes), lambda b, rows:
                        preds_by_region.get(b, self.regions[b].base_preds))
 
-    def border(self, b: int, q: WeightedSample) -> Optional[BorderedRegion]:
-        """Region b bordered by Q's atoms in it; None when Q leaves the
-        regional measure unchanged (or the region is null)."""
+    def border(self, b: int, atoms: WeightedSample) -> Optional[BorderedRegion]:
+        """Region b bordered by Q_b, the ``atoms`` of a Q conditioned on the
+        region (``regional_measures``); None when the region is null."""
         blocks = self.regions[b]
         if blocks.sample is None:
-            return None
-        atoms = restrict(q, self.scheme.partition.region(b))
-        if atoms is None:
             return None
         n, m = blocks.sample.n, blocks.sample.n + atoms.n
         if atoms.n == n and np.array_equal(atoms.X, blocks.sample.X):
@@ -475,18 +472,12 @@ def if_bound(scheme: WeightScheme, config: ModelConfig) -> AuditReport:
     return AuditReport(if_bound_rough=total, per_region_terms=terms)
 
 
-def _touched(partition: RegionPartition, q: WeightedSample) -> list:
-    """Ids of the regions whose balls hold an atom of Q, in id order."""
-    return [b for b, rows in enumerate(partition.members(q.X), 1) if rows.size]
-
-
-def _tv_by_region(samples, partition: RegionPartition, z: WeightedSample) -> dict:
+def _tv_by_region(samples, inside, z: WeightedSample) -> dict:
     """Exact TV distance 2 (1 - D_b({z})) between each region b's empirical
     measure ``samples[b]`` and its contamination by the one-atom ``z``; 0
-    for a null region and when z lies outside the ball, because the
-    contaminated regional measure is then the original."""
+    for a null region and for a region outside ``inside`` (the ids of the
+    balls that hold z), whose contaminated regional measure is the original."""
     z_x, z_y = z.X[0], z.y[0]
-    inside = _touched(partition, z)
     return {b: 0.0 if sample is None or b not in inside
             else 2.0 * (1.0 - sample.atom_mass(z_x, z_y))
             for b, sample in samples.items()}
@@ -503,10 +494,12 @@ def tv_refined_if_bound(data: WeightedSample, scheme: WeightScheme, config: Mode
     through the regional measures D_b.
     """
     z = _check_q(WeightedSample.dirac(z_x, z_y), data.dim)
-    samples = {r.id: restrict(data, r) for r in scheme.partition.regions}
+    samples = dict(enumerate(regional_measures(scheme.partition, data), 1))
+    inside = [b for b, rows in enumerate(scheme.partition.members(z.X), 1)
+              if rows.size]
     return _certificate_terms(_region_factors(scheme, config),
                               float(config.loss.lipschitz),
-                              _tv_by_region(samples, scheme.partition, z))[2]
+                              _tv_by_region(samples, inside, z))[2]
 
 
 def _retrain_chain(context: AuditContext, bordered: BorderedRegion,
@@ -532,21 +525,22 @@ def finite_diff_if(context: AuditContext, q: WeightedSample,
     """Finite-difference influence estimate toward Q along the eps ladder
     (at least two strictly decreasing rungs in (0, 1/2)).
 
-    Every touched region is retrained per rung on the contaminated mixture;
-    untouched regions contribute exactly zero. A region's rungs are one
-    sequential chain (``_retrain_chain``): the top rung starts from the
-    zero-padded uncontaminated coefficients and each lower rung from the
-    secant through the rung above. The reported estimate is the
+    One ball test of Q's atoms (``regional_measures``) conditions Q on
+    each region it touches, which is retrained per rung on the contaminated
+    mixture; untouched regions contribute exactly zero. A region's rungs
+    are one sequential chain (``_retrain_chain``): the top rung starts from
+    the zero-padded uncontaminated coefficients and each lower rung from
+    the secant through the rung above. The reported estimate is the
     bottom-rung quotient; consecutive-rung residuals serve as the
     convergence diagnostic for the existence of the defining limit, and a
-    linear extrapolation to eps -> 0 is reported alongside as a
-    diagnostic. The probes and the base model are the context's.
+    linear extrapolation to eps -> 0 is reported alongside as a diagnostic.
+    The probes and the base model are the context's.
     """
     ladder = _check_ladder(eps_ladder)
     _check_q(q, context.data.dim)
     bordered, chains = {}, {}
-    for b in _touched(context.scheme.partition, q):
-        region_b = context.border(b, q)
+    for b, atoms in enumerate(regional_measures(context.scheme.partition, q), 1):
+        region_b = None if atoms is None else context.border(b, atoms)
         if region_b is not None:
             bordered[b] = region_b
             chains[b] = _retrain_chain(context, region_b, ladder)
@@ -653,10 +647,10 @@ def maxbias_probe(context: AuditContext, eps_by_region, qs) -> AuditReport:
     shifts = []
     for q in qs:
         preds = {}
-        for b in _touched(context.scheme.partition, q):
-            if eps[b - 1] == 0.0:
+        for b, atoms in enumerate(regional_measures(context.scheme.partition, q), 1):
+            if atoms is None or eps[b - 1] == 0.0:
                 continue
-            bordered = context.border(b, q)
+            bordered = context.border(b, atoms)
             if bordered is not None:
                 tilde = context.retrain(bordered, eps[b - 1])
                 preds[b] = bordered.predict(tilde.alpha)
@@ -718,7 +712,8 @@ def run_audit(data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
         sup_ok = est.sup_norm_estimate <= rough + slack
 
         if dirac:
-            tvs = _tv_by_region(samples, scheme.partition, q)
+            # the regions whose balls hold z are those the estimate retrained
+            tvs = _tv_by_region(samples, est.per_region, q)
         else:
             tvs = rough_tv  # rough TV bound for mixtures
         _, caps, refined = _certificate_terms(ctx.factors, lip, tvs)

@@ -127,7 +127,7 @@ def test_criterion_2_if_sup_bound_audit(sine_fixture, audited_zs):
         if est.sup_norm_estimate > bound.if_bound_rough:
             sup_ok = False
         for b, h in est.h_norms.items():
-            sample_b = restrict(data, part.region(b))
+            sample_b = restrict(data, part.members(data.X)[b - 1])
             if sample_b is not None and part.region(b).contains_many([z_x])[0]:
                 tv_b = 2.0 * (1.0 - sample_b.atom_mass(z_x, z_y))
             else:

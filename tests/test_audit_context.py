@@ -16,12 +16,12 @@ import pytest
 
 from localsvm import (ComposedModel, GaussianRBF, InputError,
                       Linear, LogisticClassification, LogisticRegression,
-                      ModelConfig, Polynomial,
+                      ModelConfig, Polynomial, RegionPredicate,
                       TrainConfig, WeightedSample, WeightScheme,
                       adversarial_q_specs, contaminate_region, default_probes,
                       finite_diff_if, fit_composed, maxbias_probe, regionalize,
                       restrict, run_audit, train)
-from localsvm import robustness
+from localsvm import regions, robustness
 from localsvm.robustness import DEFAULT_EPS_LADDER, AuditContext
 from localsvm.solver import grad_scale
 from conftest import manual_partition, two_blobs
@@ -51,6 +51,11 @@ def _qs(data, part, labels=(4.0, -4.0, 5.0)):
     return [WeightedSample.dirac(x, y) for x, y in zip(zs, labels)] + [flipped]
 
 
+def _conditioned(part, measure, b):
+    """The measure conditioned on region b, at the rows ``members`` lists."""
+    return restrict(measure, part.members(measure.X)[b - 1])
+
+
 def _secant_start(pad, above, eps):
     """pad(alpha) + (eps / eps_above) (alpha_above - pad(alpha)), the start of
     the rung below the rung ``above`` = (eps_above, alpha_above)."""
@@ -60,7 +65,7 @@ def _secant_start(pad, above, eps):
 
 def _rebuild_retrain(data, part, config, base, q, b, eps, above=None):
     """Retrain from pad(alpha), or from the secant start below ``above``."""
-    contaminated = contaminate_region(restrict(data, part.region(b)), q,
+    contaminated = contaminate_region(_conditioned(part, data, b), q,
                                       part.region(b), eps)
     extra = contaminated.n - base.locals[b].n_anchors
     pad = np.concatenate([base.locals[b].alpha, np.zeros(extra)])
@@ -83,8 +88,8 @@ def _touches(q, sample, region):
 
 def _touched(data, part, q):
     return [b for b in range(1, part.B + 1)
-            if restrict(data, part.region(b)) is not None
-            and _touches(q, restrict(data, part.region(b)), part.region(b))]
+            if _conditioned(part, data, b) is not None
+            and _touches(q, _conditioned(part, data, b), part.region(b))]
 
 
 def _rebuild_finite_diff_if(data, part, scheme, config, q, probes, base):
@@ -128,10 +133,11 @@ def test_bordered_gram_and_probe_block_match_rebuilt(kernel):
     checked = 0
     for q in _qs(data, part):
         for b, blocks in ctx.regions.items():
-            bordered = ctx.border(b, q)
-            if bordered is None:
+            atoms = _conditioned(part, q, b)
+            if atoms is None:
                 assert not _touches(q, blocks.sample, part.region(b))
                 continue
+            bordered = ctx.border(b, atoms)
             contaminated = bordered.contaminated(0.01)
             rebuilt = contaminate_region(blocks.sample, q, part.region(b), 0.01)
             np.testing.assert_array_equal(contaminated.X, rebuilt.X)
@@ -172,7 +178,7 @@ def test_bordering_the_label_flip_mixture_makes_no_kernel_call(kernel, monkeypat
     for method in ("matrix", "gram"):
         monkeypatch.setattr(type(kernel), method, no_kernel)
     for b, blocks in ctx.regions.items():
-        bordered = ctx.border(b, flip)
+        bordered = ctx.border(b, _conditioned(part, flip, b))
         n = blocks.sample.n
         np.testing.assert_array_equal(bordered.atoms.X, blocks.sample.X)
         for rows in (slice(None, n), slice(n, None)):
@@ -201,7 +207,7 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
             for b, h in h_norms.items():
                 assert rung["h_norms"][b] == pytest.approx(h, rel=1e-12, abs=0.0)
             for b, alpha in alphas.items():
-                bordered = ctx.border(b, q)
+                bordered = ctx.border(b, _conditioned(part, q, b))
                 start = None if k == 0 else _secant_start(
                     bordered.warm_start, (ref[k - 1][0], ref[k - 1][3][b]), eps)
                 retrained = ctx.retrain(bordered, eps, start)
@@ -256,25 +262,49 @@ def test_run_audit_builds_per_run_state_once(monkeypatch):
     config = _config()
     base = fit_composed(data, scheme, config)
     calls = {"restrict": 0, "factors": 0}
-    restrict_orig = robustness.restrict
+    restrict_orig = regions.restrict
     factors_orig = robustness._region_factors
+    contains_orig = RegionPredicate.contains_many
+    tested = []  # (points, region id) per ball test
 
-    def counting_restrict(measure, region):
+    def counting_restrict(measure, rows):
         # restrict also conditions each Q on a region; count the data's
         calls["restrict"] += measure is data
-        return restrict_orig(measure, region)
+        return restrict_orig(measure, rows)
 
     def counting_factors(*args, **kwargs):
         calls["factors"] += 1
         return factors_orig(*args, **kwargs)
 
-    monkeypatch.setattr(robustness, "restrict", counting_restrict)
+    def counting_contains(region, X):
+        tested.append((X, region.id))
+        return contains_orig(region, X)
+
+    monkeypatch.setattr(regions, "restrict", counting_restrict)
     monkeypatch.setattr(robustness, "_region_factors", counting_factors)
+    monkeypatch.setattr(RegionPredicate, "contains_many", counting_contains)
     qs = _qs(data, part)
+    probes = default_probes(data, 32)
     report = run_audit(data, scheme, config, qs, maxbias_eps=0.1,
-                       probes=default_probes(data, 32), base=base)
+                       probes=probes, base=base)
     assert report.all_satisfied
     assert calls == {"restrict": part.B, "factors": 1}
+
+    # each measure's atoms are ball-tested once per region, in one pass: the
+    # probes and the data by the context, then every Q of the estimates and
+    # of the maxbias family
+    B = part.B
+    passes = [tested[i:i + B] for i in range(0, len(tested), B)]
+    for one_pass in passes:
+        assert [b for _, b in one_pass] == list(range(1, B + 1))
+        assert all(X is one_pass[0][0] for X, _ in one_pass)
+    family = adversarial_q_specs(data, classification=False)
+    tested_points = [one_pass[0][0] for one_pass in passes]
+    assert len(tested_points) == 2 + len(qs) + len(family)
+    for X, want in zip(tested_points, [probes, data.X, *(q.X for q in qs)]):
+        assert X is want
+    for X, q in zip(tested_points[2 + len(qs):], family):
+        np.testing.assert_array_equal(X, q.X)
 
 
 def test_run_audit_hands_its_one_context_to_every_step(monkeypatch):
@@ -368,7 +398,8 @@ def test_context_rejects_a_null_region_mismatch():
     probes = np.vstack([X, [[9.0, 9.0]]])
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     assert ctx.regions[2].sample is None
-    assert ctx.border(2, WeightedSample.dirac([9.0, 9.0], 1.0)) is None
+    z = WeightedSample.dirac([9.0, 9.0], 1.0)
+    assert ctx.border(2, _conditioned(part, z, 2)) is None
     shifted = WeightedSample.uniform(np.vstack([X, [[9.0, 9.0]]]), np.zeros(13))
     with pytest.raises(InputError, match="anchors differ"):
         AuditContext(shifted, scheme, config, probes=probes, base=base)
@@ -424,7 +455,8 @@ def test_chained_bottom_rung_takes_fewer_newton_steps_than_a_cold_start(kernel):
     for q in _qs(data, part):
         est = finite_diff_if(ctx, q)
         for b, local in est.per_region.items():
-            cold = ctx.retrain(ctx.border(b, q), est.eps_used)
+            cold = ctx.retrain(ctx.border(b, _conditioned(part, q, b)),
+                               est.eps_used)
             assert (local.tilde.solve_info.newton_iters
                     < cold.solve_info.newton_iters), (q.n, b)
             checked += 1

@@ -303,7 +303,7 @@ def test_restrict_count_fixture():
     y = np.arange(20.0)
     data = WeightedSample.uniform(X, y)
     part = manual_partition([[0.05, 0.05], [5.05, 5.05]], [1.0, 1.0])
-    half = restrict(data, part.region(1))
+    half = restrict(data, part.members(X)[0])
     assert half.n == 10
     np.testing.assert_allclose(half.weights, np.full(10, 2.0 / 20.0))
 

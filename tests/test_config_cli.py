@@ -1025,7 +1025,7 @@ def _summary_rebuilding_samples(model, data):
     lines = [f"regions: {model.partition.B}"]
     for b in sorted(model.locals):
         local = model.locals[b]
-        sample_b = restrict(data, model.partition.region(b))
+        sample_b = restrict(data, model.partition.members(data.X)[b - 1])
         n_b = 0 if sample_b is None else sample_b.n
         if b in model.null_region_ids:
             lines.append(f"  region {b}: n_b={n_b} null measure, zero predictor")
@@ -1106,6 +1106,43 @@ def test_cli_audit_rejects_a_model_of_another_dimension(tmp_path, capsys):
     assert rc == 2
     assert ("region 2 is 2-d, but its local model's kernel takes 3-d points"
             in capsys.readouterr().err)
+    assert not (tmp_path / "out").exists()
+
+
+_MALFORMED_MODELS = {
+    "top-level-list": lambda m: [m],
+    "regions-int": lambda m: {**m, "partition": {**m["partition"], "regions": 5}},
+    "region-entry-int": lambda m: {**m, "partition": {
+        **m["partition"], "regions": [5, *m["partition"]["regions"][1:]]}},
+    "locals-int": lambda m: {**m, "locals": 5},
+    "local-entry-list": lambda m: {**m, "locals": [[1, 2], *m["locals"][1:]]},
+    "kernel-string": lambda m: {**m, "locals": [
+        {**m["locals"][0], "kernel": "rbf"}, *m["locals"][1:]]},
+    "scheme-null": lambda m: {**m, "scheme": None},
+    "lambda-null": lambda m: {**m, "locals": [
+        {**m["locals"][0], "lambda": None}, *m["locals"][1:]]},
+}
+
+
+@pytest.mark.parametrize("malform", sorted(_MALFORMED_MODELS))
+def test_cli_audit_rejects_a_malformed_model(tmp_path, capsys, malform):
+    # valid JSON of the wrong structure is an input error (exit 2), not a
+    # traceback under exit 1, which means a violated bound
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    cfg["dataset"]["n"] = 40
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "m")]) == 0
+    model_path = tmp_path / "m" / "model.json"
+    model = json.loads(model_path.read_text())
+    model_path.write_text(json.dumps(_MALFORMED_MODELS[malform](model)))
+    capsys.readouterr()
+    rc = cli.main(["audit", "--config", cfg_path, "--model", str(model_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and f"cannot parse model {model_path}" in err, err
     assert not (tmp_path / "out").exists()
 
 

@@ -3,8 +3,9 @@ import json
 import numpy as np
 import pytest
 
-from localsvm import (InputError, PartitionConfig, RegionPartition, WeightedSample,
-                      WeightScheme, regionalize, restrict, weight_sup_norm)
+from localsvm import (AuditContext, InputError, PartitionConfig, RegionPartition,
+                      WeightedSample, WeightScheme, composer, fit_composed,
+                      regional_measures, regionalize, restrict, weight_sup_norm)
 from conftest import manual_partition, member_matrix, two_blobs, weight_matrix
 
 
@@ -93,7 +94,7 @@ def plane_partition():
 
 
 @pytest.mark.parametrize("dim", [1, 3])
-def test_points_of_another_dimension_are_rejected(dim):
+def test_points_of_another_dimension_are_rejected(dim, basic_config, monkeypatch):
     # a 1-d point would broadcast against a 2-d center and a 3-d one fail
     # inside numpy; every ball test rejects both alike
     part = plane_partition()
@@ -107,10 +108,25 @@ def test_points_of_another_dimension_are_rejected(dim):
                    WeightScheme("smooth-bump", part, h=1.0)):
         with pytest.raises(InputError, match=message):
             scheme.weights_many(X)
+    # restrict makes no ball test: the training and audit entry points
+    # reject the data at their one ball test, before any fit
     data = WeightedSample.uniform(X, np.zeros(60))
-    for b in (1, 2):
-        with pytest.raises(InputError, match=f"region {b} is 2-d"):
-            restrict(data, part.region(b))
+    plane = np.random.default_rng(7).uniform(-1.0, 1.0, size=(60, 2))
+    scheme = WeightScheme("normalized-indicator", part)
+    base = fit_composed(WeightedSample.uniform(plane, np.zeros(60)), scheme,
+                        basic_config)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a region was fitted on points of another dimension")
+
+    monkeypatch.setattr(composer, "train", no_fit)
+    with pytest.raises(InputError, match=message):
+        regional_measures(part, data)
+    with pytest.raises(InputError, match=message):
+        fit_composed(data, scheme, basic_config)
+    for given in (None, base):
+        with pytest.raises(InputError, match=message):
+            AuditContext(data, scheme, basic_config, base=given)
 
 
 def test_partition_rejects_balls_of_different_dimensions():
@@ -232,20 +248,27 @@ def test_restrict_examples():
     data = WeightedSample.uniform(X, y)
     part = manual_partition([[0.25, 0.0], [5.25, 0.0]], [1.0, 1.0])
 
-    left = restrict(data, part.region(1))
+    left = restrict(data, part.members(X)[0])
     assert left.n == 2
     np.testing.assert_array_equal(left.weights, [0.5, 0.5])
     np.testing.assert_array_equal(left.y, [1.0, 2.0])
 
     # whole sample inside one big ball
     big = manual_partition([[2.5, 0.0]], [10.0])
-    full = restrict(data, big.region(1))
+    full = restrict(data, big.members(X)[0])
     assert full.n == 4
     np.testing.assert_array_equal(full.weights, np.full(4, 0.25))
 
     # empty ball -> null-measure marker
     empty = manual_partition([[100.0, 100.0], [2.5, 0.0]], [1.0, 10.0])
-    assert restrict(data, empty.region(1)) is None
+    assert empty.members(X)[0].size == 0
+    assert regional_measures(empty, data)[0] is None
+
+    # regional_measures is restrict at each region's member rows
+    for got, rows in zip(regional_measures(part, data), part.members(X)):
+        want = restrict(data, rows)
+        for field in ("X", "y", "weights"):
+            np.testing.assert_array_equal(getattr(got, field), getattr(want, field))
 
 
 def test_restrict_conditions_a_non_uniform_measure():
@@ -254,19 +277,20 @@ def test_restrict_conditions_a_non_uniform_measure():
     measure = WeightedSample(X, y, [0.0625, 0.1875, 0.25, 0.5])
     part = manual_partition([[0.25, 0.0], [5.25, 0.0]], [1.0, 1.0])
 
-    left = restrict(measure, part.region(1))  # mass 1/4
+    # the left ball holds mass 1/4, the right one 3/4
+    left, right = (restrict(measure, rows) for rows in part.members(X))
     np.testing.assert_array_equal(left.X, X[:2])
     np.testing.assert_array_equal(left.y, [1.0, 2.0])
     np.testing.assert_allclose(left.weights, [0.25, 0.75], rtol=1e-15)
-    right = restrict(measure, part.region(2))  # mass 3/4
     np.testing.assert_allclose(right.weights, [1.0 / 3.0, 2.0 / 3.0],
                                rtol=1e-15)
     # atoms inside but no mass: the null-measure marker, as for no atoms
     massless = WeightedSample(X, y, [0.0, 0.25, 0.25, 0.5])
-    ball = manual_partition([[0.0, 0.0]], [0.1]).region(1)
+    (ball,) = manual_partition([[0.0, 0.0]], [0.1]).members(X)
+    assert ball.size == 1
     assert restrict(massless, ball) is None
     # a zero-weight atom beside a weighted one stays, with weight 0
-    both = restrict(massless, part.region(1))
+    both = restrict(massless, part.members(X)[0])
     np.testing.assert_array_equal(both.weights, [0.0, 1.0])
 
 

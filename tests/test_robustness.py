@@ -88,7 +88,8 @@ def test_contamination_of_another_dimension_is_rejected(z_x, train_calls):
         run_audit(data, scheme, config, [good, z], probes=data.X, base=base)
     assert train_calls == []
     with pytest.raises(InputError, match=wrong):
-        contaminate_region(restrict(data, part.region(1)), z, part.region(1), 0.01)
+        contaminate_region(restrict(data, part.members(data.X)[0]), z,
+                           part.region(1), 0.01)
     with pytest.raises(InputError, match=wrong):
         tv_refined_if_bound(data, scheme, config, z_x, 1.0)
     finite_diff_if(ctx, good, (1e-2, 5e-3))
