@@ -180,7 +180,7 @@ def cmd_audit(args) -> int:
                 base = ComposedModel.from_dict(json.load(fh))
         except FileNotFoundError:
             raise InputError(f"model file not found: {args.model}") from None
-        except (KeyError, TypeError, AttributeError, ValueError) as exc:
+        except (KeyError, TypeError, AttributeError, ValueError, InputError) as exc:
             raise InputError(f"cannot parse model {args.model}: {exc}") from None
 
     scheme = _build_scheme(pc, data, config)

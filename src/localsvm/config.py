@@ -24,16 +24,43 @@ from .losses import loss_from_name
 from .regions import KIND_BUMP, KIND_INDICATOR
 from .solver import TrainConfig
 
+# a block whose keys depend on its kind is a oneOf with one branch per
+# kind: the branch lists exactly the keys that kind reads, and requires its
+# kind constant (a const or enum) and the keys it cannot do without
 _KERNEL_SCHEMA = {
     "type": "object",
-    "properties": {
-        "family": {"enum": ["gaussian-rbf", "linear", "polynomial"]},
-        "gamma": {"type": "number", "exclusiveMinimum": 0},
-        "degree": {"type": "integer", "minimum": 1},
-        "offset": {"type": "number", "minimum": 0},
-    },
-    "required": ["family"],
-    "additionalProperties": False,
+    "oneOf": [
+        {
+            "properties": {
+                "family": {"const": "gaussian-rbf"},
+                "gamma": {"type": "number", "exclusiveMinimum": 0},
+            },
+            "required": ["family", "gamma"],
+            "additionalProperties": False,
+        },
+        {
+            "properties": {"family": {"const": "linear"}},
+            "required": ["family"],
+            "additionalProperties": False,
+        },
+        {
+            "properties": {
+                "family": {"const": "polynomial"},
+                "degree": {"type": "integer", "minimum": 1},
+                "offset": {"type": "number", "minimum": 0},
+            },
+            "required": ["family", "degree"],
+            "additionalProperties": False,
+        },
+    ],
+}
+
+# the keys every synthetic task reads besides its kind and task
+_SYNTHETIC_PROPERTIES = {
+    "n": {"type": "integer", "minimum": 1},
+    "dim": {"type": "integer", "minimum": 1},
+    "noise": {"type": "number", "minimum": 0},
+    "seed": {"type": "integer", "minimum": 0},
 }
 
 CONFIG_SCHEMA = {
@@ -46,14 +73,19 @@ CONFIG_SCHEMA = {
                 {
                     "properties": {
                         "kind": {"const": "synthetic"},
-                        "task": {"enum": ["sine-regression", "two-moons",
-                                          "piecewise-regression"]},
-                        "n": {"type": "integer", "minimum": 1},
-                        "dim": {"type": "integer", "minimum": 1},
-                        "noise": {"type": "number", "minimum": 0},
+                        "task": {"enum": ["sine-regression", "two-moons"]},
+                        **_SYNTHETIC_PROPERTIES,
+                    },
+                    "required": ["kind", "task", "n"],
+                    "additionalProperties": False,
+                },
+                {
+                    "properties": {
+                        "kind": {"const": "synthetic"},
+                        "task": {"const": "piecewise-regression"},
+                        **_SYNTHETIC_PROPERTIES,
                         "breakpoints": {"type": "array",
                                         "items": {"type": "number"}},
-                        "seed": {"type": "integer", "minimum": 0},
                     },
                     "required": ["kind", "task", "n"],
                     "additionalProperties": False,
@@ -81,12 +113,21 @@ CONFIG_SCHEMA = {
         },
         "scheme": {
             "type": "object",
-            "properties": {
-                "kind": {"enum": [KIND_INDICATOR, KIND_BUMP]},
-                "h": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["kind"],
-            "additionalProperties": False,
+            "oneOf": [
+                {
+                    "properties": {"kind": {"const": KIND_INDICATOR}},
+                    "required": ["kind"],
+                    "additionalProperties": False,
+                },
+                {
+                    "properties": {
+                        "kind": {"const": KIND_BUMP},
+                        "h": {"type": "number", "exclusiveMinimum": 0},
+                    },
+                    "required": ["kind", "h"],
+                    "additionalProperties": False,
+                },
+            ],
         },
         "model": {
             "type": "object",
@@ -270,11 +311,29 @@ def _schema_error(value, schema: dict, path: tuple = ()):
                 if error:
                     return error
     if "oneOf" in schema:
-        errors = [_schema_error(value, sub, path) for sub in schema["oneOf"]]
-        misses = [e for e in errors if e]
-        if len(misses) == len(errors):  # report the branch that got furthest
-            return max(misses, key=lambda e: len(e[0]))
-        if len(errors) - len(misses) > 1:
+        branches = schema["oneOf"]
+        errors = [_schema_error(value, sub, path) for sub in branches]
+        if all(errors):
+            # a discriminated union: keep the branches whose kind constant
+            # (the const, or the enum, of a key the first branch requires)
+            # the value matches, one such key at a time, and report the
+            # error of the branch that is left
+            for key in branches[0]["required"]:
+                tags = [sub["properties"].get(key, {}) for sub in branches]
+                if len(branches) == 1 or not all(
+                        "const" in tag or "enum" in tag for tag in tags):
+                    continue
+                if key not in value:
+                    return path, f"{key!r} is a required property"
+                kinds = [tag.get("enum", [tag.get("const")]) for tag in tags]
+                matches = [any(_equal(value[key], k) for k in kind) for kind in kinds]
+                if not any(matches):
+                    allowed = list(dict.fromkeys(k for kind in kinds for k in kind))
+                    return path + (key,), f"{value[key]!r} is not one of {allowed!r}"
+                branches = [sub for sub, m in zip(branches, matches) if m]
+                errors = [e for e, m in zip(errors, matches) if m]
+            return errors[0]
+        if errors.count(None) > 1:
             return path, "valid under more than one of the oneOf branches"
     return None
 
@@ -287,8 +346,6 @@ def validate_config(raw: dict) -> None:
                               for p in path)
         raise InputError(f"config schema violation at {where}: {message}")
     # cross-field rules the schema cannot express
-    if raw["scheme"]["kind"] == KIND_BUMP and "h" not in raw["scheme"]:
-        raise InputError("scheme 'smooth-bump' requires a bandwidth h")
     regions = [int(e["region"]) for e in raw["model"].get("per_region", [])]
     repeated = sorted({b for b in regions if regions.count(b) > 1})
     if repeated:

@@ -136,6 +136,9 @@ class LocalModel:
         object.__setattr__(self, "anchors", as_points(anchors))
         if self.alpha.shape[0] != self.anchors.shape[0]:
             raise InputError("alpha and anchors must have equal length")
+        if not 0 < self.lam < np.inf:
+            raise InputError(f"local model {self.region_id}: lambda must be "
+                             f"positive and finite, got {self.lam}")
         _reject_non_finite(f"local model {self.region_id}: anchor", self.anchors,
                            self.alpha)
 

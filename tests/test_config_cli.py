@@ -209,7 +209,8 @@ def test_schema_check_agrees_with_jsonschema():
 
 @pytest.mark.parametrize("where, value, path", [
     (("model", "lambda"), 0, "$.model.lambda"),
-    (("model", "kernel", "degree"), 1.5, "$.model.kernel.degree"),
+    (("model", "kernel"), {"family": "polynomial", "degree": 1.5},
+     "$.model.kernel.degree"),
     (("audit", "eps_ladder", 1), 0.6, "$.audit.eps_ladder[1]"),
     (("dataset", "n"), True, "$.dataset.n"),
     (("experiment", "n_ladder", 0), 0, "$.experiment.n_ladder[0]"),
@@ -224,6 +225,37 @@ def test_schema_violation_names_its_path(where, value, path):
     with pytest.raises(InputError) as err:
         validate_config(cfg)
     assert str(err.value).startswith(f"config schema violation at {path}: ")
+
+
+@pytest.mark.parametrize("where, value, message", [
+    (("dataset",), {"kind": "csv"}, "at $.dataset: 'path' is a required property"),
+    (("experiment",), {"kind": "tradeoff"},
+     "at $.experiment: 'lambda_grid' is a required property"),
+    (("scheme",), {"kind": "smooth-bump"}, "at $.scheme: 'h' is a required property"),
+    (("dataset",), {"kind": "foo"},
+     "at $.dataset.kind: 'foo' is not one of ['synthetic', 'csv']"),
+    (("dataset", "task"), "foo",
+     "at $.dataset.task: 'foo' is not one of ['sine-regression', 'two-moons', "
+     "'piecewise-regression']"),
+    (("experiment",), {"kind": "foo"},
+     "at $.experiment.kind: 'foo' is not one of ['consistency', 'tradeoff']"),
+    (("model", "kernel"), {"family": "sigmoid"},
+     "at $.model.kernel.family: 'sigmoid' is not one of ['gaussian-rbf', "
+     "'linear', 'polynomial']"),
+    (("scheme",), {"h": 0.5}, "at $.scheme: 'kind' is a required property"),
+], ids=["csv-without-path", "tradeoff-without-grid", "bump-without-h",
+        "dataset-kind", "task", "experiment-kind", "kernel-family", "no-kind"])
+def test_schema_violation_names_the_branch_its_kind_selects(where, value, message):
+    # a oneOf block is a union told apart by its kind: the message comes
+    # from the branch of the value's kind, or lists the kinds there are
+    cfg = base_config(experiment=copy.deepcopy(CONSISTENCY))
+    node = cfg
+    for key in where[:-1]:
+        node = node[key]
+    node[where[-1]] = value
+    with pytest.raises(InputError) as err:
+        validate_config(cfg)
+    assert str(err.value) == f"config schema violation {message}"
 
 
 def test_config_json_error_has_line_context(tmp_path):
@@ -723,6 +755,65 @@ def test_cli_negative_config_seed_exits_2(tmp_path, capsys, command, block):
     err = capsys.readouterr().err
     assert err.startswith("input error:") and "seed" in err
     assert "Traceback" not in err
+
+
+# a block of one kind without a key that kind cannot do without, or with a
+# key only another kind reads: (where, value, the key, the block's path)
+_KIND_KEY_CASES = {
+    "rbf-without-gamma": (("model", "kernel"), {"family": "gaussian-rbf"},
+                          "gamma", "$.model.kernel"),
+    "polynomial-without-degree": (("model", "kernel"),
+                                  {"family": "polynomial", "offset": 1.0},
+                                  "degree", "$.model.kernel"),
+    "per-region-rbf-without-gamma": (
+        ("model", "per_region"),
+        [{"region": 1, "kernel": {"family": "gaussian-rbf"}}],
+        "gamma", "$.model.per_region[0].kernel"),
+    "per-region-polynomial-without-degree": (
+        ("model", "per_region"),
+        [{"region": 1, "kernel": {"family": "polynomial"}}],
+        "degree", "$.model.per_region[0].kernel"),
+    "linear-with-gamma": (("model", "kernel"), {"family": "linear", "gamma": 1.0},
+                          "gamma", "$.model.kernel"),
+    "polynomial-with-gamma": (("model", "kernel"),
+                              {"family": "polynomial", "degree": 2, "gamma": 1.0},
+                              "gamma", "$.model.kernel"),
+    "rbf-with-degree": (("model", "kernel", "degree"), 2, "degree", "$.model.kernel"),
+    "rbf-with-offset": (("model", "kernel", "offset"), 1.0, "offset",
+                        "$.model.kernel"),
+    "linear-with-degree": (("model", "kernel"), {"family": "linear", "degree": 2},
+                           "degree", "$.model.kernel"),
+    "linear-with-offset": (("model", "kernel"), {"family": "linear", "offset": 1.0},
+                           "offset", "$.model.kernel"),
+    "indicator-with-h": (("scheme", "h"), 0.5, "h", "$.scheme"),
+    "sine-with-breakpoints": (("dataset", "breakpoints"), [0.5], "breakpoints",
+                              "$.dataset"),
+    "moons-with-breakpoints": (("dataset",),
+                               {"kind": "synthetic", "task": "two-moons", "n": 60,
+                                "noise": 0.1, "seed": 7, "breakpoints": [0.5]},
+                               "breakpoints", "$.dataset"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_KIND_KEY_CASES))
+@pytest.mark.parametrize("command", ["train", "audit", "experiment"])
+def test_cli_key_its_kind_does_not_take_exits_2(tmp_path, capsys, command, case):
+    # each kind reads exactly its own keys: a missing one is no KeyError
+    # traceback (exit 1 means a violated bound) and an extra one is not
+    # silently dropped
+    where, value, key, path = _KIND_KEY_CASES[case]
+    cfg = _all_commands_config()
+    node = cfg
+    for step in where[:-1]:
+        node = node[step]
+    node[where[-1]] = copy.deepcopy(value)
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1, err
+    assert f"config schema violation at {path}: " in err and f"'{key}'" in err, err
+    assert not (tmp_path / "out").exists()
 
 
 def test_negative_seed_is_an_input_error():

@@ -1,6 +1,7 @@
 import dataclasses
 import json
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -179,6 +180,44 @@ def test_kernel_dict_round_trip():
         assert kernel_from_dict(k.to_dict()) == k
     with pytest.raises(InputError):
         kernel_from_dict({"family": "sigmoid", "input_dim": 2})
+
+
+@pytest.mark.parametrize("d, message", [
+    ({"family": "polynomial", "degree": 2.5, "input_dim": 2},
+     "degree must be an integer, got 2.5"),
+    ({"family": "polynomial", "degree": 2, "input_dim": 2.9},
+     "input_dim must be an integer, got 2.9"),
+    ({"family": "polynomial", "degree": True, "input_dim": 2},
+     "degree must be an integer, got True"),
+    ({"family": "gaussian-rbf", "gamma": "1", "input_dim": 2},
+     "gamma must be a finite number, got '1'"),
+    ({"family": "gaussian-rbf", "gamma": 1.0, "input_dim": "2"},
+     "input_dim must be an integer, got '2'"),
+    ({"family": "gaussian-rbf", "gamma": math.nan, "input_dim": 2},
+     "gamma must be a finite number, got nan"),
+    ({"family": "gaussian-rbf", "input_dim": 2}, "requires 'gamma'"),
+    ({"family": "polynomial", "input_dim": 2}, "requires 'degree'"),
+    ({"family": "linear"}, "requires 'input_dim'"),
+    ({"family": "linear", "gamma": 1.0, "input_dim": 2}, "takes no 'gamma'"),
+    ({"family": "gaussian-rbf", "gamma": 1.0, "degree": 2, "input_dim": 2},
+     "takes no 'degree'"),
+    ({"family": "polynomial", "degree": 2, "gamma": 1.0, "input_dim": 2},
+     "takes no 'gamma'"),
+], ids=["fractional-degree", "fractional-input-dim", "boolean-degree",
+        "string-gamma", "string-input-dim", "nan-gamma", "rbf-without-gamma",
+        "polynomial-without-degree", "without-input-dim", "linear-with-gamma",
+        "rbf-with-degree", "polynomial-with-gamma"])
+def test_kernel_from_dict_reads_exactly_the_family_parameters(d, message):
+    # nothing is truncated, coerced or dropped, and nothing is a KeyError
+    with pytest.raises(InputError, match=re.escape(message)):
+        kernel_from_dict(d)
+
+
+def test_kernel_from_dict_takes_integral_floats_as_json_schema_does():
+    # a config may write degree 2 as 2.0; offset defaults to 0
+    assert (kernel_from_dict({"family": "polynomial", "degree": 2.0,
+                              "input_dim": np.int64(3)})
+            == Polynomial(degree=2, offset=0.0, input_dim=3))
 
 
 def _to_dict_with_isinstance_chain(kernel):

@@ -85,6 +85,23 @@ def test_cover_invariant_after_regionalize():
         assert member_matrix(part.members(X), len(X)).any(axis=1).all()
 
 
+def test_coincident_points_reseat_emptied_clusters():
+    # two locations for four clusters: k-means++ runs out of distinct points
+    # and seeds the last centers on the data, Lloyd's first pass leaves
+    # those clusters empty and re-seats them, and dissolving them leaves
+    # one radius-0 ball on each location
+    X = np.repeat([[0.0, 0.0], [3.0, 1.0]], 10, axis=0)
+    parts = [regionalize(X, b_target=4, tau=0.25, seed=5) for _ in range(2)]
+    for part in parts:
+        assert part.B == 2
+        centers = sorted(tuple(r.center) for r in part.regions)
+        assert centers == [(0.0, 0.0), (3.0, 1.0)]
+        assert [r.radius for r in part.regions] == [0.0, 0.0]
+        M = member_matrix(part.members(X), len(X))
+        assert (M.sum(axis=1) == 1).all()
+    assert parts[0].to_dict() == parts[1].to_dict()
+
+
 def plane_partition():
     """A 2-d partition of 60 points into two overlapping balls."""
     X = np.random.default_rng(7).uniform(-1.0, 1.0, size=(60, 2))

@@ -363,6 +363,18 @@ def test_local_model_rejects_non_finite_values(field, bad):
                    lam=0.5, region_id=2, **parts)
 
 
+@pytest.mark.parametrize("lam", [np.nan, np.inf, -1.0, 0.0],
+                         ids=["nan", "inf", "negative", "zero"])
+def test_local_model_from_dict_rejects_a_lambda_train_config_rejects(lam):
+    # a model's lambda sets its H-norm cap L / lambda: a NaN or negative one
+    # would make the cap NaN or negative
+    model = LocalModel.zero(GaussianRBF(gamma=1.0, input_dim=2), REG, 0.5, 1)
+    with pytest.raises(InputError, match="lambda must be positive and finite"):
+        LocalModel.from_dict({**model.to_dict(), "lambda": lam})
+    with pytest.raises(InputError, match="lambda must be positive and finite"):
+        TrainConfig(lam=lam)
+
+
 def test_train_raises_on_a_non_finite_gradient():
     # an overflowed Gram entry makes the first gradient NaN: a failure, not
     # a converged zero model
