@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .composer import ComposedModel, fit_composed
-from .config import (load_config, model_config_from_config,
+from .config import (load_config, load_model, model_config_from_config,
                      partition_from_config, setup_from_config, task_from_config)
 from .data import WeightedSample
 from .errors import ConvergenceError, InputError, LocalSvmError
@@ -173,15 +173,7 @@ def cmd_audit(args) -> int:
     qs = _contaminations_from_config(raw, data, config.loss)
     probes = default_probes(data,
                             int(audit_cfg.get("extra_probes", DEFAULT_EXTRA_PROBES)))
-    base = None
-    if args.model is not None:
-        try:
-            with open(args.model) as fh:
-                base = ComposedModel.from_dict(json.load(fh))
-        except FileNotFoundError:
-            raise InputError(f"model file not found: {args.model}") from None
-        except (KeyError, TypeError, AttributeError, ValueError, InputError) as exc:
-            raise InputError(f"cannot parse model {args.model}: {exc}") from None
+    base = None if args.model is None else load_model(args.model)
 
     scheme = _build_scheme(pc, data, config)
     if base is not None:

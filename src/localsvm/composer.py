@@ -9,9 +9,10 @@ import numpy as np
 
 from .data import WeightedSample, as_points
 from .errors import InputError
-from .kernels import Kernel
-from .losses import SmoothLoss
-from .regions import RegionPartition, WeightScheme, regional_measures
+from .kernels import Kernel, kernel_from_dict
+from .losses import SmoothLoss, loss_from_name
+from .regions import (RegionPartition, RegionPredicate, WeightScheme,
+                      regional_measures)
 from .solver import LocalModel, TrainConfig, train
 
 
@@ -108,13 +109,28 @@ class ComposedModel:
 
     @classmethod
     def from_dict(cls, d: dict) -> "ComposedModel":
-        partition = RegionPartition.from_dict(d["partition"])
-        scheme = WeightScheme.from_dict(d["scheme"], partition)
-        locals_by_region = {}
-        for entry in d["locals"]:
-            model = LocalModel.from_dict(entry)
-            locals_by_region[int(model.region_id)] = model
-        return cls(locals_by_region, scheme)
+        """The model ``to_dict`` wrote. ``d`` has passed
+        ``config.MODEL_SCHEMA`` (``config.load_model`` checks it), so every
+        key is present with its type; the constructors check the values,
+        and ``null_region_ids`` must name the locals without anchors."""
+        part, scheme = d["partition"], d["scheme"]
+        partition = RegionPartition(
+            [RegionPredicate(r["center"], r["radius"], int(r["id"]))
+             for r in part["regions"]], part["tau"])
+        locals_by_region = {int(e["region_id"]): LocalModel(
+            alpha=e["alpha"], anchors=e["anchors"],
+            kernel=kernel_from_dict(e["kernel"]), loss=loss_from_name(e["loss"]),
+            lam=e["lambda"], region_id=int(e["region_id"]))
+            for e in d["locals"]}
+        if len(locals_by_region) < len(d["locals"]):
+            raise InputError("locals name a region more than once")
+        model = cls(locals_by_region,
+                    WeightScheme(scheme["kind"], partition, scheme["h"]))
+        if d["null_region_ids"] != sorted(model.null_region_ids):
+            raise InputError(f"null_region_ids {d['null_region_ids']} are not the "
+                             "regions without anchors, "
+                             f"{sorted(model.null_region_ids)}")
+        return model
 
 
 def _map_tasks(fn, tasks, threads: int) -> list:

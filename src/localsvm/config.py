@@ -4,7 +4,8 @@ Configs are single JSON documents with an explicit ``version`` field.
 Unknown keys are rejected everywhere; nothing is read from environment
 variables, so a config file pins a run completely (up to --seed/--threads
 command-line overrides). ``CONFIG_SCHEMA`` states the rules as a JSON
-Schema; ``_schema_error`` checks a config against it in-package.
+Schema; ``_schema_error`` checks a config against it in-package. A model
+file, as ``train`` writes it, is read the same way against ``MODEL_SCHEMA``.
 """
 
 from __future__ import annotations
@@ -16,236 +17,171 @@ from typing import Optional
 
 import numpy as np
 
+from .composer import ComposedModel, ModelConfig
 from .data import WeightedSample
 from .errors import InputError
 from .experiments import LambdaSchedule, PartitionConfig, SyntheticTask, generate
 from .kernels import kernel_from_dict
-from .losses import loss_from_name
+from .losses import LOSSES, loss_from_name
 from .regions import KIND_BUMP, KIND_INDICATOR
 from .solver import TrainConfig
 
+_POSITIVE_INT = {"type": "integer", "minimum": 1}
+_NON_NEGATIVE_INT = {"type": "integer", "minimum": 0}
+_POSITIVE = {"type": "number", "exclusiveMinimum": 0}
+_NON_NEGATIVE = {"type": "number", "minimum": 0}
+_NUMBERS = {"type": "array", "items": {"type": "number"}}
+_LOSS = {"enum": sorted(LOSSES)}
+
+
+def _record(required: dict, optional: Optional[dict] = None) -> dict:
+    """An object schema that takes exactly the keys of ``required`` and
+    ``optional``, and requires those of ``required``."""
+    return {"type": "object", "properties": {**required, **(optional or {})},
+            "required": list(required), "additionalProperties": False}
+
+
 # a block whose keys depend on its kind is a oneOf with one branch per
 # kind: the branch lists exactly the keys that kind reads, and requires its
-# kind constant (a const or enum) and the keys it cannot do without
-_KERNEL_SCHEMA = {
-    "type": "object",
-    "oneOf": [
-        {
-            "properties": {
-                "family": {"const": "gaussian-rbf"},
-                "gamma": {"type": "number", "exclusiveMinimum": 0},
-            },
-            "required": ["family", "gamma"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {"family": {"const": "linear"}},
-            "required": ["family"],
-            "additionalProperties": False,
-        },
-        {
-            "properties": {
-                "family": {"const": "polynomial"},
-                "degree": {"type": "integer", "minimum": 1},
-                "offset": {"type": "number", "minimum": 0},
-            },
-            "required": ["family", "degree"],
-            "additionalProperties": False,
-        },
-    ],
-}
+# kind constant (a const or enum) and the keys it cannot do without; each
+# kernel family's (required, optional) keys
+_KERNEL_KEYS = (
+    ({"family": {"const": "gaussian-rbf"}, "gamma": _POSITIVE}, None),
+    ({"family": {"const": "linear"}}, None),
+    ({"family": {"const": "polynomial"}, "degree": _POSITIVE_INT},
+     {"offset": _NON_NEGATIVE}),
+)
+_KERNEL_SCHEMA = {"type": "object",
+                  "oneOf": [_record(*keys) for keys in _KERNEL_KEYS]}
+_BUMP_SCHEME = _record({"kind": {"const": KIND_BUMP}, "h": _POSITIVE})
 
-# the keys every synthetic task reads besides its kind and task
-_SYNTHETIC_PROPERTIES = {
-    "n": {"type": "integer", "minimum": 1},
-    "dim": {"type": "integer", "minimum": 1},
-    "noise": {"type": "number", "minimum": 0},
-    "seed": {"type": "integer", "minimum": 0},
-}
+# the keys every synthetic task reads besides its kind, task and n
+_SYNTHETIC_OPTIONAL = {"dim": _POSITIVE_INT, "noise": _NON_NEGATIVE,
+                       "seed": _NON_NEGATIVE_INT}
 
-CONFIG_SCHEMA = {
-    "type": "object",
-    "properties": {
-        "version": {"const": 1},
-        "dataset": {
-            "type": "object",
-            "oneOf": [
-                {
-                    "properties": {
-                        "kind": {"const": "synthetic"},
-                        "task": {"enum": ["sine-regression", "two-moons"]},
-                        **_SYNTHETIC_PROPERTIES,
-                    },
-                    "required": ["kind", "task", "n"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "kind": {"const": "synthetic"},
-                        "task": {"const": "piecewise-regression"},
-                        **_SYNTHETIC_PROPERTIES,
-                        "breakpoints": {"type": "array",
-                                        "items": {"type": "number"}},
-                    },
-                    "required": ["kind", "task", "n"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "kind": {"const": "csv"},
-                        "path": {"type": "string"},
-                    },
-                    "required": ["kind", "path"],
-                    "additionalProperties": False,
-                },
-            ],
-        },
-        "partition": {
-            "type": "object",
-            "properties": {
-                "b_target": {"type": "integer", "minimum": 1},
-                "tau": {"type": "number", "minimum": 0},
-                "min_region_size": {"type": "integer", "minimum": 1},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-            "required": ["b_target"],
-            "additionalProperties": False,
-        },
-        "scheme": {
-            "type": "object",
-            "oneOf": [
-                {
-                    "properties": {"kind": {"const": KIND_INDICATOR}},
-                    "required": ["kind"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "kind": {"const": KIND_BUMP},
-                        "h": {"type": "number", "exclusiveMinimum": 0},
-                    },
-                    "required": ["kind", "h"],
-                    "additionalProperties": False,
-                },
-            ],
-        },
-        "model": {
-            "type": "object",
-            "properties": {
-                "loss": {"enum": ["logistic-classification", "logistic-regression"]},
-                "kernel": _KERNEL_SCHEMA,
-                "lambda": {"type": "number", "exclusiveMinimum": 0},
-                "per_region": {
-                    "type": "array",
-                    "items": {
-                        "type": "object",
-                        "properties": {
-                            "region": {"type": "integer", "minimum": 1},
-                            "kernel": _KERNEL_SCHEMA,
-                            "lambda": {"type": "number", "exclusiveMinimum": 0},
-                        },
-                        "required": ["region"],
-                        "additionalProperties": False,
-                    },
-                },
-                "grad_tol": {"type": "number", "exclusiveMinimum": 0},
-                "max_iter": {"type": "integer", "minimum": 1},
-            },
-            "required": ["loss", "kernel", "lambda"],
-            "additionalProperties": False,
-        },
-        "audit": {
-            "type": "object",
-            "properties": {
-                "eps_ladder": {"type": "array", "minItems": 2,
-                               "items": {"type": "number",
-                                         "exclusiveMinimum": 0,
-                                         "exclusiveMaximum": 0.5}},
-                "extra_probes": {"type": "integer", "minimum": 0},
-                "z_grid": {"type": "integer", "minimum": 1},
-                "z": {
-                    "type": "object",
-                    "properties": {
-                        "x": {"type": "array", "items": {"type": "number"}},
-                        "y": {"type": "number"},
-                    },
-                    "required": ["x", "y"],
-                    "additionalProperties": False,
-                },
-                "maxbias_eps": {"type": "number", "minimum": 0,
-                                "exclusiveMaximum": 0.5},
-                "q_family": {"enum": ["corners-center-flip", "none"]},
-            },
-            "additionalProperties": False,
-        },
-        "experiment": {
-            "type": "object",
-            "oneOf": [
-                {
-                    "properties": {
-                        "kind": {"const": "consistency"},
-                        "n_ladder": {"type": "array", "minItems": 2,
-                                     "items": {"type": "integer", "minimum": 1}},
-                        "schedule": {
-                            "type": "object",
-                            "properties": {
-                                "c": {"type": "number", "exclusiveMinimum": 0},
-                                "beta": {"type": "number"},
-                            },
-                            "additionalProperties": False,
-                        },
-                        "eval_n": {"type": "integer", "minimum": 1},
-                    },
-                    "required": ["kind", "n_ladder"],
-                    "additionalProperties": False,
-                },
-                {
-                    "properties": {
-                        "kind": {"const": "tradeoff"},
-                        "lambda_grid": {"type": "array", "minItems": 1,
-                                        "items": {"type": "number",
-                                                  "exclusiveMinimum": 0}},
-                        "eval_n": {"type": "integer", "minimum": 1},
-                    },
-                    "required": ["kind", "lambda_grid"],
-                    "additionalProperties": False,
-                },
-            ],
-        },
-        "output": {
-            "type": "object",
-            "properties": {"dir": {"type": "string"}},
-            "additionalProperties": False,
-        },
-    },
-    "required": ["version", "dataset", "partition", "scheme", "model"],
-    "additionalProperties": False,
-}
+CONFIG_SCHEMA = _record({
+    "version": {"const": 1},
+    "dataset": {"type": "object", "oneOf": [
+        _record({"kind": {"const": "synthetic"},
+                 "task": {"enum": ["sine-regression", "two-moons"]},
+                 "n": _POSITIVE_INT}, _SYNTHETIC_OPTIONAL),
+        _record({"kind": {"const": "synthetic"},
+                 "task": {"const": "piecewise-regression"}, "n": _POSITIVE_INT},
+                {**_SYNTHETIC_OPTIONAL, "breakpoints": _NUMBERS}),
+        _record({"kind": {"const": "csv"}, "path": {"type": "string"}}),
+    ]},
+    "partition": _record({"b_target": _POSITIVE_INT}, {
+        "tau": _NON_NEGATIVE, "min_region_size": _POSITIVE_INT,
+        "seed": _NON_NEGATIVE_INT}),
+    "scheme": {"type": "object", "oneOf": [
+        _record({"kind": {"const": KIND_INDICATOR}}), _BUMP_SCHEME]},
+    "model": _record({"loss": _LOSS, "kernel": _KERNEL_SCHEMA,
+                      "lambda": _POSITIVE}, {
+        "per_region": {"type": "array", "items": _record(
+            {"region": _POSITIVE_INT},
+            {"kernel": _KERNEL_SCHEMA, "lambda": _POSITIVE})},
+        "grad_tol": _POSITIVE,
+        "max_iter": _POSITIVE_INT,
+    }),
+}, {
+    "audit": _record({}, {
+        "eps_ladder": {"type": "array", "minItems": 2,
+                       "items": {"type": "number", "exclusiveMinimum": 0,
+                                 "exclusiveMaximum": 0.5}},
+        "extra_probes": _NON_NEGATIVE_INT,
+        "z_grid": _POSITIVE_INT,
+        "z": _record({"x": _NUMBERS, "y": {"type": "number"}}),
+        "maxbias_eps": {"type": "number", "minimum": 0, "exclusiveMaximum": 0.5},
+        "q_family": {"enum": ["corners-center-flip", "none"]},
+    }),
+    "experiment": {"type": "object", "oneOf": [
+        _record({"kind": {"const": "consistency"},
+                 "n_ladder": {"type": "array", "minItems": 2, "items": _POSITIVE_INT}},
+                {"schedule": _record({}, {"c": _POSITIVE, "beta": {"type": "number"}}),
+                 "eval_n": _POSITIVE_INT}),
+        _record({"kind": {"const": "tradeoff"},
+                 "lambda_grid": {"type": "array", "minItems": 1, "items": _POSITIVE}},
+                {"eval_n": _POSITIVE_INT}),
+    ]},
+    "output": _record({}, {"dir": {"type": "string"}}),
+})
+
+# ComposedModel.to_dict, key for key: a model's kernels also name their
+# input dimension, and an indicator scheme writes its bandwidth as null
+MODEL_SCHEMA = _record({
+    "partition": _record({
+        "regions": {"type": "array", "items": _record({
+            "id": _POSITIVE_INT, "center": _NUMBERS, "radius": _NON_NEGATIVE})},
+        "tau": _NON_NEGATIVE,
+    }),
+    "scheme": {"type": "object", "oneOf": [
+        _record({"kind": {"const": KIND_INDICATOR}, "h": {"const": None}}),
+        _BUMP_SCHEME]},
+    "locals": {"type": "array", "items": _record({
+        "region_id": _POSITIVE_INT,
+        "lambda": _POSITIVE,
+        "kernel": {"type": "object", "oneOf": [
+            _record({**required, "input_dim": _POSITIVE_INT}, optional)
+            for required, optional in _KERNEL_KEYS]},
+        "loss": _LOSS,
+        "anchors": {"type": "array", "items": _NUMBERS},
+        "alpha": _NUMBERS,
+    })},
+    "null_region_ids": {"type": "array", "items": _POSITIVE_INT},
+})
 
 
-def load_config(path) -> dict:
-    """Parse and schema-validate a config file; raises InputError on defects."""
+def _read_json(path, what: str):
+    """The JSON document in the file ``path``: UTF-8 text holding valid
+    JSON with finite numbers only, else an InputError naming ``what``."""
     def finite(literal):
         # json accepts NaN, +-Infinity and overflowing numbers such as 1e999
         value = float(literal)
         if not np.isfinite(value):
-            raise InputError(f"config holds the non-finite number {literal}: {path}")
+            raise InputError(f"{what} holds the non-finite number {literal}: {path}")
         return value
 
     try:
-        with open(path) as fh:
-            raw = json.load(fh, parse_float=finite, parse_constant=finite)
+        with open(path, encoding="utf-8") as fh:
+            return json.load(fh, parse_float=finite, parse_constant=finite)
     except FileNotFoundError:
-        raise InputError(f"config file not found: {path}") from None
+        raise InputError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:
-        raise InputError(f"config is not {exc.encoding} text: {path}") from None
+        raise InputError(f"{what} is not {exc.encoding} text: {path}") from None
     except json.JSONDecodeError as exc:
         raise InputError(
-            f"config is not valid JSON: {path}, line {exc.lineno} col {exc.colno}: "
+            f"{what} is not valid JSON: {path}, line {exc.lineno} col {exc.colno}: "
             f"{exc.msg}"
         ) from None
+
+
+def _check(raw, schema: dict, what: str) -> None:
+    """An InputError naming the path of ``raw``'s first violation of ``schema``."""
+    error = _schema_error(raw, schema)
+    if error:
+        path, message = error
+        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
+                              for p in path)
+        raise InputError(f"{what} schema violation at {where}: {message}")
+
+
+def load_config(path) -> dict:
+    """Parse and schema-validate a config file; raises InputError on defects."""
+    raw = _read_json(path, "config")
     validate_config(raw)
     return raw
+
+
+def load_model(path) -> ComposedModel:
+    """The model in a file as ``train`` writes it: read as strictly as a
+    config, checked against ``MODEL_SCHEMA`` before anything is built, and
+    built by ``ComposedModel.from_dict``; an InputError otherwise."""
+    raw = _read_json(path, "model")
+    try:
+        _check(raw, MODEL_SCHEMA, "model")
+        return ComposedModel.from_dict(raw)
+    except InputError as exc:
+        raise InputError(f"cannot parse model {path}: {exc}") from None
 
 
 def _is_number(value) -> bool:
@@ -272,25 +208,32 @@ def _equal(a, b) -> bool:
     return a == b and isinstance(a, bool) == isinstance(b, bool)
 
 
+def _shown(value) -> str:
+    """repr of a value in a message, cut short: a model's arrays are long."""
+    text = repr(value)
+    return text if len(text) <= 60 else text[:56] + " ..."
+
+
 def _schema_error(value, schema: dict, path: tuple = ()):
     """The first violation of ``schema`` by ``value`` as (path, message),
-    or None. Covers the keywords ``CONFIG_SCHEMA`` uses, with the Draft
-    2020-12 meaning of each: a keyword tests only values of its own type,
-    and ``oneOf`` holds when exactly one branch does."""
+    or None. Covers the keywords ``CONFIG_SCHEMA`` and ``MODEL_SCHEMA``
+    use, with the Draft 2020-12 meaning of each: a keyword tests only
+    values of its own type, and ``oneOf`` holds when exactly one branch
+    does."""
     kind = schema.get("type")
     if kind is not None and not _TYPES[kind](value):
-        return path, f"{value!r} is not of type {kind!r}"
+        return path, f"{_shown(value)} is not of type {kind!r}"
     if "enum" in schema and not any(_equal(value, e) for e in schema["enum"]):
-        return path, f"{value!r} is not one of {schema['enum']!r}"
+        return path, f"{_shown(value)} is not one of {schema['enum']!r}"
     if "const" in schema and not _equal(value, schema["const"]):
-        return path, f"{schema['const']!r} was expected, got {value!r}"
+        return path, f"{schema['const']!r} was expected, got {_shown(value)}"
     if _is_number(value):
         for key, fails, words in _BOUNDS:
             if key in schema and fails(value, schema[key]):
                 return path, f"{value!r} is {words} {schema[key]!r}"
     if isinstance(value, list):
         if len(value) < schema.get("minItems", 0):
-            return path, f"{value!r} has fewer than {schema['minItems']} items"
+            return path, f"{_shown(value)} has fewer than {schema['minItems']} items"
         if "items" in schema:
             for i, item in enumerate(value):
                 error = _schema_error(item, schema["items"], path + (i,))
@@ -339,12 +282,7 @@ def _schema_error(value, schema: dict, path: tuple = ()):
 
 
 def validate_config(raw: dict) -> None:
-    error = _schema_error(raw, CONFIG_SCHEMA)
-    if error:
-        path, message = error
-        where = "$" + "".join(f"[{p}]" if isinstance(p, int) else f".{p}"
-                              for p in path)
-        raise InputError(f"config schema violation at {where}: {message}")
+    _check(raw, CONFIG_SCHEMA, "config")
     # cross-field rules the schema cannot express
     regions = [int(e["region"]) for e in raw["model"].get("per_region", [])]
     repeated = sorted({b for b in regions if regions.count(b) > 1})
@@ -441,8 +379,6 @@ def setup_from_config(raw: dict, seed_override: Optional[int] = None
 
 def model_config_from_config(raw: dict, input_dim: int):
     """Build the ModelConfig (kernels need the dataset dimension)."""
-    from .composer import ModelConfig
-
     m = raw["model"]
     loss = loss_from_name(m["loss"])
     kernel = kernel_from_dict(dict(m["kernel"], input_dim=input_dim))

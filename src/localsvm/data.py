@@ -12,8 +12,12 @@ WEIGHT_TOL = 1e-12
 
 
 def as_points(X) -> np.ndarray:
-    """Coerce to a float64 (n, d) array; 1-d input is treated as n points in R^1."""
-    X = np.asarray(X, dtype=float)
+    """Coerce to a float64 (n, d) array; 1-d input is treated as n points in R^1.
+    Ragged rows, or entries that are not numbers, are an InputError."""
+    try:
+        X = np.asarray(X, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InputError(f"points must form a 2-d array of numbers: {exc}") from None
     if X.ndim == 1:
         X = X[:, None]
     if X.ndim != 2:

@@ -19,7 +19,6 @@ nonzero double, else with a division; both give the same bits.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -337,38 +336,19 @@ class Polynomial(Kernel):
 
 def kernel_from_dict(d: dict) -> Kernel:
     """Build a kernel from its JSON/config form: ``family``, ``input_dim`` and
-    exactly the family's parameters, as ``to_dict`` writes them (Polynomial's
-    ``offset`` may be left out for 0). ``input_dim`` and ``degree`` take an
-    integer (or an integral float, as in JSON Schema) and the other
-    parameters a finite number; a boolean, a string, a missing parameter or
-    a key the family does not read is an InputError."""
+    the family's parameters, as ``to_dict`` writes them (Polynomial's
+    ``offset`` may be left out for 0). A dict read from a file has passed
+    the config or model schema, which checks its keys and types;
+    ``input_dim`` and ``degree`` may be integral floats, as in JSON Schema.
+    An unknown family is an InputError."""
     family = d.get("family")
     cls = next((c for c in (GaussianRBF, Linear, Polynomial) if c.family == family),
                None)
     if cls is None:
         raise InputError(f"unknown kernel family {family!r}")
     params = {"offset": 0.0} if cls is Polynomial else {}
-    params.update((key, value) for key, value in d.items() if key != "family")
-    names = [f.name for f in fields(cls)]
-    extra = [key for key in params if key not in names]
-    if extra:
-        raise InputError(f"kernel {family!r} takes no {', '.join(map(repr, extra))}")
-    for name in names:
-        if name not in params:
-            raise InputError(f"kernel {family!r} requires {name!r}")
-        value = params[name]
-        if name in ("input_dim", "degree"):
-            ok = (isinstance(value, numbers.Integral)
-                  or isinstance(value, float) and value.is_integer())
-            kind, cast = "an integer", int
-        else:
-            ok = isinstance(value, numbers.Real) and math.isfinite(value)
-            kind, cast = "a finite number", float
-        if isinstance(value, bool) or not ok:
-            raise InputError(f"kernel {family!r} {name} must be {kind}, got {value!r}")
-        params[name] = cast(value)
-    if params["input_dim"] < 1:
-        raise InputError(f"kernel input_dim must be positive, got {params['input_dim']}")
+    params.update((key, (int if key in ("input_dim", "degree") else float)(value))
+                  for key, value in d.items() if key != "family")
     return cls(**params)
 
 

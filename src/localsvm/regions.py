@@ -126,13 +126,6 @@ class RegionPartition:
             "tau": self.tau,
         }
 
-    @classmethod
-    def from_dict(cls, d: dict) -> "RegionPartition":
-        regions = [RegionPredicate(center=np.asarray(r["center"], dtype=float),
-                                   radius=float(r["radius"]), id=int(r["id"]))
-                   for r in d["regions"]]
-        return cls(regions, tau=float(d.get("tau", 0.0)))
-
 
 def _kmeans_pp_init(X: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
     n = X.shape[0]
@@ -230,12 +223,13 @@ class WeightScheme:
                  h: Optional[float] = None):
         if kind not in _KINDS:
             raise InputError(f"unknown weight scheme {kind!r}; expected {_KINDS}")
-        if kind == KIND_BUMP:
-            if h is None or not h > 0:
-                raise InputError(f"smooth-bump needs a positive bandwidth, got {h}")
+        if kind == KIND_INDICATOR and h is not None:
+            raise InputError(f"{KIND_INDICATOR} takes no bandwidth, got h={h}")
+        if kind == KIND_BUMP and (h is None or not h > 0):
+            raise InputError(f"smooth-bump needs a positive bandwidth, got {h}")
         self.kind = kind
         self.partition = partition
-        self.h = None if kind == KIND_INDICATOR else float(h)
+        self.h = None if h is None else float(h)
 
     @property
     def B(self) -> int:
@@ -278,10 +272,6 @@ class WeightScheme:
 
     def to_dict(self) -> dict:
         return {"kind": self.kind, "h": self.h}
-
-    @classmethod
-    def from_dict(cls, d: dict, partition: RegionPartition) -> "WeightScheme":
-        return cls(kind=d["kind"], partition=partition, h=d.get("h"))
 
 
 def weight_sup_norm(scheme: WeightScheme, region_id: int) -> float:

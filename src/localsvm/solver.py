@@ -43,8 +43,8 @@ import numpy as np
 
 from .data import WeightedSample, _reject_non_finite, as_points
 from .errors import ConvergenceError, InputError
-from .kernels import Kernel, kernel_from_dict, sup_sqrt_diag
-from .losses import SmoothLoss, loss_from_name
+from .kernels import Kernel, sup_sqrt_diag
+from .losses import SmoothLoss
 
 ARMIJO_C = 1e-4
 _MIN_STEP = 1e-16
@@ -130,10 +130,10 @@ class LocalModel:
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", np.asarray(self.alpha, dtype=float))
-        anchors = np.asarray(self.anchors, dtype=float)
+        anchors = as_points(self.anchors)
         if anchors.size == 0:
             anchors = anchors.reshape(0, self.kernel.input_dim)
-        object.__setattr__(self, "anchors", as_points(anchors))
+        object.__setattr__(self, "anchors", anchors)
         if self.alpha.shape[0] != self.anchors.shape[0]:
             raise InputError("alpha and anchors must have equal length")
         if not 0 < self.lam < np.inf:
@@ -182,19 +182,6 @@ class LocalModel:
             "anchors": self.anchors.tolist(),
             "alpha": self.alpha.tolist(),
         }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "LocalModel":
-        kernel = kernel_from_dict(d["kernel"])
-        anchors = np.asarray(d["anchors"], dtype=float)
-        if anchors.size == 0:
-            anchors = np.zeros((0, kernel.input_dim))
-        return cls(alpha=np.asarray(d["alpha"], dtype=float),
-                   anchors=anchors,
-                   kernel=kernel,
-                   loss=loss_from_name(d["loss"]),
-                   lam=float(d["lambda"]),
-                   region_id=d["region_id"])
 
 
 # objective's one-entry memo, ((kernel, shape, point bytes), Gram): an

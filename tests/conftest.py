@@ -1,9 +1,12 @@
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from localsvm import (GaussianRBF, LogisticRegression, ModelConfig,
-                      RegionPartition, RegionPredicate, TrainConfig,
-                      WeightedSample, WeightScheme)
+from localsvm import (ComposedModel, GaussianRBF, LogisticRegression,
+                      ModelConfig, RegionPartition, RegionPredicate,
+                      TrainConfig, WeightedSample, WeightScheme)
 
 
 def two_blobs(n_per=20, gap=8.0, seed=0):
@@ -31,6 +34,21 @@ def manual_partition(centers, radii, tau=0.0):
                                radius=float(r), id=i + 1)
                for i, (c, r) in enumerate(zip(centers, radii))]
     return RegionPartition(regions, tau=tau)
+
+
+def one_region_model(local):
+    """The one-region ComposedModel whose region 1 is ``local``: a unit
+    ball at the origin under indicator weights."""
+    ball = RegionPredicate(center=np.zeros(local.kernel.input_dim), radius=1.0, id=1)
+    scheme = WeightScheme("normalized-indicator", RegionPartition([ball], tau=0.0))
+    return ComposedModel({1: replace(local, region_id=1)}, scheme)
+
+
+def reloaded(local):
+    """``local`` as ``ComposedModel.from_dict`` reads it back from the JSON
+    of its one-region model."""
+    d = json.loads(json.dumps(one_region_model(local).to_dict()))
+    return ComposedModel.from_dict(d).locals[1]
 
 
 def member_matrix(members, n):

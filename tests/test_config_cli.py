@@ -10,13 +10,15 @@ import pytest
 import localsvm.cli as cli
 from localsvm import composer, robustness
 from localsvm import (ComposedModel, GaussianRBF, InputError,
-                      LadderConvergenceWarning, LogisticRegression,
+                      LadderConvergenceWarning, Linear, LogisticRegression,
                       ModelConfig, Polynomial, TrainConfig, WeightScheme,
                       fit_composed, regionalize, train)
-from localsvm.config import (CONFIG_SCHEMA, load_config, load_csv_dataset,
+from localsvm.config import (CONFIG_SCHEMA, MODEL_SCHEMA, _schema_error,
+                             load_config, load_csv_dataset,
                              model_config_from_config, setup_from_config,
                              task_from_config, validate_config)
 from localsvm.experiments import LambdaSchedule, SyntheticTask, generate
+from conftest import manual_partition, two_blobs
 
 
 def base_config(**overrides):
@@ -122,10 +124,8 @@ MUTANTS = (None, True, False, 0, -1, 0.5, 1.0, 0.6, "text", [], {},
            base_config()["dataset"], CSV_DATASET, CONSISTENCY, TRADEOFF)
 
 
-def _schema_cases():
-    """The benchmark configs, a CSV/polynomial/tradeoff config and their
-    single and seeded double mutations: every path set to each of MUTANTS
-    or deleted, and an unknown key added to every object."""
+def _config_bases():
+    """The benchmark configs and a CSV/polynomial/tradeoff config."""
     csv_cfg = base_config(dataset=CSV_DATASET, experiment=TRADEOFF,
                           scheme={"kind": "smooth-bump", "h": 0.7},
                           output={"dir": "out"},
@@ -137,9 +137,14 @@ def _schema_cases():
         grad_tol=1e-9, max_iter=50,
         per_region=[{"region": 1, "kernel": {"family": "linear"},
                      "lambda": 0.25}])
-    bases = [json.loads(path.read_text())
-             for path in sorted(BENCHMARK_CONFIGS.glob("*.json"))] + [csv_cfg]
+    return [json.loads(path.read_text())
+            for path in sorted(BENCHMARK_CONFIGS.glob("*.json"))] + [csv_cfg]
 
+
+def _schema_cases(bases, mutants):
+    """The single and seeded double mutations of the documents ``bases``:
+    every path set to each of ``mutants`` or deleted, and an unknown key
+    added to every object."""
     def nodes(node, path=()):
         yield path, node
         items = (node.items() if isinstance(node, dict)
@@ -153,7 +158,7 @@ def _schema_cases():
                 yield path, "add", None
             if path:
                 yield path, "delete", None
-                for value in MUTANTS:
+                for value in mutants:
                     yield path, "set", value
 
     def apply(cfg, mutation):
@@ -183,7 +188,7 @@ def _schema_cases():
             second = list(mutations(cfg))
             apply(cfg, second[rng.integers(len(second))])
             cases.append(cfg)
-    return bases, cases
+    return cases
 
 
 def test_schema_check_agrees_with_jsonschema():
@@ -192,7 +197,8 @@ def test_schema_check_agrees_with_jsonschema():
     from jsonschema import Draft202012Validator
 
     reference = Draft202012Validator(CONFIG_SCHEMA)
-    bases, cases = _schema_cases()
+    bases = _config_bases()
+    cases = _schema_cases(bases, MUTANTS)
     assert len(cases) >= 2000
     accepted = []
     for cfg in bases + cases:
@@ -202,6 +208,49 @@ def test_schema_check_agrees_with_jsonschema():
         except InputError as exc:
             ours = "config schema violation" not in str(exc)
         assert ours == reference.is_valid(cfg), cfg
+        accepted.append(ours)
+    assert all(accepted[:len(bases)])
+    assert 200 < sum(accepted) < len(cases) - 200
+
+
+def _model_bases():
+    """The to_dict of small fitted models: both weight schemes, all three
+    kernel families, and a region that holds no point (a null region)."""
+    data = two_blobs(n_per=3, gap=3.0, seed=5)
+    part = regionalize(data.X, b_target=2, tau=0.25, seed=1)
+    far = manual_partition([[0.0, 0.0], [50.0, 50.0]], [20.0, 1.0])
+    fits = [(WeightScheme("normalized-indicator", part), GaussianRBF(1.0, 2)),
+            (WeightScheme("smooth-bump", part, h=0.7),
+             Polynomial(degree=2, offset=1.0, input_dim=2)),
+            (WeightScheme("normalized-indicator", far), Linear(input_dim=2))]
+    return [json.loads(json.dumps(fit_composed(data, scheme, ModelConfig(
+        LogisticRegression(), kernel, TrainConfig(lam=0.5))).to_dict()))
+            for scheme, kernel in fits]
+
+
+# what a mutation of a model writes at a path; the blocks are the oneOf
+# branches of the scheme and of a kernel
+MODEL_MUTANTS = (None, True, False, 0, -1, 0.5, 1.0, "text", [], {}, [0.5],
+                 [[0.5, 1.0]], {"kind": "normalized-indicator", "h": None},
+                 {"kind": "smooth-bump", "h": 0.5},
+                 {"family": "linear", "input_dim": 2},
+                 {"family": "polynomial", "degree": 2, "input_dim": 2})
+
+
+def test_model_schema_check_agrees_with_jsonschema():
+    from jsonschema import Draft202012Validator
+
+    reference = Draft202012Validator(MODEL_SCHEMA)
+    bases = _model_bases()
+    assert [len(b["null_region_ids"]) for b in bases] == [0, 0, 1]
+    for base in bases:
+        assert ComposedModel.from_dict(base).to_dict() == base
+    cases = _schema_cases(bases, MODEL_MUTANTS)
+    assert len(cases) >= 2000
+    accepted = []
+    for model in bases + cases:
+        ours = _schema_error(model, MODEL_SCHEMA) is None
+        assert ours == reference.is_valid(model), model
         accepted.append(ours)
     assert all(accepted[:len(bases)])
     assert 200 < sum(accepted) < len(cases) - 200
@@ -1136,8 +1185,6 @@ def _summary_rebuilding_samples(model, data):
                                     Polynomial(degree=2, offset=1.0, input_dim=2)],
                          ids=["rbf", "polynomial"])
 def test_train_summary_unchanged(tmp_path, kernel):
-    from conftest import manual_partition
-
     task = SyntheticTask("sine-regression", dim=2, noise=0.3, seed=7)
     data = generate(task, 60)
     part = regionalize(data.X, 2, 0.25, 5, seed=1)
@@ -1200,18 +1247,65 @@ def test_cli_audit_rejects_a_model_of_another_dimension(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def _set(*path, value):
+    """The malform that sets the node at ``path`` to ``value(node)``
+    (``value(None)`` for a key the model does not have)."""
+    def malform(m):
+        m = copy.deepcopy(m)
+        node = m
+        for key in path[:-1]:
+            node = node[key]
+        last = path[-1]
+        node[last] = value(node.get(last) if isinstance(node, dict) else node[last])
+        return m
+    return malform
+
+
+# a malformed model and the error it gives; each case from "lambda-string"
+# on is a train output the model reader once took or coerced
 _MALFORMED_MODELS = {
-    "top-level-list": lambda m: [m],
-    "regions-int": lambda m: {**m, "partition": {**m["partition"], "regions": 5}},
-    "region-entry-int": lambda m: {**m, "partition": {
-        **m["partition"], "regions": [5, *m["partition"]["regions"][1:]]}},
-    "locals-int": lambda m: {**m, "locals": 5},
-    "local-entry-list": lambda m: {**m, "locals": [[1, 2], *m["locals"][1:]]},
-    "kernel-string": lambda m: {**m, "locals": [
-        {**m["locals"][0], "kernel": "rbf"}, *m["locals"][1:]]},
-    "scheme-null": lambda m: {**m, "scheme": None},
-    "lambda-null": lambda m: {**m, "locals": [
-        {**m["locals"][0], "lambda": None}, *m["locals"][1:]]},
+    "top-level-list": (lambda m: [m], "at $: [{"),
+    "regions-int": (_set("partition", "regions", value=lambda r: 5),
+                    "at $.partition.regions: 5 is not of type 'array'"),
+    "region-entry-int": (_set("partition", "regions", 0, value=lambda r: 5),
+                         "at $.partition.regions[0]: 5 is not of type 'object'"),
+    "locals-int": (_set("locals", value=lambda ls: 5),
+                   "at $.locals: 5 is not of type 'array'"),
+    "local-entry-list": (_set("locals", 0, value=lambda e: [1, 2]),
+                         "at $.locals[0]: [1, 2] is not of type 'object'"),
+    "kernel-string": (_set("locals", 0, "kernel", value=lambda k: "rbf"),
+                      "at $.locals[0].kernel: 'rbf' is not of type 'object'"),
+    "scheme-null": (_set("scheme", value=lambda s: None),
+                    "at $.scheme: None is not of type 'object'"),
+    "lambda-null": (_set("locals", 0, "lambda", value=lambda x: None),
+                    "at $.locals[0].lambda: None is not of type 'number'"),
+    "lambda-string": (_set("locals", value=lambda ls: [
+        {**e, "lambda": str(e["lambda"])} for e in ls]),
+        "at $.locals[0].lambda: '0.5' is not of type 'number'"),
+    "indicator-h": (_set("scheme", "h", value=lambda h: 0.3),
+                    "at $.scheme.h: None was expected, got 0.3"),
+    "tau-string": (_set("partition", "tau", value=str),
+                   "at $.partition.tau: '0.25' is not of type 'number'"),
+    "region-id-string": (_set("locals", 0, "region_id", value=str),
+                         "at $.locals[0].region_id: '1' is not of type 'integer'"),
+    "alpha-strings": (_set("locals", 0, "alpha", value=lambda a: list(map(str, a))),
+                      "at $.locals[0].alpha[0]: '"),
+    "stray-key": (lambda m: {**m, "note": 1}, "at $: unexpected key(s) 'note'"),
+    "old-region-key": (_set("partition", "regions", 0, "exclusive",
+                            value=lambda x: True),
+                       "at $.partition.regions[0]: unexpected key(s) 'exclusive'"),
+    "kernel-degree": (_set("locals", 0, "kernel", "degree", value=lambda x: 2),
+                      "at $.locals[0].kernel: unexpected key(s) 'degree'"),
+    "null-region-ids": (_set("null_region_ids", value=lambda ids: [2]),
+                        "null_region_ids [2] are not the regions without "
+                        "anchors, []"),
+    "repeated-local": (_set("locals", value=lambda ls: ls + ls[-1:]),
+                       "locals name a region more than once"),
+    "ragged-anchor": (_set("locals", 0, "anchors", 0, value=lambda row: row[:1]),
+                      "points must form a 2-d array of numbers"),
+    "center-3d": (_set("partition", "regions", 1, "center",
+                       value=lambda c: c + [0.0]),
+                  "regions must share one dimension, got [2, 3]"),
 }
 
 
@@ -1227,13 +1321,15 @@ def test_cli_audit_rejects_a_malformed_model(tmp_path, capsys, malform):
                      "--out", str(tmp_path / "m")]) == 0
     model_path = tmp_path / "m" / "model.json"
     model = json.loads(model_path.read_text())
-    model_path.write_text(json.dumps(_MALFORMED_MODELS[malform](model)))
+    edit, message = _MALFORMED_MODELS[malform]
+    model_path.write_text(json.dumps(edit(model)))
     capsys.readouterr()
     rc = cli.main(["audit", "--config", cfg_path, "--model", str(model_path),
                    "--out", str(tmp_path / "out")])
     assert rc == 2
     err = capsys.readouterr().err
-    assert err.count("\n") == 1 and f"cannot parse model {model_path}" in err, err
+    assert err.count("\n") == 1 and f"cannot parse model {model_path}: " in err, err
+    assert message in err, err
     assert not (tmp_path / "out").exists()
 
 

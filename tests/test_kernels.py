@@ -7,10 +7,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from localsvm import (GaussianRBF, InputError, Linear, Polynomial,
-                      RegionPredicate, kernel_from_dict, sup_norm_on_region)
+from localsvm import (GaussianRBF, InputError, Linear, LocalModel,
+                      LogisticRegression, Polynomial, RegionPredicate,
+                      kernel_from_dict, sup_norm_on_region)
+from localsvm.config import load_model
 from localsvm.kernels import (_BLOCK_BUDGET, _GRAM_ROWS, BlockRowGram,
                               _column_factors, _row_factors, chunk_rows)
+from conftest import one_region_model
 
 
 def test_gaussian_eval_equal_points_is_exactly_one():
@@ -184,33 +187,45 @@ def test_kernel_dict_round_trip():
 
 @pytest.mark.parametrize("d, message", [
     ({"family": "polynomial", "degree": 2.5, "input_dim": 2},
-     "degree must be an integer, got 2.5"),
+     "at $.locals[0].kernel.degree: 2.5 is not of type 'integer'"),
     ({"family": "polynomial", "degree": 2, "input_dim": 2.9},
-     "input_dim must be an integer, got 2.9"),
+     "at $.locals[0].kernel.input_dim: 2.9 is not of type 'integer'"),
     ({"family": "polynomial", "degree": True, "input_dim": 2},
-     "degree must be an integer, got True"),
+     "at $.locals[0].kernel.degree: True is not of type 'integer'"),
     ({"family": "gaussian-rbf", "gamma": "1", "input_dim": 2},
-     "gamma must be a finite number, got '1'"),
+     "at $.locals[0].kernel.gamma: '1' is not of type 'number'"),
     ({"family": "gaussian-rbf", "gamma": 1.0, "input_dim": "2"},
-     "input_dim must be an integer, got '2'"),
+     "at $.locals[0].kernel.input_dim: '2' is not of type 'integer'"),
     ({"family": "gaussian-rbf", "gamma": math.nan, "input_dim": 2},
-     "gamma must be a finite number, got nan"),
-    ({"family": "gaussian-rbf", "input_dim": 2}, "requires 'gamma'"),
-    ({"family": "polynomial", "input_dim": 2}, "requires 'degree'"),
-    ({"family": "linear"}, "requires 'input_dim'"),
-    ({"family": "linear", "gamma": 1.0, "input_dim": 2}, "takes no 'gamma'"),
+     "model holds the non-finite number NaN"),
+    ({"family": "gaussian-rbf", "input_dim": 2},
+     "at $.locals[0].kernel: 'gamma' is a required property"),
+    ({"family": "polynomial", "input_dim": 2},
+     "at $.locals[0].kernel: 'degree' is a required property"),
+    ({"family": "linear"}, "at $.locals[0].kernel: 'input_dim' is a required property"),
+    ({"family": "linear", "gamma": 1.0, "input_dim": 2},
+     "at $.locals[0].kernel: unexpected key(s) 'gamma'"),
     ({"family": "gaussian-rbf", "gamma": 1.0, "degree": 2, "input_dim": 2},
-     "takes no 'degree'"),
+     "at $.locals[0].kernel: unexpected key(s) 'degree'"),
     ({"family": "polynomial", "degree": 2, "gamma": 1.0, "input_dim": 2},
-     "takes no 'gamma'"),
+     "at $.locals[0].kernel: unexpected key(s) 'gamma'"),
 ], ids=["fractional-degree", "fractional-input-dim", "boolean-degree",
         "string-gamma", "string-input-dim", "nan-gamma", "rbf-without-gamma",
         "polynomial-without-degree", "without-input-dim", "linear-with-gamma",
         "rbf-with-degree", "polynomial-with-gamma"])
-def test_kernel_from_dict_reads_exactly_the_family_parameters(d, message):
-    # nothing is truncated, coerced or dropped, and nothing is a KeyError
-    with pytest.raises(InputError, match=re.escape(message)):
-        kernel_from_dict(d)
+def test_kernel_from_dict_reads_exactly_the_family_parameters(tmp_path, d, message):
+    # a kernel read from a model file is checked against MODEL_SCHEMA before
+    # kernel_from_dict builds it: nothing is truncated, coerced or dropped,
+    # and nothing is a KeyError
+    local = LocalModel.zero(GaussianRBF(gamma=1.0, input_dim=2),
+                            LogisticRegression(), 0.5, 1)
+    model = one_region_model(local).to_dict()
+    model["locals"][0]["kernel"] = d
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model))
+    with pytest.raises(InputError, match=re.escape(message)) as err:
+        load_model(path)
+    assert str(path) in str(err.value)
 
 
 def test_kernel_from_dict_takes_integral_floats_as_json_schema_does():

@@ -3,9 +3,10 @@ import json
 import numpy as np
 import pytest
 
-from localsvm import (AuditContext, InputError, PartitionConfig, RegionPartition,
-                      WeightedSample, WeightScheme, composer, fit_composed,
-                      regional_measures, regionalize, restrict, weight_sup_norm)
+from localsvm import (AuditContext, ComposedModel, InputError, PartitionConfig,
+                      RegionPartition, WeightedSample, WeightScheme, composer,
+                      fit_composed, regional_measures, regionalize, restrict,
+                      weight_sup_norm)
 from conftest import manual_partition, member_matrix, two_blobs, weight_matrix
 
 
@@ -149,10 +150,13 @@ def test_points_of_another_dimension_are_rejected(dim, basic_config, monkeypatch
 def test_partition_rejects_balls_of_different_dimensions():
     with pytest.raises(InputError, match=r"one dimension, got \[2, 3\]"):
         manual_partition([[0.0, 0.0], [0.0, 0.0, 0.0]], [1.0, 1.0])
-    with pytest.raises(InputError, match=r"one dimension, got \[2, 3\]"):
-        RegionPartition.from_dict(
-            {"regions": [{"id": 1, "center": [0.0, 0.0], "radius": 1.0},
-                         {"id": 2, "center": [0.0, 0.0, 0.0], "radius": 1.0}]})
+
+
+def test_indicator_scheme_takes_no_bandwidth():
+    part = manual_partition([[0.0, 0.0]], [1.0])
+    with pytest.raises(InputError, match="takes no bandwidth, got h=0.3"):
+        WeightScheme("normalized-indicator", part, h=0.3)
+    assert WeightScheme("normalized-indicator", part, h=None).h is None
 
 
 def test_weights_unit_vector_when_single_region():
@@ -311,14 +315,12 @@ def test_restrict_conditions_a_non_uniform_measure():
     np.testing.assert_array_equal(both.weights, [0.0, 1.0])
 
 
-def test_partition_scheme_serialization_round_trip():
+def test_partition_scheme_serialization_round_trip(basic_config):
     data = two_blobs(n_per=15, seed=12)
     part = regionalize(data.X, b_target=2, tau=0.3, min_region_size=3, seed=4)
     scheme = WeightScheme("smooth-bump", part, h=1.2)
-    d = json.loads(json.dumps({"partition": part.to_dict(),
-                               "scheme": scheme.to_dict()}))
-    back = WeightScheme.from_dict(d["scheme"],
-                                  RegionPartition.from_dict(d["partition"]))
+    model = fit_composed(data, scheme, basic_config)
+    back = ComposedModel.from_dict(json.loads(json.dumps(model.to_dict()))).scheme
     assert back.kind == "smooth-bump" and back.h == 1.2
     assert back.partition.B == part.B
     for r1, r2 in zip(part.regions, back.partition.regions):
@@ -347,10 +349,8 @@ def test_region_predicate_rejects_non_finite_values(center, radius):
 def test_partition_dict_holds_only_the_balls():
     part = manual_partition([[0.0, 0.0], [1.0, 0.0]], [1.0, 0.5], tau=0.2)
     d = part.to_dict()
+    assert set(d) == {"regions", "tau"}
     assert all(set(r) == {"id", "center", "radius"} for r in d["regions"])
-    for r in d["regions"]:
-        r["exclusive"] = True  # a key older model files carry
-    assert RegionPartition.from_dict(d).to_dict() == part.to_dict()
 
 
 def test_region_ids_must_be_contiguous():

@@ -8,14 +8,14 @@ import pytest
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from localsvm import (ConvergenceError, GaussianRBF, InputError,
+from localsvm import (ComposedModel, ConvergenceError, GaussianRBF, InputError,
                       Linear, LocalModel, LogisticClassification,
                       LogisticRegression, Polynomial, TrainConfig,
                       WeightedSample, audit_model_bounds, objective,
                       shifted_unshifted_identity_check, solver, train)
 from localsvm.experiments import SyntheticTask, generate
 from localsvm.kernels import _BLOCK_BUDGET, _GRAM_ROWS
-from conftest import random_sample
+from conftest import one_region_model, random_sample, reloaded
 
 REG = LogisticRegression()
 CLS = LogisticClassification()
@@ -369,8 +369,10 @@ def test_local_model_from_dict_rejects_a_lambda_train_config_rejects(lam):
     # a model's lambda sets its H-norm cap L / lambda: a NaN or negative one
     # would make the cap NaN or negative
     model = LocalModel.zero(GaussianRBF(gamma=1.0, input_dim=2), REG, 0.5, 1)
+    d = one_region_model(model).to_dict()
+    d["locals"][0]["lambda"] = lam
     with pytest.raises(InputError, match="lambda must be positive and finite"):
-        LocalModel.from_dict({**model.to_dict(), "lambda": lam})
+        ComposedModel.from_dict(d)
     with pytest.raises(InputError, match="lambda must be positive and finite"):
         TrainConfig(lam=lam)
 
@@ -408,13 +410,12 @@ def test_train_checks_the_gradient_after_its_last_step():
 def test_local_model_json_round_trip():
     sample = random_sample(10, seed=12)
     k = GaussianRBF(gamma=0.9, input_dim=2)
-    model = train(sample, k, REG, TrainConfig(lam=0.4), region_id=3)
-    blob = json.dumps(model.to_dict())
-    back = LocalModel.from_dict(json.loads(blob))
+    model = train(sample, k, REG, TrainConfig(lam=0.4), region_id=1)
+    back = reloaded(model)
     # decimal64 round trip must be lossless
     np.testing.assert_array_equal(back.alpha, model.alpha)
     np.testing.assert_array_equal(back.anchors, model.anchors)
-    assert back.lam == model.lam and back.region_id == 3
+    assert back.lam == model.lam and back.region_id == 1
     assert back.kernel == model.kernel
     X = np.random.default_rng(1).uniform(-2, 2, size=(50, 2))
     np.testing.assert_array_equal(back.predict(X), model.predict(X))
@@ -538,7 +539,7 @@ def test_recorded_h_norm_matches_gram(seed):
     model = train(sample, GaussianRBF(gamma=0.7, input_dim=2),
                   CLS if classification else REG, TrainConfig(lam=0.1))
     assert model.h_norm_sq is not None
-    from_gram = LocalModel.from_dict(model.to_dict())
+    from_gram = reloaded(model)
     assert from_gram.h_norm_sq is None
     assert model.h_norm() == pytest.approx(from_gram.h_norm(), rel=1e-12)
 
@@ -799,7 +800,7 @@ def test_solve_info_counts_and_is_not_serialized():
     assert info.newton_iters >= 1 and info.grad_norm <= 1e-10
     assert info.cg_iters >= info.cg_iters_max >= 1
     assert "solve_info" not in model.to_dict()
-    assert LocalModel.from_dict(model.to_dict()).solve_info is None
+    assert reloaded(model).solve_info is None
     # a converged warm start takes no step
     again = train(sample, model.kernel, CLS, TrainConfig(lam=0.05),
                   warm_start=model.alpha)
@@ -905,7 +906,7 @@ def test_h_norm_of_a_deserialized_model_uses_the_block_rows(monkeypatch):
     sample = random_sample(1100, seed=62, classification=True)
     model = train(sample, GaussianRBF(gamma=0.7, input_dim=2), CLS,
                   TrainConfig(lam=0.05))
-    loaded = LocalModel.from_dict(model.to_dict())
+    loaded = reloaded(model)
 
     def no_gram(self, points):
         raise AssertionError("the dense Gram was built")
