@@ -233,7 +233,8 @@ def cmd_experiment(args) -> int:
     eval_n = {"eval_n": int(exp["eval_n"])} if "eval_n" in exp else {}
     if exp["kind"] == "consistency":
         report = consistency_trend(
-            task, exp["n_ladder"], LambdaSchedule(**exp.get("schedule", {})),
+            task, [int(n) for n in exp["n_ladder"]],
+            LambdaSchedule(**exp.get("schedule", {})),
             pc, config, threads=args.threads, **eval_n)
         stem = "consistency"
     else:

@@ -117,13 +117,19 @@ class ComposedModel:
         partition = RegionPartition(
             [RegionPredicate(r["center"], r["radius"], int(r["id"]))
              for r in part["regions"]], part["tau"])
-        locals_by_region = {int(e["region_id"]): LocalModel(
-            alpha=e["alpha"], anchors=e["anchors"],
-            kernel=kernel_from_dict(e["kernel"]), loss=loss_from_name(e["loss"]),
-            lam=e["lambda"], region_id=int(e["region_id"]))
-            for e in d["locals"]}
-        if len(locals_by_region) < len(d["locals"]):
-            raise InputError("locals name a region more than once")
+        locals_by_region = {}
+        for e in d["locals"]:
+            b, kernel = int(e["region_id"]), kernel_from_dict(e["kernel"])
+            if b in locals_by_region:
+                raise InputError("locals name a region more than once")
+            # checked before a null local's empty anchors take the kernel's shape
+            dim = partition.region(b).center.size
+            if kernel.input_dim != dim:
+                raise InputError(f"region {b} is {dim}-d, but its local model's "
+                                 f"kernel takes {kernel.input_dim}-d points")
+            locals_by_region[b] = LocalModel(
+                alpha=e["alpha"], anchors=e["anchors"], kernel=kernel,
+                loss=loss_from_name(e["loss"]), lam=e["lambda"], region_id=b)
         model = cls(locals_by_region,
                     WeightScheme(scheme["kind"], partition, scheme["h"]))
         if d["null_region_ids"] != sorted(model.null_region_ids):

@@ -133,17 +133,27 @@ MODEL_SCHEMA = _record({
 
 def _read_json(path, what: str):
     """The JSON document in the file ``path``: UTF-8 text holding valid
-    JSON with finite numbers only, else an InputError naming ``what``."""
+    JSON whose numbers, integers included, are finite as floats, else an
+    InputError naming ``what``."""
     def finite(literal):
         # json accepts NaN, +-Infinity and overflowing numbers such as 1e999
         value = float(literal)
         if not np.isfinite(value):
-            raise InputError(f"{what} holds the non-finite number {literal}: {path}")
+            shown = (literal if len(literal) <= 60
+                     else f"{literal[:20]}... ({len(literal)} characters)")
+            raise InputError(f"{what} holds the non-finite number {shown}: {path}")
         return value
+
+    def integer(literal):
+        # json reads integer literals of any length; one that no float can
+        # hold is as non-finite as 1e999
+        finite(literal)
+        return int(literal)
 
     try:
         with open(path, encoding="utf-8") as fh:
-            return json.load(fh, parse_float=finite, parse_constant=finite)
+            return json.load(fh, parse_float=finite, parse_constant=finite,
+                             parse_int=integer)
     except FileNotFoundError:
         raise InputError(f"{what} file not found: {path}") from None
     except UnicodeDecodeError as exc:
@@ -359,11 +369,15 @@ def task_from_config(raw: dict, seed_override: Optional[int] = None
 def partition_from_config(raw: dict, seed_override: Optional[int] = None
                           ) -> PartitionConfig:
     """The run's partition recipe: the partition block plus the scheme."""
-    part = dict(raw["partition"])
+    part = raw["partition"]
+    # only the keys the config sets: PartitionConfig holds the defaults
+    fields = {key: cast(part[key]) for key, cast in (
+        ("b_target", int), ("tau", float), ("min_region_size", int), ("seed", int))
+        if key in part}
     if seed_override is not None:
-        part["seed"] = int(seed_override)
+        fields["seed"] = int(seed_override)
     scheme = raw["scheme"]
-    return PartitionConfig(**part, scheme=scheme["kind"], h=scheme.get("h"))
+    return PartitionConfig(**fields, scheme=scheme["kind"], h=scheme.get("h"))
 
 
 def setup_from_config(raw: dict, seed_override: Optional[int] = None

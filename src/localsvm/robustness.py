@@ -5,10 +5,9 @@ point z is estimated by finite differences: every region whose ball
 contains z is retrained on the mixture (1 - eps) D_b + eps delta_z for a
 decreasing ladder of eps values, and the difference quotient
 (f_tilde - f) / eps is evaluated on a probe grid. A region's rungs are
-retrained as one chain down the ladder: the top rung starts from the
-zero-padded base coefficients, each lower rung from the secant through the
-rung above. Regions not containing z keep their model, so their local
-influence estimate is identically zero.
+retrained as one chain down the ladder (``_chains``). Regions not
+containing z keep their model, so their local influence estimate is
+identically zero.
 
 The closed-form certificates are
 
@@ -106,6 +105,7 @@ def contaminate_region(sample_b: WeightedSample, q: WeightedSample,
     return sample_b if atoms is None else _mix(sample_b, atoms, eps)
 
 
+@dataclass
 class LocalQuotient:
     """(f_tilde - f) / eps for one region's local models.
 
@@ -114,24 +114,15 @@ class LocalQuotient:
     ``values`` holds the quotient on the region's probe rows of the audit.
     """
 
-    def __init__(self, tilde: LocalModel, base: LocalModel, eps: float,
-                 gram: np.ndarray, values: np.ndarray):
-        n = base.n_anchors
-        if (tilde.n_anchors < n
-                or not np.array_equal(tilde.anchors[:n], base.anchors)):
-            raise InputError("the contaminated model's anchors must extend "
-                             "the base model's")
-        self.tilde = tilde
-        self.base = base
-        self.eps = float(eps)
-        self.gram = gram
-        self.values = values
+    tilde: LocalModel
+    base: LocalModel
+    eps: float
+    gram: np.ndarray
+    values: np.ndarray
 
     def h_norm(self) -> float:
         """RKHS norm sqrt(c' G c) of the difference quotient, exact over the
         contaminated anchors with c = (alpha_tilde - pad(alpha)) / eps."""
-        if self.tilde.n_anchors == 0:
-            return 0.0
         coef = self.tilde.alpha.copy()
         coef[:self.base.n_anchors] -= self.base.alpha
         coef /= self.eps
@@ -308,9 +299,8 @@ class BorderedRegion:
     [probe_block | atom_block], the region's cached k(P_b, X_b) and
     k(P_b, A) kept side by side, not copied into one. Every eps rung
     retrains on this one Gram. ``warm_start`` is pad(alpha), the base
-    coefficients zero-padded over the atoms: the start of a maxbias retrain
-    and of the top rung of a ladder chain, and the origin of the secant
-    that starts each lower rung."""
+    coefficients zero-padded over the atoms: the start of a chain's top
+    rung and the origin of the secant that starts each lower rung."""
 
     region_id: int
     sample: WeightedSample
@@ -502,22 +492,34 @@ def tv_refined_if_bound(data: WeightedSample, scheme: WeightScheme, config: Mode
                               _tv_by_region(samples, inside, z))[2]
 
 
-def _retrain_chain(context: AuditContext, bordered: BorderedRegion,
-                   ladder) -> list:
-    """One region's retrains down the eps ladder, in ladder order.
+def _chains(context: AuditContext, q: WeightedSample, ladder_of):
+    """Each region Q touches, bordered once, with its retrains down its ladder.
 
+    One ball test of Q's atoms (``regional_measures``) conditions Q on
+    every region. For each region b that is not null, holds atoms of Q and
+    has a non-empty eps ladder ``ladder_of(b)`` this yields, in region-id
+    order, (b, the bordered Gram, the retrained models in ladder order,
+    their predictions at the region's probe points).
     The top rung starts from pad(alpha). The retrained coefficients move
     smoothly away from pad(alpha) as eps grows, so each lower rung k starts
     from the secant through pad(alpha) and the rung above,
     pad(alpha) + (eps_k / eps_{k-1}) (alpha~_{k-1} - pad(alpha)), which is
     O(eps^2) from its answer (a secant predictor of numerical continuation).
+    The ``BorderedRegion`` stays here and is let go before the next region
+    is bordered, so one is alive at a time.
     """
-    pad = bordered.warm_start
-    models = [context.retrain(bordered, ladder[0])]
-    for eps_above, eps in zip(ladder, ladder[1:]):
-        start = pad + (eps / eps_above) * (models[-1].alpha - pad)
-        models.append(context.retrain(bordered, eps, start))
-    return models
+    for b, atoms in enumerate(regional_measures(context.scheme.partition, q), 1):
+        ladder = () if atoms is None else ladder_of(b)
+        region = context.border(b, atoms) if ladder else None
+        if region is None:
+            continue
+        pad = region.warm_start
+        models = [context.retrain(region, ladder[0])]
+        for eps_above, eps in zip(ladder, ladder[1:]):
+            start = pad + (eps / eps_above) * (models[-1].alpha - pad)
+            models.append(context.retrain(region, eps, start))
+        yield b, region.gram, models, [region.predict(m.alpha) for m in models]
+        del region
 
 
 def finite_diff_if(context: AuditContext, q: WeightedSample,
@@ -525,43 +527,30 @@ def finite_diff_if(context: AuditContext, q: WeightedSample,
     """Finite-difference influence estimate toward Q along the eps ladder
     (at least two strictly decreasing rungs in (0, 1/2)).
 
-    One ball test of Q's atoms (``regional_measures``) conditions Q on
-    each region it touches, which is retrained per rung on the contaminated
-    mixture; untouched regions contribute exactly zero. A region's rungs
-    are one sequential chain (``_retrain_chain``): the top rung starts from
-    the zero-padded uncontaminated coefficients and each lower rung from
-    the secant through the rung above. The reported estimate is the
-    bottom-rung quotient; consecutive-rung residuals serve as the
+    Each region Q touches is bordered once and retrained per rung on the
+    contaminated mixture, as one chain down the ladder (``_chains``);
+    untouched regions contribute exactly zero. The reported estimate is
+    the bottom-rung quotient; consecutive-rung residuals serve as the
     convergence diagnostic for the existence of the defining limit, and a
     linear extrapolation to eps -> 0 is reported alongside as a diagnostic.
     The probes and the base model are the context's.
     """
     ladder = _check_ladder(eps_ladder)
     _check_q(q, context.data.dim)
-    bordered, chains = {}, {}
-    for b, atoms in enumerate(regional_measures(context.scheme.partition, q), 1):
-        region_b = None if atoms is None else context.border(b, atoms)
-        if region_b is not None:
-            bordered[b] = region_b
-            chains[b] = _retrain_chain(context, region_b, ladder)
-
-    rungs = []
-    rung_values = []
-    for k, eps in enumerate(ladder):
-        preds = {}
-        quotients = {}
-        h_norms = {b: 0.0 for b in context.regions}
-        for b, chain in chains.items():
-            tilde = chain[k]
-            preds[b] = bordered[b].predict(tilde.alpha)
-            local = LocalQuotient(tilde, context.base.locals[b], eps, bordered[b].gram,
-                                  (preds[b] - context.regions[b].base_preds) / eps)
-            quotients[b] = local
-            h_norms[b] = local.h_norm()
-        values = (context.compose(preds) - context.base_preds) / eps
-        sup = float(np.max(np.abs(values))) if values.size else 0.0
-        rungs.append({"eps": eps, "sup": sup, "h_norms": h_norms})
-        rung_values.append(values)
+    preds = [{} for _ in ladder]
+    h_norms = [dict.fromkeys(context.regions, 0.0) for _ in ladder]
+    quotients = {}
+    for b, gram, models, region_preds in _chains(context, q, lambda b: ladder):
+        for k, (eps, tilde, pred) in enumerate(zip(ladder, models, region_preds)):
+            preds[k][b] = pred
+            quotients[b] = LocalQuotient(
+                tilde, context.base.locals[b], eps, gram,
+                (pred - context.regions[b].base_preds) / eps)
+            h_norms[k][b] = quotients[b].h_norm()
+    rung_values = [(context.compose(p) - context.base_preds) / eps
+                   for p, eps in zip(preds, ladder)]
+    rungs = [{"eps": eps, "sup": float(np.max(np.abs(v))) if v.size else 0.0,
+              "h_norms": h} for eps, v, h in zip(ladder, rung_values, h_norms)]
 
     residuals = [float(np.max(np.abs(upper - lower)))
                  for upper, lower in zip(rung_values, rung_values[1:])]
@@ -646,15 +635,8 @@ def maxbias_probe(context: AuditContext, eps_by_region, qs) -> AuditReport:
 
     shifts = []
     for q in qs:
-        preds = {}
-        for b, atoms in enumerate(regional_measures(context.scheme.partition, q), 1):
-            if atoms is None or eps[b - 1] == 0.0:
-                continue
-            bordered = context.border(b, atoms)
-            if bordered is not None:
-                tilde = context.retrain(bordered, eps[b - 1])
-                preds[b] = bordered.predict(tilde.alpha)
-            del bordered  # one bordered region alive at a time
+        preds = {b: pred for b, _, _, (pred,) in _chains(
+            context, q, lambda b: (eps[b - 1],) if eps[b - 1] else ())}
         shift = np.abs(context.compose(preds) - context.base_preds)
         shifts.append(float(shift.max()) if shift.size else 0.0)
     empirical = max(shifts) if shifts else 0.0
@@ -700,30 +682,19 @@ def run_audit(data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
     samples = {b: blocks.sample for b, blocks in ctx.regions.items()}
 
     per_z = []
-    if_ok = True
-    worst = None
     for q in qs:
         dirac = q.n == 1
         est = finite_diff_if(ctx, q, ladder)
-        resid = decomposition_check(est)
         tol = grad_tol * max((grad_scale(local.gram)
                               for local in est.per_region.values()), default=1.0)
         slack = 10.0 * (tol / est.eps_used + est.eps_used * est.curvature)
-        sup_ok = est.sup_norm_estimate <= rough + slack
-
-        if dirac:
-            # the regions whose balls hold z are those the estimate retrained
-            tvs = _tv_by_region(samples, est.per_region, q)
-        else:
-            tvs = rough_tv  # rough TV bound for mixtures
+        # the regions whose balls hold z are those the estimate retrained;
+        # a mixture keeps the rough TV bound
+        tvs = _tv_by_region(samples, est.per_region, q) if dirac else rough_tv
         _, caps, refined = _certificate_terms(ctx.factors, lip, tvs)
-        tv_bound = refined if dirac else None
         h_checks = {b: {"h_norm": h, "cap": caps[b],
                         "ok": bool(h <= caps[b] + H_NORM_SLACK)}
                     for b, h in est.h_norms.items()}
-        z_ok = bool(sup_ok and all(c["ok"] for c in h_checks.values()))
-        if_ok = if_ok and z_ok
-
         entry = {
             "kind": "dirac" if dirac else "mixture",
             "eps": est.eps_used,
@@ -734,17 +705,16 @@ def run_audit(data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
             # a ratio over a zero residual is undefined: null, not NaN
             "ratios": [float(r) if np.isfinite(r) else None for r in est.ratios],
             "converged": est.converged,
-            "decomposition_residual": resid,
-            "tv_refined_bound": tv_bound,
+            "decomposition_residual": decomposition_check(est),
+            "tv_refined_bound": refined if dirac else None,
             "h_norms": {str(b): c for b, c in h_checks.items()},
             "ladder": est.ladder,
-            "satisfied": z_ok,
+            "satisfied": bool(est.sup_norm_estimate <= rough + slack
+                              and all(c["ok"] for c in h_checks.values())),
         }
         if dirac:
             entry["z"] = {"x": q.X[0].tolist(), "y": float(q.y[0])}
         per_z.append(entry)
-        if worst is None or est.sup_norm_estimate > worst[0]:
-            worst = (est.sup_norm_estimate, entry)
 
     mb_report = None
     if maxbias_eps is not None:
@@ -756,18 +726,18 @@ def run_audit(data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
         "maxbias_sup": (mb_report.empirical["maxbias_sup"] if mb_report else None),
         "decomposition_residual": max(
             (e["decomposition_residual"] for e in per_z), default=0.0),
-        "ladder": worst[1]["ladder"] if worst else [],
+        # the first z with the largest estimate
+        "ladder": max(per_z, key=lambda e: e["if_sup"])["ladder"] if per_z else [],
         "coverage_violations": int((~ctx.covered).sum()),
     }
-    satisfied = {"if": bool(if_ok)}
+    satisfied = {"if": all(e["satisfied"] for e in per_z)}
     if mb_report is not None:
         satisfied["maxbias"] = mb_report.satisfied["maxbias"]
 
-    tv_values = [e["tv_refined_bound"] for e in per_z
-                 if e.get("tv_refined_bound") is not None]
     return AuditReport(
         if_bound_rough=rough,
-        if_bound_tv=max(tv_values) if tv_values else None,
+        if_bound_tv=max((e["tv_refined_bound"] for e in per_z
+                         if e["kind"] == "dirac"), default=None),
         maxbias_bound=mb_report.maxbias_bound if mb_report else None,
         per_region_terms=rough_terms,
         per_z=per_z,

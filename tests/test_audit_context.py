@@ -10,6 +10,7 @@ from the secant through the rung above (``_secant_start``).
 """
 
 import concurrent.futures
+import weakref
 
 import numpy as np
 import pytest
@@ -255,6 +256,52 @@ def test_maxbias_probe_matches_rebuild_reference(threads):
         assert len(got) == len(ref)
         for s, r in zip(got, ref):
             assert s == pytest.approx(r, rel=1e-12, abs=0.0)
+
+
+def _recording_borders(monkeypatch):
+    """Per ``AuditContext.border`` call, its region id and how many regions
+    it returned before are still alive (weakly referenced) at the call."""
+    border, returned, calls = AuditContext.border, [], []
+
+    def recording(self, b, atoms):
+        calls.append((b, sum(ref() is not None for ref in returned)))
+        bordered = border(self, b, atoms)
+        returned.append(weakref.ref(bordered))
+        return bordered
+
+    monkeypatch.setattr(AuditContext, "border", recording)
+    return calls
+
+
+def test_the_audit_borders_each_touched_region_once_per_q(monkeypatch):
+    data, part, scheme = _fixture()
+    ctx = AuditContext(data, scheme, _config(), probes=default_probes(data, 32))
+    calls = _recording_borders(monkeypatch)
+    qs = _qs(data, part)
+    for q in qs:
+        # once per Q across the ladder's rungs, in region-id order
+        calls.clear()
+        est = finite_diff_if(ctx, q)
+        assert len(est.ladder) == len(DEFAULT_EPS_LADDER)
+        assert [b for b, _ in calls] == sorted(est.per_region) == _touched(data, part, q)
+    # a region at eps_b = 0 keeps its model and is never bordered
+    calls.clear()
+    maxbias_probe(ctx, [0.1, 0.0], qs)
+    assert [b for b, _ in calls] == [1 for q in qs if 1 in _touched(data, part, q)]
+    assert any(2 in _touched(data, part, q) for q in qs)
+
+
+def test_the_audit_holds_one_bordered_region_at_a_time(monkeypatch):
+    data, part, scheme = _fixture()
+    ctx = AuditContext(data, scheme, _config(), probes=default_probes(data, 32))
+    calls = _recording_borders(monkeypatch)
+    for q in _qs(data, part):
+        finite_diff_if(ctx, q)
+    maxbias_probe(ctx, 0.1, adversarial_q_specs(data, classification=False))
+    # the overlap point and the label flips touch both regions, so region 2
+    # is bordered while region 1's bordering could still be held
+    assert [b for b, _ in calls].count(2) > part.B
+    assert [alive for _, alive in calls] == [0] * len(calls)
 
 
 def test_run_audit_builds_per_run_state_once(monkeypatch):

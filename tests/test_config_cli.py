@@ -14,7 +14,7 @@ from localsvm import (ComposedModel, GaussianRBF, InputError,
                       ModelConfig, Polynomial, TrainConfig, WeightScheme,
                       fit_composed, regionalize, train)
 from localsvm.config import (CONFIG_SCHEMA, MODEL_SCHEMA, _schema_error,
-                             load_config, load_csv_dataset,
+                             load_config, load_csv_dataset, load_model,
                              model_config_from_config, setup_from_config,
                              task_from_config, validate_config)
 from localsvm.experiments import LambdaSchedule, SyntheticTask, generate
@@ -1247,6 +1247,38 @@ def test_cli_audit_rejects_a_model_of_another_dimension(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_a_null_local_of_a_huge_dimension_is_an_input_error(tmp_path, capsys):
+    # a null local's empty anchors take their shape from its kernel, so its
+    # input_dim is checked against the region's dimension before that
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    cfg["dataset"]["n"] = 40
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "m")]) == 0
+    model_path = tmp_path / "m" / "model.json"
+    model = json.loads(model_path.read_text())
+    far = len(model["locals"]) + 1
+    model["partition"]["regions"].append({"id": far, "center": [50.0, 50.0],
+                                          "radius": 1.0})
+    model["locals"].append({**model["locals"][0], "region_id": far,
+                            "anchors": [], "alpha": [],
+                            "kernel": {**model["locals"][0]["kernel"],
+                                       "input_dim": 10 ** 20}})
+    model["null_region_ids"] = [far]
+    model_path.write_text(json.dumps(model))
+    message = (f"region {far} is 2-d, but its local model's kernel takes "
+               f"{10 ** 20}-d points")
+    with pytest.raises(InputError, match=message):
+        load_model(model_path)
+    capsys.readouterr()
+    rc = cli.main(["audit", "--config", cfg_path, "--model", str(model_path),
+                   "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert message in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def _set(*path, value):
     """The malform that sets the node at ``path`` to ``value(node)``
     (``value(None)`` for a key the model does not have)."""
@@ -1540,6 +1572,74 @@ def test_cli_non_finite_config_number_exits_2(tmp_path, capsys, where, literal):
     rc = cli.main(["audit", "--config", str(path), "--out", str(tmp_path / "o")])
     assert rc == 2
     assert f"non-finite number {literal}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("digits", [401, 5001])
+def test_cli_integer_literal_no_float_can_hold_exits_2(tmp_path, capsys, digits):
+    # 401 digits overflow a float; 5 001 also pass Python's int-string limit
+    literal = "1" * digits
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    cfg["dataset"]["n"] = 40
+    gamma = copy.deepcopy(cfg)
+    gamma["model"]["kernel"]["gamma"] = "LITERAL"
+    path = tmp_path / "gamma.json"
+    path.write_text(json.dumps(gamma).replace('"LITERAL"', literal))
+    rc = cli.main(["train", "--config", str(path), "--out", str(tmp_path / "o")])
+    assert rc == 2
+    shown = f"holds the non-finite number {literal[:20]}... ({digits} characters)"
+    assert f"config {shown}: {path}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+    cfg_path = write_config(tmp_path, cfg)
+    assert cli.main(["train", "--config", cfg_path,
+                     "--out", str(tmp_path / "m")]) == 0
+    model = json.loads((tmp_path / "m" / "model.json").read_text())
+    model["locals"][0]["lambda"] = "LITERAL"
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(model).replace('"LITERAL"', literal))
+    capsys.readouterr()
+    rc = cli.main(["audit", "--config", cfg_path, "--model", str(path),
+                   "--out", str(tmp_path / "o")])
+    assert rc == 2
+    assert f"model {shown}: {path}" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+# an integral float where the schema reads an integer, which JSON Schema
+# counts as an integer, under each command that reads the field; the edited
+# config must write its integer twin's outputs
+_INTEGRAL_FLOATS = [
+    *((command, path) for path in (("partition", "b_target"),
+                                   ("partition", "min_region_size"),
+                                   ("partition", "seed"))
+      for command in ("train", "audit", "experiment")),
+    ("experiment", ("experiment", "n_ladder", 0)),
+]
+
+
+@pytest.mark.parametrize("command, field", _INTEGRAL_FLOATS,
+                         ids=[f"{c}-{'.'.join(map(str, p))}"
+                              for c, p in _INTEGRAL_FLOATS])
+def test_cli_integral_float_writes_its_integer_twins_outputs(tmp_path, command,
+                                                             field):
+    cfg = base_config(audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.1},
+                      experiment={"kind": "consistency", "n_ladder": [30, 60],
+                                  "eval_n": 200})
+    *path, last = field
+    twin = copy.deepcopy(cfg)
+    node = twin
+    for key in path:
+        node = node[key]
+    node[last] = float(node[last])
+    outputs = []
+    for name, c in (("int", cfg), ("float", twin)):
+        out = tmp_path / name
+        assert cli.main([command, "--config", write_config(tmp_path, c, f"{name}.json"),
+                         "--out", str(out)]) == 0
+        outputs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert outputs[0] == outputs[1]
 
 
 def test_cli_experiment_builds_one_partition_per_rung(tmp_path, monkeypatch):
