@@ -35,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from .composer import ComposedModel, ModelConfig, compose, fit_composed
-from .data import WeightedSample, as_points
+from .data import WeightedSample, _reject_non_finite, as_points
 from .errors import InputError
 from .kernels import sup_norm_on_region
 from .regions import WeightScheme, regional_measures, restrict, weight_sup_norm
@@ -345,22 +345,25 @@ class AuditContext:
     The base model must be anchored at the regional samples of ``data``
     (as ``fit_composed`` leaves it) and, in every region that is not null,
     hold the config's kernel, loss and lambda; any other base model is an
-    input error. ``threads`` is the worker count of the base fit when
-    ``base`` is omitted; the audit's retrains run in sequence.
+    input error, and so is an empty probe set or a probe with a nan or inf,
+    checked before the base fit. ``threads`` is the worker count of the
+    base fit when ``base`` is omitted; the audit's retrains run in sequence.
     """
 
     def __init__(self, data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
                  probes=None, base: Optional[ComposedModel] = None,
                  threads: int = 1):
+        self.probes = as_points(default_probes(data) if probes is None else probes)
+        if self.probes.shape[0] == 0:
+            raise InputError("the probe set is empty; the audit's sups range "
+                             "over the probes")
+        _reject_non_finite("probe", self.probes)
         if base is None:
             base = fit_composed(data, scheme, config, threads=threads)
-        if probes is None:
-            probes = default_probes(data)
         self.data = data
         self.scheme = scheme
         self.config = config
         self.base = base
-        self.probes = as_points(probes)
         self.factors = _region_factors(scheme, config)
         self.weights, self.covered = scheme.weights_many(self.probes)
         self.regions = {b: self._blocks(b, sample) for b, sample
@@ -549,8 +552,8 @@ def finite_diff_if(context: AuditContext, q: WeightedSample,
             h_norms[k][b] = quotients[b].h_norm()
     rung_values = [(context.compose(p) - context.base_preds) / eps
                    for p, eps in zip(preds, ladder)]
-    rungs = [{"eps": eps, "sup": float(np.max(np.abs(v))) if v.size else 0.0,
-              "h_norms": h} for eps, v, h in zip(ladder, rung_values, h_norms)]
+    rungs = [{"eps": eps, "sup": float(np.max(np.abs(v))), "h_norms": h}
+             for eps, v, h in zip(ladder, rung_values, h_norms)]
 
     residuals = [float(np.max(np.abs(upper - lower)))
                  for upper, lower in zip(rung_values, rung_values[1:])]
@@ -562,7 +565,7 @@ def finite_diff_if(context: AuditContext, q: WeightedSample,
     curvature = residuals[-1] / (eps_hi - eps_lo)
     slope = (rung_values[-2] - rung_values[-1]) / (eps_hi - eps_lo)
     extrapolated = rung_values[-1] - eps_lo * slope
-    richardson_sup = float(np.max(np.abs(extrapolated))) if extrapolated.size else 0.0
+    richardson_sup = float(np.max(np.abs(extrapolated)))
 
     finite_ratios = [r for r in ratios if np.isfinite(r)]
     converged = all(r <= LADDER_RATIO_MAX for r in finite_ratios)
@@ -600,8 +603,7 @@ def decomposition_check(estimate: InfluenceEstimate) -> float:
     context = estimate.context
     recombined = compose(context.weights, len(context.probes), lambda b, rows: (
         per_region[b].values if b in per_region else 0.0))
-    return (float(np.max(np.abs(estimate.values - recombined)))
-            if recombined.size else 0.0)
+    return float(np.max(np.abs(estimate.values - recombined)))
 
 
 def _as_eps_vector(eps_by_region, B: int) -> np.ndarray:
@@ -637,8 +639,7 @@ def maxbias_probe(context: AuditContext, eps_by_region, qs) -> AuditReport:
     for q in qs:
         preds = {b: pred for b, _, _, (pred,) in _chains(
             context, q, lambda b: (eps[b - 1],) if eps[b - 1] else ())}
-        shift = np.abs(context.compose(preds) - context.base_preds)
-        shifts.append(float(shift.max()) if shift.size else 0.0)
+        shifts.append(float(np.abs(context.compose(preds) - context.base_preds).max()))
     empirical = max(shifts) if shifts else 0.0
 
     return AuditReport(

@@ -184,26 +184,13 @@ class LocalModel:
         }
 
 
-# objective's one-entry memo, ((kernel, shape, point bytes), Gram): an
-# optimizer evaluates the objective many times on one sample, and keying by
-# value, not identity, lets a rebuilt but equal sample reuse the Gram. Only
-# the last sample's Gram is held; the tuple is replaced whole, never mutated
-_objective_gram = (None, None)
-
-
 def objective(alpha, sample: WeightedSample, kernel: Kernel, loss: SmoothLoss,
               cfg: TrainConfig, shifted: bool = True) -> float:
     """Objective value at a coefficient vector anchored at the sample points."""
-    global _objective_gram
     alpha = np.asarray(alpha, dtype=float)
     if alpha.shape[0] != sample.n:
         raise InputError("alpha length must equal the sample size")
-    X = np.ascontiguousarray(sample.X)
-    key = (kernel, X.shape, X.tobytes())
-    memo_key, K = _objective_gram
-    if memo_key != key:
-        K = kernel.gram(X)
-        _objective_gram = (key, K)
+    K = kernel.gram(sample.X)
     f = K @ alpha
     terms = loss.shifted_value(sample.y, f) if shifted else loss.value(sample.y, f)
     return float(sample.weights @ terms + cfg.lam * (alpha @ f))

@@ -10,7 +10,6 @@ import time
 
 import numpy as np
 import pytest
-from scipy.optimize import minimize
 
 from localsvm import (AuditContext, GaussianRBF,
                       LambdaSchedule, LogisticClassification,
@@ -23,6 +22,7 @@ from localsvm import (AuditContext, GaussianRBF,
                       objective, regionalize, restrict,
                       shifted_unshifted_identity_check, tradeoff_sweep, train,
                       weight_sup_norm)
+import reference
 from conftest import member_matrix, weight_matrix
 
 REG = LogisticRegression()
@@ -251,16 +251,10 @@ def test_criterion_8_solver_oracle():
         grad = G @ (sample.weights * loss.dt(y, f) + 2 * cfg.lam * model.alpha)
         worst_grad = max(worst_grad, float(np.max(np.abs(grad))))
 
-        def fun(alpha):
-            return objective(alpha, sample, kernel, loss, cfg)
-
-        best = None
-        for x0 in (np.zeros(n), model.alpha + 0.05):
-            res = minimize(fun, x0, method="Nelder-Mead",
-                           options=dict(xatol=1e-10, fatol=1e-13,
-                                        maxiter=40000, maxfev=40000))
-            if best is None or res.fun < best:
-                best = float(res.fun)
+        best = reference.nelder_mead(
+            lambda alpha: reference.objective(alpha, G, sample, loss, cfg.lam),
+            (np.zeros(n), model.alpha + 0.05),
+            xatol=1e-10, fatol=1e-13, maxiter=40000, maxfev=40000)
         ours = objective(model.alpha, sample, kernel, loss, cfg)
         worst_gap = max(worst_gap, abs(ours - best))
     elapsed = time.time() - t0

@@ -1,13 +1,5 @@
-"""The shared AuditContext against the rebuild-everything audit it replaced.
-
-``_rebuild_finite_diff_if`` and ``_rebuild_maxbias_shifts`` are test-local
-copies of the audit before the context existed: every retrain rebuilds its
-Gram from the contaminated sample, every quotient evaluates full composed
-predictors, and every H-norm builds the Gram of the stacked base and
-contaminated anchors. Both start their retrains as the audit does: a
-maxbias retrain and the top ladder rung from pad(alpha), each lower rung
-from the secant through the rung above (``_secant_start``).
-"""
+"""The shared AuditContext against the rebuild-everything audit it replaced,
+``reference.finite_diff_if`` and ``reference.maxbias_shifts``."""
 
 import concurrent.futures
 import weakref
@@ -15,16 +7,16 @@ import weakref
 import numpy as np
 import pytest
 
-from localsvm import (ComposedModel, GaussianRBF, InputError,
-                      Linear, LogisticClassification, LogisticRegression,
-                      ModelConfig, Polynomial, RegionPredicate,
-                      TrainConfig, WeightedSample, WeightScheme,
+from localsvm import (GaussianRBF, InputError, Linear, LogisticClassification,
+                      LogisticRegression, ModelConfig, Polynomial,
+                      RegionPredicate, TrainConfig, WeightedSample, WeightScheme,
                       adversarial_q_specs, contaminate_region, default_probes,
                       finite_diff_if, fit_composed, maxbias_probe, regionalize,
-                      restrict, run_audit, train)
+                      run_audit)
 from localsvm import regions, robustness
 from localsvm.robustness import DEFAULT_EPS_LADDER, AuditContext
 from localsvm.solver import grad_scale
+import reference
 from conftest import manual_partition, two_blobs
 
 REG = LogisticRegression()
@@ -52,80 +44,6 @@ def _qs(data, part, labels=(4.0, -4.0, 5.0)):
     return [WeightedSample.dirac(x, y) for x, y in zip(zs, labels)] + [flipped]
 
 
-def _conditioned(part, measure, b):
-    """The measure conditioned on region b, at the rows ``members`` lists."""
-    return restrict(measure, part.members(measure.X)[b - 1])
-
-
-def _secant_start(pad, above, eps):
-    """pad(alpha) + (eps / eps_above) (alpha_above - pad(alpha)), the start of
-    the rung below the rung ``above`` = (eps_above, alpha_above)."""
-    eps_above, alpha_above = above
-    return pad + (eps / eps_above) * (alpha_above - pad)
-
-
-def _rebuild_retrain(data, part, config, base, q, b, eps, above=None):
-    """Retrain from pad(alpha), or from the secant start below ``above``."""
-    contaminated = contaminate_region(_conditioned(part, data, b), q,
-                                      part.region(b), eps)
-    extra = contaminated.n - base.locals[b].n_anchors
-    pad = np.concatenate([base.locals[b].alpha, np.zeros(extra)])
-    return train(contaminated, config.kernel_for(b), config.loss,
-                 config.train_for(b),
-                 warm_start=pad if above is None else _secant_start(pad, above, eps),
-                 region_id=b)
-
-
-def _rebuild_h_norm(tilde, base, eps):
-    anchors = np.vstack([base.anchors, tilde.anchors])
-    coef = np.concatenate([-base.alpha, tilde.alpha]) / eps
-    G = tilde.kernel.gram(anchors)
-    return float(np.sqrt(max(0.0, float(coef @ (G @ coef)))))
-
-
-def _touches(q, sample, region):
-    return contaminate_region(sample, q, region, 0.01) is not sample
-
-
-def _touched(data, part, q):
-    return [b for b in range(1, part.B + 1)
-            if _conditioned(part, data, b) is not None
-            and _touches(q, _conditioned(part, data, b), part.region(b))]
-
-
-def _rebuild_finite_diff_if(data, part, scheme, config, q, probes, base):
-    """Per rung: (eps, sup, {b: h_norm}, {b: alpha})."""
-    base_preds = base.predict(probes)
-    rungs = []
-    for eps in DEFAULT_EPS_LADDER:
-        locals_b = dict(base.locals)
-        h_norms, alphas = {}, {}
-        for b in _touched(data, part, q):
-            above = (rungs[-1][0], rungs[-1][3][b]) if rungs else None
-            tilde = _rebuild_retrain(data, part, config, base, q, b, eps, above)
-            locals_b[b] = tilde
-            alphas[b] = tilde.alpha
-            h_norms[b] = _rebuild_h_norm(tilde, base.locals[b], eps)
-        tilde_composed = ComposedModel(locals_b, scheme)
-        values = (tilde_composed.predict(probes) - base_preds) / eps
-        rungs.append((eps, float(np.max(np.abs(values))), h_norms, alphas))
-    return rungs
-
-
-def _rebuild_maxbias_shifts(data, part, scheme, config, eps, qs, probes, base):
-    base_preds = base.predict(probes)
-    shifts = []
-    for q in qs:
-        locals_b = dict(base.locals)
-        for b in _touched(data, part, q):
-            if eps[b - 1] != 0.0:
-                locals_b[b] = _rebuild_retrain(data, part, config, base, q, b,
-                                               eps[b - 1])
-        tilde = ComposedModel(locals_b, scheme)
-        shifts.append(float(np.abs(tilde.predict(probes) - base_preds).max()))
-    return shifts
-
-
 @pytest.mark.parametrize("kernel", KERNELS, ids=KERNEL_IDS)
 def test_bordered_gram_and_probe_block_match_rebuilt(kernel):
     data, part, scheme = _fixture()
@@ -134,9 +52,9 @@ def test_bordered_gram_and_probe_block_match_rebuilt(kernel):
     checked = 0
     for q in _qs(data, part):
         for b, blocks in ctx.regions.items():
-            atoms = _conditioned(part, q, b)
+            atoms = reference.conditioned(part, q, b)
             if atoms is None:
-                assert not _touches(q, blocks.sample, part.region(b))
+                assert not reference.touches(q, blocks.sample, part.region(b))
                 continue
             bordered = ctx.border(b, atoms)
             contaminated = bordered.contaminated(0.01)
@@ -179,7 +97,7 @@ def test_bordering_the_label_flip_mixture_makes_no_kernel_call(kernel, monkeypat
     for method in ("matrix", "gram"):
         monkeypatch.setattr(type(kernel), method, no_kernel)
     for b, blocks in ctx.regions.items():
-        bordered = ctx.border(b, _conditioned(part, flip, b))
+        bordered = ctx.border(b, reference.conditioned(part, flip, b))
         n = blocks.sample.n
         np.testing.assert_array_equal(bordered.atoms.X, blocks.sample.X)
         for rows in (slice(None, n), slice(n, None)):
@@ -199,8 +117,8 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     for q in _qs(data, part):
         est = finite_diff_if(ctx, q)
-        ref = _rebuild_finite_diff_if(data, part, scheme, config, q, probes, base)
-        assert sorted(est.per_region) == _touched(data, part, q)
+        ref = reference.finite_diff_if(data, part, scheme, config, q, probes, base)
+        assert sorted(est.per_region) == reference.touched(data, part, q)
         assert len(est.ladder) == len(ref)
         for k, (rung, (eps, sup, h_norms, alphas)) in enumerate(zip(est.ladder, ref)):
             assert rung["eps"] == eps
@@ -208,8 +126,8 @@ def test_finite_diff_if_matches_rebuild_reference(threads):
             for b, h in h_norms.items():
                 assert rung["h_norms"][b] == pytest.approx(h, rel=1e-12, abs=0.0)
             for b, alpha in alphas.items():
-                bordered = ctx.border(b, _conditioned(part, q, b))
-                start = None if k == 0 else _secant_start(
+                bordered = ctx.border(b, reference.conditioned(part, q, b))
+                start = None if k == 0 else reference.secant_start(
                     bordered.warm_start, (ref[k - 1][0], ref[k - 1][3][b]), eps)
                 retrained = ctx.retrain(bordered, eps, start)
                 np.testing.assert_array_equal(retrained.alpha, alpha)
@@ -232,7 +150,7 @@ def test_finite_diff_if_matches_rebuild_reference_polynomial():
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     for q in _qs(data, part)[:2]:
         est = finite_diff_if(ctx, q)
-        ref = _rebuild_finite_diff_if(data, part, scheme, config, q, probes, base)
+        ref = reference.finite_diff_if(data, part, scheme, config, q, probes, base)
         for rung, (_, sup, h_norms, _) in zip(est.ladder, ref):
             assert rung["sup"] == pytest.approx(sup, rel=1e-6)
             for b, h in h_norms.items():
@@ -250,7 +168,7 @@ def test_maxbias_probe_matches_rebuild_reference(threads):
     qs = adversarial_q_specs(data, classification=False)
     for eps in (np.array([0.1, 0.1]), np.array([0.0, 0.2])):
         report = maxbias_probe(ctx, eps, qs)
-        ref = _rebuild_maxbias_shifts(data, part, scheme, config, eps, qs,
+        ref = reference.maxbias_shifts(data, part, scheme, config, eps, qs,
                                       probes, base)
         got = report.empirical["per_q_shifts"]
         assert len(got) == len(ref)
@@ -283,12 +201,14 @@ def test_the_audit_borders_each_touched_region_once_per_q(monkeypatch):
         calls.clear()
         est = finite_diff_if(ctx, q)
         assert len(est.ladder) == len(DEFAULT_EPS_LADDER)
-        assert [b for b, _ in calls] == sorted(est.per_region) == _touched(data, part, q)
+        assert ([b for b, _ in calls] == sorted(est.per_region)
+                == reference.touched(data, part, q))
     # a region at eps_b = 0 keeps its model and is never bordered
     calls.clear()
     maxbias_probe(ctx, [0.1, 0.0], qs)
-    assert [b for b, _ in calls] == [1 for q in qs if 1 in _touched(data, part, q)]
-    assert any(2 in _touched(data, part, q) for q in qs)
+    assert [b for b, _ in calls] == [1 for q in qs
+                                     if 1 in reference.touched(data, part, q)]
+    assert any(2 in reference.touched(data, part, q) for q in qs)
 
 
 def test_the_audit_holds_one_bordered_region_at_a_time(monkeypatch):
@@ -398,7 +318,7 @@ def test_run_audit_retrains_without_a_thread_pool(monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", no_pool)
     qs = _qs(data, part)
-    assert sum(len(_touched(data, part, q)) > 1 for q in qs) >= 1
+    assert sum(len(reference.touched(data, part, q)) > 1 for q in qs) >= 1
     report = run_audit(data, scheme, config, qs, maxbias_eps=0.1,
                        probes=default_probes(data, 32), base=base, threads=2)
     assert report.all_satisfied
@@ -421,6 +341,32 @@ def test_context_base_predictions_agree_with_the_model_to_rounding(kind, h):
     np.testing.assert_array_equal(ctx.covered, covered)
     scale = np.max(np.abs(preds))
     assert np.max(np.abs(ctx.base_preds - preds)) <= 1e-12 * scale
+
+
+def _probes_with(value):
+    probes = default_probes(two_blobs(n_per=15, gap=1.5), 16)
+    probes[5, 1] = value
+    return probes
+
+
+@pytest.mark.parametrize("probes,match", [(np.zeros((0, 2)), "empty"),
+                                          (_probes_with(np.nan), "probe 5"),
+                                          (_probes_with(-np.inf), "probe 5")],
+                         ids=["empty", "nan", "inf"])
+@pytest.mark.parametrize("entry", ["context", "run_audit"])
+def test_an_empty_or_non_finite_probe_set_is_an_input_error_before_the_fit(
+        entry, probes, match, monkeypatch):
+    data, part, scheme = _fixture()
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("the base model was fitted before the probe check")
+
+    monkeypatch.setattr(robustness, "fit_composed", no_fit)
+    with pytest.raises(InputError, match=match):
+        if entry == "context":
+            AuditContext(data, scheme, _config(), probes=probes)
+        else:
+            run_audit(data, scheme, _config(), _qs(data, part), probes=probes)
 
 
 def test_context_rejects_model_trained_on_other_data():
@@ -446,7 +392,7 @@ def test_context_rejects_a_null_region_mismatch():
     ctx = AuditContext(data, scheme, config, probes=probes, base=base)
     assert ctx.regions[2].sample is None
     z = WeightedSample.dirac([9.0, 9.0], 1.0)
-    assert ctx.border(2, _conditioned(part, z, 2)) is None
+    assert ctx.border(2, reference.conditioned(part, z, 2)) is None
     shifted = WeightedSample.uniform(np.vstack([X, [[9.0, 9.0]]]), np.zeros(13))
     with pytest.raises(InputError, match="anchors differ"):
         AuditContext(shifted, scheme, config, probes=probes, base=base)
@@ -502,7 +448,7 @@ def test_chained_bottom_rung_takes_fewer_newton_steps_than_a_cold_start(kernel):
     for q in _qs(data, part):
         est = finite_diff_if(ctx, q)
         for b, local in est.per_region.items():
-            cold = ctx.retrain(ctx.border(b, _conditioned(part, q, b)),
+            cold = ctx.retrain(ctx.border(b, reference.conditioned(part, q, b)),
                                est.eps_used)
             assert (local.tilde.solve_info.newton_iters
                     < cold.solve_info.newton_iters), (q.n, b)

@@ -7,9 +7,9 @@ from localsvm import (GaussianRBF, InputError, Kernel, LambdaSchedule, Linear,
                       LogisticClassification, LogisticRegression, ModelConfig,
                       PartitionConfig, SyntheticTask, TrainConfig,
                       consistency_trend, experiments, fit_composed, generate,
-                      train, tradeoff_sweep)
-from localsvm.composer import compose
+                      tradeoff_sweep)
 from localsvm.experiments import EVAL_SEED_OFFSET
+import reference
 
 
 def test_generate_deterministic():
@@ -155,32 +155,6 @@ def test_reports_write_csv(tmp_path):
     assert len(lines) == 3
 
 
-def _separately_scored_trend(task, n_ladder, schedule, pc, config, eval_n):
-    # consistency_trend's rows with each model scored on its own:
-    # ComposedModel.predict and LocalModel.predict, no shared kernel pass
-    eval_data, t_star = generate(replace(task, seed=task.seed + EVAL_SEED_OFFSET),
-                                 eval_n, with_oracle=True)
-    loss = config.loss
-    bayes = float(np.mean(loss.value(eval_data.y, t_star)))
-    rows = []
-    for n in n_ladder:
-        data = generate(task, n)
-        scheme = pc.build(data.X)
-        members = scheme.partition.members(data.X)
-        lam = schedule(n)
-        cfg = replace(config, train=replace(config.train, lam=lam),
-                      region_lambdas={b: schedule(max(rows.size, 1))
-                                      for b, rows in enumerate(members, start=1)})
-        vals = loss.value(eval_data.y, fit_composed(data, scheme, cfg).predict(eval_data.X))
-        global_model = train(data, config.kernel, loss,
-                             replace(config.train, lam=lam))
-        global_vals = loss.value(eval_data.y, global_model.predict(eval_data.X))
-        rows.append({"n": n, "lambda": lam, "risk": float(np.mean(vals)),
-                     "bayes_proxy": bayes, "global_risk": float(np.mean(global_vals)),
-                     "mc_stderr": float(np.std(vals) / np.sqrt(eval_n))})
-    return rows, eval_data
-
-
 SCORING_CASES = {
     "normalized-indicator": (PartitionConfig(b_target=3, tau=0.25, min_region_size=5,
                                              seed=1), {}),
@@ -199,7 +173,8 @@ def test_trend_scores_match_separately_scored_models(case):
     config = replace(_small_config(), region_kernels=region_kernels)
     ladder, schedule = [60, 120], LambdaSchedule()
     report = consistency_trend(task, ladder, schedule, pc, config, eval_n=3000)
-    want, eval_data = _separately_scored_trend(task, ladder, schedule, pc, config, 3000)
+    want, eval_data = reference.trend_rows(task, ladder, schedule, pc, config,
+                                           3000, score="models")
     if case == "uncovered":  # the nearest-region fallback is exercised
         for n in ladder:
             partition = pc.build(generate(task, n).X).partition
@@ -213,44 +188,6 @@ def test_trend_scores_match_separately_scored_models(case):
             assert got[key] == ref[key], key
         for key in ("risk", "global_risk", "mc_stderr"):
             assert abs(got[key] - ref[key]) <= 1e-12 * abs(ref[key]), key
-
-
-def _rung_scored_trend(task, n_ladder, schedule, pc, config, eval_n):
-    # consistency_trend's rows scored one rung at a time, as before the
-    # rungs shared a pass: each rung's models are columns of one
-    # coefficient matrix over its own sample, multiplied by one
-    # Kernel.apply per distinct kernel
-    eval_data, t_star = generate(replace(task, seed=task.seed + EVAL_SEED_OFFSET),
-                                 eval_n, with_oracle=True)
-    loss = config.loss
-    bayes = float(np.mean(loss.value(eval_data.y, t_star)))
-    rows = []
-    for n in n_ladder:
-        data = generate(task, n)
-        scheme = pc.build(data.X)
-        members = scheme.partition.members(data.X)
-        lam = schedule(n)
-        cfg = replace(config, train=replace(config.train, lam=lam),
-                      region_lambdas={b: schedule(max(rows.size, 1))
-                                      for b, rows in enumerate(members, start=1)})
-        models = [train(data, config.kernel, loss, replace(config.train, lam=lam)),
-                  *fit_composed(data, scheme, cfg).locals.values()]
-        C = np.zeros((n, len(models)))
-        C[:, 0] = models[0].alpha
-        for b in range(1, len(models)):
-            C[members[b - 1], b] = models[b].alpha
-        P = np.empty((eval_n, len(models)))
-        for kernel in dict.fromkeys(m.kernel for m in models):
-            cols = [j for j, m in enumerate(models) if m.kernel == kernel]
-            P[:, cols] = kernel.apply(eval_data.X, data.X, C[:, cols])
-        weights, _ = scheme.weights_many(eval_data.X)
-        vals = loss.value(eval_data.y,
-                          compose(weights, eval_n, lambda b, rows: P[rows, b]))
-        rows.append({"n": n, "lambda": lam, "risk": float(np.mean(vals)),
-                     "bayes_proxy": bayes,
-                     "global_risk": float(np.mean(loss.value(eval_data.y, P[:, 0]))),
-                     "mc_stderr": float(np.std(vals) / np.sqrt(eval_n))})
-    return rows
 
 
 LADDER_CASES = {
@@ -278,7 +215,8 @@ def test_trend_matches_scoring_each_rung_on_its_own(case):
                  for n in ladder)
     assert nested == (task.kind != "two-moons")
     report = consistency_trend(task, ladder, schedule, pc, config, eval_n=3000)
-    want = _rung_scored_trend(task, ladder, schedule, pc, config, 3000)
+    want, _ = reference.trend_rows(task, ladder, schedule, pc, config, 3000,
+                                   score="rung")
     for got, ref in zip(report.rows, want, strict=True):
         assert list(got) == list(ref)
         for key in ("n", "lambda", "bayes_proxy"):

@@ -7,6 +7,7 @@ from localsvm import (AuditContext, ComposedModel, InputError, PartitionConfig,
                       RegionPartition, WeightedSample, WeightScheme, composer,
                       fit_composed, regional_measures, regionalize, restrict,
                       weight_sup_norm)
+import reference
 from conftest import manual_partition, member_matrix, two_blobs, weight_matrix
 
 
@@ -360,33 +361,6 @@ def test_region_ids_must_be_contiguous():
         RegionPartition(bad, tau=0.0)
 
 
-def _broadcast_sq_dists(X, centers):
-    # the broadcast form of every squared distance before the column sums
-    return ((X[:, None, :] - centers[None, :, :]) ** 2).sum(axis=-1)
-
-
-def _broadcast_weights_many(scheme, X):
-    # WeightScheme.weights_many as it was with the broadcast distances and
-    # numpy's reductions over the short region axis
-    regions = scheme.partition.regions
-    dist = [np.sqrt(((X - r.center) ** 2).sum(axis=1)) for r in regions]
-    M = np.column_stack([d <= r.radius for d, r in zip(dist, regions)])
-    covered = M.any(axis=1)
-    gaps = np.column_stack([np.maximum(0.0, d - r.radius) for d, r in zip(dist, regions)])
-    M[np.where(~covered)[0], gaps[~covered].argmin(axis=1)] = True
-    if scheme.kind == "normalized-indicator":
-        raw = M.astype(float)
-    else:
-        centers = np.stack([r.center for r in regions])
-        raw = np.exp(-_broadcast_sq_dists(X, centers) / scheme.h**2)
-        raw[~M] = 0.0
-        dead = M.any(axis=1) & (raw.sum(axis=1) == 0.0)
-        raw[dead] = M[dead].astype(float)
-    W = raw / raw.sum(axis=1, keepdims=True)
-    W[~M] = 0.0
-    return W, covered
-
-
 @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6, 7, 8, 12])
 def test_ball_geometry_bitwise_equal_to_broadcast_forms(dim, monkeypatch):
     from localsvm import regions
@@ -400,7 +374,7 @@ def test_ball_geometry_bitwise_equal_to_broadcast_forms(dim, monkeypatch):
     for tau in (0.0, 0.25):  # at tau 0 each ball's farthest point is on it
         part = regionalize(X, b_target=4, tau=tau, min_region_size=5, seed=dim)
         with monkeypatch.context() as m:
-            m.setattr(regions, "_sq_dists", _broadcast_sq_dists)
+            m.setattr(regions, "_sq_dists", reference.sq_dists)
             ref = regionalize(X, b_target=4, tau=tau, min_region_size=5, seed=dim)
         assert part.B == ref.B
         for r, q in zip(part.regions, ref.regions):
@@ -409,42 +383,9 @@ def test_ball_geometry_bitwise_equal_to_broadcast_forms(dim, monkeypatch):
                        WeightScheme("smooth-bump", part, h=0.5)):
             weights, covered = scheme.weights_many(queries)
             W = weight_matrix(weights, len(queries))
-            W_ref, covered_ref = _broadcast_weights_many(scheme, queries)
+            _, W_ref, covered_ref = reference.weights_many(scheme, queries)
             assert not covered.all() and W.tobytes() == W_ref.tobytes()
             np.testing.assert_array_equal(covered, covered_ref)
-
-
-def _membership_reference(partition, X):
-    # RegionPartition.membership before the per-region row lists: the
-    # dense (n, B) boolean matrix
-    return np.column_stack([r.contains_many(X) for r in partition.regions])
-
-
-def _weights_many_reference(scheme, X):
-    # WeightScheme.weights_many before the per-region row lists: the dense
-    # (n, B) weights, with the membership after the nearest-region
-    # fallback and the covered mask
-    from localsvm import regions
-
-    M = _membership_reference(scheme.partition, X)
-    covered = np.ascontiguousarray(M.T).any(axis=0)
-    if not covered.all():
-        nearest = scheme.partition.nearest_region_index(X[~covered])
-        M[np.where(~covered)[0], nearest] = True
-    if scheme.kind == "normalized-indicator":
-        raw = M.astype(float)
-        total = np.ascontiguousarray(raw.T).sum(axis=0)
-    else:
-        centers = np.stack([r.center for r in scheme.partition.regions])
-        raw = np.exp(-regions._sq_dists(X, centers) / scheme.h**2)
-        raw[~M] = 0.0
-        dead = M.any(axis=1) & (raw.sum(axis=1) == 0.0)
-        if dead.any():
-            raw[dead] = M[dead].astype(float)
-        total = raw.sum(axis=1)
-    W = raw / total[:, None]
-    W[~M] = 0.0
-    return M, W, covered
 
 
 @pytest.mark.parametrize("B", [1, 4, 64])
@@ -459,13 +400,13 @@ def test_row_lists_bitwise_equal_to_the_dense_reference(dim, B):
     part = regionalize(X, b_target=B, tau=0.1, min_region_size=2, seed=dim)
     assert part.B >= B // 2
     members = part.members(queries)
-    M_in = _membership_reference(part, queries)
+    M_in = reference.membership(part, queries)
     for j, rows in enumerate(members):
         np.testing.assert_array_equal(rows, np.flatnonzero(M_in[:, j]))
     for scheme in (WeightScheme("normalized-indicator", part),
                    WeightScheme("smooth-bump", part, h=0.5)):
         weights, covered = scheme.weights_many(queries)
-        M, W, covered_ref = _weights_many_reference(scheme, queries)
+        M, W, covered_ref = reference.weights_many(scheme, queries)
         assert not covered.all()
         np.testing.assert_array_equal(covered, covered_ref)
         assert len(weights) == part.B

@@ -5,8 +5,6 @@ import warnings
 
 import numpy as np
 import pytest
-from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import minimize
 
 from localsvm import (ComposedModel, ConvergenceError, GaussianRBF, InputError,
                       Linear, LocalModel, LogisticClassification,
@@ -15,40 +13,11 @@ from localsvm import (ComposedModel, ConvergenceError, GaussianRBF, InputError,
                       shifted_unshifted_identity_check, solver, train)
 from localsvm.experiments import SyntheticTask, generate
 from localsvm.kernels import _BLOCK_BUDGET, _GRAM_ROWS
+import reference
 from conftest import one_region_model, random_sample, reloaded
 
 REG = LogisticRegression()
 CLS = LogisticClassification()
-
-
-def golden_section(fun, lo, hi, tol=1e-12):
-    """Derivative-free 1-d minimizer, independent of the Newton path."""
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    while abs(b - a) > tol:
-        if fun(c) < fun(d):
-            b, d = d, c
-            c = b - phi * (b - a)
-        else:
-            a, c = c, d
-            d = a + phi * (b - a)
-    return (a + b) / 2.0
-
-
-def nelder_mead_min(sample, kernel, loss, cfg, shifted=True):
-    def fun(alpha):
-        return objective(alpha, sample, kernel, loss, cfg, shifted=shifted)
-
-    best = None
-    for x0 in (np.zeros(sample.n), np.full(sample.n, 0.1)):
-        res = minimize(fun, x0, method="Nelder-Mead",
-                       options=dict(xatol=1e-12, fatol=1e-14,
-                                    maxiter=50000, maxfev=50000))
-        if best is None or res.fun < best:
-            best = float(res.fun)
-    return best
 
 
 def test_objective_zero_at_zero_coefficients():
@@ -80,38 +49,6 @@ def test_objective_uniform_weights_recover_mean_form():
     assert objective(alpha, sample, k, REG, cfg) == pytest.approx(by_hand, rel=1e-13)
 
 
-def test_objective_rebuilds_the_gram_only_for_other_points_or_kernel(monkeypatch):
-    sample = random_sample(6, seed=59)
-    k = GaussianRBF(gamma=1.0, input_dim=2)
-    cfg = TrainConfig(lam=0.3)
-    alpha = np.linspace(-0.2, 0.3, 6)
-    calls = []
-    gram = GaussianRBF.gram
-
-    def counted(self, points):
-        calls.append(self)
-        return gram(self, points)
-
-    def by_hand(sample, kernel):
-        f = gram(kernel, sample.X) @ alpha
-        return float(sample.weights @ REG.shifted_value(sample.y, f)
-                     + cfg.lam * (alpha @ f))
-
-    monkeypatch.setattr(GaussianRBF, "gram", counted)
-    assert objective(alpha, sample, k, REG, cfg) == by_hand(sample, k)
-    calls.clear()
-    # equal values, new arrays and a new but equal kernel: the memo holds
-    same = WeightedSample(sample.X.copy(), sample.y.copy(), sample.weights.copy())
-    assert objective(alpha, same, GaussianRBF(gamma=1.0, input_dim=2), REG,
-                     cfg) == by_hand(sample, k)
-    assert calls == []
-    moved = WeightedSample(sample.X + 0.1, sample.y, sample.weights)
-    assert objective(alpha, moved, k, REG, cfg) == by_hand(moved, k)
-    wider = GaussianRBF(gamma=2.0, input_dim=2)
-    assert objective(alpha, moved, wider, REG, cfg) == by_hand(moved, wider)
-    assert calls == [k, wider]
-
-
 def test_train_single_point_y0_matches_golden_section():
     x = np.array([[1.0, 2.0]])
     sample = WeightedSample(x, np.array([0.0]), np.array([1.0]))
@@ -120,7 +57,7 @@ def test_train_single_point_y0_matches_golden_section():
     model = train(sample, k, REG, cfg)
     f_hat = model.predict(x)[0]
     # golden-section oracle on the scalar coefficient
-    a_star = golden_section(
+    a_star = reference.golden_section_min(
         lambda a: REG.shifted_value(0.0, a) + 10.0 * a * a, -1.0, 1.0)
     assert abs(model.alpha[0] - a_star) <= 1e-8
     # y = 0 makes t = 0 the unpenalized optimum, so f collapses to 0
@@ -141,7 +78,11 @@ def test_train_matches_nelder_mead_oracle_five_points():
     cfg = TrainConfig(lam=0.25)
     model = train(sample, k, REG, cfg)
     ours = objective(model.alpha, sample, k, REG, cfg)
-    oracle = nelder_mead_min(sample, k, REG, cfg)
+    K = k.gram(sample.X)
+    oracle = reference.nelder_mead(
+        lambda alpha: reference.objective(alpha, K, sample, REG, cfg.lam),
+        (np.zeros(sample.n), np.full(sample.n, 0.1)),
+        xatol=1e-12, fatol=1e-14, maxiter=50000, maxfev=50000)
     assert ours <= oracle + 1e-6
     assert abs(ours - oracle) <= 1e-6
 
@@ -451,47 +392,13 @@ def test_predict_memory_stays_within_a_few_chunks():
     assert peak < 4 * _BLOCK_BUDGET * 8
 
 
-def ridged_lu_newton(sample, kernel, loss, cfg):
-    """The Newton loop ``train`` used before its IRLS step: the system
-    K (D K) + 2 lam K with a trace-scaled ridge, solved by LU. Kept as the
-    reference the IRLS step is compared against."""
-    K = kernel.gram(sample.X)
-    y, w, lam = sample.y, sample.weights, cfg.lam
-    alpha = np.zeros(sample.n)
-    f = K @ alpha
-    for _ in range(cfg.max_iter):
-        grad = K @ (w * loss.dt(y, f) + 2.0 * lam * alpha)
-        if np.max(np.abs(grad)) <= cfg.grad_tol:
-            return alpha
-        D = w * loss.dtt(y, f)
-        H = K @ (D[:, None] * K) + 2.0 * lam * K
-        H[np.diag_indices_from(H)] += 1e-10 * float(np.trace(H))
-        step = np.linalg.solve(H, -grad)
-        descent = float(grad @ step)
-        assert descent < 0
-        Ks = K @ step
-        t = 1.0
-        if np.max(np.abs(grad)) > 1e-6:
-            J0 = float(w @ loss.shifted_value(y, f) + lam * (alpha @ f))
-            aKs, sKs = float(alpha @ Ks), float(step @ Ks)
-            while t >= 1e-16:
-                J_try = float(w @ loss.shifted_value(y, f + t * Ks)
-                              + lam * (alpha @ f + 2.0 * t * aKs + t * t * sKs))
-                if J_try <= J0 + 1e-4 * t * descent:
-                    break
-                t *= 0.5
-        alpha = alpha + t * step
-        f = f + t * Ks
-    raise AssertionError("reference Newton loop did not converge")
-
-
 def assert_matches_reference(sample, kernel, loss, cfg, probes):
     model = train(sample, kernel, loss, cfg)
     G = kernel.gram(sample.X)
     f = G @ model.alpha
     grad = G @ (sample.weights * loss.dt(sample.y, f) + 2 * cfg.lam * model.alpha)
     assert np.max(np.abs(grad)) <= cfg.grad_tol
-    ref_alpha = ridged_lu_newton(sample, kernel, loss, cfg)
+    ref_alpha = reference.ridged_lu_fit(sample, kernel, loss, cfg)
     expected = kernel.matrix(probes, sample.X) @ ref_alpha
     np.testing.assert_allclose(model.predict(probes), expected, rtol=0, atol=1e-9)
 
@@ -544,20 +451,6 @@ def test_recorded_h_norm_matches_gram(seed):
     assert model.h_norm() == pytest.approx(from_gram.h_norm(), rel=1e-12)
 
 
-def cholesky_newton_step(K, g, grad, D, lam, eta=0.0):
-    """The Newton step ``train`` took before conjugate gradients: one
-    Cholesky solve of A = D^1/2 K D^1/2 + 2 lam I formed in full, and K s
-    as the product K @ s. Kept as the reference the CG step is compared
-    against; it ignores ``eta``, as an exact solve meets every forcing
-    target."""
-    sqrt_d = np.sqrt(D)
-    A = sqrt_d[:, None] * K * sqrt_d
-    A[np.diag_indices_from(A)] += 2.0 * lam
-    r = cho_solve(cho_factor(A, lower=True), -sqrt_d * grad)
-    step = -(g + sqrt_d * r) / (2.0 * lam)
-    return step, K @ step, 0, 0.0
-
-
 def _with_duplicates(sample):
     X = sample.X.copy()
     X[-5:] = X[:5]
@@ -596,7 +489,7 @@ def _step_inputs(loss, kernel, lam):
 def test_cg_step_matches_cholesky_step(loss, kernel, lam):
     K, g, grad, D = _step_inputs(loss, kernel, lam)
     step, _, iters, _ = solver._newton_step(K, g, grad, D, lam)
-    ref, _, _, _ = cholesky_newton_step(K, g, grad, D, lam)
+    ref, _, _, _ = reference.cholesky_step(K, g, grad, D, lam)
     assert 0 < iters <= len(g)
     # both solve the Newton system K (D K + 2 lam I) s = -grad
     scale = np.max(np.abs(ref))
@@ -615,7 +508,7 @@ def _train_against_cholesky(monkeypatch, loss, kernel, lam):
     cfg = TrainConfig(lam=lam)
     model = train(sample, kernel, loss, cfg)
     with monkeypatch.context() as m:
-        m.setattr(solver, "_newton_step", cholesky_newton_step)
+        m.setattr(solver, "_newton_step", reference.cholesky_step)
         ref = train(sample, kernel, loss, cfg)
     probes = np.random.default_rng(53).uniform(-2.5, 2.5, size=(200, 2))
     expected = ref.predict(probes)
