@@ -176,12 +176,6 @@ def cmd_audit(args) -> int:
     base = None if args.model is None else load_model(args.model)
 
     scheme = _build_scheme(pc, data, config)
-    if base is not None:
-        if ((base.partition.to_dict(), base.scheme.to_dict())
-                != (scheme.partition.to_dict(), scheme.to_dict())):
-            raise InputError("model partition does not match the config partition")
-        scheme = base.scheme
-
     # only the keys the config sets: run_audit holds the defaults
     settings = {k: audit_cfg[k] for k in ("maxbias_eps", "eps_ladder")
                 if k in audit_cfg}

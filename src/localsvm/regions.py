@@ -227,6 +227,9 @@ class WeightScheme:
             raise InputError(f"{KIND_INDICATOR} takes no bandwidth, got h={h}")
         if kind == KIND_BUMP and (h is None or not h > 0):
             raise InputError(f"smooth-bump needs a positive bandwidth, got {h}")
+        if kind == KIND_BUMP and h * h == 0.0:
+            raise InputError(f"smooth-bump bandwidth h={h} squares to 0: its weights "
+                             "would be 0/0 at the ball centers")
         self.kind = kind
         self.partition = partition
         self.h = None if h is None else float(h)

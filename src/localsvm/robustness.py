@@ -342,12 +342,13 @@ class AuditContext:
     not a bordered copy of the probe block.
     The context is read-only after construction.
 
-    The base model must be anchored at the regional samples of ``data``
-    (as ``fit_composed`` leaves it) and, in every region that is not null,
-    hold the config's kernel, loss and lambda; any other base model is an
-    input error, and so is an empty probe set or a probe with a nan or inf,
-    checked before the base fit. ``threads`` is the worker count of the
-    base fit when ``base`` is omitted; the audit's retrains run in sequence.
+    Every input check runs before any Gram or probe block is built. Empty
+    probes, a nan or inf probe, or probes of another dimension than the
+    data's are input errors, raised before the base fit. So is a given base
+    not composed under ``scheme`` (equal balls, tau and weights), not
+    anchored at the regional samples of ``data``, or not holding the config's
+    kernel, loss and lambda in a region that is not null. ``threads`` is the
+    base fit's worker count; the audit's retrains run in sequence.
     """
 
     def __init__(self, data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
@@ -358,40 +359,50 @@ class AuditContext:
             raise InputError("the probe set is empty; the audit's sups range "
                              "over the probes")
         _reject_non_finite("probe", self.probes)
+        if self.probes.shape[1] != data.dim:
+            raise InputError(f"the probes have dimension {self.probes.shape[1]}, "
+                             f"but the data has dimension {data.dim}")
         if base is None:
             base = fit_composed(data, scheme, config, threads=threads)
+        elif ((base.partition.to_dict(), base.scheme.to_dict())
+              != (scheme.partition.to_dict(), scheme.to_dict())):
+            raise InputError("model partition does not match the config partition")
         self.data = data
         self.scheme = scheme
         self.config = config
         self.base = base
-        self.factors = _region_factors(scheme, config)
         self.weights, self.covered = scheme.weights_many(self.probes)
-        self.regions = {b: self._blocks(b, sample) for b, sample
-                        in enumerate(regional_measures(scheme.partition, data), 1)}
+        samples = regional_measures(scheme.partition, data)
+        for b, sample in enumerate(samples, 1):
+            local = base.locals[b]
+            anchors = np.zeros((0, data.dim)) if sample is None else sample.X
+            if not np.array_equal(local.anchors, anchors):
+                raise InputError(
+                    f"region {b}: the model's {local.n_anchors} anchors differ from "
+                    f"the {anchors.shape[0]} training points in the region; audit a "
+                    "model with the data it was trained on")
+            if sample is None:
+                continue
+            for what, got, want in (("lambda", local.lam, config.lam_for(b)),
+                                    ("kernel", local.kernel, config.kernel_for(b)),
+                                    ("loss", local.loss.name, config.loss.name)):
+                if got != want:
+                    raise InputError(
+                        f"region {b}: the model's {what} {got} does not match the "
+                        f"config's {want}; audit with the training config")
+        self.factors = _region_factors(scheme, config)
+        self.regions = {b: self._blocks(b, sample)
+                        for b, sample in enumerate(samples, 1)}
         self.base_preds = self.compose({})
 
     def _blocks(self, b: int, sample: Optional[WeightedSample]) -> RegionBlocks:
-        local = self.base.locals[b]
-        anchors = np.zeros((0, self.data.dim)) if sample is None else sample.X
-        if not np.array_equal(local.anchors, anchors):
-            raise InputError(
-                f"region {b}: the model's {local.n_anchors} anchors differ from "
-                f"the {anchors.shape[0]} training points in the region; audit a "
-                "model with the data it was trained on")
         points = self.probes[self.weights[b - 1][0]]
         if sample is None:
             return RegionBlocks(None, None, points, None, np.zeros(points.shape[0]))
         kernel = self.config.kernel_for(b)
-        for what, got, want in (("lambda", local.lam, self.config.lam_for(b)),
-                                ("kernel", local.kernel, kernel),
-                                ("loss", local.loss.name, self.config.loss.name)):
-            if got != want:
-                raise InputError(
-                    f"region {b}: the model's {what} {got} does not match the "
-                    f"config's {want}; audit with the training config")
         block = kernel.matrix(points, sample.X)
         return RegionBlocks(sample, kernel.gram(sample.X), points, block,
-                            block @ local.alpha)
+                            block @ self.base.locals[b].alpha)
 
     def compose(self, preds_by_region) -> np.ndarray:
         """sum_b w_b f_b over the probes, f_b given on region b's probe rows
@@ -667,13 +678,14 @@ def run_audit(data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
     bordered Grams, 1 for Gaussian RBF), and each local H-norm its
     cap with slack ``H_NORM_SLACK``. A maxbias probe at the given full
     contamination level runs against the adversarial corner/label-flip
-    family of ``adversarial_q_specs``. The per-run state is built once, as
-    one AuditContext that every Q shares, after the ladder and every Q are
-    checked. ``threads`` reaches only the base fit (when ``base`` is
-    omitted); the retrains run in sequence.
+    family of ``adversarial_q_specs``. Once the ladder, every Q and
+    ``maxbias_eps`` pass their checks, one AuditContext, which checks the
+    probes and a given ``base``, holds the per-run state every Q shares.
+    ``threads`` reaches only the base fit; the retrains run in sequence.
     """
     ladder = _check_ladder(eps_ladder)
     qs = [_check_q(q, data.dim) for q in qs]
+    mb_eps = None if maxbias_eps is None else _as_eps_vector(maxbias_eps, scheme.B)
     ctx = AuditContext(data, scheme, config, probes=probes, base=base,
                        threads=threads)
     grad_tol = config.train.grad_tol
@@ -718,9 +730,9 @@ def run_audit(data: WeightedSample, scheme: WeightScheme, config: ModelConfig,
         per_z.append(entry)
 
     mb_report = None
-    if maxbias_eps is not None:
+    if mb_eps is not None:
         family = adversarial_q_specs(data, config.loss.is_classification)
-        mb_report = maxbias_probe(ctx, maxbias_eps, family)
+        mb_report = maxbias_probe(ctx, mb_eps, family)
 
     empirical = {
         "if_sup": max((e["if_sup"] for e in per_z), default=0.0),

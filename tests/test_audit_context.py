@@ -14,6 +14,7 @@ from localsvm import (GaussianRBF, InputError, Linear, LogisticClassification,
                       finite_diff_if, fit_composed, maxbias_probe, regionalize,
                       run_audit)
 from localsvm import regions, robustness
+from localsvm.kernels import Kernel
 from localsvm.robustness import DEFAULT_EPS_LADDER, AuditContext
 from localsvm.solver import grad_scale
 import reference
@@ -367,6 +368,96 @@ def test_an_empty_or_non_finite_probe_set_is_an_input_error_before_the_fit(
             AuditContext(data, scheme, _config(), probes=probes)
         else:
             run_audit(data, scheme, _config(), _qs(data, part), probes=probes)
+
+
+@pytest.mark.parametrize("entry", ["context", "run_audit"])
+def test_probes_of_another_dimension_are_an_input_error_before_the_fit(
+        entry, monkeypatch):
+    data, part, scheme = _fixture()
+    fits = []
+    fit_orig = robustness.fit_composed
+
+    def counting_fit(*args, **kwargs):
+        fits.append(1)
+        return fit_orig(*args, **kwargs)
+
+    monkeypatch.setattr(robustness, "fit_composed", counting_fit)
+    probes = np.zeros((4, 3))
+    with pytest.raises(InputError, match="probes have dimension 3"):
+        if entry == "context":
+            AuditContext(data, scheme, _config(), probes=probes)
+        else:
+            run_audit(data, scheme, _config(), _qs(data, part), probes=probes)
+    assert len(fits) == 0
+
+
+@pytest.mark.parametrize("maxbias_eps", [0.5, [0.1, 0.1, 0.1]],
+                         ids=["half", "three-for-two-regions"])
+def test_run_audit_checks_the_maxbias_level_before_any_estimate(
+        maxbias_eps, monkeypatch):
+    data, part, scheme = _fixture()
+    base = fit_composed(data, scheme, _config())
+    estimates = []
+    estimate_orig = robustness.finite_diff_if
+
+    def counting_estimate(*args, **kwargs):
+        estimates.append(1)
+        return estimate_orig(*args, **kwargs)
+
+    monkeypatch.setattr(robustness, "finite_diff_if", counting_estimate)
+    with pytest.raises(InputError, match="maxbias eps|one eps per region"):
+        run_audit(data, scheme, _config(), _qs(data, part),
+                  maxbias_eps=maxbias_eps, probes=data.X, base=base)
+    assert len(estimates) == 0
+
+
+def _bump_base_for_an_indicator_scheme():
+    data, part, scheme = _fixture()
+    bump = WeightScheme("smooth-bump", part, h=0.5)
+    return data, part, scheme, fit_composed(data, bump, _config())
+
+
+def _tau_quarter_base_for_a_tau_half_scheme():
+    data, part, scheme = _fixture(tau=0.5)
+    _, quarter_part, quarter = _fixture(tau=0.25)
+    # the same members, so only the balls tell the two partitions apart
+    for a, b in zip(part.members(data.X), quarter_part.members(data.X)):
+        np.testing.assert_array_equal(a, b)
+    return data, part, scheme, fit_composed(data, quarter, _config())
+
+
+@pytest.mark.parametrize("make", [_bump_base_for_an_indicator_scheme,
+                                  _tau_quarter_base_for_a_tau_half_scheme],
+                         ids=["bump-base-indicator-scheme", "tau-0.25-base-tau-0.5"])
+@pytest.mark.parametrize("entry", ["context", "run_audit"])
+def test_a_base_composed_under_another_scheme_is_an_input_error(entry, make):
+    data, part, scheme, base = make()
+    with pytest.raises(InputError,
+                       match="model partition does not match the config partition"):
+        if entry == "context":
+            AuditContext(data, scheme, _config(), probes=data.X, base=base)
+        else:
+            run_audit(data, scheme, _config(), _qs(data, part), probes=data.X,
+                      base=base)
+
+
+@pytest.mark.parametrize("entry", ["context", "run_audit"])
+def test_a_region_lambda_mismatch_raises_before_any_kernel_block(
+        entry, monkeypatch):
+    data, part, scheme = _fixture()
+    base = fit_composed(data, scheme, _config(region_lambdas={2: 0.3}))
+
+    def no_block(*args, **kwargs):
+        raise AssertionError("a kernel block was built before the model check")
+
+    for name in ("matrix", "gram"):
+        monkeypatch.setattr(Kernel, name, no_block)
+    with pytest.raises(InputError, match="region 2: the model's lambda 0.3"):
+        if entry == "context":
+            AuditContext(data, scheme, _config(), probes=data.X, base=base)
+        else:
+            run_audit(data, scheme, _config(), _qs(data, part), probes=data.X,
+                      base=base)
 
 
 def test_context_rejects_model_trained_on_other_data():

@@ -1071,6 +1071,29 @@ def test_per_region_naming_a_missing_region_exits_2_before_any_fit(
 
 
 @pytest.mark.parametrize("command", ["train", "audit"])
+def test_a_bump_bandwidth_whose_square_underflows_exits_2_before_any_fit(
+        tmp_path, capsys, monkeypatch, command):
+    # the weights would be 0/0 at the ball centers, so no command may run
+    cfg = base_config(scheme={"kind": "smooth-bump", "h": 1e-200},
+                      audit={"eps_ladder": [1e-2, 5e-3], "extra_probes": 16,
+                             "z_grid": 2, "maxbias_eps": 0.0})
+    cfg["dataset"]["n"] = 12
+    cfg["partition"].update(b_target=12, min_region_size=1)
+
+    def no_fit(*args, **kwargs):
+        raise AssertionError("a local model was trained")
+
+    for module in (composer, robustness):
+        monkeypatch.setattr(module, "train", no_fit)
+    rc = cli.main([command, "--config", write_config(tmp_path, cfg),
+                   "--out", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 2, err
+    assert "h=1e-200" in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "audit"])
 def test_cli_overflowing_gram_is_input_error(tmp_path, capsys, command):
     # (x'y + 1)^400 overflows the Gram: a config error (exit 2) naming the
     # kernel, raised before any solve and without numpy's overflow warning,

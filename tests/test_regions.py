@@ -160,6 +160,20 @@ def test_indicator_scheme_takes_no_bandwidth():
     assert WeightScheme("normalized-indicator", part, h=None).h is None
 
 
+def test_a_bump_bandwidth_whose_square_underflows_is_rejected():
+    # at h = 1e-200, -d^2 / h^2 is 0/0 at a ball's center: a nan weight
+    part = manual_partition([[0.0], [1.0]], [1.0, 1.0])
+    with pytest.raises(InputError, match="h=1e-200"):
+        WeightScheme("smooth-bump", part, h=1e-200)
+    # a subnormal square still runs: a center keeps its own bump, and every
+    # other point, all of whose bumps underflow, the indicator fallback; off
+    # a center, -d^2 / h^2 overflows to -inf, whose exp is that underflow
+    bump = WeightScheme("smooth-bump", part, h=1e-160)
+    with np.errstate(over="ignore"):
+        W = weight_matrix(bump.weights_many([[0.0], [0.5], [1.0]])[0], 3)
+    np.testing.assert_array_equal(W, [[1.0, 0.0], [0.5, 0.5], [0.0, 1.0]])
+
+
 def test_weights_unit_vector_when_single_region():
     X = np.array([[0.0, 0.0], [2.0, 0.0]])
     part = manual_partition([[0.0, 0.0], [2.0, 0.0]], [0.5, 0.5])
